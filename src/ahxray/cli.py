@@ -2,7 +2,8 @@
 
 Subcommands wire experiment configurations to the library and write
 datasets, JSON reports, and plot-ready CSV tables.  Exit codes: 0 success,
-2 validation failure (bad config or field data), 3 numerical failure
+2 validation failure (bad config, field data or dataset file, unreadable
+input, a dataset from another fan), 3 numerical failure
 (trapped geodesic budget, optimizer stagnation).  Every report embeds the
 config fingerprint and tool version, and identical config + seed produce
 byte-identical outputs.
@@ -152,8 +153,6 @@ def cmd_reconstruct(args) -> int:
     with open(args.data, "r", encoding="utf-8") as fh:
         data = ScatteringDataset.from_jsonl(fh.read())
     params, rcfg = cfg.build_reconstruction()
-    if args.threads:
-        rcfg.threads = args.threads
     fan = cfg.build_fan(len(data.records))
     report = reconstruct_higgs(data, model, conn, params, fan, rcfg)
     _write(args.out, _report_json(cfg, report.as_dict()))
@@ -187,7 +186,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="JSONL output path")
     p.add_argument("--fan", type=int, default=None)
     p.add_argument("--rho-cut", type=float, default=None, dest="rho_cut")
-    p.add_argument("--threads", type=int, default=None)
     p.set_defaults(func=cmd_scatter)
 
     p = sub.add_parser("gauge-check",
@@ -237,7 +235,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "basis")
     p.add_argument("--out", default=None)
     p.add_argument("--field-csv", default=None, dest="field_csv")
-    p.add_argument("--threads", type=int, default=None)
     p.set_defaults(func=cmd_reconstruct)
     return parser
 
@@ -253,7 +250,7 @@ def main(argv=None) -> int:
     except AhxrayError as err:
         print(f"validation failure: {err}", file=sys.stderr)
         return EXIT_VALIDATION
-    except FileNotFoundError as err:
+    except (OSError, UnicodeDecodeError) as err:
         print(f"validation failure: {err}", file=sys.stderr)
         return EXIT_VALIDATION
 

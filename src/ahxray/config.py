@@ -73,9 +73,21 @@ def _parse_term(value: str, section: str, key: str) -> dict:
     return fields
 
 
-def _numbered(section: dict, prefix: str) -> list[str]:
-    keys = sorted(k for k in section if k.startswith(prefix + "."))
-    return [section[k] for k in keys]
+def _numbered(body: dict, prefix: str, section: str) -> list[str]:
+    """Values of the ``prefix.N`` keys in increasing integer N."""
+    values = {}
+    for key, value in body.items():
+        if not key.startswith(prefix + "."):
+            continue
+        suffix = key[len(prefix) + 1:]
+        if not (suffix.isascii() and suffix.isdigit()):
+            raise ConfigError(f"{prefix} keys need an integer suffix",
+                              section=section, key=key)
+        if int(suffix) in values:
+            raise ConfigError(f"duplicate {prefix} number {int(suffix)}",
+                              section=section, key=key)
+        values[int(suffix)] = value
+    return [values[n] for n in sorted(values)]
 
 
 class ExperimentConfig:
@@ -213,7 +225,7 @@ class ExperimentConfig:
 
     def _bundle_terms(self, section: str, rank: int, with_dir: bool):
         out = []
-        for raw in _numbered(self._section(section), "term"):
+        for raw in _numbered(self._section(section), "term", section):
             fields = _parse_term(raw, section, "term")
             if "gen" not in fields or "center" not in fields \
                     or "sigma" not in fields:
@@ -324,7 +336,7 @@ class ExperimentConfig:
         rank = int(body.get("rank", 2))
         decay = int(body.get("decay", 4))
         basis = []
-        for raw in _numbered(body, "basis"):
+        for raw in _numbered(body, "basis", "reconstruction"):
             fields = _parse_term(raw, "reconstruction", "basis")
             gen = _complex_matrix(_floats(fields["gen"]), rank,
                                   "[reconstruction] basis")

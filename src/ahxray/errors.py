@@ -32,6 +32,10 @@ class FanMismatchError(AhxrayError, ValueError):
     """Two scattering datasets were compared over incompatible fans."""
 
 
+class DatasetError(AhxrayError, ValueError):
+    """A scattering dataset file is malformed."""
+
+
 class IllConditionedGaugeError(AhxrayError, RuntimeError):
     """The endomorphism solution became too ill-conditioned to invert."""
 

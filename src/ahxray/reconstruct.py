@@ -7,12 +7,11 @@ skew-Hermitian generators with spatial bumps and a common decay factor,
 then minimize the stacked data misfit by damped Gauss-Newton with a small
 Tikhonov term.  Every iterate keeps the exact decay and skewness by
 construction.  Jacobians are central finite differences of the forward
-map; columns are independent and can be evaluated concurrently.
+map, one pair of forward solves per coefficient.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -21,10 +20,10 @@ import numpy as np
 from ._linalg import skew_defect
 from .bundle import ConnectionField, GaussBump, HiggsFieldData
 from .errors import DomainError, StagnationError
-from .geometry import AHModel, ModelKind
-from .transport import TransportConfig, _transport_rhs_factory, batch_transport
-from .xray import (FanMode, FanSpec, ScatteringDataset,
-                   compute_scattering_data, _fan_geodesics)
+from .geometry import AHModel
+from .transport import TransportConfig, batch_transport, transport_rhs
+from .xray import (FanSpec, ScatteringDataset, compute_scattering_data,
+                   fan_geodesics, require_fan)
 
 
 @dataclass
@@ -96,7 +95,6 @@ class ReconstructionConfig:
     grad_tol: float = 1e-10
     max_backtracks: int = 25
     stagnation_limit: int = 5
-    threads: int = 1
     transport: TransportConfig = field(
         default_factory=lambda: TransportConfig(n_steps=1024))
 
@@ -149,45 +147,20 @@ def forward_map(model: AHModel, conn0: ConnectionField,
                                    cfg.transport, fingerprint=fingerprint)
 
 
-class _FanSolver:
-    """Forward evaluations over a fixed fan with cached geodesics.
+def _fan_residual(conn0: ConnectionField, params: HiggsParameterization,
+                  geos, cfg: TransportConfig, data):
+    """c -> stacked real and imaginary parts of F(c) - data, where F is the
+    forward map over the record-ordered fan ``geos`` (the computation of
+    compute_scattering_data, with the geodesics built once)."""
 
-    Computes the same matrices as compute_scattering_data over a
-    boundary-pair fan (same backend and ordering), skipping the repeated
-    geodesic construction inside the optimizer loop.
-    """
-
-    def __init__(self, model: AHModel, conn0: ConnectionField,
-                 params: HiggsParameterization, fan: FanSpec,
-                 cfg: ReconstructionConfig):
-        if fan.mode is not FanMode.BOUNDARY_PAIRS \
-                or model.kind is not ModelKind.POINCARE_DISK:
-            raise DomainError(
-                "reconstruction runs over boundary-pair fans on the disk")
-        self.params = params
-        self.conn0 = conn0
-        self.cfg = cfg
-        geos = _fan_geodesics(model, fan, cfg.transport.rho_cut)
-        entry_keys = [g.boundary_data()[0].key() for g in geos]
-        order = sorted(range(len(geos)), key=lambda i: entry_keys[i])
-        self.geos = [geos[i] for i in order]    # dataset record order
-        self.d = conn0.rank
-
-    def matrices(self, c: np.ndarray) -> np.ndarray:
-        higgs = self.params.higgs(c)
-        out, _ = batch_transport(
-            _transport_rhs_factory(self.conn0, higgs), self.geos, self.d,
-            self.cfg.transport)
-        return out
-
-    def residual(self, c: np.ndarray, data: np.ndarray) -> np.ndarray:
-        diff = self.matrices(c) - data
+    def residual(c: np.ndarray) -> np.ndarray:
+        out, _ = batch_transport(transport_rhs(conn0, params.higgs(c)),
+                                 geos, conn0.rank, cfg)
+        diff = out - data
         return np.concatenate([diff.real.reshape(-1),
                                diff.imag.reshape(-1)])
 
-
-def _stack_records(data: ScatteringDataset) -> np.ndarray:
-    return np.array([r.matrix for r in data.records])
+    return residual
 
 
 def jacobian_fd(model: AHModel, conn0: ConnectionField,
@@ -195,29 +168,20 @@ def jacobian_fd(model: AHModel, conn0: ConnectionField,
                 c: np.ndarray,
                 cfg: Optional[ReconstructionConfig] = None) -> np.ndarray:
     """Central-difference Jacobian of the stacked residual, one column per
-    basis coefficient; columns evaluate independently."""
+    basis coefficient."""
     cfg = cfg or ReconstructionConfig()
     _require_flat(conn0)
-    solver = _FanSolver(model, conn0, params, fan, cfg)
-    zero = np.zeros((len(solver.geos), solver.d, solver.d), dtype=complex)
-    return _jacobian(solver, np.asarray(c, dtype=float), zero, cfg)
+    geos = fan_geodesics(model, fan, cfg.transport.rho_cut)
+    return _jacobian(_fan_residual(conn0, params, geos, cfg.transport, 0.0),
+                     np.asarray(c, dtype=float), cfg.fd_step)
 
 
-def _jacobian(solver: _FanSolver, c: np.ndarray, data: np.ndarray,
-              cfg: ReconstructionConfig) -> np.ndarray:
-    h = cfg.fd_step
-
-    def column(k):
+def _jacobian(residual, c: np.ndarray, h: float) -> np.ndarray:
+    cols = []
+    for k in range(len(c)):
         e = np.zeros_like(c)
         e[k] = h
-        return (solver.residual(c + e, data)
-                - solver.residual(c - e, data)) / (2.0 * h)
-
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            cols = list(pool.map(column, range(len(c))))
-    else:
-        cols = [column(k) for k in range(len(c))]
+        cols.append((residual(c + e) - residual(c - e)) / (2.0 * h))
     return np.stack(cols, axis=-1)
 
 
@@ -238,14 +202,14 @@ def reconstruct_higgs(data: ScatteringDataset, model: AHModel,
     _require_flat(conn0)
     if data.rank != conn0.rank:
         raise DomainError("dataset rank does not match the connection")
-    solver = _FanSolver(model, conn0, params, fan, cfg)
-    if len(solver.geos) != len(data.records):
-        raise DomainError("dataset does not cover the reconstruction fan")
-    target = _stack_records(data)
+    geos = fan_geodesics(model, fan, cfg.transport.rho_cut)
+    require_fan(data, geos, cfg.transport.rho_cut)
+    residual = _fan_residual(conn0, params, geos, cfg.transport,
+                             np.array([r.matrix for r in data.records]))
 
     lam = cfg.tikhonov
     c = np.zeros(params.size)
-    r = solver.residual(c, target)
+    r = residual(c)
 
     def objective(res, cc):
         return float(res @ res + lam * cc @ cc)
@@ -255,7 +219,7 @@ def reconstruct_higgs(data: ScatteringDataset, model: AHModel,
     converged = False
     iterations = 0
     for iterations in range(1, cfg.max_iter + 1):
-        jac = _jacobian(solver, c, target, cfg)
+        jac = _jacobian(residual, c, cfg.fd_step)
         grad = jac.T @ r + lam * c
         if np.linalg.norm(grad) < cfg.grad_tol:
             converged = True
@@ -267,7 +231,7 @@ def reconstruct_higgs(data: ScatteringDataset, model: AHModel,
         accepted = False
         for _ in range(cfg.max_backtracks):
             c_try = c + scale * step
-            r_try = solver.residual(c_try, target)
+            r_try = residual(c_try)
             if objective(r_try, c_try) < history[-1]:
                 c, r = c_try, r_try
                 history.append(objective(r, c))

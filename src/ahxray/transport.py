@@ -1,15 +1,23 @@
 """Transport of fiber vectors and endomorphisms along geodesics.
 
-The transport equation du/dt + (Gamma(gamma') + Phi) u = 0 is integrated
-between the truncation points of a geodesic path; the entry value stands in
-for the limit at minus infinity, and the exponential approach of rho along
-escaping geodesics makes the truncation error decay like a power of rho_cut
-(verified by Richardson halving rather than certified).
+Every transport system here has the one form
 
-Two backends share the same right-hand side:
+    dU/dt = -((Gamma(gamma') + Phi) U - U Gamma_R(gamma')),
+
+integrated between the truncation points of a geodesic path: the
+fundamental system of the transform has no right action, the
+entry-normalized endomorphism solution has Gamma_R = Gamma, and the second
+solution of a gauge pair has Gamma_R = Gamma_A, the first pair's
+connection.  The entry value stands in for the limit at minus infinity; the
+exponential approach of rho along escaping geodesics makes the truncation
+error decay like a power of rho_cut (verified by Richardson halving rather
+than certified).
+
+One right-hand side drives two integrators:
 
 - an adaptive complex RK45 along a single path (closed-form positions when
-  the path is analytic, otherwise a joint state with the geodesic), and
+  the path is analytic, otherwise a joint state with the geodesic), which
+  carries one or more systems and can be read at requested times, and
 - a fixed-step classic RK4 vectorized across whole fans of closed-form disk
   geodesics, which is what makes scattering datasets and reconstruction
   loops cheap.
@@ -60,78 +68,78 @@ def _check_ranks(conn: ConnectionField, higgs: HiggsFieldData,
     return conn.rank
 
 
-def _transport_rhs_factory(conn, higgs):
-    """du/dt = -(Gamma(v) + Phi) u, the transform's fundamental system."""
+def transport_rhs(conn: ConnectionField, higgs: HiggsFieldData,
+                  right: Optional[ConnectionField] = None):
+    """prep(x, v) -> rhs(U) for dU/dt = -((Gamma(v) + Phi) U - U Gamma_R(v)).
 
-    def prep(x, v):
-        m = conn.along(x, v) + higgs.phi(x)
-        return lambda u: -(m @ u)
-
-    return prep
-
-
-def _endomorphism_rhs_factory(conn, higgs):
-    """dU/dt = -([Gamma(v), U] + Phi U): transport in the endomorphism
-    connection induced by the bundle connection."""
-
-    def prep(x, v):
-        gam = conn.along(x, v)
-        phi = higgs.phi(x)
-        return lambda u: -(gam @ u - u @ gam + phi @ u)
-
-    return prep
-
-
-def _pair_rhs_factory(conn_a, conn_b, higgs_b):
-    """dU/dt = -(Gamma_B(v) U - U Gamma_A(v) + Phi_B U).
-
-    The second transport system of the gauge pipeline: pair A's
-    endomorphism connection plus left multiplication by the connection
-    difference Gamma_B - Gamma_A and by the second Higgs field.
+    ``right`` is the connection acting from the right: None for the
+    fundamental system, ``conn`` itself for the endomorphism solution
+    (evaluated once per stage), the first pair's connection for the second
+    solution of a gauge pair.
     """
 
     def prep(x, v):
-        left = conn_b.along(x, v) + higgs_b.phi(x)
-        right = conn_a.along(x, v)
-        return lambda u: -(left @ u - u @ right)
+        gam = conn.along(x, v)
+        left = gam + higgs.phi(x)
+        if right is None:
+            return lambda u: -(left @ u)
+        gam_r = gam if right is conn else right.along(x, v)
+        return lambda u: -(left @ u - u @ gam_r)
 
     return prep
 
 
-def _transport_adaptive(model: AHModel, prep, path: GeodesicPath,
-                        u0: np.ndarray, cfg: TransportConfig) -> np.ndarray:
-    shape = u0.shape
-    if path.analytic is not None:
-        geo = path.analytic
+def _transport_adaptive(model: AHModel, preps, path: GeodesicPath,
+                        u0: np.ndarray, cfg: TransportConfig,
+                        t_eval: Optional[np.ndarray] = None):
+    """RK45 for the transport systems ``preps``, all from the entry value u0.
 
+    On an analytic path only the transport values are integrated, at
+    closed-form positions; otherwise they join the geodesic state in one
+    real system laid out as [x, v, Re U_1, Im U_1, ..., Re U_k, Im U_k].
+    Returns (t, x, v, U) at the exit, or at ``t_eval`` clipped to the path;
+    U has shape (k, len(t), *u0.shape).
+    """
+    shape, n_u, k = u0.shape, u0.size, len(preps)
+    flat0 = u0.astype(complex).reshape(-1)
+    span = (path.t[0], path.t[-1])
+    if t_eval is not None:
+        t_eval = np.clip(t_eval, *span)
+    geo = path.analytic
+
+    def derivs(x, v, us):
+        return [prep(x, v)(u.reshape(shape)).reshape(-1)
+                for prep, u in zip(preps, us)]
+
+    if geo is not None:
         def rhs(t, y):
-            u = y.reshape(shape)
             t = np.asarray(t)
-            return prep(geo.position(t), geo.velocity(t))(u).reshape(-1)
+            return np.concatenate(derivs(geo.position(t), geo.velocity(t),
+                                         np.split(y, k)))
 
-        sol = solve_ivp(rhs, (path.t[0], path.t[-1]),
-                        u0.astype(complex).reshape(-1), method="RK45",
-                        rtol=cfg.rtol, atol=cfg.atol)
-        return sol.y[:, -1].reshape(shape)
+        y0 = np.tile(flat0, k)
+    else:
+        def rhs(_t, y):
+            x, v = y[:2], y[2:4]
+            parts = y[4:].reshape(k, 2, n_u)
+            du = derivs(x, v, parts[:, 0] + 1j * parts[:, 1])
+            return np.concatenate([v, model.geodesic_rhs(x, v)]
+                                  + [p for d in du for p in (d.real, d.imag)])
 
-    # joint real system: geodesic state plus transport value
-    n_u = int(np.prod(shape))
-
-    def rhs(t, y):
-        x = y[:2]
-        v = y[2:4]
-        u = (y[4:4 + n_u] + 1j * y[4 + n_u:]).reshape(shape)
-        du = prep(x, v)(u).reshape(-1)
-        acc = model.geodesic_rhs(x, v)
-        return np.concatenate([v, acc, du.real, du.imag])
-
-    y0 = np.concatenate([path.x[0], path.v[0],
-                         u0.astype(complex).reshape(-1).real,
-                         u0.astype(complex).reshape(-1).imag])
-    sol = solve_ivp(rhs, (path.t[0], path.t[-1]), y0, method="RK45",
-                    rtol=cfg.rtol, atol=cfg.atol)
-    y = sol.y[:, -1]
-    return (y[4:4 + n_u] + 1j * y[4 + n_u:]).reshape(shape)
+        y0 = np.concatenate([path.x[0], path.v[0]]
+                            + [flat0.real, flat0.imag] * k)
+    sol = solve_ivp(rhs, span, y0, method="RK45", rtol=cfg.rtol,
+                    atol=cfg.atol, t_eval=t_eval)
+    ts, ys = (sol.t, sol.y) if t_eval is not None \
+        else (sol.t[-1:], sol.y[:, -1:])
+    if geo is not None:
+        xs, vs = geo.position(ts), geo.velocity(ts)
+        us = ys.reshape(k, n_u, -1)
+    else:
+        xs, vs = ys[:2].T, ys[2:4].T
+        parts = ys[4:].reshape(k, 2, n_u, -1)
+        us = parts[:, 0] + 1j * parts[:, 1]
+    return ts, xs, vs, np.moveaxis(us, -1, 1).reshape(k, len(ts), *shape)
 
 
 def _refined_path(model: AHModel, path: GeodesicPath,
@@ -143,11 +151,11 @@ def _refined_path(model: AHModel, path: GeodesicPath,
 
 
 def _run(model, prep, path, u0, cfg) -> TransportResult:
-    exit_value = _transport_adaptive(model, prep, path, u0, cfg)
+    exit_value = _transport_adaptive(model, [prep], path, u0, cfg)[3][0, -1]
     estimate = None
     if cfg.richardson:
         fine = _refined_path(model, path, path.rho_cut / 2.0)
-        exit_fine = _transport_adaptive(model, prep, fine, u0, cfg)
+        exit_fine = _transport_adaptive(model, [prep], fine, u0, cfg)[3][0, -1]
         estimate = float(np.linalg.norm(exit_fine - exit_value))
     if u0.ndim == 2:
         defect = float(unitary_defect(exit_value))
@@ -162,25 +170,21 @@ def solve_transport(model: AHModel, conn: ConnectionField,
                     higgs: HiggsFieldData, path: GeodesicPath,
                     e_in: np.ndarray,
                     cfg: Optional[TransportConfig] = None) -> TransportResult:
-    """Transport a fiber vector along a complete path, entry to exit."""
+    """Transport a fiber vector (or the columns of a matrix) along a
+    complete path, entry to exit."""
     cfg = cfg or TransportConfig()
     e_in = np.asarray(e_in, dtype=complex)
     _check_ranks(conn, higgs, e_in)
-    return _run(model, _transport_rhs_factory(conn, higgs), path, e_in, cfg)
+    return _run(model, transport_rhs(conn, higgs), path, e_in, cfg)
 
 
 def scattering_matrix(model: AHModel, conn: ConnectionField,
                       higgs: HiggsFieldData, path: GeodesicPath,
                       cfg: Optional[TransportConfig] = None) -> TransportResult:
-    """Endomorphism transport with identity entry value.
-
-    Matrix form integrates all columns with one right-hand side per step;
-    the exit matrix is the scattering datum for this geodesic.
-    """
-    cfg = cfg or TransportConfig()
-    eye = np.eye(conn.rank, dtype=complex)
-    _check_ranks(conn, higgs, eye)
-    return _run(model, _transport_rhs_factory(conn, higgs), path, eye, cfg)
+    """Transport of the identity: the exit matrix is the scattering datum
+    for this geodesic."""
+    return solve_transport(model, conn, higgs, path,
+                           np.eye(conn.rank, dtype=complex), cfg)
 
 
 def parallel_transport(model: AHModel, conn: ConnectionField,
@@ -200,7 +204,8 @@ def endomorphism_transport(model: AHModel, conn: ConnectionField,
     cfg = cfg or TransportConfig()
     eye = np.eye(conn.rank, dtype=complex)
     _check_ranks(conn, higgs, eye)
-    return _run(model, _endomorphism_rhs_factory(conn, higgs), path, eye, cfg)
+    return _run(model, transport_rhs(conn, higgs, right=conn), path, eye,
+                cfg)
 
 
 def transported_data_action(model: AHModel, conn: ConnectionField,
@@ -251,6 +256,15 @@ class _BatchPaths:
         return self.t0 + frac * self.span
 
 
+def _rk4_step(u, h, f_start, f_mid, f_end):
+    """One classic RK4 step; the midpoint right-hand side serves two stages."""
+    k1 = f_start(u)
+    k2 = f_mid(u + 0.5 * h * k1)
+    k3 = f_mid(u + 0.5 * h * k2)
+    k4 = f_end(u + h * k3)
+    return u + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
 def batch_transport(prep, geos: Sequence[DiskGeodesic], rank: int,
                     cfg: Optional[TransportConfig] = None,
                     record_fracs: Optional[Sequence[float]] = None):
@@ -292,15 +306,10 @@ def batch_transport(prep, geos: Sequence[DiskGeodesic], rank: int,
         if delta <= 0.0:
             records.append((batch.times(frac), x_now, v_now, u_now.copy()))
             return
-        h = delta * dt
         _, _, f_m = stage((k + 0.5 * delta) / n)
         x_e, v_e, f_e = stage(frac)
-        s1 = f_now(u_now)
-        s2 = f_m(u_now + 0.5 * h * s1)
-        s3 = f_m(u_now + 0.5 * h * s2)
-        s4 = f_e(u_now + h * s3)
-        u_snap = u_now + h / 6.0 * (s1 + 2.0 * s2 + 2.0 * s3 + s4)
-        records.append((batch.times(frac), x_e, v_e, u_snap))
+        records.append((batch.times(frac), x_e, v_e,
+                        _rk4_step(u_now, delta * dt, f_now, f_m, f_e)))
 
     x_here, v_here, f_here = stage(0.0)
     for k in range(n):
@@ -308,11 +317,7 @@ def batch_transport(prep, geos: Sequence[DiskGeodesic], rank: int,
             snapshot(k, delta, frac, u, f_here, x_here, v_here)
         _, _, f_mid = stage((k + 0.5) / n)
         x_next, v_next, f_next = stage((k + 1.0) / n)
-        k1 = f_here(u)
-        k2 = f_mid(u + 0.5 * dt * k1)
-        k3 = f_mid(u + 0.5 * dt * k2)
-        k4 = f_next(u + dt * k3)
-        u = u + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        u = _rk4_step(u, dt, f_here, f_mid, f_next)
         f_here, x_here, v_here = f_next, x_next, v_next
     for delta, frac in sorted(by_step.get(n, [])):
         snapshot(n, 0.0, frac, u, f_here, x_here, v_here)
@@ -326,5 +331,5 @@ def batch_scattering(conn: ConnectionField, higgs: HiggsFieldData,
     """Scattering matrices for a whole fan of closed-form disk geodesics."""
     if conn.rank != higgs.rank:
         raise RankMismatchError("connection and Higgs ranks differ")
-    return batch_transport(_transport_rhs_factory(conn, higgs), geos,
+    return batch_transport(transport_rhs(conn, higgs), geos,
                            conn.rank, cfg, record_fracs)

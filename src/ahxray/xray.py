@@ -19,16 +19,16 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._linalg import frobenius
+from ._linalg import frobenius, unitary_defect
 from .bundle import ConnectionField, HiggsFieldData
-from .errors import (DomainError, FanMismatchError, IllConditionedGaugeError,
-                     InsufficientCrossingsError, TrappedGeodesicError)
+from .errors import (DatasetError, DomainError, FanMismatchError,
+                     IllConditionedGaugeError, InsufficientCrossingsError,
+                     TrappedGeodesicError)
 from .geometry import (AHModel, BoundaryDatum, DiskGeodesic, Direction,
                        GeodesicPath, IntegratorConfig, ModelKind,
                        shoot_from_boundary)
-from .transport import (TransportConfig, _endomorphism_rhs_factory,
-                        _pair_rhs_factory, _transport_rhs_factory,
-                        batch_transport, scattering_matrix)
+from .transport import (TransportConfig, _transport_adaptive,
+                        batch_transport, scattering_matrix, transport_rhs)
 
 
 class FanMode(Enum):
@@ -62,16 +62,16 @@ class FanSpec:
     def uniform_pairs(cls, count: int, n_openings: int = 8,
                       opening_lo: float = math.pi / 3,
                       opening_hi: float = 5 * math.pi / 3) -> "FanSpec":
-        """Entry angles sweep the circle; openings sweep a chord range."""
-        n_in = max(1, count // n_openings)
+        """Exactly ``count`` pairs: entry angles sweep the circle, openings
+        sweep a chord range; the last entry angle may take only some."""
+        n_in = max(1, math.ceil(count / n_openings))
         pairs = []
         openings = np.linspace(opening_lo, opening_hi, n_openings)
         alphas = np.linspace(0.0, 2 * math.pi, n_in, endpoint=False)
         for a in alphas:
             for op in openings:
                 pairs.append((float(a), float((a + op) % (2 * math.pi))))
-        return cls(FanMode.BOUNDARY_PAIRS, pairs=tuple(pairs[:count])
-                   if count <= len(pairs) else tuple(pairs))
+        return cls(FanMode.BOUNDARY_PAIRS, pairs=tuple(pairs[:count]))
 
     @classmethod
     def uniform_shooting(cls, count: int, n_eta: int = 5,
@@ -129,28 +129,53 @@ class ScatteringDataset:
 
     @classmethod
     def from_jsonl(cls, text: str) -> "ScatteringDataset":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        head = json.loads(lines[0])
-        d = int(head["rank"])
-        records = []
-        for ln in lines[1:]:
-            obj = json.loads(ln)
-            flat = np.asarray(obj["matrix"], dtype=float)
-            mat = (flat[0::2] + 1j * flat[1::2]).reshape(d, d)
-            records.append(ScatteringRecord(
-                entry=BoundaryDatum(obj["entry_alpha"], obj["entry_eta"],
-                                    Direction.INCOMING),
-                exit=BoundaryDatum(obj["exit_alpha"], obj["exit_eta"],
-                                   Direction.OUTGOING),
-                matrix=mat, unitarity_defect=obj["unitarity_defect"]))
-        return cls(fingerprint=head["fingerprint"], rank=d,
-                   rho_cut=float(head["rho_cut"]), records=records)
+        """Inverse of to_jsonl; malformed input raises DatasetError."""
+        lines = [(num, ln) for num, ln in enumerate(text.splitlines(), 1)
+                 if ln.strip()]
+        if not lines:
+            raise DatasetError("dataset has no header line")
+        num, records = lines[0][0], []
+        try:
+            head = json.loads(lines[0][1])
+            d = int(head["rank"])
+            if d < 1:
+                raise ValueError(f"rank must be positive, got {d}")
+            fingerprint = str(head["fingerprint"])
+            rho_cut = float(head["rho_cut"])
+            for num, ln in lines[1:]:
+                obj = json.loads(ln)
+                flat = np.asarray(obj["matrix"], dtype=float)
+                if flat.shape != (2 * d * d,):
+                    raise ValueError(f"matrix needs {2 * d * d} numbers "
+                                     "(row-major re,im pairs)")
+                records.append(ScatteringRecord(
+                    entry=BoundaryDatum(float(obj["entry_alpha"]),
+                                        float(obj["entry_eta"]),
+                                        Direction.INCOMING),
+                    exit=BoundaryDatum(float(obj["exit_alpha"]),
+                                       float(obj["exit_eta"]),
+                                       Direction.OUTGOING),
+                    matrix=(flat[0::2] + 1j * flat[1::2]).reshape(d, d),
+                    unitarity_defect=float(obj["unitarity_defect"])))
+        except (KeyError, TypeError, ValueError) as err:
+            raise DatasetError(f"line {num}: {type(err).__name__}: {err}") \
+                from err
+        return cls(fingerprint=fingerprint, rank=d, rho_cut=rho_cut,
+                   records=records)
 
 
-def _fan_geodesics(model: AHModel, fan: FanSpec,
-                   rho_cut: float) -> list[DiskGeodesic]:
-    return [DiskGeodesic.between_boundary_angles(model, a, b, rho_cut)
+def fan_geodesics(model: AHModel, fan: FanSpec,
+                  rho_cut: float) -> list[DiskGeodesic]:
+    """Closed-form geodesics of a boundary-pair fan, in dataset record
+    order (sorted by entry key)."""
+    if fan.mode is not FanMode.BOUNDARY_PAIRS \
+            or model.kind is not ModelKind.POINCARE_DISK:
+        raise DomainError(
+            "closed-form fans need boundary pairs on the unperturbed disk; "
+            "use a shooting fan for perturbed models")
+    geos = [DiskGeodesic.between_boundary_angles(model, a, b, rho_cut)
             for a, b in fan.pairs]
+    return sorted(geos, key=lambda g: g.boundary_data()[0].key())
 
 
 def compute_scattering_data(model: AHModel, conn: ConnectionField,
@@ -168,16 +193,10 @@ def compute_scattering_data(model: AHModel, conn: ConnectionField,
     dataset = ScatteringDataset(fingerprint=fingerprint, rank=conn.rank,
                                 rho_cut=cfg.rho_cut, records=[])
     if fan.mode is FanMode.BOUNDARY_PAIRS:
-        if model.kind is not ModelKind.POINCARE_DISK:
-            raise DomainError(
-                "boundary-pair fans need closed-form disk geodesics; "
-                "use a shooting fan for perturbed models")
-        geos = _fan_geodesics(model, fan, cfg.rho_cut)
-        exits, _ = batch_transport(_transport_rhs_factory(conn, higgs),
-                                   geos, conn.rank, cfg)
-        from ._linalg import unitary_defect
-        defects = unitary_defect(exits)
-        for geo, mat, defect in zip(geos, exits, defects):
+        geos = fan_geodesics(model, fan, cfg.rho_cut)
+        exits, _ = batch_transport(transport_rhs(conn, higgs), geos,
+                                   conn.rank, cfg)
+        for geo, mat, defect in zip(geos, exits, unitary_defect(exits)):
             entry, exit_ = geo.boundary_data()
             dataset.records.append(ScatteringRecord(
                 entry=entry, exit=exit_, matrix=mat,
@@ -203,19 +222,37 @@ class ComparisonReport:
     per_record: list[tuple[tuple[float, float], float]]
 
 
+def _require_same_entries(entries_a: Sequence[BoundaryDatum],
+                          entries_b: Sequence[BoundaryDatum]) -> None:
+    if len(entries_a) != len(entries_b):
+        raise FanMismatchError(f"fans differ in size: {len(entries_a)} vs "
+                               f"{len(entries_b)} records")
+    for ea, eb in zip(entries_a, entries_b):
+        ka, kb = ea.key(), eb.key()
+        if abs(ka[0] - kb[0]) > 1e-6 or abs(ka[1] - kb[1]) > 1e-6:
+            raise FanMismatchError(f"entry keys differ: {ka} vs {kb}")
+
+
+def require_fan(data: ScatteringDataset, geos: Sequence[DiskGeodesic],
+                rho_cut: float) -> None:
+    """Refuse a dataset whose truncation level or entry keys differ from
+    those of the record-ordered fan ``geos``."""
+    if not math.isclose(data.rho_cut, rho_cut, rel_tol=1e-6):
+        raise FanMismatchError(f"dataset rho_cut {data.rho_cut!r} differs "
+                               f"from the configured {rho_cut!r}")
+    _require_same_entries([r.entry for r in data.records],
+                          [g.boundary_data()[0] for g in geos])
+
+
 def compare_datasets(a: ScatteringDataset,
                      b: ScatteringDataset) -> ComparisonReport:
     """Pairwise Frobenius distances of records over a common fan."""
     if a.rank != b.rank:
         raise FanMismatchError("datasets have different ranks")
-    if len(a.records) != len(b.records):
-        raise FanMismatchError("datasets cover different fans")
-    per = []
-    for ra, rb in zip(a.records, b.records):
-        ka, kb = ra.entry.key(), rb.entry.key()
-        if abs(ka[0] - kb[0]) > 1e-6 or abs(ka[1] - kb[1]) > 1e-6:
-            raise FanMismatchError(f"entry keys differ: {ka} vs {kb}")
-        per.append((ka, float(frobenius(ra.matrix - rb.matrix))))
+    _require_same_entries([r.entry for r in a.records],
+                          [r.entry for r in b.records])
+    per = [(ra.entry.key(), float(frobenius(ra.matrix - rb.matrix)))
+           for ra, rb in zip(a.records, b.records)]
     return ComparisonReport(max_frobenius=max(d for _, d in per) if per
                             else 0.0, per_record=per)
 
@@ -267,29 +304,24 @@ def gauge_candidate(model: AHModel,
     lifted geodesic up to truncation and solver error.
     """
     cfg = cfg or TransportConfig()
-    conn_a, higgs_a = pair_a
-    conn_b, higgs_b = pair_b
-    if not conn_a.rank == higgs_a.rank == conn_b.rank == higgs_b.rank:
-        raise DomainError("gauge candidate requires matching ranks")
-    d = conn_a.rank
-    prep_u = _endomorphism_rhs_factory(conn_a, higgs_a)
-    prep_ut = _pair_rhs_factory(conn_a, conn_b, higgs_b)
+    preps = _gauge_systems(pair_a, pair_b)
+    d = pair_a[0].rank
     sample_times = np.sort(np.asarray(sample_times, dtype=float))
 
     if path.analytic is not None:
         geo = path.analytic
         span = geo.t_exit - geo.t_entry
         fracs = np.clip((sample_times - geo.t_entry) / span, 0.0, 1.0)
-        _, rec_u = batch_transport(prep_u, [geo], d, cfg, record_fracs=fracs)
-        _, rec_ut = batch_transport(prep_ut, [geo], d, cfg, record_fracs=fracs)
-        ts = np.array([r[0][0] for r in rec_u])
-        xs = np.array([r[1][0] for r in rec_u])
-        vs = np.array([r[2][0] for r in rec_u])
-        us = np.array([r[3][0] for r in rec_u])
-        uts = np.array([r[3][0] for r in rec_ut])
+        rec_u, rec_ut = (batch_transport(prep, [geo], d, cfg,
+                                         record_fracs=fracs)[1]
+                         for prep in preps)
+        ts, xs, vs = (np.array([r[i][0] for r in rec_u]) for i in range(3))
+        us, uts = (np.array([r[3][0] for r in rec])
+                   for rec in (rec_u, rec_ut))
     else:
-        ts, xs, vs, us, uts = _joint_gauge_samples(
-            model, prep_u, prep_ut, path, sample_times, d, cfg)
+        ts, xs, vs, (us, uts) = _transport_adaptive(
+            model, preps, path, np.eye(d, dtype=complex), cfg,
+            t_eval=sample_times)
 
     conds = np.linalg.cond(uts)
     if np.any(conds > 1e8):
@@ -300,39 +332,16 @@ def gauge_candidate(model: AHModel,
     return GaugeCurve(t=ts, x=xs, v=vs, theta=theta, q=qs, u=us, u_tilde=uts)
 
 
-def _joint_gauge_samples(model, prep_u, prep_ut, path, times, d, cfg):
-    """Both endomorphism systems alongside the geodesic, read at exact times."""
-    from scipy.integrate import solve_ivp
-
-    n_u = d * d
-
-    def unpack(y):
-        u = (y[4:4 + n_u] + 1j * y[4 + n_u:4 + 2 * n_u]).reshape(d, d)
-        ut = (y[4 + 2 * n_u:4 + 3 * n_u]
-              + 1j * y[4 + 3 * n_u:]).reshape(d, d)
-        return u, ut
-
-    def rhs(_t, y):
-        x, v = y[:2], y[2:4]
-        u, ut = unpack(y)
-        du = prep_u(x, v)(u).reshape(-1)
-        dut = prep_ut(x, v)(ut).reshape(-1)
-        return np.concatenate([v, model.geodesic_rhs(x, v),
-                               du.real, du.imag, dut.real, dut.imag])
-
-    eye = np.eye(d, dtype=complex).reshape(-1)
-    y0 = np.concatenate([path.x[0], path.v[0], eye.real, eye.imag,
-                         eye.real, eye.imag])
-    t_eval = np.clip(times, path.t[0], path.t[-1])
-    sol = solve_ivp(rhs, (path.t[0], path.t[-1]), y0, method="RK45",
-                    rtol=cfg.rtol, atol=cfg.atol, t_eval=t_eval)
-    xs = sol.y[:2].T
-    vs = sol.y[2:4].T
-    us = np.empty((len(sol.t), d, d), dtype=complex)
-    uts = np.empty_like(us)
-    for i in range(len(sol.t)):
-        us[i], uts[i] = unpack(sol.y[:, i])
-    return sol.t, xs, vs, us, uts
+def _gauge_systems(pair_a: tuple[ConnectionField, HiggsFieldData],
+                   pair_b: tuple[ConnectionField, HiggsFieldData]):
+    """Right-hand sides of U (pair A's endomorphism solution) and Utilde
+    (pair B's connection and Higgs field on the left, A's on the right)."""
+    conn_a, higgs_a = pair_a
+    conn_b, higgs_b = pair_b
+    if not conn_a.rank == higgs_a.rank == conn_b.rank == higgs_b.rank:
+        raise DomainError("gauge candidate requires matching ranks")
+    return (transport_rhs(conn_a, higgs_a, right=conn_a),
+            transport_rhs(conn_b, higgs_b, right=conn_a))
 
 
 def gauge_field_samples(model: AHModel,
@@ -348,19 +357,16 @@ def gauge_field_samples(model: AHModel,
     shape: (len(points), len(thetas), d, d).
     """
     cfg = cfg or TransportConfig()
-    conn_a, higgs_a = pair_a
-    conn_b, higgs_b = pair_b
-    d = conn_a.rank
+    prep_u, prep_ut = _gauge_systems(pair_a, pair_b)
+    d = pair_a[0].rank
     geos = []
     for x in np.asarray(points, dtype=float):
         for th in np.asarray(thetas, dtype=float):
             geo = DiskGeodesic.through(model, x, float(th), cfg.rho_cut)
             geo.t_exit = 0.0          # integrate entry -> sample point only
             geos.append(geo)
-    u, _ = batch_transport(_endomorphism_rhs_factory(conn_a, higgs_a),
-                           geos, d, cfg)
-    ut, _ = batch_transport(_pair_rhs_factory(conn_a, conn_b, higgs_b),
-                            geos, d, cfg)
+    u, _ = batch_transport(prep_u, geos, d, cfg)
+    ut, _ = batch_transport(prep_ut, geos, d, cfg)
     conds = np.linalg.cond(ut)
     if np.any(conds > 1e8):
         raise IllConditionedGaugeError(

@@ -1,0 +1,78 @@
+"""The benchmark tracer's hooks still fit the library.
+
+``bench/spans.py`` wraps public ahxray names where their callers look them
+up; a rename in the library would break ``bench/run.py --trace 1`` without
+failing any library test.  This test installs the tracer, runs a toy
+reconstruction under it, and checks the counters and the uninstall.
+"""
+
+import sys
+from pathlib import Path
+
+import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+
+import spans  # noqa: E402
+
+import ahxray.config as config  # noqa: E402
+import ahxray.reconstruct as reconstruct  # noqa: E402
+import ahxray.spherebundle as spherebundle  # noqa: E402
+import ahxray.xray as xray  # noqa: E402
+from ahxray.bundle import ConnectionField  # noqa: E402
+from ahxray.geometry import AHModel, DiskGeodesic  # noqa: E402
+from ahxray.reconstruct import ReconstructionConfig  # noqa: E402
+from ahxray.transport import TransportConfig  # noqa: E402
+from ahxray.xray import FanSpec, ScatteringDataset  # noqa: E402
+from test_reconstruct import su2_basis  # noqa: E402
+
+
+def test_tracer_counts_forward_solves_and_uninstalls():
+    model = AHModel()
+    conn = ConnectionField.zero(2)
+    params = su2_basis(count=2)
+    fan = FanSpec.uniform_pairs(4, n_openings=2)
+    cfg = ReconstructionConfig(max_iter=2,
+                               transport=TransportConfig(n_steps=32))
+    truth = np.array([0.5, -0.3])
+    data = reconstruct.forward_map(model, conn, params.with_coeffs(truth),
+                                   fan, cfg)
+
+    owners = (config, reconstruct, spherebundle, xray,
+              config.ExperimentConfig, DiskGeodesic, ScatteringDataset)
+    before = [dict(vars(owner)) for owner in owners]
+    tracer = spans.Tracer()
+    tracer.install()
+    patched = {(owner, attr) for owner, attr, _ in tracer._patches}
+    try:
+        tracer.group = "solve"
+        report = reconstruct.reconstruct_higgs(data, model, conn, params,
+                                               fan, cfg)
+    finally:
+        tracer.uninstall()
+
+    counts = tracer.counts["solve"]
+    assert counts["reconstruct.gn_iterations"] == report.iterations >= 1
+    assert counts["transport.batch_calls"] > 0
+    # every transport run of the loop is a forward solve over the fan
+    assert counts["reconstruct.forward_solves"] \
+        == counts["transport.batch_calls"]
+    assert counts["reconstruct.forward_solves"] \
+        >= 1 + 2 * params.size * report.iterations
+    assert counts["transport.rk_stages"] \
+        == 4 * 32 * counts["transport.batch_calls"]
+    assert counts["bundle.field_calls"] \
+        == (2 * 32 + 1) * counts["transport.batch_calls"]
+
+    assert {owner for owner, _ in patched} <= set(owners)
+    assert {attr for owner, attr in patched if owner is reconstruct} >= {
+        "batch_transport", "compute_scattering_data", "forward_map",
+        "reconstruct_higgs"}
+    assert {attr for owner, attr in patched if owner is xray} >= {
+        "batch_transport", "compute_scattering_data", "scattering_matrix",
+        "shoot_from_boundary", "gauge_candidate", "gauge_degree_zero_check"}
+    for owner, snapshot in zip(owners, before):
+        after = dict(vars(owner))
+        assert after.keys() == snapshot.keys()
+        for name, value in snapshot.items():
+            assert after[name] is value, f"{owner!r}.{name} not restored"

@@ -1,6 +1,7 @@
 """Config parsing and command-line interface tests."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -127,6 +128,29 @@ class TestConfig:
             cfg.build_pair()
         assert "matrix needs" in str(err.value)
 
+    def test_numbered_terms_follow_integer_order(self):
+        # twelve terms: string order would put basis.10 before basis.2
+        head = RECON_CONFIG.split("basis.0")[0]
+        centers = [(round(0.3 * math.cos(0.5 * k), 6),
+                    round(0.3 * math.sin(0.5 * k), 6)) for k in range(12)]
+        gens = ["0,1,0,0,0,0,0,-1", "0,0,1,0,-1,0,0,0", "0,0,0,1,0,1,0,0"]
+        lines = [f"basis.{k} = gen={gens[k % 3]}; center={c[0]},{c[1]}; "
+                 "sigma=0.3" for k, c in enumerate(centers)]
+        cfg = ExperimentConfig.from_text(head + "\n".join(lines) + "\n")
+        params, _ = cfg.build_reconstruction()
+        assert [b.center for _, b in params.basis] == centers
+
+    @pytest.mark.parametrize("keys", [("basis.0", "basis.x"),
+                                      ("basis.2", "basis.02")])
+    def test_bad_or_duplicate_term_numbers_rejected(self, keys):
+        head = RECON_CONFIG.split("basis.0")[0]
+        body = "".join(f"{key} = gen=0,1,0,0,0,0,0,-1; center=0.{i},0; "
+                       "sigma=0.3\n" for i, key in enumerate(keys))
+        cfg = ExperimentConfig.from_text(head + body)
+        with pytest.raises(ConfigError) as err:
+            cfg.build_reconstruction()
+        assert keys[1] in str(err.value)
+
     def test_non_skew_generator_diagnostic(self):
         bad = BASE_CONFIG.replace("gen=0,1,0,0,0,0,0,-1",
                                   "gen=1,0,0,0,0,0,1,0")
@@ -209,6 +233,42 @@ class TestCommands:
         coeffs = np.asarray(report["coeffs"])
         assert np.linalg.norm(coeffs - [0.6, -0.4]) < 0.03
         assert csv_out.read_text().startswith("x1,x2,")
+
+    @pytest.mark.parametrize("bad_line", [
+        '{"bad": 1}', "not json",
+        '{"entry_alpha": 0.0, "entry_eta": 0.0, "exit_alpha": 1.0, '
+        '"exit_eta": 0.0, "matrix": [1, 0, 0, 0], "unitarity_defect": 0.0}'])
+    def test_malformed_dataset_exit_code(self, tmp_path, capsys, bad_line):
+        cfg_path = tmp_path / "recon.cfg"
+        cfg_path.write_text(RECON_CONFIG)
+        data_path = tmp_path / "data.jsonl"
+        data_path.write_text('{"fingerprint": "", "rank": 2, '
+                             '"rho_cut": 1e-06}\n' + bad_line + "\n")
+        assert main(["reconstruct", "--data", str(data_path), "--config",
+                     str(cfg_path)]) == 2
+        assert "line 2" in capsys.readouterr().err
+
+    def test_unreadable_dataset_exit_code(self, tmp_path, capsys):
+        cfg_path = tmp_path / "recon.cfg"
+        cfg_path.write_text(RECON_CONFIG)
+        binary = tmp_path / "data.jsonl"
+        binary.write_bytes(b"\xff\xfe\n")
+        for data in (binary, tmp_path):
+            assert main(["reconstruct", "--data", str(data), "--config",
+                         str(cfg_path)]) == 2
+
+    def test_dataset_from_another_fan_exit_code(self, tmp_path, capsys):
+        # same record count, different openings: refused, not fitted
+        other = tmp_path / "other.cfg"
+        other.write_text(RECON_CONFIG.replace("openings = 4", "openings = 8"))
+        data_path = tmp_path / "data.jsonl"
+        assert main(["scatter", "--config", str(other), "--out",
+                     str(data_path)]) == 0
+        cfg_path = tmp_path / "recon.cfg"
+        cfg_path.write_text(RECON_CONFIG)
+        assert main(["reconstruct", "--data", str(data_path), "--config",
+                     str(cfg_path)]) == 2
+        assert "entry keys differ" in capsys.readouterr().err
 
     def test_validation_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"

@@ -12,10 +12,11 @@ import pytest
 from scipy.integrate import quad
 
 from ahxray.bundle import ConnectionField, GaussBump
-from ahxray.errors import DomainError
+from ahxray.errors import DomainError, FanMismatchError
 from ahxray.geometry import AHModel, DiskGeodesic
 from ahxray.reconstruct import (HiggsParameterization, ReconstructionConfig,
                                 forward_map, jacobian_fd, reconstruct_higgs)
+from ahxray.transport import TransportConfig
 from ahxray.xray import FanSpec, add_matrix_noise, compare_datasets
 from test_bundle import SU2, random_gauge
 
@@ -192,6 +193,20 @@ class TestValidation:
         with pytest.raises(DomainError):
             HiggsParameterization(rank=2, basis=[(gen, bump), (gen, bump)],
                                   decay_N1=4)
+
+    @pytest.mark.parametrize("openings, rho_cut", [(2, 1e-6), (4, 1e-4)])
+    def test_dataset_from_another_fan_refused(self, disk, openings, rho_cut):
+        params = su2_basis(count=2)
+        fan = FanSpec.uniform_pairs(8, n_openings=4)
+        cfg = ReconstructionConfig(transport=TransportConfig(n_steps=64))
+        other = ReconstructionConfig(
+            transport=TransportConfig(n_steps=64, rho_cut=rho_cut))
+        data = forward_map(disk, ConnectionField.zero(2), params,
+                           FanSpec.uniform_pairs(8, n_openings=openings),
+                           other)
+        with pytest.raises(FanMismatchError):
+            reconstruct_higgs(data, disk, ConnectionField.zero(2), params,
+                              fan, cfg)
 
     def test_fd_step_window(self):
         with pytest.raises(DomainError):

@@ -42,6 +42,14 @@ class TestFanSpec:
         for a, b in fan.pairs:
             assert abs(math.remainder(a - b, 2 * math.pi)) > 1e-3
 
+    def test_uniform_pairs_exact_count(self):
+        fan = FanSpec.uniform_pairs(205, n_openings=10)
+        assert len(fan) == 205
+        assert len(set(fan.pairs)) == 205
+        assert len({a for a, _ in fan.pairs}) == 21
+        # multiples of the opening count keep their layout
+        assert len({a for a, _ in FanSpec.uniform_pairs(200, 10).pairs}) == 20
+
     def test_degenerate_pair_rejected(self):
         with pytest.raises(DomainError):
             FanSpec(FanMode.BOUNDARY_PAIRS, pairs=((0.5, 0.5),))
