@@ -24,7 +24,6 @@ from typing import Optional
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.optimize import brentq
 
 from .errors import DegenerateGeodesicError, DomainError, TrappedGeodesicError
 
@@ -499,13 +498,25 @@ class DiskGeodesic:
         return 1.0 - np.sum(x * x, axis=-1)
 
     def _truncation_time(self, side: float) -> float:
-        t_hi = 5.0
-        while self.rho_of_t(side * t_hi) > self.rho_cut:
-            t_hi *= 2.0
-            if t_hi > 1e4:
-                raise TrappedGeodesicError("no truncation time found")
-        f = lambda t: float(self.rho_of_t(side * t) - self.rho_cut)
-        return float(brentq(f, 0.0, t_hi, xtol=1e-14, rtol=8.9e-16))
+        """Time |t| at which rho falls to rho_cut on the ``side`` of w.
+
+        Along the geodesic rho = (1 - |w|^2)(1 - z^2) / |1 + conj(w) p z|^2.
+        With zeta = 1 - side z, rho = rho_cut is the quadratic
+        alpha zeta^2 - 2 beta zeta + gamma = 0, which is negative at
+        zeta = 1 (t = 0) and nonnegative at zeta = 0, so its small root is
+        the one crossing; it is taken in cancellation-free form.
+        """
+        r = 1.0 - abs(self.w) ** 2
+        if r <= self.rho_cut:
+            raise DegenerateGeodesicError(
+                f"gamma(0) lies at rho = {r:.3e}, not inside the truncation "
+                f"level rho_cut = {self.rho_cut:g}")
+        a = side * self.w.conjugate() * self.p
+        alpha = r + self.rho_cut * abs(a) ** 2
+        beta = r + self.rho_cut * (a.real + abs(a) ** 2)
+        gamma = self.rho_cut * abs(1.0 + a) ** 2
+        zeta = gamma / (beta + math.sqrt(beta * beta - alpha * gamma))
+        return math.log((2.0 - zeta) / zeta)
 
     def boundary_data(self) -> tuple[BoundaryDatum, BoundaryDatum]:
         a = self.boundary_point(-1.0)

@@ -1,26 +1,37 @@
 """Transport of fiber vectors and endomorphisms along geodesics.
 
-Every transport system here has the one form
+Every transport system here is the fundamental system of a linear ODE,
 
-    dU/dt = -((Gamma(gamma') + Phi) U - U Gamma_R(gamma')),
+    dW/dt = -G(gamma, gamma') W,    W(t_entry) = I,
 
-integrated between the truncation points of a geodesic path: the
-fundamental system of the transform has no right action, the
-entry-normalized endomorphism solution has Gamma_R = Gamma, and the second
-solution of a gauge pair has Gamma_R = Gamma_A, the first pair's
-connection.  The entry value stands in for the limit at minus infinity; the
-exponential approach of rho along escaping geodesics makes the truncation
-error decay like a power of rho_cut (verified by Richardson halving rather
-than certified).
+integrated between the truncation points of a geodesic path.  For the
+scattering datum G = Gamma(gamma') + Phi acts on the fiber C^d.  The
+endomorphism solutions U of the gauge-equivalence argument solve the
+two-sided system dU = -(L U - U R) (L = Gamma + Phi, R the connection
+acting from the right); on d x d matrices that system has no cocycle law,
+so it is lifted to the induced connection on Hom(E_R, E_L): W acts on the
+row-major vec(U) with the rank-d^2 generator L (x) I - I (x) R^T, and
+U = unvec(W vec(I)).  The entry value stands in for the limit at minus
+infinity; the exponential approach of rho along escaping geodesics makes
+the truncation error decay like a power of rho_cut (verified by Richardson
+halving rather than certified).
+
+Propagators of a fundamental system obey the cocycle law
+W(t2, t0) = W(t2, t1) W(t1, t0), which the fixed-step backend uses: it
+cuts every span into m segments, marches all segments at once from the
+identity (as extra batch rows of one field evaluation) and multiplies the
+segment propagators in order.  For a left-acting linear right-hand side
+the classic RK4 step is itself a propagator, so this is the sequential RK4
+solution up to rounding, reached in n/m instead of n steps.
 
 One right-hand side drives two integrators:
 
 - an adaptive complex RK45 along a single path (closed-form positions when
   the path is analytic, otherwise a joint state with the geodesic), which
   carries one or more systems and can be read at requested times, and
-- a fixed-step classic RK4 vectorized across whole fans of closed-form disk
-  geodesics, which is what makes scattering datasets and reconstruction
-  loops cheap.
+- the segmented fixed-step classic RK4 vectorized across whole fans of
+  closed-form disk geodesics, which is what makes scattering datasets,
+  reconstruction loops and gauge recovery cheap.
 """
 
 from __future__ import annotations
@@ -68,25 +79,46 @@ def _check_ranks(conn: ConnectionField, higgs: HiggsFieldData,
     return conn.rank
 
 
+def _hom_generator(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """L (x) I - I (x) R^T: the map U -> L U - U R on row-major vec(U)."""
+    d = left.shape[-1]
+    eye = np.eye(d)
+    gen = left[..., :, None, :, None] * eye[:, None, :] \
+        - eye[:, None, :, None] * np.swapaxes(right, -1, -2)[..., None, :,
+                                                               None, :]
+    return gen.reshape(left.shape[:-2] + (d * d, d * d))
+
+
 def transport_rhs(conn: ConnectionField, higgs: HiggsFieldData,
                   right: Optional[ConnectionField] = None):
-    """prep(x, v) -> rhs(U) for dU/dt = -((Gamma(v) + Phi) U - U Gamma_R(v)).
+    """prep(x, v) -> rhs(W) = -G W, a left-acting fundamental system.
 
-    ``right`` is the connection acting from the right: None for the
-    fundamental system, ``conn`` itself for the endomorphism solution
-    (evaluated once per stage), the first pair's connection for the second
-    solution of a gauge pair.
+    With ``right`` None, G = Gamma(v) + Phi on the fiber (rank d): the
+    scattering system.  Otherwise G is the lift of the two-sided system
+    dU/dt = -((Gamma(v) + Phi) U - U Gamma_R(v)) to row-major vec(U),
+    L (x) I - I (x) Gamma_R^T (rank d^2); read U = unvec(W vec(I)) with
+    ``unvec_identity``.  ``right`` is ``conn`` itself for the endomorphism
+    solution (its connection is evaluated once per stage) and the first
+    pair's connection for the second solution of a gauge pair.  Positions
+    and velocities may carry any leading axes.
     """
 
     def prep(x, v):
         gam = conn.along(x, v)
-        left = gam + higgs.phi(x)
-        if right is None:
-            return lambda u: -(left @ u)
-        gam_r = gam if right is conn else right.along(x, v)
-        return lambda u: -(left @ u - u @ gam_r)
+        gen = gam + higgs.phi(x)
+        if right is not None:
+            gam_r = gam if right is conn else right.along(x, v)
+            gen = _hom_generator(gen, gam_r)
+        return lambda u: -(gen @ u)
 
     return prep
+
+
+def unvec_identity(w: np.ndarray) -> np.ndarray:
+    """U = unvec(W vec(I)) for fundamental solutions W (..., d^2, d^2) of a
+    lifted two-sided system: the solution that starts at the identity."""
+    d = math.isqrt(w.shape[-1])
+    return (w @ np.eye(d).reshape(-1)).reshape(w.shape[:-2] + (d, d))
 
 
 def _transport_adaptive(model: AHModel, preps, path: GeodesicPath,
@@ -150,14 +182,19 @@ def _refined_path(model: AHModel, path: GeodesicPath,
     return integrate_geodesic(model, path.midpoint_phasepoint(), icfg)
 
 
-def _run(model, prep, path, u0, cfg) -> TransportResult:
-    exit_value = _transport_adaptive(model, [prep], path, u0, cfg)[3][0, -1]
+def _run(model, prep, path, u0, cfg, shape=None) -> TransportResult:
+    """Adaptive transport of u0, read at the exit in ``shape`` (default
+    u0's; the endomorphism solution transports vec(I) and reads d x d)."""
+    shape = shape or u0.shape
+    exit_value = _transport_adaptive(
+        model, [prep], path, u0, cfg)[3][0, -1].reshape(shape)
     estimate = None
     if cfg.richardson:
         fine = _refined_path(model, path, path.rho_cut / 2.0)
-        exit_fine = _transport_adaptive(model, [prep], fine, u0, cfg)[3][0, -1]
+        exit_fine = _transport_adaptive(
+            model, [prep], fine, u0, cfg)[3][0, -1].reshape(shape)
         estimate = float(np.linalg.norm(exit_fine - exit_value))
-    if u0.ndim == 2:
+    if len(shape) == 2:
         defect = float(unitary_defect(exit_value))
     else:
         defect = abs(float(np.linalg.norm(exit_value))
@@ -200,12 +237,13 @@ def endomorphism_transport(model: AHModel, conn: ConnectionField,
                            cfg: Optional[TransportConfig] = None
                            ) -> TransportResult:
     """Entry-normalized endomorphism solution: the connection acts by
-    commutator on U and the Higgs field by left multiplication."""
+    commutator on U and the Higgs field by left multiplication.  The lifted
+    system transports vec(I), which is W vec(I)."""
     cfg = cfg or TransportConfig()
     eye = np.eye(conn.rank, dtype=complex)
     _check_ranks(conn, higgs, eye)
-    return _run(model, transport_rhs(conn, higgs, right=conn), path, eye,
-                cfg)
+    return _run(model, transport_rhs(conn, higgs, right=conn), path,
+                eye.reshape(-1), cfg, shape=eye.shape)
 
 
 def transported_data_action(model: AHModel, conn: ConnectionField,
@@ -223,12 +261,24 @@ def transported_data_action(model: AHModel, conn: ConnectionField,
 
 # -- fan-vectorized fixed-step backend --------------------------------------
 
+# rows (segments x geodesics) of one field evaluation; bounds its memory
+_ROWS = 1024
+
+
+def _segments(n_steps: int, width: int) -> int:
+    """Segments per span: the largest divisor m of n_steps with
+    m * width <= _ROWS, and 1 when there is none."""
+    m = max(1, min(n_steps, _ROWS // max(width, 1)))
+    while n_steps % m:
+        m -= 1
+    return m
+
 
 class _BatchPaths:
     """Per-geodesic uniform time grids over truncated spans.
 
     Mobius parameters are gathered into arrays so one stage evaluation
-    covers the whole fan.
+    covers the whole fan; fractions may be arrays, whose axes lead.
     """
 
     def __init__(self, geos: Sequence[DiskGeodesic], n_steps: int):
@@ -240,9 +290,10 @@ class _BatchPaths:
         self.w = np.array([g.w for g in geos])
         self.p = np.array([g.p for g in geos])
 
-    def state(self, frac: float) -> tuple[np.ndarray, np.ndarray]:
-        """Positions and velocities of every geodesic at fractional time."""
-        t = self.t0 + frac * self.span
+    def state(self, frac) -> tuple[np.ndarray, np.ndarray]:
+        """Positions and velocities of every geodesic at fractional times,
+        shape frac.shape + (len(geos), 2)."""
+        t = self.times(frac)
         z = np.tanh(t / 2.0)
         den = 1.0 + np.conj(self.w) * self.p * z
         pos = (self.p * z + self.w) / den
@@ -252,8 +303,8 @@ class _BatchPaths:
         v = np.stack([vel.real, vel.imag], axis=-1)
         return x, v
 
-    def times(self, frac: float) -> np.ndarray:
-        return self.t0 + frac * self.span
+    def times(self, frac) -> np.ndarray:
+        return self.t0 + np.asarray(frac, dtype=float)[..., None] * self.span
 
 
 def _rk4_step(u, h, f_start, f_mid, f_end):
@@ -268,60 +319,71 @@ def _rk4_step(u, h, f_start, f_mid, f_end):
 def batch_transport(prep, geos: Sequence[DiskGeodesic], rank: int,
                     cfg: Optional[TransportConfig] = None,
                     record_fracs: Optional[Sequence[float]] = None):
-    """Fixed-step RK4 transport vectorized across closed-form disk geodesics.
+    """Fixed-step RK4 fundamental solutions across closed-form disk
+    geodesics, marched as m segments per span.
 
-    Per-geodesic step size span/n_steps; the right-hand side ``prep``
-    follows the same protocol as the adaptive backend.  Snapshots of U at
-    the requested fractions of each span are taken at the exact requested
-    times: a fractional side-step of the marching scheme bridges from the
-    preceding grid time, so crossing families sample identical base points.
+    Per-geodesic step size span/n_steps.  ``prep`` is a left-acting
+    fundamental system of the given rank (``transport_rhs``); it is called
+    with positions and velocities of shape (m, len(geos), 2), or with
+    snapshot axes in front.  Each span is cut into m = ``_segments`` equal
+    segments, all marched at once from the identity in n_steps/m steps;
+    the cocycle law then gives the propagator to any grid time as the
+    partial propagator of its segment times the ordered product of the
+    earlier segments' propagators.  m is 1 when n_steps has no divisor that
+    fits, and the march is then the plain sequential one.
 
-    Returns (U_exit, records); records is a time-ordered list of
-    (t, x, v, U) batches, or None when no fractions were requested.
+    Snapshots of W at the requested fractions of each span are taken at
+    the exact requested times: a fractional RK4 side-step from the
+    preceding grid time, computed from the identity for all snapshots in
+    one evaluation, multiplies the propagator to that grid time, so
+    crossing families sample identical base points.
+
+    Returns (W_exit, records); records is a time-ordered list of
+    (t, x, v, W) batches, or None when no fractions were requested.
     """
     cfg = cfg or TransportConfig()
     n = cfg.n_steps
     batch = _BatchPaths(geos, n)
-    n_geo = len(batch.geos)
-    u = np.broadcast_to(np.eye(rank, dtype=complex),
-                        (n_geo, rank, rank)).copy()
+    width = len(batch.geos)
+    m = _segments(n, width)
+    seg = n // m
+    first = np.arange(m) * seg      # grid step where each segment starts
+    eye = np.eye(rank, dtype=complex)
+    w = np.broadcast_to(eye, (m, width, rank, rank)).copy()
     dt = batch.dt[:, None, None]
 
-    by_step: dict[int, list[tuple[float, float]]] = {}
-    if record_fracs is not None:
-        for f in record_fracs:
-            f = min(max(float(f), 0.0), 1.0)
-            pos = f * n
-            k = min(int(math.floor(pos)), n - 1) if pos < n else n
-            by_step.setdefault(k, []).append((pos - k, f))
-    records = []
+    fracs = np.sort(np.clip(np.asarray(
+        [] if record_fracs is None else record_fracs, dtype=float), 0.0, 1.0))
+    pos = fracs * n
+    grid = np.where(pos < n, np.floor(pos), n).astype(int)
+    owner, local = np.divmod(grid, seg)     # owner m: the exit itself
+    partial = np.broadcast_to(eye, (len(fracs), width, rank, rank)).copy()
 
-    def stage(frac):
-        x, v = batch.state(frac)
-        return x, v, prep(x, v)
+    f_here = prep(*batch.state(first / n))
+    for k in range(seg):
+        hit = (local == k) & (owner < m)
+        partial[hit] = w[owner[hit]]
+        f_mid = prep(*batch.state((first + k + 0.5) / n))
+        f_next = prep(*batch.state((first + k + 1.0) / n))
+        w = _rk4_step(w, dt, f_here, f_mid, f_next)
+        f_here = f_next
 
-    def snapshot(k, delta, frac, u_now, f_now, x_now, v_now):
-        # state read at the requested fraction itself, not at the
-        # reconstructed step position, to avoid an extra rounding layer
-        if delta <= 0.0:
-            records.append((batch.times(frac), x_now, v_now, u_now.copy()))
-            return
-        _, _, f_m = stage((k + 0.5 * delta) / n)
-        x_e, v_e, f_e = stage(frac)
-        records.append((batch.times(frac), x_e, v_e,
-                        _rk4_step(u_now, delta * dt, f_now, f_m, f_e)))
+    prefix = [np.broadcast_to(eye, (width, rank, rank))]
+    for seg_w in w:
+        prefix.append(seg_w @ prefix[-1])
+    if record_fracs is None:
+        return prefix[-1], None
 
-    x_here, v_here, f_here = stage(0.0)
-    for k in range(n):
-        for delta, frac in sorted(by_step.get(k, [])):
-            snapshot(k, delta, frac, u, f_here, x_here, v_here)
-        _, _, f_mid = stage((k + 0.5) / n)
-        x_next, v_next, f_next = stage((k + 1.0) / n)
-        u = _rk4_step(u, dt, f_here, f_mid, f_next)
-        f_here, x_here, v_here = f_next, x_next, v_next
-    for delta, frac in sorted(by_step.get(n, [])):
-        snapshot(n, 0.0, frac, u, f_here, x_here, v_here)
-    return u, (records if record_fracs is not None else None)
+    # a zero side-step is exactly the identity, so grid-time snapshots
+    # need no separate path
+    delta = pos - grid
+    x, v = batch.state(fracs)
+    side = _rk4_step(eye, delta[:, None, None, None] * dt,
+                     prep(*batch.state(grid / n)),
+                     prep(*batch.state((grid + 0.5 * delta) / n)),
+                     prep(x, v))
+    snaps = side @ partial @ np.stack(prefix)[owner]
+    return prefix[-1], list(zip(batch.times(fracs), x, v, snaps))
 
 
 def batch_scattering(conn: ConnectionField, higgs: HiggsFieldData,

@@ -28,7 +28,8 @@ from .geometry import (AHModel, BoundaryDatum, DiskGeodesic, Direction,
                        GeodesicPath, IntegratorConfig, ModelKind,
                        shoot_from_boundary)
 from .transport import (TransportConfig, _transport_adaptive,
-                        batch_transport, scattering_matrix, transport_rhs)
+                        batch_transport, scattering_matrix, transport_rhs,
+                        unvec_identity)
 
 
 class FanMode(Enum):
@@ -76,7 +77,10 @@ class FanSpec:
     @classmethod
     def uniform_shooting(cls, count: int, n_eta: int = 5,
                          eta_max: float = 2.0) -> "FanSpec":
-        n_alpha = max(1, count // n_eta)
+        """Exactly ``count`` incoming data: entry angles sweep the circle,
+        tangential components sweep [-eta_max, eta_max]; the last entry
+        angle may take only some."""
+        n_alpha = max(1, math.ceil(count / n_eta))
         data = []
         for a in np.linspace(0.0, 2 * math.pi, n_alpha, endpoint=False):
             for eta in np.linspace(-eta_max, eta_max, n_eta):
@@ -312,16 +316,17 @@ def gauge_candidate(model: AHModel,
         geo = path.analytic
         span = geo.t_exit - geo.t_entry
         fracs = np.clip((sample_times - geo.t_entry) / span, 0.0, 1.0)
-        rec_u, rec_ut = (batch_transport(prep, [geo], d, cfg,
+        rec_u, rec_ut = (batch_transport(prep, [geo], d * d, cfg,
                                          record_fracs=fracs)[1]
                          for prep in preps)
         ts, xs, vs = (np.array([r[i][0] for r in rec_u]) for i in range(3))
-        us, uts = (np.array([r[3][0] for r in rec])
+        us, uts = (unvec_identity(np.array([r[3][0] for r in rec]))
                    for rec in (rec_u, rec_ut))
     else:
-        ts, xs, vs, (us, uts) = _transport_adaptive(
-            model, preps, path, np.eye(d, dtype=complex), cfg,
+        ts, xs, vs, lifted = _transport_adaptive(
+            model, preps, path, np.eye(d, dtype=complex).reshape(-1), cfg,
             t_eval=sample_times)
+        us, uts = lifted.reshape(2, len(ts), d, d)
 
     conds = np.linalg.cond(uts)
     if np.any(conds > 1e8):
@@ -334,8 +339,9 @@ def gauge_candidate(model: AHModel,
 
 def _gauge_systems(pair_a: tuple[ConnectionField, HiggsFieldData],
                    pair_b: tuple[ConnectionField, HiggsFieldData]):
-    """Right-hand sides of U (pair A's endomorphism solution) and Utilde
-    (pair B's connection and Higgs field on the left, A's on the right)."""
+    """Lifted right-hand sides of U (pair A's endomorphism solution) and
+    Utilde (pair B's connection and Higgs field on the left, A's on the
+    right), both on vec(U) with rank d^2."""
     conn_a, higgs_a = pair_a
     conn_b, higgs_b = pair_b
     if not conn_a.rank == higgs_a.rank == conn_b.rank == higgs_b.rank:
@@ -365,8 +371,8 @@ def gauge_field_samples(model: AHModel,
             geo = DiskGeodesic.through(model, x, float(th), cfg.rho_cut)
             geo.t_exit = 0.0          # integrate entry -> sample point only
             geos.append(geo)
-    u, _ = batch_transport(prep_u, geos, d, cfg)
-    ut, _ = batch_transport(prep_ut, geos, d, cfg)
+    u, ut = (unvec_identity(batch_transport(prep, geos, d * d, cfg)[0])
+             for prep in (prep_u, prep_ut))
     conds = np.linalg.cond(ut)
     if np.any(conds > 1e8):
         raise IllConditionedGaugeError(

@@ -18,6 +18,7 @@ import spans  # noqa: E402
 import ahxray.config as config  # noqa: E402
 import ahxray.reconstruct as reconstruct  # noqa: E402
 import ahxray.spherebundle as spherebundle  # noqa: E402
+import ahxray.transport as transport  # noqa: E402
 import ahxray.xray as xray  # noqa: E402
 from ahxray.bundle import ConnectionField  # noqa: E402
 from ahxray.geometry import AHModel, DiskGeodesic  # noqa: E402
@@ -59,10 +60,13 @@ def test_tracer_counts_forward_solves_and_uninstalls():
         == counts["transport.batch_calls"]
     assert counts["reconstruct.forward_solves"] \
         >= 1 + 2 * params.size * report.iterations
-    assert counts["transport.rk_stages"] \
-        == 4 * 32 * counts["transport.batch_calls"]
-    assert counts["bundle.field_calls"] \
-        == (2 * 32 + 1) * counts["transport.batch_calls"]
+    # the segmented march: n steps as m segments of n/m steps each
+    n, width = cfg.transport.n_steps, len(fan)
+    m = transport._segments(n, width)
+    calls = counts["transport.batch_calls"]
+    assert counts["transport.rk_stages"] == 4 * (n // m) * calls
+    assert counts["bundle.field_calls"] == (2 * (n // m) + 1) * calls
+    assert counts["bundle.field_nodes"] == (2 * n + m) * width * calls
 
     assert {owner for owner, _ in patched} <= set(owners)
     assert {attr for owner, attr in patched if owner is reconstruct} >= {

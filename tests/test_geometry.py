@@ -10,6 +10,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from ahxray.errors import (DegenerateGeodesicError, DomainError,
                            TrappedGeodesicError)
@@ -34,6 +35,16 @@ def fd_gauss_curvature(model, x, h=1e-4):
         e[i] = h
         lap += (phi(x + e) - 2.0 * phi(x) + phi(x - e)) / h**2
     return -math.exp(-2.0 * phi(x)) * lap
+
+
+def bisection_truncation_time(geo, side):
+    """Reference root of rho(side * t) = rho_cut by bracketing and brentq on
+    the sampled rho, independent of the closed-form quadratic."""
+    t_hi = 5.0
+    while geo.rho_of_t(side * t_hi) > geo.rho_cut:
+        t_hi *= 2.0
+    return brentq(lambda t: float(geo.rho_of_t(side * t) - geo.rho_cut),
+                  0.0, t_hi, xtol=1e-14, rtol=8.9e-16)
 
 
 class TestMetric:
@@ -234,6 +245,34 @@ class TestBoundaryAngles:
     def test_degenerate_raises(self, disk):
         with pytest.raises(DegenerateGeodesicError):
             geodesic_between_boundary_angles(disk, 1.0, 1.0)
+
+    def test_truncation_time_matches_bisection(self, disk, rng):
+        # evaluating rho = 1 - |x|^2 near rho_cut carries an absolute
+        # rounding error of a few ulps, and d rho / dt ~ -rho there, so the
+        # bisection root itself is known only to about 1e-15 / rho_cut
+        for rho_cut in (1e-1, 5e-2, 1e-2, 1e-3, 1e-6):
+            for k in range(20):
+                if k % 2:
+                    a = rng.uniform(0, 2 * math.pi)
+                    geo = DiskGeodesic.between_boundary_angles(
+                        disk, a, a + rng.uniform(0.05, 2 * math.pi - 0.05),
+                        rho_cut)
+                else:
+                    geo = DiskGeodesic.through(disk, rng.uniform(-0.6, 0.6, 2),
+                                               rng.uniform(0, 2 * math.pi),
+                                               rho_cut)
+                tol = 1e-14 / rho_cut            # 1e-12 at rho_cut = 1e-2
+                assert abs(geo.t_exit - bisection_truncation_time(geo, 1.0)) \
+                    <= tol
+                assert abs(geo.t_entry
+                           + bisection_truncation_time(geo, -1.0)) <= tol
+
+    def test_boundary_hugging_geodesic_refused(self, disk):
+        # the chord between nearly equal angles never reaches rho > rho_cut
+        with pytest.raises(DegenerateGeodesicError):
+            DiskGeodesic.between_boundary_angles(disk, 0.0, 1e-7)
+        with pytest.raises(DegenerateGeodesicError):
+            DiskGeodesic.through(disk, (0.99, 0.0), 1.0, rho_cut=0.05)
 
     def test_extrapolated_datum_matches_analytic(self, disk):
         # integrated-path boundary extrapolation against the closed form

@@ -1,9 +1,12 @@
 """Transport solver tests.
 
-Independent oracle: for rank 1 with trivial connection the exit value is
-exp(-i * integral of the scalar potential along the geodesic); the integral
-is evaluated by adaptive quadrature on the closed-form path, never by the
-transport solver itself.
+Independent oracles:
+- for rank 1 with trivial connection the exit value is exp(-i * integral
+  of the scalar potential along the geodesic); the integral is evaluated
+  by adaptive quadrature on the closed-form path, never by the transport
+  solver itself;
+- the segmented batch march is checked against a plain sequential RK4
+  march of the d x d systems, kept here as the reference.
 """
 
 import math
@@ -15,9 +18,12 @@ from scipy.integrate import quad
 from ahxray.bundle import ConnectionField, GaussBump, HiggsFieldData
 from ahxray.errors import DomainError, RankMismatchError
 from ahxray.geometry import DiskGeodesic
-from ahxray.transport import (TransportConfig, batch_scattering,
+from ahxray.transport import (TransportConfig, _segments,
+                              _transport_adaptive, batch_scattering,
+                              batch_transport, endomorphism_transport,
                               parallel_transport, scattering_matrix,
-                              solve_transport, transported_data_action)
+                              solve_transport, transport_rhs,
+                              transported_data_action, unvec_identity)
 from test_bundle import random_connection, random_gauge, random_higgs
 
 
@@ -36,6 +42,51 @@ def phase_integral(higgs, geo):
                     epsabs=1e-13, epsrel=1e-13)
     assert err < 1e-11
     return val
+
+
+def two_sided(conn, higgs, right=None):
+    """field(x, v) -> rhs(U) of dU/dt = -((Gamma + Phi) U - U Gamma_R) on
+    d x d matrices, without any lift."""
+    def field(x, v):
+        left = conn.along(x, v) + higgs.phi(x)
+        if right is None:
+            return lambda u: -(left @ u)
+        gam_r = right.along(x, v)
+        return lambda u: -(left @ u - u @ gam_r)
+    return field
+
+
+def sequential_rk4(field, geos, rank, n_steps, record_fracs=()):
+    """Reference march: one classic RK4 step after another along each span,
+    from the identity; each snapshot is a fractional step from the
+    preceding grid time.  Positions come from each geodesic's closed form."""
+    t0 = np.array([g.t_entry for g in geos])
+    span = np.array([g.t_exit for g in geos]) - t0
+
+    def field_at(frac):
+        t = t0 + frac * span
+        return field(np.stack([g.position(s) for g, s in zip(geos, t)]),
+                     np.stack([g.velocity(s) for g, s in zip(geos, t)]))
+
+    def rk4(u, a, b):
+        h = ((b - a) * span)[:, None, None]
+        f0, fm, f1 = field_at(a), field_at(0.5 * (a + b)), field_at(b)
+        k1 = f0(u)
+        k2 = fm(u + 0.5 * h * k1)
+        k3 = fm(u + 0.5 * h * k2)
+        k4 = f1(u + h * k3)
+        return u + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+    u = np.broadcast_to(np.eye(rank, dtype=complex),
+                        (len(geos), rank, rank)).copy()
+    snaps = {}
+    for k in range(n_steps + 1):
+        for f in record_fracs:
+            if k <= f * n_steps < k + 1:
+                snaps[f] = rk4(u, k / n_steps, f) if f * n_steps > k else u
+        if k < n_steps:
+            u = rk4(u, k / n_steps, (k + 1) / n_steps)
+    return u, [snaps[f] for f in sorted(record_fracs)]
 
 
 @pytest.fixture(scope="module")
@@ -259,6 +310,73 @@ class TestBatchBackend:
         assert np.max(np.abs(q0[0] - np.eye(2))) < 1e-14
         t2, x2, v2, q2 = records[-1]
         assert np.max(np.abs(q2[0] - u_exit[0])) < 1e-14
+
+
+class TestSegmentedMarch:
+    """The segment-parallel march against the sequential reference."""
+
+    def test_fan_with_segments(self, disk_module, rng):
+        conn, higgs = random_connection(rng), random_higgs(rng)
+        geos = [DiskGeodesic.between_boundary_angles(disk_module, a, a + op)
+                for a, op in zip(rng.uniform(0, 2 * math.pi, 5),
+                                 rng.uniform(0.5, 5.5, 5))]
+        n = 256
+        assert _segments(n, len(geos)) > 1
+        u, _ = batch_scattering(conn, higgs, geos, TransportConfig(n_steps=n))
+        ref, _ = sequential_rk4(two_sided(conn, higgs), geos, 2, n)
+        assert np.max(np.abs(u - ref)) <= 1e-13
+
+    def test_prime_step_count_marches_plainly(self, disk_module, rng):
+        conn, higgs = random_connection(rng), random_higgs(rng)
+        geos = [DiskGeodesic.between_boundary_angles(disk_module, a, a + 2.4)
+                for a in (0.3, 2.1, 4.0)]
+        n = 347
+        assert _segments(n, len(geos)) == 1
+        u, _ = batch_scattering(conn, higgs, geos, TransportConfig(n_steps=n))
+        ref, _ = sequential_rk4(two_sided(conn, higgs), geos, 2, n)
+        assert np.max(np.abs(u - ref)) <= 1e-13
+
+    def test_gauge_pair_snapshots(self, disk_module, rng):
+        conn_a, higgs_a = random_connection(rng), random_higgs(rng)
+        conn_b, higgs_b = random_connection(rng), random_higgs(rng)
+        geos = [DiskGeodesic.through(disk_module, (-0.2, 0.1), th)
+                for th in (0.05, 1.1, 2.2)]
+        n = 768
+        m = _segments(n, len(geos))
+        assert 1 < m < n
+        # grid times on and off segment boundaries, and side-steps from
+        # several positions inside a segment where the fields are strong
+        fracs = [0.0, 1.0, 100 / m, 301 / n, 0.4567, 0.5 + 0.4 / n,
+                 0.5 + 1.7 / n, (n - 0.3) / n]
+        cfg = TransportConfig(n_steps=n)
+        for conn, higgs in ((conn_a, higgs_a), (conn_b, higgs_b)):
+            prep = transport_rhs(conn, higgs, right=conn_a)
+            w_exit, records = batch_transport(prep, geos, 4, cfg, fracs)
+            ref_exit, ref_snaps = sequential_rk4(
+                two_sided(conn, higgs, conn_a), geos, 2, n, fracs)
+            assert np.max(np.abs(unvec_identity(w_exit) - ref_exit)) <= 1e-13
+            assert len(records) == len(fracs)
+            for (t, x, v, w), f, ref in zip(records, sorted(fracs),
+                                            ref_snaps):
+                assert np.max(np.abs(unvec_identity(w) - ref)) <= 1e-13
+                t_ref = np.array([g.t_entry + f * (g.t_exit - g.t_entry)
+                                  for g in geos])
+                assert np.max(np.abs(t - t_ref)) <= 1e-13
+                assert np.max(np.abs(
+                    x - [g.position(s) for g, s in zip(geos, t_ref)])) <= 1e-13
+
+    def test_lifted_endomorphism_matches_two_sided(self, disk_module, paths,
+                                                   rng):
+        conn, higgs = random_connection(rng), random_higgs(rng)
+        cfg = TransportConfig()
+        for path in paths:
+            lifted = endomorphism_transport(disk_module, conn, higgs, path,
+                                            cfg)
+            direct = _transport_adaptive(
+                disk_module, [two_sided(conn, higgs, conn)], path,
+                np.eye(2, dtype=complex), cfg)[3][0, -1]
+            assert np.max(np.abs(lifted.exit_value - direct)) <= 1e-12
+            assert lifted.unitarity_defect < 1e-9
 
 
 def test_config_validation():

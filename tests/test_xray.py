@@ -50,6 +50,16 @@ class TestFanSpec:
         # multiples of the opening count keep their layout
         assert len({a for a, _ in FanSpec.uniform_pairs(200, 10).pairs}) == 20
 
+    def test_uniform_shooting_exact_count(self):
+        fan = FanSpec.uniform_shooting(7, n_eta=5)
+        assert len(fan) == 7
+        assert len({d.key() for d in fan.data}) == 7
+        assert len({d.alpha for d in fan.data}) == 2
+        # multiples of the eta count keep their layout
+        assert len({d.alpha for d in FanSpec.uniform_shooting(10, 5).data}) \
+            == 2
+        assert len(FanSpec.uniform_shooting(1, 1)) == 1
+
     def test_degenerate_pair_rejected(self):
         with pytest.raises(DomainError):
             FanSpec(FanMode.BOUNDARY_PAIRS, pairs=((0.5, 0.5),))
