@@ -5,8 +5,8 @@ prescribed boundary decay, computes their scattering dataset over a fan of
 geodesics, gauge-transforms the pair by Q = exp(rho^4 S(x)), and shows that
 
 - both pairs generate the same dataset up to the truncation level,
-- the quotient of the two endomorphism transport solutions recovers Q
-  pointwise along geodesics,
+- the quotient W_A W_B^{-1} of the two pairs' fundamental transport
+  solutions recovers Q pointwise along geodesics,
 - the recovered gauge has fiber degree zero across crossing families.
 
 Run:  python3 demos/02_scattering_and_gauge_equivalence.py
@@ -58,7 +58,7 @@ path = DiskGeodesic.between_boundary_angles(disk, 1.2, 4.0).sample()
 curve = gauge_candidate(disk, (conn, higgs), (conn2, higgs2), path,
                         np.linspace(-4, 4, 17))
 err = np.max(np.abs(curve.q - gauge.q(curve.x)))
-print(f"|U Utilde^-1 - Q*| along a geodesic:    {err:.2e}")
+print(f"|W_A W_B^-1 - Q*| along a geodesic:    {err:.2e}")
 
 # --- degree-zero verdict over a crossing family ---------------------------
 curves = []

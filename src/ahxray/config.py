@@ -188,6 +188,13 @@ class ExperimentConfig:
             raise ConfigError(f"bad value {body[key]!r}: {err}",
                               section=section, key=key) from err
 
+    def _given(self, section: str, **casts) -> dict:
+        """The keys of ``section`` that the config sets, cast; the dataclass
+        being built supplies every default."""
+        body = self._section(section, required=False)
+        return {key: self._get(section, key, cast)
+                for key, cast in casts.items() if key in body}
+
     # -- builders ------------------------------------------------------------
 
     def build_model(self) -> AHModel:
@@ -214,14 +221,11 @@ class ExperimentConfig:
 
     def build_transport(self, rho_cut: Optional[float] = None
                         ) -> TransportConfig:
-        return TransportConfig(
-            rho_cut=rho_cut if rho_cut is not None
-            else self._get("transport", "rho_cut", float, default=1e-6),
-            rtol=self._get("transport", "rtol", float, default=1e-10),
-            atol=self._get("transport", "atol", float, default=1e-14),
-            richardson=self._get("transport", "richardson", bool,
-                                 default=False),
-            n_steps=self._get("transport", "n_steps", int, default=2048))
+        kwargs = self._given("transport", rho_cut=float, rtol=float,
+                             atol=float, richardson=bool, n_steps=int)
+        if rho_cut is not None:
+            kwargs["rho_cut"] = rho_cut
+        return TransportConfig(**kwargs)
 
     def _bundle_terms(self, section: str, rank: int, with_dir: bool):
         out = []
@@ -349,8 +353,7 @@ class ExperimentConfig:
         params = HiggsParameterization(rank=rank, basis=basis,
                                        decay_N1=decay)
         cfg = ReconstructionConfig(
-            tikhonov=float(body.get("tikhonov", 1e-10)),
-            max_iter=int(body.get("max_iter", 30)),
-            fd_step=float(body.get("fd_step", 1e-6)),
+            **self._given("reconstruction", tikhonov=float, max_iter=int,
+                          fd_step=float),
             transport=self.build_transport())
         return params, cfg

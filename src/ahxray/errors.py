@@ -37,7 +37,8 @@ class DatasetError(AhxrayError, ValueError):
 
 
 class IllConditionedGaugeError(AhxrayError, RuntimeError):
-    """The endomorphism solution became too ill-conditioned to invert."""
+    """Pair B's fundamental system W_B, inverted in the gauge quotient
+    Q = W_A W_B^{-1}, became too ill-conditioned to invert."""
 
 
 class InsufficientCrossingsError(AhxrayError, ValueError):

@@ -1,19 +1,19 @@
 """Transport of fiber vectors and endomorphisms along geodesics.
 
-Every transport system here is the fundamental system of a linear ODE,
+Every transport system the fixed-step backend takes is the left-acting
+fundamental system of a linear ODE on the fiber C^d,
 
-    dW/dt = -G(gamma, gamma') W,    W(t_entry) = I,
+    dW/dt = -(Gamma(gamma') + Phi) W,    W(t_entry) = I,
 
-integrated between the truncation points of a geodesic path.  For the
-scattering datum G = Gamma(gamma') + Phi acts on the fiber C^d.  The
-endomorphism solutions U of the gauge-equivalence argument solve the
-two-sided system dU = -(L U - U R) (L = Gamma + Phi, R the connection
-acting from the right); on d x d matrices that system has no cocycle law,
-so it is lifted to the induced connection on Hom(E_R, E_L): W acts on the
-row-major vec(U) with the rank-d^2 generator L (x) I - I (x) R^T, and
-U = unvec(W vec(I)).  The entry value stands in for the limit at minus
-infinity; the exponential approach of rho along escaping geodesics makes
-the truncation error decay like a power of rho_cut (verified by Richardson
+integrated between the truncation points of a geodesic path; its exit
+value is the scattering datum.  The endomorphism solution of the
+gauge-equivalence argument, dU = -((Gamma + Phi) U - U Gamma), is
+U = W Psi^{-1} with Psi the parallel transport, so gauge recovery needs
+only fundamental systems (see ``xray``); ``endomorphism_transport`` keeps
+the two-sided system as its own d x d right-hand side and integrates it
+adaptively.  The entry value stands in for the limit at minus infinity;
+the exponential approach of rho along escaping geodesics makes the
+truncation error decay like a power of rho_cut (verified by Richardson
 halving rather than certified).
 
 Propagators of a fundamental system obey the cocycle law
@@ -24,7 +24,7 @@ segment propagators in order.  For a left-acting linear right-hand side
 the classic RK4 step is itself a propagator, so this is the sequential RK4
 solution up to rounding, reached in n/m instead of n steps.
 
-One right-hand side drives two integrators:
+Two integrators:
 
 - an adaptive complex RK45 along a single path (closed-form positions when
   the path is analytic, otherwise a joint state with the geodesic), which
@@ -36,7 +36,6 @@ One right-hand side drives two integrators:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -79,46 +78,16 @@ def _check_ranks(conn: ConnectionField, higgs: HiggsFieldData,
     return conn.rank
 
 
-def _hom_generator(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """L (x) I - I (x) R^T: the map U -> L U - U R on row-major vec(U)."""
-    d = left.shape[-1]
-    eye = np.eye(d)
-    gen = left[..., :, None, :, None] * eye[:, None, :] \
-        - eye[:, None, :, None] * np.swapaxes(right, -1, -2)[..., None, :,
-                                                               None, :]
-    return gen.reshape(left.shape[:-2] + (d * d, d * d))
-
-
-def transport_rhs(conn: ConnectionField, higgs: HiggsFieldData,
-                  right: Optional[ConnectionField] = None):
-    """prep(x, v) -> rhs(W) = -G W, a left-acting fundamental system.
-
-    With ``right`` None, G = Gamma(v) + Phi on the fiber (rank d): the
-    scattering system.  Otherwise G is the lift of the two-sided system
-    dU/dt = -((Gamma(v) + Phi) U - U Gamma_R(v)) to row-major vec(U),
-    L (x) I - I (x) Gamma_R^T (rank d^2); read U = unvec(W vec(I)) with
-    ``unvec_identity``.  ``right`` is ``conn`` itself for the endomorphism
-    solution (its connection is evaluated once per stage) and the first
-    pair's connection for the second solution of a gauge pair.  Positions
-    and velocities may carry any leading axes.
-    """
+def transport_rhs(conn: ConnectionField, higgs: HiggsFieldData):
+    """prep(x, v) -> rhs(W) = -(Gamma(v) + Phi) W, the left-acting
+    fundamental system on the fiber.  Positions and velocities may carry
+    any leading axes."""
 
     def prep(x, v):
-        gam = conn.along(x, v)
-        gen = gam + higgs.phi(x)
-        if right is not None:
-            gam_r = gam if right is conn else right.along(x, v)
-            gen = _hom_generator(gen, gam_r)
+        gen = conn.along(x, v) + higgs.phi(x)
         return lambda u: -(gen @ u)
 
     return prep
-
-
-def unvec_identity(w: np.ndarray) -> np.ndarray:
-    """U = unvec(W vec(I)) for fundamental solutions W (..., d^2, d^2) of a
-    lifted two-sided system: the solution that starts at the identity."""
-    d = math.isqrt(w.shape[-1])
-    return (w @ np.eye(d).reshape(-1)).reshape(w.shape[:-2] + (d, d))
 
 
 def _transport_adaptive(model: AHModel, preps, path: GeodesicPath,
@@ -182,19 +151,15 @@ def _refined_path(model: AHModel, path: GeodesicPath,
     return integrate_geodesic(model, path.midpoint_phasepoint(), icfg)
 
 
-def _run(model, prep, path, u0, cfg, shape=None) -> TransportResult:
-    """Adaptive transport of u0, read at the exit in ``shape`` (default
-    u0's; the endomorphism solution transports vec(I) and reads d x d)."""
-    shape = shape or u0.shape
-    exit_value = _transport_adaptive(
-        model, [prep], path, u0, cfg)[3][0, -1].reshape(shape)
+def _run(model, prep, path, u0, cfg) -> TransportResult:
+    """Adaptive transport of u0, read at the exit."""
+    exit_value = _transport_adaptive(model, [prep], path, u0, cfg)[3][0, -1]
     estimate = None
     if cfg.richardson:
         fine = _refined_path(model, path, path.rho_cut / 2.0)
-        exit_fine = _transport_adaptive(
-            model, [prep], fine, u0, cfg)[3][0, -1].reshape(shape)
+        exit_fine = _transport_adaptive(model, [prep], fine, u0, cfg)[3][0, -1]
         estimate = float(np.linalg.norm(exit_fine - exit_value))
-    if len(shape) == 2:
+    if exit_value.ndim == 2:
         defect = float(unitary_defect(exit_value))
     else:
         defect = abs(float(np.linalg.norm(exit_value))
@@ -237,13 +202,19 @@ def endomorphism_transport(model: AHModel, conn: ConnectionField,
                            cfg: Optional[TransportConfig] = None
                            ) -> TransportResult:
     """Entry-normalized endomorphism solution: the connection acts by
-    commutator on U and the Higgs field by left multiplication.  The lifted
-    system transports vec(I), which is W vec(I)."""
+    commutator on U and the Higgs field by left multiplication,
+    dU/dt = -((Gamma + Phi) U - U Gamma), integrated adaptively as a d x d
+    system (the adaptive solver needs no cocycle law)."""
     cfg = cfg or TransportConfig()
     eye = np.eye(conn.rank, dtype=complex)
     _check_ranks(conn, higgs, eye)
-    return _run(model, transport_rhs(conn, higgs, right=conn), path,
-                eye.reshape(-1), cfg, shape=eye.shape)
+
+    def prep(x, v):
+        gam = conn.along(x, v)
+        left = gam + higgs.phi(x)
+        return lambda u: -(left @ u - u @ gam)
+
+    return _run(model, prep, path, eye, cfg)
 
 
 def transported_data_action(model: AHModel, conn: ConnectionField,

@@ -5,8 +5,11 @@ one invertible matrix per incoming boundary datum, obtained by solving the
 fundamental transport system along the corresponding geodesic.  Datasets of
 gauge-equivalent pairs agree up to the truncation level, which is the
 forward direction of the gauge-equivalence theorem; the reverse pipeline
-recovers the gauge as Q = U Utilde^{-1} from the two entry-normalized
-endomorphism solutions and checks that it has fiber degree zero.
+recovers the gauge and checks that it has fiber degree zero.  The gauge is
+the quotient Q = U Utilde^{-1} of the two entry-normalized endomorphism
+solutions; with W_A, W_B the fundamental systems of the two pairs and Psi_A
+pair A's parallel transport, U = W_A Psi_A^{-1} and Utilde = W_B Psi_A^{-1},
+so Psi_A cancels and Q = W_A W_B^{-1}, computed from two rank-d systems.
 """
 
 from __future__ import annotations
@@ -28,8 +31,7 @@ from .geometry import (AHModel, BoundaryDatum, DiskGeodesic, Direction,
                        GeodesicPath, IntegratorConfig, ModelKind,
                        shoot_from_boundary)
 from .transport import (TransportConfig, _transport_adaptive,
-                        batch_transport, scattering_matrix, transport_rhs,
-                        unvec_identity)
+                        batch_transport, scattering_matrix, transport_rhs)
 
 
 class FanMode(Enum):
@@ -284,15 +286,14 @@ def add_matrix_noise(dataset: ScatteringDataset, sigma: float,
 
 @dataclass
 class GaugeCurve:
-    """Gauge candidate Q(t) = U(t) Utilde(t)^{-1} sampled along one geodesic."""
+    """Gauge candidate Q(t) = W_A(t) W_B(t)^{-1} sampled along one
+    geodesic."""
 
     t: np.ndarray          # (n,)
     x: np.ndarray          # (n, 2)
     v: np.ndarray          # (n, 2), unit velocity
     theta: np.ndarray      # (n,), direction angle of the velocity
     q: np.ndarray          # (n, d, d)
-    u: np.ndarray          # (n, d, d)
-    u_tilde: np.ndarray    # (n, d, d)
 
 
 def gauge_candidate(model: AHModel,
@@ -301,8 +302,9 @@ def gauge_candidate(model: AHModel,
                     path: GeodesicPath,
                     sample_times: Sequence[float],
                     cfg: Optional[TransportConfig] = None) -> GaugeCurve:
-    """Entry-normalized endomorphism solutions U, Utilde along a geodesic
-    and their quotient, tagged with base point and fiber angle.
+    """Gauge candidate Q = W_A W_B^{-1} along a geodesic from the two pairs'
+    entry-normalized fundamental systems, tagged with base point and fiber
+    angle.
 
     For gauge-equivalent pairs the quotient reproduces the gauge along the
     lifted geodesic up to truncation and solver error.
@@ -316,38 +318,40 @@ def gauge_candidate(model: AHModel,
         geo = path.analytic
         span = geo.t_exit - geo.t_entry
         fracs = np.clip((sample_times - geo.t_entry) / span, 0.0, 1.0)
-        rec_u, rec_ut = (batch_transport(prep, [geo], d * d, cfg,
-                                         record_fracs=fracs)[1]
-                         for prep in preps)
-        ts, xs, vs = (np.array([r[i][0] for r in rec_u]) for i in range(3))
-        us, uts = (unvec_identity(np.array([r[3][0] for r in rec]))
-                   for rec in (rec_u, rec_ut))
+        rec_a, rec_b = (batch_transport(prep, [geo], d, cfg,
+                                        record_fracs=fracs)[1]
+                        for prep in preps)
+        ts, xs, vs = (np.array([r[i][0] for r in rec_a]) for i in range(3))
+        w_a, w_b = (np.array([r[3][0] for r in rec])
+                    for rec in (rec_a, rec_b))
     else:
-        ts, xs, vs, lifted = _transport_adaptive(
-            model, preps, path, np.eye(d, dtype=complex).reshape(-1), cfg,
+        ts, xs, vs, (w_a, w_b) = _transport_adaptive(
+            model, preps, path, np.eye(d, dtype=complex), cfg,
             t_eval=sample_times)
-        us, uts = lifted.reshape(2, len(ts), d, d)
 
-    conds = np.linalg.cond(uts)
-    if np.any(conds > 1e8):
-        raise IllConditionedGaugeError(
-            f"Utilde condition number reached {conds.max():.2e}")
-    qs = us @ np.linalg.inv(uts)
     theta = np.arctan2(vs[:, 1], vs[:, 0]) % (2.0 * math.pi)
-    return GaugeCurve(t=ts, x=xs, v=vs, theta=theta, q=qs, u=us, u_tilde=uts)
+    return GaugeCurve(t=ts, x=xs, v=vs, theta=theta,
+                      q=_gauge_quotient(w_a, w_b))
 
 
 def _gauge_systems(pair_a: tuple[ConnectionField, HiggsFieldData],
                    pair_b: tuple[ConnectionField, HiggsFieldData]):
-    """Lifted right-hand sides of U (pair A's endomorphism solution) and
-    Utilde (pair B's connection and Higgs field on the left, A's on the
-    right), both on vec(U) with rank d^2."""
+    """Right-hand sides of the fundamental systems W_A and W_B of the two
+    pairs, both of rank d."""
     conn_a, higgs_a = pair_a
     conn_b, higgs_b = pair_b
     if not conn_a.rank == higgs_a.rank == conn_b.rank == higgs_b.rank:
         raise DomainError("gauge candidate requires matching ranks")
-    return (transport_rhs(conn_a, higgs_a, right=conn_a),
-            transport_rhs(conn_b, higgs_b, right=conn_a))
+    return transport_rhs(conn_a, higgs_a), transport_rhs(conn_b, higgs_b)
+
+
+def _gauge_quotient(w_a: np.ndarray, w_b: np.ndarray) -> np.ndarray:
+    """Q = W_A W_B^{-1}, refused when W_B is too ill-conditioned to invert."""
+    conds = np.linalg.cond(w_b)
+    if np.any(conds > 1e8):
+        raise IllConditionedGaugeError(
+            f"W_B condition number reached {conds.max():.2e}")
+    return w_a @ np.linalg.inv(w_b)
 
 
 def gauge_field_samples(model: AHModel,
@@ -358,12 +362,12 @@ def gauge_field_samples(model: AHModel,
     """Gauge candidate sampled on a base-point x fiber-angle grid.
 
     For every (x, theta) the geodesic through that phase point is truncated
-    at the sample time, so one vectorized transport run per system yields
-    Q(x, theta) = U Utilde^{-1} exactly at the requested nodes.  Output
+    at the sample time, so one vectorized transport run per pair yields
+    Q(x, theta) = W_A W_B^{-1} exactly at the requested nodes.  Output
     shape: (len(points), len(thetas), d, d).
     """
     cfg = cfg or TransportConfig()
-    prep_u, prep_ut = _gauge_systems(pair_a, pair_b)
+    preps = _gauge_systems(pair_a, pair_b)
     d = pair_a[0].rank
     geos = []
     for x in np.asarray(points, dtype=float):
@@ -371,14 +375,8 @@ def gauge_field_samples(model: AHModel,
             geo = DiskGeodesic.through(model, x, float(th), cfg.rho_cut)
             geo.t_exit = 0.0          # integrate entry -> sample point only
             geos.append(geo)
-    u, ut = (unvec_identity(batch_transport(prep, geos, d * d, cfg)[0])
-             for prep in (prep_u, prep_ut))
-    conds = np.linalg.cond(ut)
-    if np.any(conds > 1e8):
-        raise IllConditionedGaugeError(
-            f"Utilde condition number reached {conds.max():.2e}")
-    q = u @ np.linalg.inv(ut)
-    return q.reshape(len(points), len(thetas), d, d)
+    w_a, w_b = (batch_transport(prep, geos, d, cfg)[0] for prep in preps)
+    return _gauge_quotient(w_a, w_b).reshape(len(points), len(thetas), d, d)
 
 
 @dataclass

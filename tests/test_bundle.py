@@ -21,11 +21,19 @@ SU2 = [np.array([[1j, 0], [0, -1j]]),
        np.array([[0, 1j], [1j, 0]])]
 
 
+def random_skew(rng, rank):
+    """Random skew-Hermitian generator: su(2) at rank 2, otherwise
+    (A - A^H) / 2 for a complex Gaussian A."""
+    if rank == 2:
+        return sum(rng.normal() * g for g in SU2)
+    a = rng.normal(size=(rank, rank)) + 1j * rng.normal(size=(rank, rank))
+    return 0.5 * (a - a.conj().T)
+
+
 def random_connection(rng, rank=2, decay=3, n_terms=3, scale=0.5):
     terms = []
     for _ in range(n_terms):
-        s = sum(rng.normal() * g for g in SU2) if rank == 2 else \
-            1j * rng.normal() * np.eye(1)
+        s = random_skew(rng, rank)
         terms.append(SeparableTerm(
             direction=int(rng.integers(0, 2)), generator=scale * s,
             bump=GaussBump(center=tuple(rng.uniform(-0.4, 0.4, 2)),
@@ -34,7 +42,7 @@ def random_connection(rng, rank=2, decay=3, n_terms=3, scale=0.5):
 
 
 def random_higgs(rng, rank=2, decay=4, n_terms=3, scale=0.5):
-    terms = [(scale * sum(rng.normal() * g for g in SU2),
+    terms = [(scale * random_skew(rng, rank),
               GaussBump(center=tuple(rng.uniform(-0.4, 0.4, 2)),
                         sigma=rng.uniform(0.2, 0.4)))
              for _ in range(n_terms)]
@@ -42,7 +50,7 @@ def random_higgs(rng, rank=2, decay=4, n_terms=3, scale=0.5):
 
 
 def random_gauge(rng, rank=2, decay_M=4, scale=0.6):
-    s = scale * sum(rng.normal() * g for g in SU2)
+    s = scale * random_skew(rng, rank)
     return GaugeField(rank, [(s, GaussBump(center=(0.1, -0.2), sigma=0.35))],
                       decay_M)
 

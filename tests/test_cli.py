@@ -9,6 +9,8 @@ import pytest
 from ahxray.cli import main
 from ahxray.config import ExperimentConfig
 from ahxray.errors import ConfigError
+from ahxray.reconstruct import ReconstructionConfig
+from ahxray.transport import TransportConfig
 
 BASE_CONFIG = """
 [experiment]
@@ -150,6 +152,22 @@ class TestConfig:
         with pytest.raises(ConfigError) as err:
             cfg.build_reconstruction()
         assert keys[1] in str(err.value)
+
+    def test_empty_sections_build_dataclass_defaults(self):
+        cfg = ExperimentConfig.from_text(
+            "[experiment]\nseed = 1\n\n[transport]\n")
+        assert cfg.build_transport() == TransportConfig()
+        body = RECON_CONFIG.replace("tikhonov = 1e-10\nmax_iter = 20\n", "")
+        _, rcfg = ExperimentConfig.from_text(body).build_reconstruction()
+        defaults = ReconstructionConfig()
+        assert (rcfg.tikhonov, rcfg.max_iter, rcfg.fd_step) == \
+            (defaults.tikhonov, defaults.max_iter, defaults.fd_step)
+
+    def test_bad_reconstruction_value_diagnostic(self):
+        bad = RECON_CONFIG.replace("max_iter = 20", "max_iter = many")
+        with pytest.raises(ConfigError) as err:
+            ExperimentConfig.from_text(bad).build_reconstruction()
+        assert "max_iter" in str(err.value)
 
     def test_non_skew_generator_diagnostic(self):
         bad = BASE_CONFIG.replace("gen=0,1,0,0,0,0,0,-1",

@@ -14,13 +14,14 @@ from ahxray._linalg import frobenius, unitary_defect
 from ahxray.bundle import (ConnectionField, HiggsFieldData,
                            gauge_transform)
 from ahxray.errors import (DomainError, FanMismatchError,
+                           IllConditionedGaugeError,
                            InsufficientCrossingsError)
 from ahxray.geometry import AHModel, DiskGeodesic
 from ahxray.transport import TransportConfig
 from ahxray.xray import (FanMode, FanSpec, ScatteringDataset,
-                         add_matrix_noise, compare_datasets,
+                         _gauge_quotient, add_matrix_noise, compare_datasets,
                          compute_scattering_data, gauge_candidate,
-                         gauge_degree_zero_check)
+                         gauge_degree_zero_check, gauge_field_samples)
 from test_bundle import random_connection, random_gauge, random_higgs
 from test_transport import phase_integral, scalar_higgs
 
@@ -206,6 +207,27 @@ class TestGaugeCandidate:
         expected = gauge.q(curve.x)
         assert np.max(frobenius(curve.q - expected)) < 1e-5
 
+    def test_recovers_constructing_gauge_rank3(self, disk, rng):
+        conn = random_connection(rng, rank=3)
+        higgs = random_higgs(rng, rank=3)
+        gauge = random_gauge(rng, rank=3, decay_M=4)
+        pair_b = gauge_transform(conn, higgs, gauge)
+        path = DiskGeodesic.between_boundary_angles(disk, 1.2, 4.0).sample()
+        curve = gauge_candidate(disk, (conn, higgs), pair_b, path,
+                                np.linspace(-4, 4, 17))
+        assert np.max(frobenius(curve.q - gauge.q(curve.x))) < 1e-5
+        pts = np.array([[-0.3, 0.1], [0.0, 0.0], [0.2, -0.25]])
+        thetas = np.linspace(0, 2 * math.pi, 4, endpoint=False)
+        q = gauge_field_samples(disk, (conn, higgs), pair_b, pts, thetas)
+        expected = gauge.q(pts)[:, None]
+        assert np.max(frobenius(q - expected)) < 1e-5
+
+    def test_ill_conditioned_w_b_refused(self):
+        w_a = np.eye(2, dtype=complex)[None]
+        assert np.array_equal(_gauge_quotient(w_a, 2.0 * w_a), 0.5 * w_a)
+        with pytest.raises(IllConditionedGaugeError):
+            _gauge_quotient(w_a, np.diag([1.0, 1e-9]).astype(complex)[None])
+
     def test_recovered_gauge_unitary(self, disk, rng):
         conn = random_connection(rng)
         higgs = random_higgs(rng)
@@ -293,7 +315,6 @@ class TestDegreeBoundRealization:
         pts = np.array([[x, y] for x in (-0.3, 0.0, 0.3)
                         for y in (-0.25, 0.1, 0.35)])
         thetas = np.linspace(0, 2 * math.pi, 8, endpoint=False)
-        from ahxray.xray import gauge_field_samples
         q = gauge_field_samples(disk, (conn, higgs), pair_b, pts, thetas)
         w = q - np.eye(2)
         spec = np.fft.fft(w, axis=1)
