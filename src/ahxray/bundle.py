@@ -227,22 +227,19 @@ class HiggsFieldData:
     @classmethod
     def from_terms(cls, rank: int,
                    terms: Sequence[tuple[np.ndarray, GaussBump]],
-                   decay_N1: int,
-                   coeffs: Optional[np.ndarray] = None) -> "HiggsFieldData":
+                   decay_N1: int) -> "HiggsFieldData":
         gens = [np.asarray(s, dtype=complex) for s, _ in terms]
         for g in gens:
             _check_skew(g, "Higgs generator")
             if g.shape != (rank, rank):
                 raise RankMismatchError("generator rank mismatch")
         bumps = [b for _, b in terms]
-        c = np.ones(len(terms)) if coeffs is None else np.asarray(coeffs,
-                                                                  dtype=float)
 
         def phi(x):
             out = np.zeros(np.shape(x)[:-1] + (rank, rank), dtype=complex)
             rho_n = _rho(x) ** decay_N1
-            for ck, gen, bump in zip(c, gens, bumps):
-                out += (ck * rho_n * bump(x))[..., None, None] * gen
+            for gen, bump in zip(gens, bumps):
+                out += (rho_n * bump(x))[..., None, None] * gen
             return out
 
         return cls(rank, phi, decay_N1)

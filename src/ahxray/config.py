@@ -353,7 +353,6 @@ class ExperimentConfig:
         params = HiggsParameterization(rank=rank, basis=basis,
                                        decay_N1=decay)
         cfg = ReconstructionConfig(
-            **self._given("reconstruction", tikhonov=float, max_iter=int,
-                          fd_step=float),
+            **self._given("reconstruction", tikhonov=float, max_iter=int),
             transport=self.build_transport())
         return params, cfg

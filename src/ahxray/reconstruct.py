@@ -6,8 +6,14 @@ closed loop well posed: parametrize the field by finitely many
 skew-Hermitian generators with spatial bumps and a common decay factor,
 then minimize the stacked data misfit by damped Gauss-Newton with a small
 Tikhonov term.  Every iterate keeps the exact decay and skewness by
-construction.  Jacobians are central finite differences of the forward
-map, one pair of forward solves per coefficient.
+construction.  The Jacobian of each Gauss-Newton iteration comes from one
+tangent-linear sweep: the fixed-step march carries the jet (W, V_1..V_P)
+of the fundamental system together with its derivatives in the P
+coefficients, dV_k = -(M V_k + B_k W), which at Phi = 0 is the
+matrix-weighted attenuated ray transform of the basis fields.  Since RK4
+of a linear system is a polynomial in the step generators, V_k is the
+exact derivative of the discrete forward map.  Central finite differences
+(``jacobian_fd``) remain as the oracle.
 """
 
 from __future__ import annotations
@@ -17,8 +23,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._linalg import skew_defect
-from .bundle import ConnectionField, GaussBump, HiggsFieldData
+from ._linalg import mul, skew_defect
+from .bundle import ConnectionField, GaussBump, HiggsFieldData, _rho
 from .errors import DomainError, StagnationError
 from .geometry import AHModel
 from .transport import TransportConfig, batch_transport, transport_rhs
@@ -81,28 +87,40 @@ class HiggsParameterization:
         out.coeffs = np.asarray(c, dtype=float)
         return out
 
+    def weights(self, x: np.ndarray) -> np.ndarray:
+        """rho^(N+1) beta_k at points x for every basis field, on a last
+        axis of length ``size``."""
+        x = np.asarray(x, dtype=float)
+        return (_rho(x) ** self.decay_N1)[..., None] \
+            * np.stack([bump(x) for _, bump in self.basis], axis=-1)
+
+    def combine(self, weights: np.ndarray, c: np.ndarray) -> np.ndarray:
+        """Phi_c = sum_k c_k w_k S_k from the ``weights`` w of some points."""
+        out = np.zeros(weights.shape[:-1] + (self.rank, self.rank),
+                       dtype=complex)
+        for k, (s, _) in enumerate(self.basis):
+            out += (c[k] * weights[..., k])[..., None, None] * s
+        return out
+
     def higgs(self, c: Optional[np.ndarray] = None) -> HiggsFieldData:
         c = self.coeffs if c is None else np.asarray(c, dtype=float)
-        return HiggsFieldData.from_terms(self.rank, self.basis,
-                                         self.decay_N1, coeffs=c)
+        return HiggsFieldData(self.rank,
+                              lambda x: self.combine(self.weights(x), c),
+                              self.decay_N1)
 
 
 @dataclass
 class ReconstructionConfig:
     tikhonov: float = 1e-10
     max_iter: int = 30
-    fd_step: float = 1e-6
     grad_tol: float = 1e-10
     max_backtracks: int = 25
     stagnation_limit: int = 5
-    transport: TransportConfig = field(
-        default_factory=lambda: TransportConfig(n_steps=1024))
+    transport: TransportConfig = field(default_factory=TransportConfig)
 
     def __post_init__(self):
         if self.tikhonov < 0.0:
             raise DomainError("tikhonov weight must be nonnegative")
-        if not 1e-8 <= self.fd_step <= 1e-4:
-            raise DomainError("fd step must lie in [1e-8, 1e-4]")
 
 
 @dataclass
@@ -163,20 +181,63 @@ def _fan_residual(conn0: ConnectionField, params: HiggsParameterization,
     return residual
 
 
+def _tangent_rhs(conn0: ConnectionField, params: HiggsParameterization,
+                 c: np.ndarray):
+    """prep(x, v) for the jet (W, V_1..V_P) of the fundamental system of
+    M = Gamma(v) + Phi_c in the coefficients: dW = -M W and
+    dV_k = -(M V_k + B_k W) with B_k = w_k S_k, w_k = rho^(N+1) beta_k.
+
+    The weights w_k of a node are computed once and give both Phi_c, formed
+    as ``params.higgs(c)`` forms it, and B_k W = w_k (S_k W).
+    """
+    gens = np.stack([s for s, _ in params.basis])
+
+    def prep(x, v):
+        weights = params.weights(x)
+        neg = -(conn0.along(x, v)
+                + params.combine(weights, c))[..., None, :, :]
+        weights = weights[..., None, None]
+
+        def rhs(u):
+            out = mul(neg, u)
+            out[..., 1:, :, :] -= weights * mul(gens, u[..., :1, :, :])
+            return out
+
+        return rhs
+
+    return prep
+
+
+def _fan_jacobian(conn0: ConnectionField, params: HiggsParameterization,
+                  geos, cfg: TransportConfig):
+    """c -> Jacobian of ``_fan_residual`` at c from one tangent-linear
+    sweep over ``geos``; column k stacks V_k like the residual stacks
+    F(c) - data."""
+
+    def jacobian(c: np.ndarray) -> np.ndarray:
+        jet, _ = batch_transport(_tangent_rhs(conn0, params, c), geos,
+                                 (conn0.rank, params.size), cfg)
+        dv = np.moveaxis(jet[:, 1:], 1, -1).reshape(-1, params.size)
+        return np.concatenate([dv.real, dv.imag])
+
+    return jacobian
+
+
 def jacobian_fd(model: AHModel, conn0: ConnectionField,
                 params: HiggsParameterization, fan: FanSpec,
                 c: np.ndarray,
-                cfg: Optional[ReconstructionConfig] = None) -> np.ndarray:
+                cfg: Optional[ReconstructionConfig] = None,
+                h: float = 1e-6) -> np.ndarray:
     """Central-difference Jacobian of the stacked residual, one column per
-    basis coefficient."""
+    basis coefficient, with step h: two forward solves per column.  The
+    oracle for the tangent-linear Jacobian of ``reconstruct_higgs``."""
+    if not 1e-8 <= h <= 1e-4:
+        raise DomainError("fd step must lie in [1e-8, 1e-4]")
     cfg = cfg or ReconstructionConfig()
     _require_flat(conn0)
     geos = fan_geodesics(model, fan, cfg.transport.rho_cut)
-    return _jacobian(_fan_residual(conn0, params, geos, cfg.transport, 0.0),
-                     np.asarray(c, dtype=float), cfg.fd_step)
-
-
-def _jacobian(residual, c: np.ndarray, h: float) -> np.ndarray:
+    residual = _fan_residual(conn0, params, geos, cfg.transport, 0.0)
+    c = np.asarray(c, dtype=float)
     cols = []
     for k in range(len(c)):
         e = np.zeros_like(c)
@@ -206,6 +267,7 @@ def reconstruct_higgs(data: ScatteringDataset, model: AHModel,
     require_fan(data, geos, cfg.transport.rho_cut)
     residual = _fan_residual(conn0, params, geos, cfg.transport,
                              np.array([r.matrix for r in data.records]))
+    jacobian = _fan_jacobian(conn0, params, geos, cfg.transport)
 
     lam = cfg.tikhonov
     c = np.zeros(params.size)
@@ -219,7 +281,7 @@ def reconstruct_higgs(data: ScatteringDataset, model: AHModel,
     converged = False
     iterations = 0
     for iterations in range(1, cfg.max_iter + 1):
-        jac = _jacobian(residual, c, cfg.fd_step)
+        jac = jacobian(c)
         grad = jac.T @ r + lam * c
         if np.linalg.norm(grad) < cfg.grad_tol:
             converged = True

@@ -22,7 +22,11 @@ cuts every span into m segments, marches all segments at once from the
 identity (as extra batch rows of one field evaluation) and multiplies the
 segment propagators in order.  For a left-acting linear right-hand side
 the classic RK4 step is itself a propagator, so this is the sequential RK4
-solution up to rounding, reached in n/m instead of n steps.
+solution up to rounding, reached in n/m instead of n steps.  The
+first-order jet (W, V_1..V_P) of W in P parameters is the fundamental
+system of a block-triangular generator, so it obeys the same law, in the
+form of the product rule, and is marched the same way; reconstruction
+takes its Gauss-Newton Jacobian from it.
 
 Two integrators:
 
@@ -42,7 +46,7 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from ._linalg import unitary_defect
+from ._linalg import mul, unitary_defect
 from .bundle import ConnectionField, HiggsFieldData
 from .errors import DomainError, RankMismatchError
 from .geometry import (AHModel, DiskGeodesic, GeodesicPath, IntegratorConfig,
@@ -85,7 +89,7 @@ def transport_rhs(conn: ConnectionField, higgs: HiggsFieldData):
 
     def prep(x, v):
         gen = conn.along(x, v) + higgs.phi(x)
-        return lambda u: -(gen @ u)
+        return lambda u: -mul(gen, u)
 
     return prep
 
@@ -236,10 +240,16 @@ def transported_data_action(model: AHModel, conn: ConnectionField,
 _ROWS = 1024
 
 
-def _segments(n_steps: int, width: int) -> int:
+def _segments(n_steps: int, width: int, order: int = 0) -> int:
     """Segments per span: the largest divisor m of n_steps with
-    m * width <= _ROWS, and 1 when there is none."""
-    m = max(1, min(n_steps, _ROWS // max(width, 1)))
+    m * width <= _ROWS, and 1 when there is none.
+
+    A row of a jet of order P holds P + 1 matrices and counts (P + 1) // 2
+    times against the budget, which keeps the jet's state in cache (for
+    P = 6 on 24 geodesics the sweep runs faster in under a third of the
+    memory)."""
+    width = max(width, 1) * max(1, (order + 1) // 2)
+    m = max(1, min(n_steps, _ROWS // width))
     while n_steps % m:
         m -= 1
     return m
@@ -287,48 +297,74 @@ def _rk4_step(u, h, f_start, f_mid, f_end):
     return u + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def batch_transport(prep, geos: Sequence[DiskGeodesic], rank: int,
+def _jet_product(a, b):
+    """(W2, V2) o (W1, V1) = (W2 W1, V2 W1 + W2 V1) for jets stacked on
+    axis -3 (W first, then V_1..V_P): the block-triangular cocycle law."""
+    out = mul(a, b[..., :1, :, :])
+    out[..., 1:, :, :] += mul(a[..., :1, :, :], b[..., 1:, :, :])
+    return out
+
+
+def batch_transport(prep, geos: Sequence[DiskGeodesic],
+                    rank: int | tuple[int, int],
                     cfg: Optional[TransportConfig] = None,
                     record_fracs: Optional[Sequence[float]] = None):
     """Fixed-step RK4 fundamental solutions across closed-form disk
     geodesics, marched as m segments per span.
 
     Per-geodesic step size span/n_steps.  ``prep`` is a left-acting
-    fundamental system of the given rank (``transport_rhs``); it is called
-    with positions and velocities of shape (m, len(geos), 2), or with
-    snapshot axes in front.  Each span is cut into m = ``_segments`` equal
+    fundamental system of rank d (``transport_rhs``); it is called with
+    positions and velocities of shape (m, len(geos), 2), or with snapshot
+    axes in front.  Each span is cut into m = ``_segments`` equal
     segments, all marched at once from the identity in n_steps/m steps;
     the cocycle law then gives the propagator to any grid time as the
     partial propagator of its segment times the ordered product of the
     earlier segments' propagators.  m is 1 when n_steps has no divisor that
     fits, and the march is then the plain sequential one.
 
-    Snapshots of W at the requested fractions of each span are taken at
-    the exact requested times: a fractional RK4 side-step from the
-    preceding grid time, computed from the identity for all snapshots in
-    one evaluation, multiplies the propagator to that grid time, so
+    ``rank`` is d, or (d, P) to march the first-order jet (W, V_1..V_P)
+    of W along P directions: the state then has shape (P + 1, d, d), W
+    first, starts at (I, 0, ..., 0), and ``prep`` returns the right-hand
+    side of the jet system (dW = -M W, dV_k = -(M V_k + B_k W) for a
+    generator M with derivatives B_k).  Jets compose by the product rule
+    (W2, V2) o (W1, V1) = (W2 W1, V2 W1 + W2 V1), which is the cocycle law
+    of the block-triangular system, so segments and snapshots are formed
+    as for P = 0.  RK4 of a linear system is a polynomial in the step
+    generators, so the V_k are the exact derivatives of the discrete W.
+
+    Snapshots of the state at the requested fractions of each span are
+    taken at the exact requested times: a fractional RK4 side-step from
+    the preceding grid time, computed from the identity for all snapshots
+    in one evaluation, multiplies the propagator to that grid time, so
     crossing families sample identical base points.
 
-    Returns (W_exit, records); records is a time-ordered list of
-    (t, x, v, W) batches, or None when no fractions were requested.
+    Returns (W_exit, records), W_exit of shape (len(geos), d, d) or, for
+    a jet, (len(geos), P + 1, d, d); records is a time-ordered list of
+    (t, x, v, W) batches of states, or None when no fractions were
+    requested.
     """
     cfg = cfg or TransportConfig()
+    d, order = rank if isinstance(rank, tuple) else (rank, 0)
+    eye = np.eye(d, dtype=complex)
+    product = mul
+    if order:
+        eye = np.concatenate([eye[None], np.zeros((order, d, d), complex)])
+        product = _jet_product
     n = cfg.n_steps
     batch = _BatchPaths(geos, n)
     width = len(batch.geos)
-    m = _segments(n, width)
+    m = _segments(n, width, order)
     seg = n // m
     first = np.arange(m) * seg      # grid step where each segment starts
-    eye = np.eye(rank, dtype=complex)
-    w = np.broadcast_to(eye, (m, width, rank, rank)).copy()
-    dt = batch.dt[:, None, None]
+    w = np.broadcast_to(eye, (m, width) + eye.shape).copy()
+    dt = batch.dt.reshape((-1,) + (1,) * eye.ndim)
 
     fracs = np.sort(np.clip(np.asarray(
         [] if record_fracs is None else record_fracs, dtype=float), 0.0, 1.0))
     pos = fracs * n
     grid = np.where(pos < n, np.floor(pos), n).astype(int)
     owner, local = np.divmod(grid, seg)     # owner m: the exit itself
-    partial = np.broadcast_to(eye, (len(fracs), width, rank, rank)).copy()
+    partial = np.broadcast_to(eye, (len(fracs), width) + eye.shape).copy()
 
     f_here = prep(*batch.state(first / n))
     for k in range(seg):
@@ -339,9 +375,9 @@ def batch_transport(prep, geos: Sequence[DiskGeodesic], rank: int,
         w = _rk4_step(w, dt, f_here, f_mid, f_next)
         f_here = f_next
 
-    prefix = [np.broadcast_to(eye, (width, rank, rank))]
+    prefix = [np.broadcast_to(eye, (width,) + eye.shape)]
     for seg_w in w:
-        prefix.append(seg_w @ prefix[-1])
+        prefix.append(product(seg_w, prefix[-1]))
     if record_fracs is None:
         return prefix[-1], None
 
@@ -349,11 +385,11 @@ def batch_transport(prep, geos: Sequence[DiskGeodesic], rank: int,
     # need no separate path
     delta = pos - grid
     x, v = batch.state(fracs)
-    side = _rk4_step(eye, delta[:, None, None, None] * dt,
+    side = _rk4_step(eye, delta.reshape((-1,) + (1,) * dt.ndim) * dt,
                      prep(*batch.state(grid / n)),
                      prep(*batch.state((grid + 0.5 * delta) / n)),
                      prep(x, v))
-    snaps = side @ partial @ np.stack(prefix)[owner]
+    snaps = product(product(side, partial), np.stack(prefix)[owner])
     return prefix[-1], list(zip(batch.times(fracs), x, v, snaps))
 
 

@@ -55,11 +55,17 @@ def test_tracer_counts_forward_solves_and_uninstalls():
     counts = tracer.counts["solve"]
     assert counts["reconstruct.gn_iterations"] == report.iterations >= 1
     assert counts["transport.batch_calls"] > 0
-    # every transport run of the loop is a forward solve over the fan
+    # every transport run of the loop, forward solve or tangent sweep,
+    # goes through reconstruct's binding, which the tracer counts as a
+    # forward solve
     assert counts["reconstruct.forward_solves"] \
         == counts["transport.batch_calls"]
+    # the initial residual, then per iteration one tangent-linear sweep
+    # for the Jacobian and one trial step (this toy accepts every full
+    # Gauss-Newton step, so no backtracking)
+    assert len(report.residual_history) == report.iterations + 1
     assert counts["reconstruct.forward_solves"] \
-        >= 1 + 2 * params.size * report.iterations
+        == 1 + 2 * report.iterations
     # the segmented march: n steps as m segments of n/m steps each
     n, width = cfg.transport.n_steps, len(fan)
     m = transport._segments(n, width)

@@ -160,8 +160,15 @@ class TestConfig:
         body = RECON_CONFIG.replace("tikhonov = 1e-10\nmax_iter = 20\n", "")
         _, rcfg = ExperimentConfig.from_text(body).build_reconstruction()
         defaults = ReconstructionConfig()
-        assert (rcfg.tikhonov, rcfg.max_iter, rcfg.fd_step) == \
-            (defaults.tikhonov, defaults.max_iter, defaults.fd_step)
+        assert (rcfg.tikhonov, rcfg.max_iter) == \
+            (defaults.tikhonov, defaults.max_iter)
+
+    def test_library_and_cli_loops_share_transport_defaults(self):
+        body = RECON_CONFIG.replace("rho_cut = 1e-6\nn_steps = 512\n", "")
+        assert "[transport]\n\n" in body
+        _, rcfg = ExperimentConfig.from_text(body).build_reconstruction()
+        # n_steps among them: the library loop ran at 1024, the CLI at 2048
+        assert rcfg.transport == ReconstructionConfig().transport
 
     def test_bad_reconstruction_value_diagnostic(self):
         bad = RECON_CONFIG.replace("max_iter = 20", "max_iter = many")

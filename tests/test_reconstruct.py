@@ -11,13 +11,17 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from ahxray.bundle import ConnectionField, GaussBump
+from ahxray.bundle import (ConnectionField, GaussBump, HiggsFieldData,
+                           gauge_transform)
 from ahxray.errors import DomainError, FanMismatchError
 from ahxray.geometry import AHModel, DiskGeodesic
 from ahxray.reconstruct import (HiggsParameterization, ReconstructionConfig,
+                                _fan_jacobian, _fan_residual, _tangent_rhs,
                                 forward_map, jacobian_fd, reconstruct_higgs)
-from ahxray.transport import TransportConfig
-from ahxray.xray import FanSpec, add_matrix_noise, compare_datasets
+from ahxray.transport import (TransportConfig, _segments, batch_transport,
+                              transport_rhs)
+from ahxray.xray import (FanSpec, add_matrix_noise, compare_datasets,
+                         fan_geodesics)
 from test_bundle import SU2, random_gauge
 
 
@@ -43,6 +47,13 @@ def scalar_basis(count=3, decay_N1=4):
     basis = [(1j * np.eye(1), GaussBump(center=c, sigma=0.3))
              for c in centers[:count]]
     return HiggsParameterization(rank=1, basis=basis, decay_N1=decay_N1)
+
+
+def jacobian_tangent(disk, conn, params, fan, c, cfg):
+    """The Gauss-Newton Jacobian of ``reconstruct_higgs`` at c: one
+    tangent-linear sweep over the fan."""
+    geos = fan_geodesics(disk, fan, cfg.transport.rho_cut)
+    return _fan_jacobian(conn, params, geos, cfg.transport)(c)
 
 
 class TestForwardMap:
@@ -117,6 +128,79 @@ class TestJacobian:
         sv = np.linalg.svd(jac, compute_uv=False)
         assert sv[-1] > 1e-6 * sv[0]
         assert np.linalg.matrix_rank(jac, tol=1e-8 * sv[0]) == params.size
+
+    @pytest.mark.parametrize("n_steps", [128, 127])
+    @pytest.mark.parametrize("case", ["rank1", "rank2", "flat_gauge"])
+    def test_tangent_matches_finite_differences(self, disk, case, n_steps):
+        # the sweep's jets (P = 6 for rank 2) march 128 steps as m = 8
+        # segments over 24 geodesics; 127 is prime, so m = 1 (the plain
+        # sequential march)
+        rng = np.random.default_rng(17)
+        if case == "rank1":
+            params, conn = scalar_basis(), ConnectionField.zero(1)
+        else:
+            params, conn = su2_basis(), ConnectionField.zero(2)
+        if case == "flat_gauge":
+            conn, _ = gauge_transform(conn, HiggsFieldData.zero(2),
+                                      random_gauge(rng))
+        fan = FanSpec.uniform_pairs(24, n_openings=4)
+        assert (_segments(n_steps, len(fan), params.size) > 1) \
+            == (n_steps == 128)
+        cfg = ReconstructionConfig(
+            transport=TransportConfig(n_steps=n_steps))
+        c = 0.7 * rng.normal(size=params.size)
+        tangent = jacobian_tangent(disk, conn, params, fan, c, cfg)
+        fd = jacobian_fd(disk, conn, params, fan, c, cfg)
+        assert np.max(np.abs(tangent - fd)) <= 1e-6 * np.max(np.abs(fd))
+
+    def test_central_differences_converge_at_second_order(self, disk):
+        # at 32 steps the tangent of the continuous map is 7e-4 away; the
+        # differences of the discrete map close in on this tangent as h^2
+        params = su2_basis(count=3)
+        conn = ConnectionField.zero(2)
+        fan = FanSpec.uniform_pairs(8, n_openings=2)
+        cfg = ReconstructionConfig(transport=TransportConfig(n_steps=32))
+        c = np.array([0.8, -0.5, 0.3])
+        tangent = jacobian_tangent(disk, conn, params, fan, c, cfg)
+        residual = _fan_residual(conn, params,
+                                 fan_geodesics(disk, fan, 1e-6),
+                                 cfg.transport, 0.0)
+        errors = []
+        for h in (1e-3, 5e-4):
+            fd = np.stack([(residual(c + h * e) - residual(c - h * e))
+                           / (2.0 * h) for e in np.eye(params.size)], -1)
+            errors.append(np.max(np.abs(fd - tangent)))
+        assert 3.8 < errors[0] / errors[1] < 4.2
+        assert errors[1] < 1e-9
+
+    def test_jet_carries_the_forward_transport(self, disk):
+        # the jet's W slot is the plain march (same segments at P = 2),
+        # at the exit and at snapshots (side-steps included); the V slots
+        # of a snapshot are the derivatives of the plain snapshot
+        params = su2_basis(count=2)
+        conn = ConnectionField.zero(2)
+        geos = fan_geodesics(disk, FanSpec.uniform_pairs(8, n_openings=2),
+                             1e-6)
+        cfg = TransportConfig(n_steps=64)
+        fracs = [0.3, 0.45, 1.0]
+        c = np.array([0.6, -0.4])
+
+        def plain(cc):
+            return batch_transport(transport_rhs(conn, params.higgs(cc)),
+                                   geos, 2, cfg, fracs)
+
+        jet, jet_recs = batch_transport(_tangent_rhs(conn, params, c), geos,
+                                        (2, params.size), cfg, fracs)
+        w, recs = plain(c)
+        assert jet.shape == (len(geos), 1 + params.size, 2, 2)
+        assert np.max(np.abs(jet[:, 0] - w)) <= 1e-15
+        h = 1e-6
+        for i, (rec, jet_rec) in enumerate(zip(recs, jet_recs)):
+            assert np.max(np.abs(jet_rec[3][:, 0] - rec[3])) <= 1e-15
+            for k, e in enumerate(np.eye(params.size)):
+                fd = (plain(c + h * e)[1][i][3] - plain(c - h * e)[1][i][3]) \
+                    / (2.0 * h)
+                assert np.max(np.abs(jet_rec[3][:, k + 1] - fd)) < 1e-8
 
     def test_doubling_fan_keeps_rank(self, disk):
         params = su2_basis()
@@ -208,9 +292,11 @@ class TestValidation:
             reconstruct_higgs(data, disk, ConnectionField.zero(2), params,
                               fan, cfg)
 
-    def test_fd_step_window(self):
+    def test_fd_step_window(self, disk):
         with pytest.raises(DomainError):
-            ReconstructionConfig(fd_step=1e-2)
+            jacobian_fd(disk, ConnectionField.zero(2), su2_basis(count=2),
+                        FanSpec.uniform_pairs(8, n_openings=2), np.zeros(2),
+                        h=1e-2)
 
     def test_negative_tikhonov_rejected(self):
         with pytest.raises(DomainError):
