@@ -3,7 +3,8 @@
 INI-style sections hold one block per module; numbered ``term.N`` /
 ``basis.N`` keys describe separable field terms.  Term values are
 semicolon-separated ``key=value`` fields; matrices are row-major re,im
-pairs.  Example::
+pairs.  A section or key that no builder reads is refused, and values
+are literal (no ``%`` interpolation).  Example::
 
     [experiment]
     seed = 42
@@ -90,12 +91,55 @@ def _numbered(body: dict, prefix: str, section: str) -> list[str]:
     return [values[n] for n in sorted(values)]
 
 
+# The keys each section reads; ``term.N`` stands for every numbered key.
+_KNOWN_KEYS = {
+    "experiment": {"seed"},
+    "model": {"kind", "bump_center", "bump_radius", "bump_amplitude",
+              "epsilon0"},
+    "transport": {"rho_cut", "rtol", "atol", "richardson", "n_steps"},
+    "connection": {"rank", "decay", "term.N"},
+    "higgs": {"rank", "decay", "term.N"},
+    "gauge": {"decay", "term.N"},
+    "fan": {"mode", "count", "openings", "n_eta", "eta_max"},
+    "grid": {"nx", "ntheta", "rho_grid"},
+    "section": {"mode", "center", "radius", "power", "vector"},
+    "reconstruction": {"rank", "decay", "tikhonov", "max_iter", "basis.N"},
+}
+
+
+def _check_keys(sections: dict[str, dict[str, str]]) -> None:
+    """Refuse a section or key no builder reads, so a misspelt name fails
+    instead of silently leaving the default in place."""
+    for name, body in sections.items():
+        known = _KNOWN_KEYS.get(name)
+        if known is None:
+            raise ConfigError("unknown section; known sections are "
+                              + ", ".join(sorted(_KNOWN_KEYS)), section=name)
+        for key in body:
+            prefix, dot, _ = key.partition(".")
+            if key not in known and not (dot and prefix + ".N" in known):
+                raise ConfigError("unknown key; known keys are "
+                                  + ", ".join(sorted(known)),
+                                  section=name, key=key)
+
+
+def _parse(text: str, where: str = "") -> dict[str, dict[str, str]]:
+    """Sections of an INI text by lower-cased name; ``%`` is literal."""
+    parser = configparser.ConfigParser(interpolation=None)
+    try:
+        parser.read_string(text)
+    except configparser.Error as err:
+        raise ConfigError(f"{where}malformed config: {err}") from err
+    return {name.lower(): dict(parser[name]) for name in parser.sections()}
+
+
 class ExperimentConfig:
     """Parsed configuration with builders for every module's objects."""
 
     def __init__(self, sections: dict[str, dict[str, str]]):
         self.sections = {name.lower(): {k.lower(): v for k, v in body.items()}
                          for name, body in sections.items()}
+        _check_keys(self.sections)
         if "experiment" not in self.sections \
                 or "seed" not in self.sections["experiment"]:
             raise ConfigError("a seed is mandatory", section="experiment",
@@ -121,32 +165,25 @@ class ExperimentConfig:
                                   f"key=value, got {part!r}", section=name)
             key, _, val = part.partition("=")
             body[key.strip().lower()] = val.strip()
+        _check_keys({name: body})
         self.sections[name] = body
 
     def merge_section_from_file(self, name: str, path: Optional[str]) -> None:
         if path is None:
             return
-        parser = configparser.ConfigParser()
         with open(path, "r", encoding="utf-8") as fh:
-            parser.read_string(fh.read())
-        if name not in {s.lower() for s in parser.sections()}:
+            sections = _parse(fh.read(), f"{path}: ")
+        if name not in sections:
             raise ConfigError(f"{path} has no [{name}] section",
                               section=name)
-        for section in parser.sections():
-            if section.lower() == name:
-                self.sections[name] = {k.lower(): v for k, v
-                                       in parser[section].items()}
+        _check_keys({name: sections[name]})
+        self.sections[name] = sections[name]
 
     # -- I/O ----------------------------------------------------------------
 
     @classmethod
     def from_text(cls, text: str) -> "ExperimentConfig":
-        parser = configparser.ConfigParser()
-        try:
-            parser.read_string(text)
-        except configparser.Error as err:
-            raise ConfigError(f"malformed config: {err}") from err
-        return cls({name: dict(parser[name]) for name in parser.sections()})
+        return cls(_parse(text))
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":

@@ -1,32 +1,32 @@
 """Discrete calculus on the unit sphere bundle of a conformal AH surface.
 
 The bundle is coordinatized by (x, theta) with theta the Euclidean direction
-angle; for conformal metrics theta is fiber arc length, so all vertical
-operators are spectral in theta while base derivatives use 4th-order central
-stencils on a Cartesian grid masked to {rho >= rho_grid}.
+angle, which for conformal metrics is fiber arc length.  Sections are held
+as fiber Fourier coefficients u = sum_k u_k(x) e^{ik theta} (k axis in FFT
+order); base derivatives use 4th-order central stencils on a Cartesian grid
+masked to {rho >= rho_grid}.  With d = (d_1 - i d_2)/2, Phi the log
+conformal factor and A_+- = (Gamma_1 -+ i Gamma_2)/2, the geodesic vector
+field splits as X = eta_+ + eta_- (Guillemin-Kazhdan):
 
-Operator conventions, with u^perp the +90-degree rotation of the unit
-direction u and Phi the log conformal factor:
+- eta_+ u_k = e^{-Phi} (d - k d Phi + A_+) u_k, placed in mode k + 1
+- eta_- u_k = e^{-Phi} (dbar + k dbar Phi + A_-) u_k, placed in mode k - 1
+- horizontal derivative h-grad = i (eta_+ - eta_-)
+- vertical derivative and divergence: ik (v-grad is the v^perp coefficient)
+- vertical Laplacian: k^2.
 
-- geodesic derivative   X  = e^{-Phi} [ u . d_x + (dPhi . u^perp) d_theta ]
-- vertical derivative   v-grad  = d_theta            (coefficient of v^perp)
-- vertical divergence   v-div   = d_theta
-- horizontal derivative h-grad  = e^{-Phi} [ u^perp . d_x
-                                             - (dPhi . u) d_theta ]
-- connection terms add Gamma(v) resp. Gamma(v^perp) acting on the fiber.
-
-The horizontal divergence is the discrete adjoint of the horizontal
-derivative under the quadrature inner product, so the adjoint identity
-holds by construction and commutator residuals isolate discretization
-error.  The curvature operator of the metric acts on v^perp coefficients
-as multiplication by the Gauss curvature; the bundle curvature operator as
-e^{-2 Phi} f_12.
+The mode shift is cyclic on the k axis, as multiplication by e^{+-i theta}
+is on the theta samples, Nyquist mode included.  The horizontal divergence
+is the discrete adjoint of the horizontal derivative under the quadrature
+inner product, so the adjoint identity holds by construction and commutator
+residuals isolate discretization error.  The curvature operator of the
+metric acts on v^perp coefficients as multiplication by the Gauss
+curvature; the bundle curvature operator as e^{-2 Phi} f_12.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 from weakref import WeakKeyDictionary
 
@@ -44,7 +44,7 @@ class SphereBundleGrid:
 
     Quadrature weight per node is sqrt(det g) * h1 * h2 * dtheta, so the
     total fiber measure over each base point is 2*pi*sqrt(det g)*h1*h2
-    exactly.
+    exactly.  ``k`` holds the fiber frequencies in FFT order.
     """
 
     def __init__(self, model: AHModel, nx: int = 64, n_theta: int = 64,
@@ -82,11 +82,7 @@ class SphereBundleGrid:
         self.gauss = gauss
         self.sqrt_det_g = np.where(self.mask, np.exp(2.0 * phi), 0.0)
         self.node_weight = self.sqrt_det_g * self.h1 * self.h2 * self.dtheta
-        self.cth = np.cos(self.thetas)
-        self.sth = np.sin(self.thetas)
-        k = np.fft.fftfreq(n_theta, d=1.0 / n_theta)
-        self._ik = 1j * k
-        self._k2 = k * k
+        self.k = np.fft.fftfreq(n_theta, d=1.0 / n_theta)
         self.max_exact_degree = (n_theta - 2) // 4
         self._symbol_cache: WeakKeyDictionary = WeakKeyDictionary()
         self._curvature_cache: WeakKeyDictionary = WeakKeyDictionary()
@@ -106,25 +102,23 @@ class SphereBundleGrid:
 
     # -- cached field data ------------------------------------------------
 
-    def symbols(self, conn: ConnectionField) -> np.ndarray:
-        cached = self._symbol_cache.get(conn)
+    def _on_mask(self, cache, conn, field, shape) -> np.ndarray:
+        cached = cache.get(conn)
         if cached is None:
-            d = conn.rank
-            out = np.zeros((self.nx, self.ny, 2, d, d), dtype=complex)
-            out[self.mask] = conn.symbols(self.points[self.mask])
-            self._symbol_cache[conn] = out
-            cached = out
+            cached = np.zeros((self.nx, self.ny) + shape, dtype=complex)
+            cached[self.mask] = field(self.points[self.mask])
+            cache[conn] = cached
         return cached
 
+    def symbols(self, conn: ConnectionField) -> np.ndarray:
+        d = conn.rank
+        return self._on_mask(self._symbol_cache, conn, conn.symbols,
+                             (2, d, d))
+
     def curvature(self, conn: ConnectionField) -> np.ndarray:
-        cached = self._curvature_cache.get(conn)
-        if cached is None:
-            d = conn.rank
-            out = np.zeros((self.nx, self.ny, d, d), dtype=complex)
-            out[self.mask] = conn.curvature_f12(self.points[self.mask])
-            self._curvature_cache[conn] = out
-            cached = out
-        return cached
+        d = conn.rank
+        return self._on_mask(self._curvature_cache, conn,
+                             conn.curvature_f12, (d, d))
 
     # -- differential building blocks --------------------------------------
 
@@ -144,85 +138,72 @@ class SphereBundleGrid:
         return (-s(4, None) + 8.0 * s(3, -1) - 8.0 * s(1, -3) + s(0, -4)) \
             / (12.0 * h)
 
-    def dtheta_spectral(self, values: np.ndarray) -> np.ndarray:
-        spec = np.fft.fft(values, axis=2)
-        spec *= self._ik[None, None, :, None]
-        return np.fft.ifft(spec, axis=2)
-
-    def theta_laplacian(self, values: np.ndarray) -> np.ndarray:
-        spec = np.fft.fft(values, axis=2)
-        spec *= self._k2[None, None, :, None]
-        return np.fft.ifft(spec, axis=2)
-
-    def mode_project(self, values: np.ndarray, m: int) -> np.ndarray:
-        if m < 0:
-            return np.zeros_like(values)
-        if m >= self.n_theta // 2:
-            raise DomainError(
-                f"mode {m} aliases on a {self.n_theta}-point fiber grid")
-        spec = np.fft.fft(values, axis=2)
-        keep = np.zeros(self.n_theta, dtype=bool)
-        keep[m] = True
-        keep[-m] = True
-        spec[:, :, ~keep, :] = 0.0
-        return np.fft.ifft(spec, axis=2)
-
     def outer_ring_mask(self) -> np.ndarray:
         return self.mask & ~self.interior_mask
 
 
-@dataclass
-class SectionField:
-    """Samples of a section of the pulled-back bundle on the grid."""
+class _FiberSection:
+    """Fiber Fourier coefficients ``modes`` (nx, ny, n_theta, d) of a
+    section, from theta samples by one forward transform."""
 
-    values: np.ndarray        # (nx, ny, n_theta, d) complex
-    grid: SphereBundleGrid
-    compact_support: bool = False
-
-    def __post_init__(self):
-        if not np.all(np.isfinite(self.values)):
+    def __init__(self, samples, grid: SphereBundleGrid,
+                 compact_support: bool = False):
+        samples = np.asarray(samples)
+        if not np.all(np.isfinite(samples)):
             raise DomainError("section contains non-finite entries")
-        if self.compact_support:
-            ring = self.grid.outer_ring_mask()
-            if np.max(np.abs(self.values[ring])) > 0.0:
-                raise DomainError(
-                    "compactly supported section must vanish on the two "
-                    "outermost rings")
+        if compact_support and np.any(samples[grid.outer_ring_mask()]):
+            raise DomainError("compactly supported section must vanish on "
+                              "the two outermost rings")
+        self.modes = np.fft.fft(samples, axis=2, norm="forward")
+        self.grid = grid
+        self.compact_support = compact_support
+
+    @classmethod
+    def _from_modes(cls, modes: np.ndarray, grid: SphereBundleGrid):
+        """Wrap coefficients an operator built: no transform, no checks."""
+        out = cls.__new__(cls)
+        out.modes, out.grid, out.compact_support = modes, grid, False
+        return out
 
     @property
     def rank(self) -> int:
-        return self.values.shape[-1]
+        return self.modes.shape[-1]
 
     def norm(self) -> float:
         return math.sqrt(max(inner(self, self).real, 0.0))
 
 
-@dataclass
-class NSectionField:
-    """Coefficient of the g-unit rotated direction in the normal bundle."""
+class SectionField(_FiberSection):
+    """A section of the pulled-back bundle; ``values`` are its theta
+    samples (nx, ny, n_theta, d), one inverse transform per access."""
 
-    coeffs: np.ndarray        # (nx, ny, n_theta, d) complex
-    grid: SphereBundleGrid
-    compact_support: bool = False
+    def __init__(self, values, grid: SphereBundleGrid,
+                 compact_support: bool = False):
+        super().__init__(values, grid, compact_support)
 
     @property
-    def rank(self) -> int:
-        return self.coeffs.shape[-1]
-
-    def norm(self) -> float:
-        return math.sqrt(max(inner(self, self).real, 0.0))
+    def values(self) -> np.ndarray:
+        return np.fft.ifft(self.modes, axis=2, norm="forward")
 
 
-def _values(f) -> np.ndarray:
-    return f.values if isinstance(f, SectionField) else f.coeffs
+class NSectionField(_FiberSection):
+    """Coefficient of the g-unit rotated direction in the normal bundle;
+    ``coeffs`` are its theta samples, one inverse transform per access."""
+
+    def __init__(self, coeffs, grid: SphereBundleGrid,
+                 compact_support: bool = False):
+        super().__init__(coeffs, grid, compact_support)
+
+    @property
+    def coeffs(self) -> np.ndarray:
+        return np.fft.ifft(self.modes, axis=2, norm="forward")
 
 
 def inner(a, b) -> complex:
     """L^2 inner product under the fiberwise Hermitian metric and the
-    sphere-bundle quadrature weights."""
-    va, vb = _values(a), _values(b)
-    prod = np.sum(va * np.conj(vb), axis=-1)
-    w = a.grid.node_weight[:, :, None]
+    sphere-bundle quadrature weights, by Parseval on the fiber."""
+    prod = np.sum(a.modes * np.conj(b.modes), axis=-1)
+    w = a.grid.node_weight[:, :, None] * a.grid.n_theta
     return complex(np.sum(prod * w))
 
 
@@ -236,34 +217,42 @@ def lift_from_base(f, grid: SphereBundleGrid, rank: Optional[int] = None
         vals[grid.mask] = masked
     else:
         vals = np.asarray(f, dtype=complex)
-    out = np.repeat(vals[:, :, None, :], grid.n_theta, axis=2)
-    return SectionField(values=out, grid=grid)
+    if not np.all(np.isfinite(vals)):
+        raise DomainError("section contains non-finite entries")
+    modes = np.zeros((grid.nx, grid.ny, grid.n_theta, vals.shape[-1]),
+                     dtype=complex)
+    modes[:, :, 0] = vals
+    return SectionField._from_modes(modes, grid)
 
 
-def _geodesic_coefficient_op(values: np.ndarray, grid: SphereBundleGrid,
-                             conn: Optional[ConnectionField],
-                             perp: bool) -> np.ndarray:
-    """Shared core of X (perp=False) and the horizontal derivative
-    (perp=True): replace the direction u by u^perp everywhere."""
-    cth = grid.cth[None, None, :, None]
-    sth = grid.sth[None, None, :, None]
-    if perp:
-        c1, c2 = -sth, cth
-    else:
-        c1, c2 = cth, sth
-    d1 = grid.dx(values, 0)
-    d2 = grid.dx(values, 1)
-    gp1 = grid.grad_phi[:, :, None, None, 0]
-    gp2 = grid.grad_phi[:, :, None, None, 1]
-    # dPhi . u^perp for X, -(dPhi . u) for h-grad: both are dPhi . (dir)^perp
-    theta_coeff = -gp1 * c2 + gp2 * c1
-    out = c1 * d1 + c2 * d2 + theta_coeff * grid.dtheta_spectral(values)
+def _raise_lower(v: np.ndarray, grid: SphereBundleGrid,
+                 conn: Optional[ConnectionField], phase: complex,
+                 scale: np.ndarray, target_k: bool = False) -> np.ndarray:
+    """scale (phase E_+ v one mode up + conj(phase) E_- v one mode down),
+    E_+ = d - k d Phi + A_+, E_- = dbar + k dbar Phi + A_-, with k the
+    frequency of the source mode or, for target_k, of the mode landed in.
+    Turning the direction by +90 degrees multiplies e^{+-i theta} by +-i:
+    phase i turns X into the horizontal derivative."""
+    e1 = grid.dx(v, 0)
+    e2 = grid.dx(v, 1)
     if conn is not None:
         gam = grid.symbols(conn)
-        g1 = np.einsum("abkl,abtl->abtk", gam[:, :, 0], values)
-        g2 = np.einsum("abkl,abtl->abtk", gam[:, :, 1], values)
-        out = out + c1 * g1 + c2 * g2
-    return grid.e_mphi[:, :, None, None] * out
+        e1 += np.einsum("abkl,abtl->abtk", gam[:, :, 0], v)
+        e2 += np.einsum("abkl,abtl->abtk", gam[:, :, 1], v)
+    e2 *= 1j
+    plus = e1 - e2                   # 2 (d + A_+) v
+    minus = e1
+    minus += e2                      # 2 (dbar + A_-) v
+    dphi = grid.grad_phi[:, :, 0] - 1j * grid.grad_phi[:, :, 1]
+    k_plus, k_minus = (np.roll(grid.k, -1), np.roll(grid.k, 1)) \
+        if target_k else (grid.k, grid.k)
+    plus -= (dphi[:, :, None] * k_plus)[..., None] * v
+    minus += (np.conj(dphi)[:, :, None] * k_minus)[..., None] * v
+    half = 0.5 * scale[:, :, None, None]
+    plus *= phase * half
+    minus *= np.conj(phase) * half
+    plus += np.roll(minus, -2, axis=2)    # result mode j + 1, at slot j
+    return np.roll(plus, 1, axis=2)
 
 
 def apply_X(u, conn: Optional[ConnectionField] = None):
@@ -272,100 +261,85 @@ def apply_X(u, conn: Optional[ConnectionField] = None):
     On normal-bundle coefficients the formula is unchanged because the
     rotated direction is parallel along geodesics on a surface.
     """
-    grid = u.grid
-    vals = _geodesic_coefficient_op(_values(u), grid, conn, perp=False)
-    if isinstance(u, SectionField):
-        return SectionField(values=vals, grid=grid)
-    return NSectionField(coeffs=vals, grid=grid)
+    modes = _raise_lower(u.modes, u.grid, conn, 1.0, u.grid.e_mphi)
+    return type(u)._from_modes(modes, u.grid)
 
 
 def vertical_derivative(u: SectionField) -> NSectionField:
-    return NSectionField(coeffs=u.grid.dtheta_spectral(u.values), grid=u.grid)
+    ik = 1j * u.grid.k[None, None, :, None]
+    return NSectionField._from_modes(ik * u.modes, u.grid)
 
 
 def vertical_divergence(w: NSectionField) -> SectionField:
-    return SectionField(values=w.grid.dtheta_spectral(w.coeffs), grid=w.grid)
+    ik = 1j * w.grid.k[None, None, :, None]
+    return SectionField._from_modes(ik * w.modes, w.grid)
 
 
 def horizontal_derivative(u: SectionField,
                           conn: Optional[ConnectionField] = None
                           ) -> NSectionField:
-    return NSectionField(
-        coeffs=_geodesic_coefficient_op(u.values, u.grid, conn, perp=True),
-        grid=u.grid)
+    modes = _raise_lower(u.modes, u.grid, conn, 1j, u.grid.e_mphi)
+    return NSectionField._from_modes(modes, u.grid)
 
 
 def horizontal_divergence(w: NSectionField,
                           conn: Optional[ConnectionField] = None
                           ) -> SectionField:
     """Discrete adjoint of the horizontal derivative (up to sign), built
-    from the same stencils so that the adjoint identity is exact."""
+    from the same stencils so that the adjoint identity is exact: the
+    stencils act on sqrt(det g) e^{-Phi} w, and d_theta comes after the
+    mode shift, so it takes the frequency of the mode each part lands in."""
     grid = w.grid
-    vals = w.coeffs
-    cth = grid.cth[None, None, :, None]
-    sth = grid.sth[None, None, :, None]
-    e_m = grid.e_mphi[:, :, None, None]
-    w_weight = grid.sqrt_det_g[:, :, None, None]
-    a1 = e_m * (-sth) * w_weight
-    a2 = e_m * cth * w_weight
-    gp1 = grid.grad_phi[:, :, None, None, 0]
-    gp2 = grid.grad_phi[:, :, None, None, 1]
-    b = -e_m * (gp1 * cth + gp2 * sth) * w_weight
-    div = grid.dx(a1 * vals, 0) + grid.dx(a2 * vals, 1) \
-        + grid.dtheta_spectral(b * vals)
-    inv_w = np.where(grid.mask, 1.0 / np.maximum(grid.sqrt_det_g, 1e-300),
-                     0.0)
-    out = inv_w[:, :, None, None] * div
-    if conn is not None:
-        gam = grid.symbols(conn)
-        g1 = np.einsum("abkl,abtl->abtk", gam[:, :, 0], vals)
-        g2 = np.einsum("abkl,abtl->abtk", gam[:, :, 1], vals)
-        out = out + e_m * (-sth * g1 + cth * g2)
-    return SectionField(values=out, grid=grid)
+    v = (grid.e_mphi * grid.sqrt_det_g)[:, :, None, None] * w.modes
+    # 1 / sqrt(det g) = e^{-2 Phi}, zero off the mask
+    modes = _raise_lower(v, grid, conn, 1j, grid.e_mphi ** 2, target_k=True)
+    return SectionField._from_modes(modes, grid)
 
 
 def curvature_R(w: NSectionField) -> NSectionField:
     """Metric curvature operator: multiplication by the Gauss curvature."""
-    return NSectionField(coeffs=w.grid.gauss[:, :, None, None] * w.coeffs,
-                         grid=w.grid)
+    return NSectionField._from_modes(
+        w.grid.gauss[:, :, None, None] * w.modes, w.grid)
 
 
 def curvature_F(u: SectionField, conn: ConnectionField) -> NSectionField:
     """Bundle curvature operator as a normal-bundle coefficient."""
     grid = u.grid
-    f12 = grid.curvature(conn)
-    scale = np.where(grid.mask, np.exp(-2.0 * grid.phi), 0.0)
-    coeff = np.einsum("abkl,abtl->abtk", f12, u.values) \
-        * scale[:, :, None, None]
-    return NSectionField(coeffs=coeff, grid=grid)
+    coeff = np.einsum("abkl,abtl->abtk", grid.curvature(conn), u.modes) \
+        * (grid.e_mphi ** 2)[:, :, None, None]
+    return NSectionField._from_modes(coeff, grid)
 
 
 def vertical_laplacian(u: SectionField) -> SectionField:
-    return SectionField(values=u.grid.theta_laplacian(u.values), grid=u.grid)
+    k2 = (u.grid.k ** 2)[None, None, :, None]
+    return SectionField._from_modes(k2 * u.modes, u.grid)
+
+
+def _mode(u, m: int):
+    """The |k| = m part of u; nothing for m < 0."""
+    n_theta = u.grid.n_theta
+    if m >= n_theta // 2:
+        raise DomainError(f"mode {m} aliases on a {n_theta}-point fiber grid")
+    keep = (np.abs(u.grid.k) == m)[None, None, :, None]
+    return type(u)._from_modes(np.where(keep, u.modes, 0.0), u.grid)
 
 
 def fourier_modes(u: SectionField, m_max: int) -> list[SectionField]:
     """Projections onto the vertical Laplacian eigenspaces m = 0 .. m_max."""
-    return [SectionField(values=u.grid.mode_project(u.values, m),
-                         grid=u.grid) for m in range(m_max + 1)]
+    return [_mode(u, m) for m in range(m_max + 1)]
 
 
 def mode_energies(u: SectionField, m_max: int) -> np.ndarray:
-    """Squared L^2 norms of the Fourier modes, from a single transform."""
+    """Squared L^2 norms of the Fourier modes, by Parseval on the fiber."""
     grid = u.grid
     if m_max >= grid.n_theta // 2:
         raise DomainError(
             f"mode {m_max} aliases on a {grid.n_theta}-point fiber grid")
-    # Parseval on the fiber: sum_t |u_t|^2 = (1/n_theta) sum_k |spec_k|^2
-    spec = np.fft.fft(u.values, axis=2)
-    bin_energy = np.sum(np.abs(spec) ** 2, axis=-1)        # (nx, ny, k)
-    w = grid.node_weight[:, :, None] / grid.n_theta
+    bin_energy = np.sum(np.abs(u.modes) ** 2, axis=-1)      # (nx, ny, k)
+    w = grid.node_weight[:, :, None] * grid.n_theta
     per_bin = np.sum(bin_energy * w, axis=(0, 1))
-    energies = np.empty(m_max + 1)
-    energies[0] = per_bin[0]
-    for m in range(1, m_max + 1):
-        energies[m] = per_bin[m] + per_bin[-m]
-    return energies
+    k = np.abs(grid.k)
+    return np.array([per_bin[k == m].sum() for m in range(m_max + 1)])
 
 
 def degree(u: SectionField, tol: float = 1e-10) -> int:
@@ -384,23 +358,20 @@ def x_split(u: SectionField, m: int,
     """Split X u of a mode-m section into its m-1 and m+1 parts.
 
     Returns (minus, plus, leak) with leak the relative energy of X u
-    outside the two adjacent modes (a discretization indicator).
+    outside the two adjacent modes.  X moves each coefficient by exactly
+    one mode, so the leak is rounding-level by construction; it stays as
+    a check of the mapping property.
     """
-    grid = u.grid
     total = u.norm() ** 2
-    inside = SectionField(grid.mode_project(u.values, m), grid).norm() ** 2
+    inside = _mode(u, m).norm() ** 2
     if total > 0 and (total - inside) / total > 1e-10:
         raise DomainError(f"input section is not concentrated in mode {m}")
     xu = apply_X(u, conn)
-    minus_vals = grid.mode_project(xu.values, m - 1) if m >= 1 else \
-        np.zeros_like(xu.values)
-    plus_vals = grid.mode_project(xu.values, m + 1)
-    e_total = SectionField(xu.values, grid).norm() ** 2
-    e_kept = SectionField(minus_vals, grid).norm() ** 2 \
-        + SectionField(plus_vals, grid).norm() ** 2
+    minus, plus = _mode(xu, m - 1), _mode(xu, m + 1)
+    e_total = xu.norm() ** 2
+    e_kept = minus.norm() ** 2 + plus.norm() ** 2
     leak = (e_total - e_kept) / e_total if e_total > 0 else 0.0
-    return (SectionField(minus_vals, grid), SectionField(plus_vals, grid),
-            float(max(leak, 0.0)))
+    return minus, plus, float(max(leak, 0.0))
 
 
 @dataclass
@@ -411,9 +382,7 @@ class CommutatorReport:
     vertical_div: float  # [X, v-div] + h-div
 
     def as_dict(self) -> dict:
-        return {"vertical": self.vertical, "horizontal": self.horizontal,
-                "divergence": self.divergence,
-                "vertical_div": self.vertical_div}
+        return asdict(self)
 
 
 def commutator_residuals(conn: Optional[ConnectionField],
@@ -421,37 +390,32 @@ def commutator_residuals(conn: Optional[ConnectionField],
                          w: NSectionField) -> CommutatorReport:
     """Relative L^2 residuals of the four structure identities on test
     sections (u for the first three, w for the last)."""
+    def norm(modes):
+        return NSectionField._from_modes(modes, u.grid).norm()
+
     xu = apply_X(u, conn)
     vgrad_u = vertical_derivative(u)
     hgrad_u = horizontal_derivative(u, conn)
 
-    lhs1 = apply_X(vgrad_u, conn).coeffs - vertical_derivative(xu).coeffs
-    res1 = lhs1 + hgrad_u.coeffs
-    den1 = max(hgrad_u.norm(), 1e-300)
-    r1 = NSectionField(res1, u.grid).norm() / den1
+    res1 = apply_X(vgrad_u, conn).modes - vertical_derivative(xu).modes \
+        + hgrad_u.modes
+    r1 = norm(res1) / max(hgrad_u.norm(), 1e-300)
 
-    lhs2 = apply_X(hgrad_u, conn).coeffs \
-        - horizontal_derivative(xu, conn).coeffs
-    rhs2 = curvature_R(vgrad_u).coeffs
+    lhs2 = apply_X(hgrad_u, conn).modes \
+        - horizontal_derivative(xu, conn).modes
+    rhs2 = curvature_R(vgrad_u).modes
     if conn is not None:
-        rhs2 = rhs2 + curvature_F(u, conn).coeffs
-    den2 = max(NSectionField(rhs2, u.grid).norm(),
-               NSectionField(lhs2, u.grid).norm(), 1e-300)
-    r2 = NSectionField(lhs2 - rhs2, u.grid).norm() / den2
+        rhs2 = rhs2 + curvature_F(u, conn).modes
+    r2 = norm(lhs2 - rhs2) / max(norm(rhs2), norm(lhs2), 1e-300)
 
-    lhs3 = horizontal_divergence(vgrad_u, conn).values \
-        - vertical_divergence(hgrad_u).values
-    res3 = lhs3 - xu.values
-    den3 = max(xu.norm(), 1e-300)
-    r3 = SectionField(res3, u.grid).norm() / den3
+    res3 = horizontal_divergence(vgrad_u, conn).modes \
+        - vertical_divergence(hgrad_u).modes - xu.modes
+    r3 = norm(res3) / max(xu.norm(), 1e-300)
 
-    vdiv_w = vertical_divergence(w)
-    lhs4 = apply_X(vdiv_w, conn).values \
-        - vertical_divergence(apply_X(w, conn)).values
     hdiv_w = horizontal_divergence(w, conn)
-    res4 = lhs4 + hdiv_w.values
-    den4 = max(hdiv_w.norm(), 1e-300)
-    r4 = SectionField(res4, u.grid).norm() / den4
+    res4 = apply_X(vertical_divergence(w), conn).modes \
+        - vertical_divergence(apply_X(w, conn)).modes + hdiv_w.modes
+    r4 = norm(res4) / max(hdiv_w.norm(), 1e-300)
 
     return CommutatorReport(vertical=float(r1), horizontal=float(r2),
                             divergence=float(r3), vertical_div=float(r4))
@@ -465,9 +429,7 @@ class PestovReport:
     terms: dict
 
     def as_dict(self) -> dict:
-        return {"lhs": self.lhs, "rhs": self.rhs,
-                "relative_residual": self.relative_residual,
-                "terms": self.terms}
+        return asdict(self)
 
 
 def pestov_residual(u: SectionField,
@@ -481,10 +443,8 @@ def pestov_residual(u: SectionField,
     compactly supported sections and unitary connections; the residual is
     pure discretization error.
     """
-    if not u.compact_support:
-        ring = u.grid.outer_ring_mask()
-        if np.max(np.abs(u.values[ring])) > 0.0:
-            raise DomainError("Pestov check needs compactly supported input")
+    if not u.compact_support and np.any(u.modes[u.grid.outer_ring_mask()]):
+        raise DomainError("Pestov check needs compactly supported input")
     xu = apply_X(u, conn)
     vgrad_u = vertical_derivative(u)
     lhs = vertical_derivative(xu).norm() ** 2

@@ -86,3 +86,39 @@ def test_tracer_counts_forward_solves_and_uninstalls():
         assert after.keys() == snapshot.keys()
         for name, value in snapshot.items():
             assert after[name] is value, f"{owner!r}.{name} not restored"
+
+
+def test_tracer_records_sphere_bundle_operators_and_uninstalls():
+    # the pestov_grid workload calls pestov_residual, whose operators the
+    # tracer wraps as module globals of ahxray.spherebundle
+    from test_spherebundle import bump_section
+    from test_bundle import random_connection
+
+    grid = spherebundle.SphereBundleGrid(AHModel(), nx=24, n_theta=16)
+    conn = random_connection(np.random.default_rng(3), scale=0.3)
+    u = bump_section(grid, m=1, d=2, vec=[0.8, 0.6j], radius=0.5)
+
+    before = dict(vars(spherebundle))
+    tracer = spans.Tracer()
+    tracer.install()
+    patched = list(tracer._patches)
+    try:
+        tracer.group = "solve"
+        report = spherebundle.pestov_residual(u, conn)
+    finally:
+        tracer.uninstall()
+
+    assert report.lhs > 0.0
+    names = [rec[1] for rec in tracer.spans]
+    assert names.count("spherebundle.pestov") == 1
+    assert names.count("spherebundle.apply_X") == 2
+    for name in ("spherebundle.vertical", "spherebundle.inner",
+                 "spherebundle.curvature"):
+        assert name in names, name
+    assert tracer.counts["solve"]["spherebundle.bytes_computed"] > 0
+    for owner, attr, original in patched:
+        assert owner.__dict__[attr] is original, f"{owner!r}.{attr}"
+    after = dict(vars(spherebundle))
+    assert after.keys() == before.keys()
+    for name, value in before.items():
+        assert after[name] is value, f"spherebundle.{name} not restored"

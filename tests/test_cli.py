@@ -340,3 +340,77 @@ class TestFlagOverrides:
         assert code == 0
         coeffs = np.asarray(json.loads(out.read_text())["coeffs"])
         assert np.linalg.norm(coeffs - [0.6, -0.4]) < 0.03
+
+
+class TestUnknownNamesAndLiteralText:
+    """Misspelt names fail with exit 2 instead of leaving a default."""
+
+    @pytest.mark.parametrize("old,new,key", [
+        ("tikhonov = 1e-10", "tikhnov = 1e-3", "tikhnov"),
+        ("max_iter = 20", "max_iter = 20\nfd_step = 1e-6", "fd_step"),
+        ("[transport]", "[trasnport]", None)])
+    def test_unknown_key_or_section_rejected(self, old, new, key):
+        bad = RECON_CONFIG.replace(old, new)
+        assert bad != RECON_CONFIG
+        with pytest.raises(ConfigError) as err:
+            ExperimentConfig.from_text(bad)
+        assert (key or "trasnport") in str(err.value)
+
+    def test_every_key_a_builder_reads_is_accepted(self):
+        # the keys the test configs above do not set
+        text = BASE_CONFIG.replace(
+            "kind = poincare_disk",
+            "kind = conformal_perturbed\nbump_center = 0.25,-0.1\n"
+            "bump_radius = 0.3\nbump_amplitude = 0.04\nepsilon0 = 0.1"
+        ).replace("n_steps = 1024",
+                  "n_steps = 1024\nrtol = 1e-10\natol = 1e-14\n"
+                  "richardson = no"
+        ).replace("mode = boundary_pairs",
+                  "mode = shooting\nn_eta = 2\neta_max = 1.5"
+        ).replace("ntheta = 32", "ntheta = 32\nrho_grid = 0.05"
+        ).replace("vector = 1,0,0,0", "vector = 1,0,0,0\npower = 6")
+        cfg = ExperimentConfig.from_text(text + GAUGE_EXTRA)
+        model, conn, _ = cfg.build_pair()
+        assert cfg.build_fan().mode.value == "shooting"
+        assert cfg.build_transport().richardson is False
+        grid = cfg.build_grid(model)
+        assert grid.rho_grid == 0.05
+        assert cfg.build_section(grid, conn.rank).compact_support
+
+    def test_unknown_key_exit_code(self, tmp_path, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(BASE_CONFIG.replace("openings = 3", "opennings = 3"))
+        assert main(["scatter", "--config", str(bad)]) == 2
+        assert "opennings" in capsys.readouterr().err
+
+    def test_inline_section_unknown_key_exit_code(self, cfg_file, capsys):
+        assert main(["fourier", "--config", cfg_file, "--section",
+                     "mode=3; raduis=0.6"]) == 2
+        assert "raduis" in capsys.readouterr().err
+
+    def test_basis_file_unknown_key_exit_code(self, tmp_path, capsys):
+        cfg_path = tmp_path / "recon.cfg"
+        cfg_path.write_text(RECON_CONFIG)
+        basis = tmp_path / "basis.cfg"
+        basis.write_text("[reconstruction]\nfd_step = 1e-6\n"
+                         + RECON_CONFIG.split("max_iter = 20\n")[1])
+        assert main(["reconstruct", "--data", str(tmp_path / "none.jsonl"),
+                     "--config", str(cfg_path), "--basis", str(basis)]) == 2
+        assert "fd_step" in capsys.readouterr().err
+
+    def test_percent_in_value_exit_code(self, tmp_path, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(BASE_CONFIG.replace("mode = boundary_pairs",
+                                           "mode = boundary_pairs %"))
+        assert main(["scatter", "--config", str(bad)]) == 2
+        assert "boundary_pairs %" in capsys.readouterr().err
+
+    def test_basis_file_without_section_header_exit_code(self, tmp_path,
+                                                         capsys):
+        cfg_path = tmp_path / "recon.cfg"
+        cfg_path.write_text(RECON_CONFIG)
+        basis = tmp_path / "basis.cfg"
+        basis.write_text(RECON_CONFIG.split("[reconstruction]\n")[1])
+        assert main(["reconstruct", "--data", str(tmp_path / "none.jsonl"),
+                     "--config", str(cfg_path), "--basis", str(basis)]) == 2
+        assert "basis.cfg" in capsys.readouterr().err

@@ -401,3 +401,102 @@ class TestCurvatureOperators:
         u = bump_section(grid, m=1, d=2, vec=[1.0, 1.0])
         f = curvature_F(u, ConnectionField.zero(2))
         assert np.max(np.abs(f.coeffs)) == 0.0
+
+
+class TestSectionChecks:
+    def test_nsection_non_finite_rejected(self, grid):
+        coeffs = bump_section(grid, m=1).values
+        coeffs[grid.nx // 2, grid.ny // 2, 3, 0] = np.inf
+        with pytest.raises(DomainError):
+            NSectionField(coeffs, grid)
+
+    def test_nsection_compact_support_checked(self, grid):
+        coeffs = np.zeros((grid.nx, grid.ny, grid.n_theta, 1), dtype=complex)
+        coeffs[grid.outer_ring_mask()] = 1.0
+        NSectionField(coeffs, grid)
+        with pytest.raises(DomainError):
+            NSectionField(coeffs, grid, compact_support=True)
+
+
+# -- theta-grid reference ---------------------------------------------------
+# The operators as they read on theta samples: multiplication by cos and sin
+# of the direction angle, with the spectral fiber derivative.  The section
+# classes hold fiber Fourier coefficients instead, so these formulas are an
+# independent check of the mode-space arithmetic.
+
+def _dtheta(vals):
+    k = np.fft.fftfreq(vals.shape[2], d=1.0 / vals.shape[2])
+    return np.fft.ifft(1j * k[None, None, :, None]
+                       * np.fft.fft(vals, axis=2), axis=2)
+
+
+def _theta_factors(grid):
+    cth = np.cos(grid.thetas)[None, None, :, None]
+    sth = np.sin(grid.thetas)[None, None, :, None]
+    gp1 = grid.grad_phi[:, :, None, None, 0]
+    gp2 = grid.grad_phi[:, :, None, None, 1]
+    return cth, sth, gp1, gp2
+
+
+def _gamma(grid, conn, vals):
+    if conn is None:
+        return 0.0, 0.0
+    gam = grid.symbols(conn)
+    return (np.einsum("abkl,abtl->abtk", gam[:, :, 0], vals),
+            np.einsum("abkl,abtl->abtk", gam[:, :, 1], vals))
+
+
+def reference_geodesic(grid, conn, vals, perp):
+    """X (perp=False) or the horizontal derivative (perp=True) on samples:
+    e^{-Phi} [dir . d_x + (dPhi . dir^perp) d_theta + Gamma(dir)]."""
+    cth, sth, gp1, gp2 = _theta_factors(grid)
+    c1, c2 = (-sth, cth) if perp else (cth, sth)
+    g1, g2 = _gamma(grid, conn, vals)
+    out = c1 * grid.dx(vals, 0) + c2 * grid.dx(vals, 1) \
+        + (-gp1 * c2 + gp2 * c1) * _dtheta(vals) + c1 * g1 + c2 * g2
+    return grid.e_mphi[:, :, None, None] * out
+
+
+def reference_horizontal_divergence(grid, conn, vals):
+    """sqrt(det g)^-1 div(sqrt(det g) e^{-Phi} w u^perp) on samples."""
+    cth, sth, gp1, gp2 = _theta_factors(grid)
+    e_m = grid.e_mphi[:, :, None, None]
+    s = e_m * grid.sqrt_det_g[:, :, None, None]
+    div = grid.dx(-sth * s * vals, 0) + grid.dx(cth * s * vals, 1) \
+        + _dtheta(-(gp1 * cth + gp2 * sth) * s * vals)
+    inv_w = np.where(grid.mask, 1.0 / np.maximum(grid.sqrt_det_g, 1e-300),
+                     0.0)
+    g1, g2 = _gamma(grid, conn, vals)
+    return inv_w[:, :, None, None] * div + e_m * (-sth * g1 + cth * g2)
+
+
+class TestThetaGridOracle:
+    @pytest.mark.parametrize("n_theta", [16, 15])
+    def test_mode_space_operators_match_theta_grid(self, disk, rng,
+                                                   n_theta):
+        # full-band random rank-2 input: at even n_theta the Nyquist mode
+        # is live, so the cyclic mode shift must wrap as the samples do
+        grid = SphereBundleGrid(disk, nx=24, n_theta=n_theta)
+        shape = (grid.nx, grid.ny, n_theta, 2)
+        vals = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        u = SectionField(vals, grid)
+        w = NSectionField(vals, grid)
+        assert np.max(np.abs(u.modes[:, :, n_theta // 2])) > 0.1
+
+        def rel(got, ref):
+            return np.max(np.abs(got - ref)) / np.max(np.abs(ref))
+
+        for conn in (None, random_connection(rng)):
+            assert rel(apply_X(u, conn).values,
+                       reference_geodesic(grid, conn, vals, False)) < 1e-12
+            assert rel(apply_X(w, conn).coeffs,
+                       reference_geodesic(grid, conn, vals, False)) < 1e-12
+            assert rel(horizontal_derivative(u, conn).coeffs,
+                       reference_geodesic(grid, conn, vals, True)) < 1e-12
+            assert rel(horizontal_divergence(w, conn).values,
+                       reference_horizontal_divergence(grid, conn, vals)) \
+                < 1e-12
+        assert rel(vertical_derivative(u).coeffs, _dtheta(vals)) < 1e-12
+        assert rel(vertical_divergence(w).values, _dtheta(vals)) < 1e-12
+        assert rel(vertical_laplacian(u).values,
+                   -_dtheta(_dtheta(vals))) < 1e-12
