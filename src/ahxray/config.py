@@ -3,7 +3,8 @@
 INI-style sections hold one block per module; numbered ``term.N`` /
 ``basis.N`` keys describe separable field terms.  Term values are
 semicolon-separated ``key=value`` fields; matrices are row-major re,im
-pairs.  A section or key that no builder reads is refused, and values
+pairs.  A section, key or term field that no builder reads is refused,
+as is a value that does not read as the number its key needs, and values
 are literal (no ``%`` interpolation).  Example::
 
     [experiment]
@@ -43,11 +44,31 @@ from .transport import TransportConfig
 from .xray import FanSpec
 
 
-def _floats(text: str) -> list[float]:
+def _cast(text: str, cast, section: str, key: str):
+    """``cast(text)``, with a value it refuses reported as a ConfigError."""
+    try:
+        if cast is bool:
+            return text.strip().lower() in ("1", "true", "yes", "on")
+        return cast(text)
+    except ValueError as err:
+        raise ConfigError(f"bad value {text!r}: {err}",
+                          section=section, key=key) from err
+
+
+def _floats(text: str, section: str, key: str) -> list[float]:
     try:
         return [float(tok) for tok in text.replace(",", " ").split()]
     except ValueError as err:
-        raise ConfigError(f"expected numbers, got {text!r}") from err
+        raise ConfigError(f"expected numbers, got {text!r}",
+                          section=section, key=key) from err
+
+
+def _point(text: str, section: str, key: str) -> tuple[float, float]:
+    xy = _floats(text, section, key)
+    if len(xy) != 2:
+        raise ConfigError(f"a point needs two numbers, got {text!r}",
+                          section=section, key=key)
+    return xy[0], xy[1]
 
 
 def _complex_matrix(flat: list[float], rank: int,
@@ -60,7 +81,19 @@ def _complex_matrix(flat: list[float], rank: int,
     return (arr[0::2] + 1j * arr[1::2]).reshape(rank, rank)
 
 
-def _parse_term(value: str, section: str, key: str) -> dict:
+# The fields each section's ``term.N`` / ``basis.N`` values may set.
+_TERM_FIELDS = {
+    "connection": {"dir", "gen", "center", "sigma", "coeff"},
+    "higgs": {"gen", "center", "sigma", "coeff"},
+    "gauge": {"gen", "center", "sigma", "coeff"},
+    "reconstruction": {"gen", "center", "sigma"},
+}
+
+
+def _term(value: str, rank: int, section: str, key: str) -> dict:
+    """One separable term, cast: ``gen`` (a rank x rank matrix), ``bump``
+    (from ``center`` and ``sigma``), ``coeff`` (default 1) and ``dir``
+    (default 0).  A field the section does not read is refused."""
     fields = {}
     for part in value.split(";"):
         part = part.strip()
@@ -71,11 +104,31 @@ def _parse_term(value: str, section: str, key: str) -> dict:
                               section=section, key=key)
         name, _, val = part.partition("=")
         fields[name.strip()] = val.strip()
-    return fields
+    known = _TERM_FIELDS[section]
+    for name in fields:
+        if name not in known:
+            raise ConfigError(f"unknown term field {name!r}; known fields "
+                              "are " + ", ".join(sorted(known)),
+                              section=section, key=key)
+    if not {"gen", "center", "sigma"} <= fields.keys():
+        raise ConfigError("term needs gen=, center=, sigma=",
+                          section=section, key=key)
+
+    def get(name, cast, default=None):
+        return _cast(fields.get(name, default), cast, section,
+                     f"{key}: {name}")
+
+    return {"gen": _complex_matrix(_floats(fields["gen"], section, key),
+                                   rank, f"[{section}] {key}"),
+            "bump": GaussBump(center=_point(fields["center"], section,
+                                            f"{key}: center"),
+                              sigma=get("sigma", float)),
+            "coeff": get("coeff", float, "1"), "dir": get("dir", int, "0")}
 
 
-def _numbered(body: dict, prefix: str, section: str) -> list[str]:
-    """Values of the ``prefix.N`` keys in increasing integer N."""
+def _numbered(body: dict, prefix: str,
+              section: str) -> list[tuple[str, str]]:
+    """(key, value) of the ``prefix.N`` keys in increasing integer N."""
     values = {}
     for key, value in body.items():
         if not key.startswith(prefix + "."):
@@ -87,7 +140,7 @@ def _numbered(body: dict, prefix: str, section: str) -> list[str]:
         if int(suffix) in values:
             raise ConfigError(f"duplicate {prefix} number {int(suffix)}",
                               section=section, key=key)
-        values[int(suffix)] = value
+        values[int(suffix)] = (key, value)
     return [values[n] for n in sorted(values)]
 
 
@@ -144,7 +197,7 @@ class ExperimentConfig:
                 or "seed" not in self.sections["experiment"]:
             raise ConfigError("a seed is mandatory", section="experiment",
                               key="seed")
-        self.seed = int(self.sections["experiment"]["seed"])
+        self.seed = self._get("experiment", "seed", int)
 
     def override_seed(self, seed: Optional[int]) -> None:
         if seed is not None:
@@ -217,13 +270,7 @@ class ExperimentConfig:
             if default is not None:
                 return default
             raise ConfigError("missing key", section=section, key=key)
-        try:
-            if cast is bool:
-                return body[key].strip().lower() in ("1", "true", "yes", "on")
-            return cast(body[key])
-        except ValueError as err:
-            raise ConfigError(f"bad value {body[key]!r}: {err}",
-                              section=section, key=key) from err
+        return _cast(body[key], cast, section, key)
 
     def _given(self, section: str, **casts) -> dict:
         """The keys of ``section`` that the config sets, cast; the dataclass
@@ -244,11 +291,9 @@ class ExperimentConfig:
                               section="model", key="kind")
         bump = None
         if kind is ModelKind.CONFORMAL_PERTURBED:
-            center = _floats(body.get("bump_center", ""))
-            if len(center) != 2:
-                raise ConfigError("bump_center needs two numbers",
-                                  section="model", key="bump_center")
-            bump = ConformalBump(center=(center[0], center[1]),
+            center = _point(body.get("bump_center", ""), "model",
+                            "bump_center")
+            bump = ConformalBump(center=center,
                                  radius=self._get("model", "bump_radius",
                                                   float),
                                  amplitude=self._get("model",
@@ -264,26 +309,16 @@ class ExperimentConfig:
             kwargs["rho_cut"] = rho_cut
         return TransportConfig(**kwargs)
 
-    def _bundle_terms(self, section: str, rank: int, with_dir: bool):
+    def _bundle_terms(self, section: str, rank: int):
         out = []
-        for raw in _numbered(self._section(section), "term", section):
-            fields = _parse_term(raw, section, "term")
-            if "gen" not in fields or "center" not in fields \
-                    or "sigma" not in fields:
-                raise ConfigError("term needs gen=, center=, sigma=",
-                                  section=section, key="term")
-            gen = _complex_matrix(_floats(fields["gen"]), rank,
-                                  f"[{section}] term")
-            center = _floats(fields["center"])
-            bump = GaussBump(center=(center[0], center[1]),
-                             sigma=float(fields["sigma"]))
-            coeff = float(fields.get("coeff", 1.0))
-            if with_dir:
-                direction = int(fields.get("dir", 0))
-                out.append(SeparableTerm(direction=direction,
-                                         generator=coeff * gen, bump=bump))
+        for key, raw in _numbered(self._section(section), "term", section):
+            term = _term(raw, rank, section, key)
+            gen = term["coeff"] * term["gen"]
+            if section == "connection":
+                out.append(SeparableTerm(direction=term["dir"],
+                                         generator=gen, bump=term["bump"]))
             else:
-                out.append((coeff * gen, bump))
+                out.append((gen, term["bump"]))
         return out
 
     def build_connection(self) -> ConnectionField:
@@ -292,7 +327,7 @@ class ExperimentConfig:
             return ConnectionField.zero(rank)
         rank = self._get("connection", "rank", int)
         decay = self._get("connection", "decay", int, default=3)
-        terms = self._bundle_terms("connection", rank, with_dir=True)
+        terms = self._bundle_terms("connection", rank)
         if not terms:
             return ConnectionField.zero(rank)
         return ConnectionField.from_terms(rank, terms, decay)
@@ -301,7 +336,7 @@ class ExperimentConfig:
         if "higgs" not in self.sections:
             return HiggsFieldData.zero(rank)
         decay = self._get("higgs", "decay", int, default=4)
-        terms = self._bundle_terms("higgs", rank, with_dir=False)
+        terms = self._bundle_terms("higgs", rank)
         if not terms:
             return HiggsFieldData.zero(rank)
         return HiggsFieldData.from_terms(rank, terms, decay)
@@ -310,7 +345,7 @@ class ExperimentConfig:
         if "gauge" not in self.sections:
             return None
         decay = self._get("gauge", "decay", int, default=4)
-        terms = self._bundle_terms("gauge", rank, with_dir=False)
+        terms = self._bundle_terms("gauge", rank)
         return GaugeField(rank, terms, decay)
 
     def build_pair(self):
@@ -326,37 +361,37 @@ class ExperimentConfig:
         return model, conn, higgs
 
     def build_fan(self, count: Optional[int] = None) -> FanSpec:
-        body = self._section("fan", required=False)
-        mode = body.get("mode", "boundary_pairs")
-        n = count or int(body.get("count", 100))
+        mode = self._section("fan", required=False).get("mode",
+                                                        "boundary_pairs")
+        n = count or self._get("fan", "count", int, default=100)
         if mode == "boundary_pairs":
             return FanSpec.uniform_pairs(
-                n, n_openings=int(body.get("openings", 8)))
+                n, n_openings=self._get("fan", "openings", int, default=8))
         if mode == "shooting":
             return FanSpec.uniform_shooting(
-                n, n_eta=int(body.get("n_eta", 5)),
-                eta_max=float(body.get("eta_max", 2.0)))
+                n, n_eta=self._get("fan", "n_eta", int, default=5),
+                eta_max=self._get("fan", "eta_max", float, default=2.0))
         raise ConfigError(f"unknown fan mode {mode!r}", section="fan",
                           key="mode")
 
     def build_grid(self, model: AHModel,
                    override: Optional[tuple[int, int]] = None
                    ) -> SphereBundleGrid:
-        body = self._section("grid", required=False)
-        nx = override[0] if override else int(body.get("nx", 64))
-        ntheta = override[1] if override else int(body.get("ntheta", 64))
-        rho_grid = float(body.get("rho_grid", 0.05))
+        nx, ntheta = override or (self._get("grid", "nx", int, default=64),
+                                  self._get("grid", "ntheta", int,
+                                            default=64))
+        rho_grid = self._get("grid", "rho_grid", float, default=0.05)
         return SphereBundleGrid(model, nx=nx, n_theta=ntheta,
                                 rho_grid=rho_grid)
 
     def build_section(self, grid: SphereBundleGrid, rank: int
                       ) -> SectionField:
         body = self._section("section", required=False)
-        m = int(body.get("mode", 1))
-        center = _floats(body.get("center", "0 0"))
-        radius = float(body.get("radius", 0.7))
-        power = int(body.get("power", 8))
-        vec_raw = _floats(body.get("vector", "1 0"))
+        m = self._get("section", "mode", int, default=1)
+        center = _point(body.get("center", "0 0"), "section", "center")
+        radius = self._get("section", "radius", float, default=0.7)
+        power = self._get("section", "power", int, default=8)
+        vec_raw = _floats(body.get("vector", "1 0"), "section", "vector")
         vec = np.asarray(vec_raw[0::2]) + 1j * np.asarray(vec_raw[1::2])
         if vec.shape != (rank,):
             raise ConfigError(f"section vector must have {rank} complex "
@@ -374,16 +409,12 @@ class ExperimentConfig:
     def build_reconstruction(self) -> tuple[HiggsParameterization,
                                             ReconstructionConfig]:
         body = self._section("reconstruction")
-        rank = int(body.get("rank", 2))
-        decay = int(body.get("decay", 4))
+        rank = self._get("reconstruction", "rank", int, default=2)
+        decay = self._get("reconstruction", "decay", int, default=4)
         basis = []
-        for raw in _numbered(body, "basis", "reconstruction"):
-            fields = _parse_term(raw, "reconstruction", "basis")
-            gen = _complex_matrix(_floats(fields["gen"]), rank,
-                                  "[reconstruction] basis")
-            center = _floats(fields["center"])
-            basis.append((gen, GaussBump(center=(center[0], center[1]),
-                                         sigma=float(fields["sigma"]))))
+        for key, raw in _numbered(body, "basis", "reconstruction"):
+            term = _term(raw, rank, "reconstruction", key)
+            basis.append((term["gen"], term["bump"]))
         if not basis:
             raise ConfigError("reconstruction needs basis.N terms",
                               section="reconstruction", key="basis")

@@ -30,8 +30,8 @@ takes its Gauss-Newton Jacobian from it.
 
 Two integrators:
 
-- an adaptive complex RK45 along a single path (closed-form positions when
-  the path is analytic, otherwise a joint state with the geodesic), which
+- an adaptive complex RK45 along a single path at positions read from it
+  (closed form, or interpolated samples of the integrated geodesic), which
   carries one or more systems and can be read at requested times, and
 - the segmented fixed-step classic RK4 vectorized across whole fans of
   closed-form disk geodesics, which is what makes scattering datasets,
@@ -56,8 +56,8 @@ from .geometry import (AHModel, DiskGeodesic, GeodesicPath, IntegratorConfig,
 @dataclass
 class TransportConfig:
     rho_cut: float = 1e-6
-    rtol: float = 1e-10
-    atol: float = 1e-14          # velocity components shrink to O(rho_cut)
+    rtol: float = 1e-10          # adaptive RK45, for transport and for
+    atol: float = 1e-14          # the geodesics a shooting fan integrates
     richardson: bool = False
     n_steps: int = 2048          # fixed-step batch backend resolution
 
@@ -94,64 +94,63 @@ def transport_rhs(conn: ConnectionField, higgs: HiggsFieldData):
     return prep
 
 
+def _path_state(model: AHModel, path: GeodesicPath):
+    """t -> (x, v): closed form on an analytic path, otherwise the cubic
+    Hermite interpolant of the path's samples with derivative data v and
+    the geodesic acceleration; exact at sample times, with an error of
+    order sample_dt^4 between them."""
+    geo = path.analytic
+    if geo is not None:
+        return lambda t: (geo.position(t), geo.velocity(t))
+    ts, ys = path.t, np.concatenate([path.x, path.v], axis=-1)
+    dys = np.concatenate([path.v, model.geodesic_rhs(path.x, path.v)], -1)
+
+    def state(t):
+        t = np.asarray(t, dtype=float)
+        i = np.clip(np.searchsorted(ts, t, side="right") - 1, 0, len(ts) - 2)
+        h = (ts[i + 1] - ts[i])[..., None]
+        s = (t - ts[i])[..., None] / h
+        y = (1 - s) ** 2 * ((1 + 2 * s) * ys[i] + s * h * dys[i]) \
+            + s * s * ((3 - 2 * s) * ys[i + 1] + (s - 1) * h * dys[i + 1])
+        return y[..., :2], y[..., 2:]
+
+    return state
+
+
 def _transport_adaptive(model: AHModel, preps, path: GeodesicPath,
                         u0: np.ndarray, cfg: TransportConfig,
                         t_eval: Optional[np.ndarray] = None):
-    """RK45 for the transport systems ``preps``, all from the entry value u0.
-
-    On an analytic path only the transport values are integrated, at
-    closed-form positions; otherwise they join the geodesic state in one
-    real system laid out as [x, v, Re U_1, Im U_1, ..., Re U_k, Im U_k].
+    """RK45 for the transport systems ``preps``, all from the entry value u0,
+    at positions from ``_path_state``, so rtol and atol govern only them.
     Returns (t, x, v, U) at the exit, or at ``t_eval`` clipped to the path;
     U has shape (k, len(t), *u0.shape).
     """
-    shape, n_u, k = u0.shape, u0.size, len(preps)
-    flat0 = u0.astype(complex).reshape(-1)
+    shape, k = u0.shape, len(preps)
     span = (path.t[0], path.t[-1])
     if t_eval is not None:
         t_eval = np.clip(t_eval, *span)
-    geo = path.analytic
+    state = _path_state(model, path)
 
-    def derivs(x, v, us):
-        return [prep(x, v)(u.reshape(shape)).reshape(-1)
-                for prep, u in zip(preps, us)]
+    def rhs(t, y):
+        x, v = state(t)
+        return np.concatenate([prep(x, v)(u.reshape(shape)).reshape(-1)
+                               for prep, u in zip(preps, np.split(y, k))])
 
-    if geo is not None:
-        def rhs(t, y):
-            t = np.asarray(t)
-            return np.concatenate(derivs(geo.position(t), geo.velocity(t),
-                                         np.split(y, k)))
-
-        y0 = np.tile(flat0, k)
-    else:
-        def rhs(_t, y):
-            x, v = y[:2], y[2:4]
-            parts = y[4:].reshape(k, 2, n_u)
-            du = derivs(x, v, parts[:, 0] + 1j * parts[:, 1])
-            return np.concatenate([v, model.geodesic_rhs(x, v)]
-                                  + [p for d in du for p in (d.real, d.imag)])
-
-        y0 = np.concatenate([path.x[0], path.v[0]]
-                            + [flat0.real, flat0.imag] * k)
+    y0 = np.tile(u0.astype(complex).reshape(-1), k)
     sol = solve_ivp(rhs, span, y0, method="RK45", rtol=cfg.rtol,
                     atol=cfg.atol, t_eval=t_eval)
     ts, ys = (sol.t, sol.y) if t_eval is not None \
         else (sol.t[-1:], sol.y[:, -1:])
-    if geo is not None:
-        xs, vs = geo.position(ts), geo.velocity(ts)
-        us = ys.reshape(k, n_u, -1)
-    else:
-        xs, vs = ys[:2].T, ys[2:4].T
-        parts = ys[4:].reshape(k, 2, n_u, -1)
-        us = parts[:, 0] + 1j * parts[:, 1]
+    xs, vs = state(ts)
+    us = ys.reshape(k, u0.size, -1)
     return ts, xs, vs, np.moveaxis(us, -1, 1).reshape(k, len(ts), *shape)
 
 
-def _refined_path(model: AHModel, path: GeodesicPath,
-                  rho_cut: float) -> GeodesicPath:
+def _refined_path(model: AHModel, path: GeodesicPath, rho_cut: float,
+                  cfg: TransportConfig) -> GeodesicPath:
     if path.analytic is not None:
         return path.analytic.with_rho_cut(rho_cut).sample()
-    icfg = IntegratorConfig(rho_cut=rho_cut)
+    icfg = IntegratorConfig(rho_cut=rho_cut, rtol=cfg.rtol, atol=cfg.atol)
     return integrate_geodesic(model, path.midpoint_phasepoint(), icfg)
 
 
@@ -160,7 +159,7 @@ def _run(model, prep, path, u0, cfg) -> TransportResult:
     exit_value = _transport_adaptive(model, [prep], path, u0, cfg)[3][0, -1]
     estimate = None
     if cfg.richardson:
-        fine = _refined_path(model, path, path.rho_cut / 2.0)
+        fine = _refined_path(model, path, path.rho_cut / 2.0, cfg)
         exit_fine = _transport_adaptive(model, [prep], fine, u0, cfg)[3][0, -1]
         estimate = float(np.linalg.norm(exit_fine - exit_value))
     if exit_value.ndim == 2:

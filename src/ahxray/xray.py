@@ -192,8 +192,9 @@ def compute_scattering_data(model: AHModel, conn: ConnectionField,
 
     Boundary-pair fans on the unperturbed disk run through the vectorized
     fixed-step backend on closed-form geodesics; shooting fans integrate
-    each geodesic and transport adaptively.  A trapped geodesic aborts its
-    record, not the dataset.
+    each geodesic once and transport adaptively along its samples, both at
+    the transport rtol and atol.  A trapped geodesic aborts its record, not
+    the dataset.
     """
     cfg = cfg or TransportConfig()
     dataset = ScatteringDataset(fingerprint=fingerprint, rank=conn.rank,
@@ -208,7 +209,8 @@ def compute_scattering_data(model: AHModel, conn: ConnectionField,
                 entry=entry, exit=exit_, matrix=mat,
                 unitarity_defect=float(defect)))
     else:
-        icfg = IntegratorConfig(rho_cut=cfg.rho_cut)
+        icfg = IntegratorConfig(rho_cut=cfg.rho_cut, rtol=cfg.rtol,
+                                atol=cfg.atol)
         for datum in fan.data:
             try:
                 path = shoot_from_boundary(model, datum, cfg.rho_cut, icfg)

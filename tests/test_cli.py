@@ -2,6 +2,8 @@
 
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -414,3 +416,108 @@ class TestUnknownNamesAndLiteralText:
         assert main(["reconstruct", "--data", str(tmp_path / "none.jsonl"),
                      "--config", str(cfg_path), "--basis", str(basis)]) == 2
         assert "basis.cfg" in capsys.readouterr().err
+
+
+class TestValueContracts:
+    """Malformed values, centers and term fields give exit 2 with the
+    offending key named, never a traceback or a silent default."""
+
+    CONFIGS = {"base": BASE_CONFIG, "recon": RECON_CONFIG,
+               "gauge": BASE_CONFIG + GAUGE_EXTRA}
+
+    def _run(self, tmp_path, capsys, base, old, new, command):
+        assert old in self.CONFIGS[base]
+        path = tmp_path / "exp.cfg"
+        path.write_text(self.CONFIGS[base].replace(old, new, 1))
+        argv = [command, "--config", str(path)]
+        if command == "reconstruct":
+            data = tmp_path / "data.jsonl"
+            data.write_text('{"fingerprint": "", "rank": 2, '
+                            '"rho_cut": 1e-06}\n')
+            argv += ["--data", str(data)]
+        code = main(argv)
+        return code, capsys.readouterr().err
+
+    @pytest.mark.parametrize("base,old,new,command,key", [
+        ("base", "seed = 42", "seed = 4x2", "curvature-report", "seed"),
+        ("base", "count = 12", "count = lots", "scatter", "count"),
+        ("base", "openings = 3", "openings = ten", "scatter",
+         "openings"),
+        ("base", "mode = boundary_pairs", "mode = shooting\nn_eta = 2.5",
+         "scatter", "n_eta"),
+        ("base", "mode = boundary_pairs",
+         "mode = shooting\neta_max = far", "scatter", "eta_max"),
+        ("base", "nx = 32", "nx = 3.5", "fourier", "nx"),
+        ("base", "ntheta = 32", "ntheta = many", "fourier", "ntheta"),
+        ("base", "ntheta = 32", "ntheta = 32\nrho_grid = thin",
+         "fourier", "rho_grid"),
+        ("base", "mode = 1\n", "mode = one\n", "fourier", "mode"),
+        ("base", "radius = 0.6", "radius = wide", "fourier", "radius"),
+        ("base", "vector = 1,0,0,0", "vector = 1,0,0,0\npower = eight",
+         "fourier", "power"),
+        ("base", "sigma=0.3; coeff=0.4", "sigma=abc; coeff=0.4",
+         "curvature-report", "sigma"),
+        ("base", "dir=0;", "dir=x;", "curvature-report", "dir"),
+        ("base", "coeff=0.4", "coeff=big", "curvature-report", "coeff"),
+        ("recon", "rank = 2\ndecay = 4\ntikhonov",
+         "rank = two\ndecay = 4\ntikhonov", "reconstruct", "rank"),
+        ("recon", "decay = 4\ntikhonov", "decay = 4.5\ntikhonov",
+         "reconstruct", "decay"),
+    ])
+    def test_bad_value_exit_code(self, tmp_path, capsys, base, old, new,
+                                 command, key):
+        code, err = self._run(tmp_path, capsys, base, old, new, command)
+        assert code == 2
+        assert re.search(rf"key '[^']*\b{key}'", err), err
+
+    @pytest.mark.parametrize("base,old,new,command", [
+        ("base", "center=0.2,0.1;", "center=0.2;", "curvature-report"),
+        ("base", "center=0.1,-0.1;", "center=0.1,-0.1,0;",
+         "curvature-report"),
+        ("base", "center = 0,0", "center = 0", "fourier"),
+        ("base", "center = 0,0", "center = 0,0,1", "fourier"),
+        ("recon", "center=0.2,0.0; sigma=0.3\nbasis.1",
+         "center=0.2; sigma=0.3\nbasis.1", "reconstruct"),
+    ])
+    def test_center_needs_two_numbers(self, tmp_path, capsys, base, old, new,
+                                      command):
+        code, err = self._run(tmp_path, capsys, base, old, new, command)
+        assert code == 2
+        assert "two numbers" in err
+
+    @pytest.mark.parametrize("base,old,new,command,field", [
+        ("base", "coeff=0.4", "coef=0.4", "curvature-report", "coef"),
+        ("base", "term.0 = gen=0,1,0,0,0,0,0,-1; center=0.1,-0.1",
+         "term.0 = dir=1; gen=0,1,0,0,0,0,0,-1; center=0.1,-0.1",
+         "curvature-report", "dir"),
+        ("gauge", "sigma=0.35; coeff=0.5",
+         "sigma=0.35; coeff=0.5; decay=2", "curvature-report", "decay"),
+        ("recon", "sigma=0.3\nbasis.1", "sigma=0.3; coeff=2\nbasis.1",
+         "reconstruct", "coeff"),
+    ])
+    def test_unknown_term_field_exit_code(self, tmp_path, capsys, base, old,
+                                          new, command, field):
+        code, err = self._run(tmp_path, capsys, base, old, new, command)
+        assert code == 2
+        assert f"unknown term field '{field}'" in err
+
+    def test_basis_term_needs_its_fields(self, tmp_path, capsys):
+        code, err = self._run(tmp_path, capsys, "recon",
+                              "; sigma=0.3\nbasis.1", "\nbasis.1",
+                              "reconstruct")
+        assert code == 2
+        assert "basis.0" in err
+
+    def test_readme_configuration_block_parses(self):
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        block = readme.read_text().split("```ini\n")[1].split("```")[0]
+        cfg = ExperimentConfig.from_text(block)
+        assert cfg.seed == 42
+        model, conn, higgs = cfg.build_pair()
+        assert conn.rank == higgs.rank == 2
+        assert cfg.build_transport() == TransportConfig()
+        assert len(cfg.build_fan()) == 200
+        grid = cfg.build_grid(model, override=(24, 8))
+        assert cfg.build_section(grid, conn.rank).compact_support
+        params, _ = cfg.build_reconstruction()
+        assert len(params.basis) == 1

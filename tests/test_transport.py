@@ -6,19 +6,23 @@ Independent oracles:
   by adaptive quadrature on the closed-form path, never by the transport
   solver itself;
 - the segmented batch march is checked against a plain sequential RK4
-  march of the d x d systems, kept here as the reference.
+  march of the d x d systems, kept here as the reference;
+- transport along an integrated (non-closed-form) path is checked against
+  a joint RK45 of the geodesic and the transport system at tighter
+  tolerances, also kept here as the reference.
 """
 
 import math
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
+from scipy.integrate import quad, solve_ivp
 
 from ahxray.bundle import ConnectionField, GaussBump, HiggsFieldData
 from ahxray.errors import DomainError, RankMismatchError
-from ahxray.geometry import DiskGeodesic
-from ahxray.transport import (TransportConfig, _segments,
+from ahxray.geometry import (BoundaryDatum, DiskGeodesic, Direction,
+                             integrate_geodesic, shoot_from_boundary)
+from ahxray.transport import (TransportConfig, _path_state, _segments,
                               _transport_adaptive, batch_scattering,
                               batch_transport, endomorphism_transport,
                               parallel_transport, scattering_matrix,
@@ -87,6 +91,26 @@ def sequential_rk4(field, geos, rank, n_steps, record_fracs=()):
         if k < n_steps:
             u = rk4(u, k / n_steps, (k + 1) / n_steps)
     return u, [snaps[f] for f in sorted(record_fracs)]
+
+
+def joint_rk45(model, prep, path, u0, rtol=1e-12, atol=1e-16):
+    """Reference transport that integrates the geodesic again: one real RK45
+    state [x, v, Re U, Im U] from the path's first sample over its span.
+    Returns U at the end of the span."""
+    n = u0.size
+
+    def rhs(_t, y):
+        x, v = y[:2], y[2:4]
+        u = (y[4:4 + n] + 1j * y[4 + n:]).reshape(u0.shape)
+        du = prep(x, v)(u).reshape(-1)
+        return np.concatenate([v, model.geodesic_rhs(x, v), du.real, du.imag])
+
+    y0 = np.concatenate([path.x[0], path.v[0], u0.real.reshape(-1),
+                         u0.imag.reshape(-1)])
+    sol = solve_ivp(rhs, (path.t[0], path.t[-1]), y0, method="RK45",
+                    rtol=rtol, atol=atol)
+    y = sol.y[:, -1]
+    return (y[4:4 + n] + 1j * y[4 + n:]).reshape(u0.shape)
 
 
 @pytest.fixture(scope="module")
@@ -219,6 +243,50 @@ class TestScatteringMatrix:
             gaps.append(np.linalg.norm(u1 - u2))
         ratio = gaps[0] / gaps[1]
         assert 2**4 / 2.5 < ratio < 2**4 * 2.5
+
+
+class TestIntegratedPaths:
+    """Transport along paths from the geodesic integrator, which it reads
+    through the Hermite interpolant of their samples."""
+
+    @pytest.fixture(scope="class")
+    def numeric_paths(self, disk_module):
+        out = []
+        for a, b in ((0.9, 3.3), (0.2, 2.0), (4.0, 1.1)):
+            geo = DiskGeodesic.between_boundary_angles(disk_module, a, b)
+            out.append((geo.sample(), integrate_geodesic(
+                disk_module, geo.sample().midpoint_phasepoint())))
+        return out
+
+    def test_path_state_exact_at_samples(self, disk_module, numeric_paths):
+        for _, path in numeric_paths:
+            for p in (path, path.reversed()):
+                x, v = _path_state(disk_module, p)(p.t)
+                assert np.array_equal(x, p.x) and np.array_equal(v, p.v)
+
+    def test_matches_closed_form_path(self, disk_module, numeric_paths, rng):
+        conn, higgs = random_connection(rng), random_higgs(rng)
+        for analytic, numeric in numeric_paths:
+            a = scattering_matrix(disk_module, conn, higgs, analytic)
+            b = scattering_matrix(disk_module, conn, higgs, numeric)
+            assert np.max(np.abs(a.exit_value - b.exit_value)) < 5e-8
+
+    def test_reversal_gives_inverse(self, disk_module, numeric_paths, rng):
+        conn, higgs = random_connection(rng), random_higgs(rng)
+        _, path = numeric_paths[0]
+        u = scattering_matrix(disk_module, conn, higgs, path).exit_value
+        v = scattering_matrix(disk_module, conn, higgs.adjoint(),
+                              path.reversed()).exit_value
+        assert np.max(np.abs(v - np.linalg.inv(u))) < 1e-7
+
+    def test_perturbed_shot_matches_joint_oracle(self, perturbed, rng):
+        conn, higgs = random_connection(rng), random_higgs(rng)
+        datum = BoundaryDatum(0.0, -1.5, Direction.INCOMING)
+        path = shoot_from_boundary(perturbed, datum, 1e-6)
+        u = scattering_matrix(perturbed, conn, higgs, path).exit_value
+        ref = joint_rk45(perturbed, transport_rhs(conn, higgs), path,
+                         np.eye(2, dtype=complex))
+        assert np.max(np.abs(u - ref)) < 1e-6
 
 
 class TestParallelTransport:
@@ -377,6 +445,22 @@ class TestSegmentedMarch:
                 np.eye(2, dtype=complex), cfg)[3][0, -1]
             assert np.max(np.abs(lifted.exit_value - direct)) <= 1e-12
             assert lifted.unitarity_defect < 1e-9
+
+
+    def test_endomorphism_factors_through_parallel_transport(
+            self, disk_module, rng):
+        # U = W Psi^{-1}, the factorization gauge recovery relies on, with
+        # W and Psi from the fixed-step march and U from the adaptive
+        # two-sided system
+        conn, higgs = random_connection(rng), random_higgs(rng)
+        geos = [DiskGeodesic.between_boundary_angles(disk_module, a, b)
+                for a, b in ((0.3, 2.5), (1.0, 4.4), (5.8, 2.2))]
+        w, _ = batch_scattering(conn, higgs, geos)
+        psi, _ = batch_scattering(conn, HiggsFieldData.zero(2), geos)
+        for geo, w_i, psi_i in zip(geos, w, psi):
+            u = endomorphism_transport(disk_module, conn, higgs,
+                                       geo.sample()).exit_value
+            assert np.max(np.abs(u - w_i @ np.linalg.inv(psi_i))) < 1e-9
 
 
 def test_config_validation():
