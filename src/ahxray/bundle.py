@@ -8,6 +8,10 @@ constant skew-Hermitian generator S and a smooth scalar bump beta, so all
 first partials used by the curvature formula are analytic.  Gauge fields are
 Q(x) = exp(rho^M * S(x)), unitary by construction and equal to the identity
 on the boundary.
+
+One evaluator, ``_Separable``, forms every such sum (connection symbols
+and partials, Higgs fields, gauge exponents, the reconstruction basis) as
+scalar weights times the stacked generators; zero fields are its empty sum.
 """
 
 from __future__ import annotations
@@ -38,13 +42,9 @@ class GaussBump:
         dx = np.asarray(x, dtype=float) - np.asarray(self.center)
         return np.exp(-np.sum(dx * dx, axis=-1) / (2.0 * self.sigma**2))
 
-    def grad(self, x: np.ndarray) -> np.ndarray:
-        dx = np.asarray(x, dtype=float) - np.asarray(self.center)
-        return self(x)[..., None] * (-dx / self.sigma**2)
-
 
 def _check_skew(mat: np.ndarray, what: str) -> None:
-    worst = float(np.max(skew_defect(mat)))
+    worst = float(np.max(skew_defect(mat), initial=0.0))
     if worst >= _SKEW_TOL:
         raise DomainError(f"{what} is not skew-Hermitian (defect {worst:.2e})")
 
@@ -76,6 +76,57 @@ class SeparableTerm:
         object.__setattr__(self, "generator", gen)
         if self.direction not in (0, 1):
             raise DomainError("term direction must be 0 or 1")
+
+
+class _Separable:
+    """rho^N sum_k beta_k S_k over K (generator S_k, bump beta_k) terms.
+
+    ``weights`` are the scalars rho^N beta_k on a last axis of length K and
+    ``grad_weights`` their partials; ``combine`` forms sum_k w_k S_k for
+    any real weights w as one product with the generators' (re, im) parts,
+    so a contraction (velocity, coefficients, direction mask) goes into
+    the weights first.
+    """
+
+    def __init__(self, rank: int,
+                 terms: Sequence[tuple[np.ndarray, GaussBump]], decay: int):
+        terms = list(terms)
+        gens = [np.asarray(s, dtype=complex) for s, _ in terms]
+        if any(g.shape != (rank, rank) for g in gens):
+            raise RankMismatchError("generator rank mismatch")
+        self.gens = np.array(gens, dtype=complex).reshape(-1, rank, rank)
+        _check_skew(self.gens, "field generator")
+        self.rank = rank
+        self.decay = decay
+        self._flat = self.gens.reshape(len(gens), rank * rank).view(float)
+        self._centers = np.array([b.center for _, b in terms],
+                                 dtype=float).reshape(-1, 2)
+        self._sigma2 = np.array([b.sigma**2 for _, b in terms], dtype=float)
+
+    def _bumps(self, x: np.ndarray) -> np.ndarray:
+        dx = x[..., None, :] - self._centers
+        return np.exp(-np.sum(dx * dx, axis=-1) / (2.0 * self._sigma2))
+
+    def weights(self, x: np.ndarray) -> np.ndarray:
+        """rho^N beta_k, shape (..., K)."""
+        x = np.asarray(x, dtype=float)
+        return (_rho(x) ** self.decay)[..., None] * self._bumps(x)
+
+    def grad_weights(self, x: np.ndarray) -> np.ndarray:
+        """d_j (rho^N beta_k), shape (..., 2, K)."""
+        x = np.asarray(x, dtype=float)
+        n = self.decay
+        rho = _rho(x)[..., None, None]
+        dx = x[..., :, None] - self._centers.T
+        return self._bumps(x)[..., None, :] \
+            * (n * rho ** max(n - 1, 0) * (-2.0 * x[..., :, None])
+               - rho**n * dx / self._sigma2)
+
+    def combine(self, w: np.ndarray) -> np.ndarray:
+        """sum_k w_k S_k for real w of shape (..., K): shape (..., d, d)."""
+        w = np.asarray(w, dtype=float)
+        out = w.reshape(math.prod(w.shape[:-1]), w.shape[-1]) @ self._flat
+        return out.view(complex).reshape(w.shape[:-1] + (self.rank,) * 2)
 
 
 class ConnectionField:
@@ -112,7 +163,9 @@ class ConnectionField:
     def along(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Contraction Gamma(v) = v^i Gamma_i, shape (..., d, d)."""
         gam = self.symbols(x)
-        return np.einsum("...i,...ikl->...kl", np.asarray(v, float), gam)
+        v = np.asarray(v, dtype=float)[..., None, None]
+        return v[..., 0, :, :] * gam[..., 0, :, :] \
+            + v[..., 1, :, :] * gam[..., 1, :, :]
 
     def curvature_f12(self, x: np.ndarray) -> np.ndarray:
         """The single independent curvature component, shape (..., d, d)."""
@@ -151,50 +204,34 @@ class ConnectionField:
 
     @classmethod
     def zero(cls, rank: int) -> "ConnectionField":
-        def symbols(x):
-            return np.zeros(np.shape(x)[:-1] + (2, rank, rank), dtype=complex)
-
-        def derivs(x):
-            return np.zeros(np.shape(x)[:-1] + (2, 2, rank, rank),
-                            dtype=complex)
-
-        return cls(rank, symbols, decay_N=0, symbol_derivs=derivs,
-                   curvature=lambda x: np.zeros(
-                       np.shape(x)[:-1] + (rank, rank), dtype=complex),
-                   validate=False, is_zero=True)
+        return cls.from_terms(rank, [], 0)
 
     @classmethod
     def from_terms(cls, rank: int, terms: Sequence[SeparableTerm],
                    decay_N: int) -> "ConnectionField":
+        return _SeparableConnection(rank, terms, decay_N)
+
+
+class _SeparableConnection(ConnectionField):
+    """Term k feeds the symbol Gamma_{dir_k}; no terms is zero."""
+
+    def __init__(self, rank: int, terms: Sequence[SeparableTerm],
+                 decay_N: int):
         terms = list(terms)
-        for t in terms:
-            if t.generator.shape != (rank, rank):
-                raise RankMismatchError("generator rank mismatch")
+        self._field = f = _Separable(
+            rank, [(t.generator, t.bump) for t in terms], decay_N)
+        self._dirs = np.array([t.direction for t in terms], dtype=int)
+        feeds = (self._dirs == np.arange(2)[:, None]).astype(float)  # (i, k)
+        super().__init__(
+            rank, lambda x: f.combine(f.weights(x)[..., None, :] * feeds),
+            decay_N, symbol_derivs=lambda x: f.combine(
+                f.grad_weights(x)[..., None, :] * feeds),
+            validate=bool(terms), is_zero=not terms)
 
-        def symbols(x):
-            out = np.zeros(np.shape(x)[:-1] + (2, rank, rank), dtype=complex)
-            rho_n = _rho(x) ** decay_N
-            for t in terms:
-                out[..., t.direction, :, :] += \
-                    (rho_n * t.bump(x))[..., None, None] * t.generator
-            return out
-
-        def derivs(x):
-            x = np.asarray(x, dtype=float)
-            out = np.zeros(np.shape(x)[:-1] + (2, 2, rank, rank),
-                           dtype=complex)
-            rho = _rho(x)
-            drho = -2.0 * x                      # d_j rho
-            for t in terms:
-                beta = t.bump(x)
-                dbeta = t.bump.grad(x)
-                coeff = (decay_N * rho ** max(decay_N - 1, 0))[..., None] \
-                    * drho * beta[..., None] + rho[..., None] ** decay_N * dbeta
-                out[..., :, t.direction, :, :] += \
-                    coeff[..., :, None, None] * t.generator
-            return out
-
-        return cls(rank, symbols, decay_N, symbol_derivs=derivs)
+    def along(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """Gamma(v): v goes into the weights before the generator product."""
+        v = np.asarray(v, dtype=float)[..., self._dirs]
+        return self._field.combine(self._field.weights(x) * v)
 
 
 class HiggsFieldData:
@@ -220,29 +257,15 @@ class HiggsFieldData:
 
     @classmethod
     def zero(cls, rank: int) -> "HiggsFieldData":
-        return cls(rank, lambda x: np.zeros(
-            np.shape(x)[:-1] + (rank, rank), dtype=complex), 0,
-            validate=False)
+        return cls.from_terms(rank, [], 0)
 
     @classmethod
     def from_terms(cls, rank: int,
                    terms: Sequence[tuple[np.ndarray, GaussBump]],
                    decay_N1: int) -> "HiggsFieldData":
-        gens = [np.asarray(s, dtype=complex) for s, _ in terms]
-        for g in gens:
-            _check_skew(g, "Higgs generator")
-            if g.shape != (rank, rank):
-                raise RankMismatchError("generator rank mismatch")
-        bumps = [b for _, b in terms]
-
-        def phi(x):
-            out = np.zeros(np.shape(x)[:-1] + (rank, rank), dtype=complex)
-            rho_n = _rho(x) ** decay_N1
-            for gen, bump in zip(gens, bumps):
-                out += (rho_n * bump(x))[..., None, None] * gen
-            return out
-
-        return cls(rank, phi, decay_N1)
+        field = _Separable(rank, terms, decay_N1)
+        return cls(rank, lambda x: field.combine(field.weights(x)), decay_N1,
+                   validate=bool(len(field.gens)))
 
 
 class GaugeField:
@@ -255,49 +278,18 @@ class GaugeField:
             raise DomainError("gauge decay exponent must be >= 1")
         self.rank = rank
         self.decay_M = decay_M
-        self._gens = []
-        self._bumps = []
-        for s, b in terms:
-            s = np.asarray(s, dtype=complex)
-            _check_skew(s, "gauge generator")
-            if s.shape != (rank, rank):
-                raise RankMismatchError("gauge generator rank mismatch")
-            self._gens.append(s)
-            self._bumps.append(b)
+        self._field = _Separable(rank, terms, decay_M)
         q_ring = self.q(validation_points(n=64, r_max=math.sqrt(1 - 1e-4)))
         if float(np.max(unitary_defect(q_ring))) >= _SKEW_TOL:
             raise DomainError("gauge field failed the unitarity check")
 
-    def _exponent(self, x: np.ndarray) -> np.ndarray:
-        out = np.zeros(np.shape(x)[:-1] + (self.rank, self.rank),
-                       dtype=complex)
-        rho_m = _rho(x) ** self.decay_M
-        for gen, bump in zip(self._gens, self._bumps):
-            out += (rho_m * bump(x))[..., None, None] * gen
-        return out
-
-    def _exponent_derivs(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        out = np.zeros(np.shape(x)[:-1] + (2, self.rank, self.rank),
-                       dtype=complex)
-        rho = _rho(x)
-        drho = -2.0 * x
-        for gen, bump in zip(self._gens, self._bumps):
-            beta = bump(x)
-            coeff = (self.decay_M * rho ** (self.decay_M - 1))[..., None] \
-                * drho * beta[..., None] \
-                + rho[..., None] ** self.decay_M * bump.grad(x)
-            out += coeff[..., :, None, None] * gen
-        return out
-
     def q(self, x: np.ndarray) -> np.ndarray:
-        return expm_skew(self._exponent(np.asarray(x, dtype=float)))
+        return expm_skew(self._field.combine(self._field.weights(x)))
 
     def dq(self, x: np.ndarray) -> np.ndarray:
         """Partials d_i Q, shape (..., 2, d, d), exact Frechet derivatives."""
-        x = np.asarray(x, dtype=float)
-        p = self._exponent(x)
-        dp = self._exponent_derivs(x)
+        p = self._field.combine(self._field.weights(x))
+        dp = self._field.combine(self._field.grad_weights(x))
         return np.stack([expm_skew_frechet(p, dp[..., i, :, :])
                          for i in range(2)], axis=-3)
 

@@ -94,8 +94,7 @@ def cmd_pestov(args) -> int:
     cfg.override_seed(args.seed)
     cfg.override_section("section", args.section)
     model, conn, _ = cfg.build_pair()
-    override = _parse_grid(args.grid)
-    base = override or (64, 64)
+    base = cfg.grid_size(_parse_grid(args.grid))
     # coarse companion level for the refinement table; grids below 24
     # cannot hold the default test section away from the outer rings
     sizes = [n for n in (max(base[0] // 2, 24), base[0]) if n <= base[0]]

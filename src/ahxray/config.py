@@ -47,8 +47,6 @@ from .xray import FanSpec
 def _cast(text: str, cast, section: str, key: str):
     """``cast(text)``, with a value it refuses reported as a ConfigError."""
     try:
-        if cast is bool:
-            return text.strip().lower() in ("1", "true", "yes", "on")
         return cast(text)
     except ValueError as err:
         raise ConfigError(f"bad value {text!r}: {err}",
@@ -149,7 +147,7 @@ _KNOWN_KEYS = {
     "experiment": {"seed"},
     "model": {"kind", "bump_center", "bump_radius", "bump_amplitude",
               "epsilon0"},
-    "transport": {"rho_cut", "rtol", "atol", "richardson", "n_steps"},
+    "transport": {"rho_cut", "rtol", "atol", "n_steps"},
     "connection": {"rank", "decay", "term.N"},
     "higgs": {"rank", "decay", "term.N"},
     "gauge": {"decay", "term.N"},
@@ -304,7 +302,7 @@ class ExperimentConfig:
     def build_transport(self, rho_cut: Optional[float] = None
                         ) -> TransportConfig:
         kwargs = self._given("transport", rho_cut=float, rtol=float,
-                             atol=float, richardson=bool, n_steps=int)
+                             atol=float, n_steps=int)
         if rho_cut is not None:
             kwargs["rho_cut"] = rho_cut
         return TransportConfig(**kwargs)
@@ -327,19 +325,15 @@ class ExperimentConfig:
             return ConnectionField.zero(rank)
         rank = self._get("connection", "rank", int)
         decay = self._get("connection", "decay", int, default=3)
-        terms = self._bundle_terms("connection", rank)
-        if not terms:
-            return ConnectionField.zero(rank)
-        return ConnectionField.from_terms(rank, terms, decay)
+        return ConnectionField.from_terms(
+            rank, self._bundle_terms("connection", rank), decay)
 
     def build_higgs(self, rank: int) -> HiggsFieldData:
         if "higgs" not in self.sections:
             return HiggsFieldData.zero(rank)
         decay = self._get("higgs", "decay", int, default=4)
-        terms = self._bundle_terms("higgs", rank)
-        if not terms:
-            return HiggsFieldData.zero(rank)
-        return HiggsFieldData.from_terms(rank, terms, decay)
+        return HiggsFieldData.from_terms(
+            rank, self._bundle_terms("higgs", rank), decay)
 
     def build_gauge(self, rank: int) -> Optional[GaugeField]:
         if "gauge" not in self.sections:
@@ -374,12 +368,17 @@ class ExperimentConfig:
         raise ConfigError(f"unknown fan mode {mode!r}", section="fan",
                           key="mode")
 
+    def grid_size(self, override: Optional[tuple[int, int]] = None
+                  ) -> tuple[int, int]:
+        """(nx, ntheta): ``override``, else ``[grid]`` (64 and 64 by
+        default)."""
+        return override or (self._get("grid", "nx", int, default=64),
+                            self._get("grid", "ntheta", int, default=64))
+
     def build_grid(self, model: AHModel,
                    override: Optional[tuple[int, int]] = None
                    ) -> SphereBundleGrid:
-        nx, ntheta = override or (self._get("grid", "nx", int, default=64),
-                                  self._get("grid", "ntheta", int,
-                                            default=64))
+        nx, ntheta = self.grid_size(override)
         rho_grid = self._get("grid", "rho_grid", float, default=0.05)
         return SphereBundleGrid(model, nx=nx, n_theta=ntheta,
                                 rho_grid=rho_grid)

@@ -18,13 +18,15 @@ exact derivative of the discrete forward map.  Central finite differences
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
-from ._linalg import mul, skew_defect
-from .bundle import ConnectionField, GaussBump, HiggsFieldData, _rho
+from ._linalg import mul
+from .bundle import (ConnectionField, GaussBump, HiggsFieldData, _Separable,
+                     validation_points)
 from .errors import DomainError, StagnationError
 from .geometry import AHModel
 from .transport import TransportConfig, batch_transport, transport_rhs
@@ -47,15 +49,9 @@ class HiggsParameterization:
     coeffs: np.ndarray = field(default=None)
 
     def __post_init__(self):
-        gens = []
-        for s, _ in self.basis:
-            s = np.asarray(s, dtype=complex)
-            if s.shape != (self.rank, self.rank):
-                raise DomainError("generator rank mismatch")
-            if float(np.max(skew_defect(s))) > 1e-12:
-                raise DomainError("generators must be skew-Hermitian")
-            gens.append(s)
-        self.basis = [(g, b) for g, (_, b) in zip(gens, self.basis)]
+        self._field = _Separable(self.rank, self.basis, self.decay_N1)
+        self.basis = [(s, b) for s, (_, b) in zip(self._field.gens,
+                                                  self.basis)]
         if self.coeffs is None:
             self.coeffs = np.zeros(len(self.basis))
         self.coeffs = np.asarray(self.coeffs, dtype=float)
@@ -64,12 +60,11 @@ class HiggsParameterization:
         self._check_independence()
 
     def _check_independence(self):
-        from .bundle import validation_points
-        pts = validation_points(24)
-        cols = []
-        for s, b in self.basis:
-            cols.append((b(pts)[:, None, None] * s).reshape(-1))
-        mat = np.stack(cols, axis=-1)
+        # columns beta_k S_k at the points: the bare bumps, without decay
+        bare = _Separable(self.rank, self.basis, 0)
+        beta = bare.weights(validation_points(24))
+        flat = bare.gens.reshape(self.size, -1).T
+        mat = (beta[:, None, :] * flat).reshape(-1, self.size)
         sv = np.linalg.svd(np.concatenate([mat.real, mat.imag]),
                            compute_uv=False)
         if sv[-1] < 1e-10 * sv[0]:
@@ -80,27 +75,18 @@ class HiggsParameterization:
         return len(self.basis)
 
     def with_coeffs(self, c: np.ndarray) -> "HiggsParameterization":
-        out = HiggsParameterization.__new__(HiggsParameterization)
-        out.rank = self.rank
-        out.basis = self.basis
-        out.decay_N1 = self.decay_N1
+        out = copy.copy(self)
         out.coeffs = np.asarray(c, dtype=float)
         return out
 
     def weights(self, x: np.ndarray) -> np.ndarray:
         """rho^(N+1) beta_k at points x for every basis field, on a last
         axis of length ``size``."""
-        x = np.asarray(x, dtype=float)
-        return (_rho(x) ** self.decay_N1)[..., None] \
-            * np.stack([bump(x) for _, bump in self.basis], axis=-1)
+        return self._field.weights(x)
 
     def combine(self, weights: np.ndarray, c: np.ndarray) -> np.ndarray:
         """Phi_c = sum_k c_k w_k S_k from the ``weights`` w of some points."""
-        out = np.zeros(weights.shape[:-1] + (self.rank, self.rank),
-                       dtype=complex)
-        for k, (s, _) in enumerate(self.basis):
-            out += (c[k] * weights[..., k])[..., None, None] * s
-        return out
+        return self._field.combine(weights * c)
 
     def higgs(self, c: Optional[np.ndarray] = None) -> HiggsFieldData:
         c = self.coeffs if c is None else np.asarray(c, dtype=float)
@@ -145,7 +131,6 @@ class ReconstructionReport:
 
 def _require_flat(conn0: ConnectionField) -> None:
     from ._linalg import frobenius
-    from .bundle import validation_points
     worst = float(np.max(frobenius(
         conn0.curvature_f12(validation_points(32)))))
     if worst >= 1e-8:
@@ -190,7 +175,7 @@ def _tangent_rhs(conn0: ConnectionField, params: HiggsParameterization,
     The weights w_k of a node are computed once and give both Phi_c, formed
     as ``params.higgs(c)`` forms it, and B_k W = w_k (S_k W).
     """
-    gens = np.stack([s for s, _ in params.basis])
+    gens = params._field.gens
 
     def prep(x, v):
         weights = params.weights(x)

@@ -64,6 +64,9 @@ class TransportConfig:
     def __post_init__(self):
         if not 0.0 < self.rho_cut <= 1e-2:
             raise DomainError("rho_cut must lie in (0, 1e-2]")
+        for name in ("n_steps", "rtol", "atol"):
+            if not getattr(self, name) > 0:
+                raise DomainError(f"{name} must be positive")
 
 
 @dataclass

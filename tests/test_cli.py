@@ -227,6 +227,18 @@ class TestCommands:
         assert report["refinement_decreasing"]
         assert report["levels"][1]["relative_residual"] < 1e-2
 
+    def test_pestov_reads_grid_section(self, tmp_path):
+        # without --grid the [grid] level is the fine one; at nx = 24 the
+        # coarse companion (nx // 2, at least 24) coincides with it
+        path = tmp_path / "exp.cfg"
+        path.write_text(BASE_CONFIG.replace("nx = 32\nntheta = 32",
+                                            "nx = 24\nntheta = 8"))
+        out = tmp_path / "pestov.json"
+        assert main(["pestov", "--config", str(path), "--out",
+                     str(out)]) == 0
+        levels = json.loads(out.read_text())["levels"]
+        assert [(lv["nx"], lv["ntheta"]) for lv in levels] == [(24, 8)]
+
     def test_fourier_csv(self, cfg_file, tmp_path):
         out = tmp_path / "modes.csv"
         assert main(["fourier", "--config", cfg_file, "--out",
@@ -350,6 +362,7 @@ class TestUnknownNamesAndLiteralText:
     @pytest.mark.parametrize("old,new,key", [
         ("tikhonov = 1e-10", "tikhnov = 1e-3", "tikhnov"),
         ("max_iter = 20", "max_iter = 20\nfd_step = 1e-6", "fd_step"),
+        ("n_steps = 512", "n_steps = 512\nrichardson = yes", "richardson"),
         ("[transport]", "[trasnport]", None)])
     def test_unknown_key_or_section_rejected(self, old, new, key):
         bad = RECON_CONFIG.replace(old, new)
@@ -365,8 +378,7 @@ class TestUnknownNamesAndLiteralText:
             "kind = conformal_perturbed\nbump_center = 0.25,-0.1\n"
             "bump_radius = 0.3\nbump_amplitude = 0.04\nepsilon0 = 0.1"
         ).replace("n_steps = 1024",
-                  "n_steps = 1024\nrtol = 1e-10\natol = 1e-14\n"
-                  "richardson = no"
+                  "n_steps = 1024\nrtol = 1e-10\natol = 1e-14"
         ).replace("mode = boundary_pairs",
                   "mode = shooting\nn_eta = 2\neta_max = 1.5"
         ).replace("ntheta = 32", "ntheta = 32\nrho_grid = 0.05"
@@ -374,7 +386,6 @@ class TestUnknownNamesAndLiteralText:
         cfg = ExperimentConfig.from_text(text + GAUGE_EXTRA)
         model, conn, _ = cfg.build_pair()
         assert cfg.build_fan().mode.value == "shooting"
-        assert cfg.build_transport().richardson is False
         grid = cfg.build_grid(model)
         assert grid.rho_grid == 0.05
         assert cfg.build_section(grid, conn.rank).compact_support
@@ -469,6 +480,18 @@ class TestValueContracts:
         code, err = self._run(tmp_path, capsys, base, old, new, command)
         assert code == 2
         assert re.search(rf"key '[^']*\b{key}'", err), err
+
+    @pytest.mark.parametrize("old,new,key", [
+        ("n_steps = 1024", "n_steps = 0", "n_steps"),
+        ("n_steps = 1024", "n_steps = -8", "n_steps"),
+        ("rho_cut = 1e-6", "rho_cut = 1e-6\nrtol = 0", "rtol"),
+        ("rho_cut = 1e-6", "rho_cut = 1e-6\natol = -1e-14", "atol"),
+    ])
+    def test_nonpositive_transport_setting_exit_code(self, tmp_path, capsys,
+                                                     old, new, key):
+        code, err = self._run(tmp_path, capsys, "base", old, new, "scatter")
+        assert code == 2
+        assert f"{key} must be positive" in err
 
     @pytest.mark.parametrize("base,old,new,command", [
         ("base", "center=0.2,0.1;", "center=0.2;", "curvature-report"),
