@@ -387,6 +387,10 @@ class ExperimentConfig:
                       ) -> SectionField:
         body = self._section("section", required=False)
         m = self._get("section", "mode", int, default=1)
+        if abs(m) >= grid.n_theta // 2:
+            raise ConfigError(f"mode {m} aliases on a {grid.n_theta}-point "
+                              "fiber grid (need |mode| < ntheta // 2)",
+                              section="section", key="mode")
         center = _point(body.get("center", "0 0"), "section", "center")
         radius = self._get("section", "radius", float, default=0.7)
         power = self._get("section", "power", int, default=8)
@@ -401,9 +405,9 @@ class ExperimentConfig:
         prof = np.zeros_like(s2)
         inside = s2 < 1.0
         prof[inside] = np.cos(0.5 * math.pi * np.sqrt(s2[inside])) ** power
-        ang = np.exp(1j * m * grid.thetas)
-        vals = prof[:, :, None, None] * ang[None, None, :, None] * vec
-        return SectionField(values=vals, grid=grid, compact_support=True)
+        # the band {m}: profile times vector in the single mode e^{im theta}
+        return SectionField.from_modes(prof[:, :, None, None] * vec, grid,
+                                       k_lo=m, compact_support=True)
 
     def build_reconstruction(self) -> tuple[HiggsParameterization,
                                             ReconstructionConfig]:

@@ -49,6 +49,9 @@ class HiggsParameterization:
     coeffs: np.ndarray = field(default=None)
 
     def __post_init__(self):
+        if len(self.basis) == 0:
+            raise DomainError("reconstruction basis is empty: the "
+                              "parameterization needs at least one field")
         self._field = _Separable(self.rank, self.basis, self.decay_N1)
         self.basis = [(s, b) for s, (_, b) in zip(self._field.gens,
                                                   self.basis)]
@@ -89,10 +92,12 @@ class HiggsParameterization:
         return self._field.combine(weights * c)
 
     def higgs(self, c: Optional[np.ndarray] = None) -> HiggsFieldData:
+        """Phi_c, not validated again: a real combination of generators
+        checked skew-Hermitian at construction, times rho^(N+1)."""
         c = self.coeffs if c is None else np.asarray(c, dtype=float)
         return HiggsFieldData(self.rank,
                               lambda x: self.combine(self.weights(x), c),
-                              self.decay_N1)
+                              self.decay_N1, validate=False)
 
 
 @dataclass

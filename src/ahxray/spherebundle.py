@@ -2,11 +2,18 @@
 
 The bundle is coordinatized by (x, theta) with theta the Euclidean direction
 angle, which for conformal metrics is fiber arc length.  Sections are held
-as fiber Fourier coefficients u = sum_k u_k(x) e^{ik theta} (k axis in FFT
-order); base derivatives use 4th-order central stencils on a Cartesian grid
-masked to {rho >= rho_grid}.  With d = (d_1 - i d_2)/2, Phi the log
-conformal factor and A_+- = (Gamma_1 -+ i Gamma_2)/2, the geodesic vector
-field splits as X = eta_+ + eta_- (Guillemin-Kazhdan):
+as fiber Fourier coefficients u = sum_k u_k(x) e^{ik theta} on a band:
+``modes`` (nx, ny, width, d) holds the frequencies k_lo .. k_lo + width - 1
+in ascending order, and every other coefficient is zero.  The full axis
+-(n_theta // 2) .. (n_theta - 1) // 2 is the widest band; theta samples
+give it, and ``values``/``coeffs`` pad a band to it for one inverse
+transform.  A section of degree m and every term the Pestov identity
+builds from it lie in a band of width at most 2m + 3, so the operators
+work on a few modes instead of n_theta.  Base derivatives use 4th-order
+central stencils on a Cartesian grid masked to {rho >= rho_grid}.  With
+d = (d_1 - i d_2)/2, Phi the log conformal factor and
+A_+- = (Gamma_1 -+ i Gamma_2)/2, the geodesic vector field splits as
+X = eta_+ + eta_- (Guillemin-Kazhdan):
 
 - eta_+ u_k = e^{-Phi} (d - k d Phi + A_+) u_k, placed in mode k + 1
 - eta_- u_k = e^{-Phi} (dbar + k dbar Phi + A_-) u_k, placed in mode k - 1
@@ -14,8 +21,11 @@ field splits as X = eta_+ + eta_- (Guillemin-Kazhdan):
 - vertical derivative and divergence: ik (v-grad is the v^perp coefficient)
 - vertical Laplacian: k^2.
 
-The mode shift is cyclic on the k axis, as multiplication by e^{+-i theta}
-is on the theta samples, Nyquist mode included.  The horizontal divergence
+X and the horizontal operators widen a band by one mode on each side; the
+vertical and curvature operators keep it.  A band that would leave the
+full axis wraps cyclically onto it, as multiplication by e^{+-i theta}
+does on the theta samples, Nyquist mode included, so full-band sections
+give the numbers of the theta grid.  The horizontal divergence
 is the discrete adjoint of the horizontal derivative under the quadrature
 inner product, so the adjoint identity holds by construction and commutator
 residuals isolate discretization error.  The curvature operator of the
@@ -44,7 +54,7 @@ class SphereBundleGrid:
 
     Quadrature weight per node is sqrt(det g) * h1 * h2 * dtheta, so the
     total fiber measure over each base point is 2*pi*sqrt(det g)*h1*h2
-    exactly.  ``k`` holds the fiber frequencies in FFT order.
+    exactly.
     """
 
     def __init__(self, model: AHModel, nx: int = 64, n_theta: int = 64,
@@ -82,7 +92,6 @@ class SphereBundleGrid:
         self.gauss = gauss
         self.sqrt_det_g = np.where(self.mask, np.exp(2.0 * phi), 0.0)
         self.node_weight = self.sqrt_det_g * self.h1 * self.h2 * self.dtheta
-        self.k = np.fft.fftfreq(n_theta, d=1.0 / n_theta)
         self.max_exact_degree = (n_theta - 2) // 4
         self._symbol_cache: WeakKeyDictionary = WeakKeyDictionary()
         self._curvature_cache: WeakKeyDictionary = WeakKeyDictionary()
@@ -142,28 +151,68 @@ class SphereBundleGrid:
         return self.mask & ~self.interior_mask
 
 
+def _freq_range(n_theta: int) -> tuple[int, int]:
+    """Lowest and highest fiber frequency of an n_theta-point grid."""
+    return -(n_theta // 2), (n_theta - 1) // 2
+
+
+def _check(arr: np.ndarray, grid: SphereBundleGrid,
+           compact_support: bool) -> None:
+    if arr.ndim != 4 or arr.shape[:2] != (grid.nx, grid.ny):
+        raise DomainError("section arrays have shape (nx, ny, fiber, rank) "
+                          f"with (nx, ny) = ({grid.nx}, {grid.ny})")
+    if not np.all(np.isfinite(arr)):
+        raise DomainError("section contains non-finite entries")
+    if compact_support and np.any(arr[grid.outer_ring_mask()]):
+        raise DomainError("compactly supported section must vanish on "
+                          "the two outermost rings")
+
+
 class _FiberSection:
-    """Fiber Fourier coefficients ``modes`` (nx, ny, n_theta, d) of a
-    section, from theta samples by one forward transform."""
+    """A band of fiber Fourier coefficients: ``modes`` (nx, ny, width, d)
+    holds the frequencies k_lo .. k_lo + width - 1 in ascending order.
+    Theta samples give the full band, by one forward transform."""
 
     def __init__(self, samples, grid: SphereBundleGrid,
                  compact_support: bool = False):
         samples = np.asarray(samples)
-        if not np.all(np.isfinite(samples)):
-            raise DomainError("section contains non-finite entries")
-        if compact_support and np.any(samples[grid.outer_ring_mask()]):
-            raise DomainError("compactly supported section must vanish on "
-                              "the two outermost rings")
-        self.modes = np.fft.fft(samples, axis=2, norm="forward")
+        _check(samples, grid, compact_support)
+        if samples.shape[2] != grid.n_theta:
+            raise DomainError(f"section needs {grid.n_theta} fiber samples")
+        self.modes = np.fft.fftshift(
+            np.fft.fft(samples, axis=2, norm="forward"), axes=2)
+        self.k_lo = _freq_range(grid.n_theta)[0]
         self.grid = grid
         self.compact_support = compact_support
 
     @classmethod
-    def _from_modes(cls, modes: np.ndarray, grid: SphereBundleGrid):
+    def from_modes(cls, modes, grid: SphereBundleGrid, k_lo: int,
+                   compact_support: bool = False):
+        """Section holding the coefficients ``modes`` (nx, ny, width, d) of
+        the frequencies k_lo .. k_lo + width - 1, which must lie in the
+        grid's range -(n_theta // 2) .. (n_theta - 1) // 2."""
+        modes = np.array(modes, dtype=complex)
+        _check(modes, grid, compact_support)
+        lo, hi = _freq_range(grid.n_theta)
+        if k_lo < lo or k_lo + modes.shape[2] - 1 > hi:
+            raise DomainError(
+                f"band {k_lo}..{k_lo + modes.shape[2] - 1} leaves the "
+                f"frequencies {lo}..{hi} of a {grid.n_theta}-point fiber")
+        return cls._from_modes(modes, grid, int(k_lo), compact_support)
+
+    @classmethod
+    def _from_modes(cls, modes: np.ndarray, grid: SphereBundleGrid,
+                    k_lo: int, compact_support: bool = False):
         """Wrap coefficients an operator built: no transform, no checks."""
         out = cls.__new__(cls)
-        out.modes, out.grid, out.compact_support = modes, grid, False
+        out.modes, out.k_lo, out.grid = modes, k_lo, grid
+        out.compact_support = compact_support
         return out
+
+    @property
+    def k(self) -> np.ndarray:
+        """Frequencies of the band, ascending."""
+        return np.arange(self.k_lo, self.k_lo + self.modes.shape[2])
 
     @property
     def rank(self) -> int:
@@ -171,6 +220,14 @@ class _FiberSection:
 
     def norm(self) -> float:
         return math.sqrt(max(inner(self, self).real, 0.0))
+
+    def _samples(self) -> np.ndarray:
+        """Theta samples: the band padded to the full axis, one inverse
+        transform."""
+        n = self.grid.n_theta
+        full = np.zeros(self.modes.shape[:2] + (n, self.rank), dtype=complex)
+        full[:, :, self.k % n] = self.modes
+        return np.fft.ifft(full, axis=2, norm="forward")
 
 
 class SectionField(_FiberSection):
@@ -183,7 +240,7 @@ class SectionField(_FiberSection):
 
     @property
     def values(self) -> np.ndarray:
-        return np.fft.ifft(self.modes, axis=2, norm="forward")
+        return self._samples()
 
 
 class NSectionField(_FiberSection):
@@ -196,43 +253,81 @@ class NSectionField(_FiberSection):
 
     @property
     def coeffs(self) -> np.ndarray:
-        return np.fft.ifft(self.modes, axis=2, norm="forward")
+        return self._samples()
 
 
 def inner(a, b) -> complex:
     """L^2 inner product under the fiberwise Hermitian metric and the
-    sphere-bundle quadrature weights, by Parseval on the fiber."""
-    prod = np.sum(a.modes * np.conj(b.modes), axis=-1)
+    sphere-bundle quadrature weights, by Parseval on the fiber: only the
+    frequencies both bands hold contribute."""
+    lo = max(a.k_lo, b.k_lo)
+    hi = min(a.k_lo + a.modes.shape[2], b.k_lo + b.modes.shape[2])
+    if hi <= lo:
+        return 0j
+    prod = np.sum(a.modes[:, :, lo - a.k_lo:hi - a.k_lo]
+                  * np.conj(b.modes[:, :, lo - b.k_lo:hi - b.k_lo]), axis=-1)
     w = a.grid.node_weight[:, :, None] * a.grid.n_theta
     return complex(np.sum(prod * w))
 
 
+def _gather(parts, grid: SphereBundleGrid) -> tuple[np.ndarray, int]:
+    """Sum of the bands (k_lo, modes) on the smallest band holding them
+    all, and its lowest frequency.  Bands reaching past the grid's
+    frequencies wrap cyclically onto the full axis, as multiplication by
+    e^{+-i theta} does on the theta samples (Nyquist mode included)."""
+    n = grid.n_theta
+    lo, hi = _freq_range(n)
+    k_lo = min(k for k, _ in parts)
+    k_hi = max(k + modes.shape[2] - 1 for k, modes in parts)
+    if k_lo < lo or k_hi > hi:
+        k_lo, k_hi = lo, hi
+    shape = parts[0][1].shape
+    total = np.zeros(shape[:2] + (k_hi - k_lo + 1,) + shape[3:],
+                     dtype=complex)
+    for k, modes in parts:     # one part holds no slot twice
+        total[:, :, (np.arange(k, k + modes.shape[2]) - k_lo) % n] += modes
+    return total, k_lo
+
+
+def _sum(*terms):
+    """sum of c * section over the (c, section) pairs, as the type of the
+    first."""
+    first = terms[0][1]
+    modes, k_lo = _gather([(sec.k_lo, c * sec.modes) for c, sec in terms],
+                          first.grid)
+    return type(first)._from_modes(modes, first.grid, k_lo)
+
+
 def lift_from_base(f, grid: SphereBundleGrid, rank: Optional[int] = None
                    ) -> SectionField:
-    """Constant-in-theta section from a base field x -> C^d."""
+    """Constant-in-theta section from a base field x -> C^d: the band {0}."""
     if callable(f):
         masked = f(grid.points[grid.mask])
         d = rank or np.asarray(masked).shape[-1]
         vals = np.zeros((grid.nx, grid.ny, d), dtype=complex)
         vals[grid.mask] = masked
     else:
-        vals = np.asarray(f, dtype=complex)
+        vals = np.array(f, dtype=complex)
     if not np.all(np.isfinite(vals)):
         raise DomainError("section contains non-finite entries")
-    modes = np.zeros((grid.nx, grid.ny, grid.n_theta, vals.shape[-1]),
-                     dtype=complex)
-    modes[:, :, 0] = vals
-    return SectionField._from_modes(modes, grid)
+    return SectionField._from_modes(vals[:, :, None], grid, 0)
 
 
-def _raise_lower(v: np.ndarray, grid: SphereBundleGrid,
+def _raise_lower(v: np.ndarray, k_lo: int, grid: SphereBundleGrid,
                  conn: Optional[ConnectionField], phase: complex,
-                 scale: np.ndarray, target_k: bool = False) -> np.ndarray:
+                 scale: np.ndarray, target_k: bool = False
+                 ) -> tuple[np.ndarray, int]:
     """scale (phase E_+ v one mode up + conj(phase) E_- v one mode down),
     E_+ = d - k d Phi + A_+, E_- = dbar + k dbar Phi + A_-, with k the
     frequency of the source mode or, for target_k, of the mode landed in.
+    The band k_lo .. k_hi of v goes to k_lo - 1 .. k_hi + 1, wrapped.
     Turning the direction by +90 degrees multiplies e^{+-i theta} by +-i:
     phase i turns X into the horizontal derivative."""
+    width = v.shape[2]
+    lo = _freq_range(grid.n_theta)[0]
+    # frequencies of the result band, each as the mode it lands in
+    ks = (np.arange(k_lo - 1, k_lo + width + 1) - lo) % grid.n_theta + lo
+    k_plus, k_minus = (ks[2:], ks[:-2]) if target_k else (ks[1:-1],) * 2
     e1 = grid.dx(v, 0)
     e2 = grid.dx(v, 1)
     if conn is not None:
@@ -244,15 +339,12 @@ def _raise_lower(v: np.ndarray, grid: SphereBundleGrid,
     minus = e1
     minus += e2                      # 2 (dbar + A_-) v
     dphi = grid.grad_phi[:, :, 0] - 1j * grid.grad_phi[:, :, 1]
-    k_plus, k_minus = (np.roll(grid.k, -1), np.roll(grid.k, 1)) \
-        if target_k else (grid.k, grid.k)
     plus -= (dphi[:, :, None] * k_plus)[..., None] * v
     minus += (np.conj(dphi)[:, :, None] * k_minus)[..., None] * v
     half = 0.5 * scale[:, :, None, None]
     plus *= phase * half
     minus *= np.conj(phase) * half
-    plus += np.roll(minus, -2, axis=2)    # result mode j + 1, at slot j
-    return np.roll(plus, 1, axis=2)
+    return _gather([(k_lo + 1, plus), (k_lo - 1, minus)], grid)
 
 
 def apply_X(u, conn: Optional[ConnectionField] = None):
@@ -261,25 +353,27 @@ def apply_X(u, conn: Optional[ConnectionField] = None):
     On normal-bundle coefficients the formula is unchanged because the
     rotated direction is parallel along geodesics on a surface.
     """
-    modes = _raise_lower(u.modes, u.grid, conn, 1.0, u.grid.e_mphi)
-    return type(u)._from_modes(modes, u.grid)
+    modes, k_lo = _raise_lower(u.modes, u.k_lo, u.grid, conn, 1.0,
+                               u.grid.e_mphi)
+    return type(u)._from_modes(modes, u.grid, k_lo)
 
 
 def vertical_derivative(u: SectionField) -> NSectionField:
-    ik = 1j * u.grid.k[None, None, :, None]
-    return NSectionField._from_modes(ik * u.modes, u.grid)
+    ik = 1j * u.k[None, None, :, None]
+    return NSectionField._from_modes(ik * u.modes, u.grid, u.k_lo)
 
 
 def vertical_divergence(w: NSectionField) -> SectionField:
-    ik = 1j * w.grid.k[None, None, :, None]
-    return SectionField._from_modes(ik * w.modes, w.grid)
+    ik = 1j * w.k[None, None, :, None]
+    return SectionField._from_modes(ik * w.modes, w.grid, w.k_lo)
 
 
 def horizontal_derivative(u: SectionField,
                           conn: Optional[ConnectionField] = None
                           ) -> NSectionField:
-    modes = _raise_lower(u.modes, u.grid, conn, 1j, u.grid.e_mphi)
-    return NSectionField._from_modes(modes, u.grid)
+    modes, k_lo = _raise_lower(u.modes, u.k_lo, u.grid, conn, 1j,
+                               u.grid.e_mphi)
+    return NSectionField._from_modes(modes, u.grid, k_lo)
 
 
 def horizontal_divergence(w: NSectionField,
@@ -292,14 +386,15 @@ def horizontal_divergence(w: NSectionField,
     grid = w.grid
     v = (grid.e_mphi * grid.sqrt_det_g)[:, :, None, None] * w.modes
     # 1 / sqrt(det g) = e^{-2 Phi}, zero off the mask
-    modes = _raise_lower(v, grid, conn, 1j, grid.e_mphi ** 2, target_k=True)
-    return SectionField._from_modes(modes, grid)
+    modes, k_lo = _raise_lower(v, w.k_lo, grid, conn, 1j, grid.e_mphi ** 2,
+                               target_k=True)
+    return SectionField._from_modes(modes, grid, k_lo)
 
 
 def curvature_R(w: NSectionField) -> NSectionField:
     """Metric curvature operator: multiplication by the Gauss curvature."""
     return NSectionField._from_modes(
-        w.grid.gauss[:, :, None, None] * w.modes, w.grid)
+        w.grid.gauss[:, :, None, None] * w.modes, w.grid, w.k_lo)
 
 
 def curvature_F(u: SectionField, conn: ConnectionField) -> NSectionField:
@@ -307,21 +402,28 @@ def curvature_F(u: SectionField, conn: ConnectionField) -> NSectionField:
     grid = u.grid
     coeff = np.einsum("abkl,abtl->abtk", grid.curvature(conn), u.modes) \
         * (grid.e_mphi ** 2)[:, :, None, None]
-    return NSectionField._from_modes(coeff, grid)
+    return NSectionField._from_modes(coeff, grid, u.k_lo)
 
 
 def vertical_laplacian(u: SectionField) -> SectionField:
-    k2 = (u.grid.k ** 2)[None, None, :, None]
-    return SectionField._from_modes(k2 * u.modes, u.grid)
+    k2 = (u.k ** 2)[None, None, :, None]
+    return SectionField._from_modes(k2 * u.modes, u.grid, u.k_lo)
 
 
 def _mode(u, m: int):
-    """The |k| = m part of u; nothing for m < 0."""
+    """The |k| = m part of u, on the band from -m to m that u holds of
+    it; an empty band when u holds neither (and for m < 0)."""
     n_theta = u.grid.n_theta
     if m >= n_theta // 2:
         raise DomainError(f"mode {m} aliases on a {n_theta}-point fiber grid")
-    keep = (np.abs(u.grid.k) == m)[None, None, :, None]
-    return type(u)._from_modes(np.where(keep, u.modes, 0.0), u.grid)
+    k = u.k
+    hit = np.nonzero(np.abs(k) == m)[0]
+    if not hit.size:
+        return type(u)._from_modes(u.modes[:, :, :0], u.grid, u.k_lo)
+    band = slice(hit[0], hit[-1] + 1)
+    keep = (np.abs(k[band]) == m)[None, None, :, None]
+    return type(u)._from_modes(np.where(keep, u.modes[:, :, band], 0.0),
+                               u.grid, int(k[hit[0]]))
 
 
 def fourier_modes(u: SectionField, m_max: int) -> list[SectionField]:
@@ -330,7 +432,8 @@ def fourier_modes(u: SectionField, m_max: int) -> list[SectionField]:
 
 
 def mode_energies(u: SectionField, m_max: int) -> np.ndarray:
-    """Squared L^2 norms of the Fourier modes, by Parseval on the fiber."""
+    """Squared L^2 norms of the Fourier modes, by Parseval on the fiber;
+    exactly 0 for the modes outside the band."""
     grid = u.grid
     if m_max >= grid.n_theta // 2:
         raise DomainError(
@@ -338,7 +441,7 @@ def mode_energies(u: SectionField, m_max: int) -> np.ndarray:
     bin_energy = np.sum(np.abs(u.modes) ** 2, axis=-1)      # (nx, ny, k)
     w = grid.node_weight[:, :, None] * grid.n_theta
     per_bin = np.sum(bin_energy * w, axis=(0, 1))
-    k = np.abs(grid.k)
+    k = np.abs(u.k)
     return np.array([per_bin[k == m].sum() for m in range(m_max + 1)])
 
 
@@ -390,32 +493,30 @@ def commutator_residuals(conn: Optional[ConnectionField],
                          w: NSectionField) -> CommutatorReport:
     """Relative L^2 residuals of the four structure identities on test
     sections (u for the first three, w for the last)."""
-    def norm(modes):
-        return NSectionField._from_modes(modes, u.grid).norm()
-
     xu = apply_X(u, conn)
     vgrad_u = vertical_derivative(u)
     hgrad_u = horizontal_derivative(u, conn)
 
-    res1 = apply_X(vgrad_u, conn).modes - vertical_derivative(xu).modes \
-        + hgrad_u.modes
-    r1 = norm(res1) / max(hgrad_u.norm(), 1e-300)
+    res1 = _sum((1, apply_X(vgrad_u, conn)), (-1, vertical_derivative(xu)),
+                (1, hgrad_u))
+    r1 = res1.norm() / max(hgrad_u.norm(), 1e-300)
 
-    lhs2 = apply_X(hgrad_u, conn).modes \
-        - horizontal_derivative(xu, conn).modes
-    rhs2 = curvature_R(vgrad_u).modes
+    lhs2 = _sum((1, apply_X(hgrad_u, conn)),
+                (-1, horizontal_derivative(xu, conn)))
+    rhs2 = curvature_R(vgrad_u)
     if conn is not None:
-        rhs2 = rhs2 + curvature_F(u, conn).modes
-    r2 = norm(lhs2 - rhs2) / max(norm(rhs2), norm(lhs2), 1e-300)
+        rhs2 = _sum((1, rhs2), (1, curvature_F(u, conn)))
+    r2 = _sum((1, lhs2), (-1, rhs2)).norm() \
+        / max(rhs2.norm(), lhs2.norm(), 1e-300)
 
-    res3 = horizontal_divergence(vgrad_u, conn).modes \
-        - vertical_divergence(hgrad_u).modes - xu.modes
-    r3 = norm(res3) / max(xu.norm(), 1e-300)
+    res3 = _sum((1, horizontal_divergence(vgrad_u, conn)),
+                (-1, vertical_divergence(hgrad_u)), (-1, xu))
+    r3 = res3.norm() / max(xu.norm(), 1e-300)
 
     hdiv_w = horizontal_divergence(w, conn)
-    res4 = apply_X(vertical_divergence(w), conn).modes \
-        - vertical_divergence(apply_X(w, conn)).modes + hdiv_w.modes
-    r4 = norm(res4) / max(hdiv_w.norm(), 1e-300)
+    res4 = _sum((1, apply_X(vertical_divergence(w), conn)),
+                (-1, vertical_divergence(apply_X(w, conn))), (1, hdiv_w))
+    r4 = res4.norm() / max(hdiv_w.norm(), 1e-300)
 
     return CommutatorReport(vertical=float(r1), horizontal=float(r2),
                             divergence=float(r3), vertical_div=float(r4))

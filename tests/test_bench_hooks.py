@@ -1,9 +1,11 @@
-"""The benchmark tracer's hooks still fit the library.
+"""The benchmark tracer's hooks and workloads still fit the library.
 
 ``bench/spans.py`` wraps public ahxray names where their callers look them
 up; a rename in the library would break ``bench/run.py --trace 1`` without
-failing any library test.  This test installs the tracer, runs a toy
-reconstruction under it, and checks the counters and the uninstall.
+failing any library test.  These tests install the tracer, run a toy
+reconstruction and toy Pestov checks under it, and check the counters and
+the uninstall; the toy ``pestov_grid`` workload of ``bench/workloads.py``
+runs its set-up, solve and acceptance gates.
 """
 
 import sys
@@ -14,6 +16,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 
 import spans  # noqa: E402
+import workloads  # noqa: E402
 
 import ahxray.config as config  # noqa: E402
 import ahxray.reconstruct as reconstruct  # noqa: E402
@@ -88,16 +91,12 @@ def test_tracer_counts_forward_solves_and_uninstalls():
             assert after[name] is value, f"{owner!r}.{name} not restored"
 
 
-def test_tracer_records_sphere_bundle_operators_and_uninstalls():
-    # the pestov_grid workload calls pestov_residual, whose operators the
-    # tracer wraps as module globals of ahxray.spherebundle
-    from test_spherebundle import bump_section
+def _trace_pestov(u):
+    """Run pestov_residual on u under the tracer and check its spans,
+    counters and uninstall."""
     from test_bundle import random_connection
 
-    grid = spherebundle.SphereBundleGrid(AHModel(), nx=24, n_theta=16)
     conn = random_connection(np.random.default_rng(3), scale=0.3)
-    u = bump_section(grid, m=1, d=2, vec=[0.8, 0.6j], radius=0.5)
-
     before = dict(vars(spherebundle))
     tracer = spans.Tracer()
     tracer.install()
@@ -122,3 +121,39 @@ def test_tracer_records_sphere_bundle_operators_and_uninstalls():
     assert after.keys() == before.keys()
     for name, value in before.items():
         assert after[name] is value, f"spherebundle.{name} not restored"
+
+
+def test_tracer_records_sphere_bundle_operators_and_uninstalls():
+    # the pestov_grid workload calls pestov_residual, whose operators the
+    # tracer wraps as module globals of ahxray.spherebundle; here on a
+    # full-band section from theta samples
+    from test_spherebundle import bump_section
+
+    grid = spherebundle.SphereBundleGrid(AHModel(), nx=24, n_theta=16)
+    _trace_pestov(bump_section(grid, m=1, d=2, vec=[0.8, 0.6j], radius=0.5))
+
+
+def test_tracer_records_narrow_band_config_section():
+    # the section the pestov_grid workload traces: the band {1} that
+    # ExperimentConfig.build_section makes
+    grid = spherebundle.SphereBundleGrid(AHModel(), nx=24, n_theta=16)
+    cfg = config.ExperimentConfig.from_text(
+        "[experiment]\nseed = 3\n[section]\nmode = 1\nradius = 0.5\n"
+        "vector = 0.8,0,0,0.6\n")
+    u = cfg.build_section(grid, 2)
+    assert (u.k_lo, u.modes.shape[2]) == (1, 1)
+    _trace_pestov(u)
+
+
+def test_toy_pestov_grid_workload_passes_its_gates(tmp_path):
+    # the set-up, solve and acceptance gates bench/run.py times, at the
+    # toy size bench/selftest.py uses
+    wl = workloads.PestovGrid(workloads.DEFAULT_SEED, toy=True)
+    state = wl.setup()
+    out = wl.solve(state, tmp_path / "pestov.json")
+    gates = wl.check(state, out)
+    assert gates and all(ok for _, ok in gates), gates
+    assert (tmp_path / "pestov.json").read_text() == out.text
+    levels = out.data["levels"]
+    assert [lv["ntheta"] for lv in levels] == [wl.size["ntheta"]] * len(levels)
+    assert np.all(np.isfinite(wl.ref_errors(state, out)))

@@ -1,5 +1,6 @@
 """Config parsing and command-line interface tests."""
 
+import argparse
 import json
 import math
 import re
@@ -8,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ahxray.cli import main
+from ahxray.cli import build_parser, main
 from ahxray.config import ExperimentConfig
 from ahxray.errors import ConfigError
 from ahxray.reconstruct import ReconstructionConfig
@@ -481,6 +482,22 @@ class TestValueContracts:
         assert code == 2
         assert re.search(rf"key '[^']*\b{key}'", err), err
 
+    @pytest.mark.parametrize("command", ["pestov", "fourier"])
+    @pytest.mark.parametrize("mode", [16, 40, -16])
+    def test_section_mode_beyond_fiber_grid(self, tmp_path, capsys, command,
+                                            mode):
+        # ntheta = 32 holds |mode| <= 15; mode 40 used to alias to 8 and
+        # mode 16 to the Nyquist mode without a word
+        code, err = self._run(tmp_path, capsys, "base", "mode = 1\n",
+                              f"mode = {mode}\n", command)
+        assert code == 2
+        assert "section [section], key 'mode'" in err
+
+    def test_section_mode_at_fiber_grid_limit(self, tmp_path, capsys):
+        code, _ = self._run(tmp_path, capsys, "base", "mode = 1\n",
+                            "mode = -15\n", "pestov")
+        assert code == 0
+
     @pytest.mark.parametrize("old,new,key", [
         ("n_steps = 1024", "n_steps = 0", "n_steps"),
         ("n_steps = 1024", "n_steps = -8", "n_steps"),
@@ -530,6 +547,24 @@ class TestValueContracts:
                               "reconstruct")
         assert code == 2
         assert "basis.0" in err
+
+    def test_readme_command_block_matches_parser(self):
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        block = readme.read_text().split("## Command line\n\n```\n")[1] \
+            .split("```")[0]
+        documented, command = {}, None
+        for line in block.splitlines():
+            if line.startswith("ahxray "):
+                command = line.split()[1]
+                documented[command] = set()
+            documented[command] |= set(re.findall(r"--[a-z-]+", line))
+        subparsers = next(a for a in build_parser()._actions
+                          if isinstance(a, argparse._SubParsersAction))
+        parsed = {name: {flag for action in sub._actions
+                         for flag in action.option_strings
+                         if flag.startswith("--") and flag != "--help"}
+                  for name, sub in subparsers.choices.items()}
+        assert documented == parsed
 
     def test_readme_configuration_block_parses(self):
         readme = Path(__file__).resolve().parents[1] / "README.md"

@@ -12,7 +12,15 @@
   velocity and their partials, Higgs fields, gauges and their partials,
   the reconstruction basis) equals the sum of its terms taken one at a
   time, for ranks 1-3, 0-4 terms and decay 0-4; no terms is the zero
-  field, and the identity gauge.
+  field, and the identity gauge;
+- every reconstruction iterate ``higgs(c)``, which is built without the
+  construction-time field checks, passes them: skew-Hermitian and decaying
+  like rho^(N+1);
+- every sphere-bundle operator and functional on a section held as a band
+  of fiber modes equals the same on the full-axis section with the same
+  theta samples, for random bands at even and odd n_theta, bands that
+  reach the ends of the frequency axis (where the mode shift wraps) and
+  the full band.
 """
 
 import numpy as np
@@ -20,12 +28,14 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import expm
 
+import ahxray.spherebundle as sb
 from ahxray._linalg import mul, unitary_defect
 from ahxray.bundle import (ConnectionField, GaugeField, GaussBump,
-                           HiggsFieldData, SeparableTerm)
+                           HiggsFieldData, SeparableTerm, _check_skew,
+                           validation_points)
 from ahxray.geometry import AHModel
 from ahxray.reconstruct import HiggsParameterization
 from ahxray.transport import _ROWS, _segments, batch_scattering
@@ -161,3 +171,104 @@ def test_separable_fields_are_their_term_sums(rank, dirs, decay, seed):
     close(params.combine(params.weights(x), c),
           _term_sum([(ck * g, b) for ck, (g, b) in zip(c, terms)], rank,
                     decay, x))
+
+
+@settings(max_examples=40, deadline=None)
+@given(rank=st.integers(1, 3), count=st.integers(1, 4),
+       decay=st.integers(0, 4), scale=st.floats(1e-3, 1e2),
+       seed=st.integers(0, 2**32 - 1))
+def test_reconstruction_iterates_pass_the_higgs_checks(rank, count, decay,
+                                                       scale, seed):
+    rng = np.random.default_rng(seed)
+    centers = rng.uniform(-0.5, 0.5, size=(count, 2))
+    basis = [(random_skew(rng, rank),
+              GaussBump(center=tuple(c), sigma=rng.uniform(0.2, 0.5)))
+             for c in centers]
+    params = HiggsParameterization(rank=rank, basis=basis, decay_N1=decay)
+    pts = validation_points()
+    vals = params.higgs(scale * rng.normal(size=count)).phi(pts)
+    _check_skew(vals, "Higgs field")
+    ConnectionField._check_decay(vals, pts, decay, "Higgs field")
+
+
+_BAND_GRIDS = {}
+
+
+def _band_grid(n_theta):
+    if n_theta not in _BAND_GRIDS:
+        _BAND_GRIDS[n_theta] = sb.SphereBundleGrid(AHModel(), nx=12,
+                                                   n_theta=n_theta)
+    return _BAND_GRIDS[n_theta]
+
+
+@settings(max_examples=60, deadline=None)
+@given(n_theta=st.sampled_from([8, 9, 12, 15, 16]),
+       width=st.integers(1, 16), shift=st.integers(0, 15),
+       rank=st.integers(1, 2), with_conn=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+@example(n_theta=16, width=3, shift=0, rank=2, with_conn=True, seed=1)
+@example(n_theta=15, width=2, shift=13, rank=2, with_conn=True, seed=2)
+@example(n_theta=16, width=16, shift=0, rank=1, with_conn=True, seed=3)
+@example(n_theta=9, width=9, shift=0, rank=2, with_conn=False, seed=4)
+@example(n_theta=9, width=1, shift=0, rank=1, with_conn=False, seed=0)
+@example(n_theta=15, width=1, shift=7, rank=1, with_conn=False, seed=0)
+def test_band_operators_equal_full_axis_operators(n_theta, width, shift,
+                                                  rank, with_conn, seed):
+    # the band k_lo .. k_lo + width - 1 inside -(n // 2) .. (n - 1) // 2;
+    # shift 0 touches the low end, the largest shift the high end
+    grid = _band_grid(n_theta)
+    width = min(width, n_theta)
+    k_lo = -(n_theta // 2) + shift % (n_theta - width + 1)
+    rng = np.random.default_rng(seed)
+    conn = random_connection(rng, rank) if with_conn else None
+    modes = _complex(rng, (grid.nx, grid.ny, width, rank))
+    u = sb.SectionField.from_modes(modes, grid, k_lo)
+    w = sb.NSectionField.from_modes(modes[..., ::-1], grid, k_lo)
+    u_full = sb.SectionField(u.values, grid)
+    w_full = sb.NSectionField(w.coeffs, grid)
+    assert u_full.modes.shape[2] == n_theta
+
+    # relative to the operand too: where the exact result vanishes (d_theta
+    # of mode 0, say), the full axis gives rounding noise of the operand
+    size = np.max(np.abs(u.values))
+
+    def same(a, b):
+        ref = b._samples()
+        assert np.max(np.abs(a._samples() - ref)) \
+            <= 1e-12 * max(np.max(np.abs(ref)), size)
+
+    def close(a, b, scale):
+        assert abs(a - b) <= 1e-12 * max(scale, 1e-300)
+
+    same(u, u_full)
+    for op in (sb.vertical_derivative, sb.vertical_laplacian,
+               lambda s: sb.apply_X(s, conn),
+               lambda s: sb.horizontal_derivative(s, conn)):
+        same(op(u), op(u_full))
+    for op in (sb.vertical_divergence, sb.curvature_R,
+               lambda s: sb.apply_X(s, conn),
+               lambda s: sb.horizontal_divergence(s, conn)):
+        same(op(w), op(w_full))
+    if conn is not None:
+        same(sb.curvature_F(u, conn), sb.curvature_F(u_full, conn))
+    xu, xu_full = sb.apply_X(u, conn), sb.apply_X(u_full, conn)
+    # rounding of an inner product scales with the norms of its operands
+    close(sb.inner(xu, u), sb.inner(xu_full, u_full),
+          xu_full.norm() * u_full.norm())
+    close(xu.norm(), xu_full.norm(), xu_full.norm())
+    m_max = n_theta // 2 - 1
+    energies = sb.mode_energies(xu, m_max)
+    assert np.max(np.abs(energies - sb.mode_energies(xu_full, m_max))) \
+        <= 1e-12 * np.max(energies)
+    assert sb.degree(u) == sb.degree(u_full)
+
+    # a section concentrated in mode +-m, for the split of X
+    m = shift % max(n_theta // 2 - 1, 1)
+    one = sb.SectionField.from_modes(modes[:, :, :1], grid,
+                                     -m if seed % 2 else m)
+    one_full = sb.SectionField(one.values, grid)
+    for part, part_full in zip(sb.x_split(one, m, conn)[:2],
+                               sb.x_split(one_full, m, conn)[:2]):
+        same(part, part_full)
+    assert abs(sb.x_split(one, m, conn)[2]
+               - sb.x_split(one_full, m, conn)[2]) <= 1e-12

@@ -278,6 +278,10 @@ class TestValidation:
             HiggsParameterization(rank=2, basis=[(gen, bump), (gen, bump)],
                                   decay_N1=4)
 
+    def test_empty_basis_named(self):
+        with pytest.raises(DomainError, match="basis is empty"):
+            HiggsParameterization(rank=2, basis=[], decay_N1=4)
+
     @pytest.mark.parametrize("openings, rho_cut", [(2, 1e-6), (4, 1e-4)])
     def test_dataset_from_another_fan_refused(self, disk, openings, rho_cut):
         params = su2_basis(count=2)

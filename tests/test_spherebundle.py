@@ -27,7 +27,7 @@ from ahxray.spherebundle import (NSectionField, SectionField,
                                  lift_from_base, mode_energies,
                                  pestov_residual, vertical_derivative,
                                  vertical_divergence, vertical_laplacian,
-                                 x_split)
+                                 x_split, _mode)
 from test_bundle import random_connection
 
 
@@ -418,6 +418,51 @@ class TestSectionChecks:
             NSectionField(coeffs, grid, compact_support=True)
 
 
+class TestBands:
+    def test_from_modes_checks(self, grid):
+        # n_theta = 32 holds the frequencies -16 .. 15
+        modes = np.ones((grid.nx, grid.ny, 2, 1), dtype=complex)
+        u = SectionField.from_modes(modes, grid, k_lo=14)
+        assert list(u.k) == [14, 15]
+        assert NSectionField.from_modes(modes, grid, k_lo=-16).k_lo == -16
+        for k_lo in (15, -17):
+            with pytest.raises(DomainError):
+                SectionField.from_modes(modes, grid, k_lo=k_lo)
+        bad = modes.copy()
+        bad[grid.nx // 2, grid.ny // 2, 1, 0] = np.nan
+        with pytest.raises(DomainError):
+            SectionField.from_modes(bad, grid, k_lo=0)
+        with pytest.raises(DomainError):
+            NSectionField.from_modes(modes, grid, k_lo=0,
+                                     compact_support=True)
+        with pytest.raises(DomainError):
+            SectionField.from_modes(modes[1:], grid, k_lo=0)
+
+    def test_band_of_each_operator(self, grid):
+        u = lift_from_base(np.full((grid.nx, grid.ny, 1), 1.0 + 0j), grid)
+        assert (u.k_lo, u.modes.shape[2]) == (0, 1)
+        xu = apply_X(u)
+        assert (xu.k_lo, xu.modes.shape[2]) == (-1, 3)
+        assert np.all(xu.modes[:, :, 1] == 0.0)
+        for op in (vertical_derivative, vertical_laplacian):
+            assert op(xu).k_lo == -1 and op(xu).modes.shape[2] == 3
+        # a band reaching -16 wraps onto the full axis
+        edge = SectionField.from_modes(
+            bump_section(grid, m=1).modes[:, :, 17:18], grid, k_lo=-16)
+        assert np.max(np.abs(edge.values)) > 0.0
+        x_edge = apply_X(edge)
+        assert (x_edge.k_lo, x_edge.modes.shape[2]) == (-16, 32)
+        assert np.max(np.abs(x_edge.modes[:, :, 31])) > 0.0   # k = 15
+
+    def test_samples_round_trip(self, grid):
+        u = bump_section(grid, m=2, d=2, vec=[1.0, 0.5j])
+        assert u.modes.shape[2] == grid.n_theta
+        assert u.k_lo == -(grid.n_theta // 2)
+        narrow = _mode(u, 2)
+        assert (narrow.k_lo, narrow.modes.shape[2]) == (-2, 5)
+        assert np.max(np.abs(narrow.values - u.values)) < 1e-14
+
+
 # -- theta-grid reference ---------------------------------------------------
 # The operators as they read on theta samples: multiplication by cos and sin
 # of the direction angle, with the spectral fiber derivative.  The section
@@ -481,7 +526,7 @@ class TestThetaGridOracle:
         vals = rng.normal(size=shape) + 1j * rng.normal(size=shape)
         u = SectionField(vals, grid)
         w = NSectionField(vals, grid)
-        assert np.max(np.abs(u.modes[:, :, n_theta // 2])) > 0.1
+        assert np.max(np.abs(u.modes[:, :, u.k == -(n_theta // 2)])) > 0.1
 
         def rel(got, ref):
             return np.max(np.abs(got - ref)) / np.max(np.abs(ref))
