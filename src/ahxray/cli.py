@@ -119,7 +119,7 @@ def cmd_fourier(args) -> int:
     model, conn, _ = cfg.build_pair()
     grid = cfg.build_grid(model, override=_parse_grid(args.grid))
     u = cfg.build_section(grid, conn.rank)
-    m_max = min(grid.max_exact_degree, 12)
+    m_max = max(min(grid.max_exact_degree, 12), int(np.max(np.abs(u.k))))
     energies = mode_energies(u, m_max)
     lines = ["mode,energy"]
     for m, e in enumerate(energies):

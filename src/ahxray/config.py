@@ -147,7 +147,7 @@ _KNOWN_KEYS = {
     "experiment": {"seed"},
     "model": {"kind", "bump_center", "bump_radius", "bump_amplitude",
               "epsilon0"},
-    "transport": {"rho_cut", "rtol", "atol", "n_steps"},
+    "transport": {"rho_cut", "n_steps"},
     "connection": {"rank", "decay", "term.N"},
     "higgs": {"rank", "decay", "term.N"},
     "gauge": {"decay", "term.N"},
@@ -301,8 +301,7 @@ class ExperimentConfig:
 
     def build_transport(self, rho_cut: Optional[float] = None
                         ) -> TransportConfig:
-        kwargs = self._given("transport", rho_cut=float, rtol=float,
-                             atol=float, n_steps=int)
+        kwargs = self._given("transport", rho_cut=float, n_steps=int)
         if rho_cut is not None:
             kwargs["rho_cut"] = rho_cut
         return TransportConfig(**kwargs)

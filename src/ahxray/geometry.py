@@ -6,19 +6,28 @@ multiply the metric by exp(2*psi) where psi is a compactly supported radial
 bump kept away from the boundary, so rho and the fiber-angle calculus of the
 sphere bundle are unchanged.
 
-Complete geodesics are integrated until rho drops below a truncation level
-rho_cut; boundary data (limit angle and tangential covector component) are
-extrapolated from the last samples.  For the unperturbed disk, geodesics are
-also available in closed form through Mobius transformations, which the rest
-of the package uses both as a fast path and as an independent oracle.
+For the unperturbed disk, geodesics are available in closed form through
+Mobius transformations, which the rest of the package uses both as a fast
+path and as an independent oracle.  Outside the bump's Euclidean ball the
+metric is exactly the Poincare metric, so a ray shot from a boundary datum
+is made of pieces: the closed-form disk geodesic up to the ball, a
+fixed-step RK4 crossing of the ball, and the closed-form disk geodesic
+through the state that leaves it, which gives the exit datum (limit angle
+and tangential covector component) in closed form.  A ray that misses the
+ball is one disk geodesic.  The geodesic through an interior phase point
+(``integrate_geodesic``) is integrated both ways by adaptive RK45 until rho
+drops below the truncation level rho_cut, and its boundary data are
+extrapolated from the last samples.
 """
 
 from __future__ import annotations
 
+import cmath
+import copy
 import csv
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Optional
 
@@ -273,18 +282,43 @@ class PhasePoint:
 
 @dataclass
 class IntegratorConfig:
-    """Adaptive Runge-Kutta settings for geodesic integration.
+    """Geodesic integration settings.
 
-    atol defaults well below rtol: velocity components shrink to O(rho_cut)
+    rtol and atol drive the adaptive RK45 of ``integrate_geodesic``; atol
+    defaults well below rtol: velocity components shrink to O(rho_cut)
     near the boundary, and a loose absolute floor there turns into large
     relative errors amplified along the unstable escape direction.
+    A shot ray crosses the bump by classic RK4 at the step (span of its
+    incoming disk geodesic between the rho_cut points) / n_steps, the step
+    the fixed-step transport backend takes on a whole ray.
     """
 
     rho_cut: float = 1e-6
     rtol: float = 1e-10
     atol: float = 1e-14
-    max_span: float = 80.0   # time budget per direction before "trapped"
+    # time budget before "trapped": per direction of an integrated
+    # geodesic, and for the bump crossing of a shot ray
+    max_span: float = 80.0
     sample_dt: float = 0.05
+    n_steps: int = 2048
+
+
+@dataclass(frozen=True)
+class ShotPieces:
+    """A shot ray that crosses the bump's ball, in three pieces.
+
+    ``incoming`` and ``outgoing`` are closed-form disk geodesics, each
+    spanning its piece in its own time (the outgoing piece starts at 0, at
+    the state that leaves the ball).  Between them the ray is marched by
+    classic RK4 at step h; ``stages[k, s]`` holds the position and
+    velocity (axis -2: x, v) at stage s of step k, shape (n, 4, 2, 2),
+    which are where the transport of the same step evaluates its fields.
+    """
+
+    incoming: "DiskGeodesic"
+    h: float
+    stages: np.ndarray
+    outgoing: "DiskGeodesic"
 
 
 @dataclass
@@ -299,6 +333,7 @@ class GeodesicPath:
     rho_cut: float
     model: AHModel
     analytic: Optional["DiskGeodesic"] = field(default=None, repr=False)
+    pieces: Optional[ShotPieces] = field(default=None, repr=False)
 
     def unit_speed_defect(self) -> float:
         return float(np.max(np.abs(self.model.speed(self.x, self.v) - 1.0)))
@@ -308,6 +343,9 @@ class GeodesicPath:
         return PhasePoint(self.model, self.x[i], self.v[i])
 
     def reversed(self) -> "GeodesicPath":
+        """The same path run backwards; a shot ray's pieces are dropped
+        (an RK4 march run backwards is not the reversed march), so it is
+        read through its samples."""
         rev_analytic = self.analytic.reversed() if self.analytic else None
         return GeodesicPath(
             t=-self.t[::-1], x=self.x[::-1].copy(), v=-self.v[::-1],
@@ -468,7 +506,14 @@ class DiskGeodesic:
         return geo
 
     def reversed(self) -> "DiskGeodesic":
-        return DiskGeodesic(self.model, self.w, -self.p, self.rho_cut)
+        return DiskGeodesic(self.model, self.w, -self.p, self.rho_cut).span(
+            -self.t_exit, -self.t_entry)
+
+    def span(self, t_entry: float, t_exit: float) -> "DiskGeodesic":
+        """A copy truncated at the given times instead of at rho_cut."""
+        geo = copy.copy(self)
+        geo.t_entry, geo.t_exit = t_entry, t_exit
+        return geo
 
     # -- evaluation -------------------------------------------------------
 
@@ -517,6 +562,33 @@ class DiskGeodesic:
         gamma = self.rho_cut * abs(1.0 + a) ** 2
         zeta = gamma / (beta + math.sqrt(beta * beta - alpha * gamma))
         return math.log((2.0 - zeta) / zeta)
+
+    def ball_crossing(self, center, radius: float
+                      ) -> Optional[tuple[float, float]]:
+        """Times at which the geodesic enters and leaves the Euclidean ball
+        |x - center| < radius, or None when it meets the ball in at most
+        one point.
+
+        |gamma - c|^2 = r^2 with gamma = num / den is
+        |num - c den|^2 = r^2 |den|^2, a real quadratic
+        A z^2 + 2 B z + C = 0 in z = tanh(t/2).  For a ball inside the unit
+        disk A > 0 and the real roots lie in (-1, 1); they are taken in
+        cancellation-free form.
+        """
+        c = complex(center[0], center[1])
+        e = self.w.conjugate() * self.p          # den = 1 + e z
+        a = self.p - c * e                       # num - c den = a z + b
+        b = self.w - c
+        r2 = radius * radius
+        qa = abs(a) ** 2 - r2 * abs(e) ** 2
+        qb = (a * b.conjugate()).real - r2 * e.real
+        qc = abs(b) ** 2 - r2
+        disc = qb * qb - qa * qc
+        if disc <= 0.0:
+            return None
+        q = -(qb + math.copysign(math.sqrt(disc), qb))
+        z_in, z_out = sorted((q / qa, qc / q))
+        return 2.0 * math.atanh(z_in), 2.0 * math.atanh(z_out)
 
     def boundary_data(self) -> tuple[BoundaryDatum, BoundaryDatum]:
         a = self.boundary_point(-1.0)
@@ -575,19 +647,107 @@ def boundary_phase_point(model: AHModel, datum: BoundaryDatum,
     return PhasePoint(model, x, v)
 
 
+def _recentred(disk: AHModel, x: np.ndarray, v: np.ndarray,
+               rho_cut: float) -> tuple[DiskGeodesic, float]:
+    """The disk geodesic through the phase point (x, v), centred at its
+    point closest to the origin, and the time at which it passes x.
+
+    ``DiskGeodesic.through`` centres it at x, which it refuses at
+    rho <= rho_cut; here it is rebuilt from its two boundary points and
+    the time is read from the inverse Mobius map.
+    """
+    w = complex(x[0], x[1])
+    p = complex(v[0], v[1]) / math.hypot(v[0], v[1])
+    ends = [cmath.phase((s * p + w) / (1.0 + w.conjugate() * p * s))
+            for s in (-1.0, 1.0)]
+    geo = DiskGeodesic.between_boundary_angles(disk, *ends, rho_cut)
+    z = (w - geo.w) / (geo.p * (1.0 - geo.w.conjugate() * w))
+    return geo, 2.0 * math.atanh(z.real)
+
+
+def _sampled(geo: DiskGeodesic, t0: float, t1: float, dt: float):
+    """Times, positions and velocities of geo on [t0, t1] at spacing <= dt."""
+    t = np.linspace(t0, t1, max(int(math.ceil((t1 - t0) / dt)), 1) + 1)
+    return t, geo.position(t), geo.velocity(t)
+
+
+def _joined(*runs):
+    """One (t, x, v) sample run from consecutive ones."""
+    return tuple(np.concatenate(parts) for parts in zip(*runs))
+
+
 def shoot_from_boundary(model: AHModel, datum: BoundaryDatum,
                         rho_start: float,
                         cfg: Optional[IntegratorConfig] = None) -> GeodesicPath:
-    """Integrate forward from an incoming boundary datum to the exit.
+    """The ray from an incoming boundary datum to its exit.
 
     The map datum -> exit datum is the geodesic relation indexing scattering
-    records.  Propagates TrappedGeodesicError on budget exhaustion.
+    records.  The ray follows the disk geodesic through the phase point of
+    ``boundary_phase_point`` at rho_start; if that geodesic meets the bump's
+    ball in more than one point, it is marched across the ball by classic
+    RK4 (``IntegratorConfig``) until the state lies outside the ball and the
+    disk geodesic through it does not meet the ball again, and it leaves on
+    that disk geodesic.  The exit datum is the closed-form one of the last
+    disk geodesic.  Times are those of the incoming disk geodesic.  A
+    single-piece ray carries its disk geodesic in ``analytic``, a crossing
+    ray its pieces in ``pieces``.  Raises TrappedGeodesicError, with the
+    path so far, when the crossing exceeds the time budget.
     """
     cfg = cfg or IntegratorConfig()
     if rho_start > cfg.rho_cut:
         raise DomainError("rho_start must not exceed the truncation level")
     start = boundary_phase_point(model, datum, rho_start)
-    t, x, v = _integrate_ray(model, start.x, start.v, cfg)
-    exit_ = _extrapolate_datum(model, t, x, v, Direction.OUTGOING)
-    return GeodesicPath(t=t, x=x, v=v, entry=datum, exit=exit_,
-                        rho_cut=cfg.rho_cut, model=model)
+    disk = model if model.bump is None else AHModel()
+    geo, t0 = _recentred(disk, start.x, start.v, cfg.rho_cut)
+    bump = model.bump
+    hit = None if bump is None else geo.ball_crossing(bump.center,
+                                                      bump.radius)
+    if hit is None:
+        geo = geo.span(t0, geo.t_exit)
+        return replace(geo.sample(cfg.sample_dt), entry=datum, model=model)
+
+    t_in = hit[0]
+    h = (geo.t_exit - geo.t_entry) / cfg.n_steps
+    t, x, v = _sampled(geo, t0, t_in, cfg.sample_dt)
+    head = (t[:-1], x[:-1], v[:-1])        # the crossing starts at t_in
+    y = np.stack([x[-1], v[-1]])
+    stages = []
+
+    def flow(y):
+        return np.stack([y[1], model.geodesic_rhs(y[0], y[1])])
+
+    def march(states):
+        states = np.array(states)
+        return t_in + h * np.arange(len(states)), states[:, 0], states[:, 1]
+
+    while True:
+        if len(stages) * h > cfg.max_span:
+            raise TrappedGeodesicError(
+                f"no exit from the bump's ball within time budget "
+                f"{cfg.max_span} (possibly trapped)",
+                partial=_joined(head, march([st[0] for st in stages])))
+        k1 = flow(y)
+        y2 = y + 0.5 * h * k1
+        k2 = flow(y2)
+        y3 = y + 0.5 * h * k2
+        k3 = flow(y3)
+        y4 = y + h * k3
+        stages.append((y, y2, y3, y4))
+        y = y + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + flow(y4))
+        if bump._q(y[0]) >= 1.0:
+            out = DiskGeodesic.through(disk, y[0], math.atan2(y[1, 1],
+                                                              y[1, 0]),
+                                       cfg.rho_cut)
+            again = out.ball_crossing(bump.center, bump.radius)
+            if again is None or again[1] <= 0.0:
+                break
+
+    ball = march([st[0] for st in stages] + [y])
+    t_o, x_o, v_o = _sampled(out, 0.0, out.t_exit, cfg.sample_dt)
+    t, x, v = _joined(head, ball, (ball[0][-1] + t_o[1:], x_o[1:], v_o[1:]))
+    return GeodesicPath(
+        t=t, x=x, v=v, entry=datum, exit=out.boundary_data()[1],
+        rho_cut=cfg.rho_cut, model=model,
+        pieces=ShotPieces(incoming=geo.span(t0, t_in), h=h,
+                          stages=np.array(stages),
+                          outgoing=out.span(0.0, out.t_exit)))

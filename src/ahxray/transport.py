@@ -33,9 +33,12 @@ Two integrators:
 - an adaptive complex RK45 along a single path at positions read from it
   (closed form, or interpolated samples of the integrated geodesic), which
   carries one or more systems and can be read at requested times, and
-- the segmented fixed-step classic RK4 vectorized across whole fans of
-  closed-form disk geodesics, which is what makes scattering datasets,
-  reconstruction loops and gauge recovery cheap.
+- the fixed-step classic RK4, in two forms: segmented and vectorized
+  across whole fans of closed-form disk geodesics (``batch_transport``),
+  which is what makes scattering datasets, reconstruction loops and gauge
+  recovery cheap, and at the stored stage states of the RK4 march by
+  which a shot ray crosses the bump (``crossing_transport``).  A shot
+  ray's transport is the product of its pieces' propagators.
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ from ._linalg import mul, unitary_defect
 from .bundle import ConnectionField, HiggsFieldData
 from .errors import DomainError, RankMismatchError
 from .geometry import (AHModel, DiskGeodesic, GeodesicPath, IntegratorConfig,
-                       integrate_geodesic)
+                       ShotPieces, integrate_geodesic)
 
 
 @dataclass
@@ -393,6 +396,44 @@ def batch_transport(prep, geos: Sequence[DiskGeodesic],
                      prep(x, v))
     snaps = product(product(side, partial), np.stack(prefix)[owner])
     return prefix[-1], list(zip(batch.times(fracs), x, v, snaps))
+
+
+def crossing_transport(prep, crossings: Sequence[ShotPieces],
+                       rank: int) -> np.ndarray:
+    """Fundamental solutions across the bump crossings of shot rays.
+
+    A crossing stores the four stage states (x, v) of every RK4 step of
+    its geodesic march; a joint (x, v, W) RK4 march evaluates W's
+    generators A_1..A_4 at exactly those states, so its step propagator is
+    I + h/6 (k1 + 2 k2 + 2 k3 + k4) with k1 = A_1, k2 = A_2 (I + h/2 k1),
+    k3 = A_3 (I + h/2 k2) and k4 = A_4 (I + h k3).  The middle stages sit
+    at different positions, so ``_rk4_step``'s shared midpoint does not
+    apply.  ``prep`` (``transport_rhs``) is evaluated once over every stage
+    node of every crossing; the step propagators of each crossing are then
+    multiplied in order, pairwise by the cocycle law, which equals the
+    joint march up to rounding.  Returns shape (len(crossings), d, d).
+    """
+    eye = np.eye(rank, dtype=complex)
+    if not crossings:
+        return np.zeros((0, rank, rank), dtype=complex)
+    counts = [len(c.stages) for c in crossings]
+    stages = np.concatenate([c.stages for c in crossings])
+    gen = prep(stages[..., 0, :], stages[..., 1, :])(
+        np.broadcast_to(eye, stages.shape[:2] + eye.shape))
+    h = np.repeat([c.h for c in crossings], counts)[:, None, None]
+    k1 = gen[:, 0]
+    k2 = mul(gen[:, 1], eye + 0.5 * h * k1)
+    k3 = mul(gen[:, 2], eye + 0.5 * h * k2)
+    k4 = mul(gen[:, 3], eye + h * k3)
+    steps = eye + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    # identity-padded to a power of two, then halved pairwise
+    n = 1 << (max(counts) - 1).bit_length()
+    w = np.broadcast_to(eye, (len(crossings), n) + eye.shape).copy()
+    for i, (lo, count) in enumerate(zip(np.cumsum([0] + counts), counts)):
+        w[i, :count] = steps[lo:lo + count]
+    while w.shape[1] > 1:
+        w = mul(w[:, 1::2], w[:, 0::2])
+    return w[:, 0]
 
 
 def batch_scattering(conn: ConnectionField, higgs: HiggsFieldData,

@@ -30,8 +30,11 @@ from .errors import (DatasetError, DomainError, FanMismatchError,
 from .geometry import (AHModel, BoundaryDatum, DiskGeodesic, Direction,
                        GeodesicPath, IntegratorConfig, ModelKind,
                        shoot_from_boundary)
+# scattering_matrix is no longer called here; it stays a module attribute
+# because bench/spans.py wraps it by name
 from .transport import (TransportConfig, _transport_adaptive,
-                        batch_transport, scattering_matrix, transport_rhs)
+                        batch_transport, crossing_transport,
+                        scattering_matrix, transport_rhs)
 
 
 class FanMode(Enum):
@@ -191,10 +194,13 @@ def compute_scattering_data(model: AHModel, conn: ConnectionField,
     """One scattering record per fan element, deterministically ordered.
 
     Boundary-pair fans on the unperturbed disk run through the vectorized
-    fixed-step backend on closed-form geodesics; shooting fans integrate
-    each geodesic once and transport adaptively along its samples, both at
-    the transport rtol and atol.  A trapped geodesic aborts its record, not
-    the dataset.
+    fixed-step backend on closed-form geodesics.  Shooting fans shoot each
+    ray (``shoot_from_boundary``, crossing the bump at the whole-ray step
+    span / n_steps) and transport along its pieces: one ``batch_transport``
+    call over every closed-form piece of the fan at n_steps steps each,
+    one ``crossing_transport`` call over every crossing of the bump, and
+    the record is W_out W_ball W_in (a ray that misses the bump is one
+    piece).  A trapped geodesic aborts its record, not the dataset.
     """
     cfg = cfg or TransportConfig()
     dataset = ScatteringDataset(fingerprint=fingerprint, rank=conn.rank,
@@ -209,19 +215,42 @@ def compute_scattering_data(model: AHModel, conn: ConnectionField,
                 entry=entry, exit=exit_, matrix=mat,
                 unitarity_defect=float(defect)))
     else:
-        icfg = IntegratorConfig(rho_cut=cfg.rho_cut, rtol=cfg.rtol,
-                                atol=cfg.atol)
+        icfg = IntegratorConfig(rho_cut=cfg.rho_cut, n_steps=cfg.n_steps)
+        paths = []
         for datum in fan.data:
             try:
-                path = shoot_from_boundary(model, datum, cfg.rho_cut, icfg)
-                res = scattering_matrix(model, conn, higgs, path, cfg)
+                paths.append(shoot_from_boundary(model, datum, cfg.rho_cut,
+                                                 icfg))
             except TrappedGeodesicError as err:
                 dataset.failures.append((datum.key(), str(err)))
-                continue
+        mats = _shot_matrices(transport_rhs(conn, higgs), paths, conn.rank,
+                              cfg)
+        for path, mat, defect in zip(paths, mats, unitary_defect(mats)):
             dataset.records.append(ScatteringRecord(
-                entry=datum, exit=path.exit, matrix=res.exit_value,
-                unitarity_defect=res.unitarity_defect))
+                entry=path.entry, exit=path.exit, matrix=mat,
+                unitarity_defect=float(defect)))
     return dataset.sort()
+
+
+def _shot_matrices(prep, paths: Sequence[GeodesicPath], rank: int,
+                   cfg: TransportConfig) -> np.ndarray:
+    """Fundamental solutions along shot rays, shape (len(paths), d, d):
+    W for a single-piece ray, W_out W_ball W_in for one that crosses the
+    bump."""
+    if not paths:
+        return np.zeros((0, rank, rank), dtype=complex)
+    crossings = [p.pieces for p in paths if p.pieces is not None]
+    pieces = [g for p in paths
+              for g in ((p.analytic,) if p.pieces is None
+                        else (p.pieces.incoming, p.pieces.outgoing))]
+    w = iter(batch_transport(prep, pieces, rank, cfg)[0])
+    w_ball = iter(crossing_transport(prep, crossings, rank))
+    mats = []
+    for path in paths:
+        w_in = next(w)
+        mats.append(w_in if path.pieces is None
+                    else next(w) @ next(w_ball) @ w_in)
+    return np.array(mats)
 
 
 @dataclass
@@ -375,8 +404,8 @@ def gauge_field_samples(model: AHModel,
     for x in np.asarray(points, dtype=float):
         for th in np.asarray(thetas, dtype=float):
             geo = DiskGeodesic.through(model, x, float(th), cfg.rho_cut)
-            geo.t_exit = 0.0          # integrate entry -> sample point only
-            geos.append(geo)
+            # integrate entry -> sample point only
+            geos.append(geo.span(geo.t_entry, 0.0))
     w_a, w_b = (batch_transport(prep, geos, d, cfg)[0] for prep in preps)
     return _gauge_quotient(w_a, w_b).reshape(len(points), len(thetas), d, d)
 

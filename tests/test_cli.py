@@ -335,6 +335,17 @@ class TestFlagOverrides:
         energies = [float(ln.split(",")[1]) for ln in lines[1:]]
         assert energies[3] > 0.99 * sum(energies)
 
+    def test_fourier_lists_the_sections_own_mode(self, cfg_file, tmp_path):
+        # mode 10 lies above max_exact_degree = 7 of the 32-point fiber
+        out = tmp_path / "modes.csv"
+        assert main(["fourier", "--config", cfg_file, "--section",
+                     "mode=10; center=0,0; radius=0.6; vector=1,0,0,0",
+                     "--out", str(out)]) == 0
+        lines = out.read_text().strip().splitlines()
+        energies = [float(ln.split(",")[1]) for ln in lines[1:]]
+        assert len(energies) == 11
+        assert energies[10] > 0.99 * sum(energies) > 0.0
+
     def test_basis_file_merge(self, tmp_path):
         cfg_path = tmp_path / "recon.cfg"
         # strip the [reconstruction] block from the main config
@@ -378,8 +389,6 @@ class TestUnknownNamesAndLiteralText:
             "kind = poincare_disk",
             "kind = conformal_perturbed\nbump_center = 0.25,-0.1\n"
             "bump_radius = 0.3\nbump_amplitude = 0.04\nepsilon0 = 0.1"
-        ).replace("n_steps = 1024",
-                  "n_steps = 1024\nrtol = 1e-10\natol = 1e-14"
         ).replace("mode = boundary_pairs",
                   "mode = shooting\nn_eta = 2\neta_max = 1.5"
         ).replace("ntheta = 32", "ntheta = 32\nrho_grid = 0.05"
@@ -387,6 +396,12 @@ class TestUnknownNamesAndLiteralText:
         cfg = ExperimentConfig.from_text(text + GAUGE_EXTRA)
         model, conn, _ = cfg.build_pair()
         assert cfg.build_fan().mode.value == "shooting"
+        # no command reads the adaptive tolerances: they are refused by name
+        for key in ("rtol", "atol"):
+            with pytest.raises(ConfigError) as err:
+                ExperimentConfig.from_text(text.replace(
+                    "n_steps = 1024", f"n_steps = 1024\n{key} = 1e-10"))
+            assert f"key '{key}'" in str(err.value)
         grid = cfg.build_grid(model)
         assert grid.rho_grid == 0.05
         assert cfg.build_section(grid, conn.rank).compact_support
@@ -508,7 +523,11 @@ class TestValueContracts:
                                                      old, new, key):
         code, err = self._run(tmp_path, capsys, "base", old, new, "scatter")
         assert code == 2
-        assert f"{key} must be positive" in err
+        if key in ("rtol", "atol"):     # refused by name, whatever the value
+            assert f"unknown key; known keys are n_steps, rho_cut " \
+                   f"(section [transport], key '{key}')" in err
+        else:
+            assert f"{key} must be positive" in err
 
     @pytest.mark.parametrize("base,old,new,command", [
         ("base", "center=0.2,0.1;", "center=0.2;", "curvature-report"),

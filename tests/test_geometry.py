@@ -267,6 +267,21 @@ class TestBoundaryAngles:
                 assert abs(geo.t_entry
                            + bisection_truncation_time(geo, -1.0)) <= tol
 
+    def test_span_copy(self, disk):
+        geo = DiskGeodesic.between_boundary_angles(disk, 0.3, 2.0)
+        full = (geo.t_entry, geo.t_exit)
+        piece = geo.span(-1.0, 2.5)
+        assert (piece.t_entry, piece.t_exit) == (-1.0, 2.5)
+        assert (geo.t_entry, geo.t_exit) == full
+        assert np.array_equal(piece.position(np.linspace(-1, 2.5, 9)),
+                              geo.position(np.linspace(-1, 2.5, 9)))
+        rev = piece.reversed()
+        assert (rev.t_entry, rev.t_exit) == (-2.5, 1.0)
+        assert np.allclose(rev.position(np.asarray(-2.0)),
+                           geo.position(np.asarray(2.0)), atol=1e-15)
+        rev = geo.reversed()
+        assert (rev.t_entry, rev.t_exit) == (-full[1], -full[0])
+
     def test_boundary_hugging_geodesic_refused(self, disk):
         # the chord between nearly equal angles never reaches rho > rho_cut
         with pytest.raises(DegenerateGeodesicError):
@@ -321,6 +336,59 @@ class TestShooting:
                 assert perturbed.rho(path.x[-1]) <= 2e-6
                 count += 1
         assert count == 200
+
+    def test_closed_form_exit_on_disk(self, disk):
+        # on the disk a shot ray is one closed-form geodesic
+        geo = DiskGeodesic.between_boundary_angles(disk, 0.8, 2.9)
+        entry, exit_ = geo.boundary_data()
+        path = shoot_from_boundary(disk, entry, 1e-6)
+        assert path.pieces is None and path.analytic is not None
+        assert abs(path.exit.alpha - exit_.alpha) < 1e-9
+        assert abs(path.exit.eta_tangential - exit_.eta_tangential) < 1e-9
+        t = np.linspace(path.t[0], path.t[-1], 50)
+        assert np.max(np.abs(path.analytic.position(t)
+                             - geo.position(t))) < 1e-9
+
+    def test_ray_through_bump_in_three_pieces(self, perturbed):
+        bump = perturbed.bump
+        datum = BoundaryDatum(0.0, -1.5, Direction.INCOMING)
+        path = shoot_from_boundary(perturbed, datum, 1e-6)
+        pieces = path.pieces
+        assert pieces is not None and path.analytic is None
+        inc, out = pieces.incoming, pieces.outgoing
+        # the crossing starts where the incoming piece meets the ball
+        start = pieces.stages[0, 0]
+        assert np.array_equal(start[0], inc.position(np.asarray(inc.t_exit)))
+        assert abs(np.linalg.norm(start[0] - bump.center) - bump.radius) \
+            < 1e-12
+        # and ends outside it, on a disk geodesic that does not return
+        end = out.position(np.zeros(()))
+        assert np.linalg.norm(end - bump.center) >= bump.radius
+        again = out.ball_crossing(bump.center, bump.radius)
+        assert again is None or again[1] <= 0.0
+        assert out.t_entry == 0.0
+        # samples: increasing, unit speed, truncated at rho_cut
+        assert np.all(np.diff(path.t) > 0)
+        assert path.unit_speed_defect() < 1e-9
+        assert abs(perturbed.rho(path.x[-1]) - 1e-6) < 1e-12
+        # angular momentum is conserved only where the metric is the disk's
+        assert abs(path.exit.eta_tangential - datum.eta_tangential) > 1e-4
+
+    def test_crossing_time_budget(self, perturbed):
+        datum = BoundaryDatum(0.0, -1.5, Direction.INCOMING)
+        full = shoot_from_boundary(perturbed, datum, 1e-6)
+        crossing = full.pieces.h * len(full.pieces.stages)
+        assert crossing > 0.2
+        with pytest.raises(TrappedGeodesicError) as err:
+            shoot_from_boundary(perturbed, datum, 1e-6,
+                                IntegratorConfig(max_span=0.2))
+        t, x, v = err.value.partial
+        n = len(t)
+        assert x.shape == v.shape == (n, 2)
+        # the partial path is the start of the full one, into the crossing
+        assert np.array_equal(t, full.t[:n])
+        assert np.array_equal(x, full.x[:n]) and np.array_equal(v, full.v[:n])
+        assert t[-1] > full.pieces.incoming.t_exit + 0.2 - full.pieces.h
 
     def test_outgoing_datum_rejected(self, disk):
         datum = BoundaryDatum(0.0, 0.0, Direction.OUTGOING)

@@ -20,7 +20,11 @@
   of fiber modes equals the same on the full-axis section with the same
   theta samples, for random bands at even and odd n_theta, bands that
   reach the ends of the frequency axis (where the mode shift wraps) and
-  the full band.
+  the full band;
+- the ball-entry quadratic of a closed-form disk geodesic: its roots lie
+  on the circle |x - c| = r, and a geodesic it reports as missing the
+  ball never comes within r on a fine sample, for random geodesics and
+  balls inside {rho >= epsilon0}.
 """
 
 import numpy as np
@@ -36,7 +40,7 @@ from ahxray._linalg import mul, unitary_defect
 from ahxray.bundle import (ConnectionField, GaugeField, GaussBump,
                            HiggsFieldData, SeparableTerm, _check_skew,
                            validation_points)
-from ahxray.geometry import AHModel
+from ahxray.geometry import AHModel, DiskGeodesic
 from ahxray.reconstruct import HiggsParameterization
 from ahxray.transport import _ROWS, _segments, batch_scattering
 from ahxray.xray import FanSpec, fan_geodesics
@@ -272,3 +276,30 @@ def test_band_operators_equal_full_axis_operators(n_theta, width, shift,
         same(part, part_full)
     assert abs(sb.x_split(one, m, conn)[2]
                - sb.x_split(one_full, m, conn)[2]) <= 1e-12
+
+
+@settings(max_examples=300, deadline=None)
+@given(alpha_in=st.floats(0.0, 6.28), opening=st.floats(0.05, 6.23),
+       center_r=st.floats(0.0, 0.9), center_angle=st.floats(0.0, 6.28),
+       radius_frac=st.floats(0.01, 1.0))
+@example(0.0, np.pi, 0.0, 0.0, 0.5)          # diameter through the center
+@example(0.0, np.pi, 0.5, np.pi / 2, 0.5)    # diameter tangent to the ball
+def test_ball_crossing_roots_lie_on_the_circle(alpha_in, opening, center_r,
+                                               center_angle, radius_frac):
+    eps0 = 0.1
+    geo = DiskGeodesic.between_boundary_angles(
+        AHModel(), alpha_in, (alpha_in + opening) % (2 * np.pi))
+    reach = np.sqrt(1.0 - eps0)                 # |c| + r <= reach
+    c = center_r * reach * np.array([np.cos(center_angle),
+                                     np.sin(center_angle)])
+    r = radius_frac * (reach - np.linalg.norm(c))
+    hit = geo.ball_crossing(c, r)
+    if hit is None:
+        t = np.linspace(geo.t_entry, geo.t_exit, 20001)
+        dist = np.linalg.norm(geo.position(t) - c, axis=-1)
+        assert np.min(dist) > r - 1e-12
+    else:
+        assert hit[0] < hit[1]
+        for t in hit:
+            assert abs(np.linalg.norm(geo.position(np.asarray(t)) - c)
+                       - r) < 1e-12

@@ -9,7 +9,9 @@ Independent oracles:
   march of the d x d systems, kept here as the reference;
 - transport along an integrated (non-closed-form) path is checked against
   a joint RK45 of the geodesic and the transport system at tighter
-  tolerances, also kept here as the reference.
+  tolerances, also kept here as the reference;
+- transport across a shot ray's crossing of the bump is checked against a
+  joint fixed-step RK4 march of (x, v, W), step after step.
 """
 
 import math
@@ -24,7 +26,8 @@ from ahxray.geometry import (BoundaryDatum, DiskGeodesic, Direction,
                              integrate_geodesic, shoot_from_boundary)
 from ahxray.transport import (TransportConfig, _path_state, _segments,
                               _transport_adaptive, batch_scattering,
-                              batch_transport, endomorphism_transport,
+                              batch_transport, crossing_transport,
+                              endomorphism_transport,
                               parallel_transport, scattering_matrix,
                               solve_transport, transport_rhs,
                               transported_data_action)
@@ -111,6 +114,27 @@ def joint_rk45(model, prep, path, u0, rtol=1e-12, atol=1e-16):
                     rtol=rtol, atol=atol)
     y = sol.y[:, -1]
     return (y[4:4 + n] + 1j * y[4 + n:]).reshape(u0.shape)
+
+
+def joint_rk4_crossing(model, prep, pieces, rank):
+    """Reference march across a shot ray's bump crossing: classic RK4 of
+    the joint state (x, v, W) from the crossing's first state and W = I,
+    with the crossing's step and step count.  Returns (x, v) and W at the
+    end."""
+    def f(y, u):
+        return (np.stack([y[1], model.geodesic_rhs(y[0], y[1])]),
+                prep(y[0], y[1])(u))
+
+    h = pieces.h
+    y, u = pieces.stages[0, 0], np.eye(rank, dtype=complex)
+    for _ in range(len(pieces.stages)):
+        ky1, ku1 = f(y, u)
+        ky2, ku2 = f(y + 0.5 * h * ky1, u + 0.5 * h * ku1)
+        ky3, ku3 = f(y + 0.5 * h * ky2, u + 0.5 * h * ku2)
+        ky4, ku4 = f(y + h * ky3, u + h * ku3)
+        y = y + h / 6.0 * (ky1 + 2.0 * ky2 + 2.0 * ky3 + ky4)
+        u = u + h / 6.0 * (ku1 + 2.0 * ku2 + 2.0 * ku3 + ku4)
+    return y, u
 
 
 @pytest.fixture(scope="module")
@@ -287,6 +311,24 @@ class TestIntegratedPaths:
         ref = joint_rk45(perturbed, transport_rhs(conn, higgs), path,
                          np.eye(2, dtype=complex))
         assert np.max(np.abs(u - ref)) < 1e-6
+
+
+class TestCrossingTransport:
+    def test_matches_joint_rk4_march(self, perturbed, rng):
+        prep = transport_rhs(random_connection(rng), random_higgs(rng))
+        crossings = [shoot_from_boundary(
+            perturbed, BoundaryDatum(alpha, eta, Direction.INCOMING),
+            1e-6).pieces for alpha, eta in ((0.0, -1.5), (3.0, -0.3),
+                                            (1.0, -0.3))]
+        # crossings of different step counts share one call
+        assert len({len(c.stages) for c in crossings}) == 3
+        w = crossing_transport(prep, crossings, 2)
+        for pieces, w_ball in zip(crossings, w):
+            y, ref = joint_rk4_crossing(perturbed, prep, pieces, 2)
+            assert np.max(np.abs(w_ball - ref)) < 1e-13
+            # the joint march leaves where the outgoing piece starts
+            assert np.max(np.abs(y[0] - pieces.outgoing.position(
+                np.zeros(())))) < 1e-15
 
 
 class TestParallelTransport:

@@ -16,14 +16,15 @@ from ahxray.bundle import (ConnectionField, HiggsFieldData,
 from ahxray.errors import (DomainError, FanMismatchError,
                            IllConditionedGaugeError,
                            InsufficientCrossingsError)
-from ahxray.geometry import AHModel, DiskGeodesic
-from ahxray.transport import TransportConfig
+from ahxray.geometry import (AHModel, BoundaryDatum, DiskGeodesic,
+                             Direction, shoot_from_boundary)
+from ahxray.transport import TransportConfig, batch_scattering, transport_rhs
 from ahxray.xray import (FanMode, FanSpec, ScatteringDataset,
                          _gauge_quotient, add_matrix_noise, compare_datasets,
                          compute_scattering_data, gauge_candidate,
                          gauge_degree_zero_check, gauge_field_samples)
 from test_bundle import random_connection, random_gauge, random_higgs
-from test_transport import phase_integral, scalar_higgs
+from test_transport import joint_rk45, phase_integral, scalar_higgs
 
 
 @pytest.fixture(scope="module")
@@ -116,6 +117,37 @@ class TestComputeScatteringData:
         assert len(ds.records) == 10
         assert not ds.failures
         assert max(r.unitarity_defect for r in ds.records) < 1e-7
+
+    @pytest.mark.parametrize("alpha,eta,crosses",
+                             [(0.0, -1.5, True), (4.0, -0.3, False)])
+    def test_shooting_records_match_joint_oracle(self, perturbed, rng, alpha,
+                                                 eta, crosses):
+        conn, higgs = random_connection(rng), random_higgs(rng)
+        datum = BoundaryDatum(alpha, eta, Direction.INCOMING)
+        path = shoot_from_boundary(perturbed, datum, 1e-6)
+        assert (path.pieces is not None) is crosses
+        ds = compute_scattering_data(perturbed, conn, higgs,
+                                     FanSpec(FanMode.SHOOTING, data=(datum,)))
+        ref = joint_rk45(perturbed, transport_rhs(conn, higgs), path,
+                         np.eye(2, dtype=complex))
+        assert np.max(np.abs(ds.records[0].matrix - ref)) < 1e-7
+        assert ds.records[0].exit == path.exit
+
+    def test_shooting_record_on_disk_is_closed_form(self, disk, rng):
+        conn, higgs = random_connection(rng), random_higgs(rng)
+        geo = DiskGeodesic.between_boundary_angles(disk, 0.8, 2.9)
+        entry, exit_ = geo.boundary_data()
+        ds = compute_scattering_data(disk, conn, higgs,
+                                     FanSpec(FanMode.SHOOTING, data=(entry,)))
+        rec = ds.records[0]
+        path = shoot_from_boundary(disk, entry, 1e-6)
+        ref = batch_scattering(conn, higgs, [path.analytic])[0][0]
+        assert np.max(np.abs(rec.matrix - ref)) < 1e-12
+        # the chord itself, truncated at rho_cut
+        chord = batch_scattering(conn, higgs, [geo])[0][0]
+        assert np.max(np.abs(rec.matrix - chord)) < 1e-9
+        assert abs(rec.exit.alpha - exit_.alpha) < 1e-9
+        assert abs(rec.exit.eta_tangential - exit_.eta_tangential) < 1e-9
 
     def test_boundary_pairs_rejected_on_perturbed(self, perturbed, fan, rng):
         with pytest.raises(DomainError):
