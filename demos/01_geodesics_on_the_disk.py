@@ -1,8 +1,9 @@
 """Geodesics of the Poincare disk and of a conformally perturbed metric.
 
 Walks through the geometry layer: closed-form geodesics via Mobius maps,
-numerically integrated geodesics with boundary-data extrapolation, and the
-exponential approach of the boundary defining function along escaping rays.
+the geodesic through an interior phase point, rays shot from boundary data
+across a conformal bump, and the exponential approach of the boundary
+defining function along escaping rays.
 
 Run:  python3 demos/01_geodesics_on_the_disk.py
 """

@@ -32,9 +32,8 @@ from .spherebundle import (NSectionField, SectionField, SphereBundleGrid,
                            vertical_derivative, vertical_divergence,
                            vertical_laplacian, x_split)
 from .transport import (TransportConfig, TransportResult, batch_scattering,
-                        endomorphism_transport, parallel_transport,
-                        scattering_matrix, solve_transport,
-                        transported_data_action)
+                        parallel_transport, scattering_matrix,
+                        solve_transport, transport_paths)
 from .xray import (FanMode, FanSpec, ScatteringDataset, ScatteringRecord,
                    add_matrix_noise, compare_datasets,
                    compute_scattering_data, gauge_candidate,

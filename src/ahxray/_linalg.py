@@ -36,7 +36,10 @@ def frobenius(a: np.ndarray) -> np.ndarray:
 
 
 def skew_defect(a: np.ndarray) -> np.ndarray:
-    return frobenius(a + dagger(a))
+    # entry by entry: no stack-sized temporaries to grow and trim the heap
+    d = a.shape[-1]
+    return np.sqrt(sum(np.abs(a[..., i, j] + np.conj(a[..., j, i])) ** 2
+                       for i in range(d) for j in range(d)))
 
 
 def unitary_defect(u: np.ndarray) -> np.ndarray:

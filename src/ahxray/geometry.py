@@ -7,17 +7,16 @@ bump kept away from the boundary, so rho and the fiber-angle calculus of the
 sphere bundle are unchanged.
 
 For the unperturbed disk, geodesics are available in closed form through
-Mobius transformations, which the rest of the package uses both as a fast
-path and as an independent oracle.  Outside the bump's Euclidean ball the
-metric is exactly the Poincare metric, so a ray shot from a boundary datum
-is made of pieces: the closed-form disk geodesic up to the ball, a
-fixed-step RK4 crossing of the ball, and the closed-form disk geodesic
-through the state that leaves it, which gives the exit datum (limit angle
-and tangential covector component) in closed form.  A ray that misses the
-ball is one disk geodesic.  The geodesic through an interior phase point
-(``integrate_geodesic``) is integrated both ways by adaptive RK45 until rho
-drops below the truncation level rho_cut, and its boundary data are
-extrapolated from the last samples.
+Mobius transformations.  Outside the bump's Euclidean ball the metric is
+exactly the Poincare metric, so a ray shot from a boundary datum is made of
+pieces: the closed-form disk geodesic up to the ball, a fixed-step RK4
+crossing of the ball, and the closed-form disk geodesic through the state
+that leaves it, which gives the exit datum (limit angle and tangential
+covector component) in closed form.  A ray that misses the ball is one disk
+geodesic.  The geodesic through an interior phase point
+(``integrate_geodesic``) is the closed form on the disk; on a perturbed
+model its backward ray is marched out of the ball by the same RK4 crossing,
+and the geodesic is the ray shot from the entry datum read there.
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ from enum import Enum
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import DegenerateGeodesicError, DomainError, TrappedGeodesicError
 
@@ -284,23 +282,16 @@ class PhasePoint:
 class IntegratorConfig:
     """Geodesic integration settings.
 
-    rtol and atol drive the adaptive RK45 of ``integrate_geodesic``; atol
-    defaults well below rtol: velocity components shrink to O(rho_cut)
-    near the boundary, and a loose absolute floor there turns into large
-    relative errors amplified along the unstable escape direction.
-    A shot ray crosses the bump by classic RK4 at the step (span of its
-    incoming disk geodesic between the rho_cut points) / n_steps, the step
-    the fixed-step transport backend takes on a whole ray.
+    A ray crosses the bump by classic RK4 at the step (span of the disk
+    geodesic it arrives on, between the rho_cut points) / n_steps; at 8192
+    steps it keeps unit speed to about 1e-9, at 2048 only to about 2e-7.
     """
 
     rho_cut: float = 1e-6
-    rtol: float = 1e-10
-    atol: float = 1e-14
-    # time budget before "trapped": per direction of an integrated
-    # geodesic, and for the bump crossing of a shot ray
+    # time budget before "trapped", for each crossing of the bump's ball
     max_span: float = 80.0
     sample_dt: float = 0.05
-    n_steps: int = 2048
+    n_steps: int = 8192
 
 
 @dataclass(frozen=True)
@@ -323,7 +314,12 @@ class ShotPieces:
 
 @dataclass
 class GeodesicPath:
-    """Complete unit-speed geodesic truncated at rho = rho_cut on both ends."""
+    """Complete unit-speed geodesic truncated at rho = rho_cut on both ends.
+
+    A single-piece path carries its disk geodesic in ``analytic``, a ray
+    that crosses the bump its pieces in ``pieces``.  ``t`` runs on the
+    first piece's clock shifted by t[0] - (first piece).t_entry.
+    """
 
     t: np.ndarray            # (n,), strictly increasing
     x: np.ndarray            # (n, 2)
@@ -338,14 +334,13 @@ class GeodesicPath:
     def unit_speed_defect(self) -> float:
         return float(np.max(np.abs(self.model.speed(self.x, self.v) - 1.0)))
 
-    def midpoint_phasepoint(self) -> PhasePoint:
-        i = len(self.t) // 2
-        return PhasePoint(self.model, self.x[i], self.v[i])
+    def boundary_data(self) -> tuple[BoundaryDatum, BoundaryDatum]:
+        return self.entry, self.exit
 
     def reversed(self) -> "GeodesicPath":
-        """The same path run backwards; a shot ray's pieces are dropped
-        (an RK4 march run backwards is not the reversed march), so it is
-        read through its samples."""
+        """The same path run backwards.  A shot ray's pieces are dropped (an
+        RK4 march run backwards is not the reversed march), so a crossing
+        ray's reverse cannot be transported: shoot from its exit datum."""
         rev_analytic = self.analytic.reversed() if self.analytic else None
         return GeodesicPath(
             t=-self.t[::-1], x=self.x[::-1].copy(), v=-self.v[::-1],
@@ -364,88 +359,6 @@ class GeodesicPath:
                              repr(self.x[i, 1]), repr(self.v[i, 0]),
                              repr(self.v[i, 1])])
         return buf.getvalue() if fileobj is None else ""
-
-
-def _extrapolate_datum(model: AHModel, t: np.ndarray, x: np.ndarray,
-                       v: np.ndarray, direction: Direction,
-                       n_fit: int = 5) -> BoundaryDatum:
-    """Boundary datum from samples ordered toward the boundary (last = closest).
-
-    The polar angle is fitted with a quadratic in rho over the last samples
-    and evaluated at rho = 0.  The tangential component is read off in the
-    collar rho < epsilon0, where the metric is rotation-symmetric and
-    g(v, d/dtheta) is exactly conserved; reading it near rho_cut would
-    amplify absolute velocity errors by 4/rho^2.
-    """
-    n = min(n_fit, len(t))
-    xs = x[-n:]
-    rho_tail = model.rho(xs)
-    ang = np.unwrap(np.arctan2(xs[:, 1], xs[:, 0]))
-    deg = min(2, n - 1)
-    alpha = float(np.polyval(np.polyfit(rho_tail, ang, deg), 0.0)) % (2.0 * math.pi)
-
-    rho_all = model.rho(x)
-    tail = np.arange(int(np.argmax(rho_all)), len(t))
-    window = tail[(rho_all[tail] < 0.5 * model.epsilon0)
-                  & (rho_all[tail] > 0.01)]
-    if window.size == 0:
-        window = tail[-n:]
-    eta0 = float(np.mean(model.angular_momentum(x[window], v[window])))
-    return BoundaryDatum(alpha=alpha, eta_tangential=eta0, direction=direction)
-
-
-def _integrate_ray(model: AHModel, x0, v0, cfg: IntegratorConfig):
-    """One escaping ray: forward integration until rho <= rho_cut."""
-
-    def rhs(_t, y):
-        x = y[:2]
-        v = y[2:]
-        return np.concatenate([v, model.geodesic_rhs(x, v)])
-
-    def escape(_t, y):
-        return model.rho(y[:2]) - cfg.rho_cut
-
-    escape.terminal = True
-    escape.direction = -1
-    y0 = np.concatenate([np.asarray(x0, float), np.asarray(v0, float)])
-    sol = solve_ivp(rhs, (0.0, cfg.max_span), y0, method="RK45",
-                    rtol=cfg.rtol, atol=cfg.atol, events=escape,
-                    dense_output=True)
-    if not sol.t_events[0].size:
-        t_part = np.arange(0.0, sol.t[-1], cfg.sample_dt)
-        part = sol.sol(t_part)
-        raise TrappedGeodesicError(
-            f"no escape to rho <= {cfg.rho_cut} within time budget "
-            f"{cfg.max_span} (possibly trapped)",
-            partial=(t_part, part[:2].T, part[2:].T))
-    t_end = float(sol.t_events[0][0])
-    ts = np.arange(0.0, t_end, cfg.sample_dt)
-    ts = np.append(ts, t_end)
-    ys = sol.sol(ts)
-    return ts, ys[:2].T, ys[2:].T
-
-
-def integrate_geodesic(model: AHModel, start: PhasePoint,
-                       cfg: Optional[IntegratorConfig] = None) -> GeodesicPath:
-    """Integrate the geodesic through ``start`` to the boundary both ways.
-
-    Unit speed is conserved by the flow and monitored, never corrected.
-    Raises TrappedGeodesicError (with the partial path) if either direction
-    exhausts the time budget before reaching rho <= rho_cut.
-    """
-    cfg = cfg or IntegratorConfig()
-    if model.rho(start.x) <= cfg.rho_cut:
-        raise DomainError("start point must satisfy rho > rho_cut")
-    t_f, x_f, v_f = _integrate_ray(model, start.x, start.v, cfg)
-    t_b, x_b, v_b = _integrate_ray(model, start.x, -start.v, cfg)
-    # backward ray covers negative times; flip velocities back
-    t = np.concatenate([-t_b[::-1], t_f[1:]])
-    x = np.concatenate([x_b[::-1], x_f[1:]])
-    v = np.concatenate([-v_b[::-1], v_f[1:]])
-    entry = _extrapolate_datum(model, -t_b, x_b, -v_b, Direction.INCOMING)
-    exit_ = _extrapolate_datum(model, t_f, x_f, v_f, Direction.OUTGOING)
-    return GeodesicPath(t=t, x=x, v=v, entry=entry, exit=exit_,
-                        rho_cut=cfg.rho_cut, model=model)
 
 
 class DiskGeodesic:
@@ -613,6 +526,13 @@ class DiskGeodesic:
     def with_rho_cut(self, rho_cut: float) -> "DiskGeodesic":
         return DiskGeodesic(self.model, self.w, self.p, rho_cut)
 
+    def time_at(self, x) -> float:
+        """Time at which the geodesic passes the point x on it, read from
+        the inverse Mobius map."""
+        w = complex(x[0], x[1])
+        z = (w - self.w) / (self.p * (1.0 - self.w.conjugate() * w))
+        return 2.0 * math.atanh(z.real)
+
 
 def geodesic_between_boundary_angles(model: AHModel, alpha_in: float,
                                      alpha_out: float,
@@ -661,8 +581,7 @@ def _recentred(disk: AHModel, x: np.ndarray, v: np.ndarray,
     ends = [cmath.phase((s * p + w) / (1.0 + w.conjugate() * p * s))
             for s in (-1.0, 1.0)]
     geo = DiskGeodesic.between_boundary_angles(disk, *ends, rho_cut)
-    z = (w - geo.w) / (geo.p * (1.0 - geo.w.conjugate() * w))
-    return geo, 2.0 * math.atanh(z.real)
+    return geo, geo.time_at(x)
 
 
 def _sampled(geo: DiskGeodesic, t0: float, t1: float, dt: float):
@@ -674,6 +593,51 @@ def _sampled(geo: DiskGeodesic, t0: float, t1: float, dt: float):
 def _joined(*runs):
     """One (t, x, v) sample run from consecutive ones."""
     return tuple(np.concatenate(parts) for parts in zip(*runs))
+
+
+def _cross_ball(model: AHModel, y: np.ndarray, h: float,
+                cfg: IntegratorConfig, t0: float = 0.0, head=None):
+    """Classic RK4 march of the state y = (x, v) at step h, at least one
+    step, until the state lies outside the bump's ball and the disk
+    geodesic through it (time 0 there) does not meet the ball again.
+
+    Returns the stage states (n, 4, 2, 2), the run (t, x, v) of the n + 1
+    states at times t0 + k h, and that disk geodesic.  Raises
+    TrappedGeodesicError past the time budget, with the run after ``head``.
+    """
+    bump = model.bump
+    disk = AHModel()
+    stages = []
+
+    def flow(y):
+        return np.stack([y[1], model.geodesic_rhs(y[0], y[1])])
+
+    def run(states):
+        states = np.array(states)
+        return t0 + h * np.arange(len(states)), states[:, 0], states[:, 1]
+
+    while True:
+        if len(stages) * h > cfg.max_span:
+            part = run([st[0] for st in stages])
+            raise TrappedGeodesicError(
+                f"no exit from the bump's ball within time budget "
+                f"{cfg.max_span} (possibly trapped)",
+                partial=part if head is None else _joined(head, part))
+        k1 = flow(y)
+        y2 = y + 0.5 * h * k1
+        k2 = flow(y2)
+        y3 = y + 0.5 * h * k2
+        k3 = flow(y3)
+        y4 = y + h * k3
+        stages.append((y, y2, y3, y4))
+        y = y + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + flow(y4))
+        if bump._q(y[0]) >= 1.0:
+            out = DiskGeodesic.through(
+                disk, y[0], math.atan2(y[1, 1], y[1, 0]), cfg.rho_cut)
+            again = out.ball_crossing(bump.center, bump.radius)
+            if again is None or again[1] <= 0.0:
+                return (np.array(stages), run([st[0] for st in stages] + [y]),
+                        out)
 
 
 def shoot_from_boundary(model: AHModel, datum: BoundaryDatum,
@@ -710,44 +674,44 @@ def shoot_from_boundary(model: AHModel, datum: BoundaryDatum,
     h = (geo.t_exit - geo.t_entry) / cfg.n_steps
     t, x, v = _sampled(geo, t0, t_in, cfg.sample_dt)
     head = (t[:-1], x[:-1], v[:-1])        # the crossing starts at t_in
-    y = np.stack([x[-1], v[-1]])
-    stages = []
-
-    def flow(y):
-        return np.stack([y[1], model.geodesic_rhs(y[0], y[1])])
-
-    def march(states):
-        states = np.array(states)
-        return t_in + h * np.arange(len(states)), states[:, 0], states[:, 1]
-
-    while True:
-        if len(stages) * h > cfg.max_span:
-            raise TrappedGeodesicError(
-                f"no exit from the bump's ball within time budget "
-                f"{cfg.max_span} (possibly trapped)",
-                partial=_joined(head, march([st[0] for st in stages])))
-        k1 = flow(y)
-        y2 = y + 0.5 * h * k1
-        k2 = flow(y2)
-        y3 = y + 0.5 * h * k2
-        k3 = flow(y3)
-        y4 = y + h * k3
-        stages.append((y, y2, y3, y4))
-        y = y + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + flow(y4))
-        if bump._q(y[0]) >= 1.0:
-            out = DiskGeodesic.through(disk, y[0], math.atan2(y[1, 1],
-                                                              y[1, 0]),
-                                       cfg.rho_cut)
-            again = out.ball_crossing(bump.center, bump.radius)
-            if again is None or again[1] <= 0.0:
-                break
-
-    ball = march([st[0] for st in stages] + [y])
+    stages, ball, out = _cross_ball(model, np.stack([x[-1], v[-1]]), h, cfg,
+                                    t_in, head)
     t_o, x_o, v_o = _sampled(out, 0.0, out.t_exit, cfg.sample_dt)
     t, x, v = _joined(head, ball, (ball[0][-1] + t_o[1:], x_o[1:], v_o[1:]))
     return GeodesicPath(
         t=t, x=x, v=v, entry=datum, exit=out.boundary_data()[1],
         rho_cut=cfg.rho_cut, model=model,
-        pieces=ShotPieces(incoming=geo.span(t0, t_in), h=h,
-                          stages=np.array(stages),
+        pieces=ShotPieces(incoming=geo.span(t0, t_in), h=h, stages=stages,
                           outgoing=out.span(0.0, out.t_exit)))
+
+
+def integrate_geodesic(model: AHModel, start: PhasePoint,
+                       cfg: Optional[IntegratorConfig] = None) -> GeodesicPath:
+    """The geodesic through ``start`` to rho_cut both ways, t = 0 there.
+
+    On the disk it is the closed form.  On a perturbed model the backward
+    ray is marched out of the bump's ball (``_cross_ball``, at the step
+    span / n_steps of the disk geodesic through the start), and the path
+    is the ray shot from the entry datum of the disk geodesic it leaves on;
+    it passes the start to within the crossing's RK4 error.  Raises
+    TrappedGeodesicError, with the backward march so far, past the budget.
+    """
+    cfg = cfg or IntegratorConfig()
+    if model.rho(start.x) <= cfg.rho_cut:
+        raise DomainError("start point must satisfy rho > rho_cut")
+    disk = model if model.bump is None else AHModel()
+    geo = DiskGeodesic.through(disk, start.x, start.theta, cfg.rho_cut)
+    if model.bump is None:
+        return geo.sample(cfg.sample_dt)
+    h = (geo.t_exit - geo.t_entry) / cfg.n_steps
+    # the disk geodesic is exact outside the ball: go back to it at t_skip
+    hit = geo.ball_crossing(model.bump.center, model.bump.radius)
+    t_skip = min(hit[1], 0.0) if hit else 0.0
+    v = start.v if t_skip == 0.0 else geo.velocity(np.asarray(t_skip))
+    _, (t, x, _), back = _cross_ball(
+        model, np.stack([geo.position(np.asarray(t_skip)), -v]), h, cfg,
+        -t_skip)
+    path = shoot_from_boundary(model, back.reversed().boundary_data()[0],
+                               cfg.rho_cut, cfg)
+    first = path.analytic if path.pieces is None else path.pieces.incoming
+    return replace(path, t=path.t - (first.time_at(x[-1]) + t[-1]))

@@ -1,7 +1,7 @@
 """Transport of fiber vectors and endomorphisms along geodesics.
 
-Every transport system the fixed-step backend takes is the left-acting
-fundamental system of a linear ODE on the fiber C^d,
+Every transport system is the left-acting fundamental system of a linear
+ODE on the fiber C^d,
 
     dW/dt = -(Gamma(gamma') + Phi) W,    W(t_entry) = I,
 
@@ -9,36 +9,18 @@ integrated between the truncation points of a geodesic path; its exit
 value is the scattering datum.  The endomorphism solution of the
 gauge-equivalence argument, dU = -((Gamma + Phi) U - U Gamma), is
 U = W Psi^{-1} with Psi the parallel transport, so gauge recovery needs
-only fundamental systems (see ``xray``); ``endomorphism_transport`` keeps
-the two-sided system as its own d x d right-hand side and integrates it
-adaptively.  The entry value stands in for the limit at minus infinity;
-the exponential approach of rho along escaping geodesics makes the
-truncation error decay like a power of rho_cut (verified by Richardson
-halving rather than certified).
+only fundamental systems (see ``xray``).  The entry value stands in for
+the limit at minus infinity; the exponential approach of rho along
+escaping geodesics makes the truncation error decay like a power of
+rho_cut (verified by Richardson halving rather than certified).
 
-Propagators of a fundamental system obey the cocycle law
-W(t2, t0) = W(t2, t1) W(t1, t0), which the fixed-step backend uses: it
-cuts every span into m segments, marches all segments at once from the
-identity (as extra batch rows of one field evaluation) and multiplies the
-segment propagators in order.  For a left-acting linear right-hand side
-the classic RK4 step is itself a propagator, so this is the sequential RK4
-solution up to rounding, reached in n/m instead of n steps.  The
-first-order jet (W, V_1..V_P) of W in P parameters is the fundamental
-system of a block-triangular generator, so it obeys the same law, in the
-form of the product rule, and is marched the same way; reconstruction
-takes its Gauss-Newton Jacobian from it.
-
-Two integrators:
-
-- an adaptive complex RK45 along a single path at positions read from it
-  (closed form, or interpolated samples of the integrated geodesic), which
-  carries one or more systems and can be read at requested times, and
-- the fixed-step classic RK4, in two forms: segmented and vectorized
-  across whole fans of closed-form disk geodesics (``batch_transport``),
-  which is what makes scattering datasets, reconstruction loops and gauge
-  recovery cheap, and at the stored stage states of the RK4 march by
-  which a shot ray crosses the bump (``crossing_transport``).  A shot
-  ray's transport is the product of its pieces' propagators.
+Propagators obey the cocycle law W(t2, t0) = W(t2, t1) W(t1, t0).  A path
+is closed-form disk geodesics and at most one RK4 crossing of the bump,
+and ``transport_paths``, the one entry point, multiplies their
+propagators in order.  Both integrators are classic fixed-step RK4:
+``batch_transport`` marches closed-form geodesics (and the first-order
+jets of reconstruction's Jacobian) across whole fans, and
+``crossing_transport`` steps at the stage states of a ray's bump crossing.
 """
 
 from __future__ import annotations
@@ -47,22 +29,23 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from ._linalg import mul, unitary_defect
 from .bundle import ConnectionField, HiggsFieldData
 from .errors import DomainError, RankMismatchError
 from .geometry import (AHModel, DiskGeodesic, GeodesicPath, IntegratorConfig,
-                       ShotPieces, integrate_geodesic)
+                       ShotPieces, shoot_from_boundary)
 
 
 @dataclass
 class TransportConfig:
     rho_cut: float = 1e-6
-    rtol: float = 1e-10          # adaptive RK45, for transport and for
-    atol: float = 1e-14          # the geodesics a shooting fan integrates
+    # read by no solver; kept for callers that still set them (the
+    # benchmark's shoot_perturbed reference)
+    rtol: float = 1e-10
+    atol: float = 1e-14
     richardson: bool = False
-    n_steps: int = 2048          # fixed-step batch backend resolution
+    n_steps: int = 2048          # RK4 steps per closed-form piece
 
     def __post_init__(self):
         if not 0.0 < self.rho_cut <= 1e-2:
@@ -75,17 +58,8 @@ class TransportConfig:
 @dataclass
 class TransportResult:
     exit_value: np.ndarray
-    unitarity_defect: float
+    unitarity_defect: float          # of the entry-to-exit propagator
     truncation_estimate: Optional[float] = None
-
-
-def _check_ranks(conn: ConnectionField, higgs: HiggsFieldData,
-                 value: np.ndarray) -> int:
-    if conn.rank != higgs.rank:
-        raise RankMismatchError("connection and Higgs ranks differ")
-    if value.shape[0] != conn.rank:
-        raise RankMismatchError("initial value rank mismatch")
-    return conn.rank
 
 
 def transport_rhs(conn: ConnectionField, higgs: HiggsFieldData):
@@ -98,145 +72,6 @@ def transport_rhs(conn: ConnectionField, higgs: HiggsFieldData):
         return lambda u: -mul(gen, u)
 
     return prep
-
-
-def _path_state(model: AHModel, path: GeodesicPath):
-    """t -> (x, v): closed form on an analytic path, otherwise the cubic
-    Hermite interpolant of the path's samples with derivative data v and
-    the geodesic acceleration; exact at sample times, with an error of
-    order sample_dt^4 between them."""
-    geo = path.analytic
-    if geo is not None:
-        return lambda t: (geo.position(t), geo.velocity(t))
-    ts, ys = path.t, np.concatenate([path.x, path.v], axis=-1)
-    dys = np.concatenate([path.v, model.geodesic_rhs(path.x, path.v)], -1)
-
-    def state(t):
-        t = np.asarray(t, dtype=float)
-        i = np.clip(np.searchsorted(ts, t, side="right") - 1, 0, len(ts) - 2)
-        h = (ts[i + 1] - ts[i])[..., None]
-        s = (t - ts[i])[..., None] / h
-        y = (1 - s) ** 2 * ((1 + 2 * s) * ys[i] + s * h * dys[i]) \
-            + s * s * ((3 - 2 * s) * ys[i + 1] + (s - 1) * h * dys[i + 1])
-        return y[..., :2], y[..., 2:]
-
-    return state
-
-
-def _transport_adaptive(model: AHModel, preps, path: GeodesicPath,
-                        u0: np.ndarray, cfg: TransportConfig,
-                        t_eval: Optional[np.ndarray] = None):
-    """RK45 for the transport systems ``preps``, all from the entry value u0,
-    at positions from ``_path_state``, so rtol and atol govern only them.
-    Returns (t, x, v, U) at the exit, or at ``t_eval`` clipped to the path;
-    U has shape (k, len(t), *u0.shape).
-    """
-    shape, k = u0.shape, len(preps)
-    span = (path.t[0], path.t[-1])
-    if t_eval is not None:
-        t_eval = np.clip(t_eval, *span)
-    state = _path_state(model, path)
-
-    def rhs(t, y):
-        x, v = state(t)
-        return np.concatenate([prep(x, v)(u.reshape(shape)).reshape(-1)
-                               for prep, u in zip(preps, np.split(y, k))])
-
-    y0 = np.tile(u0.astype(complex).reshape(-1), k)
-    sol = solve_ivp(rhs, span, y0, method="RK45", rtol=cfg.rtol,
-                    atol=cfg.atol, t_eval=t_eval)
-    ts, ys = (sol.t, sol.y) if t_eval is not None \
-        else (sol.t[-1:], sol.y[:, -1:])
-    xs, vs = state(ts)
-    us = ys.reshape(k, u0.size, -1)
-    return ts, xs, vs, np.moveaxis(us, -1, 1).reshape(k, len(ts), *shape)
-
-
-def _refined_path(model: AHModel, path: GeodesicPath, rho_cut: float,
-                  cfg: TransportConfig) -> GeodesicPath:
-    if path.analytic is not None:
-        return path.analytic.with_rho_cut(rho_cut).sample()
-    icfg = IntegratorConfig(rho_cut=rho_cut, rtol=cfg.rtol, atol=cfg.atol)
-    return integrate_geodesic(model, path.midpoint_phasepoint(), icfg)
-
-
-def _run(model, prep, path, u0, cfg) -> TransportResult:
-    """Adaptive transport of u0, read at the exit."""
-    exit_value = _transport_adaptive(model, [prep], path, u0, cfg)[3][0, -1]
-    estimate = None
-    if cfg.richardson:
-        fine = _refined_path(model, path, path.rho_cut / 2.0, cfg)
-        exit_fine = _transport_adaptive(model, [prep], fine, u0, cfg)[3][0, -1]
-        estimate = float(np.linalg.norm(exit_fine - exit_value))
-    if exit_value.ndim == 2:
-        defect = float(unitary_defect(exit_value))
-    else:
-        defect = abs(float(np.linalg.norm(exit_value))
-                     - float(np.linalg.norm(u0)))
-    return TransportResult(exit_value=exit_value, unitarity_defect=defect,
-                           truncation_estimate=estimate)
-
-
-def solve_transport(model: AHModel, conn: ConnectionField,
-                    higgs: HiggsFieldData, path: GeodesicPath,
-                    e_in: np.ndarray,
-                    cfg: Optional[TransportConfig] = None) -> TransportResult:
-    """Transport a fiber vector (or the columns of a matrix) along a
-    complete path, entry to exit."""
-    cfg = cfg or TransportConfig()
-    e_in = np.asarray(e_in, dtype=complex)
-    _check_ranks(conn, higgs, e_in)
-    return _run(model, transport_rhs(conn, higgs), path, e_in, cfg)
-
-
-def scattering_matrix(model: AHModel, conn: ConnectionField,
-                      higgs: HiggsFieldData, path: GeodesicPath,
-                      cfg: Optional[TransportConfig] = None) -> TransportResult:
-    """Transport of the identity: the exit matrix is the scattering datum
-    for this geodesic."""
-    return solve_transport(model, conn, higgs, path,
-                           np.eye(conn.rank, dtype=complex), cfg)
-
-
-def parallel_transport(model: AHModel, conn: ConnectionField,
-                       path: GeodesicPath, e_in: np.ndarray,
-                       cfg: Optional[TransportConfig] = None) -> TransportResult:
-    """Transport with zero Higgs field: the entry-to-exit fiber isomorphism."""
-    return solve_transport(model, conn, HiggsFieldData.zero(conn.rank),
-                           path, e_in, cfg)
-
-
-def endomorphism_transport(model: AHModel, conn: ConnectionField,
-                           higgs: HiggsFieldData, path: GeodesicPath,
-                           cfg: Optional[TransportConfig] = None
-                           ) -> TransportResult:
-    """Entry-normalized endomorphism solution: the connection acts by
-    commutator on U and the Higgs field by left multiplication,
-    dU/dt = -((Gamma + Phi) U - U Gamma), integrated adaptively as a d x d
-    system (the adaptive solver needs no cocycle law)."""
-    cfg = cfg or TransportConfig()
-    eye = np.eye(conn.rank, dtype=complex)
-    _check_ranks(conn, higgs, eye)
-
-    def prep(x, v):
-        gam = conn.along(x, v)
-        left = gam + higgs.phi(x)
-        return lambda u: -(left @ u - u @ gam)
-
-    return _run(model, prep, path, eye, cfg)
-
-
-def transported_data_action(model: AHModel, conn: ConnectionField,
-                            higgs: HiggsFieldData, path: GeodesicPath,
-                            e_in: np.ndarray,
-                            cfg: Optional[TransportConfig] = None) -> np.ndarray:
-    """Datum via the endomorphism factorization: the endomorphism solution
-    applied to the parallel transport of the entry vector.  Must agree with
-    the direct fundamental-system transport."""
-    cfg = cfg or TransportConfig()
-    u_exit = endomorphism_transport(model, conn, higgs, path, cfg).exit_value
-    w_exit = parallel_transport(model, conn, path, e_in, cfg).exit_value
-    return u_exit @ w_exit
 
 
 # -- fan-vectorized fixed-step backend --------------------------------------
@@ -445,3 +280,144 @@ def batch_scattering(conn: ConnectionField, higgs: HiggsFieldData,
         raise RankMismatchError("connection and Higgs ranks differ")
     return batch_transport(transport_rhs(conn, higgs), geos,
                            conn.rank, cfg, record_fracs)
+
+
+# -- paths: closed-form pieces and crossings --------------------------------
+
+
+def _split(path) -> tuple[tuple[DiskGeodesic, ...], Optional[ShotPieces]]:
+    """The closed-form pieces of a path, in order, and its crossing."""
+    if isinstance(path, DiskGeodesic):
+        return (path,), None
+    if path.pieces is not None:
+        return (path.pieces.incoming, path.pieces.outgoing), path.pieces
+    if path.analytic is not None:
+        return (path.analytic,), None
+    raise DomainError("path carries neither a closed form nor shot pieces "
+                      "(a reversed crossing ray): shoot from its exit datum")
+
+
+def _piece_fracs(path, pieces, crossing, times: np.ndarray):
+    """Per path time: its piece, its clipped fraction of that piece's span
+    and the path time of the piece's clock origin; refuses crossing times."""
+    shift = 0.0 if isinstance(path, DiskGeodesic) \
+        else path.t[0] - pieces[0].t_entry
+    local = times - shift
+    piece, t_out = np.zeros(len(times), dtype=int), 0.0
+    if crossing is not None:
+        t_out = pieces[0].t_exit + crossing.h * len(crossing.stages)
+        inside = (local > pieces[0].t_exit) & (local < t_out)
+        if np.any(inside):
+            raise DomainError(
+                f"sample time {times[inside][0]!r} lies strictly inside the "
+                "bump crossing, where the march holds no state")
+        piece = (local >= t_out).astype(int)
+    t0 = np.array([g.t_entry for g in pieces])[piece]
+    span = np.array([g.t_exit - g.t_entry for g in pieces])[piece]
+    fracs = np.clip((local - piece * t_out - t0) / span, 0.0, 1.0)
+    return piece, fracs, shift + piece * t_out
+
+
+def transport_paths(prep, paths: Sequence, rank: int,
+                    cfg: Optional[TransportConfig] = None,
+                    times: Optional[np.ndarray] = None):
+    """Fundamental solutions along paths, entry to exit: the one transport
+    entry point, shape (len(paths), d, d).
+
+    A path is a ``DiskGeodesic`` or a ``GeodesicPath`` that carries
+    ``analytic`` or ``pieces``.  One ``batch_transport`` call marches every
+    closed-form piece, one ``crossing_transport`` call every crossing of
+    the bump, and a crossing ray's solution is W_out W_ball W_in.
+
+    ``times`` (sorted, on the paths' clocks, clipped to their spans) also
+    asks for snapshots, returned as (W_exit, (t, x, v, W)) with arrays of
+    shape (len(paths), len(times), ...): every piece is recorded at the
+    fractions of all, and outgoing snapshots are multiplied by
+    W_ball W_in.  A time strictly inside a crossing, where the march holds
+    no state, is refused.
+    """
+    splits = [_split(p) for p in paths]
+    geos = [g for pieces, _ in splits for g in pieces]
+    if not geos:
+        return np.zeros((0, rank, rank), dtype=complex)
+    balls = iter(crossing_transport(
+        prep, [c for _, c in splits if c is not None], rank))
+    if times is not None:
+        times = np.asarray(times, dtype=float)
+        where = [_piece_fracs(p, *split, times)
+                 for p, split in zip(paths, splits)]
+        fracs = np.concatenate([f for _, f, _ in where])
+    w_geo, records = batch_transport(prep, geos, rank, cfg,
+                                     None if times is None else fracs)
+    if records is not None:
+        # batch_transport records the fractions in sorted order
+        rows = np.searchsorted(np.sort(fracs), fracs)
+        rec = [np.stack(r)[rows] for r in zip(*records)]
+
+    exits, snaps, first = [], [], 0
+    for k, (pieces, crossing) in enumerate(splits):
+        w = w_geo[first]
+        if crossing is not None:
+            w_ball = next(balls)
+            w_cross, w = w_ball @ w, w_geo[first + 1] @ w_ball @ w
+        exits.append(w)
+        if records is not None:
+            piece, _, origin = where[k]
+            at = (k * len(times) + np.arange(len(times)), first + piece)
+            t, x, v, w_t = (r[at] for r in rec)
+            if crossing is not None:
+                w_t[piece == 1] = w_t[piece == 1] @ w_cross
+            snaps.append((t + origin, x, v, w_t))
+        first += len(pieces)
+    if records is None:
+        return np.array(exits)
+    return np.array(exits), tuple(np.array(s) for s in zip(*snaps))
+
+
+def solve_transport(model: AHModel, conn: ConnectionField,
+                    higgs: HiggsFieldData, path: GeodesicPath,
+                    e_in: np.ndarray,
+                    cfg: Optional[TransportConfig] = None) -> TransportResult:
+    """Transport a fiber vector (or the columns of a matrix) along a
+    complete path, entry to exit, by ``transport_paths``.  With
+    ``cfg.richardson`` the truncation estimate is the change of the exit
+    value on the path rebuilt at half its rho_cut."""
+    cfg = cfg or TransportConfig()
+    e_in = np.asarray(e_in, dtype=complex)
+    if conn.rank != higgs.rank:
+        raise RankMismatchError("connection and Higgs ranks differ")
+    if e_in.shape[0] != conn.rank:
+        raise RankMismatchError("initial value rank mismatch")
+    prep = transport_rhs(conn, higgs)
+    w = transport_paths(prep, [path], conn.rank, cfg)[0]
+    estimate = None
+    if cfg.richardson:
+        # the path rebuilt at half its rho_cut: the closed form there, or
+        # the ray re-shot from its entry datum
+        half = path.rho_cut / 2.0
+        pieces, crossing = _split(path)
+        fine = pieces[0].with_rho_cut(half) if crossing is None else \
+            shoot_from_boundary(model, path.entry, half,
+                                IntegratorConfig(rho_cut=half))
+        w_fine = transport_paths(prep, [fine], conn.rank, cfg)[0]
+        estimate = float(np.linalg.norm((w_fine - w) @ e_in))
+    return TransportResult(exit_value=w @ e_in,
+                           unitarity_defect=float(unitary_defect(w)),
+                           truncation_estimate=estimate)
+
+
+def scattering_matrix(model: AHModel, conn: ConnectionField,
+                      higgs: HiggsFieldData, path: GeodesicPath,
+                      cfg: Optional[TransportConfig] = None) -> TransportResult:
+    """Transport of the identity: the exit matrix is the scattering datum
+    for this geodesic."""
+    return solve_transport(model, conn, higgs, path,
+                           np.eye(conn.rank, dtype=complex), cfg)
+
+
+def parallel_transport(model: AHModel, conn: ConnectionField,
+                       path: GeodesicPath, e_in: np.ndarray,
+                       cfg: Optional[TransportConfig] = None) -> TransportResult:
+    """Transport with zero Higgs field: the entry-to-exit fiber isomorphism."""
+    return solve_transport(model, conn, HiggsFieldData.zero(conn.rank),
+                           path, e_in, cfg)

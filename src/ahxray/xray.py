@@ -30,11 +30,10 @@ from .errors import (DatasetError, DomainError, FanMismatchError,
 from .geometry import (AHModel, BoundaryDatum, DiskGeodesic, Direction,
                        GeodesicPath, IntegratorConfig, ModelKind,
                        shoot_from_boundary)
-# scattering_matrix is no longer called here; it stays a module attribute
-# because bench/spans.py wraps it by name
-from .transport import (TransportConfig, _transport_adaptive,
-                        batch_transport, crossing_transport,
-                        scattering_matrix, transport_rhs)
+# batch_transport and scattering_matrix are no longer called here; they stay
+# module attributes because bench/spans.py wraps them by name
+from .transport import (TransportConfig, batch_transport, scattering_matrix,
+                        transport_paths, transport_rhs)
 
 
 class FanMode(Enum):
@@ -193,27 +192,17 @@ def compute_scattering_data(model: AHModel, conn: ConnectionField,
                             fingerprint: str = "") -> ScatteringDataset:
     """One scattering record per fan element, deterministically ordered.
 
-    Boundary-pair fans on the unperturbed disk run through the vectorized
-    fixed-step backend on closed-form geodesics.  Shooting fans shoot each
-    ray (``shoot_from_boundary``, crossing the bump at the whole-ray step
-    span / n_steps) and transport along its pieces: one ``batch_transport``
-    call over every closed-form piece of the fan at n_steps steps each,
-    one ``crossing_transport`` call over every crossing of the bump, and
-    the record is W_out W_ball W_in (a ray that misses the bump is one
-    piece).  A trapped geodesic aborts its record, not the dataset.
+    A boundary-pair fan on the unperturbed disk is its closed-form
+    geodesics.  A shooting fan shoots each ray (``shoot_from_boundary``,
+    crossing the bump at the whole-ray step span / n_steps).  Either fan
+    is transported by one ``transport_paths`` call; a trapped geodesic
+    aborts its record, not the dataset.
     """
     cfg = cfg or TransportConfig()
     dataset = ScatteringDataset(fingerprint=fingerprint, rank=conn.rank,
                                 rho_cut=cfg.rho_cut, records=[])
     if fan.mode is FanMode.BOUNDARY_PAIRS:
-        geos = fan_geodesics(model, fan, cfg.rho_cut)
-        exits, _ = batch_transport(transport_rhs(conn, higgs), geos,
-                                   conn.rank, cfg)
-        for geo, mat, defect in zip(geos, exits, unitary_defect(exits)):
-            entry, exit_ = geo.boundary_data()
-            dataset.records.append(ScatteringRecord(
-                entry=entry, exit=exit_, matrix=mat,
-                unitarity_defect=float(defect)))
+        paths = fan_geodesics(model, fan, cfg.rho_cut)
     else:
         icfg = IntegratorConfig(rho_cut=cfg.rho_cut, n_steps=cfg.n_steps)
         paths = []
@@ -223,34 +212,13 @@ def compute_scattering_data(model: AHModel, conn: ConnectionField,
                                                  icfg))
             except TrappedGeodesicError as err:
                 dataset.failures.append((datum.key(), str(err)))
-        mats = _shot_matrices(transport_rhs(conn, higgs), paths, conn.rank,
-                              cfg)
-        for path, mat, defect in zip(paths, mats, unitary_defect(mats)):
-            dataset.records.append(ScatteringRecord(
-                entry=path.entry, exit=path.exit, matrix=mat,
-                unitarity_defect=float(defect)))
+    mats = transport_paths(transport_rhs(conn, higgs), paths, conn.rank, cfg)
+    for path, mat, defect in zip(paths, mats, unitary_defect(mats)):
+        entry, exit_ = path.boundary_data()
+        dataset.records.append(ScatteringRecord(
+            entry=entry, exit=exit_, matrix=mat,
+            unitarity_defect=float(defect)))
     return dataset.sort()
-
-
-def _shot_matrices(prep, paths: Sequence[GeodesicPath], rank: int,
-                   cfg: TransportConfig) -> np.ndarray:
-    """Fundamental solutions along shot rays, shape (len(paths), d, d):
-    W for a single-piece ray, W_out W_ball W_in for one that crosses the
-    bump."""
-    if not paths:
-        return np.zeros((0, rank, rank), dtype=complex)
-    crossings = [p.pieces for p in paths if p.pieces is not None]
-    pieces = [g for p in paths
-              for g in ((p.analytic,) if p.pieces is None
-                        else (p.pieces.incoming, p.pieces.outgoing))]
-    w = iter(batch_transport(prep, pieces, rank, cfg)[0])
-    w_ball = iter(crossing_transport(prep, crossings, rank))
-    mats = []
-    for path in paths:
-        w_in = next(w)
-        mats.append(w_in if path.pieces is None
-                    else next(w) @ next(w_ball) @ w_in)
-    return np.array(mats)
 
 
 @dataclass
@@ -338,28 +306,18 @@ def gauge_candidate(model: AHModel,
     angle.
 
     For gauge-equivalent pairs the quotient reproduces the gauge along the
-    lifted geodesic up to truncation and solver error.
+    lifted geodesic up to truncation and solver error.  The path is any
+    that ``transport_paths`` takes; on a ray that crosses the bump, a
+    sample time strictly inside the crossing is refused.
     """
     cfg = cfg or TransportConfig()
     preps = _gauge_systems(pair_a, pair_b)
     d = pair_a[0].rank
     sample_times = np.sort(np.asarray(sample_times, dtype=float))
-
-    if path.analytic is not None:
-        geo = path.analytic
-        span = geo.t_exit - geo.t_entry
-        fracs = np.clip((sample_times - geo.t_entry) / span, 0.0, 1.0)
-        rec_a, rec_b = (batch_transport(prep, [geo], d, cfg,
-                                        record_fracs=fracs)[1]
-                        for prep in preps)
-        ts, xs, vs = (np.array([r[i][0] for r in rec_a]) for i in range(3))
-        w_a, w_b = (np.array([r[3][0] for r in rec])
-                    for rec in (rec_a, rec_b))
-    else:
-        ts, xs, vs, (w_a, w_b) = _transport_adaptive(
-            model, preps, path, np.eye(d, dtype=complex), cfg,
-            t_eval=sample_times)
-
+    samples = [transport_paths(prep, [path], d, cfg, sample_times)[1]
+               for prep in preps]
+    ts, xs, vs, w_a = (s[0] for s in samples[0])
+    w_b = samples[1][3][0]
     theta = np.arctan2(vs[:, 1], vs[:, 0]) % (2.0 * math.pi)
     return GaugeCurve(t=ts, x=xs, v=vs, theta=theta,
                       q=_gauge_quotient(w_a, w_b))
@@ -406,7 +364,7 @@ def gauge_field_samples(model: AHModel,
             geo = DiskGeodesic.through(model, x, float(th), cfg.rho_cut)
             # integrate entry -> sample point only
             geos.append(geo.span(geo.t_entry, 0.0))
-    w_a, w_b = (batch_transport(prep, geos, d, cfg)[0] for prep in preps)
+    w_a, w_b = (transport_paths(prep, geos, d, cfg) for prep in preps)
     return _gauge_quotient(w_a, w_b).reshape(len(points), len(thetas), d, d)
 
 

@@ -3,7 +3,10 @@
 import argparse
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -598,3 +601,47 @@ class TestValueContracts:
         assert cfg.build_section(grid, conn.rank).compact_support
         params, _ = cfg.build_reconstruction()
         assert len(params.basis) == 1
+
+
+SCIPY_FREE_RUN = """
+import sys
+sys.modules["scipy"] = None
+from ahxray.cli import main
+
+base, gauged, recon, out = sys.argv[1:]
+runs = [
+    ["scatter", "--config", base, "--out", out + "/a.jsonl"],
+    ["gauge-check", "--a", base, "--b", gauged, "--out", out + "/g.json"],
+    ["pestov", "--config", base, "--grid", "24,8", "--out", out + "/p.json"],
+    ["fourier", "--config", base, "--out", out + "/f.csv"],
+    ["curvature-report", "--config", base, "--out", out + "/c.json"],
+    ["scatter", "--config", recon, "--out", out + "/r.jsonl"],
+    ["reconstruct", "--data", out + "/r.jsonl", "--config", recon,
+     "--out", out + "/r.json"],
+]
+codes = [main(args) for args in runs]
+loaded = sorted(m for m in sys.modules
+                if m.split(".")[0] == "scipy" and sys.modules[m] is not None)
+print(codes, loaded)
+sys.exit(0 if codes == [0] * len(runs) and not loaded else 1)
+"""
+
+
+def test_every_command_runs_without_scipy(tmp_path):
+    # scipy is a test dependency only: the library and all six subcommands
+    # must work with it unimportable
+    import ahxray
+    configs = []
+    for name, text in (("base", BASE_CONFIG),
+                       ("gauged", BASE_CONFIG + GAUGE_EXTRA),
+                       ("recon", RECON_CONFIG)):
+        path = tmp_path / f"{name}.cfg"
+        path.write_text(text)
+        configs.append(str(path))
+    src = str(Path(ahxray.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", SCIPY_FREE_RUN, *configs, str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr

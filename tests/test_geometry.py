@@ -20,6 +20,7 @@ from ahxray.geometry import (AHModel, BoundaryDatum, ConformalBump,
                              geodesic_between_boundary_angles,
                              integrate_geodesic, metric_at, rho_at,
                              sectional_curvature, shoot_from_boundary)
+from oracles import rk45_geodesic
 
 
 def fd_gauss_curvature(model, x, h=1e-4):
@@ -172,17 +173,32 @@ class TestIntegration:
     def test_time_symmetry(self, disk):
         start = PhasePoint.from_angle(disk, (0.15, 0.05), 2.1)
         path = integrate_geodesic(disk, start)
-        again = integrate_geodesic(disk, path.midpoint_phasepoint())
+        i = len(path.t) // 2
+        again = integrate_geodesic(disk, PhasePoint(disk, path.x[i],
+                                                    path.v[i]))
         assert abs(again.entry.alpha - path.entry.alpha) < 1e-6
         assert abs(again.entry.eta_tangential
                    - path.entry.eta_tangential) < 1e-6
 
-    def test_trapped_budget_raises(self, disk):
-        cfg = IntegratorConfig(max_span=2.0)
-        start = PhasePoint.from_angle(disk, (0.0, 0.0), 0.3)
+    def test_trapped_budget_raises(self, perturbed):
+        # a disk geodesic is closed-form and cannot trap; a start inside
+        # the bump's ball has to be marched out of it
+        cfg = IntegratorConfig(max_span=0.2)
+        start = PhasePoint.from_angle(perturbed, perturbed.bump.center, 0.3)
         with pytest.raises(TrappedGeodesicError) as err:
-            integrate_geodesic(disk, start, cfg)
+            integrate_geodesic(perturbed, start, cfg)
         assert err.value.partial is not None
+
+    def test_perturbed_path_passes_start_at_time_zero(self, perturbed):
+        for x, theta in (((0.25, -0.1), 0.3), ((0.1, 0.0), 0.4),
+                         ((-0.5, 0.4), 1.0)):
+            start = PhasePoint.from_angle(perturbed, x, theta)
+            path = integrate_geodesic(perturbed, start)
+            i = int(np.argmin(np.abs(path.t)))
+            assert abs(path.t[i]) < 0.05
+            # unit speed is Euclidean speed e^(-Phi) <= 1/2 here
+            assert np.linalg.norm(path.x[i] - start.x) \
+                <= 0.5 * abs(path.t[i]) + 1e-8
 
     def test_convergence_order(self, disk):
         # pin the adaptive scheme to a fixed step and halve it: the error
@@ -289,16 +305,17 @@ class TestBoundaryAngles:
         with pytest.raises(DegenerateGeodesicError):
             DiskGeodesic.through(disk, (0.99, 0.0), 1.0, rho_cut=0.05)
 
-    def test_extrapolated_datum_matches_analytic(self, disk):
-        # integrated-path boundary extrapolation against the closed form
-        geo = DiskGeodesic.between_boundary_angles(disk, 1.0, 3.7)
-        mid = PhasePoint(disk, geo.position(np.zeros(())),
-                         geo.velocity(np.zeros(())))
-        path = integrate_geodesic(disk, mid)
-        entry, exit_ = geo.boundary_data()
-        assert abs(path.entry.alpha - entry.alpha) < 1e-6
-        assert abs(path.exit.alpha - exit_.alpha) < 1e-6
-        assert abs(path.entry.eta_tangential - entry.eta_tangential) < 1e-6
+    def test_extrapolated_datum_matches_analytic(self, perturbed):
+        # the closed-form boundary data of the piecewise path against the
+        # data the RK45 oracle extrapolates from its last samples
+        start = PhasePoint.from_angle(perturbed, (0.1, 0.0), 0.4)
+        path = integrate_geodesic(perturbed, start)
+        assert path.pieces is not None
+        ref = rk45_geodesic(perturbed, start)
+        assert abs(path.entry.alpha - ref.entry.alpha) < 1e-6
+        assert abs(path.exit.alpha - ref.exit.alpha) < 1e-6
+        assert abs(path.entry.eta_tangential - ref.entry.eta_tangential) \
+            < 1e-6
 
 
 class TestShooting:
@@ -373,6 +390,17 @@ class TestShooting:
         assert abs(perturbed.rho(path.x[-1]) - 1e-6) < 1e-12
         # angular momentum is conserved only where the metric is the disk's
         assert abs(path.exit.eta_tangential - datum.eta_tangential) > 1e-4
+
+    def test_crossing_keeps_unit_speed_at_default_steps(self, perturbed):
+        # at 2048 steps these crossings drift off unit speed by up to 1.7e-7
+        worst = 0.0
+        for alpha in np.linspace(0, 2 * math.pi, 16, endpoint=False):
+            for eta in (-0.5, 0.0, 0.5):
+                path = shoot_from_boundary(
+                    perturbed, BoundaryDatum(alpha, eta, Direction.INCOMING),
+                    1e-6)
+                worst = max(worst, path.unit_speed_defect())
+        assert worst < 1e-8
 
     def test_crossing_time_budget(self, perturbed):
         datum = BoundaryDatum(0.0, -1.5, Direction.INCOMING)

@@ -7,9 +7,10 @@ Independent oracles:
   solver itself;
 - the segmented batch march is checked against a plain sequential RK4
   march of the d x d systems, kept here as the reference;
-- transport along an integrated (non-closed-form) path is checked against
-  a joint RK45 of the geodesic and the transport system at tighter
-  tolerances, also kept here as the reference;
+- transport along closed-form paths, and along the piecewise paths of the
+  perturbed model, is checked against the adaptive RK45 integrators of
+  ``oracles`` (the geodesic, the transport and the two-sided endomorphism
+  system), at tighter tolerances;
 - transport across a shot ray's crossing of the bump is checked against a
   joint fixed-step RK4 march of (x, v, W), step after step.
 """
@@ -18,19 +19,20 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import quad, solve_ivp
+from scipy.integrate import quad
 
 from ahxray.bundle import ConnectionField, GaussBump, HiggsFieldData
 from ahxray.errors import DomainError, RankMismatchError
 from ahxray.geometry import (BoundaryDatum, DiskGeodesic, Direction,
-                             integrate_geodesic, shoot_from_boundary)
-from ahxray.transport import (TransportConfig, _path_state, _segments,
-                              _transport_adaptive, batch_scattering,
+                             PhasePoint, integrate_geodesic,
+                             shoot_from_boundary)
+from ahxray.transport import (TransportConfig, _segments, batch_scattering,
                               batch_transport, crossing_transport,
-                              endomorphism_transport,
                               parallel_transport, scattering_matrix,
-                              solve_transport, transport_rhs,
-                              transported_data_action)
+                              solve_transport, transport_paths,
+                              transport_rhs)
+from oracles import (closed_form_state, joint_rk45, rk45_geodesic,
+                     rk45_transport, two_sided)
 from test_bundle import random_connection, random_gauge, random_higgs
 
 
@@ -49,18 +51,6 @@ def phase_integral(higgs, geo):
                     epsabs=1e-13, epsrel=1e-13)
     assert err < 1e-11
     return val
-
-
-def two_sided(conn, higgs, right=None):
-    """field(x, v) -> rhs(U) of dU/dt = -((Gamma + Phi) U - U Gamma_R) on
-    d x d matrices, without any lift."""
-    def field(x, v):
-        left = conn.along(x, v) + higgs.phi(x)
-        if right is None:
-            return lambda u: -(left @ u)
-        gam_r = right.along(x, v)
-        return lambda u: -(left @ u - u @ gam_r)
-    return field
 
 
 def sequential_rk4(field, geos, rank, n_steps, record_fracs=()):
@@ -94,26 +84,6 @@ def sequential_rk4(field, geos, rank, n_steps, record_fracs=()):
         if k < n_steps:
             u = rk4(u, k / n_steps, (k + 1) / n_steps)
     return u, [snaps[f] for f in sorted(record_fracs)]
-
-
-def joint_rk45(model, prep, path, u0, rtol=1e-12, atol=1e-16):
-    """Reference transport that integrates the geodesic again: one real RK45
-    state [x, v, Re U, Im U] from the path's first sample over its span.
-    Returns U at the end of the span."""
-    n = u0.size
-
-    def rhs(_t, y):
-        x, v = y[:2], y[2:4]
-        u = (y[4:4 + n] + 1j * y[4 + n:]).reshape(u0.shape)
-        du = prep(x, v)(u).reshape(-1)
-        return np.concatenate([v, model.geodesic_rhs(x, v), du.real, du.imag])
-
-    y0 = np.concatenate([path.x[0], path.v[0], u0.real.reshape(-1),
-                         u0.imag.reshape(-1)])
-    sol = solve_ivp(rhs, (path.t[0], path.t[-1]), y0, method="RK45",
-                    rtol=rtol, atol=atol)
-    y = sol.y[:, -1]
-    return (y[4:4 + n] + 1j * y[4 + n:]).reshape(u0.shape)
 
 
 def joint_rk4_crossing(model, prep, pieces, rank):
@@ -184,19 +154,21 @@ class TestSolveTransport:
                             HiggsFieldData.zero(2), paths[0],
                             np.array([1.0 + 0j]))
 
-    def test_integrated_path_agrees_with_analytic(self, disk_module, rng):
-        from ahxray.geometry import integrate_geodesic
+    def test_integrated_path_agrees_with_analytic(self, perturbed, rng):
+        # the piecewise path through an interior phase point of the
+        # perturbed model against transport along the RK45 oracle geodesic
         conn = random_connection(rng)
         higgs = random_higgs(rng)
-        geo = DiskGeodesic.between_boundary_angles(disk_module, 0.9, 3.3)
-        analytic_path = geo.sample()
-        mid = analytic_path.midpoint_phasepoint()
-        numeric_path = integrate_geodesic(disk_module, mid)
+        start = PhasePoint.from_angle(perturbed, (0.1, 0.0), 0.4)
+        numeric_path = integrate_geodesic(perturbed, start)
+        assert numeric_path.pieces is not None
+        oracle = rk45_geodesic(perturbed, start)
         e_in = np.array([1.0, 1j]) / math.sqrt(2)
-        a = solve_transport(disk_module, conn, higgs, analytic_path, e_in)
-        b = solve_transport(disk_module, conn, higgs, numeric_path, e_in)
+        a = rk45_transport(transport_rhs(conn, higgs), oracle.state,
+                           (oracle.t[0], oracle.t[-1]), e_in)
+        b = solve_transport(perturbed, conn, higgs, numeric_path, e_in)
         # each backend carries ~rtol * step-count global error over span ~30
-        assert np.max(np.abs(a.exit_value - b.exit_value)) < 5e-7
+        assert np.max(np.abs(a - b.exit_value)) < 5e-7
 
 
 class TestScatteringMatrix:
@@ -270,38 +242,48 @@ class TestScatteringMatrix:
 
 
 class TestIntegratedPaths:
-    """Transport along paths from the geodesic integrator, which it reads
-    through the Hermite interpolant of their samples."""
+    """Transport along the piecewise paths of the perturbed model, from
+    the geodesic through an interior phase point."""
 
     @pytest.fixture(scope="class")
-    def numeric_paths(self, disk_module):
+    def numeric_paths(self, perturbed):
         out = []
-        for a, b in ((0.9, 3.3), (0.2, 2.0), (4.0, 1.1)):
-            geo = DiskGeodesic.between_boundary_angles(disk_module, a, b)
-            out.append((geo.sample(), integrate_geodesic(
-                disk_module, geo.sample().midpoint_phasepoint())))
+        for x, theta in (((0.1, 0.0), 0.4), ((0.4, -0.3), 2.0),
+                         ((0.25, 0.2), 4.5)):
+            start = PhasePoint.from_angle(perturbed, x, theta)
+            path = integrate_geodesic(perturbed, start)
+            assert path.pieces is not None
+            out.append((rk45_geodesic(perturbed, start), path))
         return out
 
-    def test_path_state_exact_at_samples(self, disk_module, numeric_paths):
-        for _, path in numeric_paths:
-            for p in (path, path.reversed()):
-                x, v = _path_state(disk_module, p)(p.t)
-                assert np.array_equal(x, p.x) and np.array_equal(v, p.v)
-
-    def test_matches_closed_form_path(self, disk_module, numeric_paths, rng):
+    def test_matches_closed_form_path(self, perturbed, numeric_paths, rng):
         conn, higgs = random_connection(rng), random_higgs(rng)
-        for analytic, numeric in numeric_paths:
-            a = scattering_matrix(disk_module, conn, higgs, analytic)
-            b = scattering_matrix(disk_module, conn, higgs, numeric)
-            assert np.max(np.abs(a.exit_value - b.exit_value)) < 5e-8
+        prep = transport_rhs(conn, higgs)
+        for oracle, numeric in numeric_paths:
+            a = rk45_transport(prep, oracle.state,
+                               (oracle.t[0], oracle.t[-1]),
+                               np.eye(2, dtype=complex))
+            b = scattering_matrix(perturbed, conn, higgs, numeric)
+            assert np.max(np.abs(a - b.exit_value)) < 5e-8
 
-    def test_reversal_gives_inverse(self, disk_module, numeric_paths, rng):
+    def test_reversal_gives_inverse(self, perturbed, numeric_paths, rng):
+        # a crossing ray cannot be run backwards; the reverse path is the
+        # geodesic through the reversed phase point
         conn, higgs = random_connection(rng), random_higgs(rng)
         _, path = numeric_paths[0]
-        u = scattering_matrix(disk_module, conn, higgs, path).exit_value
-        v = scattering_matrix(disk_module, conn, higgs.adjoint(),
-                              path.reversed()).exit_value
+        i = len(path.t) // 2
+        back = integrate_geodesic(perturbed,
+                                  PhasePoint(perturbed, path.x[i], -path.v[i]))
+        u = scattering_matrix(perturbed, conn, higgs, path).exit_value
+        v = scattering_matrix(perturbed, conn, higgs.adjoint(),
+                              back).exit_value
         assert np.max(np.abs(v - np.linalg.inv(u))) < 1e-7
+
+    def test_reversed_crossing_ray_refused(self, perturbed, numeric_paths):
+        _, path = numeric_paths[0]
+        prep = transport_rhs(ConnectionField.zero(2), HiggsFieldData.zero(2))
+        with pytest.raises(DomainError, match="exit datum"):
+            transport_paths(prep, [path.reversed()], 2)
 
     def test_perturbed_shot_matches_joint_oracle(self, perturbed, rng):
         conn, higgs = random_connection(rng), random_higgs(rng)
@@ -351,21 +333,31 @@ class TestParallelTransport:
         assert abs(det) > 0.99
 
 
+def endomorphism(conn, higgs, path):
+    """The entry-normalized endomorphism solution, from the two-sided RK45
+    oracle along the closed form; applied to the parallel transport of an
+    entry vector it gives the datum by the endomorphism factorization."""
+    return rk45_transport(two_sided(conn, higgs, conn),
+                          closed_form_state(path.analytic),
+                          (path.t[0], path.t[-1]), np.eye(2, dtype=complex),
+                          rtol=1e-12)
+
+
 class TestDataAction:
     def test_agrees_with_direct_transport(self, disk_module, rng):
         conn = random_connection(rng)
         higgs = random_higgs(rng)
-        cfg = TransportConfig(rtol=1e-12)
         angles = [(0.2 + k, 2.9 + 0.3 * k) for k in range(10)]
         for a, b in angles:
             path = DiskGeodesic.between_boundary_angles(
                 disk_module, a % (2 * math.pi), b % (2 * math.pi)).sample()
+            u = endomorphism(conn, higgs, path)
             for _ in range(5):
                 e_in = rng.normal(size=2) + 1j * rng.normal(size=2)
-                via = transported_data_action(disk_module, conn, higgs,
-                                              path, e_in, cfg)
+                via = u @ parallel_transport(disk_module, conn, path,
+                                             e_in).exit_value
                 direct = solve_transport(disk_module, conn, higgs, path,
-                                         e_in, cfg).exit_value
+                                         e_in).exit_value
                 assert np.max(np.abs(via - direct)) < 1e-8
 
     def test_trivial_connection_reduces_to_matrix_action(self, disk_module,
@@ -373,16 +365,16 @@ class TestDataAction:
         higgs = random_higgs(rng)
         conn = ConnectionField.zero(2)
         e_in = np.array([0.5, 0.5j])
-        via = transported_data_action(disk_module, conn, higgs, paths[0], e_in)
+        via = endomorphism(conn, higgs, paths[0]) @ parallel_transport(
+            disk_module, conn, paths[0], e_in).exit_value
         mat = scattering_matrix(disk_module, conn, higgs, paths[0]).exit_value
         assert np.max(np.abs(via - mat @ e_in)) < 1e-10
 
     def test_zero_higgs_reduces_to_parallel(self, disk_module, rng, paths):
         conn = random_connection(rng)
         e_in = np.array([1.0, 0.0], dtype=complex)
-        via = transported_data_action(disk_module, conn,
-                                      HiggsFieldData.zero(2), paths[0], e_in)
         par = parallel_transport(disk_module, conn, paths[0], e_in).exit_value
+        via = endomorphism(conn, HiggsFieldData.zero(2), paths[0]) @ par
         assert np.max(np.abs(via - par)) < 1e-9
 
 
@@ -394,8 +386,10 @@ class TestBatchBackend:
                 for a, b in ((0.4, 2.8), (1.5, 5.0), (3.0, 0.3))]
         u_batch, _ = batch_scattering(conn, higgs, geos)
         for i, geo in enumerate(geos):
-            ref = scattering_matrix(disk_module, conn, higgs,
-                                    geo.sample()).exit_value
+            ref = rk45_transport(transport_rhs(conn, higgs),
+                                 closed_form_state(geo),
+                                 (geo.t_entry, geo.t_exit),
+                                 np.eye(2, dtype=complex))
             assert np.max(np.abs(u_batch[i] - ref)) < 1e-9
 
     def test_scalar_phase_oracle(self, disk_module):
@@ -475,33 +469,18 @@ class TestSegmentedMarch:
                 assert np.max(np.abs(
                     x - [g.position(s) for g, s in zip(geos, t_ref)])) <= 1e-13
 
-    def test_lifted_endomorphism_matches_two_sided(self, disk_module, paths,
-                                                   rng):
-        conn, higgs = random_connection(rng), random_higgs(rng)
-        cfg = TransportConfig()
-        for path in paths:
-            lifted = endomorphism_transport(disk_module, conn, higgs, path,
-                                            cfg)
-            direct = _transport_adaptive(
-                disk_module, [two_sided(conn, higgs, conn)], path,
-                np.eye(2, dtype=complex), cfg)[3][0, -1]
-            assert np.max(np.abs(lifted.exit_value - direct)) <= 1e-12
-            assert lifted.unitarity_defect < 1e-9
-
-
     def test_endomorphism_factors_through_parallel_transport(
             self, disk_module, rng):
         # U = W Psi^{-1}, the factorization gauge recovery relies on, with
-        # W and Psi from the fixed-step march and U from the adaptive
-        # two-sided system
+        # W and Psi from the fixed-step march and U from the two-sided RK45
+        # oracle
         conn, higgs = random_connection(rng), random_higgs(rng)
         geos = [DiskGeodesic.between_boundary_angles(disk_module, a, b)
                 for a, b in ((0.3, 2.5), (1.0, 4.4), (5.8, 2.2))]
         w, _ = batch_scattering(conn, higgs, geos)
         psi, _ = batch_scattering(conn, HiggsFieldData.zero(2), geos)
         for geo, w_i, psi_i in zip(geos, w, psi):
-            u = endomorphism_transport(disk_module, conn, higgs,
-                                       geo.sample()).exit_value
+            u = endomorphism(conn, higgs, geo.sample())
             assert np.max(np.abs(u - w_i @ np.linalg.inv(psi_i))) < 1e-9
 
 

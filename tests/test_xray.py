@@ -17,14 +17,16 @@ from ahxray.errors import (DomainError, FanMismatchError,
                            IllConditionedGaugeError,
                            InsufficientCrossingsError)
 from ahxray.geometry import (AHModel, BoundaryDatum, DiskGeodesic,
-                             Direction, shoot_from_boundary)
+                             Direction, IntegratorConfig, PhasePoint,
+                             integrate_geodesic, shoot_from_boundary)
 from ahxray.transport import TransportConfig, batch_scattering, transport_rhs
 from ahxray.xray import (FanMode, FanSpec, ScatteringDataset,
                          _gauge_quotient, add_matrix_noise, compare_datasets,
                          compute_scattering_data, gauge_candidate,
                          gauge_degree_zero_check, gauge_field_samples)
+from oracles import joint_rk45, rk45_geodesic, rk45_transport
 from test_bundle import random_connection, random_gauge, random_higgs
-from test_transport import joint_rk45, phase_integral, scalar_higgs
+from test_transport import phase_integral, scalar_higgs
 
 
 @pytest.fixture(scope="module")
@@ -124,7 +126,9 @@ class TestComputeScatteringData:
                                                  eta, crosses):
         conn, higgs = random_connection(rng), random_higgs(rng)
         datum = BoundaryDatum(alpha, eta, Direction.INCOMING)
-        path = shoot_from_boundary(perturbed, datum, 1e-6)
+        # the ray the dataset shoots, at its transport step count
+        path = shoot_from_boundary(perturbed, datum, 1e-6, IntegratorConfig(
+            n_steps=TransportConfig().n_steps))
         assert (path.pieces is not None) is crosses
         ds = compute_scattering_data(perturbed, conn, higgs,
                                      FanSpec(FanMode.SHOOTING, data=(datum,)))
@@ -269,18 +273,42 @@ class TestGaugeCandidate:
                                 np.linspace(-3, 3, 9))
         assert np.max(unitary_defect(curve.q)) < 1e-7
 
-    def test_adaptive_branch_matches_batch(self, disk, rng):
-        from ahxray.geometry import integrate_geodesic
+    def test_adaptive_branch_matches_batch(self, perturbed, rng):
+        # on a piecewise path of the perturbed model, against both pairs'
+        # transport along the RK45 oracle geodesic
         conn = random_connection(rng)
         higgs = random_higgs(rng)
         pair_b = gauge_transform(conn, higgs, random_gauge(rng))
-        geo = DiskGeodesic.between_boundary_angles(disk, 0.9, 3.6)
-        apath = geo.sample()
-        npath = integrate_geodesic(disk, apath.midpoint_phasepoint())
-        times = np.linspace(-2, 2, 5)
-        c1 = gauge_candidate(disk, (conn, higgs), pair_b, apath, times)
-        c2 = gauge_candidate(disk, (conn, higgs), pair_b, npath, times)
-        assert np.max(frobenius(c1.q - c2.q)) < 1e-6
+        start = PhasePoint.from_angle(perturbed, (-0.4, 0.3), 5.8)
+        npath = integrate_geodesic(perturbed, start)
+        crossing = npath.pieces
+        t_in = crossing.incoming.t_exit + npath.t[0] \
+            - crossing.incoming.t_entry
+        t_out = t_in + crossing.h * len(crossing.stages)
+        # samples on both sides of the crossing, none inside it
+        times = np.linspace(-3, 3, 4)
+        assert times[2] < t_in < t_out < times[3]
+        oracle = rk45_geodesic(perturbed, start)
+        c1 = gauge_candidate(perturbed, (conn, higgs), pair_b, npath, times)
+        w_a, w_b = (rk45_transport(transport_rhs(*pair), oracle.state,
+                                   (oracle.t[0], oracle.t[-1]),
+                                   np.eye(2, dtype=complex), t_eval=times)
+                    for pair in ((conn, higgs), pair_b))
+        assert np.max(frobenius(c1.q - _gauge_quotient(w_a, w_b))) < 1e-6
+
+    def test_crossing_interior_refused(self, perturbed, rng):
+        conn, higgs = random_connection(rng), random_higgs(rng)
+        path = shoot_from_boundary(
+            perturbed, BoundaryDatum(0.0, -1.5, Direction.INCOMING), 1e-6)
+        t_in = path.pieces.incoming.t_exit
+        t_out = t_in + path.pieces.h * len(path.pieces.stages)
+        pair = (conn, higgs)
+        # the ends of the crossing are states of the closed-form pieces
+        curve = gauge_candidate(perturbed, pair, pair, path, [t_in, t_out])
+        assert np.max(frobenius(curve.q - np.eye(2))) < 1e-12
+        with pytest.raises(DomainError, match="inside the bump crossing"):
+            gauge_candidate(perturbed, pair, pair, path,
+                            [t_in, 0.5 * (t_in + t_out)])
 
 
 class TestDegreeZero:
