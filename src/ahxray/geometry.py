@@ -35,6 +35,8 @@ import numpy as np
 from .errors import DegenerateGeodesicError, DomainError, TrappedGeodesicError
 
 _INTERIOR_MARGIN = 1e-9
+# points per axis of the grid on which a bump's curvature is checked
+_CURVATURE_GRID = 64
 
 
 class ModelKind(Enum):
@@ -111,8 +113,7 @@ class AHModel:
 
     def __init__(self, kind: ModelKind = ModelKind.POINCARE_DISK,
                  bump: Optional[ConformalBump] = None,
-                 epsilon0: float = 0.1,
-                 curvature_grid: int = 64):
+                 epsilon0: float = 0.1):
         if kind is ModelKind.CONFORMAL_PERTURBED and bump is None:
             raise DomainError("conformal_perturbed model requires a bump")
         if kind is ModelKind.POINCARE_DISK:
@@ -126,10 +127,10 @@ class AHModel:
             if reach**2 > 1.0 - epsilon0:
                 raise DomainError(
                     f"bump support reaches rho < epsilon0 = {epsilon0}")
-            self._validate_curvature(curvature_grid)
+            self._validate_curvature()
 
-    def _validate_curvature(self, n: int) -> None:
-        axis = np.linspace(-0.999, 0.999, n)
+    def _validate_curvature(self) -> None:
+        axis = np.linspace(-0.999, 0.999, _CURVATURE_GRID)
         xx, yy = np.meshgrid(axis, axis, indexing="ij")
         pts = np.stack([xx, yy], axis=-1)
         inside = np.sum(pts * pts, axis=-1) < 1.0 - _INTERIOR_MARGIN
@@ -188,14 +189,6 @@ class AHModel:
 
     def speed(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
         return np.exp(self.log_conformal(x)) * np.sqrt(np.sum(v * v, axis=-1))
-
-    def config_dict(self) -> dict:
-        d = {"kind": self.kind.value}
-        if self.bump is not None:
-            d.update(bump_center=tuple(self.bump.center),
-                     bump_radius=self.bump.radius,
-                     bump_amplitude=self.bump.amplitude)
-        return d
 
 
 def metric_at(model: AHModel, x: np.ndarray) -> MetricSample:

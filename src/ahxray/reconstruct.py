@@ -31,7 +31,7 @@ from .errors import DomainError, StagnationError
 from .geometry import AHModel
 from .transport import TransportConfig, batch_transport, transport_rhs
 from .xray import (FanSpec, ScatteringDataset, compute_scattering_data,
-                   fan_geodesics, require_fan)
+                   fan_paths, require_fan)
 
 
 @dataclass
@@ -100,13 +100,16 @@ class HiggsParameterization:
                               self.decay_N1, validate=False)
 
 
+# Gauss-Newton: gradient norm that stops it, step halvings, rejected steps
+_GRAD_TOL = 1e-10
+_MAX_BACKTRACKS = 25
+_STAGNATION_LIMIT = 5
+
+
 @dataclass
 class ReconstructionConfig:
     tikhonov: float = 1e-10
     max_iter: int = 30
-    grad_tol: float = 1e-10
-    max_backtracks: int = 25
-    stagnation_limit: int = 5
     transport: TransportConfig = field(default_factory=TransportConfig)
 
     def __post_init__(self):
@@ -156,14 +159,14 @@ def forward_map(model: AHModel, conn0: ConnectionField,
 
 
 def _fan_residual(conn0: ConnectionField, params: HiggsParameterization,
-                  geos, cfg: TransportConfig, data):
+                  paths, cfg: TransportConfig, data):
     """c -> stacked real and imaginary parts of F(c) - data, where F is the
-    forward map over the record-ordered fan ``geos`` (the computation of
-    compute_scattering_data, with the geodesics built once)."""
+    forward map over the record-ordered ``paths`` of ``fan_paths`` (the
+    computation of compute_scattering_data, with the fan built once)."""
 
     def residual(c: np.ndarray) -> np.ndarray:
-        out, _ = batch_transport(transport_rhs(conn0, params.higgs(c)),
-                                 geos, conn0.rank, cfg)
+        out = batch_transport(transport_rhs(conn0, params.higgs(c)),
+                              paths, conn0.rank, cfg)
         diff = out - data
         return np.concatenate([diff.real.reshape(-1),
                                diff.imag.reshape(-1)])
@@ -199,14 +202,14 @@ def _tangent_rhs(conn0: ConnectionField, params: HiggsParameterization,
 
 
 def _fan_jacobian(conn0: ConnectionField, params: HiggsParameterization,
-                  geos, cfg: TransportConfig):
+                  paths, cfg: TransportConfig):
     """c -> Jacobian of ``_fan_residual`` at c from one tangent-linear
-    sweep over ``geos``; column k stacks V_k like the residual stacks
+    sweep over ``paths``; column k stacks V_k like the residual stacks
     F(c) - data."""
 
     def jacobian(c: np.ndarray) -> np.ndarray:
-        jet, _ = batch_transport(_tangent_rhs(conn0, params, c), geos,
-                                 (conn0.rank, params.size), cfg)
+        jet = batch_transport(_tangent_rhs(conn0, params, c), paths,
+                              (conn0.rank, params.size), cfg)
         dv = np.moveaxis(jet[:, 1:], 1, -1).reshape(-1, params.size)
         return np.concatenate([dv.real, dv.imag])
 
@@ -225,8 +228,8 @@ def jacobian_fd(model: AHModel, conn0: ConnectionField,
         raise DomainError("fd step must lie in [1e-8, 1e-4]")
     cfg = cfg or ReconstructionConfig()
     _require_flat(conn0)
-    geos = fan_geodesics(model, fan, cfg.transport.rho_cut)
-    residual = _fan_residual(conn0, params, geos, cfg.transport, 0.0)
+    paths, _ = fan_paths(model, fan, cfg.transport)
+    residual = _fan_residual(conn0, params, paths, cfg.transport, 0.0)
     c = np.asarray(c, dtype=float)
     cols = []
     for k in range(len(c)):
@@ -253,11 +256,11 @@ def reconstruct_higgs(data: ScatteringDataset, model: AHModel,
     _require_flat(conn0)
     if data.rank != conn0.rank:
         raise DomainError("dataset rank does not match the connection")
-    geos = fan_geodesics(model, fan, cfg.transport.rho_cut)
-    require_fan(data, geos, cfg.transport.rho_cut)
-    residual = _fan_residual(conn0, params, geos, cfg.transport,
+    paths, _ = fan_paths(model, fan, cfg.transport)
+    require_fan(data, paths, cfg.transport.rho_cut)
+    residual = _fan_residual(conn0, params, paths, cfg.transport,
                              np.array([r.matrix for r in data.records]))
-    jacobian = _fan_jacobian(conn0, params, geos, cfg.transport)
+    jacobian = _fan_jacobian(conn0, params, paths, cfg.transport)
 
     lam = cfg.tikhonov
     c = np.zeros(params.size)
@@ -273,7 +276,7 @@ def reconstruct_higgs(data: ScatteringDataset, model: AHModel,
     for iterations in range(1, cfg.max_iter + 1):
         jac = jacobian(c)
         grad = jac.T @ r + lam * c
-        if np.linalg.norm(grad) < cfg.grad_tol:
+        if np.linalg.norm(grad) < _GRAD_TOL:
             converged = True
             iterations -= 1
             break
@@ -281,7 +284,7 @@ def reconstruct_higgs(data: ScatteringDataset, model: AHModel,
         step = np.linalg.solve(lhs, -grad)
         scale = 1.0
         accepted = False
-        for _ in range(cfg.max_backtracks):
+        for _ in range(_MAX_BACKTRACKS):
             c_try = c + scale * step
             r_try = residual(c_try)
             if objective(r_try, c_try) < history[-1]:
@@ -292,10 +295,10 @@ def reconstruct_higgs(data: ScatteringDataset, model: AHModel,
             scale *= 0.5
         if not accepted:
             stagnant += 1
-            if stagnant >= cfg.stagnation_limit:
+            if stagnant >= _STAGNATION_LIMIT:
                 raise StagnationError(
                     "no residual decrease for "
-                    f"{cfg.stagnation_limit} consecutive damped steps",
+                    f"{_STAGNATION_LIMIT} consecutive damped steps",
                     report=_report(c, history, r, iterations, False,
                                    ground_truth))
         else:

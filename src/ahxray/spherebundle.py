@@ -50,7 +50,7 @@ TWO_PI = 2.0 * math.pi
 
 
 class SphereBundleGrid:
-    """Tensor grid on {rho >= rho_grid} x uniform fiber angles.
+    """Square tensor grid on {rho >= rho_grid} x uniform fiber angles.
 
     Quadrature weight per node is sqrt(det g) * h1 * h2 * dtheta, so the
     total fiber measure over each base point is 2*pi*sqrt(det g)*h1*h2
@@ -58,17 +58,16 @@ class SphereBundleGrid:
     """
 
     def __init__(self, model: AHModel, nx: int = 64, n_theta: int = 64,
-                 rho_grid: float = 0.05, ny: Optional[int] = None):
+                 rho_grid: float = 0.05):
         if nx < 8 or n_theta < 8:
             raise DomainError("grid too small for 4th-order stencils")
-        ny = ny or nx
         self.model = model
-        self.nx, self.ny, self.n_theta = nx, ny, n_theta
+        self.nx, self.ny, self.n_theta = nx, nx, n_theta
         self.rho_grid = rho_grid
         r_grid = math.sqrt(1.0 - rho_grid)
         self.r_grid = r_grid
         self.xs = np.linspace(-r_grid, r_grid, nx)
-        self.ys = np.linspace(-r_grid, r_grid, ny)
+        self.ys = np.linspace(-r_grid, r_grid, nx)
         self.h1 = self.xs[1] - self.xs[0]
         self.h2 = self.ys[1] - self.ys[0]
         self.dtheta = TWO_PI / n_theta
@@ -79,9 +78,9 @@ class SphereBundleGrid:
         self.mask = r2 <= r_grid**2 + 1e-12
         self.interior_mask = self._erode(self.mask, 2)
 
-        phi = np.zeros((nx, ny))
-        grad = np.zeros((nx, ny, 2))
-        gauss = np.zeros((nx, ny))
+        phi = np.zeros((nx, nx))
+        grad = np.zeros((nx, nx, 2))
+        gauss = np.zeros((nx, nx))
         pts = self.points[self.mask]
         phi[self.mask] = model.log_conformal(pts)
         grad[self.mask] = model.grad_log_conformal(pts)

@@ -16,11 +16,12 @@ rho_cut (verified by Richardson halving rather than certified).
 
 Propagators obey the cocycle law W(t2, t0) = W(t2, t1) W(t1, t0).  A path
 is closed-form disk geodesics and at most one RK4 crossing of the bump,
-and ``transport_paths``, the one entry point, multiplies their
-propagators in order.  Both integrators are classic fixed-step RK4:
-``batch_transport`` marches closed-form geodesics (and the first-order
-jets of reconstruction's Jacobian) across whole fans, and
-``crossing_transport`` steps at the stage states of a ray's bump crossing.
+and ``batch_transport``, the one entry point, multiplies their
+propagators in order, for rank-d systems and for the first-order jets of
+reconstruction's Jacobian alike.  Both integrators take classic RK4 steps
+(``_rk4_step``): ``_march`` steps the closed-form pieces of whole fans at
+once, and ``crossing_transport`` steps at the stage states of each ray's
+bump crossing.
 """
 
 from __future__ import annotations
@@ -103,8 +104,6 @@ class _BatchPaths:
     """
 
     def __init__(self, geos: Sequence[DiskGeodesic], n_steps: int):
-        self.geos = list(geos)
-        self.n_steps = n_steps
         self.t0 = np.array([g.t_entry for g in geos])
         self.span = np.array([g.t_exit - g.t_entry for g in geos])
         self.dt = self.span / n_steps
@@ -128,32 +127,43 @@ class _BatchPaths:
         return self.t0 + np.asarray(frac, dtype=float)[..., None] * self.span
 
 
-def _rk4_step(u, h, f_start, f_mid, f_end):
-    """One classic RK4 step; the midpoint right-hand side serves two stages."""
-    k1 = f_start(u)
-    k2 = f_mid(u + 0.5 * h * k1)
-    k3 = f_mid(u + 0.5 * h * k2)
-    k4 = f_end(u + h * k3)
+def _rk4_step(u, h, f1, f2, f3, f4):
+    """One classic RK4 step from u, with the right-hand side of each stage."""
+    k1 = f1(u)
+    k2 = f2(u + 0.5 * h * k1)
+    k3 = f3(u + 0.5 * h * k2)
+    k4 = f4(u + h * k3)
     return u + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def _jet_product(a, b):
     """(W2, V2) o (W1, V1) = (W2 W1, V2 W1 + W2 V1) for jets stacked on
-    axis -3 (W first, then V_1..V_P): the block-triangular cocycle law."""
-    out = mul(a, b[..., :1, :, :])
-    out[..., 1:, :, :] += mul(a[..., :1, :, :], b[..., 1:, :, :])
-    return out
+    axis -3 (W first, then V_1..V_P): the block-triangular cocycle law.
+    W2 W1 is a product of W stacks alone, so it takes the path through
+    ``mul`` of the rank-d product and equals it bit for bit."""
+    w2, w1 = a[..., :1, :, :], b[..., :1, :, :]
+    return np.concatenate([mul(w2, w1), mul(a[..., 1:, :, :], w1)
+                           + mul(w2, b[..., 1:, :, :])], axis=-3)
 
 
-def batch_transport(prep, geos: Sequence[DiskGeodesic],
-                    rank: int | tuple[int, int],
-                    cfg: Optional[TransportConfig] = None,
-                    record_fracs: Optional[Sequence[float]] = None):
+def _identity(rank: int | tuple[int, int]):
+    """The identity state of rank d or of the jet (d, P), (I, 0, ..., 0)
+    of shape (P + 1, d, d), and the product that composes such states."""
+    d, order = rank if isinstance(rank, tuple) else (rank, 0)
+    eye = np.eye(d, dtype=complex)
+    if not order:
+        return eye, mul
+    return (np.concatenate([eye[None], np.zeros((order, d, d), complex)]),
+            _jet_product)
+
+
+def _march(prep, geos: Sequence[DiskGeodesic], rank: int | tuple[int, int],
+           cfg: Optional[TransportConfig] = None,
+           record_fracs: Optional[Sequence[float]] = None):
     """Fixed-step RK4 fundamental solutions across closed-form disk
     geodesics, marched as m segments per span.
 
-    Per-geodesic step size span/n_steps.  ``prep`` is a left-acting
-    fundamental system of rank d (``transport_rhs``); it is called with
+    Per-geodesic step size span/n_steps.  ``prep`` is called with
     positions and velocities of shape (m, len(geos), 2), or with snapshot
     axes in front.  Each span is cut into m = ``_segments`` equal
     segments, all marched at once from the identity in n_steps/m steps;
@@ -162,38 +172,22 @@ def batch_transport(prep, geos: Sequence[DiskGeodesic],
     earlier segments' propagators.  m is 1 when n_steps has no divisor that
     fits, and the march is then the plain sequential one.
 
-    ``rank`` is d, or (d, P) to march the first-order jet (W, V_1..V_P)
-    of W along P directions: the state then has shape (P + 1, d, d), W
-    first, starts at (I, 0, ..., 0), and ``prep`` returns the right-hand
-    side of the jet system (dW = -M W, dV_k = -(M V_k + B_k W) for a
-    generator M with derivatives B_k).  Jets compose by the product rule
-    (W2, V2) o (W1, V1) = (W2 W1, V2 W1 + W2 V1), which is the cocycle law
-    of the block-triangular system, so segments and snapshots are formed
-    as for P = 0.  RK4 of a linear system is a polynomial in the step
-    generators, so the V_k are the exact derivatives of the discrete W.
-
     Snapshots of the state at the requested fractions of each span are
     taken at the exact requested times: a fractional RK4 side-step from
     the preceding grid time, computed from the identity for all snapshots
     in one evaluation, multiplies the propagator to that grid time, so
     crossing families sample identical base points.
 
-    Returns (W_exit, records), W_exit of shape (len(geos), d, d) or, for
-    a jet, (len(geos), P + 1, d, d); records is a time-ordered list of
-    (t, x, v, W) batches of states, or None when no fractions were
-    requested.
+    Returns (W_exit, records), W_exit of shape (len(geos),) + the state's
+    shape; records is a time-ordered list of (t, x, v, W) batches of
+    states, or None when no fractions were requested.
     """
     cfg = cfg or TransportConfig()
-    d, order = rank if isinstance(rank, tuple) else (rank, 0)
-    eye = np.eye(d, dtype=complex)
-    product = mul
-    if order:
-        eye = np.concatenate([eye[None], np.zeros((order, d, d), complex)])
-        product = _jet_product
+    eye, product = _identity(rank)
     n = cfg.n_steps
     batch = _BatchPaths(geos, n)
-    width = len(batch.geos)
-    m = _segments(n, width, order)
+    width = len(geos)
+    m = _segments(n, width, 0 if eye.ndim == 2 else len(eye) - 1)
     seg = n // m
     first = np.arange(m) * seg      # grid step where each segment starts
     w = np.broadcast_to(eye, (m, width) + eye.shape).copy()
@@ -212,7 +206,7 @@ def batch_transport(prep, geos: Sequence[DiskGeodesic],
         partial[hit] = w[owner[hit]]
         f_mid = prep(*batch.state((first + k + 0.5) / n))
         f_next = prep(*batch.state((first + k + 1.0) / n))
-        w = _rk4_step(w, dt, f_here, f_mid, f_next)
+        w = _rk4_step(w, dt, f_here, f_mid, f_mid, f_next)
         f_here = f_next
 
     prefix = [np.broadcast_to(eye, (width,) + eye.shape)]
@@ -225,61 +219,43 @@ def batch_transport(prep, geos: Sequence[DiskGeodesic],
     # need no separate path
     delta = pos - grid
     x, v = batch.state(fracs)
+    f_mid = prep(*batch.state((grid + 0.5 * delta) / n))
     side = _rk4_step(eye, delta.reshape((-1,) + (1,) * dt.ndim) * dt,
-                     prep(*batch.state(grid / n)),
-                     prep(*batch.state((grid + 0.5 * delta) / n)),
-                     prep(x, v))
+                     prep(*batch.state(grid / n)), f_mid, f_mid, prep(x, v))
     snaps = product(product(side, partial), np.stack(prefix)[owner])
     return prefix[-1], list(zip(batch.times(fracs), x, v, snaps))
 
 
 def crossing_transport(prep, crossings: Sequence[ShotPieces],
-                       rank: int) -> np.ndarray:
-    """Fundamental solutions across the bump crossings of shot rays.
+                       rank: int | tuple[int, int]) -> np.ndarray:
+    """Fundamental solutions (or jets) across the bump crossings of shot
+    rays, shape (len(crossings),) + the state's shape.
 
-    A crossing stores the four stage states (x, v) of every RK4 step of
-    its geodesic march; a joint (x, v, W) RK4 march evaluates W's
-    generators A_1..A_4 at exactly those states, so its step propagator is
-    I + h/6 (k1 + 2 k2 + 2 k3 + k4) with k1 = A_1, k2 = A_2 (I + h/2 k1),
-    k3 = A_3 (I + h/2 k2) and k4 = A_4 (I + h k3).  The middle stages sit
-    at different positions, so ``_rk4_step``'s shared midpoint does not
-    apply.  ``prep`` (``transport_rhs``) is evaluated once over every stage
-    node of every crossing; the step propagators of each crossing are then
-    multiplied in order, pairwise by the cocycle law, which equals the
-    joint march up to rounding.  Returns shape (len(crossings), d, d).
+    A crossing stores the stage states (x, v) of every RK4 step of its
+    geodesic march, where a joint (x, v, W) march evaluates W's stages, so
+    a step propagator is one ``_rk4_step`` from the identity, with ``prep``
+    called once per stage over every step of every crossing.  The step
+    propagators of each crossing are multiplied in order, pairwise by the
+    cocycle law, which equals the joint march up to rounding.
     """
-    eye = np.eye(rank, dtype=complex)
+    eye, product = _identity(rank)
     if not crossings:
-        return np.zeros((0, rank, rank), dtype=complex)
+        return np.zeros((0,) + eye.shape, dtype=complex)
     counts = [len(c.stages) for c in crossings]
     stages = np.concatenate([c.stages for c in crossings])
-    gen = prep(stages[..., 0, :], stages[..., 1, :])(
-        np.broadcast_to(eye, stages.shape[:2] + eye.shape))
-    h = np.repeat([c.h for c in crossings], counts)[:, None, None]
-    k1 = gen[:, 0]
-    k2 = mul(gen[:, 1], eye + 0.5 * h * k1)
-    k3 = mul(gen[:, 2], eye + 0.5 * h * k2)
-    k4 = mul(gen[:, 3], eye + h * k3)
-    steps = eye + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    h = np.repeat([c.h for c in crossings], counts)
+    steps = _rk4_step(np.broadcast_to(eye, stages.shape[:1] + eye.shape),
+                      h.reshape((-1,) + (1,) * eye.ndim),
+                      *(prep(stages[:, s, 0], stages[:, s, 1])
+                        for s in range(4)))
     # identity-padded to a power of two, then halved pairwise
     n = 1 << (max(counts) - 1).bit_length()
     w = np.broadcast_to(eye, (len(crossings), n) + eye.shape).copy()
     for i, (lo, count) in enumerate(zip(np.cumsum([0] + counts), counts)):
         w[i, :count] = steps[lo:lo + count]
     while w.shape[1] > 1:
-        w = mul(w[:, 1::2], w[:, 0::2])
+        w = product(w[:, 1::2], w[:, 0::2])
     return w[:, 0]
-
-
-def batch_scattering(conn: ConnectionField, higgs: HiggsFieldData,
-                     geos: Sequence[DiskGeodesic],
-                     cfg: Optional[TransportConfig] = None,
-                     record_fracs: Optional[Sequence[float]] = None):
-    """Scattering matrices for a whole fan of closed-form disk geodesics."""
-    if conn.rank != higgs.rank:
-        raise RankMismatchError("connection and Higgs ranks differ")
-    return batch_transport(transport_rhs(conn, higgs), geos,
-                           conn.rank, cfg, record_fracs)
 
 
 # -- paths: closed-form pieces and crossings --------------------------------
@@ -318,16 +294,25 @@ def _piece_fracs(path, pieces, crossing, times: np.ndarray):
     return piece, fracs, shift + piece * t_out
 
 
-def transport_paths(prep, paths: Sequence, rank: int,
+def batch_transport(prep, paths: Sequence, rank: int | tuple[int, int],
                     cfg: Optional[TransportConfig] = None,
                     times: Optional[np.ndarray] = None):
     """Fundamental solutions along paths, entry to exit: the one transport
     entry point, shape (len(paths), d, d).
 
     A path is a ``DiskGeodesic`` or a ``GeodesicPath`` that carries
-    ``analytic`` or ``pieces``.  One ``batch_transport`` call marches every
-    closed-form piece, one ``crossing_transport`` call every crossing of
-    the bump, and a crossing ray's solution is W_out W_ball W_in.
+    ``analytic`` or ``pieces``; ``prep`` is a rank-d system
+    (``transport_rhs``).  One ``_march`` call steps every closed-form
+    piece, one ``crossing_transport`` call every crossing of the bump, and
+    a crossing ray's solution is (W_out W_ball) W_in.
+
+    ``rank`` (d, P) transports the first-order jet (W, V_1..V_P) of W in P
+    directions, shape (len(paths), P + 1, d, d), for a ``prep`` of the jet
+    system dW = -M W, dV_k = -(M V_k + B_k W) (generator M, derivatives
+    B_k).  Jets compose by the cocycle law of this block-triangular system
+    (``_jet_product``), and RK4 of a linear system is a polynomial in its
+    stage generators, so the V_k are the exact derivatives of the discrete
+    W, across crossings too.
 
     ``times`` (sorted, on the paths' clocks, clipped to their spans) also
     asks for snapshots, returned as (W_exit, (t, x, v, W)) with arrays of
@@ -336,10 +321,11 @@ def transport_paths(prep, paths: Sequence, rank: int,
     W_ball W_in.  A time strictly inside a crossing, where the march holds
     no state, is refused.
     """
+    eye, product = _identity(rank)
     splits = [_split(p) for p in paths]
     geos = [g for pieces, _ in splits for g in pieces]
     if not geos:
-        return np.zeros((0, rank, rank), dtype=complex)
+        return np.zeros((0,) + eye.shape, dtype=complex)
     balls = iter(crossing_transport(
         prep, [c for _, c in splits if c is not None], rank))
     if times is not None:
@@ -347,10 +333,10 @@ def transport_paths(prep, paths: Sequence, rank: int,
         where = [_piece_fracs(p, *split, times)
                  for p, split in zip(paths, splits)]
         fracs = np.concatenate([f for _, f, _ in where])
-    w_geo, records = batch_transport(prep, geos, rank, cfg,
-                                     None if times is None else fracs)
+    w_geo, records = _march(prep, geos, rank, cfg,
+                            None if times is None else fracs)
     if records is not None:
-        # batch_transport records the fractions in sorted order
+        # _march records the fractions in sorted order
         rows = np.searchsorted(np.sort(fracs), fracs)
         rec = [np.stack(r)[rows] for r in zip(*records)]
 
@@ -359,14 +345,17 @@ def transport_paths(prep, paths: Sequence, rank: int,
         w = w_geo[first]
         if crossing is not None:
             w_ball = next(balls)
-            w_cross, w = w_ball @ w, w_geo[first + 1] @ w_ball @ w
+            w_cross = product(w_ball, w)
+            w = product(product(w_geo[first + 1], w_ball), w)
         exits.append(w)
         if records is not None:
             piece, _, origin = where[k]
             at = (k * len(times) + np.arange(len(times)), first + piece)
             t, x, v, w_t = (r[at] for r in rec)
-            if crossing is not None:
-                w_t[piece == 1] = w_t[piece == 1] @ w_cross
+            # outgoing snapshots (crossing rays only), one at a time: mul
+            # multiplies long stacks by another summation than single states
+            for i in np.flatnonzero(piece == 1):
+                w_t[i] = product(w_t[i], w_cross)
             snaps.append((t + origin, x, v, w_t))
         first += len(pieces)
     if records is None:
@@ -379,7 +368,7 @@ def solve_transport(model: AHModel, conn: ConnectionField,
                     e_in: np.ndarray,
                     cfg: Optional[TransportConfig] = None) -> TransportResult:
     """Transport a fiber vector (or the columns of a matrix) along a
-    complete path, entry to exit, by ``transport_paths``.  With
+    complete path, entry to exit, by ``batch_transport``.  With
     ``cfg.richardson`` the truncation estimate is the change of the exit
     value on the path rebuilt at half its rho_cut."""
     cfg = cfg or TransportConfig()
@@ -389,7 +378,7 @@ def solve_transport(model: AHModel, conn: ConnectionField,
     if e_in.shape[0] != conn.rank:
         raise RankMismatchError("initial value rank mismatch")
     prep = transport_rhs(conn, higgs)
-    w = transport_paths(prep, [path], conn.rank, cfg)[0]
+    w = batch_transport(prep, [path], conn.rank, cfg)[0]
     estimate = None
     if cfg.richardson:
         # the path rebuilt at half its rho_cut: the closed form there, or
@@ -399,7 +388,7 @@ def solve_transport(model: AHModel, conn: ConnectionField,
         fine = pieces[0].with_rho_cut(half) if crossing is None else \
             shoot_from_boundary(model, path.entry, half,
                                 IntegratorConfig(rho_cut=half))
-        w_fine = transport_paths(prep, [fine], conn.rank, cfg)[0]
+        w_fine = batch_transport(prep, [fine], conn.rank, cfg)[0]
         estimate = float(np.linalg.norm((w_fine - w) @ e_in))
     return TransportResult(exit_value=w @ e_in,
                            unitarity_defect=float(unitary_defect(w)),

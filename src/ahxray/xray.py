@@ -30,10 +30,10 @@ from .errors import (DatasetError, DomainError, FanMismatchError,
 from .geometry import (AHModel, BoundaryDatum, DiskGeodesic, Direction,
                        GeodesicPath, IntegratorConfig, ModelKind,
                        shoot_from_boundary)
-# batch_transport and scattering_matrix are no longer called here; they stay
-# module attributes because bench/spans.py wraps them by name
+# scattering_matrix is not called here; it stays a module attribute
+# because bench/spans.py wraps it by name
 from .transport import (TransportConfig, batch_transport, scattering_matrix,
-                        transport_paths, transport_rhs)
+                        transport_rhs)
 
 
 class FanMode(Enum):
@@ -113,10 +113,6 @@ class ScatteringDataset:
     records: list[ScatteringRecord]
     failures: list[tuple[tuple[float, float], str]] = field(default_factory=list)
 
-    def sort(self) -> "ScatteringDataset":
-        self.records.sort(key=lambda r: r.entry.key())
-        return self
-
     def to_jsonl(self) -> str:
         lines = [json.dumps({"fingerprint": self.fingerprint,
                              "rank": self.rank, "rho_cut": self.rho_cut},
@@ -172,53 +168,58 @@ class ScatteringDataset:
                    records=records)
 
 
-def fan_geodesics(model: AHModel, fan: FanSpec,
-                  rho_cut: float) -> list[DiskGeodesic]:
-    """Closed-form geodesics of a boundary-pair fan, in dataset record
-    order (sorted by entry key)."""
-    if fan.mode is not FanMode.BOUNDARY_PAIRS \
-            or model.kind is not ModelKind.POINCARE_DISK:
-        raise DomainError(
-            "closed-form fans need boundary pairs on the unperturbed disk; "
-            "use a shooting fan for perturbed models")
-    geos = [DiskGeodesic.between_boundary_angles(model, a, b, rho_cut)
-            for a, b in fan.pairs]
-    return sorted(geos, key=lambda g: g.boundary_data()[0].key())
+def fan_paths(model: AHModel, fan: FanSpec,
+              cfg: Optional[TransportConfig] = None
+              ) -> tuple[list, list[tuple[tuple[float, float], str]]]:
+    """The paths of a fan in dataset record order (sorted by entry key),
+    and the (entry key, message) failures of rays that do not exit.
+
+    A boundary-pair fan is its closed-form geodesics, which exist on the
+    unperturbed disk only.  A shooting fan shoots each ray
+    (``shoot_from_boundary``, crossing the bump at the whole-ray step
+    span / n_steps); a trapped ray is a failure, not a path.
+    """
+    cfg = cfg or TransportConfig()
+    paths, failures = [], []
+    if fan.mode is FanMode.BOUNDARY_PAIRS:
+        if model.kind is not ModelKind.POINCARE_DISK:
+            raise DomainError(
+                "a boundary-pair fan needs the unperturbed disk, where "
+                "geodesics between boundary angles are closed form; on a "
+                "perturbed model use a shooting fan")
+        paths = [DiskGeodesic.between_boundary_angles(model, a, b,
+                                                      cfg.rho_cut)
+                 for a, b in fan.pairs]
+    else:
+        icfg = IntegratorConfig(rho_cut=cfg.rho_cut, n_steps=cfg.n_steps)
+        for datum in fan.data:
+            try:
+                paths.append(shoot_from_boundary(model, datum, cfg.rho_cut,
+                                                 icfg))
+            except TrappedGeodesicError as err:
+                failures.append((datum.key(), str(err)))
+    return sorted(paths, key=lambda p: p.boundary_data()[0].key()), failures
 
 
 def compute_scattering_data(model: AHModel, conn: ConnectionField,
                             higgs: HiggsFieldData, fan: FanSpec,
                             cfg: Optional[TransportConfig] = None,
                             fingerprint: str = "") -> ScatteringDataset:
-    """One scattering record per fan element, deterministically ordered.
-
-    A boundary-pair fan on the unperturbed disk is its closed-form
-    geodesics.  A shooting fan shoots each ray (``shoot_from_boundary``,
-    crossing the bump at the whole-ray step span / n_steps).  Either fan
-    is transported by one ``transport_paths`` call; a trapped geodesic
-    aborts its record, not the dataset.
-    """
+    """One scattering record per path of ``fan_paths``, in its order, from
+    one ``batch_transport`` call; a trapped geodesic aborts its record, not
+    the dataset."""
     cfg = cfg or TransportConfig()
+    paths, failures = fan_paths(model, fan, cfg)
     dataset = ScatteringDataset(fingerprint=fingerprint, rank=conn.rank,
-                                rho_cut=cfg.rho_cut, records=[])
-    if fan.mode is FanMode.BOUNDARY_PAIRS:
-        paths = fan_geodesics(model, fan, cfg.rho_cut)
-    else:
-        icfg = IntegratorConfig(rho_cut=cfg.rho_cut, n_steps=cfg.n_steps)
-        paths = []
-        for datum in fan.data:
-            try:
-                paths.append(shoot_from_boundary(model, datum, cfg.rho_cut,
-                                                 icfg))
-            except TrappedGeodesicError as err:
-                dataset.failures.append((datum.key(), str(err)))
-    mats = transport_paths(transport_rhs(conn, higgs), paths, conn.rank, cfg)
+                                rho_cut=cfg.rho_cut, records=[],
+                                failures=failures)
+    mats = batch_transport(transport_rhs(conn, higgs), paths, conn.rank, cfg)
     for path, mat, defect in zip(paths, mats, unitary_defect(mats)):
         entry, exit_ = path.boundary_data()
         dataset.records.append(ScatteringRecord(
             entry=entry, exit=exit_, matrix=mat,
             unitarity_defect=float(defect)))
-    return dataset.sort()
+    return dataset
 
 
 @dataclass
@@ -238,15 +239,15 @@ def _require_same_entries(entries_a: Sequence[BoundaryDatum],
             raise FanMismatchError(f"entry keys differ: {ka} vs {kb}")
 
 
-def require_fan(data: ScatteringDataset, geos: Sequence[DiskGeodesic],
+def require_fan(data: ScatteringDataset, paths: Sequence,
                 rho_cut: float) -> None:
     """Refuse a dataset whose truncation level or entry keys differ from
-    those of the record-ordered fan ``geos``."""
+    those of the record-ordered ``paths`` of ``fan_paths``."""
     if not math.isclose(data.rho_cut, rho_cut, rel_tol=1e-6):
         raise FanMismatchError(f"dataset rho_cut {data.rho_cut!r} differs "
                                f"from the configured {rho_cut!r}")
     _require_same_entries([r.entry for r in data.records],
-                          [g.boundary_data()[0] for g in geos])
+                          [p.boundary_data()[0] for p in paths])
 
 
 def compare_datasets(a: ScatteringDataset,
@@ -307,14 +308,14 @@ def gauge_candidate(model: AHModel,
 
     For gauge-equivalent pairs the quotient reproduces the gauge along the
     lifted geodesic up to truncation and solver error.  The path is any
-    that ``transport_paths`` takes; on a ray that crosses the bump, a
+    that ``batch_transport`` takes; on a ray that crosses the bump, a
     sample time strictly inside the crossing is refused.
     """
     cfg = cfg or TransportConfig()
     preps = _gauge_systems(pair_a, pair_b)
     d = pair_a[0].rank
     sample_times = np.sort(np.asarray(sample_times, dtype=float))
-    samples = [transport_paths(prep, [path], d, cfg, sample_times)[1]
+    samples = [batch_transport(prep, [path], d, cfg, sample_times)[1]
                for prep in preps]
     ts, xs, vs, w_a = (s[0] for s in samples[0])
     w_b = samples[1][3][0]
@@ -364,8 +365,15 @@ def gauge_field_samples(model: AHModel,
             geo = DiskGeodesic.through(model, x, float(th), cfg.rho_cut)
             # integrate entry -> sample point only
             geos.append(geo.span(geo.t_entry, 0.0))
-    w_a, w_b = (transport_paths(prep, geos, d, cfg) for prep in preps)
+    w_a, w_b = (batch_transport(prep, geos, d, cfg) for prep in preps)
     return _gauge_quotient(w_a, w_b).reshape(len(points), len(thetas), d, d)
+
+
+# degree-zero check: cell edge, crossings, co-location radius, verdict bound
+_CELL_SIZE = 0.05
+_MIN_CROSSINGS = 3
+_COLOCATION_TOL = 1e-6
+_DEGREE_ZERO_TOL = 1e-4
 
 
 @dataclass
@@ -379,25 +387,23 @@ class DegreeZeroReport:
 
 def gauge_degree_zero_check(curves: Sequence[GaugeCurve],
                             pair_a: tuple[ConnectionField, HiggsFieldData],
-                            pair_b: tuple[ConnectionField, HiggsFieldData],
-                            cell_size: float = 0.05,
-                            tol: float = 1e-4,
-                            min_crossings: int = 3,
-                            colocation_tol: float = 1e-6) -> DegreeZeroReport:
+                            pair_b: tuple[ConnectionField, HiggsFieldData]
+                            ) -> DegreeZeroReport:
     """Degree-zero verdict for recovered gauge candidates.
 
     Samples are grouped by base-point cell.  In each cell crossed by enough
     distinct geodesics, one representative sample per geodesic enters the
     comparison: the sample closest (in summed nearest-neighbor distance) to
     the other geodesics' samples.  Only cells whose representatives
-    co-locate within ``colocation_tol`` are scored; the degree-zero
+    co-locate within ``_COLOCATION_TOL`` are scored; the degree-zero
     statement is pointwise in the base point, and cells where curves merely
     pass near each other would measure spatial spread instead of fiber
     dependence.  The zeroth-mode relation Phi Q - Q Phi_tilde is evaluated
     on the representative averages; the first-mode relation (the
     endomorphism derivative of Q against Q times the connection
     difference) is differenced along each curve in time, where the
-    sampling is dense, rather than across cells.
+    sampling is dense, rather than across cells.  The verdict is degree
+    zero when the fiber variation stays below ``_DEGREE_ZERO_TOL``.
     """
     conn_a, higgs_a = pair_a
     conn_b, higgs_b = pair_b
@@ -408,15 +414,15 @@ def gauge_degree_zero_check(curves: Sequence[GaugeCurve],
     cells: dict[tuple[int, int], dict[int, list[int]]] = {}
     for ci, curve in enumerate(curves):
         for si in range(len(curve.t)):
-            key = (math.floor(curve.x[si, 0] / cell_size + 0.5),
-                   math.floor(curve.x[si, 1] / cell_size + 0.5))
+            key = (math.floor(curve.x[si, 0] / _CELL_SIZE + 0.5),
+                   math.floor(curve.x[si, 1] / _CELL_SIZE + 0.5))
             cells.setdefault(key, {}).setdefault(ci, []).append(si)
 
     max_var = 0.0
     mode0 = 0.0
     checked = 0
     for key, members in cells.items():
-        if len(members) < min_crossings:
+        if len(members) < _MIN_CROSSINGS:
             continue
         reps = {}
         for ci, sis in members.items():
@@ -435,10 +441,10 @@ def gauge_degree_zero_check(curves: Sequence[GaugeCurve],
         dists = np.linalg.norm(xs[:, None, :] - xs[None, :, :], axis=-1)
         # keep the largest co-located cluster; geodesics that merely pass
         # through the cell without meeting the others are left out
-        neighbor_counts = np.sum(dists <= colocation_tol, axis=1)
+        neighbor_counts = np.sum(dists <= _COLOCATION_TOL, axis=1)
         anchor = int(np.argmax(neighbor_counts))
-        cluster = np.nonzero(dists[anchor] <= colocation_tol)[0]
-        if cluster.size < min_crossings:
+        cluster = np.nonzero(dists[anchor] <= _COLOCATION_TOL)[0]
+        if cluster.size < _MIN_CROSSINGS:
             continue
         checked += 1
         xs = xs[cluster]
@@ -451,7 +457,7 @@ def gauge_degree_zero_check(curves: Sequence[GaugeCurve],
         mode0 = max(mode0, float(frobenius(res)))
     if checked == 0:
         raise InsufficientCrossingsError(
-            f"no cell of size {cell_size} has >= {min_crossings} crossings "
+            f"no cell of size {_CELL_SIZE} has >= {_MIN_CROSSINGS} crossings "
             "at a common base point")
 
     mode1 = 0.0
@@ -474,7 +480,7 @@ def gauge_degree_zero_check(curves: Sequence[GaugeCurve],
         res = xq - q_m @ a_dir
         mode1 = max(mode1, float(np.max(frobenius(res))))
 
-    return DegreeZeroReport(degree_zero=max_var < tol,
+    return DegreeZeroReport(degree_zero=max_var < _DEGREE_ZERO_TOL,
                             max_theta_variation=max_var,
                             mode0_residual=mode0, mode1_residual=mode1,
                             cells_checked=checked)

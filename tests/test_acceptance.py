@@ -121,14 +121,14 @@ def test_criterion_05_gauge_equivalence():
 
     # decay-exponent slope, measured at coarse truncations (beyond the
     # production rho_cut window) where the power law beats solver noise
-    from ahxray.transport import batch_scattering
+    from ahxray.transport import batch_transport, transport_rhs
     gaps = []
     slope_fan = FanSpec.uniform_pairs(40, n_openings=5)
     for rc in (1e-1, 5e-2):
         geos = [DiskGeodesic.between_boundary_angles(DISK, a, b, rho_cut=rc)
                 for a, b in slope_fan.pairs]
-        ua, _ = batch_scattering(conn, higgs, geos, cfg)
-        ub, _ = batch_scattering(conn2, higgs2, geos, cfg)
+        ua = batch_transport(transport_rhs(conn, higgs), geos, 2, cfg)
+        ub = batch_transport(transport_rhs(conn2, higgs2), geos, 2, cfg)
         gaps.append(float(np.max(frobenius(ua - ub))))
     ratio = gaps[0] / gaps[1]
     slope_ok = 2**4 / 2.5 < ratio < 2**4 * 2.5

@@ -3,8 +3,8 @@
 ``bench/spans.py`` wraps public ahxray names where their callers look them
 up; a rename in the library would break ``bench/run.py --trace 1`` without
 failing any library test.  These tests install the tracer, run a toy
-reconstruction and toy Pestov checks under it, and check the counters and
-the uninstall; the toy ``pestov_grid`` workload of ``bench/workloads.py``
+reconstruction, toy datasets and toy Pestov checks under it, and check the
+counters and the uninstall; the toy ``pestov_grid`` workload of ``bench/workloads.py``
 runs its set-up, solve and acceptance gates.
 """
 
@@ -12,6 +12,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 
@@ -28,6 +29,7 @@ from ahxray.geometry import AHModel, DiskGeodesic  # noqa: E402
 from ahxray.reconstruct import ReconstructionConfig  # noqa: E402
 from ahxray.transport import TransportConfig  # noqa: E402
 from ahxray.xray import FanSpec, ScatteringDataset  # noqa: E402
+from test_bundle import random_connection, random_higgs  # noqa: E402
 from test_reconstruct import su2_basis  # noqa: E402
 
 
@@ -89,6 +91,33 @@ def test_tracer_counts_forward_solves_and_uninstalls():
         assert after.keys() == snapshot.keys()
         for name, value in snapshot.items():
             assert after[name] is value, f"{owner!r}.{name} not restored"
+
+
+@pytest.mark.parametrize("shooting", [False, True])
+def test_tracer_counts_dataset_transport(perturbed, shooting):
+    # a dataset is one transport call through xray's binding, whose field
+    # evaluations the tracer sees: a boundary-pair fan on the disk and a
+    # shooting fan on the perturbed model, some of whose rays cross the bump
+    model = perturbed if shooting else AHModel()
+    fan = FanSpec.uniform_shooting(10) if shooting \
+        else FanSpec.uniform_pairs(6, n_openings=3)
+    rng = np.random.default_rng(5)
+    conn, higgs = random_connection(rng), random_higgs(rng)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        tracer.group = "solve"
+        data = xray.compute_scattering_data(model, conn, higgs, fan,
+                                            TransportConfig(n_steps=64))
+    finally:
+        tracer.uninstall()
+
+    counts = tracer.counts["solve"]
+    assert counts["xray.records"] == len(data.records) == len(fan)
+    assert counts["transport.batch_calls"] == 1
+    assert counts["bundle.field_calls"] > 0
+    if shooting:
+        assert counts["geometry.rays_shot"] == len(fan)
 
 
 def _trace_pestov(u):

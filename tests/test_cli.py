@@ -94,6 +94,18 @@ basis.1 = gen=0,0,1,0,-1,0,0,0; center=-0.15,0.2; sigma=0.3
 """
 
 
+# RECON_CONFIG on the perturbed model, which shooting fans reach, with a
+# third basis field the data do not hold
+SHOOTING_RECON_CONFIG = RECON_CONFIG.replace(
+    "kind = poincare_disk",
+    "kind = conformal_perturbed\nbump_center = 0.25,-0.1\n"
+    "bump_radius = 0.3\nbump_amplitude = 0.04"
+).replace("mode = boundary_pairs\ncount = 24\nopenings = 4",
+          "mode = shooting\ncount = 40"
+).replace("n_steps = 512", "n_steps = 256") \
+    + "basis.2 = gen=0,0,0,1,0,1,0,0; center=0.3,-0.1; sigma=0.25\n"
+
+
 @pytest.fixture()
 def cfg_file(tmp_path):
     path = tmp_path / "exp.cfg"
@@ -276,6 +288,33 @@ class TestCommands:
         coeffs = np.asarray(report["coeffs"])
         assert np.linalg.norm(coeffs - [0.6, -0.4]) < 0.03
         assert csv_out.read_text().startswith("x1,x2,")
+
+    def test_reconstruct_on_perturbed_shooting_fan(self, tmp_path):
+        cfg_path = tmp_path / "shoot.cfg"
+        cfg_path.write_text(SHOOTING_RECON_CONFIG)
+        data_path = tmp_path / "data.jsonl"
+        assert main(["scatter", "--config", str(cfg_path), "--out",
+                     str(data_path)]) == 0
+        out = tmp_path / "report.json"
+        assert main(["reconstruct", "--data", str(data_path), "--config",
+                     str(cfg_path), "--out", str(out)]) == 0
+        coeffs = np.asarray(json.loads(out.read_text())["coeffs"])
+        assert np.linalg.norm(coeffs - [0.6, -0.4, 0.0]) < 1e-8
+
+    def test_boundary_pairs_on_perturbed_model_exit_code(self, tmp_path,
+                                                         capsys):
+        # a boundary-pair fan has closed-form geodesics on the disk only
+        cfg_path = tmp_path / "pairs.cfg"
+        cfg_path.write_text(SHOOTING_RECON_CONFIG.replace(
+            "mode = shooting\ncount = 40",
+            "mode = boundary_pairs\ncount = 24\nopenings = 4"))
+        data_path = tmp_path / "data.jsonl"
+        data_path.write_text('{"fingerprint": "", "rank": 2, '
+                             '"rho_cut": 1e-06}\n')
+        for argv in (["scatter"], ["reconstruct", "--data", str(data_path)]):
+            assert main(argv + ["--config", str(cfg_path)]) == 2
+            assert "boundary-pair fan needs the unperturbed disk" \
+                in capsys.readouterr().err
 
     @pytest.mark.parametrize("bad_line", [
         '{"bad": 1}', "not json",

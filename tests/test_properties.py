@@ -6,7 +6,7 @@
   exactly ``count`` items for any positive count and per-angle size;
 - ``_linalg.mul`` is ``@`` up to rounding for ranks 1-4 and broadcasting
   leading shapes, and exactly ``@`` for single matrices and vectors;
-- ``batch_scattering`` exit matrices of random skew fields of rank 2 and
+- ``batch_transport`` exit matrices of random skew fields of rank 2 and
   3 are unitary within criterion 4's tolerance;
 - every separable field (connection symbols, their contraction with a
   velocity and their partials, Higgs fields, gauges and their partials,
@@ -42,8 +42,9 @@ from ahxray.bundle import (ConnectionField, GaugeField, GaussBump,
                            validation_points)
 from ahxray.geometry import AHModel, DiskGeodesic
 from ahxray.reconstruct import HiggsParameterization
-from ahxray.transport import _ROWS, _segments, batch_scattering
-from ahxray.xray import FanSpec, fan_geodesics
+from ahxray.transport import (_ROWS, _segments, batch_transport,
+                              transport_rhs)
+from ahxray.xray import FanSpec, fan_paths
 from test_bundle import random_connection, random_higgs, random_skew
 
 
@@ -105,8 +106,8 @@ def test_batch_scattering_is_unitary(rank, seed):
     rng = np.random.default_rng(seed)
     conn = random_connection(rng, rank)
     higgs = random_higgs(rng, rank)
-    geos = fan_geodesics(AHModel(), FanSpec.uniform_pairs(12, 3), 1e-6)
-    exits, _ = batch_scattering(conn, higgs, geos)
+    geos, _ = fan_paths(AHModel(), FanSpec.uniform_pairs(12, 3))
+    exits = batch_transport(transport_rhs(conn, higgs), geos, rank)
     assert float(np.max(unitary_defect(exits))) < 1e-7
 
 

@@ -18,10 +18,10 @@ from ahxray.geometry import AHModel, DiskGeodesic
 from ahxray.reconstruct import (HiggsParameterization, ReconstructionConfig,
                                 _fan_jacobian, _fan_residual, _tangent_rhs,
                                 forward_map, jacobian_fd, reconstruct_higgs)
-from ahxray.transport import (TransportConfig, _segments, batch_transport,
-                              transport_rhs)
+from ahxray.transport import (TransportConfig, _march, _segments,
+                              crossing_transport, transport_rhs)
 from ahxray.xray import (FanSpec, add_matrix_noise, compare_datasets,
-                         fan_geodesics)
+                         fan_paths)
 from test_bundle import SU2, random_gauge
 
 
@@ -52,7 +52,7 @@ def scalar_basis(count=3, decay_N1=4):
 def jacobian_tangent(disk, conn, params, fan, c, cfg):
     """The Gauss-Newton Jacobian of ``reconstruct_higgs`` at c: one
     tangent-linear sweep over the fan."""
-    geos = fan_geodesics(disk, fan, cfg.transport.rho_cut)
+    geos, _ = fan_paths(disk, fan, cfg.transport)
     return _fan_jacobian(conn, params, geos, cfg.transport)(c)
 
 
@@ -163,7 +163,7 @@ class TestJacobian:
         c = np.array([0.8, -0.5, 0.3])
         tangent = jacobian_tangent(disk, conn, params, fan, c, cfg)
         residual = _fan_residual(conn, params,
-                                 fan_geodesics(disk, fan, 1e-6),
+                                 fan_paths(disk, fan)[0],
                                  cfg.transport, 0.0)
         errors = []
         for h in (1e-3, 5e-4):
@@ -179,18 +179,17 @@ class TestJacobian:
         # of a snapshot are the derivatives of the plain snapshot
         params = su2_basis(count=2)
         conn = ConnectionField.zero(2)
-        geos = fan_geodesics(disk, FanSpec.uniform_pairs(8, n_openings=2),
-                             1e-6)
+        geos, _ = fan_paths(disk, FanSpec.uniform_pairs(8, n_openings=2))
         cfg = TransportConfig(n_steps=64)
         fracs = [0.3, 0.45, 1.0]
         c = np.array([0.6, -0.4])
 
         def plain(cc):
-            return batch_transport(transport_rhs(conn, params.higgs(cc)),
-                                   geos, 2, cfg, fracs)
+            return _march(transport_rhs(conn, params.higgs(cc)),
+                          geos, 2, cfg, fracs)
 
-        jet, jet_recs = batch_transport(_tangent_rhs(conn, params, c), geos,
-                                        (2, params.size), cfg, fracs)
+        jet, jet_recs = _march(_tangent_rhs(conn, params, c), geos,
+                               (2, params.size), cfg, fracs)
         w, recs = plain(c)
         assert jet.shape == (len(geos), 1 + params.size, 2, 2)
         assert np.max(np.abs(jet[:, 0] - w)) <= 1e-15
@@ -268,6 +267,69 @@ class TestClosedLoop:
         assert report.data_misfit > 0.0
         # factor-5 sanity window around the nominal noise floor
         assert expected / 5 < report.data_misfit < 5 * expected
+
+
+class TestShootingFans:
+    """Reconstruction on the perturbed model, which only shooting fans
+    reach: the jets cross the bump with the rays."""
+
+    @staticmethod
+    def fan_and_paths(perturbed, count, n_steps):
+        fan = FanSpec.uniform_shooting(count)
+        paths, failures = fan_paths(perturbed, fan,
+                                    TransportConfig(n_steps=n_steps))
+        crossing = [p.pieces is not None for p in paths]
+        assert not failures and any(crossing) and not all(crossing)
+        return fan, paths
+
+    def test_jacobian_through_crossings_matches_fd(self, perturbed):
+        params = su2_basis(count=3)
+        conn = ConnectionField.zero(2)
+        fan, paths = self.fan_and_paths(perturbed, 40, 256)
+        cfg = ReconstructionConfig(transport=TransportConfig(n_steps=256))
+        c = np.array([0.8, -0.5, 0.3])
+        tangent = _fan_jacobian(conn, params, paths, cfg.transport)(c)
+        fd = jacobian_fd(perturbed, conn, params, fan, c, cfg)
+        assert np.max(np.abs(tangent - fd)) <= 1e-6 * np.max(np.abs(fd))
+
+    def test_jet_crossing_carries_the_forward_transport(self, perturbed):
+        # the W slot is the rank-d crossing bit for bit; with fewer than 16
+        # crossings the last pairwise products of rank d go through matmul,
+        # and so do the jet's products of W stacks
+        params = su2_basis(count=3)
+        conn = ConnectionField.zero(2)
+        c = np.array([0.8, -0.5, 0.3])
+        _, paths = self.fan_and_paths(perturbed, 40, 256)
+        crossings = [p.pieces for p in paths if p.pieces is not None]
+        assert len(crossings) < 16
+        w = crossing_transport(transport_rhs(conn, params.higgs(c)),
+                               crossings, 2)
+        jet = crossing_transport(_tangent_rhs(conn, params, c), crossings,
+                                 (2, params.size))
+        assert jet.shape == (len(crossings), 1 + params.size, 2, 2)
+        assert np.array_equal(jet[:, 0], w)
+
+    def test_closed_loop_on_perturbed_model(self, perturbed):
+        # criterion 11's loop and gate on a shooting fan of the perturbed
+        # model
+        params = su2_basis(count=6)
+        fan, _ = self.fan_and_paths(perturbed, 40, 256)
+        cfg = ReconstructionConfig(tikhonov=1e-10,
+                                   transport=TransportConfig(n_steps=256))
+        rng = np.random.default_rng(11)
+        truth = rng.normal(size=6)
+        truth /= np.linalg.norm(truth)
+        data = forward_map(perturbed, ConnectionField.zero(2),
+                           params.with_coeffs(truth), fan, cfg)
+        report = reconstruct_higgs(data, perturbed, ConnectionField.zero(2),
+                                   params, fan, cfg, ground_truth=truth)
+        assert report.coeff_error < 0.05
+        assert report.iterations <= 30
+
+    def test_boundary_pairs_on_perturbed_model_refused(self, perturbed):
+        with pytest.raises(DomainError, match="boundary-pair fan needs the "
+                                              "unperturbed disk"):
+            fan_paths(perturbed, FanSpec.uniform_pairs(8, n_openings=2))
 
 
 class TestValidation:

@@ -26,10 +26,10 @@ from ahxray.errors import DomainError, RankMismatchError
 from ahxray.geometry import (BoundaryDatum, DiskGeodesic, Direction,
                              PhasePoint, integrate_geodesic,
                              shoot_from_boundary)
-from ahxray.transport import (TransportConfig, _segments, batch_scattering,
+from ahxray.transport import (TransportConfig, _march, _segments,
                               batch_transport, crossing_transport,
                               parallel_transport, scattering_matrix,
-                              solve_transport, transport_paths,
+                              solve_transport,
                               transport_rhs)
 from oracles import (closed_form_state, joint_rk45, rk45_geodesic,
                      rk45_transport, two_sided)
@@ -283,7 +283,7 @@ class TestIntegratedPaths:
         _, path = numeric_paths[0]
         prep = transport_rhs(ConnectionField.zero(2), HiggsFieldData.zero(2))
         with pytest.raises(DomainError, match="exit datum"):
-            transport_paths(prep, [path.reversed()], 2)
+            batch_transport(prep, [path.reversed()], 2)
 
     def test_perturbed_shot_matches_joint_oracle(self, perturbed, rng):
         conn, higgs = random_connection(rng), random_higgs(rng)
@@ -384,7 +384,7 @@ class TestBatchBackend:
         higgs = random_higgs(rng)
         geos = [DiskGeodesic.between_boundary_angles(disk_module, a, b)
                 for a, b in ((0.4, 2.8), (1.5, 5.0), (3.0, 0.3))]
-        u_batch, _ = batch_scattering(conn, higgs, geos)
+        u_batch = batch_transport(transport_rhs(conn, higgs), geos, 2)
         for i, geo in enumerate(geos):
             ref = rk45_transport(transport_rhs(conn, higgs),
                                  closed_form_state(geo),
@@ -398,7 +398,7 @@ class TestBatchBackend:
         geos = [DiskGeodesic.between_boundary_angles(disk_module, a,
                                                      a + 2.5)
                 for a in np.linspace(0, 2 * math.pi, 8, endpoint=False)]
-        u_batch, _ = batch_scattering(conn, higgs, geos)
+        u_batch = batch_transport(transport_rhs(conn, higgs), geos, 1)
         for i, geo in enumerate(geos):
             expected = np.exp(-1j * phase_integral(higgs, geo))
             assert abs(u_batch[i, 0, 0] - expected) < 1e-8
@@ -407,8 +407,8 @@ class TestBatchBackend:
         conn = random_connection(rng)
         higgs = random_higgs(rng)
         geos = [DiskGeodesic.between_boundary_angles(disk_module, 0.2, 3.1)]
-        u_exit, records = batch_scattering(conn, higgs, geos,
-                                           record_fracs=[0.0, 0.5, 1.0])
+        u_exit, records = _march(transport_rhs(conn, higgs), geos, 2,
+                                 record_fracs=[0.0, 0.5, 1.0])
         assert len(records) == 3
         t0, x0, v0, q0 = records[0]
         assert np.max(np.abs(q0[0] - np.eye(2))) < 1e-14
@@ -426,7 +426,8 @@ class TestSegmentedMarch:
                                  rng.uniform(0.5, 5.5, 5))]
         n = 256
         assert _segments(n, len(geos)) > 1
-        u, _ = batch_scattering(conn, higgs, geos, TransportConfig(n_steps=n))
+        u = batch_transport(transport_rhs(conn, higgs), geos, 2,
+                            TransportConfig(n_steps=n))
         ref, _ = sequential_rk4(two_sided(conn, higgs), geos, 2, n)
         assert np.max(np.abs(u - ref)) <= 1e-13
 
@@ -436,7 +437,8 @@ class TestSegmentedMarch:
                 for a in (0.3, 2.1, 4.0)]
         n = 347
         assert _segments(n, len(geos)) == 1
-        u, _ = batch_scattering(conn, higgs, geos, TransportConfig(n_steps=n))
+        u = batch_transport(transport_rhs(conn, higgs), geos, 2,
+                            TransportConfig(n_steps=n))
         ref, _ = sequential_rk4(two_sided(conn, higgs), geos, 2, n)
         assert np.max(np.abs(u - ref)) <= 1e-13
 
@@ -455,7 +457,7 @@ class TestSegmentedMarch:
         cfg = TransportConfig(n_steps=n)
         for conn, higgs in ((conn_a, higgs_a), (conn_b, higgs_b)):
             prep = transport_rhs(conn, higgs)
-            w_exit, records = batch_transport(prep, geos, 2, cfg, fracs)
+            w_exit, records = _march(prep, geos, 2, cfg, fracs)
             ref_exit, ref_snaps = sequential_rk4(
                 two_sided(conn, higgs), geos, 2, n, fracs)
             assert np.max(np.abs(w_exit - ref_exit)) <= 1e-13
@@ -477,8 +479,9 @@ class TestSegmentedMarch:
         conn, higgs = random_connection(rng), random_higgs(rng)
         geos = [DiskGeodesic.between_boundary_angles(disk_module, a, b)
                 for a, b in ((0.3, 2.5), (1.0, 4.4), (5.8, 2.2))]
-        w, _ = batch_scattering(conn, higgs, geos)
-        psi, _ = batch_scattering(conn, HiggsFieldData.zero(2), geos)
+        w = batch_transport(transport_rhs(conn, higgs), geos, 2)
+        psi = batch_transport(transport_rhs(conn, HiggsFieldData.zero(2)),
+                              geos, 2)
         for geo, w_i, psi_i in zip(geos, w, psi):
             u = endomorphism(conn, higgs, geo.sample())
             assert np.max(np.abs(u - w_i @ np.linalg.inv(psi_i))) < 1e-9

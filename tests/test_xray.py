@@ -19,7 +19,7 @@ from ahxray.errors import (DomainError, FanMismatchError,
 from ahxray.geometry import (AHModel, BoundaryDatum, DiskGeodesic,
                              Direction, IntegratorConfig, PhasePoint,
                              integrate_geodesic, shoot_from_boundary)
-from ahxray.transport import TransportConfig, batch_scattering, transport_rhs
+from ahxray.transport import TransportConfig, batch_transport, transport_rhs
 from ahxray.xray import (FanMode, FanSpec, ScatteringDataset,
                          _gauge_quotient, add_matrix_noise, compare_datasets,
                          compute_scattering_data, gauge_candidate,
@@ -145,10 +145,10 @@ class TestComputeScatteringData:
                                      FanSpec(FanMode.SHOOTING, data=(entry,)))
         rec = ds.records[0]
         path = shoot_from_boundary(disk, entry, 1e-6)
-        ref = batch_scattering(conn, higgs, [path.analytic])[0][0]
+        ref = batch_transport(transport_rhs(conn, higgs), [path.analytic], 2)[0]
         assert np.max(np.abs(rec.matrix - ref)) < 1e-12
         # the chord itself, truncated at rho_cut
-        chord = batch_scattering(conn, higgs, [geo])[0][0]
+        chord = batch_transport(transport_rhs(conn, higgs), [geo], 2)[0]
         assert np.max(np.abs(rec.matrix - chord)) < 1e-9
         assert abs(rec.exit.alpha - exit_.alpha) < 1e-9
         assert abs(rec.exit.eta_tangential - exit_.eta_tangential) < 1e-9
