@@ -53,37 +53,24 @@ def spectral_norm_skew(a: np.ndarray) -> np.ndarray:
     return np.max(np.abs(ev), axis=-1)
 
 
-def expm_skew(p: np.ndarray) -> np.ndarray:
-    """exp(P) for skew-Hermitian P, exactly unitary up to rounding.
+def expm_skew(p: np.ndarray, e: np.ndarray | None = None):
+    """exp(P) for skew-Hermitian P, exactly unitary up to rounding; given a
+    direction E, also exp(-P) L(P, E) with L the Frechet derivative of exp.
 
-    Uses the eigendecomposition of the Hermitian matrix -iP.
+    Both come from one eigendecomposition -iP = V diag(w) V*.  By
+    Daleckii-Krein, exp(-P) L(P, E) = V (g o V*EV) V* with
+    g_ab = (1 - exp(-i d)) / (i d) = exp(-i d/2) sinc(d/2), d = w_a - w_b,
+    which has no removable singularity to branch on.  E may broadcast
+    against P with more leading axes.
     """
     w, v = np.linalg.eigh(-1j * np.asarray(p, dtype=complex))
-    phase = np.exp(1j * w)
-    return np.einsum("...ik,...k,...jk->...ij", v, phase, np.conj(v))
-
-
-def expm_skew_frechet(p: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """Directional derivative of exp at skew-Hermitian P in direction E.
-
-    Daleckii-Krein: with H = -iP = V diag(w) V*, the derivative of
-    exp(iH) in Hermitian direction -iE is V (f[1](w_a, w_b) o V*(-iE)V) V*
-    where f[1] is the divided difference of f(w) = exp(iw).
-    """
-    p = np.asarray(p, dtype=complex)
-    e = np.asarray(e, dtype=complex)
-    w, v = np.linalg.eigh(-1j * p)
-    wa = w[..., :, None]
-    wb = w[..., None, :]
-    diff = wa - wb
-    small = np.abs(diff) < 1e-12
-    safe = np.where(small, 1.0, diff)
-    divided = np.where(small,
-                       1j * np.exp(1j * 0.5 * (wa + wb)),
-                       (np.exp(1j * wa) - np.exp(1j * wb)) / safe)
-    e_h = np.einsum("...ki,...kl,...lj->...ij", np.conj(v), -1j * e, v)
-    core = divided * e_h
-    return np.einsum("...ik,...kl,...jl->...ij", v, core, np.conj(v))
+    q = np.einsum("...ik,...k,...jk->...ij", v, np.exp(1j * w), np.conj(v))
+    if e is None:
+        return q
+    d = w[..., :, None] - w[..., None, :]
+    g = np.exp(-0.5j * d) * np.sinc(d / (2.0 * np.pi))
+    vh = dagger(v)
+    return q, mul(mul(v, g * mul(mul(vh, e), v)), vh)
 
 
 def ad_representation(a: np.ndarray) -> np.ndarray:

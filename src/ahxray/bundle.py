@@ -1,13 +1,14 @@
 """Hermitian bundle data on the disk: connections, Higgs fields, gauges.
 
 The bundle is the trivial one, M x C^d with the standard Hermitian product.
-Unitary connections are given by skew-Hermitian symbol matrices Gamma_1,
-Gamma_2; Higgs fields by a skew-Hermitian endomorphism Phi.  Fields are
+A unitary connection is given by its skew-Hermitian contraction Gamma(v),
+and its symbols are Gamma(e_1), Gamma(e_2); Higgs fields by a
+skew-Hermitian endomorphism Phi.  Fields are
 parametrized as finite sums of separable terms rho(x)^N * S * beta(x) with a
 constant skew-Hermitian generator S and a smooth scalar bump beta, so all
 first partials used by the curvature formula are analytic.  Gauge fields are
 Q(x) = exp(rho^M * S(x)), unitary by construction and equal to the identity
-on the boundary.
+on the boundary; one eigendecomposition gives Q and Q^-1 dQ(v).
 
 One evaluator, ``_Separable``, forms every such sum (connection symbols
 and partials, Higgs fields, gauge exponents, the reconstruction basis) as
@@ -22,9 +23,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from ._linalg import (ad_representation, dagger, expm_skew,
-                      expm_skew_frechet, frobenius, skew_defect,
-                      spectral_norm_skew, unitary_defect)
+from ._linalg import (ad_representation, dagger, expm_skew, frobenius, mul,
+                      skew_defect, spectral_norm_skew, unitary_defect)
 from .errors import DomainError, RankMismatchError
 from .geometry import AHModel, PhasePoint
 
@@ -59,7 +59,10 @@ def validation_points(n: int = 48, r_max: float = 0.999) -> np.ndarray:
     axis = np.linspace(-r_max, r_max, n)
     xx, yy = np.meshgrid(axis, axis, indexing="ij")
     pts = np.stack([xx, yy], axis=-1).reshape(-1, 2)
-    return pts[np.sum(pts * pts, axis=-1) < r_max**2]
+    pts = pts[np.sum(pts * pts, axis=-1) < r_max**2]
+    if not len(pts):
+        raise DomainError(f"a {n}-point validation grid has no interior point")
+    return pts
 
 
 @dataclass(frozen=True)
@@ -90,6 +93,8 @@ class _Separable:
 
     def __init__(self, rank: int,
                  terms: Sequence[tuple[np.ndarray, GaussBump]], decay: int):
+        if decay < 0:
+            raise DomainError(f"decay exponent must be >= 0, got {decay}")
         terms = list(terms)
         gens = [np.asarray(s, dtype=complex) for s, _ in terms]
         if any(g.shape != (rank, rank) for g in gens):
@@ -130,15 +135,18 @@ class _Separable:
 
 
 class ConnectionField:
-    """Unitary connection: skew-Hermitian symbols with rho^N decay.
+    """Unitary connection with rho^N decay, given by its contraction.
 
-    ``symbols(x)`` returns shape (..., 2, d, d).  Analytic first partials
-    (``symbol_derivs``, shape (..., 2, 2, d, d), index order d_j Gamma_i)
-    or a direct curvature evaluator back the curvature computation; gauge
-    transforms carry curvature by conjugation, which is exact.
+    ``along(x, v)``, the primitive, is Gamma(v) = v^i Gamma_i, shape
+    (..., d, d); ``symbols(x)`` is Gamma(e_1), Gamma(e_2), shape
+    (..., 2, d, d).  Analytic first partials (``symbol_derivs``, shape
+    (..., 2, 2, d, d), index order d_j Gamma_i) or a direct curvature
+    evaluator back the curvature computation; gauge transforms carry
+    curvature by conjugation, which is exact.
     """
 
-    def __init__(self, rank: int, symbols: Callable[[np.ndarray], np.ndarray],
+    def __init__(self, rank: int,
+                 along: Callable[[np.ndarray, np.ndarray], np.ndarray],
                  decay_N: int,
                  symbol_derivs: Optional[Callable[[np.ndarray], np.ndarray]] = None,
                  curvature: Optional[Callable[[np.ndarray], np.ndarray]] = None,
@@ -146,26 +154,20 @@ class ConnectionField:
         self.rank = rank
         self.decay_N = decay_N
         self.is_zero = is_zero
-        self._symbols = symbols
+        self.along = along
         self._symbol_derivs = symbol_derivs
         self._curvature = curvature
         if validate:
             self._validate()
 
     def symbols(self, x: np.ndarray) -> np.ndarray:
-        return self._symbols(np.asarray(x, dtype=float))
+        x = np.asarray(x, dtype=float)
+        return self.along(x[..., None, :], np.eye(2))
 
     def symbol_derivs(self, x: np.ndarray) -> np.ndarray:
         if self._symbol_derivs is None:
             raise DomainError("connection carries no analytic symbol derivatives")
         return self._symbol_derivs(np.asarray(x, dtype=float))
-
-    def along(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Contraction Gamma(v) = v^i Gamma_i, shape (..., d, d)."""
-        gam = self.symbols(x)
-        v = np.asarray(v, dtype=float)[..., None, None]
-        return v[..., 0, :, :] * gam[..., 0, :, :] \
-            + v[..., 1, :, :] * gam[..., 1, :, :]
 
     def curvature_f12(self, x: np.ndarray) -> np.ndarray:
         """The single independent curvature component, shape (..., d, d)."""
@@ -209,29 +211,21 @@ class ConnectionField:
     @classmethod
     def from_terms(cls, rank: int, terms: Sequence[SeparableTerm],
                    decay_N: int) -> "ConnectionField":
-        return _SeparableConnection(rank, terms, decay_N)
-
-
-class _SeparableConnection(ConnectionField):
-    """Term k feeds the symbol Gamma_{dir_k}; no terms is zero."""
-
-    def __init__(self, rank: int, terms: Sequence[SeparableTerm],
-                 decay_N: int):
+        """Term k feeds the symbol Gamma_{dir_k}; no terms is zero.  Gamma(v)
+        puts v into the weights before the generator product."""
         terms = list(terms)
-        self._field = f = _Separable(
-            rank, [(t.generator, t.bump) for t in terms], decay_N)
-        self._dirs = np.array([t.direction for t in terms], dtype=int)
-        feeds = (self._dirs == np.arange(2)[:, None]).astype(float)  # (i, k)
-        super().__init__(
-            rank, lambda x: f.combine(f.weights(x)[..., None, :] * feeds),
-            decay_N, symbol_derivs=lambda x: f.combine(
-                f.grad_weights(x)[..., None, :] * feeds),
-            validate=bool(terms), is_zero=not terms)
+        f = _Separable(rank, [(t.generator, t.bump) for t in terms], decay_N)
+        dirs = np.array([t.direction for t in terms], dtype=int)
+        feeds = np.eye(2)[:, dirs]           # (i, k): term k feeds Gamma_i
 
-    def along(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Gamma(v): v goes into the weights before the generator product."""
-        v = np.asarray(v, dtype=float)[..., self._dirs]
-        return self._field.combine(self._field.weights(x) * v)
+        def along(x, v):
+            return f.combine(f.weights(x)
+                             * np.asarray(v, dtype=float)[..., dirs])
+
+        return cls(rank, along, decay_N,
+                   symbol_derivs=lambda x: f.combine(
+                       f.grad_weights(x)[..., None, :] * feeds),
+                   validate=bool(terms), is_zero=not terms)
 
 
 class HiggsFieldData:
@@ -286,12 +280,21 @@ class GaugeField:
     def q(self, x: np.ndarray) -> np.ndarray:
         return expm_skew(self._field.combine(self._field.weights(x)))
 
+    def log_derivative(self, x: np.ndarray, v: np.ndarray
+                       ) -> tuple[np.ndarray, np.ndarray]:
+        """Q and Q^-1 dQ(v), each shape (..., d, d): the exact Frechet
+        derivative in the direction dP(v), from the eigendecomposition that
+        gives Q."""
+        f = self._field
+        dp = np.sum(f.grad_weights(x)
+                    * np.asarray(v, dtype=float)[..., :, None], axis=-2)
+        return expm_skew(f.combine(f.weights(x)), f.combine(dp))
+
     def dq(self, x: np.ndarray) -> np.ndarray:
-        """Partials d_i Q, shape (..., 2, d, d), exact Frechet derivatives."""
-        p = self._field.combine(self._field.weights(x))
-        dp = self._field.combine(self._field.grad_weights(x))
-        return np.stack([expm_skew_frechet(p, dp[..., i, :, :])
-                         for i in range(2)], axis=-3)
+        """Partials d_i Q, shape (..., 2, d, d)."""
+        x = np.asarray(x, dtype=float)
+        q, log_dq = self.log_derivative(x[..., None, :], np.eye(2))
+        return q @ log_dq
 
     def compose(self, other: "GaugeField") -> "ComposedGauge":
         return ComposedGauge(self, other)
@@ -312,10 +315,13 @@ class ComposedGauge:
     def q(self, x: np.ndarray) -> np.ndarray:
         return self._first.q(x) @ self._second.q(x)
 
-    def dq(self, x: np.ndarray) -> np.ndarray:
-        q1 = self._first.q(x)[..., None, :, :]
-        q2 = self._second.q(x)[..., None, :, :]
-        return self._first.dq(x) @ q2 + q1 @ self._second.dq(x)
+    def log_derivative(self, x: np.ndarray, v: np.ndarray
+                       ) -> tuple[np.ndarray, np.ndarray]:
+        """Q = Q1 Q2 and, by the product rule,
+        Q^-1 dQ(v) = Q2* (Q1^-1 dQ1(v)) Q2 + Q2^-1 dQ2(v)."""
+        q1, l1 = self._first.log_derivative(x, v)
+        q2, l2 = self._second.log_derivative(x, v)
+        return q1 @ q2, dagger(q2) @ l1 @ q2 + l2
 
 
 @dataclass(frozen=True)
@@ -352,17 +358,14 @@ def curvature_operator(conn: ConnectionField, p: PhasePoint,
 def gauge_transform(conn: ConnectionField, higgs: HiggsFieldData,
                     q: "GaugeField | ComposedGauge"
                     ) -> tuple[ConnectionField, HiggsFieldData]:
-    """Apply the gauge relation: symbols pick up Q^-1 Gamma Q + Q^-1 dQ,
+    """Apply the gauge relation: Gamma(v) becomes Q* Gamma(v) Q + Q^-1 dQ(v),
     the Higgs field conjugates, and curvature conjugates exactly."""
     if not (conn.rank == higgs.rank == q.rank):
         raise RankMismatchError("rank mismatch between connection, Higgs, gauge")
 
-    def symbols(x):
-        qm = q.q(x)
-        qi = dagger(qm)                      # unitary inverse
-        dq = q.dq(x)
-        return qi[..., None, :, :] @ (conn.symbols(x) @ qm[..., None, :, :]
-                                      + dq)
+    def along(x, v):
+        qm, log_dq = q.log_derivative(x, v)
+        return mul(mul(dagger(qm), conn.along(x, v)), qm) + log_dq
 
     def curvature(x):
         qm = q.q(x)
@@ -376,7 +379,7 @@ def gauge_transform(conn: ConnectionField, higgs: HiggsFieldData,
         decay = q.decay_M - 1
     else:
         decay = min(conn.decay_N, q.decay_M - 1)
-    new_conn = ConnectionField(conn.rank, symbols, decay_N=decay,
+    new_conn = ConnectionField(conn.rank, along, decay_N=decay,
                                curvature=curvature)
     new_higgs = HiggsFieldData(higgs.rank, phi, higgs.decay_N1)
     return new_conn, new_higgs
@@ -417,26 +420,16 @@ def ckt_condition_check(conn: ConnectionField, model: AHModel,
 
 
 def endomorphism_lift(conn: ConnectionField) -> ConnectionField:
-    """Connection induced on endomorphisms: symbols act by commutator.
+    """Connection induced on endomorphisms: Gamma(v) acts by commutator.
 
-    The lifted symbols ad(Gamma_i) are skew-Hermitian for the Frobenius
-    product, and the lifted curvature is ad(f_12), so zero curvature lifts
-    to zero curvature.
+    The lifted ad(Gamma(v)) is skew-Hermitian for the Frobenius product,
+    and the lifted curvature is ad(f_12), so zero curvature lifts to zero
+    curvature.
     """
-    d2 = conn.rank * conn.rank
-
-    def symbols(x):
-        gam = conn.symbols(x)
-        return ad_representation(gam)
-
-    def derivs(x):
-        dg = conn.symbol_derivs(x)
-        return ad_representation(dg)
-
-    def curvature(x):
-        return ad_representation(conn.curvature_f12(x))
-
-    has_derivs = conn._symbol_derivs is not None
-    return ConnectionField(d2, symbols, conn.decay_N,
-                           symbol_derivs=derivs if has_derivs else None,
-                           curvature=curvature, validate=False)
+    derivs = None if conn._symbol_derivs is None else (
+        lambda x: ad_representation(conn.symbol_derivs(x)))
+    return ConnectionField(
+        conn.rank ** 2, lambda x, v: ad_representation(conn.along(x, v)),
+        conn.decay_N, symbol_derivs=derivs,
+        curvature=lambda x: ad_representation(conn.curvature_f12(x)),
+        validate=False)

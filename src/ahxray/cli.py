@@ -152,7 +152,8 @@ def cmd_reconstruct(args) -> int:
     with open(args.data, "r", encoding="utf-8") as fh:
         data = ScatteringDataset.from_jsonl(fh.read())
     params, rcfg = cfg.build_reconstruction()
-    fan = cfg.build_fan(len(data.records))
+    # an empty dataset meets the configured fan, refused as another fan's
+    fan = cfg.build_fan(len(data.records) or None)
     report = reconstruct_higgs(data, model, conn, params, fan, rcfg)
     _write(args.out, _report_json(cfg, report.as_dict()))
     if args.field_csv:

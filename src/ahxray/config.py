@@ -356,13 +356,14 @@ class ExperimentConfig:
     def build_fan(self, count: Optional[int] = None) -> FanSpec:
         mode = self._section("fan", required=False).get("mode",
                                                         "boundary_pairs")
-        n = count or self._get("fan", "count", int, default=100)
+        if count is None:
+            count = self._get("fan", "count", int, default=100)
         if mode == "boundary_pairs":
             return FanSpec.uniform_pairs(
-                n, n_openings=self._get("fan", "openings", int, default=8))
+                count, n_openings=self._get("fan", "openings", int, default=8))
         if mode == "shooting":
             return FanSpec.uniform_shooting(
-                n, n_eta=self._get("fan", "n_eta", int, default=5),
+                count, n_eta=self._get("fan", "n_eta", int, default=5),
                 eta_max=self._get("fan", "eta_max", float, default=2.0))
         raise ConfigError(f"unknown fan mode {mode!r}", section="fan",
                           key="mode")
@@ -394,11 +395,11 @@ class ExperimentConfig:
         radius = self._get("section", "radius", float, default=0.7)
         power = self._get("section", "power", int, default=8)
         vec_raw = _floats(body.get("vector", "1 0"), "section", "vector")
-        vec = np.asarray(vec_raw[0::2]) + 1j * np.asarray(vec_raw[1::2])
-        if vec.shape != (rank,):
+        if len(vec_raw) != 2 * rank:
             raise ConfigError(f"section vector must have {rank} complex "
                               "components (re,im pairs)",
                               section="section", key="vector")
+        vec = np.asarray(vec_raw[0::2]) + 1j * np.asarray(vec_raw[1::2])
         s2 = np.sum((grid.points - np.asarray(center)) ** 2, axis=-1) \
             / radius**2
         prof = np.zeros_like(s2)

@@ -37,6 +37,8 @@ from .errors import DegenerateGeodesicError, DomainError, TrappedGeodesicError
 _INTERIOR_MARGIN = 1e-9
 # points per axis of the grid on which a bump's curvature is checked
 _CURVATURE_GRID = 64
+# largest time step between the samples of a path's (t, x, v)
+_SAMPLE_DT = 0.05
 
 
 class ModelKind(Enum):
@@ -55,6 +57,10 @@ class ConformalBump:
     center: tuple[float, float]
     radius: float
     amplitude: float
+
+    def __post_init__(self):
+        if not self.radius > 0.0:
+            raise DomainError(f"bump radius {self.radius!r} is not positive")
 
     def _q(self, x: np.ndarray) -> np.ndarray:
         dx = x - np.asarray(self.center)
@@ -283,7 +289,6 @@ class IntegratorConfig:
     rho_cut: float = 1e-6
     # time budget before "trapped", for each crossing of the bump's ball
     max_span: float = 80.0
-    sample_dt: float = 0.05
     n_steps: int = 8192
 
 
@@ -508,8 +513,8 @@ class DiskGeodesic:
                               eta_tangential=eta, direction=Direction.OUTGOING)
         return entry, exit_
 
-    def sample(self, dt: float = 0.05) -> GeodesicPath:
-        n = max(int(math.ceil((self.t_exit - self.t_entry) / dt)), 8)
+    def sample(self) -> GeodesicPath:
+        n = max(math.ceil((self.t_exit - self.t_entry) / _SAMPLE_DT), 8)
         t = np.linspace(self.t_entry, self.t_exit, n + 1)
         entry, exit_ = self.boundary_data()
         return GeodesicPath(t=t, x=self.position(t), v=self.velocity(t),
@@ -529,12 +534,10 @@ class DiskGeodesic:
 
 def geodesic_between_boundary_angles(model: AHModel, alpha_in: float,
                                      alpha_out: float,
-                                     rho_cut: float = 1e-6,
-                                     sample_dt: float = 0.05) -> GeodesicPath:
+                                     rho_cut: float = 1e-6) -> GeodesicPath:
     """Closed-form disk geodesic between boundary angles, as a sampled path."""
-    geo = DiskGeodesic.between_boundary_angles(model, alpha_in, alpha_out,
-                                               rho_cut)
-    return geo.sample(sample_dt)
+    return DiskGeodesic.between_boundary_angles(model, alpha_in, alpha_out,
+                                                rho_cut).sample()
 
 
 def boundary_phase_point(model: AHModel, datum: BoundaryDatum,
@@ -577,9 +580,10 @@ def _recentred(disk: AHModel, x: np.ndarray, v: np.ndarray,
     return geo, geo.time_at(x)
 
 
-def _sampled(geo: DiskGeodesic, t0: float, t1: float, dt: float):
-    """Times, positions and velocities of geo on [t0, t1] at spacing <= dt."""
-    t = np.linspace(t0, t1, max(int(math.ceil((t1 - t0) / dt)), 1) + 1)
+def _sampled(geo: DiskGeodesic, t0: float, t1: float):
+    """Times, positions and velocities of geo on [t0, t1], _SAMPLE_DT apart
+    at most."""
+    t = np.linspace(t0, t1, max(math.ceil((t1 - t0) / _SAMPLE_DT), 1) + 1)
     return t, geo.position(t), geo.velocity(t)
 
 
@@ -661,15 +665,15 @@ def shoot_from_boundary(model: AHModel, datum: BoundaryDatum,
                                                       bump.radius)
     if hit is None:
         geo = geo.span(t0, geo.t_exit)
-        return replace(geo.sample(cfg.sample_dt), entry=datum, model=model)
+        return replace(geo.sample(), entry=datum, model=model)
 
     t_in = hit[0]
     h = (geo.t_exit - geo.t_entry) / cfg.n_steps
-    t, x, v = _sampled(geo, t0, t_in, cfg.sample_dt)
+    t, x, v = _sampled(geo, t0, t_in)
     head = (t[:-1], x[:-1], v[:-1])        # the crossing starts at t_in
     stages, ball, out = _cross_ball(model, np.stack([x[-1], v[-1]]), h, cfg,
                                     t_in, head)
-    t_o, x_o, v_o = _sampled(out, 0.0, out.t_exit, cfg.sample_dt)
+    t_o, x_o, v_o = _sampled(out, 0.0, out.t_exit)
     t, x, v = _joined(head, ball, (ball[0][-1] + t_o[1:], x_o[1:], v_o[1:]))
     return GeodesicPath(
         t=t, x=x, v=v, entry=datum, exit=out.boundary_data()[1],
@@ -695,7 +699,7 @@ def integrate_geodesic(model: AHModel, start: PhasePoint,
     disk = model if model.bump is None else AHModel()
     geo = DiskGeodesic.through(disk, start.x, start.theta, cfg.rho_cut)
     if model.bump is None:
-        return geo.sample(cfg.sample_dt)
+        return geo.sample()
     h = (geo.t_exit - geo.t_entry) / cfg.n_steps
     # the disk geodesic is exact outside the ball: go back to it at t_skip
     hit = geo.ball_crossing(model.bump.center, model.bump.radius)

@@ -47,6 +47,8 @@ from .errors import DomainError
 from .geometry import AHModel
 
 TWO_PI = 2.0 * math.pi
+# relative energy above which a mode counts towards a section's degree
+_DEGREE_TOL = 1e-10
 
 
 class SphereBundleGrid:
@@ -61,6 +63,8 @@ class SphereBundleGrid:
                  rho_grid: float = 0.05):
         if nx < 8 or n_theta < 8:
             raise DomainError("grid too small for 4th-order stencils")
+        if not 0.0 < rho_grid < 1.0:
+            raise DomainError(f"rho_grid must lie in (0, 1), got {rho_grid!r}")
         self.model = model
         self.nx, self.ny, self.n_theta = nx, nx, n_theta
         self.rho_grid = rho_grid
@@ -444,14 +448,14 @@ def mode_energies(u: SectionField, m_max: int) -> np.ndarray:
     return np.array([per_bin[k == m].sum() for m in range(m_max + 1)])
 
 
-def degree(u: SectionField, tol: float = 1e-10) -> int:
-    """Largest mode index carrying more than tol of the relative energy."""
+def degree(u: SectionField) -> int:
+    """Largest mode index above _DEGREE_TOL of the relative energy."""
     total = u.norm() ** 2
     if total == 0.0:
         return 0
     m_max = u.grid.n_theta // 2 - 1
     energies = mode_energies(u, m_max)
-    idx = np.nonzero(energies / total > tol)[0]
+    idx = np.nonzero(energies / total > _DEGREE_TOL)[0]
     return int(idx[-1]) if idx.size else 0
 
 

@@ -26,7 +26,7 @@ bump crossing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -34,8 +34,7 @@ import numpy as np
 from ._linalg import mul, unitary_defect
 from .bundle import ConnectionField, HiggsFieldData
 from .errors import DomainError, RankMismatchError
-from .geometry import (AHModel, DiskGeodesic, GeodesicPath, IntegratorConfig,
-                       ShotPieces, shoot_from_boundary)
+from .geometry import AHModel, DiskGeodesic, GeodesicPath, ShotPieces
 
 
 @dataclass
@@ -370,7 +369,8 @@ def solve_transport(model: AHModel, conn: ConnectionField,
     """Transport a fiber vector (or the columns of a matrix) along a
     complete path, entry to exit, by ``batch_transport``.  With
     ``cfg.richardson`` the truncation estimate is the change of the exit
-    value on the path rebuilt at half its rho_cut."""
+    value on the path with its closed-form pieces rebuilt at half its
+    rho_cut; a crossing ray keeps its crossing, so only truncation moves."""
     cfg = cfg or TransportConfig()
     e_in = np.asarray(e_in, dtype=complex)
     if conn.rank != higgs.rank:
@@ -381,14 +381,17 @@ def solve_transport(model: AHModel, conn: ConnectionField,
     w = batch_transport(prep, [path], conn.rank, cfg)[0]
     estimate = None
     if cfg.richardson:
-        # the path rebuilt at half its rho_cut: the closed form there, or
-        # the ray re-shot from its entry datum
         half = path.rho_cut / 2.0
         pieces, crossing = _split(path)
-        fine = pieces[0].with_rho_cut(half) if crossing is None else \
-            shoot_from_boundary(model, path.entry, half,
-                                IntegratorConfig(rho_cut=half))
-        w_fine = batch_transport(prep, [fine], conn.rank, cfg)[0]
+        fine = [g.with_rho_cut(half) for g in pieces]
+        if crossing is not None:
+            # incoming from its new entry to the ball, outgoing from the
+            # ball (time 0) to its new exit
+            fine = [replace(path, pieces=replace(
+                crossing, incoming=fine[0].span(fine[0].t_entry,
+                                                pieces[0].t_exit),
+                outgoing=fine[1].span(0.0, fine[1].t_exit)))]
+        w_fine = batch_transport(prep, fine, conn.rank, cfg)[0]
         estimate = float(np.linalg.norm((w_fine - w) @ e_in))
     return TransportResult(exit_value=w @ e_in,
                            unitarity_defect=float(unitary_defect(w)),

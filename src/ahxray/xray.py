@@ -36,6 +36,15 @@ from .transport import (TransportConfig, batch_transport, scattering_matrix,
                         transport_rhs)
 
 
+_OPENINGS = (math.pi / 3, 5 * math.pi / 3)   # the chord range swept
+
+
+def _require_positive(**counts: int) -> None:
+    for name, n in counts.items():
+        if n < 1:
+            raise DomainError(f"fan {name} must be at least 1, got {n}")
+
+
 class FanMode(Enum):
     BOUNDARY_PAIRS = "boundary_pairs"
     SHOOTING = "shooting"
@@ -64,14 +73,13 @@ class FanSpec:
             else len(self.data)
 
     @classmethod
-    def uniform_pairs(cls, count: int, n_openings: int = 8,
-                      opening_lo: float = math.pi / 3,
-                      opening_hi: float = 5 * math.pi / 3) -> "FanSpec":
+    def uniform_pairs(cls, count: int, n_openings: int = 8) -> "FanSpec":
         """Exactly ``count`` pairs: entry angles sweep the circle, openings
         sweep a chord range; the last entry angle may take only some."""
+        _require_positive(count=count, openings=n_openings)
         n_in = max(1, math.ceil(count / n_openings))
         pairs = []
-        openings = np.linspace(opening_lo, opening_hi, n_openings)
+        openings = np.linspace(*_OPENINGS, n_openings)
         alphas = np.linspace(0.0, 2 * math.pi, n_in, endpoint=False)
         for a in alphas:
             for op in openings:
@@ -84,6 +92,7 @@ class FanSpec:
         """Exactly ``count`` incoming data: entry angles sweep the circle,
         tangential components sweep [-eta_max, eta_max]; the last entry
         angle may take only some."""
+        _require_positive(count=count, n_eta=n_eta)
         n_alpha = max(1, math.ceil(count / n_eta))
         data = []
         for a in np.linspace(0.0, 2 * math.pi, n_alpha, endpoint=False):
@@ -292,7 +301,6 @@ class GaugeCurve:
     t: np.ndarray          # (n,)
     x: np.ndarray          # (n, 2)
     v: np.ndarray          # (n, 2), unit velocity
-    theta: np.ndarray      # (n,), direction angle of the velocity
     q: np.ndarray          # (n, d, d)
 
 
@@ -303,8 +311,8 @@ def gauge_candidate(model: AHModel,
                     sample_times: Sequence[float],
                     cfg: Optional[TransportConfig] = None) -> GaugeCurve:
     """Gauge candidate Q = W_A W_B^{-1} along a geodesic from the two pairs'
-    entry-normalized fundamental systems, tagged with base point and fiber
-    angle.
+    entry-normalized fundamental systems, tagged with base point and
+    velocity.
 
     For gauge-equivalent pairs the quotient reproduces the gauge along the
     lifted geodesic up to truncation and solver error.  The path is any
@@ -319,9 +327,7 @@ def gauge_candidate(model: AHModel,
                for prep in preps]
     ts, xs, vs, w_a = (s[0] for s in samples[0])
     w_b = samples[1][3][0]
-    theta = np.arctan2(vs[:, 1], vs[:, 0]) % (2.0 * math.pi)
-    return GaugeCurve(t=ts, x=xs, v=vs, theta=theta,
-                      q=_gauge_quotient(w_a, w_b))
+    return GaugeCurve(t=ts, x=xs, v=vs, q=_gauge_quotient(w_a, w_b))
 
 
 def _gauge_systems(pair_a: tuple[ConnectionField, HiggsFieldData],

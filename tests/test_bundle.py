@@ -232,7 +232,7 @@ class TestSupNormAndCkt:
         conn = random_connection(rng)
         terms2 = []
         doubled = ConnectionField(
-            2, lambda x: 2.0 * conn.symbols(x), conn.decay_N,
+            2, lambda x, v: 2.0 * conn.along(x, v), conn.decay_N,
             symbol_derivs=lambda x: 2.0 * conn.symbol_derivs(x))
         pts = validation_points(24)
         from ahxray.geometry import AHModel

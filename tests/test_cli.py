@@ -494,11 +494,11 @@ class TestValueContracts:
     CONFIGS = {"base": BASE_CONFIG, "recon": RECON_CONFIG,
                "gauge": BASE_CONFIG + GAUGE_EXTRA}
 
-    def _run(self, tmp_path, capsys, base, old, new, command):
+    def _run(self, tmp_path, capsys, base, old, new, command, flags=()):
         assert old in self.CONFIGS[base]
         path = tmp_path / "exp.cfg"
         path.write_text(self.CONFIGS[base].replace(old, new, 1))
-        argv = [command, "--config", str(path)]
+        argv = [command, "--config", str(path), *flags]
         if command == "reconstruct":
             data = tmp_path / "data.jsonl"
             data.write_text('{"fingerprint": "", "rank": 2, '
@@ -538,6 +538,53 @@ class TestValueContracts:
         code, err = self._run(tmp_path, capsys, base, old, new, command)
         assert code == 2
         assert re.search(rf"key '[^']*\b{key}'", err), err
+
+    @pytest.mark.parametrize("old,new,command,flags,words", [
+        ("openings = 3", "openings = 0", "scatter", (), "fan openings"),
+        ("mode = boundary_pairs", "mode = shooting\nn_eta = 0", "scatter",
+         (), "fan n_eta"),
+        ("kind = poincare_disk", "kind = conformal_perturbed\n"
+         "bump_center = 0.25,-0.1\nbump_radius = 0\nbump_amplitude = 0.04",
+         "curvature-report", (), "bump radius"),
+        ("ntheta = 32", "ntheta = 32\nrho_grid = 2", "fourier", (),
+         "rho_grid"),
+        ("seed = 42", "seed = 42", "curvature-report", ("--grid-n", "0"),
+         "no interior point"),
+        ("seed = 42", "seed = 42", "curvature-report", ("--grid-n", "1"),
+         "no interior point"),
+    ], ids=["openings-0", "n_eta-0", "bump_radius-0", "rho_grid-2",
+            "grid-n-0", "grid-n-1"])
+    def test_out_of_domain_value_exit_code(self, tmp_path, capsys, old, new,
+                                           command, flags, words):
+        # each of these used to end in a traceback (division by zero, a
+        # math domain error, the minimum of an empty point set)
+        code, err = self._run(tmp_path, capsys, "base", old, new, command,
+                              flags)
+        assert code == 2
+        assert "Traceback" not in err
+        assert words in err
+
+    @pytest.mark.parametrize("old,new,command,flags,words", [
+        ("count = 12", "count = -3", "scatter", (), "fan count"),
+        ("count = 12", "count = 0", "scatter", (), "fan count"),
+        ("seed = 42", "seed = 42", "scatter", ("--fan", "-1"), "fan count"),
+        ("seed = 42", "seed = 42", "scatter", ("--fan", "0"), "fan count"),
+        ("vector = 1,0,0,0", "vector = 1,0,0", "fourier", (), "vector"),
+        ("rank = 2\ndecay = 3", "rank = 2\ndecay = -2", "scatter", (),
+         "decay exponent"),
+    ], ids=["count-negative", "count-0", "fan-flag-negative", "fan-flag-0",
+            "vector-odd", "decay-negative"])
+    def test_silently_misread_value_refused(self, tmp_path, capsys, old, new,
+                                            command, flags, words):
+        # each of these used to exit 0: a negative count kept the first
+        # count - 1 pairs of the list, a zero count wrote an empty dataset
+        # or fell back to the config's count, an odd vector dropped its
+        # last number, and a negative decay made fields blow up at the rim
+        code, err = self._run(tmp_path, capsys, "base", old, new, command,
+                              flags)
+        assert code == 2
+        assert "Traceback" not in err
+        assert words in err
 
     @pytest.mark.parametrize("command", ["pestov", "fourier"])
     @pytest.mark.parametrize("mode", [16, 40, -16])

@@ -13,6 +13,10 @@
   the reconstruction basis) equals the sum of its terms taken one at a
   time, for ranks 1-3, 0-4 terms and decay 0-4; no terms is the zero
   field, and the identity gauge;
+- a gauge-transformed connection's Gamma(v) equals
+  v^i (Q* Gamma_i Q + Q^-1 d_i Q) formed from ``q`` and ``dq``, for a
+  gauge and for a composed gauge of ranks 1-3, and a composed gauge's
+  ``log_derivative`` gives the connection of the two transforms in turn;
 - every reconstruction iterate ``higgs(c)``, which is built without the
   construction-time field checks, passes them: skew-Hermitian and decaying
   like rho^(N+1);
@@ -36,10 +40,10 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import expm
 
 import ahxray.spherebundle as sb
-from ahxray._linalg import mul, unitary_defect
+from ahxray._linalg import dagger, mul, unitary_defect
 from ahxray.bundle import (ConnectionField, GaugeField, GaussBump,
                            HiggsFieldData, SeparableTerm, _check_skew,
-                           validation_points)
+                           gauge_transform, validation_points)
 from ahxray.geometry import AHModel, DiskGeodesic
 from ahxray.reconstruct import HiggsParameterization
 from ahxray.transport import (_ROWS, _segments, batch_transport,
@@ -176,6 +180,49 @@ def test_separable_fields_are_their_term_sums(rank, dirs, decay, seed):
     close(params.combine(params.weights(x), c),
           _term_sum([(ck * g, b) for ck, (g, b) in zip(c, terms)], rank,
                     decay, x))
+
+
+@settings(max_examples=40, deadline=None)
+@given(rank=st.integers(1, 3), terms=st.tuples(st.integers(1, 3),
+                                               st.integers(1, 3)),
+       decays=st.tuples(st.integers(1, 4), st.integers(1, 4)),
+       seed=st.integers(0, 2**32 - 1))
+def test_gauge_transform_is_the_symbol_formula(rank, terms, decays, seed):
+    rng = np.random.default_rng(seed)
+    conn = random_connection(rng, rank)
+    higgs = HiggsFieldData.zero(rank)
+    g1, g2 = (GaugeField(rank, [
+        (random_skew(rng, rank),
+         GaussBump(center=tuple(rng.uniform(-0.5, 0.5, 2)),
+                   sigma=rng.uniform(0.2, 0.5))) for _ in range(n)], m)
+        for n, m in zip(terms, decays))
+    r = 0.9 * np.sqrt(rng.uniform(size=(4, 3)))
+    ang = rng.uniform(0.0, 2.0 * np.pi, size=(4, 3))
+    x = np.stack([r * np.cos(ang), r * np.sin(ang)], axis=-1)
+    v = rng.normal(size=(4, 3, 2))
+    gam = conn.symbols(x)
+
+    def formula(q, dq):
+        """v^i (Q* Gamma_i Q + Q^-1 d_i Q) from Q and its partials."""
+        qi = dagger(q)[..., None, :, :]
+        return np.einsum("...i,...ikl->...kl", v,
+                         qi @ gam @ q[..., None, :, :] + qi @ dq)
+
+    def close(a, b):
+        assert np.max(np.abs(a - b)) <= 1e-12 * (1.0 + np.max(np.abs(b)))
+
+    q1, q2 = g1.q(x), g2.q(x)
+    close(gauge_transform(conn, higgs, g1)[0].along(x, v),
+          formula(q1, g1.dq(x)))
+    # the composed gauge Q1 Q2 has partials dQ1 Q2 + Q1 dQ2
+    composed = g1.compose(g2)
+    close(gauge_transform(conn, higgs, composed)[0].along(x, v),
+          formula(q1 @ q2, g1.dq(x) @ q2[..., None, :, :]
+                  + q1[..., None, :, :] @ g2.dq(x)))
+    twice = gauge_transform(*gauge_transform(conn, higgs, g1), g2)[0]
+    q, log_dq = composed.log_derivative(x, v)
+    close(q, q1 @ q2)
+    close(dagger(q) @ conn.along(x, v) @ q + log_dq, twice.along(x, v))
 
 
 @settings(max_examples=40, deadline=None)

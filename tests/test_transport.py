@@ -24,8 +24,8 @@ from scipy.integrate import quad
 from ahxray.bundle import ConnectionField, GaussBump, HiggsFieldData
 from ahxray.errors import DomainError, RankMismatchError
 from ahxray.geometry import (BoundaryDatum, DiskGeodesic, Direction,
-                             PhasePoint, integrate_geodesic,
-                             shoot_from_boundary)
+                             IntegratorConfig, PhasePoint,
+                             integrate_geodesic, shoot_from_boundary)
 from ahxray.transport import (TransportConfig, _march, _segments,
                               batch_transport, crossing_transport,
                               parallel_transport, scattering_matrix,
@@ -218,6 +218,22 @@ class TestScatteringMatrix:
         res_fine = scattering_matrix(disk_module, conn, higgs, fine.sample())
         change = np.linalg.norm(res_fine.exit_value - res.exit_value)
         assert change <= res.truncation_estimate + 1e-12
+
+    @pytest.mark.parametrize("eta", [0.0, 0.3])
+    def test_truncation_estimate_keeps_the_crossing(self, perturbed, rng,
+                                                    eta):
+        # a ray crossing the bump at a coarse 512-step march: halving
+        # rho_cut moves the exit value by about 3e-12, while re-marching
+        # the crossing at another step would add the crossing's RK4 error
+        # (about 2e-5 at this step)
+        conn, higgs = random_connection(rng), random_higgs(rng)
+        path = shoot_from_boundary(
+            perturbed, BoundaryDatum(5.9, eta, Direction.INCOMING), 1e-6,
+            IntegratorConfig(n_steps=512))
+        assert path.pieces is not None
+        res = scattering_matrix(perturbed, conn, higgs, path,
+                                TransportConfig(richardson=True))
+        assert res.truncation_estimate < 1e-10
 
     def test_gauge_covariance_slope(self, disk_module, rng):
         # exit matrices of gauge-equivalent pairs differ by O(rho_cut^M);
