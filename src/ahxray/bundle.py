@@ -1,17 +1,17 @@
 """Hermitian bundle data on the disk: connections, Higgs fields, gauges.
 
 The bundle is the trivial one, M x C^d with the standard Hermitian product.
-A unitary connection is given by its skew-Hermitian contraction Gamma(v),
-and its symbols are Gamma(e_1), Gamma(e_2); Higgs fields by a
-skew-Hermitian endomorphism Phi.  Fields are
-parametrized as finite sums of separable terms rho(x)^N * S * beta(x) with a
-constant skew-Hermitian generator S and a smooth scalar bump beta, so all
-first partials used by the curvature formula are analytic.  Gauge fields are
-Q(x) = exp(rho^M * S(x)), unitary by construction and equal to the identity
-on the boundary; one eigendecomposition gives Q and Q^-1 dQ(v).
+A unitary connection is given by its skew-Hermitian contraction Gamma(v)
+(the symbols are Gamma(e_1), Gamma(e_2)) and its curvature f_12; Higgs
+fields by a skew-Hermitian endomorphism Phi.  Fields are parametrized as
+finite sums of separable terms rho(x)^N * S * beta(x) with a constant
+skew-Hermitian generator S and a smooth scalar bump beta, so the partials
+in f_12 = d_1 Gamma_2 - d_2 Gamma_1 + [Gamma_1, Gamma_2] are analytic.
+Gauge fields are Q(x) = exp(rho^M * S(x)), unitary by construction and the
+identity on the boundary; one eigendecomposition gives Q and Q^-1 dQ(v).
 
 One evaluator, ``_Separable``, forms every such sum (connection symbols
-and partials, Higgs fields, gauge exponents, the reconstruction basis) as
+and curvature, Higgs fields, gauge exponents, the reconstruction basis) as
 scalar weights times the stacked generators; zero fields are its empty sum.
 """
 
@@ -38,6 +38,12 @@ class GaussBump:
     center: tuple[float, float]
     sigma: float
 
+    def __post_init__(self):
+        finite = np.all(np.isfinite(self.center))
+        if not (finite and 0.0 < self.sigma < math.inf):
+            raise DomainError("bump needs a finite center and a finite "
+                              f"sigma > 0, got {self.center}, {self.sigma}")
+
     def __call__(self, x: np.ndarray) -> np.ndarray:
         dx = np.asarray(x, dtype=float) - np.asarray(self.center)
         return np.exp(-np.sum(dx * dx, axis=-1) / (2.0 * self.sigma**2))
@@ -45,7 +51,7 @@ class GaussBump:
 
 def _check_skew(mat: np.ndarray, what: str) -> None:
     worst = float(np.max(skew_defect(mat), initial=0.0))
-    if worst >= _SKEW_TOL:
+    if not worst < _SKEW_TOL:
         raise DomainError(f"{what} is not skew-Hermitian (defect {worst:.2e})")
 
 
@@ -85,14 +91,16 @@ class _Separable:
     """rho^N sum_k beta_k S_k over K (generator S_k, bump beta_k) terms.
 
     ``weights`` are the scalars rho^N beta_k on a last axis of length K and
-    ``grad_weights`` their partials; ``combine`` forms sum_k w_k S_k for
-    any real weights w as one product with the generators' (re, im) parts,
+    ``weights_and_grads`` adds their partials; ``combine`` forms sum_k w_k S_k
+    for any real weights w as one product with the generators' (re, im) parts,
     so a contraction (velocity, coefficients, direction mask) goes into
     the weights first.
     """
 
     def __init__(self, rank: int,
                  terms: Sequence[tuple[np.ndarray, GaussBump]], decay: int):
+        if rank < 1:
+            raise DomainError(f"rank must be >= 1, got {rank}")
         if decay < 0:
             raise DomainError(f"decay exponent must be >= 0, got {decay}")
         terms = list(terms)
@@ -117,13 +125,16 @@ class _Separable:
         x = np.asarray(x, dtype=float)
         return (_rho(x) ** self.decay)[..., None] * self._bumps(x)
 
-    def grad_weights(self, x: np.ndarray) -> np.ndarray:
-        """d_j (rho^N beta_k), shape (..., 2, K)."""
+    def weights_and_grads(self, x: np.ndarray
+                          ) -> tuple[np.ndarray, np.ndarray]:
+        """``weights`` and their partials d_j, shape (..., 2, K), from one
+        evaluation of the bumps."""
         x = np.asarray(x, dtype=float)
         n = self.decay
         rho = _rho(x)[..., None, None]
+        bumps = self._bumps(x)[..., None, :]
         dx = x[..., :, None] - self._centers.T
-        return self._bumps(x)[..., None, :] \
+        return (rho**n * bumps)[..., 0, :], bumps \
             * (n * rho ** max(n - 1, 0) * (-2.0 * x[..., :, None])
                - rho**n * dx / self._sigma2)
 
@@ -135,27 +146,26 @@ class _Separable:
 
 
 class ConnectionField:
-    """Unitary connection with rho^N decay, given by its contraction.
+    """Unitary connection with rho^N decay, given by Gamma(v) and f_12.
 
-    ``along(x, v)``, the primitive, is Gamma(v) = v^i Gamma_i, shape
-    (..., d, d); ``symbols(x)`` is Gamma(e_1), Gamma(e_2), shape
-    (..., 2, d, d).  Analytic first partials (``symbol_derivs``, shape
-    (..., 2, 2, d, d), index order d_j Gamma_i) or a direct curvature
-    evaluator back the curvature computation; gauge transforms carry
-    curvature by conjugation, which is exact.
+    ``along(x, v)`` is the contraction Gamma(v) = v^i Gamma_i, shape
+    (..., d, d), and ``symbols(x)`` its values Gamma(e_1), Gamma(e_2),
+    shape (..., 2, d, d).  The ``curvature`` evaluator, which
+    ``curvature_f12(x)`` calls, gives f_12 = d_1 Gamma_2 - d_2 Gamma_1 +
+    [Gamma_1, Gamma_2], shape (..., d, d); separable connections form it
+    from analytic partials, and gauge transforms carry it by conjugation,
+    which is exact.
     """
 
     def __init__(self, rank: int,
                  along: Callable[[np.ndarray, np.ndarray], np.ndarray],
                  decay_N: int,
-                 symbol_derivs: Optional[Callable[[np.ndarray], np.ndarray]] = None,
                  curvature: Optional[Callable[[np.ndarray], np.ndarray]] = None,
                  validate: bool = True, is_zero: bool = False):
         self.rank = rank
         self.decay_N = decay_N
         self.is_zero = is_zero
         self.along = along
-        self._symbol_derivs = symbol_derivs
         self._curvature = curvature
         if validate:
             self._validate()
@@ -164,20 +174,11 @@ class ConnectionField:
         x = np.asarray(x, dtype=float)
         return self.along(x[..., None, :], np.eye(2))
 
-    def symbol_derivs(self, x: np.ndarray) -> np.ndarray:
-        if self._symbol_derivs is None:
-            raise DomainError("connection carries no analytic symbol derivatives")
-        return self._symbol_derivs(np.asarray(x, dtype=float))
-
     def curvature_f12(self, x: np.ndarray) -> np.ndarray:
         """The single independent curvature component, shape (..., d, d)."""
-        if self._curvature is not None:
-            return self._curvature(np.asarray(x, dtype=float))
-        d = self.symbol_derivs(x)     # (..., j, i, d, d) = d_j Gamma_i
-        gam = self.symbols(x)
-        comm = gam[..., 0, :, :] @ gam[..., 1, :, :] \
-            - gam[..., 1, :, :] @ gam[..., 0, :, :]
-        return d[..., 0, 1, :, :] - d[..., 1, 0, :, :] + comm
+        if self._curvature is None:
+            raise DomainError("connection carries no curvature evaluator")
+        return self._curvature(np.asarray(x, dtype=float))
 
     def _validate(self) -> None:
         pts = validation_points()
@@ -199,7 +200,7 @@ class ConnectionField:
         if interior == 0.0 or not np.any(ring):
             return
         bound = 4.0 * interior * rho[ring] ** n_decay
-        if np.any(norms[ring] > np.maximum(bound, 1e-13)):
+        if not np.all(norms[ring] <= np.maximum(bound, 1e-13)):
             raise DomainError(f"{what} do not decay like rho^{n_decay}")
 
     # -- constructors ------------------------------------------------------
@@ -222,9 +223,15 @@ class ConnectionField:
             return f.combine(f.weights(x)
                              * np.asarray(v, dtype=float)[..., dirs])
 
-        return cls(rank, along, decay_N,
-                   symbol_derivs=lambda x: f.combine(
-                       f.grad_weights(x)[..., None, :] * feeds),
+        def curvature(x):
+            w, dw = f.weights_and_grads(x)
+            gam = f.combine(w[..., None, :] * feeds)
+            g1, g2 = gam[..., 0, :, :], gam[..., 1, :, :]
+            curl = f.combine(dw[..., 0, :] * feeds[1]
+                             - dw[..., 1, :] * feeds[0])
+            return curl + (mul(g1, g2) - mul(g2, g1))
+
+        return cls(rank, along, decay_N, curvature=curvature,
                    validate=bool(terms), is_zero=not terms)
 
 
@@ -286,9 +293,9 @@ class GaugeField:
         derivative in the direction dP(v), from the eigendecomposition that
         gives Q."""
         f = self._field
-        dp = np.sum(f.grad_weights(x)
-                    * np.asarray(v, dtype=float)[..., :, None], axis=-2)
-        return expm_skew(f.combine(f.weights(x)), f.combine(dp))
+        w, dw = f.weights_and_grads(x)
+        dp = np.sum(dw * np.asarray(v, dtype=float)[..., :, None], axis=-2)
+        return expm_skew(f.combine(w), f.combine(dp))
 
     def dq(self, x: np.ndarray) -> np.ndarray:
         """Partials d_i Q, shape (..., 2, d, d)."""
@@ -369,11 +376,11 @@ def gauge_transform(conn: ConnectionField, higgs: HiggsFieldData,
 
     def curvature(x):
         qm = q.q(x)
-        return dagger(qm) @ conn.curvature_f12(x) @ qm
+        return mul(mul(dagger(qm), conn.curvature_f12(x)), qm)
 
     def phi(x):
         qm = q.q(x)
-        return dagger(qm) @ higgs.phi(x) @ qm
+        return mul(mul(dagger(qm), higgs.phi(x)), qm)
 
     if conn.is_zero:
         decay = q.decay_M - 1
@@ -426,10 +433,8 @@ def endomorphism_lift(conn: ConnectionField) -> ConnectionField:
     and the lifted curvature is ad(f_12), so zero curvature lifts to zero
     curvature.
     """
-    derivs = None if conn._symbol_derivs is None else (
-        lambda x: ad_representation(conn.symbol_derivs(x)))
     return ConnectionField(
         conn.rank ** 2, lambda x, v: ad_representation(conn.along(x, v)),
-        conn.decay_N, symbol_derivs=derivs,
+        conn.decay_N,
         curvature=lambda x: ad_representation(conn.curvature_f12(x)),
         validate=False)

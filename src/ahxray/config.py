@@ -45,20 +45,29 @@ from .xray import FanSpec
 
 
 def _cast(text: str, cast, section: str, key: str):
-    """``cast(text)``, with a value it refuses reported as a ConfigError."""
+    """``cast(text)``, with a value it refuses or a number that is not
+    finite reported as a ConfigError."""
     try:
-        return cast(text)
+        value = cast(text)
     except ValueError as err:
         raise ConfigError(f"bad value {text!r}: {err}",
                           section=section, key=key) from err
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"bad value {text!r}: not a finite number",
+                          section=section, key=key)
+    return value
 
 
 def _floats(text: str, section: str, key: str) -> list[float]:
     try:
-        return [float(tok) for tok in text.replace(",", " ").split()]
+        values = [float(tok) for tok in text.replace(",", " ").split()]
     except ValueError as err:
         raise ConfigError(f"expected numbers, got {text!r}",
                           section=section, key=key) from err
+    if not all(map(math.isfinite, values)):
+        raise ConfigError(f"expected finite numbers, got {text!r}",
+                          section=section, key=key)
+    return values
 
 
 def _point(text: str, section: str, key: str) -> tuple[float, float]:
@@ -116,7 +125,8 @@ def _term(value: str, rank: int, section: str, key: str) -> dict:
         return _cast(fields.get(name, default), cast, section,
                      f"{key}: {name}")
 
-    return {"gen": _complex_matrix(_floats(fields["gen"], section, key),
+    return {"gen": _complex_matrix(_floats(fields["gen"], section,
+                                          f"{key}: gen"),
                                    rank, f"[{section}] {key}"),
             "bump": GaussBump(center=_point(fields["center"], section,
                                             f"{key}: center"),
@@ -270,6 +280,13 @@ class ExperimentConfig:
             raise ConfigError("missing key", section=section, key=key)
         return _cast(body[key], cast, section, key)
 
+    def _rank(self, section: str, default: Optional[int] = None) -> int:
+        rank = self._get(section, "rank", int, default=default)
+        if rank < 1:
+            raise ConfigError(f"rank must be at least 1, got {rank}",
+                              section=section, key="rank")
+        return rank
+
     def _given(self, section: str, **casts) -> dict:
         """The keys of ``section`` that the config sets, cast; the dataclass
         being built supplies every default."""
@@ -320,9 +337,8 @@ class ExperimentConfig:
 
     def build_connection(self) -> ConnectionField:
         if "connection" not in self.sections:
-            rank = self._get("higgs", "rank", int, default=2)
-            return ConnectionField.zero(rank)
-        rank = self._get("connection", "rank", int)
+            return ConnectionField.zero(self._rank("higgs", default=2))
+        rank = self._rank("connection")
         decay = self._get("connection", "decay", int, default=3)
         return ConnectionField.from_terms(
             rank, self._bundle_terms("connection", rank), decay)
@@ -330,6 +346,9 @@ class ExperimentConfig:
     def build_higgs(self, rank: int) -> HiggsFieldData:
         if "higgs" not in self.sections:
             return HiggsFieldData.zero(rank)
+        if self._get("higgs", "rank", int, default=rank) != rank:
+            raise ConfigError(f"the connection has rank {rank}",
+                              section="higgs", key="rank")
         decay = self._get("higgs", "decay", int, default=4)
         return HiggsFieldData.from_terms(
             rank, self._bundle_terms("higgs", rank), decay)
@@ -412,7 +431,7 @@ class ExperimentConfig:
     def build_reconstruction(self) -> tuple[HiggsParameterization,
                                             ReconstructionConfig]:
         body = self._section("reconstruction")
-        rank = self._get("reconstruction", "rank", int, default=2)
+        rank = self._rank("reconstruction", default=2)
         decay = self._get("reconstruction", "decay", int, default=4)
         basis = []
         for key, raw in _numbered(body, "basis", "reconstruction"):

@@ -122,6 +122,8 @@ class AHModel:
                  epsilon0: float = 0.1):
         if kind is ModelKind.CONFORMAL_PERTURBED and bump is None:
             raise DomainError("conformal_perturbed model requires a bump")
+        if not 0.0 < epsilon0 < 1.0:
+            raise DomainError(f"epsilon0 must lie in (0, 1), got {epsilon0}")
         if kind is ModelKind.POINCARE_DISK:
             bump = None
         self.kind = kind

@@ -19,6 +19,7 @@ exact derivative of the discrete forward map.  Central finite differences
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -113,8 +114,9 @@ class ReconstructionConfig:
     transport: TransportConfig = field(default_factory=TransportConfig)
 
     def __post_init__(self):
-        if self.tikhonov < 0.0:
-            raise DomainError("tikhonov weight must be nonnegative")
+        if not 0.0 <= self.tikhonov < math.inf:
+            raise DomainError("tikhonov weight must be finite and "
+                              f"nonnegative, got {self.tikhonov}")
 
 
 @dataclass
@@ -256,6 +258,9 @@ def reconstruct_higgs(data: ScatteringDataset, model: AHModel,
     _require_flat(conn0)
     if data.rank != conn0.rank:
         raise DomainError("dataset rank does not match the connection")
+    if params.rank != conn0.rank:
+        raise DomainError(f"reconstruction basis rank {params.rank} does "
+                          f"not match the connection's rank {conn0.rank}")
     paths, _ = fan_paths(model, fan, cfg.transport)
     require_fan(data, paths, cfg.transport.rho_cut)
     residual = _fan_residual(conn0, params, paths, cfg.transport,

@@ -97,7 +97,6 @@ class SphereBundleGrid:
         self.node_weight = self.sqrt_det_g * self.h1 * self.h2 * self.dtheta
         self.max_exact_degree = (n_theta - 2) // 4
         self._symbol_cache: WeakKeyDictionary = WeakKeyDictionary()
-        self._curvature_cache: WeakKeyDictionary = WeakKeyDictionary()
 
     @staticmethod
     def _erode(mask: np.ndarray, width: int) -> np.ndarray:
@@ -114,23 +113,21 @@ class SphereBundleGrid:
 
     # -- cached field data ------------------------------------------------
 
-    def _on_mask(self, cache, conn, field, shape) -> np.ndarray:
-        cached = cache.get(conn)
-        if cached is None:
-            cached = np.zeros((self.nx, self.ny) + shape, dtype=complex)
-            cached[self.mask] = field(self.points[self.mask])
-            cache[conn] = cached
-        return cached
+    def _on_mask(self, field, shape) -> np.ndarray:
+        out = np.zeros((self.nx, self.ny) + shape, dtype=complex)
+        out[self.mask] = field(self.points[self.mask])
+        return out
 
     def symbols(self, conn: ConnectionField) -> np.ndarray:
-        d = conn.rank
-        return self._on_mask(self._symbol_cache, conn, conn.symbols,
-                             (2, d, d))
+        """Gamma_1, Gamma_2 on the mask, cached: every X reads them."""
+        if conn not in self._symbol_cache:
+            self._symbol_cache[conn] = self._on_mask(
+                conn.symbols, (2,) + (conn.rank,) * 2)
+        return self._symbol_cache[conn]
 
     def curvature(self, conn: ConnectionField) -> np.ndarray:
-        d = conn.rank
-        return self._on_mask(self._curvature_cache, conn,
-                             conn.curvature_f12, (d, d))
+        """f_12 on the mask; each identity check reads it once."""
+        return self._on_mask(conn.curvature_f12, (conn.rank,) * 2)
 
     # -- differential building blocks --------------------------------------
 

@@ -93,6 +93,8 @@ class FanSpec:
         tangential components sweep [-eta_max, eta_max]; the last entry
         angle may take only some."""
         _require_positive(count=count, n_eta=n_eta)
+        if not math.isfinite(eta_max):
+            raise DomainError(f"fan eta_max must be finite, got {eta_max}")
         n_alpha = max(1, math.ceil(count / n_eta))
         data = []
         for a in np.linspace(0.0, 2 * math.pi, n_alpha, endpoint=False):
@@ -110,6 +112,8 @@ class ScatteringRecord:
     unitarity_defect: float
 
     def __post_init__(self):
+        if not np.all(np.isfinite(self.matrix)):
+            raise DomainError("scattering matrix has non-finite entries")
         if abs(np.linalg.det(self.matrix)) <= 1e-6:
             raise DomainError("scattering matrix is numerically singular")
 

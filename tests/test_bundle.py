@@ -228,12 +228,11 @@ class TestSupNormAndCkt:
         assert sup_curvature_norm(conn, pts, disk) < 1e-7
         assert ckt_condition_check(conn, disk, pts).satisfied
 
-    def test_scaling_between_linear_and_quadratic(self, rng):
-        conn = random_connection(rng)
-        terms2 = []
-        doubled = ConnectionField(
-            2, lambda x, v: 2.0 * conn.along(x, v), conn.decay_N,
-            symbol_derivs=lambda x: 2.0 * conn.symbol_derivs(x))
+    def test_scaling_between_linear_and_quadratic(self):
+        # the same draws at twice the default scale 0.5: Gamma doubles
+        conn = random_connection(np.random.default_rng(20240817))
+        doubled = random_connection(np.random.default_rng(20240817),
+                                    scale=1.0)
         pts = validation_points(24)
         from ahxray.geometry import AHModel
         disk = AHModel()
@@ -300,6 +299,26 @@ class TestValidation:
         with pytest.raises(DomainError):
             SeparableTerm(0, np.array([[1.0, 0], [0, 1.0]]),
                           GaussBump((0, 0), 0.3))
+
+    def test_nan_generator_rejected(self):
+        # a NaN defect used to pass the skew check
+        with pytest.raises(DomainError, match="not skew-Hermitian"):
+            SeparableTerm(0, np.array([[np.nan, 0], [0, 0]]),
+                          GaussBump((0, 0), 0.3))
+
+    @pytest.mark.parametrize("center,sigma", [
+        ((np.nan, 0.0), 0.3), ((0.0, np.inf), 0.3), ((0.0, 0.0), np.nan),
+        ((0.0, 0.0), np.inf), ((0.0, 0.0), 0.0), ((0.0, 0.0), -0.3)])
+    def test_degenerate_bump_rejected(self, center, sigma):
+        with pytest.raises(DomainError, match="sigma > 0"):
+            GaussBump(center, sigma)
+
+    @pytest.mark.parametrize("rank", [0, -2])
+    def test_rank_below_one_rejected(self, rank):
+        with pytest.raises(DomainError, match="rank must be >= 1"):
+            ConnectionField.zero(rank)
+        with pytest.raises(DomainError, match="rank must be >= 1"):
+            HiggsFieldData.zero(rank)
 
     def test_higgs_decay_recorded(self, rng):
         higgs = random_higgs(rng, decay=4)

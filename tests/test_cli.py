@@ -532,6 +532,36 @@ class TestValueContracts:
          "rank = two\ndecay = 4\ntikhonov", "reconstruct", "rank"),
         ("recon", "decay = 4\ntikhonov", "decay = 4.5\ntikhonov",
          "reconstruct", "decay"),
+        # non-finite numbers: each used to exit 0 with NaN in the dataset,
+        # end in a traceback, or be read as a constant or empty bump
+        ("base", "sigma=0.3; coeff=0.4", "sigma=nan; coeff=0.4", "scatter",
+         "sigma"),
+        ("base", "sigma=0.3; coeff=0.4", "sigma=inf; coeff=0.4", "scatter",
+         "sigma"),
+        ("base", "center=0.2,0.1;", "center=nan,0;", "scatter", "center"),
+        ("base", "coeff=0.4", "coeff=nan", "scatter", "coeff"),
+        ("base", "gen=0,0,1,0,-1,0,0,0;", "gen=0,0,nan,0,-1,0,0,0;",
+         "scatter", "gen"),
+        ("base", "sigma=0.3; coeff=0.5", "sigma=nan; coeff=0.5", "scatter",
+         "sigma"),
+        ("base", "center=0.1,-0.1;", "center=0.1,inf;", "scatter", "center"),
+        ("gauge", "sigma=0.35; coeff=0.5", "sigma=nan; coeff=0.5", "scatter",
+         "sigma"),
+        ("gauge", "sigma=0.35; coeff=0.5", "sigma=0.35; coeff=inf",
+         "scatter", "coeff"),
+        ("recon", "tikhonov = 1e-10", "tikhonov = nan", "reconstruct",
+         "tikhonov"),
+        ("base", "mode = boundary_pairs", "mode = shooting\neta_max = nan",
+         "scatter", "eta_max"),
+        ("base", "mode = boundary_pairs", "mode = shooting\neta_max = inf",
+         "scatter", "eta_max"),
+        ("base", "kind = poincare_disk", "kind = conformal_perturbed\n"
+         "bump_center = 0.8,0\nbump_radius = 0.3\nbump_amplitude = 0.04\n"
+         "epsilon0 = nan", "curvature-report", "epsilon0"),
+        ("base", "kind = poincare_disk", "kind = poincare_disk\n"
+         "epsilon0 = inf", "curvature-report", "epsilon0"),
+        ("base", "center = 0,0", "center = nan,0", "fourier", "center"),
+        ("base", "radius = 0.6", "radius = nan", "fourier", "radius"),
     ])
     def test_bad_value_exit_code(self, tmp_path, capsys, base, old, new,
                                  command, key):
@@ -572,19 +602,68 @@ class TestValueContracts:
         ("vector = 1,0,0,0", "vector = 1,0,0", "fourier", (), "vector"),
         ("rank = 2\ndecay = 3", "rank = 2\ndecay = -2", "scatter", (),
          "decay exponent"),
+        ("sigma=0.3; coeff=0.4", "sigma=0; coeff=0.4", "scatter", (),
+         "sigma > 0"),
+        ("sigma=0.3; coeff=0.4", "sigma=-0.3; coeff=0.4", "scatter", (),
+         "sigma > 0"),
+        ("rank = 2\ndecay = 4", "rank = 3\ndecay = 4", "scatter", (),
+         "the connection has rank 2 (section [higgs], key 'rank')"),
     ], ids=["count-negative", "count-0", "fan-flag-negative", "fan-flag-0",
-            "vector-odd", "decay-negative"])
+            "vector-odd", "decay-negative", "sigma-0", "sigma-negative",
+            "higgs-rank-other"])
     def test_silently_misread_value_refused(self, tmp_path, capsys, old, new,
                                             command, flags, words):
         # each of these used to exit 0: a negative count kept the first
         # count - 1 pairs of the list, a zero count wrote an empty dataset
         # or fell back to the config's count, an odd vector dropped its
-        # last number, and a negative decay made fields blow up at the rim
+        # last number, a negative decay made fields blow up at the rim, a
+        # zero sigma dropped its term, a negative one was read as positive,
+        # and a [higgs] rank other than the connection's was ignored
         code, err = self._run(tmp_path, capsys, "base", old, new, command,
                               flags)
         assert code == 2
         assert "Traceback" not in err
         assert words in err
+
+    @pytest.mark.parametrize("command", ["scatter", "curvature-report",
+                                         "pestov"])
+    @pytest.mark.parametrize("section,rank,text", [
+        ("connection", 0, re.sub(r"term\.\d = dir=.*\n", "", BASE_CONFIG)
+         .replace("rank = 2\ndecay = 3", "rank = 0\ndecay = 3")),
+        ("connection", -2, BASE_CONFIG.replace("rank = 2\ndecay = 3",
+                                               "rank = -2\ndecay = 3")),
+        ("higgs", 0, RECON_CONFIG.replace("rank = 2\ndecay = 4\nterm",
+                                          "rank = 0\ndecay = 4\nterm")),
+    ], ids=["connection-0", "connection-negative", "higgs-0"])
+    def test_rank_below_one_exit_code(self, tmp_path, capsys, command,
+                                      section, rank, text):
+        # each used to end in a traceback from a reshape
+        path = tmp_path / "exp.cfg"
+        path.write_text(text)
+        assert main([command, "--config", str(path)]) == 2
+        assert f"rank must be at least 1, got {rank} (section [{section}], " \
+            "key 'rank')" in capsys.readouterr().err
+
+    def test_basis_rank_other_than_connection_exit_code(self, tmp_path,
+                                                        capsys):
+        # a rank-3 basis against rank-2 data and connection used to end in
+        # a broadcast traceback
+        cfg_path = tmp_path / "recon.cfg"
+        cfg_path.write_text(RECON_CONFIG)
+        data_path = tmp_path / "data.jsonl"
+        assert main(["scatter", "--config", str(cfg_path), "--out",
+                     str(data_path)]) == 0
+        # diag(i, -i, 0) and the rotation generator in the first two axes
+        cfg_path.write_text(RECON_CONFIG.split("[reconstruction]")[0]
+                            + "[reconstruction]\nrank = 3\n"
+                            "basis.0 = gen=0,1,0,0,0,0,0,0,0,-1" + ",0" * 8
+                            + "; center=0.2,0.0; sigma=0.3\n"
+                            "basis.1 = gen=0,0,1,0,0,0,-1,0" + ",0" * 10
+                            + "; center=-0.15,0.2; sigma=0.3\n")
+        assert main(["reconstruct", "--data", str(data_path), "--config",
+                     str(cfg_path)]) == 2
+        assert "basis rank 3 does not match the connection's rank 2" \
+            in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["pestov", "fourier"])
     @pytest.mark.parametrize("mode", [16, 40, -16])

@@ -135,6 +135,14 @@ class TestCurvature:
         with pytest.raises(DomainError):
             AHModel(ModelKind.CONFORMAL_PERTURBED, bump=bump)
 
+    @pytest.mark.parametrize("epsilon0", [math.nan, 0.0, 1.0, -0.1])
+    def test_epsilon0_outside_unit_interval_rejected(self, epsilon0):
+        # a NaN epsilon0 let a bump reaching the boundary through
+        bump = ConformalBump(center=(0.8, 0.0), radius=0.3, amplitude=0.04)
+        with pytest.raises(DomainError, match="epsilon0 must lie in"):
+            AHModel(ModelKind.CONFORMAL_PERTURBED, bump=bump,
+                    epsilon0=epsilon0)
+
 
 class TestIntegration:
     def test_radial_tanh_oracle(self, disk):

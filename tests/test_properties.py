@@ -158,7 +158,13 @@ def test_separable_fields_are_their_term_sums(rank, dirs, decay, seed):
                               rank, decay, x) for j in range(2)], axis=-3)
     close(conn.symbols(x), ref)
     close(conn.along(x, v), np.einsum("...i,...ikl->...kl", v, ref))
-    close(conn.symbol_derivs(x), _central(conn.symbols, x), 1e-7)
+    # f_12 = d_1 Gamma_2 - d_2 Gamma_1 + [Gamma_1, Gamma_2] from symbol
+    # samples alone
+    d_gam = _central(conn.symbols, x)          # d_j Gamma_i at [..., j, i]
+    gam = conn.symbols(x)
+    g1, g2 = gam[..., 0, :, :], gam[..., 1, :, :]
+    close(conn.curvature_f12(x), d_gam[..., 0, 1, :, :]
+          - d_gam[..., 1, 0, :, :] + g1 @ g2 - g2 @ g1, 1e-7)
     assert conn.is_zero == (not terms)
 
     higgs = HiggsFieldData.from_terms(rank, terms, decay)

@@ -367,3 +367,8 @@ class TestValidation:
     def test_negative_tikhonov_rejected(self):
         with pytest.raises(DomainError):
             ReconstructionConfig(tikhonov=-1.0)
+
+    @pytest.mark.parametrize("tikhonov", [math.nan, math.inf])
+    def test_non_finite_tikhonov_rejected(self, tikhonov):
+        with pytest.raises(DomainError, match="finite and nonnegative"):
+            ReconstructionConfig(tikhonov=tikhonov)

@@ -89,6 +89,18 @@ class TestGridAndQuadrature:
     def test_exactness_bound(self, grid):
         assert grid.max_exact_degree == (32 - 2) // 4
 
+    def test_field_data_on_mask(self, grid, rng):
+        conn = random_connection(rng, rank=2)
+        f12 = grid.curvature(conn)
+        assert np.array_equal(f12[grid.mask],
+                              conn.curvature_f12(grid.points[grid.mask]))
+        assert not np.any(f12[~grid.mask])
+        gam = grid.symbols(conn)
+        assert np.array_equal(gam[grid.mask],
+                              conn.symbols(grid.points[grid.mask]))
+        assert not np.any(gam[~grid.mask])
+        assert grid.symbols(conn) is gam
+
 
 class TestLift:
     def test_constant_section(self, grid):

@@ -13,7 +13,7 @@ import pytest
 from ahxray._linalg import frobenius, unitary_defect
 from ahxray.bundle import (ConnectionField, HiggsFieldData,
                            gauge_transform)
-from ahxray.errors import (DomainError, FanMismatchError,
+from ahxray.errors import (DatasetError, DomainError, FanMismatchError,
                            IllConditionedGaugeError,
                            InsufficientCrossingsError)
 from ahxray.geometry import (AHModel, BoundaryDatum, DiskGeodesic,
@@ -67,6 +67,11 @@ class TestFanSpec:
     def test_degenerate_pair_rejected(self):
         with pytest.raises(DomainError):
             FanSpec(FanMode.BOUNDARY_PAIRS, pairs=((0.5, 0.5),))
+
+    @pytest.mark.parametrize("eta_max", [math.nan, math.inf])
+    def test_uniform_shooting_needs_finite_eta_max(self, eta_max):
+        with pytest.raises(DomainError, match="eta_max must be finite"):
+            FanSpec.uniform_shooting(10, n_eta=5, eta_max=eta_max)
 
     def test_shooting_requires_incoming(self):
         from ahxray.geometry import BoundaryDatum, Direction
@@ -213,6 +218,15 @@ class TestSerialization:
         for ra, rb in zip(ds.records, back.records):
             assert frobenius(ra.matrix - rb.matrix) == 0.0
             assert ra.entry.alpha == rb.entry.alpha
+
+    def test_non_finite_matrix_refused(self):
+        # NaN passed the singularity check, and JSON reads NaN
+        record = ('{"entry_alpha": 0.0, "entry_eta": 0.0, "exit_alpha": 1.0,'
+                  ' "exit_eta": 0.0, "matrix": [NaN, 0, 0, 0, 0, 0, 1, 0],'
+                  ' "unitarity_defect": 0.0}')
+        with pytest.raises(DatasetError, match="non-finite"):
+            ScatteringDataset.from_jsonl('{"fingerprint": "", "rank": 2, '
+                                         '"rho_cut": 1e-06}\n' + record)
 
     def test_noise_helper_deterministic(self, disk, fan, rng):
         ds = compute_scattering_data(disk, ConnectionField.zero(2),
