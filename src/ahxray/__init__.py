@@ -31,9 +31,8 @@ from .spherebundle import (NSectionField, SectionField, SphereBundleGrid,
                            mode_energies, pestov_residual,
                            vertical_derivative, vertical_divergence,
                            vertical_laplacian, x_split)
-from .transport import (TransportConfig, TransportResult, batch_transport,
-                        parallel_transport, scattering_matrix,
-                        solve_transport)
+from .transport import (TransportConfig, batch_transport, scattering_matrix,
+                        transport_rhs, truncation_estimate)
 from .xray import (FanMode, FanSpec, ScatteringDataset, ScatteringRecord,
                    add_matrix_noise, compare_datasets,
                    compute_scattering_data, gauge_candidate,

@@ -12,7 +12,7 @@ U = W Psi^{-1} with Psi the parallel transport, so gauge recovery needs
 only fundamental systems (see ``xray``).  The entry value stands in for
 the limit at minus infinity; the exponential approach of rho along
 escaping geodesics makes the truncation error decay like a power of
-rho_cut (verified by Richardson halving rather than certified).
+rho_cut (measured by halving it in ``truncation_estimate``, not certified).
 
 Propagators obey the cocycle law W(t2, t0) = W(t2, t1) W(t1, t0).  A path
 is closed-form disk geodesics and at most one RK4 crossing of the bump,
@@ -31,10 +31,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._linalg import mul, unitary_defect
+from ._linalg import frobenius, mul
 from .bundle import ConnectionField, HiggsFieldData
 from .errors import DomainError, RankMismatchError
-from .geometry import AHModel, DiskGeodesic, GeodesicPath, ShotPieces
+from .geometry import DiskGeodesic, ShotPieces
 
 
 @dataclass
@@ -44,7 +44,6 @@ class TransportConfig:
     # benchmark's shoot_perturbed reference)
     rtol: float = 1e-10
     atol: float = 1e-14
-    richardson: bool = False
     n_steps: int = 2048          # RK4 steps per closed-form piece
 
     def __post_init__(self):
@@ -55,17 +54,13 @@ class TransportConfig:
                 raise DomainError(f"{name} must be positive")
 
 
-@dataclass
-class TransportResult:
-    exit_value: np.ndarray
-    unitarity_defect: float          # of the entry-to-exit propagator
-    truncation_estimate: Optional[float] = None
-
-
 def transport_rhs(conn: ConnectionField, higgs: HiggsFieldData):
     """prep(x, v) -> rhs(W) = -(Gamma(v) + Phi) W, the left-acting
-    fundamental system on the fiber.  Positions and velocities may carry
-    any leading axes."""
+    fundamental system on the fiber, for a connection and Higgs field of
+    one rank.  Positions and velocities may carry any leading axes."""
+    if conn.rank != higgs.rank:
+        raise RankMismatchError(f"connection rank {conn.rank} and Higgs "
+                                f"field rank {higgs.rank} differ")
 
     def prep(x, v):
         gen = conn.along(x, v) + higgs.phi(x)
@@ -272,6 +267,19 @@ def _split(path) -> tuple[tuple[DiskGeodesic, ...], Optional[ShotPieces]]:
                       "(a reversed crossing ray): shoot from its exit datum")
 
 
+def _at_rho_cut(path, rho_cut: float):
+    """The path with its closed-form pieces rebuilt at ``rho_cut``.  A
+    crossing ray keeps its crossing: incoming from its new entry to the
+    ball, outgoing from the ball (time 0) to its new exit."""
+    pieces, crossing = _split(path)
+    fine = [g.with_rho_cut(rho_cut) for g in pieces]
+    if crossing is None:
+        return fine[0]
+    return replace(path, pieces=replace(
+        crossing, incoming=fine[0].span(fine[0].t_entry, pieces[0].t_exit),
+        outgoing=fine[1].span(0.0, fine[1].t_exit)))
+
+
 def _piece_fracs(path, pieces, crossing, times: np.ndarray):
     """Per path time: its piece, its clipped fraction of that piece's span
     and the path time of the piece's clock origin; refuses crossing times."""
@@ -362,54 +370,20 @@ def batch_transport(prep, paths: Sequence, rank: int | tuple[int, int],
     return np.array(exits), tuple(np.array(s) for s in zip(*snaps))
 
 
-def solve_transport(model: AHModel, conn: ConnectionField,
-                    higgs: HiggsFieldData, path: GeodesicPath,
-                    e_in: np.ndarray,
-                    cfg: Optional[TransportConfig] = None) -> TransportResult:
-    """Transport a fiber vector (or the columns of a matrix) along a
-    complete path, entry to exit, by ``batch_transport``.  With
-    ``cfg.richardson`` the truncation estimate is the change of the exit
-    value on the path with its closed-form pieces rebuilt at half its
-    rho_cut; a crossing ray keeps its crossing, so only truncation moves."""
-    cfg = cfg or TransportConfig()
-    e_in = np.asarray(e_in, dtype=complex)
-    if conn.rank != higgs.rank:
-        raise RankMismatchError("connection and Higgs ranks differ")
-    if e_in.shape[0] != conn.rank:
-        raise RankMismatchError("initial value rank mismatch")
-    prep = transport_rhs(conn, higgs)
-    w = batch_transport(prep, [path], conn.rank, cfg)[0]
-    estimate = None
-    if cfg.richardson:
-        half = path.rho_cut / 2.0
-        pieces, crossing = _split(path)
-        fine = [g.with_rho_cut(half) for g in pieces]
-        if crossing is not None:
-            # incoming from its new entry to the ball, outgoing from the
-            # ball (time 0) to its new exit
-            fine = [replace(path, pieces=replace(
-                crossing, incoming=fine[0].span(fine[0].t_entry,
-                                                pieces[0].t_exit),
-                outgoing=fine[1].span(0.0, fine[1].t_exit)))]
-        w_fine = batch_transport(prep, fine, conn.rank, cfg)[0]
-        estimate = float(np.linalg.norm((w_fine - w) @ e_in))
-    return TransportResult(exit_value=w @ e_in,
-                           unitarity_defect=float(unitary_defect(w)),
-                           truncation_estimate=estimate)
+def truncation_estimate(prep, paths: Sequence, rank: int,
+                        cfg: Optional[TransportConfig] = None) -> np.ndarray:
+    """Per path, the Frobenius change of the exit value when the
+    closed-form pieces reach half the path's rho_cut (``_at_rho_cut``; a
+    crossing ray keeps its crossing, so only truncation moves)."""
+    coarse = batch_transport(prep, paths, rank, cfg)
+    fine = batch_transport(prep, [_at_rho_cut(p, p.rho_cut / 2.0)
+                                  for p in paths], rank, cfg)
+    return frobenius(fine - coarse)
 
 
-def scattering_matrix(model: AHModel, conn: ConnectionField,
-                      higgs: HiggsFieldData, path: GeodesicPath,
-                      cfg: Optional[TransportConfig] = None) -> TransportResult:
-    """Transport of the identity: the exit matrix is the scattering datum
-    for this geodesic."""
-    return solve_transport(model, conn, higgs, path,
-                           np.eye(conn.rank, dtype=complex), cfg)
-
-
-def parallel_transport(model: AHModel, conn: ConnectionField,
-                       path: GeodesicPath, e_in: np.ndarray,
-                       cfg: Optional[TransportConfig] = None) -> TransportResult:
-    """Transport with zero Higgs field: the entry-to-exit fiber isomorphism."""
-    return solve_transport(model, conn, HiggsFieldData.zero(conn.rank),
-                           path, e_in, cfg)
+def scattering_matrix(conn: ConnectionField, higgs: HiggsFieldData, path,
+                      cfg: Optional[TransportConfig] = None) -> np.ndarray:
+    """The scattering datum of one path, entry to exit: W e transports a
+    fiber vector e, and the zero Higgs field gives parallel transport."""
+    return batch_transport(transport_rhs(conn, higgs), [path], conn.rank,
+                           cfg)[0]

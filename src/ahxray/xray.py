@@ -118,6 +118,13 @@ class ScatteringRecord:
             raise DomainError("scattering matrix is numerically singular")
 
 
+def _finite(obj: dict, key: str) -> float:
+    value = float(obj[key])
+    if not math.isfinite(value):
+        raise ValueError(f"{key} must be finite, got {value!r}")
+    return value
+
+
 @dataclass
 class ScatteringDataset:
     fingerprint: str
@@ -146,7 +153,9 @@ class ScatteringDataset:
 
     @classmethod
     def from_jsonl(cls, text: str) -> "ScatteringDataset":
-        """Inverse of to_jsonl; malformed input raises DatasetError."""
+        """Inverse of to_jsonl; malformed input, a rank that is not a
+        positive integer or a number that is not finite raises
+        DatasetError naming the line."""
         lines = [(num, ln) for num, ln in enumerate(text.splitlines(), 1)
                  if ln.strip()]
         if not lines:
@@ -154,11 +163,12 @@ class ScatteringDataset:
         num, records = lines[0][0], []
         try:
             head = json.loads(lines[0][1])
-            d = int(head["rank"])
-            if d < 1:
-                raise ValueError(f"rank must be positive, got {d}")
+            d = head["rank"]
+            if type(d) is not int or d < 1:
+                raise ValueError(
+                    f"rank must be a positive integer, got {d!r}")
             fingerprint = str(head["fingerprint"])
-            rho_cut = float(head["rho_cut"])
+            rho_cut = _finite(head, "rho_cut")
             for num, ln in lines[1:]:
                 obj = json.loads(ln)
                 flat = np.asarray(obj["matrix"], dtype=float)
@@ -166,14 +176,14 @@ class ScatteringDataset:
                     raise ValueError(f"matrix needs {2 * d * d} numbers "
                                      "(row-major re,im pairs)")
                 records.append(ScatteringRecord(
-                    entry=BoundaryDatum(float(obj["entry_alpha"]),
-                                        float(obj["entry_eta"]),
+                    entry=BoundaryDatum(_finite(obj, "entry_alpha"),
+                                        _finite(obj, "entry_eta"),
                                         Direction.INCOMING),
-                    exit=BoundaryDatum(float(obj["exit_alpha"]),
-                                       float(obj["exit_eta"]),
+                    exit=BoundaryDatum(_finite(obj, "exit_alpha"),
+                                       _finite(obj, "exit_eta"),
                                        Direction.OUTGOING),
-                    matrix=(flat[0::2] + 1j * flat[1::2]).reshape(d, d),
-                    unitarity_defect=float(obj["unitarity_defect"])))
+                    matrix=flat.view(complex).reshape(d, d),
+                    unitarity_defect=_finite(obj, "unitarity_defect")))
         except (KeyError, TypeError, ValueError) as err:
             raise DatasetError(f"line {num}: {type(err).__name__}: {err}") \
                 from err
@@ -248,7 +258,8 @@ def _require_same_entries(entries_a: Sequence[BoundaryDatum],
                                f"{len(entries_b)} records")
     for ea, eb in zip(entries_a, entries_b):
         ka, kb = ea.key(), eb.key()
-        if abs(ka[0] - kb[0]) > 1e-6 or abs(ka[1] - kb[1]) > 1e-6:
+        # written so that a NaN key, which compares false, is refused
+        if not (abs(ka[0] - kb[0]) <= 1e-6 and abs(ka[1] - kb[1]) <= 1e-6):
             raise FanMismatchError(f"entry keys differ: {ka} vs {kb}")
 
 
@@ -338,11 +349,9 @@ def _gauge_systems(pair_a: tuple[ConnectionField, HiggsFieldData],
                    pair_b: tuple[ConnectionField, HiggsFieldData]):
     """Right-hand sides of the fundamental systems W_A and W_B of the two
     pairs, both of rank d."""
-    conn_a, higgs_a = pair_a
-    conn_b, higgs_b = pair_b
-    if not conn_a.rank == higgs_a.rank == conn_b.rank == higgs_b.rank:
+    if pair_a[0].rank != pair_b[0].rank:
         raise DomainError("gauge candidate requires matching ranks")
-    return transport_rhs(conn_a, higgs_a), transport_rhs(conn_b, higgs_b)
+    return transport_rhs(*pair_a), transport_rhs(*pair_b)
 
 
 def _gauge_quotient(w_a: np.ndarray, w_b: np.ndarray) -> np.ndarray:

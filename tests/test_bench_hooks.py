@@ -4,8 +4,8 @@
 up; a rename in the library would break ``bench/run.py --trace 1`` without
 failing any library test.  These tests install the tracer, run a toy
 reconstruction, toy datasets and toy Pestov checks under it, and check the
-counters and the uninstall; the toy ``pestov_grid`` workload of ``bench/workloads.py``
-runs its set-up, solve and acceptance gates.
+counters and the uninstall; every toy workload of ``bench/workloads.py``
+runs its set-up, solve, acceptance gates and reference errors.
 """
 
 import sys
@@ -174,15 +174,33 @@ def test_tracer_records_narrow_band_config_section():
     _trace_pestov(u)
 
 
-def test_toy_pestov_grid_workload_passes_its_gates(tmp_path):
-    # the set-up, solve and acceptance gates bench/run.py times, at the
-    # toy size bench/selftest.py uses
-    wl = workloads.PestovGrid(workloads.DEFAULT_SEED, toy=True)
+# At toy size two workloads miss gates by design: scatter_fan at 512 steps
+# (one record's unitarity defect is 1.6e-7 against the 1e-7 gate) and
+# gauge_recovery at 64 steps (gauge error and degree-zero gates); their
+# set-up, solve, gates and reference errors still run.
+_TOY_SIZE_MISSES_GATES = {"scatter_fan", "gauge_recovery"}
+
+
+@pytest.mark.parametrize("name", list(workloads.WORKLOADS))
+def test_toy_workload_runs_its_gates(tmp_path, name):
+    # the set-up, solve, acceptance gates and reference errors bench/run.py
+    # times and reads, at the toy size bench/selftest.py uses; the solves
+    # also pin the library names the workloads call (TransportConfig's rtol
+    # and atol, gauge_candidate's positional model, forward_map and
+    # with_coeffs)
+    wl = workloads.WORKLOADS[name](workloads.DEFAULT_SEED, toy=True)
     state = wl.setup()
-    out = wl.solve(state, tmp_path / "pestov.json")
+    out_path = tmp_path / f"{name}.{wl.ext}"
+    out = wl.solve(state, out_path)
     gates = wl.check(state, out)
-    assert gates and all(ok for _, ok in gates), gates
-    assert (tmp_path / "pestov.json").read_text() == out.text
-    levels = out.data["levels"]
-    assert [lv["ntheta"] for lv in levels] == [wl.size["ntheta"]] * len(levels)
-    assert np.all(np.isfinite(wl.ref_errors(state, out)))
+    assert gates
+    if name not in _TOY_SIZE_MISSES_GATES:
+        assert all(ok for _, ok in gates), gates
+    assert out_path.read_text() == out.text
+    errors = (wl.distances(out, wl.compute_reference(state))
+              if wl.has_stored_reference else wl.ref_errors(state, out))
+    assert errors.size and np.all(np.isfinite(errors))
+    if name == "pestov_grid":
+        levels = out.data["levels"]
+        assert [lv["ntheta"] for lv in levels] \
+            == [wl.size["ntheta"]] * len(levels)

@@ -330,6 +330,32 @@ class TestCommands:
                      str(cfg_path)]) == 2
         assert "line 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("header,record,words", [
+        ({}, {"entry_alpha": math.nan, "entry_eta": math.nan},
+         "line 2: ValueError: entry_alpha must be finite, got nan"),
+        ({"rank": 2.7}, {},
+         "line 1: ValueError: rank must be a positive integer, got 2.7"),
+    ], ids=["nan-entry-keys", "fractional-rank"])
+    def test_malformed_dataset_refused_not_fitted(self, tmp_path, capsys,
+                                                  header, record, words):
+        # both datasets used to be fitted with exit 0: NaN keys passed the
+        # fan check, and rank 2.7 was read as 2
+        cfg_path = tmp_path / "recon.cfg"
+        cfg_path.write_text(RECON_CONFIG)
+        data_path = tmp_path / "data.jsonl"
+        assert main(["scatter", "--config", str(cfg_path), "--out",
+                     str(data_path)]) == 0
+        objs = [json.loads(ln) for ln in data_path.read_text().splitlines()]
+        objs[0].update(header)
+        for obj in objs[1:]:
+            obj.update(record)
+        data_path.write_text("".join(json.dumps(o) + "\n" for o in objs))
+        capsys.readouterr()
+        assert main(["reconstruct", "--data", str(data_path), "--config",
+                     str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and words in err
+
     def test_unreadable_dataset_exit_code(self, tmp_path, capsys):
         cfg_path = tmp_path / "recon.cfg"
         cfg_path.write_text(RECON_CONFIG)

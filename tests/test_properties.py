@@ -29,7 +29,17 @@
   on the circle |x - c| = r, and a geodesic it reports as missing the
   ball never comes within r on a fine sample, for random geodesics and
   balls inside {rho >= epsilon0}.
+- a scattering dataset of rank 1-3 with 0-6 records, any finite keys and
+  nonsingular matrices (signed zeros included) comes back bit for bit
+  from its JSONL text, and a non-finite key, rho_cut or defect there is
+  refused;
+- an experiment config over random valid ``[transport]``, ``[fan]`` and
+  ``[grid]`` values and connection terms keeps its canonical text and
+  fingerprint when read back from that text, and builds the same
+  objects.
 """
+
+import json
 
 import numpy as np
 import pytest
@@ -44,11 +54,14 @@ from ahxray._linalg import dagger, mul, unitary_defect
 from ahxray.bundle import (ConnectionField, GaugeField, GaussBump,
                            HiggsFieldData, SeparableTerm, _check_skew,
                            gauge_transform, validation_points)
-from ahxray.geometry import AHModel, DiskGeodesic
+from ahxray.config import ExperimentConfig
+from ahxray.errors import DatasetError
+from ahxray.geometry import AHModel, BoundaryDatum, Direction, DiskGeodesic
 from ahxray.reconstruct import HiggsParameterization
-from ahxray.transport import (_ROWS, _segments, batch_transport,
-                              transport_rhs)
-from ahxray.xray import FanSpec, fan_paths
+from ahxray.transport import (_ROWS, TransportConfig, _segments,
+                              batch_transport, transport_rhs)
+from ahxray.xray import (FanSpec, ScatteringDataset, ScatteringRecord,
+                         fan_paths)
 from test_bundle import random_connection, random_higgs, random_skew
 
 
@@ -357,3 +370,89 @@ def test_ball_crossing_roots_lie_on_the_circle(alpha_in, opening, center_r,
         for t in hit:
             assert abs(np.linalg.norm(geo.position(np.asarray(t)) - c)
                        - r) < 1e-12
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_KEYS = ("entry_alpha", "entry_eta", "exit_alpha", "exit_eta",
+         "unitarity_defect")
+
+
+@settings(max_examples=80, deadline=None)
+@given(rank=st.integers(1, 3),
+       keys=st.lists(st.tuples(_FINITE, _FINITE, _FINITE, _FINITE,
+                               st.floats(0.0, 1e3)), max_size=6),
+       rho_cut=_FINITE, signed_zeros=st.booleans(),
+       poison=st.sampled_from(("rho_cut",) + _KEYS),
+       bad=st.sampled_from([np.nan, np.inf, -np.inf]),
+       seed=st.integers(0, 2**32 - 1))
+def test_dataset_jsonl_round_trip_is_exact(rank, keys, rho_cut, signed_zeros,
+                                           poison, bad, seed):
+    rng = np.random.default_rng(seed)
+    records = []
+    for a_in, eta_in, a_out, eta_out, defect in keys:
+        mat, _ = np.linalg.qr(_complex(rng, (rank, rank)))
+        if signed_zeros:
+            mat = np.full((rank, rank), complex(-0.0, -0.0))
+            np.fill_diagonal(mat, complex(-0.0, 1.0))
+        records.append(ScatteringRecord(
+            BoundaryDatum(a_in, eta_in, Direction.INCOMING),
+            BoundaryDatum(a_out, eta_out, Direction.OUTGOING), mat, defect))
+    ds = ScatteringDataset(f"fp{seed}", rank, rho_cut, records)
+    text = ds.to_jsonl()
+    back = ScatteringDataset.from_jsonl(text)
+    assert (back.fingerprint, back.rank, back.rho_cut) \
+        == (ds.fingerprint, ds.rank, ds.rho_cut)
+    assert back.to_jsonl() == text
+    for a, b in zip(ds.records, back.records):
+        assert a.matrix.tobytes() == b.matrix.tobytes()
+
+    # a non-finite number on the header or on the last record is refused
+    lines = [json.loads(ln) for ln in text.splitlines()]
+    if not records:
+        poison = "rho_cut"
+    lines[0 if poison == "rho_cut" else -1][poison] = bad
+    with pytest.raises(DatasetError, match=f"{poison} must be finite"):
+        ScatteringDataset.from_jsonl(
+            "".join(json.dumps(obj) + "\n" for obj in lines))
+
+
+def _matrix_text(mat: np.ndarray) -> str:
+    return ",".join(repr(float(p)) for z in mat.reshape(-1)
+                    for p in (z.real, z.imag))
+
+
+@settings(max_examples=40, deadline=None)
+@given(rho_cut=st.floats(1e-12, 1e-2), n_steps=st.integers(1, 4096),
+       shooting=st.booleans(), count=st.integers(1, 200),
+       per_angle=st.integers(1, 20), eta_max=st.floats(0.0, 5.0),
+       nx=st.integers(8, 128), ntheta=st.integers(4, 128),
+       rho_grid=st.floats(0.01, 0.2), n_terms=st.integers(0, 3),
+       seed=st.integers(0, 2**32 - 1))
+def test_config_canonical_text_round_trips(rho_cut, n_steps, shooting, count,
+                                           per_angle, eta_max, nx, ntheta,
+                                           rho_grid, n_terms, seed):
+    rng = np.random.default_rng(seed)
+    fan = (f"mode = shooting\nn_eta = {per_angle}\neta_max = {eta_max!r}"
+           if shooting else f"mode = boundary_pairs\nopenings = {per_angle}")
+    terms = "".join(
+        f"term.{k} = dir={k % 2}; gen={_matrix_text(random_skew(rng, 2))}; "
+        f"center={rng.uniform(-0.4, 0.4)!r},{rng.uniform(-0.4, 0.4)!r}; "
+        f"sigma={rng.uniform(0.2, 0.4)!r}; coeff={rng.normal()!r}\n"
+        for k in range(n_terms))
+    cfg = ExperimentConfig.from_text(
+        f"[experiment]\nseed = {seed}\n"
+        f"[transport]\nrho_cut = {rho_cut!r}\nn_steps = {n_steps}\n"
+        f"[fan]\n{fan}\ncount = {count}\n"
+        f"[grid]\nnx = {nx}\nntheta = {ntheta}\nrho_grid = {rho_grid!r}\n"
+        f"[connection]\nrank = 2\ndecay = 3\n{terms}")
+    again = ExperimentConfig.from_text(cfg.canonical())
+    assert again.canonical() == cfg.canonical()
+    assert again.fingerprint() == cfg.fingerprint()
+    assert again.build_transport() == TransportConfig(rho_cut=rho_cut,
+                                                      n_steps=n_steps)
+    assert again.build_fan() == cfg.build_fan()
+    assert len(again.build_fan()) == count
+    assert again.grid_size() == (nx, ntheta)
+    x, v = validation_points(8), np.array([0.6, -0.8])
+    assert np.array_equal(again.build_connection().along(x, v),
+                          cfg.build_connection().along(x, v))

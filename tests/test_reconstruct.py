@@ -13,7 +13,7 @@ from scipy.integrate import quad
 
 from ahxray.bundle import (ConnectionField, GaussBump, HiggsFieldData,
                            gauge_transform)
-from ahxray.errors import DomainError, FanMismatchError
+from ahxray.errors import DomainError, FanMismatchError, RankMismatchError
 from ahxray.geometry import AHModel, DiskGeodesic
 from ahxray.reconstruct import (HiggsParameterization, ReconstructionConfig,
                                 _fan_jacobian, _fan_residual, _tangent_rhs,
@@ -357,6 +357,23 @@ class TestValidation:
         with pytest.raises(FanMismatchError):
             reconstruct_higgs(data, disk, ConnectionField.zero(2), params,
                               fan, cfg)
+
+    @pytest.mark.parametrize("call", ["forward_map", "jacobian_fd"])
+    def test_basis_rank_other_than_connection_refused(self, disk, call):
+        # each used to end in a bare broadcast ValueError inside the march
+        params = HiggsParameterization(
+            rank=3, basis=[(1j * np.diag([1.0, -1.0, 0.0]),
+                            GaussBump(center=(0.2, 0.0), sigma=0.3))],
+            decay_N1=4)
+        fan = FanSpec.uniform_pairs(4, n_openings=2)
+        cfg = ReconstructionConfig(transport=TransportConfig(n_steps=32))
+        with pytest.raises(RankMismatchError, match="connection rank 2 and "
+                                                    "Higgs field rank 3"):
+            if call == "forward_map":
+                forward_map(disk, ConnectionField.zero(2), params, fan, cfg)
+            else:
+                jacobian_fd(disk, ConnectionField.zero(2), params, fan,
+                            np.zeros(1), cfg)
 
     def test_fd_step_window(self, disk):
         with pytest.raises(DomainError):

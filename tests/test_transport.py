@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from ahxray._linalg import unitary_defect
 from ahxray.bundle import ConnectionField, GaussBump, HiggsFieldData
 from ahxray.errors import DomainError, RankMismatchError
 from ahxray.geometry import (BoundaryDatum, DiskGeodesic, Direction,
@@ -28,9 +29,9 @@ from ahxray.geometry import (BoundaryDatum, DiskGeodesic, Direction,
                              integrate_geodesic, shoot_from_boundary)
 from ahxray.transport import (TransportConfig, _march, _segments,
                               batch_transport, crossing_transport,
-                              parallel_transport, scattering_matrix,
-                              solve_transport,
-                              transport_rhs)
+                              scattering_matrix, transport_rhs,
+                              truncation_estimate)
+from ahxray.xray import FanSpec
 from oracles import (closed_form_state, joint_rk45, rk45_geodesic,
                      rk45_transport, two_sided)
 from test_bundle import random_connection, random_gauge, random_higgs
@@ -126,33 +127,31 @@ class TestSolveTransport:
         higgs = HiggsFieldData.zero(2)
         e_in = np.array([0.6 + 0.2j, -0.3j])
         for path in paths:
-            res = solve_transport(disk_module, conn, higgs, path, e_in)
-            assert np.max(np.abs(res.exit_value - e_in)) < 1e-10
+            out = scattering_matrix(conn, higgs, path) @ e_in
+            assert np.max(np.abs(out - e_in)) < 1e-10
 
     def test_scalar_phase_oracle(self, disk_module, paths):
         higgs = scalar_higgs()
         conn = ConnectionField.zero(1)
         for path in paths:
             expected = np.exp(-1j * phase_integral(higgs, path.analytic))
-            res = solve_transport(disk_module, conn, higgs, path,
-                                  np.array([1.0 + 0j]))
-            assert abs(res.exit_value[0] - expected) < 1e-8
+            out = scattering_matrix(conn, higgs, path) @ np.array([1.0 + 0j])
+            assert abs(out[0] - expected) < 1e-8
 
     def test_norm_conserved(self, disk_module, paths, rng):
         conn = random_connection(rng)
         higgs = random_higgs(rng)
         e_in = rng.normal(size=2) + 1j * rng.normal(size=2)
         for path in paths:
-            res = solve_transport(disk_module, conn, higgs, path, e_in)
-            assert abs(np.linalg.norm(res.exit_value)
+            w = scattering_matrix(conn, higgs, path)
+            assert abs(np.linalg.norm(w @ e_in)
                        - np.linalg.norm(e_in)) < 1e-9
-            assert res.unitarity_defect < 1e-9
+            assert unitary_defect(w) < 1e-9
 
     def test_rank_mismatch(self, disk_module, paths):
-        with pytest.raises(RankMismatchError):
-            solve_transport(disk_module, ConnectionField.zero(2),
-                            HiggsFieldData.zero(2), paths[0],
-                            np.array([1.0 + 0j]))
+        with pytest.raises(RankMismatchError, match="rank 2 and Higgs"):
+            scattering_matrix(ConnectionField.zero(2),
+                              HiggsFieldData.zero(1), paths[0])
 
     def test_integrated_path_agrees_with_analytic(self, perturbed, rng):
         # the piecewise path through an interior phase point of the
@@ -166,58 +165,46 @@ class TestSolveTransport:
         e_in = np.array([1.0, 1j]) / math.sqrt(2)
         a = rk45_transport(transport_rhs(conn, higgs), oracle.state,
                            (oracle.t[0], oracle.t[-1]), e_in)
-        b = solve_transport(perturbed, conn, higgs, numeric_path, e_in)
+        b = scattering_matrix(conn, higgs, numeric_path) @ e_in
         # each backend carries ~rtol * step-count global error over span ~30
-        assert np.max(np.abs(a - b.exit_value)) < 5e-7
+        assert np.max(np.abs(a - b)) < 5e-7
 
 
 class TestScatteringMatrix:
     def test_trivial_gives_identity(self, disk_module, paths):
-        res = scattering_matrix(disk_module, ConnectionField.zero(2),
-                                HiggsFieldData.zero(2), paths[0])
-        assert np.max(np.abs(res.exit_value - np.eye(2))) < 1e-10
-
-    def test_columns_match_vector_transport(self, disk_module, paths, rng):
-        conn = random_connection(rng)
-        higgs = random_higgs(rng)
-        path = paths[1]
-        mat = scattering_matrix(disk_module, conn, higgs, path).exit_value
-        for k in range(2):
-            e = np.zeros(2, dtype=complex)
-            e[k] = 1.0
-            col = solve_transport(disk_module, conn, higgs, path, e).exit_value
-            assert np.max(np.abs(mat[:, k] - col)) < 1e-12
+        w = scattering_matrix(ConnectionField.zero(2),
+                              HiggsFieldData.zero(2), paths[0])
+        assert np.max(np.abs(w - np.eye(2))) < 1e-10
 
     def test_unitarity_defect_small(self, disk_module, paths, rng):
         conn = random_connection(rng)
         higgs = random_higgs(rng)
         for path in paths:
-            res = scattering_matrix(disk_module, conn, higgs, path)
-            assert res.unitarity_defect < 1e-8
+            assert unitary_defect(scattering_matrix(conn, higgs, path)) < 1e-8
 
     def test_reversal_gives_inverse(self, disk_module, paths, rng):
         # reversed path with the adjoint Higgs field inverts the matrix
         conn = random_connection(rng)
         higgs = random_higgs(rng)
         path = paths[2]
-        u = scattering_matrix(disk_module, conn, higgs, path).exit_value
-        v = scattering_matrix(disk_module, conn, higgs.adjoint(),
-                              path.reversed()).exit_value
+        u = scattering_matrix(conn, higgs, path)
+        v = scattering_matrix(conn, higgs.adjoint(), path.reversed())
         assert np.max(np.abs(v - np.linalg.inv(u))) < 1e-7
 
     def test_truncation_estimate(self, disk_module, rng):
         conn = random_connection(rng)
         higgs = random_higgs(rng)
-        cfg = TransportConfig(rho_cut=1e-4, richardson=True)
+        cfg = TransportConfig(rho_cut=1e-4)
         geo = DiskGeodesic.between_boundary_angles(disk_module, 1.3, 3.9,
                                                    rho_cut=1e-4)
-        res = scattering_matrix(disk_module, conn, higgs, geo.sample(), cfg)
-        assert res.truncation_estimate is not None
+        [estimate] = truncation_estimate(transport_rhs(conn, higgs),
+                                         [geo.sample()], 2, cfg)
         fine = DiskGeodesic.between_boundary_angles(disk_module, 1.3, 3.9,
                                                     rho_cut=5e-5)
-        res_fine = scattering_matrix(disk_module, conn, higgs, fine.sample())
-        change = np.linalg.norm(res_fine.exit_value - res.exit_value)
-        assert change <= res.truncation_estimate + 1e-12
+        change = np.linalg.norm(scattering_matrix(conn, higgs, fine.sample())
+                                - scattering_matrix(conn, higgs, geo.sample(),
+                                                    cfg))
+        assert change <= estimate + 1e-12
 
     @pytest.mark.parametrize("eta", [0.0, 0.3])
     def test_truncation_estimate_keeps_the_crossing(self, perturbed, rng,
@@ -231,9 +218,26 @@ class TestScatteringMatrix:
             perturbed, BoundaryDatum(5.9, eta, Direction.INCOMING), 1e-6,
             IntegratorConfig(n_steps=512))
         assert path.pieces is not None
-        res = scattering_matrix(perturbed, conn, higgs, path,
-                                TransportConfig(richardson=True))
-        assert res.truncation_estimate < 1e-10
+        [estimate] = truncation_estimate(transport_rhs(conn, higgs), [path],
+                                         2)
+        assert estimate < 1e-10
+
+    def test_truncation_estimate_over_a_fan(self, perturbed, rng):
+        # one call over a shooting fan whose rays cross the bump or miss
+        # it; each value is the one-path estimate up to rounding (the
+        # segment layout of the march depends on the batch width)
+        prep = transport_rhs(random_connection(rng), random_higgs(rng))
+        paths = [shoot_from_boundary(perturbed, datum, 1e-6,
+                                     IntegratorConfig(n_steps=512))
+                 for datum in FanSpec.uniform_shooting(10).data]
+        crossing = [p.pieces is not None for p in paths]
+        assert any(crossing) and not all(crossing)
+        estimates = truncation_estimate(prep, paths, 2)
+        assert estimates.shape == (len(paths),)
+        assert np.all(estimates < 1e-10)
+        for path, estimate in zip(paths, estimates):
+            [single] = truncation_estimate(prep, [path], 2)
+            assert abs(estimate - single) < 1e-14
 
     def test_gauge_covariance_slope(self, disk_module, rng):
         # exit matrices of gauge-equivalent pairs differ by O(rho_cut^M);
@@ -250,8 +254,8 @@ class TestScatteringMatrix:
             geo = DiskGeodesic.between_boundary_angles(disk_module, 0.7, 3.5,
                                                        rho_cut=rc)
             path = geo.sample()
-            u1 = scattering_matrix(disk_module, conn, higgs, path).exit_value
-            u2 = scattering_matrix(disk_module, conn2, higgs2, path).exit_value
+            u1 = scattering_matrix(conn, higgs, path)
+            u2 = scattering_matrix(conn2, higgs2, path)
             gaps.append(np.linalg.norm(u1 - u2))
         ratio = gaps[0] / gaps[1]
         assert 2**4 / 2.5 < ratio < 2**4 * 2.5
@@ -279,8 +283,8 @@ class TestIntegratedPaths:
             a = rk45_transport(prep, oracle.state,
                                (oracle.t[0], oracle.t[-1]),
                                np.eye(2, dtype=complex))
-            b = scattering_matrix(perturbed, conn, higgs, numeric)
-            assert np.max(np.abs(a - b.exit_value)) < 5e-8
+            b = scattering_matrix(conn, higgs, numeric)
+            assert np.max(np.abs(a - b)) < 5e-8
 
     def test_reversal_gives_inverse(self, perturbed, numeric_paths, rng):
         # a crossing ray cannot be run backwards; the reverse path is the
@@ -290,9 +294,8 @@ class TestIntegratedPaths:
         i = len(path.t) // 2
         back = integrate_geodesic(perturbed,
                                   PhasePoint(perturbed, path.x[i], -path.v[i]))
-        u = scattering_matrix(perturbed, conn, higgs, path).exit_value
-        v = scattering_matrix(perturbed, conn, higgs.adjoint(),
-                              back).exit_value
+        u = scattering_matrix(conn, higgs, path)
+        v = scattering_matrix(conn, higgs.adjoint(), back)
         assert np.max(np.abs(v - np.linalg.inv(u))) < 1e-7
 
     def test_reversed_crossing_ray_refused(self, perturbed, numeric_paths):
@@ -305,7 +308,7 @@ class TestIntegratedPaths:
         conn, higgs = random_connection(rng), random_higgs(rng)
         datum = BoundaryDatum(0.0, -1.5, Direction.INCOMING)
         path = shoot_from_boundary(perturbed, datum, 1e-6)
-        u = scattering_matrix(perturbed, conn, higgs, path).exit_value
+        u = scattering_matrix(conn, higgs, path)
         ref = joint_rk45(perturbed, transport_rhs(conn, higgs), path,
                          np.eye(2, dtype=complex))
         assert np.max(np.abs(u - ref)) < 1e-6
@@ -332,9 +335,9 @@ class TestCrossingTransport:
 class TestParallelTransport:
     def test_trivial_connection_identity(self, disk_module, paths):
         e_in = np.array([0.3, -0.8j])
-        res = parallel_transport(disk_module, ConnectionField.zero(2),
-                                 paths[0], e_in)
-        assert np.max(np.abs(res.exit_value - e_in)) < 1e-10
+        out = scattering_matrix(ConnectionField.zero(2),
+                                HiggsFieldData.zero(2), paths[0]) @ e_in
+        assert np.max(np.abs(out - e_in)) < 1e-10
 
     def test_norm_preserved_and_invertible(self, disk_module, paths, rng):
         conn = random_connection(rng)
@@ -342,9 +345,10 @@ class TestParallelTransport:
         for k in range(2):
             e = np.zeros(2, dtype=complex)
             e[k] = 1.0
-            res = parallel_transport(disk_module, conn, paths[1], e)
-            assert abs(np.linalg.norm(res.exit_value) - 1.0) < 1e-9
-            basis_images.append(res.exit_value)
+            out = scattering_matrix(conn, HiggsFieldData.zero(2),
+                                    paths[1]) @ e
+            assert abs(np.linalg.norm(out) - 1.0) < 1e-9
+            basis_images.append(out)
         det = np.linalg.det(np.stack(basis_images, axis=-1))
         assert abs(det) > 0.99
 
@@ -370,10 +374,9 @@ class TestDataAction:
             u = endomorphism(conn, higgs, path)
             for _ in range(5):
                 e_in = rng.normal(size=2) + 1j * rng.normal(size=2)
-                via = u @ parallel_transport(disk_module, conn, path,
-                                             e_in).exit_value
-                direct = solve_transport(disk_module, conn, higgs, path,
-                                         e_in).exit_value
+                via = u @ (scattering_matrix(conn, HiggsFieldData.zero(2),
+                                             path) @ e_in)
+                direct = scattering_matrix(conn, higgs, path) @ e_in
                 assert np.max(np.abs(via - direct)) < 1e-8
 
     def test_trivial_connection_reduces_to_matrix_action(self, disk_module,
@@ -381,15 +384,15 @@ class TestDataAction:
         higgs = random_higgs(rng)
         conn = ConnectionField.zero(2)
         e_in = np.array([0.5, 0.5j])
-        via = endomorphism(conn, higgs, paths[0]) @ parallel_transport(
-            disk_module, conn, paths[0], e_in).exit_value
-        mat = scattering_matrix(disk_module, conn, higgs, paths[0]).exit_value
+        via = endomorphism(conn, higgs, paths[0]) @ (scattering_matrix(
+            conn, HiggsFieldData.zero(2), paths[0]) @ e_in)
+        mat = scattering_matrix(conn, higgs, paths[0])
         assert np.max(np.abs(via - mat @ e_in)) < 1e-10
 
     def test_zero_higgs_reduces_to_parallel(self, disk_module, rng, paths):
         conn = random_connection(rng)
         e_in = np.array([1.0, 0.0], dtype=complex)
-        par = parallel_transport(disk_module, conn, paths[0], e_in).exit_value
+        par = scattering_matrix(conn, HiggsFieldData.zero(2), paths[0]) @ e_in
         via = endomorphism(conn, HiggsFieldData.zero(2), paths[0]) @ par
         assert np.max(np.abs(via - par)) < 1e-9
 

@@ -15,12 +15,12 @@ from ahxray.bundle import (ConnectionField, HiggsFieldData,
                            gauge_transform)
 from ahxray.errors import (DatasetError, DomainError, FanMismatchError,
                            IllConditionedGaugeError,
-                           InsufficientCrossingsError)
+                           InsufficientCrossingsError, RankMismatchError)
 from ahxray.geometry import (AHModel, BoundaryDatum, DiskGeodesic,
                              Direction, IntegratorConfig, PhasePoint,
                              integrate_geodesic, shoot_from_boundary)
 from ahxray.transport import TransportConfig, batch_transport, transport_rhs
-from ahxray.xray import (FanMode, FanSpec, ScatteringDataset,
+from ahxray.xray import (FanMode, FanSpec, ScatteringDataset, ScatteringRecord,
                          _gauge_quotient, add_matrix_noise, compare_datasets,
                          compute_scattering_data, gauge_candidate,
                          gauge_degree_zero_check, gauge_field_samples)
@@ -158,6 +158,14 @@ class TestComputeScatteringData:
         assert abs(rec.exit.alpha - exit_.alpha) < 1e-9
         assert abs(rec.exit.eta_tangential - exit_.eta_tangential) < 1e-9
 
+    def test_rank_mismatch_refused(self, disk, rng):
+        # used to end in a bare broadcast ValueError inside the march
+        with pytest.raises(RankMismatchError, match="connection rank 2 and "
+                                                    "Higgs field rank 3"):
+            compute_scattering_data(disk, random_connection(rng),
+                                    random_higgs(rng, rank=3),
+                                    FanSpec.uniform_pairs(4, n_openings=2))
+
     def test_boundary_pairs_rejected_on_perturbed(self, perturbed, fan, rng):
         with pytest.raises(DomainError):
             compute_scattering_data(perturbed, ConnectionField.zero(2),
@@ -203,6 +211,17 @@ class TestCompareDatasets:
                                     FanSpec.uniform_pairs(12, n_openings=3))
         with pytest.raises(FanMismatchError):
             compare_datasets(a, b)
+
+    def test_nan_entry_keys_refused(self):
+        # a NaN key compares false with every key, so a test for keys that
+        # differ by more than the tolerance let it match any fan
+        record = ScatteringRecord(
+            entry=BoundaryDatum(math.nan, 0.0, Direction.INCOMING),
+            exit=BoundaryDatum(1.0, 0.0, Direction.OUTGOING),
+            matrix=np.eye(2, dtype=complex), unitarity_defect=0.0)
+        ds = ScatteringDataset("", 2, 1e-6, [record])
+        with pytest.raises(FanMismatchError, match="entry keys differ"):
+            compare_datasets(ds, ds)
 
 
 class TestSerialization:
