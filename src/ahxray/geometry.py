@@ -63,8 +63,9 @@ class ConformalBump:
             raise DomainError(f"bump radius {self.radius!r} is not positive")
 
     def _q(self, x: np.ndarray) -> np.ndarray:
-        dx = x - np.asarray(self.center)
-        return np.sum(dx * dx, axis=-1) / self.radius**2
+        d0 = x[..., 0] - self.center[0]
+        d1 = x[..., 1] - self.center[1]
+        return (d0 * d0 + d1 * d1) / self.radius**2
 
     @staticmethod
     def _profile(q: np.ndarray) -> np.ndarray:
@@ -152,7 +153,8 @@ class AHModel:
 
     def rho(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        return 1.0 - np.sum(x * x, axis=-1)
+        x0, x1 = x[..., 0], x[..., 1]
+        return 1.0 - (x0 * x0 + x1 * x1)
 
     def log_conformal(self, x: np.ndarray) -> np.ndarray:
         """Phi with g = exp(2*Phi) * (Euclidean metric)."""
@@ -186,8 +188,9 @@ class AHModel:
     def geodesic_rhs(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Acceleration dv/dt of the geodesic flow, batched."""
         grad = self.grad_log_conformal(x)
-        gv = np.sum(grad * v, axis=-1, keepdims=True)
-        v2 = np.sum(v * v, axis=-1, keepdims=True)
+        v0, v1 = v[..., 0, None], v[..., 1, None]
+        gv = grad[..., 0, None] * v0 + grad[..., 1, None] * v1
+        v2 = v0 * v0 + v1 * v1
         return -(2.0 * v * gv - v2 * grad)
 
     def angular_momentum(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -21,7 +21,10 @@ propagators in order, for rank-d systems and for the first-order jets of
 reconstruction's Jacobian alike.  Both integrators take classic RK4 steps
 (``_rk4_step``): ``_march`` steps the closed-form pieces of whole fans at
 once, and ``crossing_transport`` steps at the stage states of each ray's
-bump crossing.
+bump crossing.  Positions and velocities are arrays of shape (..., 2),
+built as float views of complex values and read componentwise by the
+field evaluators, because on these per-node paths a NumPy reduction or
+restack over an axis of length 2 costs about three times its arithmetic.
 """
 
 from __future__ import annotations
@@ -63,8 +66,10 @@ def transport_rhs(conn: ConnectionField, higgs: HiggsFieldData):
                                 f"field rank {higgs.rank} differ")
 
     def prep(x, v):
-        gen = conn.along(x, v) + higgs.phi(x)
-        return lambda u: -mul(gen, u)
+        # negated once per node, not per stage product: IEEE rounding is
+        # sign-symmetric, so the stages keep their values
+        neg = -(conn.along(x, v) + higgs.phi(x))
+        return lambda u: mul(neg, u)
 
     return prep
 
@@ -94,7 +99,9 @@ class _BatchPaths:
     """Per-geodesic uniform time grids over truncated spans.
 
     Mobius parameters are gathered into arrays so one stage evaluation
-    covers the whole fan; fractions may be arrays, whose axes lead.
+    covers the whole fan; fractions may be arrays, whose axes lead.  The
+    factors conj(w) p and p (1 - |w|^2) are the left-to-right prefixes of
+    the closed form's products, so precomputing them keeps every bit.
     """
 
     def __init__(self, geos: Sequence[DiskGeodesic], n_steps: int):
@@ -103,19 +110,20 @@ class _BatchPaths:
         self.dt = self.span / n_steps
         self.w = np.array([g.w for g in geos])
         self.p = np.array([g.p for g in geos])
+        self._wp = np.conj(self.w) * self.p
+        self._dmob = self.p * (1.0 - np.abs(self.w) ** 2)
 
     def state(self, frac) -> tuple[np.ndarray, np.ndarray]:
         """Positions and velocities of every geodesic at fractional times,
-        shape frac.shape + (len(geos), 2)."""
+        shape frac.shape + (len(geos), 2): float views of the complex
+        values, (re, im) on the last axis."""
         t = self.times(frac)
         z = np.tanh(t / 2.0)
-        den = 1.0 + np.conj(self.w) * self.p * z
+        den = 1.0 + self._wp * z
         pos = (self.p * z + self.w) / den
-        vel = self.p * (1.0 - np.abs(self.w) ** 2) / den**2 \
-            * (0.5 / np.cosh(t / 2.0) ** 2)
-        x = np.stack([pos.real, pos.imag], axis=-1)
-        v = np.stack([vel.real, vel.imag], axis=-1)
-        return x, v
+        vel = self._dmob / den**2 * (0.5 / np.cosh(t / 2.0) ** 2)
+        return (pos.view(float).reshape(pos.shape + (2,)),
+                vel.view(float).reshape(vel.shape + (2,)))
 
     def times(self, frac) -> np.ndarray:
         return self.t0 + np.asarray(frac, dtype=float)[..., None] * self.span
@@ -267,17 +275,32 @@ def _split(path) -> tuple[tuple[DiskGeodesic, ...], Optional[ShotPieces]]:
                       "(a reversed crossing ray): shoot from its exit datum")
 
 
+# how far (in time) an end may lie from its piece's rho_cut end and still
+# count as that end: a shot ray starts where the inverse Mobius map puts
+# its entry point, which is the rho_cut end only to about 1e-10
+_END_TOL = 1e-8
+
+
+def _recut(geo: DiskGeodesic, rho_cut: float) -> DiskGeodesic:
+    """``geo`` with each end that is its rho_cut end moved to the
+    ``rho_cut`` one; an end cut elsewhere (an interior time, the bump's
+    ball) stays."""
+    full, fine = geo.with_rho_cut(geo.rho_cut), geo.with_rho_cut(rho_cut)
+    at_entry = abs(geo.t_entry - full.t_entry) <= _END_TOL
+    at_exit = abs(geo.t_exit - full.t_exit) <= _END_TOL
+    return fine.span(fine.t_entry if at_entry else geo.t_entry,
+                     fine.t_exit if at_exit else geo.t_exit)
+
+
 def _at_rho_cut(path, rho_cut: float):
-    """The path with its closed-form pieces rebuilt at ``rho_cut``.  A
-    crossing ray keeps its crossing: incoming from its new entry to the
-    ball, outgoing from the ball (time 0) to its new exit."""
+    """The path with its closed-form pieces recut at ``rho_cut``
+    (``_recut``); a crossing ray keeps its crossing."""
     pieces, crossing = _split(path)
-    fine = [g.with_rho_cut(rho_cut) for g in pieces]
+    fine = [_recut(g, rho_cut) for g in pieces]
     if crossing is None:
         return fine[0]
-    return replace(path, pieces=replace(
-        crossing, incoming=fine[0].span(fine[0].t_entry, pieces[0].t_exit),
-        outgoing=fine[1].span(0.0, fine[1].t_exit)))
+    return replace(path, pieces=replace(crossing, incoming=fine[0],
+                                        outgoing=fine[1]))
 
 
 def _piece_fracs(path, pieces, crossing, times: np.ndarray):
@@ -372,9 +395,11 @@ def batch_transport(prep, paths: Sequence, rank: int | tuple[int, int],
 
 def truncation_estimate(prep, paths: Sequence, rank: int,
                         cfg: Optional[TransportConfig] = None) -> np.ndarray:
-    """Per path, the Frobenius change of the exit value when the
-    closed-form pieces reach half the path's rho_cut (``_at_rho_cut``; a
-    crossing ray keeps its crossing, so only truncation moves)."""
+    """Per path, the Frobenius change of the exit value when the ends at
+    the path's rho_cut move to half of it (``_at_rho_cut``).  Ends cut
+    elsewhere stay: a path cut at an interior time is compared with itself
+    extended at its truncated ends only, and a crossing ray keeps its
+    crossing, so only truncation moves."""
     coarse = batch_transport(prep, paths, rank, cfg)
     fine = batch_transport(prep, [_at_rho_cut(p, p.rho_cut / 2.0)
                                   for p in paths], rank, cfg)

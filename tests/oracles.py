@@ -12,6 +12,11 @@ pieces.  These scipy RK45 integrators share no code with it:
   which integrates the geodesic again;
 - ``two_sided``: right-hand sides of the two-sided endomorphism system
   dU = -((Gamma + Phi) U - U Gamma_R).
+
+The ``ref_*`` functions keep the per-node evaluators in their reduction
+form: ``np.sum`` over the length-2 axis of points, and ``np.stack`` of
+real and imaginary parts.  The library writes them componentwise, which
+must give the same values bit for bit.
 """
 
 import math
@@ -21,7 +26,79 @@ from typing import Callable
 import numpy as np
 from scipy.integrate import solve_ivp
 
+from ahxray._linalg import expm_skew
 from ahxray.geometry import BoundaryDatum, Direction
+
+
+# -- reduction forms of the per-node evaluators ------------------------------
+
+
+def ref_rho(x):
+    x = np.asarray(x, dtype=float)
+    return 1.0 - np.sum(x * x, axis=-1)
+
+
+def ref_bump_q(bump, x):
+    """``ConformalBump._q``: |x - c|^2 / r^2."""
+    dx = x - np.asarray(bump.center)
+    return np.sum(dx * dx, axis=-1) / bump.radius**2
+
+
+def ref_geodesic_rhs(model, x, v):
+    grad = model.grad_log_conformal(x)
+    gv = np.sum(grad * v, axis=-1, keepdims=True)
+    v2 = np.sum(v * v, axis=-1, keepdims=True)
+    return -(2.0 * v * gv - v2 * grad)
+
+
+def _ref_bumps(field, x):
+    dx = x[..., None, :] - field._centers
+    return np.exp(-np.sum(dx * dx, axis=-1) / (2.0 * field._sigma2))
+
+
+def ref_weights(field, x):
+    """``_Separable.weights``: rho^N beta_k, shape (..., K)."""
+    x = np.asarray(x, dtype=float)
+    return (ref_rho(x) ** field.decay)[..., None] * _ref_bumps(field, x)
+
+
+def ref_weights_and_grads(field, x):
+    """``_Separable.weights_and_grads``: the weights and their partials."""
+    x = np.asarray(x, dtype=float)
+    n = field.decay
+    rho = ref_rho(x)[..., None, None]
+    bumps = _ref_bumps(field, x)[..., None, :]
+    dx = x[..., :, None] - field._centers.T
+    return (rho**n * bumps)[..., 0, :], bumps \
+        * (n * rho ** max(n - 1, 0) * (-2.0 * x[..., :, None])
+           - rho**n * dx / field._sigma2)
+
+
+def ref_along(field, dirs, x, v):
+    """Gamma(v) of ``ConnectionField.from_terms`` over ``field``, term k
+    feeding the symbol Gamma_{dirs[k]}."""
+    return field.combine(ref_weights(field, x)
+                         * np.asarray(v, dtype=float)[..., dirs])
+
+
+def ref_log_derivative(gauge, x, v):
+    """``GaugeField.log_derivative``: Q and Q^-1 dQ(v)."""
+    f = gauge._field
+    w, dw = ref_weights_and_grads(f, x)
+    dp = np.sum(dw * np.asarray(v, dtype=float)[..., :, None], axis=-2)
+    return expm_skew(f.combine(w), f.combine(dp))
+
+
+def ref_batch_state(batch, frac):
+    """``_BatchPaths.state``: positions and velocities of every geodesic."""
+    t = batch.times(frac)
+    z = np.tanh(t / 2.0)
+    den = 1.0 + np.conj(batch.w) * batch.p * z
+    pos = (batch.p * z + batch.w) / den
+    vel = batch.p * (1.0 - np.abs(batch.w) ** 2) / den**2 \
+        * (0.5 / np.cosh(t / 2.0) ** 2)
+    return (np.stack([pos.real, pos.imag], axis=-1),
+            np.stack([vel.real, vel.imag], axis=-1))
 
 
 def two_sided(conn, higgs, right=None):

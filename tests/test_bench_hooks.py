@@ -5,7 +5,8 @@ up; a rename in the library would break ``bench/run.py --trace 1`` without
 failing any library test.  These tests install the tracer, run a toy
 reconstruction, toy datasets and toy Pestov checks under it, and check the
 counters and the uninstall; every toy workload of ``bench/workloads.py``
-runs its set-up, solve, acceptance gates and reference errors.
+runs its set-up, solve, acceptance gates and reference errors, and solves
+to the same text again and under the tracer.
 """
 
 import sys
@@ -197,6 +198,14 @@ def test_toy_workload_runs_its_gates(tmp_path, name):
     if name not in _TOY_SIZE_MISSES_GATES:
         assert all(ok for _, ok in gates), gates
     assert out_path.read_text() == out.text
+    # the repeat and trace gates of bench/run.py: a second solve on the
+    # same state, and one under the tracer, write the same text
+    again = wl.solve(state, tmp_path / f"again.{wl.ext}")
+    assert again.text == out.text
+    with spans.Tracer() as tracer:
+        tracer.group = "solve"
+        traced = wl.solve(state, tmp_path / f"traced.{wl.ext}")
+    assert traced.text == out.text
     errors = (wl.distances(out, wl.compute_reference(state))
               if wl.has_stored_reference else wl.ref_errors(state, out))
     assert errors.size and np.all(np.isfinite(errors))

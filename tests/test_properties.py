@@ -13,6 +13,14 @@
   the reconstruction basis) equals the sum of its terms taken one at a
   time, for ranks 1-3, 0-4 terms and decay 0-4; no terms is the zero
   field, and the identity gauge;
+- the per-node evaluators the transport march and the bump crossing call
+  (separable weights and their partials, Gamma(v), Phi, a gauge's
+  ``log_derivative``, the fan state ``_BatchPaths.state``, rho, the
+  geodesic flow and the conformal bump's q) equal bit for bit their
+  reduction forms in ``oracles``, for ranks 1-3 and points of shapes
+  (n, 2), (m, w, 2) and (f, m, w, 2);
+- scattering data of random pairs and of their gauge transforms by random
+  gauges agree within criterion 5's 1e-6 on a 12-geodesic fan;
 - a gauge-transformed connection's Gamma(v) equals
   v^i (Q* Gamma_i Q + Q^-1 d_i Q) formed from ``q`` and ``dq``, for a
   gauge and for a composed gauge of ranks 1-3, and a composed gauge's
@@ -53,16 +61,21 @@ import ahxray.spherebundle as sb
 from ahxray._linalg import dagger, mul, unitary_defect
 from ahxray.bundle import (ConnectionField, GaugeField, GaussBump,
                            HiggsFieldData, SeparableTerm, _check_skew,
-                           gauge_transform, validation_points)
+                           _Separable, gauge_transform, validation_points)
 from ahxray.config import ExperimentConfig
 from ahxray.errors import DatasetError
 from ahxray.geometry import AHModel, BoundaryDatum, Direction, DiskGeodesic
 from ahxray.reconstruct import HiggsParameterization
-from ahxray.transport import (_ROWS, TransportConfig, _segments,
-                              batch_transport, transport_rhs)
+from ahxray.transport import (_ROWS, TransportConfig, _BatchPaths,
+                              _segments, batch_transport, transport_rhs)
 from ahxray.xray import (FanSpec, ScatteringDataset, ScatteringRecord,
+                         compare_datasets, compute_scattering_data,
                          fan_paths)
-from test_bundle import random_connection, random_higgs, random_skew
+from oracles import (ref_along, ref_batch_state, ref_bump_q,
+                     ref_geodesic_rhs, ref_log_derivative, ref_rho,
+                     ref_weights, ref_weights_and_grads)
+from test_bundle import (random_connection, random_gauge, random_higgs,
+                         random_skew)
 
 
 @settings(max_examples=200, deadline=None)
@@ -126,6 +139,78 @@ def test_batch_scattering_is_unitary(rank, seed):
     geos, _ = fan_paths(AHModel(), FanSpec.uniform_pairs(12, 3))
     exits = batch_transport(transport_rhs(conn, higgs), geos, rank)
     assert float(np.max(unitary_defect(exits))) < 1e-7
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_scattering_data_are_gauge_covariant(seed):
+    # criterion 5 over random pairs and gauges, at the default 2048 steps
+    # (at 256 steps the RK4 error alone reaches 6e-5)
+    rng = np.random.default_rng(seed)
+    conn, higgs = random_connection(rng), random_higgs(rng)
+    gauge = random_gauge(rng)
+    fan, disk = FanSpec.uniform_pairs(12, 3), AHModel()
+    data = compute_scattering_data(disk, conn, higgs, fan)
+    moved = compute_scattering_data(
+        disk, *gauge_transform(conn, higgs, gauge), fan)
+    assert compare_datasets(data, moved).max_frobenius < 1e-6
+
+
+def _same(out, ref):
+    assert out.shape == ref.shape
+    assert np.array_equal(out, ref)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rank=st.integers(1, 3),
+       lead=st.lists(st.integers(1, 5), min_size=1, max_size=3),
+       dirs=st.lists(st.integers(0, 1), min_size=1, max_size=4),
+       decay=st.integers(0, 4), seed=st.integers(0, 2**32 - 1))
+def test_per_node_evaluators_equal_their_reductions(perturbed, rank, lead,
+                                                    dirs, decay, seed):
+    # the componentwise evaluators on the transport and crossing paths
+    # against their np.sum / np.stack forms, at points of shape lead + (2,)
+    rng = np.random.default_rng(seed)
+    lead = tuple(lead)
+    terms = [(random_skew(rng, rank),
+              GaussBump(center=tuple(rng.uniform(-0.5, 0.5, 2)),
+                        sigma=rng.uniform(0.2, 0.5))) for _ in dirs]
+    r = 0.95 * np.sqrt(rng.uniform(size=lead))
+    ang = rng.uniform(0.0, 2.0 * np.pi, size=lead)
+    x = np.stack([r * np.cos(ang), r * np.sin(ang)], axis=-1)
+    v = rng.normal(size=lead + (2,))
+
+    field = _Separable(rank, terms, decay)
+    _same(field.weights(x), ref_weights(field, x))
+    for out, ref in zip(field.weights_and_grads(x),
+                        ref_weights_and_grads(field, x)):
+        _same(out, ref)
+    conn = ConnectionField.from_terms(
+        rank, [SeparableTerm(i, g, b) for i, (g, b) in zip(dirs, terms)],
+        decay)
+    _same(conn.along(x, v), ref_along(field, np.array(dirs), x, v))
+    higgs = HiggsFieldData.from_terms(rank, terms, decay)
+    _same(higgs.phi(x), field.combine(ref_weights(field, x)))
+    gauge = GaugeField(rank, terms, max(decay, 1))
+    for out, ref in zip(gauge.log_derivative(x, v),
+                        ref_log_derivative(gauge, x, v)):
+        _same(out, ref)
+
+    # points inside, across and outside the perturbed model's bump
+    for model in (AHModel(), perturbed):
+        _same(model.rho(x), ref_rho(x))
+        _same(model.geodesic_rhs(x, v), ref_geodesic_rhs(model, x, v))
+    _same(perturbed.bump._q(x), ref_bump_q(perturbed.bump, x))
+
+    # the fan state: geodesics on the axis before the last, fractions on
+    # the axes in front of it
+    geos = [DiskGeodesic(AHModel(), complex(*rng.uniform(-0.6, 0.6, 2)),
+                         complex(*rng.normal(size=2)), 1e-6)
+            for _ in range(lead[-1])]
+    batch = _BatchPaths(geos, int(rng.integers(1, 4096)))
+    frac = rng.uniform(size=lead[:-1])
+    for out, ref in zip(batch.state(frac), ref_batch_state(batch, frac)):
+        _same(out, ref)
 
 
 def _term_sum(terms, rank, decay, x):

@@ -27,8 +27,8 @@ from ahxray.errors import DomainError, RankMismatchError
 from ahxray.geometry import (BoundaryDatum, DiskGeodesic, Direction,
                              IntegratorConfig, PhasePoint,
                              integrate_geodesic, shoot_from_boundary)
-from ahxray.transport import (TransportConfig, _march, _segments,
-                              batch_transport, crossing_transport,
+from ahxray.transport import (TransportConfig, _at_rho_cut, _march,
+                              _segments, batch_transport, crossing_transport,
                               scattering_matrix, transport_rhs,
                               truncation_estimate)
 from ahxray.xray import FanSpec
@@ -221,6 +221,22 @@ class TestScatteringMatrix:
         [estimate] = truncation_estimate(transport_rhs(conn, higgs), [path],
                                          2)
         assert estimate < 1e-10
+
+    def test_truncation_estimate_of_a_cut_geodesic(self, disk_module):
+        # a geodesic cut at an interior time keeps that end when rho_cut
+        # halves; only its truncated end moves, so the estimate is as
+        # small as the whole geodesic's, as a DiskGeodesic and as its
+        # sample
+        rng = np.random.default_rng(0)
+        prep = transport_rhs(random_connection(rng), random_higgs(rng))
+        geo = DiskGeodesic.through(disk_module, (-0.2, 0.1), 0.7)
+        cut = geo.span(geo.t_entry, 0.0)
+        fine = _at_rho_cut(cut, cut.rho_cut / 2.0)
+        assert fine.t_exit == 0.0 and fine.t_entry < cut.t_entry
+        assert fine.t_entry == geo.with_rho_cut(cut.rho_cut / 2.0).t_entry
+        for path in (geo, cut, cut.sample()):
+            [estimate] = truncation_estimate(prep, [path], 2)
+            assert estimate < 1e-10
 
     def test_truncation_estimate_over_a_fan(self, perturbed, rng):
         # one call over a shooting fan whose rays cross the bump or miss
