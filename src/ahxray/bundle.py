@@ -122,9 +122,16 @@ class _Separable:
         self._sigma2 = np.array([b.sigma**2 for _, b in terms], dtype=float)
 
     def _bumps(self, x: np.ndarray) -> np.ndarray:
+        # exp(-(d0 d0 + d1 d1) / (2 sigma^2)), step by step in place: the
+        # same operations in the same order, in two arrays instead of seven
         d0 = x[..., 0, None] - self._centers[:, 0]
         d1 = x[..., 1, None] - self._centers[:, 1]
-        return np.exp(-(d0 * d0 + d1 * d1) / (2.0 * self._sigma2))
+        d0 *= d0
+        d1 *= d1
+        d0 += d1
+        np.negative(d0, out=d0)
+        d0 /= 2.0 * self._sigma2
+        return np.exp(d0, out=d0)
 
     def weights(self, x: np.ndarray) -> np.ndarray:
         """rho^N beta_k, shape (..., K)."""

@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._linalg import mul
+from ._linalg import matrix_first, mul_first
 from .bundle import (ConnectionField, GaussBump, HiggsFieldData, _Separable,
                      validation_points)
 from .errors import DomainError, StagnationError
@@ -183,19 +183,25 @@ def _tangent_rhs(conn0: ConnectionField, params: HiggsParameterization,
     dV_k = -(M V_k + B_k W) with B_k = w_k S_k, w_k = rho^(N+1) beta_k.
 
     The weights w_k of a node are computed once and give both Phi_c, formed
-    as ``params.higgs(c)`` forms it, and B_k W = w_k (S_k W).
+    as ``params.higgs(c)`` forms it, and B_k W = w_k (S_k W).  The jet is
+    matrix-first like every state of the march, shape (d, d, P + 1) and
+    the node axes; the weights of a node sit on a leading axis (P, ...)
+    and the generators S_k in a (d, d, P) stack.
     """
-    gens = params._field.gens
+    gens = np.ascontiguousarray(params._field.gens.transpose(1, 2, 0))
 
     def prep(x, v):
         weights = params.weights(x)
-        neg = -(conn0.along(x, v)
-                + params.combine(weights, c))[..., None, :, :]
-        weights = weights[..., None, None]
+        rows = weights.ndim - 1
+        neg = matrix_first(-(conn0.along(x, v)
+                             + params.combine(weights, c)))[:, :, None]
+        weights = np.ascontiguousarray(
+            weights.transpose((rows,) + tuple(range(rows))))
+        s = gens.reshape(gens.shape + (1,) * rows)
 
         def rhs(u):
-            out = mul(neg, u)
-            out[..., 1:, :, :] -= weights * mul(gens, u[..., :1, :, :])
+            out = mul_first(neg, u)
+            out[:, :, 1:] -= weights * mul_first(s, u[:, :, :1])
             return out
 
         return rhs

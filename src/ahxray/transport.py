@@ -25,6 +25,17 @@ bump crossing.  Positions and velocities are arrays of shape (..., 2),
 built as float views of complex values and read componentwise by the
 field evaluators, because on these per-node paths a NumPy reduction or
 restack over an axis of length 2 costs about three times its arithmetic.
+
+The same holds for the fiber states the integrators march: they are held
+matrix-axes-first, shape (d, d) or, for a jet, (d, d, P + 1), followed by
+the stack axes (segments and geodesics, snapshots, crossing steps), and
+every stage product is ``_linalg.mul_first`` over those long contiguous
+axes.  ``prep(x, v)`` takes positions and velocities of any leading
+shape and returns rhs(u) for such matrix-first u, so a single node's
+d x d matrix is passed as it is.  States move to the (..., d, d) layout
+(``_matrix_last``) only for the cocycle products ``mul`` and
+``_jet_product``, and ``_march``, ``crossing_transport`` and
+``batch_transport`` return that layout.
 """
 
 from __future__ import annotations
@@ -34,7 +45,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._linalg import frobenius, mul
+from ._linalg import frobenius, matrix_first, mul, mul_first
 from .bundle import ConnectionField, HiggsFieldData
 from .errors import DomainError, RankMismatchError
 from .geometry import DiskGeodesic, ShotPieces
@@ -60,16 +71,19 @@ class TransportConfig:
 def transport_rhs(conn: ConnectionField, higgs: HiggsFieldData):
     """prep(x, v) -> rhs(W) = -(Gamma(v) + Phi) W, the left-acting
     fundamental system on the fiber, for a connection and Higgs field of
-    one rank.  Positions and velocities may carry any leading axes."""
+    one rank.  Positions and velocities may carry any leading axes; W is
+    matrix-first, shape (d, d) + those axes (or axes that broadcast
+    against them), and so is rhs(W)."""
     if conn.rank != higgs.rank:
         raise RankMismatchError(f"connection rank {conn.rank} and Higgs "
                                 f"field rank {higgs.rank} differ")
 
     def prep(x, v):
-        # negated once per node, not per stage product: IEEE rounding is
-        # sign-symmetric, so the stages keep their values
-        neg = -(conn.along(x, v) + higgs.phi(x))
-        return lambda u: mul(neg, u)
+        # negated and moved matrix-first once per node, not per stage
+        # product: IEEE rounding is sign-symmetric, so the stages keep
+        # their values
+        neg = matrix_first(-(conn.along(x, v) + higgs.phi(x)))
+        return lambda u: mul_first(neg, u)
 
     return prep
 
@@ -149,14 +163,24 @@ def _jet_product(a, b):
 
 
 def _identity(rank: int | tuple[int, int]):
-    """The identity state of rank d or of the jet (d, P), (I, 0, ..., 0)
-    of shape (P + 1, d, d), and the product that composes such states."""
+    """The matrix-first identity state of rank d, I of shape (d, d), or of
+    the jet (d, P), (I, 0, ..., 0) of shape (d, d, P + 1); and the product
+    that composes such states once ``_matrix_last`` has moved them back."""
     d, order = rank if isinstance(rank, tuple) else (rank, 0)
     eye = np.eye(d, dtype=complex)
     if not order:
         return eye, mul
-    return (np.concatenate([eye[None], np.zeros((order, d, d), complex)]),
-            _jet_product)
+    return (np.concatenate([eye[..., None], np.zeros((d, d, order), complex)],
+                           axis=2), _jet_product)
+
+
+def _matrix_last(u: np.ndarray, state_ndim: int) -> np.ndarray:
+    """Matrix-first states, shape (d, d) or (d, d, P + 1) followed by stack
+    axes, as one contiguous array of shape: the stack axes, then (d, d) or
+    (P + 1, d, d), the layout of the cocycle products and of the
+    results."""
+    axes = tuple(range(state_ndim, u.ndim)) + tuple(range(2, state_ndim))
+    return np.ascontiguousarray(u.transpose(axes + (0, 1)))
 
 
 def _march(prep, geos: Sequence[DiskGeodesic], rank: int | tuple[int, int],
@@ -168,8 +192,9 @@ def _march(prep, geos: Sequence[DiskGeodesic], rank: int | tuple[int, int],
     Per-geodesic step size span/n_steps.  ``prep`` is called with
     positions and velocities of shape (m, len(geos), 2), or with snapshot
     axes in front.  Each span is cut into m = ``_segments`` equal
-    segments, all marched at once from the identity in n_steps/m steps;
-    the cocycle law then gives the propagator to any grid time as the
+    segments, all marched at once from the identity in n_steps/m steps,
+    as matrix-first states of shape (d, d[, P + 1], m, len(geos)); the
+    cocycle law then gives the propagator to any grid time as the
     partial propagator of its segment times the ordered product of the
     earlier segments' propagators.  m is 1 when n_steps has no divisor that
     fits, and the march is then the plain sequential one.
@@ -180,39 +205,41 @@ def _march(prep, geos: Sequence[DiskGeodesic], rank: int | tuple[int, int],
     in one evaluation, multiplies the propagator to that grid time, so
     crossing families sample identical base points.
 
-    Returns (W_exit, records), W_exit of shape (len(geos),) + the state's
-    shape; records is a time-ordered list of (t, x, v, W) batches of
-    states, or None when no fractions were requested.
+    Returns (W_exit, records), W_exit of shape (len(geos), d, d) or
+    (len(geos), P + 1, d, d); records is a time-ordered list of
+    (t, x, v, W) batches of states, or None when no fractions were
+    requested.
     """
     cfg = cfg or TransportConfig()
     eye, product = _identity(rank)
     n = cfg.n_steps
     batch = _BatchPaths(geos, n)
     width = len(geos)
-    m = _segments(n, width, 0 if eye.ndim == 2 else len(eye) - 1)
+    m = _segments(n, width, 0 if eye.ndim == 2 else eye.shape[2] - 1)
     seg = n // m
     first = np.arange(m) * seg      # grid step where each segment starts
-    w = np.broadcast_to(eye, (m, width) + eye.shape).copy()
-    dt = batch.dt.reshape((-1,) + (1,) * eye.ndim)
+    w = np.broadcast_to(eye[..., None, None], eye.shape + (m, width)).copy()
 
     fracs = np.sort(np.clip(np.asarray(
         [] if record_fracs is None else record_fracs, dtype=float), 0.0, 1.0))
     pos = fracs * n
     grid = np.where(pos < n, np.floor(pos), n).astype(int)
     owner, local = np.divmod(grid, seg)     # owner m: the exit itself
-    partial = np.broadcast_to(eye, (len(fracs), width) + eye.shape).copy()
+    partial = np.broadcast_to(eye[..., None, None],
+                              eye.shape + (len(fracs), width)).copy()
 
     f_here = prep(*batch.state(first / n))
     for k in range(seg):
         hit = (local == k) & (owner < m)
-        partial[hit] = w[owner[hit]]
+        partial[..., hit, :] = w[..., owner[hit], :]
         f_mid = prep(*batch.state((first + k + 0.5) / n))
         f_next = prep(*batch.state((first + k + 1.0) / n))
-        w = _rk4_step(w, dt, f_here, f_mid, f_mid, f_next)
+        w = _rk4_step(w, batch.dt, f_here, f_mid, f_mid, f_next)
         f_here = f_next
 
-    prefix = [np.broadcast_to(eye, (width,) + eye.shape)]
-    for seg_w in w:
+    last = _matrix_last(eye, eye.ndim)
+    prefix = [np.broadcast_to(last, (width,) + last.shape)]
+    for seg_w in _matrix_last(w, eye.ndim):
         prefix.append(product(seg_w, prefix[-1]))
     if record_fracs is None:
         return prefix[-1], None
@@ -222,37 +249,39 @@ def _march(prep, geos: Sequence[DiskGeodesic], rank: int | tuple[int, int],
     delta = pos - grid
     x, v = batch.state(fracs)
     f_mid = prep(*batch.state((grid + 0.5 * delta) / n))
-    side = _rk4_step(eye, delta.reshape((-1,) + (1,) * dt.ndim) * dt,
+    side = _rk4_step(eye[..., None, None], delta[:, None] * batch.dt,
                      prep(*batch.state(grid / n)), f_mid, f_mid, prep(x, v))
-    snaps = product(product(side, partial), np.stack(prefix)[owner])
+    snaps = product(product(_matrix_last(side, eye.ndim),
+                            _matrix_last(partial, eye.ndim)),
+                    np.stack(prefix)[owner])
     return prefix[-1], list(zip(batch.times(fracs), x, v, snaps))
 
 
 def crossing_transport(prep, crossings: Sequence[ShotPieces],
                        rank: int | tuple[int, int]) -> np.ndarray:
     """Fundamental solutions (or jets) across the bump crossings of shot
-    rays, shape (len(crossings),) + the state's shape.
+    rays, shape (len(crossings), d, d) or (len(crossings), P + 1, d, d).
 
     A crossing stores the stage states (x, v) of every RK4 step of its
     geodesic march, where a joint (x, v, W) march evaluates W's stages, so
     a step propagator is one ``_rk4_step`` from the identity, with ``prep``
-    called once per stage over every step of every crossing.  The step
-    propagators of each crossing are multiplied in order, pairwise by the
-    cocycle law, which equals the joint march up to rounding.
+    called once per stage over every step of every crossing (matrix-first,
+    the steps on the last axis).  The step propagators of each crossing
+    are multiplied in order, pairwise by the cocycle law, which equals the
+    joint march up to rounding.
     """
     eye, product = _identity(rank)
+    last = _matrix_last(eye, eye.ndim)
     if not crossings:
-        return np.zeros((0,) + eye.shape, dtype=complex)
+        return np.zeros((0,) + last.shape, dtype=complex)
     counts = [len(c.stages) for c in crossings]
     stages = np.concatenate([c.stages for c in crossings])
     h = np.repeat([c.h for c in crossings], counts)
-    steps = _rk4_step(np.broadcast_to(eye, stages.shape[:1] + eye.shape),
-                      h.reshape((-1,) + (1,) * eye.ndim),
-                      *(prep(stages[:, s, 0], stages[:, s, 1])
-                        for s in range(4)))
+    steps = _matrix_last(_rk4_step(eye[..., None], h, *(
+        prep(stages[:, s, 0], stages[:, s, 1]) for s in range(4))), eye.ndim)
     # identity-padded to a power of two, then halved pairwise
     n = 1 << (max(counts) - 1).bit_length()
-    w = np.broadcast_to(eye, (len(crossings), n) + eye.shape).copy()
+    w = np.broadcast_to(last, (len(crossings), n) + last.shape).copy()
     for i, (lo, count) in enumerate(zip(np.cumsum([0] + counts), counts)):
         w[i, :count] = steps[lo:lo + count]
     while w.shape[1] > 1:
@@ -355,7 +384,8 @@ def batch_transport(prep, paths: Sequence, rank: int | tuple[int, int],
     splits = [_split(p) for p in paths]
     geos = [g for pieces, _ in splits for g in pieces]
     if not geos:
-        return np.zeros((0,) + eye.shape, dtype=complex)
+        return np.zeros((0,) + _matrix_last(eye, eye.ndim).shape,
+                        dtype=complex)
     balls = iter(crossing_transport(
         prep, [c for _, c in splits if c is not None], rank))
     if times is not None:

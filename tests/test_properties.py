@@ -6,6 +6,14 @@
   exactly ``count`` items for any positive count and per-angle size;
 - ``_linalg.mul`` is ``@`` up to rounding for ranks 1-4 and broadcasting
   leading shapes, and exactly ``@`` for single matrices and vectors;
+- ``_linalg.mul_first`` on the matrix-first forms of two stacks equals
+  bit for bit ``mul``'s unrolled branch on the stacks, for ranks 1-4,
+  broadcasting stack shapes and the jet's (d, d, 1, ...) x
+  (d, d, P + 1, ...) product;
+- a jet's W slot is the rank-d transport bit for bit, at the exit and at
+  snapshots, for ranks 1-3, orders P 1-6, 1-6 closed-form geodesics with
+  or without a shot ray that crosses the bump, and step counts down to
+  small primes, where a stage evaluates fewer than 8 d nodes;
 - ``batch_transport`` exit matrices of random skew fields of rank 2 and
   3 are unitary within criterion 4's tolerance;
 - every separable field (connection symbols, their contraction with a
@@ -54,18 +62,19 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy.linalg import expm
 
 import ahxray.spherebundle as sb
-from ahxray._linalg import dagger, mul, unitary_defect
+from ahxray._linalg import (dagger, matrix_first, mul, mul_first,
+                            unitary_defect)
 from ahxray.bundle import (ConnectionField, GaugeField, GaussBump,
                            HiggsFieldData, SeparableTerm, _check_skew,
                            _Separable, gauge_transform, validation_points)
 from ahxray.config import ExperimentConfig
 from ahxray.errors import DatasetError
 from ahxray.geometry import AHModel, BoundaryDatum, Direction, DiskGeodesic
-from ahxray.reconstruct import HiggsParameterization
+from ahxray.reconstruct import HiggsParameterization, _tangent_rhs
 from ahxray.transport import (_ROWS, TransportConfig, _BatchPaths,
                               _segments, batch_transport, transport_rhs)
 from ahxray.xray import (FanSpec, ScatteringDataset, ScatteringRecord,
@@ -126,6 +135,88 @@ def test_mul_falls_back_on_single_matrices(rank, seed):
     vec = _complex(rng, (rank,))
     assert np.array_equal(mul(a, b), a @ b)
     assert np.array_equal(mul(a, vec), a @ vec)
+
+
+def _unrolled_mul(a, b):
+    """``mul``'s unrolled branch at any size: the operands repeated along a
+    new leading axis until they pass its ``@`` cutoff of 8 d matrices."""
+    reps = (8 * a.shape[-1],)
+    return mul(np.broadcast_to(a, reps + a.shape),
+               np.broadcast_to(b, reps + b.shape))[0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(rank=st.integers(1, 4),
+       lead=st.lists(st.integers(1, 5), max_size=3),
+       mask_a=st.lists(st.booleans(), min_size=3, max_size=3),
+       mask_b=st.lists(st.booleans(), min_size=3, max_size=3),
+       order=st.integers(0, 6), seed=st.integers(0, 2**32 - 1))
+def test_mul_first_is_the_unrolled_mul(rank, lead, mask_a, mask_b, order,
+                                       seed):
+    # order > 0 puts the jet's axes (1 against P + 1) next to the matrices
+    rng = np.random.default_rng(seed)
+    jet_a, jet_b = ((1,), (order + 1,)) if order else ((), ())
+    a = _complex(rng, tuple(n if keep else 1 for n, keep in
+                            zip(lead, mask_a)) + jet_a + (rank, rank))
+    b = _complex(rng, tuple(n if keep else 1 for n, keep in
+                            zip(lead, mask_b)) + jet_b + (rank, rank))
+    out = mul_first(matrix_first(a), matrix_first(b))
+    _same(np.moveaxis(out, (0, 1), (-2, -1)), _unrolled_mul(a, b))
+
+
+_SHOT_RAY = {}
+
+
+def _shot_ray(model):
+    """A shooting ray of ``model`` that crosses its bump, shot once."""
+    if model not in _SHOT_RAY:
+        paths, _ = fan_paths(model, FanSpec.uniform_shooting(2))
+        _SHOT_RAY[model] = next(p for p in paths if p.pieces is not None)
+    return _SHOT_RAY[model]
+
+
+@settings(max_examples=40, deadline=None)
+@given(rank=st.integers(1, 3), order=st.integers(1, 6),
+       width=st.integers(1, 6), crossing=st.booleans(),
+       n_steps=st.sampled_from([1, 2, 3, 5, 7, 11, 13, 16, 24, 31]),
+       seed=st.integers(0, 2**32 - 1))
+def test_jet_w_slot_is_the_rank_d_transport(perturbed, rank, order, width,
+                                            crossing, n_steps, seed):
+    rng = np.random.default_rng(seed)
+    # the jet's rows count against the segment budget; the W slot can only
+    # repeat the rank-d march where both cut the spans alike
+    assume(_segments(n_steps, width + 2 * crossing)
+           == _segments(n_steps, width + 2 * crossing, order))
+    conn = random_connection(rng, rank)
+    centers = [(0.25, 0.0), (-0.2, 0.2), (0.0, -0.3), (-0.25, -0.15),
+               (0.15, 0.3), (0.3, -0.25)]
+    params = HiggsParameterization(
+        rank=rank, decay_N1=4,
+        basis=[(random_skew(rng, rank), GaussBump(center=c, sigma=0.3))
+               for c in centers[:order]])
+    c = rng.normal(size=order)
+    paths = [DiskGeodesic.between_boundary_angles(AHModel(), a, a + op)
+             for a, op in zip(rng.uniform(0, 2 * np.pi, width),
+                              rng.uniform(0.5, 5.5, width))]
+    if crossing:
+        # snapshots on the ray's incoming and outgoing pieces, which clip
+        # to the disk geodesics' spans
+        ray = _shot_ray(perturbed)
+        spans = [g.t_exit - g.t_entry for g in (ray.pieces.incoming,
+                                                ray.pieces.outgoing)]
+        times = np.concatenate([ray.t[0] + rng.uniform(0, 1, 2) * spans[0],
+                                ray.t[-1] - rng.uniform(0, 0.9, 2) * spans[1]])
+        paths.append(ray)
+    else:
+        times = rng.uniform(-4.0, 4.0, 4)
+    times = np.sort(times)
+    cfg = TransportConfig(n_steps=n_steps)
+    w, (_, _, _, snaps) = batch_transport(
+        transport_rhs(conn, params.higgs(c)), paths, rank, cfg, times)
+    jet, (_, _, _, jet_snaps) = batch_transport(
+        _tangent_rhs(conn, params, c), paths, (rank, order), cfg, times)
+    _same(jet[:, 0], w)
+    _same(jet_snaps[:, :, 0], snaps)
 
 
 @settings(max_examples=12, deadline=None)

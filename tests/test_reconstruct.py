@@ -192,10 +192,10 @@ class TestJacobian:
                                (2, params.size), cfg, fracs)
         w, recs = plain(c)
         assert jet.shape == (len(geos), 1 + params.size, 2, 2)
-        assert np.max(np.abs(jet[:, 0] - w)) <= 1e-15
+        assert np.array_equal(jet[:, 0], w)
         h = 1e-6
         for i, (rec, jet_rec) in enumerate(zip(recs, jet_recs)):
-            assert np.max(np.abs(jet_rec[3][:, 0] - rec[3])) <= 1e-15
+            assert np.array_equal(jet_rec[3][:, 0], rec[3])
             for k, e in enumerate(np.eye(params.size)):
                 fd = (plain(c + h * e)[1][i][3] - plain(c - h * e)[1][i][3]) \
                     / (2.0 * h)

@@ -454,16 +454,18 @@ class TestBatchBackend:
 class TestSegmentedMarch:
     """The segment-parallel march against the sequential reference."""
 
-    def test_fan_with_segments(self, disk_module, rng):
-        conn, higgs = random_connection(rng), random_higgs(rng)
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    def test_fan_with_segments(self, disk_module, rng, rank):
+        conn = random_connection(rng, rank)
+        higgs = random_higgs(rng, rank)
         geos = [DiskGeodesic.between_boundary_angles(disk_module, a, a + op)
                 for a, op in zip(rng.uniform(0, 2 * math.pi, 5),
                                  rng.uniform(0.5, 5.5, 5))]
         n = 256
         assert _segments(n, len(geos)) > 1
-        u = batch_transport(transport_rhs(conn, higgs), geos, 2,
+        u = batch_transport(transport_rhs(conn, higgs), geos, rank,
                             TransportConfig(n_steps=n))
-        ref, _ = sequential_rk4(two_sided(conn, higgs), geos, 2, n)
+        ref, _ = sequential_rk4(two_sided(conn, higgs), geos, rank, n)
         assert np.max(np.abs(u - ref)) <= 1e-13
 
     def test_prime_step_count_marches_plainly(self, disk_module, rng):
@@ -477,9 +479,12 @@ class TestSegmentedMarch:
         ref, _ = sequential_rk4(two_sided(conn, higgs), geos, 2, n)
         assert np.max(np.abs(u - ref)) <= 1e-13
 
-    def test_gauge_pair_snapshots(self, disk_module, rng):
-        conn_a, higgs_a = random_connection(rng), random_higgs(rng)
-        conn_b, higgs_b = random_connection(rng), random_higgs(rng)
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    def test_gauge_pair_snapshots(self, disk_module, rng, rank):
+        conn_a, higgs_a = (random_connection(rng, rank),
+                           random_higgs(rng, rank))
+        conn_b, higgs_b = (random_connection(rng, rank),
+                           random_higgs(rng, rank))
         geos = [DiskGeodesic.through(disk_module, (-0.2, 0.1), th)
                 for th in (0.05, 1.1, 2.2)]
         n = 768
@@ -492,9 +497,9 @@ class TestSegmentedMarch:
         cfg = TransportConfig(n_steps=n)
         for conn, higgs in ((conn_a, higgs_a), (conn_b, higgs_b)):
             prep = transport_rhs(conn, higgs)
-            w_exit, records = _march(prep, geos, 2, cfg, fracs)
+            w_exit, records = _march(prep, geos, rank, cfg, fracs)
             ref_exit, ref_snaps = sequential_rk4(
-                two_sided(conn, higgs), geos, 2, n, fracs)
+                two_sided(conn, higgs), geos, rank, n, fracs)
             assert np.max(np.abs(w_exit - ref_exit)) <= 1e-13
             assert len(records) == len(fracs)
             for (t, x, v, w), f, ref in zip(records, sorted(fracs),
