@@ -144,10 +144,14 @@ class _Separable:
         evaluation of the bumps."""
         x = np.asarray(x, dtype=float)
         n = self.decay
-        rho = _rho(x)[..., None, None]
-        bumps = self._bumps(x)[..., None, :]
+        rho = _rho(x)
+        bumps = self._bumps(x)
+        # as ``weights`` does, bit for bit: at a lone point rho is a NumPy
+        # scalar, whose power rounds otherwise than an array's
+        w = (rho**n)[..., None] * bumps
+        rho = rho[..., None, None]
         dx = x[..., :, None] - self._centers.T
-        return (rho**n * bumps)[..., 0, :], bumps \
+        return w, bumps[..., None, :] \
             * (n * rho ** max(n - 1, 0) * (-2.0 * x[..., :, None])
                - rho**n * dx / self._sigma2)
 
@@ -380,12 +384,21 @@ def gauge_transform(conn: ConnectionField, higgs: HiggsFieldData,
                     q: "GaugeField | ComposedGauge"
                     ) -> tuple[ConnectionField, HiggsFieldData]:
     """Apply the gauge relation: Gamma(v) becomes Q* Gamma(v) Q + Q^-1 dQ(v),
-    the Higgs field conjugates, and curvature conjugates exactly."""
+    the Higgs field conjugates, and curvature conjugates exactly.
+
+    ``along`` and ``phi`` share Q through a one-slot cache, so a node of
+    ``transport_rhs`` (along, then phi) runs one eigendecomposition.  Its
+    key is the content of x: ``along`` stores a copy of x with Q, and
+    ``phi`` takes both out, so they outlive no node, and reuses Q only for
+    an equal shape and equal values.  The Q of ``log_derivative`` is
+    ``q(x)``'s bit for bit."""
     if not (conn.rank == higgs.rank == q.rank):
         raise RankMismatchError("rank mismatch between connection, Higgs, gauge")
+    last = {}               # the x and Q of the latest along, until phi
 
     def along(x, v):
         qm, log_dq = q.log_derivative(x, v)
+        last.update(x=np.array(x, dtype=float), q=qm)
         return mul(mul(dagger(qm), conn.along(x, v)), qm) + log_dq
 
     def curvature(x):
@@ -393,7 +406,9 @@ def gauge_transform(conn: ConnectionField, higgs: HiggsFieldData,
         return mul(mul(dagger(qm), conn.curvature_f12(x)), qm)
 
     def phi(x):
-        qm = q.q(x)
+        seen, qm = last.pop("x", None), last.pop("q", None)
+        if seen is None or not np.array_equal(seen, x):
+            qm = q.q(x)
         return mul(mul(dagger(qm), higgs.phi(x)), qm)
 
     if conn.is_zero:

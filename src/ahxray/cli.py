@@ -3,7 +3,8 @@
 Subcommands wire experiment configurations to the library and write
 datasets, JSON reports, and plot-ready CSV tables.  Exit codes: 0 success,
 2 validation failure (bad config, field data or dataset file, unreadable
-input, a dataset from another fan), 3 numerical failure
+input, a dataset from another fan, a gauge-check pair whose model, fan
+or transport differ), 3 numerical failure
 (trapped geodesic budget, optimizer stagnation).  Every report embeds the
 config fingerprint and tool version, and identical config + seed produce
 byte-identical outputs.
@@ -64,6 +65,11 @@ def cmd_gauge_check(args) -> int:
     cfg_b = ExperimentConfig.from_file(args.b)
     cfg_a.override_seed(args.seed)
     cfg_b.override_seed(args.seed)
+    # both datasets are computed on A's model, fan and transport
+    for name in ("model", "fan", "transport"):
+        if cfg_a.sections.get(name) != cfg_b.sections.get(name):
+            raise ConfigError("B's section differs from A's, whose geometry "
+                              "both datasets would use", section=name)
     model, conn_a, higgs_a = cfg_a.build_pair()
     _, conn_b, higgs_b = cfg_b.build_pair()
     fan = cfg_a.build_fan(args.fan)

@@ -16,12 +16,15 @@ rho_cut (measured by halving it in ``truncation_estimate``, not certified).
 
 Propagators obey the cocycle law W(t2, t0) = W(t2, t1) W(t1, t0).  A path
 is closed-form disk geodesics and at most one RK4 crossing of the bump,
-and ``batch_transport``, the one entry point, multiplies their
-propagators in order, for rank-d systems and for the first-order jets of
+and ``batch_transport``, the one entry point, composes their
+propagators, for rank-d systems and for the first-order jets of
 reconstruction's Jacobian alike.  Both integrators take classic RK4 steps
 (``_rk4_step``): ``_march`` steps the closed-form pieces of whole fans at
 once, and ``crossing_transport`` steps at the stage states of each ray's
-bump crossing.  Positions and velocities are arrays of shape (..., 2),
+bump crossing; both compose the propagators s_0, s_1, ... of their
+segments or steps into the prefixes s_i ... s_1 s_0 by one log-depth scan
+(``_prefix_products``), ceil(log2 m) stack products for m factors.
+Positions and velocities are arrays of shape (..., 2),
 built as float views of complex values and read componentwise by the
 field evaluators, because on these per-node paths a NumPy reduction or
 restack over an axis of length 2 costs about three times its arithmetic.
@@ -174,6 +177,18 @@ def _identity(rank: int | tuple[int, int]):
                            axis=2), _jet_product)
 
 
+def _prefix_products(stack: np.ndarray, product) -> np.ndarray:
+    """The inclusive ordered products s_i ... s_1 s_0 of a stack of states
+    s_0, s_1, ... along axis 0, by a Hillis-Steele scan: after the pass at
+    offset k, row i holds the product of its last 2k factors, so
+    ceil(log2 m) stack products give all m prefixes."""
+    out, k = stack, 1
+    while k < len(stack):
+        out = np.concatenate([out[:k], product(out[k:], out[:-k])])
+        k *= 2
+    return out
+
+
 def _matrix_last(u: np.ndarray, state_ndim: int) -> np.ndarray:
     """Matrix-first states, shape (d, d) or (d, d, P + 1) followed by stack
     axes, as one contiguous array of shape: the stack axes, then (d, d) or
@@ -196,8 +211,10 @@ def _march(prep, geos: Sequence[DiskGeodesic], rank: int | tuple[int, int],
     as matrix-first states of shape (d, d[, P + 1], m, len(geos)); the
     cocycle law then gives the propagator to any grid time as the
     partial propagator of its segment times the ordered product of the
-    earlier segments' propagators.  m is 1 when n_steps has no divisor that
-    fits, and the march is then the plain sequential one.
+    earlier segments' propagators, s_i ... s_0, all from one scan
+    (``_prefix_products``) in ceil(log2 m) stack products.  m is 1 when
+    n_steps has no divisor that fits, and the march is then the plain
+    sequential one.
 
     Snapshots of the state at the requested fractions of each span are
     taken at the exact requested times: a fractional RK4 side-step from
@@ -237,12 +254,9 @@ def _march(prep, geos: Sequence[DiskGeodesic], rank: int | tuple[int, int],
         w = _rk4_step(w, batch.dt, f_here, f_mid, f_mid, f_next)
         f_here = f_next
 
-    last = _matrix_last(eye, eye.ndim)
-    prefix = [np.broadcast_to(last, (width,) + last.shape)]
-    for seg_w in _matrix_last(w, eye.ndim):
-        prefix.append(product(seg_w, prefix[-1]))
+    scan = _prefix_products(_matrix_last(w, eye.ndim), product)
     if record_fracs is None:
-        return prefix[-1], None
+        return scan[-1], None
 
     # a zero side-step is exactly the identity, so grid-time snapshots
     # need no separate path
@@ -251,10 +265,13 @@ def _march(prep, geos: Sequence[DiskGeodesic], rank: int | tuple[int, int],
     f_mid = prep(*batch.state((grid + 0.5 * delta) / n))
     side = _rk4_step(eye[..., None, None], delta[:, None] * batch.dt,
                      prep(*batch.state(grid / n)), f_mid, f_mid, prep(x, v))
+    # the propagator to the start of segment j: I for j = 0, else row j - 1
+    last = _matrix_last(eye, eye.ndim)
+    prefix = np.concatenate([np.broadcast_to(last, (1, width) + last.shape),
+                             scan])
     snaps = product(product(_matrix_last(side, eye.ndim),
-                            _matrix_last(partial, eye.ndim)),
-                    np.stack(prefix)[owner])
-    return prefix[-1], list(zip(batch.times(fracs), x, v, snaps))
+                            _matrix_last(partial, eye.ndim)), prefix[owner])
+    return scan[-1], list(zip(batch.times(fracs), x, v, snaps))
 
 
 def crossing_transport(prep, crossings: Sequence[ShotPieces],
@@ -266,9 +283,10 @@ def crossing_transport(prep, crossings: Sequence[ShotPieces],
     geodesic march, where a joint (x, v, W) march evaluates W's stages, so
     a step propagator is one ``_rk4_step`` from the identity, with ``prep``
     called once per stage over every step of every crossing (matrix-first,
-    the steps on the last axis).  The step propagators of each crossing
-    are multiplied in order, pairwise by the cocycle law, which equals the
-    joint march up to rounding.
+    the steps on the last axis).  The crossings are padded with the
+    identity to the longest one, and one scan (``_prefix_products``) over
+    the steps forms every crossing's ordered product by the cocycle law,
+    which equals the joint march up to rounding.
     """
     eye, product = _identity(rank)
     last = _matrix_last(eye, eye.ndim)
@@ -279,14 +297,12 @@ def crossing_transport(prep, crossings: Sequence[ShotPieces],
     h = np.repeat([c.h for c in crossings], counts)
     steps = _matrix_last(_rk4_step(eye[..., None], h, *(
         prep(stages[:, s, 0], stages[:, s, 1]) for s in range(4))), eye.ndim)
-    # identity-padded to a power of two, then halved pairwise
-    n = 1 << (max(counts) - 1).bit_length()
-    w = np.broadcast_to(last, (len(crossings), n) + last.shape).copy()
+    # steps on axis 0, crossings on axis 1, identity-padded to the longest
+    w = np.broadcast_to(last, (max(counts), len(crossings))
+                        + last.shape).copy()
     for i, (lo, count) in enumerate(zip(np.cumsum([0] + counts), counts)):
-        w[i, :count] = steps[lo:lo + count]
-    while w.shape[1] > 1:
-        w = product(w[:, 1::2], w[:, 0::2])
-    return w[:, 0]
+        w[:count, i] = steps[lo:lo + count]
+    return _prefix_products(w, product)[-1]
 
 
 # -- paths: closed-form pieces and crossings --------------------------------

@@ -432,10 +432,9 @@ def gauge_degree_zero_check(curves: Sequence[GaugeCurve],
     # jitter in the sample positions cannot scatter them across cells
     cells: dict[tuple[int, int], dict[int, list[int]]] = {}
     for ci, curve in enumerate(curves):
-        for si in range(len(curve.t)):
-            key = (math.floor(curve.x[si, 0] / _CELL_SIZE + 0.5),
-                   math.floor(curve.x[si, 1] / _CELL_SIZE + 0.5))
-            cells.setdefault(key, {}).setdefault(ci, []).append(si)
+        keys = np.floor(curve.x / _CELL_SIZE + 0.5).astype(int).tolist()
+        for si, key in enumerate(keys):
+            cells.setdefault(tuple(key), {}).setdefault(ci, []).append(si)
 
     max_var = 0.0
     mode0 = 0.0

@@ -7,7 +7,9 @@ curvature component from symbol samples alone; library code never differences.
 import numpy as np
 import pytest
 
-from ahxray._linalg import dagger, frobenius, skew_defect, unitary_defect
+import ahxray.bundle as bundle
+from ahxray._linalg import (dagger, expm_skew, frobenius, skew_defect,
+                            unitary_defect)
 from ahxray.bundle import (ConnectionField, GaugeField, GaussBump,
                            HiggsFieldData, SeparableTerm, ckt_condition_check,
                            curvature_at, curvature_operator,
@@ -15,6 +17,7 @@ from ahxray.bundle import (ConnectionField, GaugeField, GaussBump,
                            sup_curvature_norm, validation_points)
 from ahxray.errors import DomainError, RankMismatchError
 from ahxray.geometry import PhasePoint
+from ahxray.transport import transport_rhs
 
 SU2 = [np.array([[1j, 0], [0, -1j]]),
        np.array([[0, 1], [-1, 0]], dtype=complex),
@@ -182,6 +185,48 @@ class TestGaugeTransform:
         n1 = frobenius(conn.curvature_f12(pts))
         n2 = frobenius(conn2.curvature_f12(pts))
         assert np.max(np.abs(n1 - n2)) < 1e-8
+
+
+class TestGaugedNodeCache:
+    """A gauged pair's along and phi at one node share Q (one
+    eigendecomposition per gauge), and never a stale one."""
+
+    @pytest.mark.parametrize("composed, calls", [(False, 1), (True, 2)])
+    def test_one_eigendecomposition_per_node(self, rng, monkeypatch,
+                                             composed, calls):
+        gauge = random_gauge(rng)
+        if composed:
+            gauge = gauge.compose(random_gauge(rng))
+        prep = transport_rhs(*gauge_transform(random_connection(rng),
+                                              random_higgs(rng), gauge))
+        seen = []
+
+        def counted(*args):
+            seen.append(args[0].shape)
+            return expm_skew(*args)
+
+        monkeypatch.setattr(bundle, "expm_skew", counted)
+        for shape in ((2,), (7, 2), (384, 1, 2)):
+            seen.clear()
+            prep(rng.uniform(-0.5, 0.5, shape), rng.normal(size=shape))
+            assert len(seen) == calls
+
+    @pytest.mark.parametrize("shape", [(2,), (7, 2), (5, 3, 2)])
+    def test_phi_is_a_fresh_pairs_phi(self, rng, shape):
+        conn, higgs = random_connection(rng), random_higgs(rng)
+        gauge = random_gauge(rng)
+        conn_b, higgs_b = gauge_transform(conn, higgs, gauge)
+        x = rng.uniform(-0.5, 0.5, shape)
+        v = rng.normal(size=shape)
+        fresh = gauge_transform(conn, higgs, gauge)[1]
+        for _ in range(2):
+            # x changed in place after along: phi must not reuse its Q
+            conn_b.along(x, v)
+            x *= 0.9
+            assert np.array_equal(higgs_b.phi(x), fresh.phi(x))
+            # the shared Q is the one q(x) gives, bit for bit
+            conn_b.along(x, v)
+            assert np.array_equal(higgs_b.phi(x), fresh.phi(x))
 
 
 class TestGaugeField:

@@ -234,6 +234,32 @@ class TestCommands:
         assert report["records"] == 12
         assert "fingerprint" in report and "version" in report
 
+    @pytest.mark.parametrize("old,new,section", [
+        # B on the perturbed model at a quarter of A's steps used to exit 0
+        # with max_frobenius 0.0: both datasets were computed on A's model
+        ("kind = poincare_disk\n\n[transport]\nrho_cut = 1e-6\n"
+         "n_steps = 1024",
+         "kind = conformal_perturbed\nbump_center = 0.8,0\n"
+         "bump_radius = 0.3\nbump_amplitude = 0.04\n\n[transport]\n"
+         "rho_cut = 1e-6\nn_steps = 256", "model"),
+        ("count = 12", "count = 10", "fan"),
+        ("n_steps = 1024", "n_steps = 512", "transport"),
+        ("rho_cut = 1e-6\n", "", "transport"),
+    ], ids=["perturbed-model", "fan-count", "transport-steps",
+            "transport-default"])
+    def test_gauge_check_refuses_another_geometry(self, tmp_path, capsys,
+                                                  old, new, section):
+        a, b = tmp_path / "a.cfg", tmp_path / "b.cfg"
+        out = tmp_path / "report.json"
+        assert old in BASE_CONFIG
+        a.write_text(BASE_CONFIG)
+        b.write_text(BASE_CONFIG.replace(old, new, 1) + GAUGE_EXTRA)
+        code = main(["gauge-check", "--a", str(a), "--b", str(b),
+                     "--out", str(out)])
+        assert code == 2
+        assert f"section [{section}]" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_pestov_report(self, cfg_file, tmp_path):
         out = tmp_path / "pestov.json"
         assert main(["pestov", "--config", cfg_file, "--grid", "48,32",

@@ -14,6 +14,13 @@
   snapshots, for ranks 1-3, orders P 1-6, 1-6 closed-form geodesics with
   or without a shot ray that crosses the bump, and step counts down to
   small primes, where a stage evaluates fewer than 8 d nodes;
+- ``transport._prefix_products``, the log-depth scan, gives the
+  inclusive ordered products s_i ... s_0 of a sequential left fold within
+  1e-13, for stacks of 1-600 unitary states (powers of two and primes
+  among them), 1-5 geodesics, ranks 1-3 and jets of order 0-3; and
+  ``crossing_transport`` on crossings of 1, 2, 42 and 43 steps, padded
+  to the longest, gives each crossing the ordered product of its own step
+  propagators;
 - ``batch_transport`` exit matrices of random skew fields of rank 2 and
   3 are unitary within criterion 4's tolerance;
 - every separable field (connection symbols, their contraction with a
@@ -56,6 +63,7 @@
 """
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -76,7 +84,9 @@ from ahxray.errors import DatasetError
 from ahxray.geometry import AHModel, BoundaryDatum, Direction, DiskGeodesic
 from ahxray.reconstruct import HiggsParameterization, _tangent_rhs
 from ahxray.transport import (_ROWS, TransportConfig, _BatchPaths,
-                              _segments, batch_transport, transport_rhs)
+                              _identity, _prefix_products, _segments,
+                              batch_transport, crossing_transport,
+                              transport_rhs)
 from ahxray.xray import (FanSpec, ScatteringDataset, ScatteringRecord,
                          compare_datasets, compute_scattering_data,
                          fan_paths)
@@ -217,6 +227,79 @@ def test_jet_w_slot_is_the_rank_d_transport(perturbed, rank, order, width,
         _tangent_rhs(conn, params, c), paths, (rank, order), cfg, times)
     _same(jet[:, 0], w)
     _same(jet_snaps[:, :, 0], snaps)
+
+
+def _fold(stack, jet):
+    """The inclusive ordered products s_i ... s_0 of a stack of rank-d
+    states (..., d, d) or jets (..., P + 1, d, d) on axis 0, by a
+    sequential left fold with ``@`` and the jet's cocycle law written
+    out."""
+    out = [stack[0]]
+    for s in stack[1:]:
+        prev = out[-1]
+        if jet:
+            w = s[..., :1, :, :] @ prev[..., :1, :, :]
+            v = s[..., 1:, :, :] @ prev[..., :1, :, :] \
+                + s[..., :1, :, :] @ prev[..., 1:, :, :]
+            out.append(np.concatenate([w, v], axis=-3))
+        else:
+            out.append(s @ prev)
+    return np.array(out)
+
+
+_PRIMES = [2, 3, 5, 7, 11, 13, 31, 61, 127, 251, 383, 509, 599]
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=st.one_of(st.integers(1, 600),
+                   st.sampled_from([2**k for k in range(10)]),
+                   st.sampled_from(_PRIMES)),
+       rank=st.integers(1, 3), order=st.integers(0, 3),
+       width=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
+def test_prefix_scan_is_the_ordered_product(m, rank, order, width, seed):
+    # unitary W, as propagators are, and small V, so the products stay of
+    # order one over 600 factors and the bound is an absolute one
+    rng = np.random.default_rng(seed)
+    _, product = _identity((rank, order) if order else rank)
+    p = _complex(rng, (m, width, rank, rank))
+    w = expm(0.5 * (p - np.conj(np.swapaxes(p, -1, -2))))
+    if order:
+        v = 1e-3 * _complex(rng, (m, width, order, rank, rank))
+        stack = np.concatenate([w[:, :, None], v], axis=2)
+    else:
+        stack = w
+    out = _prefix_products(stack, product)
+    assert out.shape == stack.shape
+    assert np.max(np.abs(out - _fold(stack, order > 0))) <= 1e-13
+
+
+@pytest.mark.parametrize("order", [0, 2])
+def test_crossings_of_unequal_lengths_are_ordered_products(perturbed, order):
+    # the identity padding to the longest crossing leaves each crossing
+    # the ordered product of its own step propagators
+    rng = np.random.default_rng(5)
+    ray = _shot_ray(perturbed).pieces
+    rank = 2
+    if order:
+        params = HiggsParameterization(
+            rank=rank, decay_N1=4,
+            basis=[(random_skew(rng, rank), GaussBump(center=c, sigma=0.3))
+                   for c in ((0.25, 0.0), (-0.2, 0.2))])
+        prep = _tangent_rhs(random_connection(rng), params,
+                            rng.normal(size=order))
+        state = (rank, order)
+    else:
+        prep = transport_rhs(random_connection(rng), random_higgs(rng))
+        state = rank
+    counts = [1, 2, 42, 43]
+    assert len(ray.stages) >= max(counts)
+    crossings = [replace(ray, stages=ray.stages[-n:]) for n in counts]
+    out = crossing_transport(prep, crossings, state)
+    for crossing, w in zip(crossings, out):
+        steps = crossing_transport(prep, [
+            replace(crossing, stages=step[None]) for step in crossing.stages],
+            state)
+        assert np.max(np.abs(w - _fold(steps, order > 0)[-1])) <= 1e-13
 
 
 @settings(max_examples=12, deadline=None)

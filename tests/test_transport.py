@@ -5,8 +5,9 @@ Independent oracles:
   of the scalar potential along the geodesic); the integral is evaluated
   by adaptive quadrature on the closed-form path, never by the transport
   solver itself;
-- the segmented batch march is checked against a plain sequential RK4
-  march of the d x d systems, kept here as the reference;
+- the segmented batch march, whose segment propagators a log-depth scan
+  composes, is checked against a plain sequential RK4 march of the d x d
+  systems, kept here as the reference;
 - transport along closed-form paths, and along the piecewise paths of the
   perturbed model, is checked against the adaptive RK45 integrators of
   ``oracles`` (the geodesic, the transport and the two-sided endomorphism
@@ -21,7 +22,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from ahxray._linalg import unitary_defect
+import ahxray.transport as transport
+from ahxray._linalg import mul, unitary_defect
 from ahxray.bundle import ConnectionField, GaussBump, HiggsFieldData
 from ahxray.errors import DomainError, RankMismatchError
 from ahxray.geometry import (BoundaryDatum, DiskGeodesic, Direction,
@@ -467,6 +469,23 @@ class TestSegmentedMarch:
                             TransportConfig(n_steps=n))
         ref, _ = sequential_rk4(two_sided(conn, higgs), geos, rank, n)
         assert np.max(np.abs(u - ref)) <= 1e-13
+
+    def test_width_one_march_scans_its_segments(self, disk_module, rng,
+                                                monkeypatch):
+        # 384 one-step segments, composed in ceil(log2 384) = 9 products
+        n = 384
+        assert _segments(n, 1) == n
+        products = []
+
+        def counted(a, b):
+            products.append(a.shape)
+            return mul(a, b)
+
+        monkeypatch.setattr(transport, "mul", counted)
+        geo = DiskGeodesic.between_boundary_angles(disk_module, 1.2, 4.0)
+        _march(transport_rhs(random_connection(rng), random_higgs(rng)),
+               [geo], 2, TransportConfig(n_steps=n))
+        assert 0 < len(products) <= math.ceil(math.log2(n))
 
     def test_prime_step_count_marches_plainly(self, disk_module, rng):
         conn, higgs = random_connection(rng), random_higgs(rng)
