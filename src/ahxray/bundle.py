@@ -136,24 +136,22 @@ class _Separable:
     def weights(self, x: np.ndarray) -> np.ndarray:
         """rho^N beta_k, shape (..., K)."""
         x = np.asarray(x, dtype=float)
-        return (_rho(x) ** self.decay)[..., None] * self._bumps(x)
+        # an array at a lone point too; a NumPy scalar's power rounds otherwise
+        return _rho(x)[..., None] ** self.decay * self._bumps(x)
 
     def weights_and_grads(self, x: np.ndarray
                           ) -> tuple[np.ndarray, np.ndarray]:
         """``weights`` and their partials d_j, shape (..., 2, K), from one
-        evaluation of the bumps."""
+        evaluation of the bumps, with the same bits as ``weights``."""
         x = np.asarray(x, dtype=float)
         n = self.decay
-        rho = _rho(x)
+        rho = _rho(x)[..., None, None]
+        rho_n = rho**n
         bumps = self._bumps(x)
-        # as ``weights`` does, bit for bit: at a lone point rho is a NumPy
-        # scalar, whose power rounds otherwise than an array's
-        w = (rho**n)[..., None] * bumps
-        rho = rho[..., None, None]
         dx = x[..., :, None] - self._centers.T
-        return w, bumps[..., None, :] \
+        return rho_n[..., 0, :] * bumps, bumps[..., None, :] \
             * (n * rho ** max(n - 1, 0) * (-2.0 * x[..., :, None])
-               - rho**n * dx / self._sigma2)
+               - rho_n * dx / self._sigma2)
 
     def combine(self, w: np.ndarray) -> np.ndarray:
         """sum_k w_k S_k for real w of shape (..., K): shape (..., d, d)."""

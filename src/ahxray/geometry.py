@@ -17,6 +17,10 @@ geodesic.  The geodesic through an interior phase point
 (``integrate_geodesic``) is the closed form on the disk; on a perturbed
 model its backward ray is marched out of the ball by the same RK4 crossing,
 and the geodesic is the ray shot from the entry datum read there.
+
+The crossing steps one phase point in Python floats (``AHModel._flow_at``),
+in the order of the array operations and so with their bits: NumPy on one
+2-vector spends about 50 calls per RK4 stage on about 40 flops.
 """
 
 from __future__ import annotations
@@ -193,6 +197,27 @@ class AHModel:
         v2 = v0 * v0 + v1 * v1
         return -(2.0 * v * gv - v2 * grad)
 
+    def _flow_at(self, x0: float, x1: float, v0: float, v1: float
+                 ) -> tuple[float, float, float, float]:
+        """The geodesic flow (v, ``geodesic_rhs``) at one point in Python
+        floats, with the same bits: the operations of ``grad_log_conformal``,
+        ``grad_psi`` and ``geodesic_rhs`` in order, (1 - q)**2 as a product
+        (an array's square), and NumPy's exp (``math.exp`` may differ)."""
+        rho = 1.0 - (x0 * x0 + x1 * x1)
+        g0, g1 = 2.0 * x0 / rho, 2.0 * x1 / rho
+        bump = self.bump
+        if bump is not None:
+            d0, d1 = x0 - bump.center[0], x1 - bump.center[1]
+            r2 = bump.radius**2
+            q = (d0 * d0 + d1 * d1) / r2
+            u = 1.0 - q
+            dprof = -float(np.exp(1.0 - 1.0 / u)) / (u * u) if q < 1 else 0.0
+            s = bump.amplitude * dprof * 2.0
+            g0, g1 = g0 + s * d0 / r2, g1 + s * d1 / r2
+        gv = g0 * v0 + g1 * v1
+        v2 = v0 * v0 + v1 * v1
+        return v0, v1, -(2.0 * v0 * gv - v2 * g0), -(2.0 * v1 * gv - v2 * g1)
+
     def angular_momentum(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Conserved g(v, d/dtheta) wherever the metric is rotation-symmetric."""
         e2phi = np.exp(2.0 * self.log_conformal(x))
@@ -295,6 +320,14 @@ class IntegratorConfig:
     # time budget before "trapped", for each crossing of the bump's ball
     max_span: float = 80.0
     n_steps: int = 8192
+
+    def __post_init__(self):
+        if not 0.0 < self.rho_cut <= 1e-2:
+            raise DomainError("rho_cut must lie in (0, 1e-2]")
+        if not 0.0 < self.max_span < math.inf:
+            raise DomainError("max_span must be finite and > 0")
+        if not isinstance(self.n_steps, (int, np.integer)) or self.n_steps < 1:
+            raise DomainError("n_steps must be an integer >= 1")
 
 
 @dataclass(frozen=True)
@@ -606,40 +639,49 @@ def _cross_ball(model: AHModel, y: np.ndarray, h: float,
     Returns the stage states (n, 4, 2, 2), the run (t, x, v) of the n + 1
     states at times t0 + k h, and that disk geodesic.  Raises
     TrappedGeodesicError past the time budget, with the run after ``head``.
+
+    The state (x0, x1, v0, v1) is a tuple of Python floats stepped by
+    ``AHModel._flow_at`` in the array march's order of operations, so with
+    its bits: NumPy on one point costs ten times as much.  Tuples are
+    written out; ``tuple`` of a generator would fill the 4-tuple free list.
     """
     bump = model.bump
     disk = AHModel()
-    stages = []
+    y = tuple(np.asarray(y, dtype=float).ravel().tolist())
+    flow, stages = model._flow_at, []
 
-    def flow(y):
-        return np.stack([y[1], model.geodesic_rhs(y[0], y[1])])
+    def axpy(y, c, k):
+        return (y[0] + c * k[0], y[1] + c * k[1], y[2] + c * k[2],
+                y[3] + c * k[3])
 
     def run(states):
-        states = np.array(states)
+        states = np.array(states).reshape(-1, 2, 2)
         return t0 + h * np.arange(len(states)), states[:, 0], states[:, 1]
 
     while True:
         if len(stages) * h > cfg.max_span:
-            part = run([st[0] for st in stages])
+            part = run([st[:4] for st in stages])
             raise TrappedGeodesicError(
                 f"no exit from the bump's ball within time budget "
                 f"{cfg.max_span} (possibly trapped)",
                 partial=part if head is None else _joined(head, part))
-        k1 = flow(y)
-        y2 = y + 0.5 * h * k1
-        k2 = flow(y2)
-        y3 = y + 0.5 * h * k2
-        k3 = flow(y3)
-        y4 = y + h * k3
-        stages.append((y, y2, y3, y4))
-        y = y + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + flow(y4))
-        if bump._q(y[0]) >= 1.0:
-            out = DiskGeodesic.through(
-                disk, y[0], math.atan2(y[1, 1], y[1, 0]), cfg.rho_cut)
+        k1 = flow(*y)
+        y2 = axpy(y, 0.5 * h, k1)
+        k2 = flow(*y2)
+        y3 = axpy(y, 0.5 * h, k2)
+        k3 = flow(*y3)
+        y4 = axpy(y, h, k3)
+        stages.append(y + y2 + y3 + y4)
+        y = axpy(y, h / 6.0, [b + 2.0 * c + 2.0 * d + e
+                               for b, c, d, e in zip(k1, k2, k3, flow(*y4))])
+        d0, d1 = y[0] - bump.center[0], y[1] - bump.center[1]
+        if (d0 * d0 + d1 * d1) / bump.radius**2 >= 1.0:
+            out = DiskGeodesic.through(disk, y[:2], math.atan2(y[3], y[2]),
+                                       cfg.rho_cut)
             again = out.ball_crossing(bump.center, bump.radius)
             if again is None or again[1] <= 0.0:
-                return (np.array(stages), run([st[0] for st in stages] + [y]),
-                        out)
+                return (np.array(stages).reshape(-1, 4, 2, 2),
+                        run([st[:4] for st in stages] + [y]), out)
 
 
 def shoot_from_boundary(model: AHModel, datum: BoundaryDatum,

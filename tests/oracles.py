@@ -17,6 +17,11 @@ The ``ref_*`` functions keep the per-node evaluators in their reduction
 form: ``np.sum`` over the length-2 axis of points, and ``np.stack`` of
 real and imaginary parts.  The library writes them componentwise, which
 must give the same values bit for bit.
+
+``ref_cross_ball`` keeps the bump crossing's RK4 march in array form: a
+(2, 2) state (x, v) and ``AHModel.geodesic_rhs`` at each stage.  The
+library steps Python floats through ``AHModel._flow_at``, which must give
+the same stages, run and exit geodesic bit for bit.
 """
 
 import math
@@ -27,7 +32,9 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from ahxray._linalg import expm_skew
-from ahxray.geometry import BoundaryDatum, Direction
+from ahxray.errors import TrappedGeodesicError
+from ahxray.geometry import (AHModel, BoundaryDatum, Direction, DiskGeodesic,
+                             _joined)
 
 
 # -- reduction forms of the per-node evaluators ------------------------------
@@ -99,6 +106,45 @@ def ref_batch_state(batch, frac):
         * (0.5 / np.cosh(t / 2.0) ** 2)
     return (np.stack([pos.real, pos.imag], axis=-1),
             np.stack([vel.real, vel.imag], axis=-1))
+
+
+def ref_cross_ball(model, y, h, cfg, t0=0.0, head=None):
+    """``geometry._cross_ball`` in array form: the stage states (n, 4, 2,
+    2), the run (t, x, v) and the disk geodesic the march leaves on, or
+    TrappedGeodesicError with the run after ``head``."""
+    bump = model.bump
+    disk = AHModel()
+    stages = []
+
+    def flow(y):
+        return np.stack([y[1], model.geodesic_rhs(y[0], y[1])])
+
+    def run(states):
+        states = np.array(states)
+        return t0 + h * np.arange(len(states)), states[:, 0], states[:, 1]
+
+    while True:
+        if len(stages) * h > cfg.max_span:
+            part = run([st[0] for st in stages])
+            raise TrappedGeodesicError(
+                f"no exit from the bump's ball within time budget "
+                f"{cfg.max_span} (possibly trapped)",
+                partial=part if head is None else _joined(head, part))
+        k1 = flow(y)
+        y2 = y + 0.5 * h * k1
+        k2 = flow(y2)
+        y3 = y + 0.5 * h * k2
+        k3 = flow(y3)
+        y4 = y + h * k3
+        stages.append((y, y2, y3, y4))
+        y = y + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + flow(y4))
+        if bump._q(y[0]) >= 1.0:
+            out = DiskGeodesic.through(
+                disk, y[0], math.atan2(y[1, 1], y[1, 0]), cfg.rho_cut)
+            again = out.ball_crossing(bump.center, bump.radius)
+            if again is None or again[1] <= 0.0:
+                return (np.array(stages), run([st[0] for st in stages] + [y]),
+                        out)
 
 
 def two_sided(conn, higgs, right=None):

@@ -16,11 +16,12 @@ from ahxray.errors import (DegenerateGeodesicError, DomainError,
                            TrappedGeodesicError)
 from ahxray.geometry import (AHModel, BoundaryDatum, ConformalBump,
                              DiskGeodesic, Direction, IntegratorConfig,
-                             ModelKind, PhasePoint,
+                             ModelKind, PhasePoint, _cross_ball,
                              geodesic_between_boundary_angles,
                              integrate_geodesic, metric_at, rho_at,
                              sectional_curvature, shoot_from_boundary)
-from oracles import rk45_geodesic
+from ahxray.xray import FanSpec
+from oracles import ref_cross_ball, rk45_geodesic
 
 
 def fd_gauss_curvature(model, x, h=1e-4):
@@ -430,6 +431,84 @@ class TestShooting:
         datum = BoundaryDatum(0.0, 0.0, Direction.OUTGOING)
         with pytest.raises(DomainError):
             shoot_from_boundary(disk, datum, 1e-6)
+
+
+class TestIntegratorConfig:
+    @pytest.mark.parametrize("name, value", [
+        ("n_steps", 0), ("n_steps", -5), ("n_steps", 2.5), ("n_steps", "8"),
+        ("max_span", -1.0), ("max_span", 0.0), ("max_span", math.nan),
+        ("max_span", math.inf), ("rho_cut", 0.0), ("rho_cut", 0.02),
+        ("rho_cut", math.nan)])
+    def test_refused(self, name, value):
+        with pytest.raises(DomainError, match=name):
+            IntegratorConfig(**{name: value})
+
+
+class TestCrossingOracle:
+    """``_cross_ball`` in Python floats against its array form
+    ``oracles.ref_cross_ball``: the same stages, run and exit geodesic,
+    bit for bit, or the same partial path when the budget runs out."""
+
+    @staticmethod
+    def same(model, y, h, cfg, t0, head=None):
+        try:
+            got = _cross_ball(model, y, h, cfg, t0, head)
+        except TrappedGeodesicError as err:
+            with pytest.raises(TrappedGeodesicError) as ref:
+                ref_cross_ball(model, y, h, cfg, t0, head)
+            for a, b in zip(err.partial, ref.value.partial):
+                assert a.shape == b.shape and np.array_equal(a, b)
+            return None
+        ref = ref_cross_ball(model, y, h, cfg, t0, head)
+        for a, b in zip((got[0], *got[1]), (ref[0], *ref[1])):
+            assert a.shape == b.shape and np.array_equal(a, b)
+        g, r = got[2], ref[2]
+        assert (g.w, g.p, g.t_entry, g.t_exit) \
+            == (r.w, r.p, r.t_entry, r.t_exit)
+        return got
+
+    def test_shooting_fan_crossings(self, perturbed):
+        cfg = IntegratorConfig(n_steps=2048)
+        crossing = 0
+        for datum in FanSpec.uniform_shooting(100, 5, 1.5).data:
+            path = shoot_from_boundary(perturbed, datum, 1e-6, cfg)
+            if path.pieces is None:
+                continue
+            crossing += 1
+            pieces = path.pieces
+            got = self.same(perturbed, pieces.stages[0, 0], pieces.h, cfg,
+                            pieces.incoming.t_exit)
+            assert np.array_equal(got[0], pieces.stages)
+        assert crossing == 44
+
+    def test_backward_march_from_the_ball(self, perturbed, rng):
+        # integrate_geodesic's march from a start inside the ball
+        cfg = IntegratorConfig()
+        bump = perturbed.bump
+        for _ in range(12):
+            r, a, theta = rng.uniform(size=3)
+            a, theta = 2.0 * math.pi * a, 2.0 * math.pi * theta
+            x = np.asarray(bump.center) + bump.radius * math.sqrt(r) \
+                * np.array([math.cos(a), math.sin(a)])
+            start = PhasePoint.from_angle(perturbed, x, theta)
+            geo = DiskGeodesic.through(AHModel(), start.x, start.theta)
+            assert self.same(perturbed, np.stack([start.x, -start.v]),
+                             (geo.t_exit - geo.t_entry) / cfg.n_steps, cfg,
+                             -0.0) is not None
+
+    def test_trapped_partial_paths(self, perturbed):
+        cfg = IntegratorConfig(max_span=0.2)
+        full = shoot_from_boundary(
+            perturbed, BoundaryDatum(0.0, -1.5, Direction.INCOMING), 1e-6)
+        pieces = full.pieces
+        n = int(np.searchsorted(full.t, pieces.incoming.t_exit))
+        head = (full.t[:n], full.x[:n], full.v[:n])
+        for h in (pieces.h, 0.5 * pieces.h):
+            assert self.same(perturbed, pieces.stages[0, 0], h, cfg,
+                             pieces.incoming.t_exit, head) is None
+        start = PhasePoint.from_angle(perturbed, perturbed.bump.center, 0.3)
+        assert self.same(perturbed, np.stack([start.x, -start.v]), 0.01,
+                         cfg, -0.0) is None
 
 
 def test_csv_export(disk):

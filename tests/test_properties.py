@@ -34,6 +34,12 @@
   geodesic flow and the conformal bump's q) equal bit for bit their
   reduction forms in ``oracles``, for ranks 1-3 and points of shapes
   (n, 2), (m, w, 2) and (f, m, w, 2);
+- every separable field (Gamma(v), Phi, a gauge's q and ``log_derivative``)
+  at a lone point x of shape (2,) equals bit for bit its value at x[None],
+  for ranks 1-3, 1-4 terms and decay 0-4;
+- ``AHModel._flow_at``, the one-point geodesic flow of the bump crossing,
+  is (v, ``AHModel.geodesic_rhs``) bit for bit, for random admissible
+  bumps and points inside, on and outside the bump's ball;
 - scattering data of random pairs and of their gauge transforms by random
   gauges agree within criterion 5's 1e-6 on a 12-geodesic fan;
 - a gauge-transformed connection's Gamma(v) equals
@@ -80,8 +86,9 @@ from ahxray.bundle import (ConnectionField, GaugeField, GaussBump,
                            HiggsFieldData, SeparableTerm, _check_skew,
                            _Separable, gauge_transform, validation_points)
 from ahxray.config import ExperimentConfig
-from ahxray.errors import DatasetError
-from ahxray.geometry import AHModel, BoundaryDatum, Direction, DiskGeodesic
+from ahxray.errors import DatasetError, DomainError
+from ahxray.geometry import (AHModel, BoundaryDatum, ConformalBump,
+                             Direction, DiskGeodesic, ModelKind)
 from ahxray.reconstruct import HiggsParameterization, _tangent_rhs
 from ahxray.transport import (_ROWS, TransportConfig, _BatchPaths,
                               _identity, _prefix_products, _segments,
@@ -401,6 +408,67 @@ def _central(f, x, h=1e-5):
     axes."""
     return np.stack([(f(x + h * e) - f(x - h * e)) / (2.0 * h)
                      for e in np.eye(2)], axis=x.ndim - 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(rank=st.integers(1, 3),
+       dirs=st.lists(st.integers(0, 1), min_size=1, max_size=4),
+       decay=st.integers(0, 4), seed=st.integers(0, 2**32 - 1))
+def test_lone_points_equal_batches_of_one(rank, dirs, decay, seed):
+    # a NumPy scalar's power rounds otherwise than an array's in about 1
+    # of 20 points, so a lone point's rho is raised as an array
+    rng = np.random.default_rng(seed)
+    terms = [(random_skew(rng, rank),
+              GaussBump(center=tuple(rng.uniform(-0.5, 0.5, 2)),
+                        sigma=rng.uniform(0.2, 0.5))) for _ in dirs]
+    conn = ConnectionField.from_terms(
+        rank, [SeparableTerm(i, g, b) for i, (g, b) in zip(dirs, terms)],
+        decay)
+    higgs = HiggsFieldData.from_terms(rank, terms, decay)
+    gauge = GaugeField(rank, terms, max(decay, 1))
+    r = 0.95 * np.sqrt(rng.uniform(size=16))
+    ang = rng.uniform(0.0, 2.0 * np.pi, size=16)
+    points = np.stack([r * np.cos(ang), r * np.sin(ang)], axis=-1)
+    for x, v in zip(points, rng.normal(size=(16, 2))):
+        _same(conn.along(x, v), conn.along(x[None], v[None])[0])
+        _same(higgs.phi(x), higgs.phi(x[None])[0])
+        _same(gauge.q(x), gauge.q(x[None])[0])
+        for out, ref in zip(gauge.log_derivative(x, v),
+                            gauge.log_derivative(x[None], v[None])):
+            _same(out, ref[0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(center_r=st.floats(0.0, 0.6), center_angle=st.floats(0.0, 6.28),
+       radius_frac=st.floats(0.05, 1.0), steepness=st.floats(-0.5, 0.5),
+       seed=st.integers(0, 2**32 - 1))
+def test_one_point_flow_is_the_batched_flow(center_r, center_angle,
+                                            radius_frac, steepness, seed):
+    reach = np.sqrt(1.0 - 0.1)                  # |c| + r <= reach
+    c = center_r * np.array([np.cos(center_angle), np.sin(center_angle)])
+    r = float(radius_frac * (reach - center_r))
+    try:
+        # the curvature check bounds the amplitude by about r^2
+        model = AHModel(ModelKind.CONFORMAL_PERTURBED, ConformalBump(
+            center=(float(c[0]), float(c[1])), radius=r,
+            amplitude=steepness * r * r))
+    except DomainError:
+        assume(False)
+    rng = np.random.default_rng(seed)
+    # inside the ball, on its circle (at an axis end q = 1 often exactly),
+    # and outside it
+    scales = [*rng.uniform(0.0, 1.0, 6), 1.0, 1.0, *rng.uniform(1.0, 2.0, 4)]
+    ang = [*rng.uniform(0.0, 2.0 * np.pi, 7), 0.0,
+           *rng.uniform(0.0, 2.0 * np.pi, 4)]
+    for scale, a in zip(scales, ang):
+        x = c + scale * r * np.array([np.cos(a), np.sin(a)])
+        if x @ x >= 0.99:
+            continue
+        v = rng.normal(size=2)
+        for m in (model, AHModel()):
+            flow = np.array(m._flow_at(*x.tolist(), *v.tolist()))
+            assert np.array_equal(flow[:2], v)
+            assert np.array_equal(flow[2:], m.geodesic_rhs(x, v))
 
 
 @settings(max_examples=40, deadline=None)
