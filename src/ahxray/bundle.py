@@ -251,12 +251,15 @@ class ConnectionField:
 
 
 class HiggsFieldData:
-    """Skew-Hermitian Higgs field with rho^(N+1) decay."""
+    """Skew-Hermitian Higgs field with rho^(N+1) decay; ``is_zero`` marks
+    the zero field and its gauge transforms, whose decay exponent says
+    nothing."""
 
     def __init__(self, rank: int, phi: Callable[[np.ndarray], np.ndarray],
-                 decay_N1: int, validate: bool = True):
+                 decay_N1: int, validate: bool = True, is_zero: bool = False):
         self.rank = rank
         self.decay_N1 = decay_N1
+        self.is_zero = is_zero
         self._phi = phi
         if validate:
             pts = validation_points()
@@ -269,7 +272,8 @@ class HiggsFieldData:
 
     def adjoint(self) -> "HiggsFieldData":
         return HiggsFieldData(self.rank, lambda x: dagger(self._phi(x)),
-                              self.decay_N1, validate=False)
+                              self.decay_N1, validate=False,
+                              is_zero=self.is_zero)
 
     @classmethod
     def zero(cls, rank: int) -> "HiggsFieldData":
@@ -281,7 +285,8 @@ class HiggsFieldData:
                    decay_N1: int) -> "HiggsFieldData":
         field = _Separable(rank, terms, decay_N1)
         return cls(rank, lambda x: field.combine(field.weights(x)), decay_N1,
-                   validate=bool(len(field.gens)))
+                   validate=bool(len(field.gens)),
+                   is_zero=not len(field.gens))
 
 
 class GaugeField:
@@ -415,7 +420,8 @@ def gauge_transform(conn: ConnectionField, higgs: HiggsFieldData,
         decay = min(conn.decay_N, q.decay_M - 1)
     new_conn = ConnectionField(conn.rank, along, decay_N=decay,
                                curvature=curvature)
-    new_higgs = HiggsFieldData(higgs.rank, phi, higgs.decay_N1)
+    new_higgs = HiggsFieldData(higgs.rank, phi, higgs.decay_N1,
+                               is_zero=higgs.is_zero)
     return new_conn, new_higgs
 
 

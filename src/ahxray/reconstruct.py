@@ -30,7 +30,8 @@ from .bundle import (ConnectionField, GaussBump, HiggsFieldData, _Separable,
                      validation_points)
 from .errors import DomainError, StagnationError
 from .geometry import AHModel
-from .transport import TransportConfig, batch_transport, transport_rhs
+from .transport import (TransportConfig, _require_decay, batch_transport,
+                        transport_rhs)
 from .xray import (FanSpec, ScatteringDataset, compute_scattering_data,
                    fan_paths, require_fan)
 
@@ -186,8 +187,11 @@ def _tangent_rhs(conn0: ConnectionField, params: HiggsParameterization,
     as ``params.higgs(c)`` forms it, and B_k W = w_k (S_k W).  The jet is
     matrix-first like every state of the march, shape (d, d, P + 1) and
     the node axes; the weights of a node sit on a leading axis (P, ...)
-    and the generators S_k in a (d, d, P) stack.
+    and the generators S_k in a (d, d, P) stack.  A basis that decays
+    slower than rho^1 is refused, as ``transport_rhs`` refuses such a
+    Higgs field.
     """
+    _require_decay(params.decay_N1, "the reconstruction basis")
     gens = np.ascontiguousarray(params._field.gens.transpose(1, 2, 0))
 
     def prep(x, v):

@@ -20,8 +20,11 @@ and ``batch_transport``, the one entry point, composes their
 propagators, for rank-d systems and for the first-order jets of
 reconstruction's Jacobian alike.  Both integrators take classic RK4 steps
 (``_rk4_step``): ``_march`` steps the closed-form pieces of whole fans at
-once, and ``crossing_transport`` steps at the stage states of each ray's
-bump crossing; both compose the propagators s_0, s_1, ... of their
+once, uniformly in z = tanh(t/2), where the generator
+Gamma(dx/dz) + Phi dt/dz stays smooth up to the ends for a Higgs field
+that decays like rho^1 or faster (``transport_rhs`` refuses slower
+decay); ``crossing_transport`` steps in time at the stage states of each
+ray's bump crossing.  Both compose the propagators s_0, s_1, ... of their
 segments or steps into the prefixes s_i ... s_1 s_0 by one log-depth scan
 (``_prefix_products``), ceil(log2 m) stack products for m factors.
 Positions and velocities are arrays of shape (..., 2),
@@ -61,25 +64,40 @@ class TransportConfig:
     # benchmark's shoot_perturbed reference)
     rtol: float = 1e-10
     atol: float = 1e-14
-    n_steps: int = 2048          # RK4 steps per closed-form piece
+    n_steps: int = 512           # RK4 steps in z per closed-form piece
 
     def __post_init__(self):
         if not 0.0 < self.rho_cut <= 1e-2:
             raise DomainError("rho_cut must lie in (0, 1e-2]")
-        for name in ("n_steps", "rtol", "atol"):
+        if not isinstance(self.n_steps, (int, np.integer)) or self.n_steps < 1:
+            raise DomainError("n_steps must be positive and an integer, "
+                              f"got {self.n_steps!r}")
+        for name in ("rtol", "atol"):
             if not getattr(self, name) > 0:
                 raise DomainError(f"{name} must be positive")
+
+
+def _require_decay(decay: int, what: str) -> None:
+    """Refuse a field that decays slower than rho^1: its generator in z,
+    Phi dt/dz with dt/dz = 2 / (1 - z^2), would not stay bounded at the
+    ends of the march's z grid (``_BatchPaths``)."""
+    if decay < 1:
+        raise DomainError(f"{what} decays like rho^{decay}; transport on the "
+                          "z = tanh(t/2) grid needs a decay exponent >= 1")
 
 
 def transport_rhs(conn: ConnectionField, higgs: HiggsFieldData):
     """prep(x, v) -> rhs(W) = -(Gamma(v) + Phi) W, the left-acting
     fundamental system on the fiber, for a connection and Higgs field of
-    one rank.  Positions and velocities may carry any leading axes; W is
-    matrix-first, shape (d, d) + those axes (or axes that broadcast
-    against them), and so is rhs(W)."""
+    one rank; a nonzero Higgs field must decay like rho^1 or faster
+    (``_require_decay``).  Positions and velocities may carry any leading
+    axes; W is matrix-first, shape (d, d) + those axes (or axes that
+    broadcast against them), and so is rhs(W)."""
     if conn.rank != higgs.rank:
         raise RankMismatchError(f"connection rank {conn.rank} and Higgs "
                                 f"field rank {higgs.rank} differ")
+    if not higgs.is_zero:
+        _require_decay(higgs.decay_N1, "the Higgs field")
 
     def prep(x, v):
         # negated and moved matrix-first once per node, not per stage
@@ -113,46 +131,77 @@ def _segments(n_steps: int, width: int, order: int = 0) -> int:
 
 
 class _BatchPaths:
-    """Per-geodesic uniform time grids over truncated spans.
+    """Per-geodesic uniform grids in z = tanh(t/2) over truncated spans.
+
+    A disk geodesic is the Mobius image of z, x = (p z + w) / (1 +
+    conj(w) p z), and dt/dz = 2 / (1 - z^2).  In z the transport generator
+    Gamma(dx/dz) + Phi dt/dz stays smooth up to z = +-1 for fields that
+    decay like rho^1 or faster, so a uniform z grid puts its nodes where
+    the fields are, while a uniform t grid spends half of each span where
+    they have decayed.  Each span runs from tanh(t_entry/2) to
+    tanh(t_exit/2) in steps of ``h``.
 
     Mobius parameters are gathered into arrays so one stage evaluation
-    covers the whole fan; fractions may be arrays, whose axes lead.  The
-    factors conj(w) p and p (1 - |w|^2) are the left-to-right prefixes of
-    the closed form's products, so precomputing them keeps every bit.
+    covers the whole fan.  The factors conj(w) p and p (1 - |w|^2) are the
+    left-to-right prefixes of the closed form's products, so precomputing
+    them keeps every bit.
     """
 
     def __init__(self, geos: Sequence[DiskGeodesic], n_steps: int):
         self.t0 = np.array([g.t_entry for g in geos])
         self.span = np.array([g.t_exit - g.t_entry for g in geos])
-        self.dt = self.span / n_steps
+        self.z0 = np.tanh(self.t0 / 2.0)
+        self.dz = np.tanh(np.array([g.t_exit for g in geos]) / 2.0) - self.z0
+        self.h = self.dz / n_steps
         self.w = np.array([g.w for g in geos])
         self.p = np.array([g.p for g in geos])
         self._wp = np.conj(self.w) * self.p
         self._dmob = self.p * (1.0 - np.abs(self.w) ** 2)
 
-    def state(self, frac) -> tuple[np.ndarray, np.ndarray]:
-        """Positions and velocities of every geodesic at fractional times,
-        shape frac.shape + (len(geos), 2): float views of the complex
-        values, (re, im) on the last axis."""
-        t = self.times(frac)
-        z = np.tanh(t / 2.0)
+    def state(self, frac) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Positions, velocities v = dx/dt and dt/dz of every geodesic at
+        fractions ``frac`` of each span in z, an array whose shape
+        broadcasts against (len(geos),): positions and velocities have
+        that shape + (2,), float views of the complex values, (re, im) on
+        the last axis.  1 - z^2 is formed as (1 - z)(1 + z), which near
+        z = +-1 keeps the relative accuracy of z."""
+        z = self.z0 + frac * self.dz
         den = 1.0 + self._wp * z
         pos = (self.p * z + self.w) / den
-        vel = self._dmob / den**2 * (0.5 / np.cosh(t / 2.0) ** 2)
+        half = 0.5 * ((1.0 - z) * (1.0 + z))        # dz/dt
+        vel = self._dmob / den**2 * half
         return (pos.view(float).reshape(pos.shape + (2,)),
-                vel.view(float).reshape(vel.shape + (2,)))
+                vel.view(float).reshape(vel.shape + (2,)), 1.0 / half)
 
     def times(self, frac) -> np.ndarray:
+        """Times at fractions of each span in t, shape frac.shape +
+        (len(geos),)."""
         return self.t0 + np.asarray(frac, dtype=float)[..., None] * self.span
+
+    def z_fracs(self, frac) -> np.ndarray:
+        """The fractions in z of the ``times`` at fractions of each span
+        in t, shape frac.shape + (len(geos),); the ends map to 0 and 1
+        exactly."""
+        frac = np.asarray(frac, dtype=float)
+        zf = (np.tanh(self.times(frac) / 2.0) - self.z0) / self.dz
+        return np.where(frac[..., None] >= 1.0, 1.0, np.clip(zf, 0.0, 1.0))
 
 
 def _rk4_step(u, h, f1, f2, f3, f4):
-    """One classic RK4 step from u, with the right-hand side of each stage."""
-    k1 = f1(u)
-    k2 = f2(u + 0.5 * h * k1)
-    k3 = f3(u + 0.5 * h * k2)
-    k4 = f4(u + h * k3)
-    return u + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    """One classic RK4 step from u, with the right-hand side of each stage.
+
+    ``h`` is the step at the step's start, middle and end node,
+    (h0, hm, h1).  For du/ds = c(s) f(s)(u) at step h_s each is h_s c(s)
+    at its node, so the factor c rides on the step sizes that the stages
+    multiply anyway; a constant step is (h, h, h).  The stage increments
+    a_i are kept for the update, which then needs one more product with
+    a step size, as the constant-step form does."""
+    h0, hm, h1 = h
+    a1 = 0.5 * h0 * f1(u)
+    a2 = 0.5 * hm * f2(u + a1)
+    a3 = hm * f3(u + a2)
+    k4 = f4(u + a3)
+    return u + ((a1 + 2.0 * a2 + a3) / 3.0 + h1 / 6.0 * k4)
 
 
 def _jet_product(a, b):
@@ -202,25 +251,29 @@ def _march(prep, geos: Sequence[DiskGeodesic], rank: int | tuple[int, int],
            cfg: Optional[TransportConfig] = None,
            record_fracs: Optional[Sequence[float]] = None):
     """Fixed-step RK4 fundamental solutions across closed-form disk
-    geodesics, marched as m segments per span.
+    geodesics, on uniform grids in z = tanh(t/2) (``_BatchPaths``),
+    marched as m segments per span.
 
-    Per-geodesic step size span/n_steps.  ``prep`` is called with
-    positions and velocities of shape (m, len(geos), 2), or with snapshot
-    axes in front.  Each span is cut into m = ``_segments`` equal
-    segments, all marched at once from the identity in n_steps/m steps,
-    as matrix-first states of shape (d, d[, P + 1], m, len(geos)); the
-    cocycle law then gives the propagator to any grid time as the
-    partial propagator of its segment times the ordered product of the
-    earlier segments' propagators, s_i ... s_0, all from one scan
-    (``_prefix_products``) in ceil(log2 m) stack products.  m is 1 when
-    n_steps has no divisor that fits, and the march is then the plain
-    sequential one.
+    Per-geodesic step size (z-span)/n_steps; the march solves
+    dW/dz = (dt/dz) rhs(W), and the factor dt/dz of each node rides on
+    the stage step sizes of ``_rk4_step``, so it costs no array operation
+    per stage.  ``prep`` is called with positions and velocities
+    (v = dx/dt) of shape (m, len(geos), 2), or with snapshot axes in
+    front.  Each span is cut into m = ``_segments`` equal segments, all
+    marched at once from the identity in n_steps/m steps, as matrix-first
+    states of shape (d, d[, P + 1], m, len(geos)); the cocycle law then
+    gives the propagator to any grid node as the partial propagator of
+    its segment times the ordered product of the earlier segments'
+    propagators, s_i ... s_0, all from one scan (``_prefix_products``) in
+    ceil(log2 m) stack products.  m is 1 when n_steps has no divisor that
+    fits, and the march is then the plain sequential one.
 
-    Snapshots of the state at the requested fractions of each span are
-    taken at the exact requested times: a fractional RK4 side-step from
-    the preceding grid time, computed from the identity for all snapshots
-    in one evaluation, multiplies the propagator to that grid time, so
-    crossing families sample identical base points.
+    Snapshots are taken at the requested fractions of each span in time,
+    at the exact requested times: each geodesic's time maps to its own
+    fraction in z (``_BatchPaths.z_fracs``), and a fractional RK4
+    side-step from the preceding grid node, computed from the identity
+    for all snapshots in one evaluation, multiplies the propagator to
+    that node, so crossing families sample identical base points.
 
     Returns (W_exit, records), W_exit of shape (len(geos), d, d) or
     (len(geos), P + 1, d, d); records is a time-ordered list of
@@ -234,43 +287,54 @@ def _march(prep, geos: Sequence[DiskGeodesic], rank: int | tuple[int, int],
     width = len(geos)
     m = _segments(n, width, 0 if eye.ndim == 2 else eye.shape[2] - 1)
     seg = n // m
-    first = np.arange(m) * seg      # grid step where each segment starts
+    first = np.arange(m)[:, None] * seg     # step where each segment starts
     w = np.broadcast_to(eye[..., None, None], eye.shape + (m, width)).copy()
+
+    def node(frac):
+        # the right-hand side at a grid node and its step h dt/dz
+        x, v, dt_dz = batch.state(frac)
+        return prep(x, v), batch.h * dt_dz
 
     fracs = np.sort(np.clip(np.asarray(
         [] if record_fracs is None else record_fracs, dtype=float), 0.0, 1.0))
-    pos = fracs * n
+    zf = batch.z_fracs(fracs)               # (snapshots, geodesics)
+    pos = zf * n
     grid = np.where(pos < n, np.floor(pos), n).astype(int)
     owner, local = np.divmod(grid, seg)     # owner m: the exit itself
     partial = np.broadcast_to(eye[..., None, None],
-                              eye.shape + (len(fracs), width)).copy()
+                              eye.shape + grid.shape).copy()
 
-    f_here = prep(*batch.state(first / n))
+    f_here, h_here = node(first / n)
     for k in range(seg):
-        hit = (local == k) & (owner < m)
-        partial[..., hit, :] = w[..., owner[hit], :]
-        f_mid = prep(*batch.state((first + k + 0.5) / n))
-        f_next = prep(*batch.state((first + k + 1.0) / n))
-        w = _rk4_step(w, batch.dt, f_here, f_mid, f_mid, f_next)
-        f_here = f_next
+        if len(fracs):
+            snap, geo = np.nonzero((local == k) & (owner < m))
+            partial[..., snap, geo] = w[..., owner[snap, geo], geo]
+        f_mid, h_mid = node((first + k + 0.5) / n)
+        f_next, h_next = node((first + k + 1.0) / n)
+        w = _rk4_step(w, (h_here, h_mid, h_next), f_here, f_mid, f_mid,
+                      f_next)
+        f_here, h_here = f_next, h_next
 
     scan = _prefix_products(_matrix_last(w, eye.ndim), product)
     if record_fracs is None:
         return scan[-1], None
 
-    # a zero side-step is exactly the identity, so grid-time snapshots
+    # a zero side-step is exactly the identity, so grid-node snapshots
     # need no separate path
     delta = pos - grid
-    x, v = batch.state(fracs)
-    f_mid = prep(*batch.state((grid + 0.5 * delta) / n))
-    side = _rk4_step(eye[..., None, None], delta[:, None] * batch.dt,
-                     prep(*batch.state(grid / n)), f_mid, f_mid, prep(x, v))
+    x, v, dt_dz = batch.state(zf)
+    f_grid, h_grid = node(grid / n)
+    f_mid, h_mid = node((grid + 0.5 * delta) / n)
+    side = _rk4_step(eye[..., None, None],
+                     (delta * h_grid, delta * h_mid, delta * batch.h * dt_dz),
+                     f_grid, f_mid, f_mid, prep(x, v))
     # the propagator to the start of segment j: I for j = 0, else row j - 1
     last = _matrix_last(eye, eye.ndim)
     prefix = np.concatenate([np.broadcast_to(last, (1, width) + last.shape),
                              scan])
     snaps = product(product(_matrix_last(side, eye.ndim),
-                            _matrix_last(partial, eye.ndim)), prefix[owner])
+                            _matrix_last(partial, eye.ndim)),
+                    prefix[owner, np.arange(width)])
     return scan[-1], list(zip(batch.times(fracs), x, v, snaps))
 
 
@@ -295,7 +359,7 @@ def crossing_transport(prep, crossings: Sequence[ShotPieces],
     counts = [len(c.stages) for c in crossings]
     stages = np.concatenate([c.stages for c in crossings])
     h = np.repeat([c.h for c in crossings], counts)
-    steps = _matrix_last(_rk4_step(eye[..., None], h, *(
+    steps = _matrix_last(_rk4_step(eye[..., None], (h, h, h), *(
         prep(stages[:, s, 0], stages[:, s, 1]) for s in range(4))), eye.ndim)
     # steps on axis 0, crossings on axis 1, identity-padded to the longest
     w = np.broadcast_to(last, (max(counts), len(crossings))
@@ -350,7 +414,8 @@ def _at_rho_cut(path, rho_cut: float):
 
 def _piece_fracs(path, pieces, crossing, times: np.ndarray):
     """Per path time: its piece, its clipped fraction of that piece's span
-    and the path time of the piece's clock origin; refuses crossing times."""
+    in time (which ``_march`` maps to the piece's fraction in z) and the
+    path time of the piece's clock origin; refuses crossing times."""
     shift = 0.0 if isinstance(path, DiskGeodesic) \
         else path.t[0] - pieces[0].t_entry
     local = times - shift
@@ -378,8 +443,9 @@ def batch_transport(prep, paths: Sequence, rank: int | tuple[int, int],
     A path is a ``DiskGeodesic`` or a ``GeodesicPath`` that carries
     ``analytic`` or ``pieces``; ``prep`` is a rank-d system
     (``transport_rhs``).  One ``_march`` call steps every closed-form
-    piece, one ``crossing_transport`` call every crossing of the bump, and
-    a crossing ray's solution is (W_out W_ball) W_in.
+    piece, ``cfg.n_steps`` RK4 steps uniform in z = tanh(t/2), one
+    ``crossing_transport`` call every crossing of the bump, and a crossing
+    ray's solution is (W_out W_ball) W_in.
 
     ``rank`` (d, P) transports the first-order jet (W, V_1..V_P) of W in P
     directions, shape (len(paths), P + 1, d, d), for a ``prep`` of the jet
@@ -392,9 +458,10 @@ def batch_transport(prep, paths: Sequence, rank: int | tuple[int, int],
     ``times`` (sorted, on the paths' clocks, clipped to their spans) also
     asks for snapshots, returned as (W_exit, (t, x, v, W)) with arrays of
     shape (len(paths), len(times), ...): every piece is recorded at the
-    fractions of all, and outgoing snapshots are multiplied by
-    W_ball W_in.  A time strictly inside a crossing, where the march holds
-    no state, is refused.
+    time fractions of all (``_piece_fracs``), each mapped to that piece's
+    own fraction in z, so snapshots sit at the exact requested times, and
+    outgoing snapshots are multiplied by W_ball W_in.  A time strictly
+    inside a crossing, where the march holds no state, is refused.
     """
     eye, product = _identity(rank)
     splits = [_split(p) for p in paths]

@@ -191,18 +191,14 @@ class ScatteringDataset:
                    records=records)
 
 
-def fan_paths(model: AHModel, fan: FanSpec,
-              cfg: Optional[TransportConfig] = None
-              ) -> tuple[list, list[tuple[tuple[float, float], str]]]:
-    """The paths of a fan in dataset record order (sorted by entry key),
-    and the (entry key, message) failures of rays that do not exit.
+# crossing steps per transport step: a shooting fan crosses the bump at
+# h = (incoming span) / (4 n_steps), the step of 2048 at the default 512
+_CROSSING_REFINE = 4
 
-    A boundary-pair fan is its closed-form geodesics, which exist on the
-    unperturbed disk only.  A shooting fan shoots each ray
-    (``shoot_from_boundary``, crossing the bump at the whole-ray step
-    span / n_steps); a trapped ray is a failure, not a path.
-    """
-    cfg = cfg or TransportConfig()
+
+def _fan(model: AHModel, fan: FanSpec, cfg: TransportConfig):
+    """``fan_paths``, with the (entry, exit) boundary data of each path,
+    computed once per path, between the paths and the failures."""
     paths, failures = [], []
     if fan.mode is FanMode.BOUNDARY_PAIRS:
         if model.kind is not ModelKind.POINCARE_DISK:
@@ -214,14 +210,33 @@ def fan_paths(model: AHModel, fan: FanSpec,
                                                       cfg.rho_cut)
                  for a, b in fan.pairs]
     else:
-        icfg = IntegratorConfig(rho_cut=cfg.rho_cut, n_steps=cfg.n_steps)
+        icfg = IntegratorConfig(rho_cut=cfg.rho_cut,
+                                n_steps=_CROSSING_REFINE * cfg.n_steps)
         for datum in fan.data:
             try:
                 paths.append(shoot_from_boundary(model, datum, cfg.rho_cut,
                                                  icfg))
             except TrappedGeodesicError as err:
                 failures.append((datum.key(), str(err)))
-    return sorted(paths, key=lambda p: p.boundary_data()[0].key()), failures
+    keyed = sorted(((p.boundary_data(), p) for p in paths),
+                   key=lambda item: item[0][0].key())
+    return [p for _, p in keyed], [data for data, _ in keyed], failures
+
+
+def fan_paths(model: AHModel, fan: FanSpec,
+              cfg: Optional[TransportConfig] = None
+              ) -> tuple[list, list[tuple[tuple[float, float], str]]]:
+    """The paths of a fan in dataset record order (sorted by entry key),
+    and the (entry key, message) failures of rays that do not exit.
+
+    A boundary-pair fan is its closed-form geodesics, which exist on the
+    unperturbed disk only.  A shooting fan shoots each ray
+    (``shoot_from_boundary``), crossing the bump at h = (incoming span) /
+    (4 n_steps), the crossing step of 2048 steps at the default 512; a
+    trapped ray is a failure, not a path.
+    """
+    paths, _, failures = _fan(model, fan, cfg or TransportConfig())
+    return paths, failures
 
 
 def compute_scattering_data(model: AHModel, conn: ConnectionField,
@@ -232,13 +247,12 @@ def compute_scattering_data(model: AHModel, conn: ConnectionField,
     one ``batch_transport`` call; a trapped geodesic aborts its record, not
     the dataset."""
     cfg = cfg or TransportConfig()
-    paths, failures = fan_paths(model, fan, cfg)
+    paths, data, failures = _fan(model, fan, cfg)
     dataset = ScatteringDataset(fingerprint=fingerprint, rank=conn.rank,
                                 rho_cut=cfg.rho_cut, records=[],
                                 failures=failures)
     mats = batch_transport(transport_rhs(conn, higgs), paths, conn.rank, cfg)
-    for path, mat, defect in zip(paths, mats, unitary_defect(mats)):
-        entry, exit_ = path.boundary_data()
+    for (entry, exit_), mat, defect in zip(data, mats, unitary_defect(mats)):
         dataset.records.append(ScatteringRecord(
             entry=entry, exit=exit_, matrix=mat,
             unitarity_defect=float(defect)))

@@ -97,15 +97,15 @@ def ref_log_derivative(gauge, x, v):
 
 
 def ref_batch_state(batch, frac):
-    """``_BatchPaths.state``: positions and velocities of every geodesic."""
-    t = batch.times(frac)
-    z = np.tanh(t / 2.0)
+    """``_BatchPaths.state``: positions, velocities and dt/dz of every
+    geodesic at fractions ``frac`` of each span in z = tanh(t/2)."""
+    z = batch.z0 + frac * batch.dz
     den = 1.0 + np.conj(batch.w) * batch.p * z
     pos = (batch.p * z + batch.w) / den
-    vel = batch.p * (1.0 - np.abs(batch.w) ** 2) / den**2 \
-        * (0.5 / np.cosh(t / 2.0) ** 2)
+    half = 0.5 * ((1.0 - z) * (1.0 + z))
+    vel = batch.p * (1.0 - np.abs(batch.w) ** 2) / den**2 * half
     return (np.stack([pos.real, pos.imag], axis=-1),
-            np.stack([vel.real, vel.imag], axis=-1))
+            np.stack([vel.real, vel.imag], axis=-1), 1.0 / half)
 
 
 def ref_cross_ball(model, y, h, cfg, t0=0.0, head=None):

@@ -733,6 +733,16 @@ class TestValueContracts:
                             "mode = -15\n", "pestov")
         assert code == 0
 
+    def test_higgs_decay_below_one_refused(self, tmp_path, capsys):
+        # transport marches in z = tanh(t/2), where a Higgs field of decay
+        # 0 grows like 2 / rho at the ends: it used to give an error of
+        # 1.5e5 there with exit 0
+        code, err = self._run(tmp_path, capsys, "base", "rank = 2\ndecay = 4",
+                              "rank = 2\ndecay = 0", "scatter")
+        assert code == 2
+        assert "Traceback" not in err
+        assert "the Higgs field decays like rho^0" in err
+
     @pytest.mark.parametrize("old,new,key", [
         ("n_steps = 1024", "n_steps = 0", "n_steps"),
         ("n_steps = 1024", "n_steps = -8", "n_steps"),

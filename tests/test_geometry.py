@@ -136,6 +136,20 @@ class TestCurvature:
         with pytest.raises(DomainError):
             AHModel(ModelKind.CONFORMAL_PERTURBED, bump=bump)
 
+    @pytest.mark.parametrize("name, kwargs", [
+        ("center", dict(center=(math.nan, 0.0))),
+        ("center", dict(center=(0.3, math.inf))),
+        ("radius", dict(radius=math.nan)),
+        ("radius", dict(radius=math.inf)),
+        ("amplitude", dict(amplitude=math.nan)),
+        ("amplitude", dict(amplitude=-math.inf))])
+    def test_non_finite_bump_value_named(self, name, kwargs):
+        # a NaN center or amplitude used to construct, and AHModel then
+        # blamed "bump amplitude too large" on its curvature grid
+        args = dict(center=(0.3, 0.0), radius=0.3, amplitude=0.04)
+        with pytest.raises(DomainError, match=f"bump {name} .* not finite"):
+            ConformalBump(**{**args, **kwargs})
+
     @pytest.mark.parametrize("epsilon0", [math.nan, 0.0, 1.0, -0.1])
     def test_epsilon0_outside_unit_interval_rejected(self, epsilon0):
         # a NaN epsilon0 let a bump reaching the boundary through

@@ -22,7 +22,8 @@
   to the longest, gives each crossing the ordered product of its own step
   propagators;
 - ``batch_transport`` exit matrices of random skew fields of rank 2 and
-  3 are unitary within criterion 4's tolerance;
+  3, up to twice criterion 4's field size, are unitary within criterion
+  4's tolerance;
 - every separable field (connection symbols, their contraction with a
   velocity and their partials, Higgs fields, gauges and their partials,
   the reconstruction basis) equals the sum of its terms taken one at a
@@ -310,23 +311,34 @@ def test_crossings_of_unequal_lengths_are_ordered_products(perturbed, order):
 
 
 @settings(max_examples=12, deadline=None)
-@given(rank=st.sampled_from([2, 3]), seed=st.integers(0, 2**32 - 1))
-def test_batch_scattering_is_unitary(rank, seed):
-    # fields of criterion 4's size (three terms of scale 0.5) at its
-    # default 2048 RK4 steps
+@given(rank=st.sampled_from([2, 3]), scale=st.floats(0.1, 1.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_batch_scattering_is_unitary(rank, scale, seed):
+    # three-term fields up to twice criterion 4's size (scale 0.5) at the
+    # default 512 RK4 steps in z
     rng = np.random.default_rng(seed)
-    conn = random_connection(rng, rank)
-    higgs = random_higgs(rng, rank)
+    conn = random_connection(rng, rank, scale=scale)
+    higgs = random_higgs(rng, rank, scale=scale)
     geos, _ = fan_paths(AHModel(), FanSpec.uniform_pairs(12, 3))
     exits = batch_transport(transport_rhs(conn, higgs), geos, rank)
+    assert float(np.max(unitary_defect(exits))) < 1e-7
+
+
+def test_strong_rank_3_fields_stay_within_criterion_4():
+    # rank 3 at scale 1.0: 1.17e-7 on the uniform t grid at 2048 steps,
+    # about 5e-9 on the z grid at the default 512
+    rng = np.random.default_rng(3)
+    conn = random_connection(rng, 3, scale=1.0)
+    higgs = random_higgs(rng, 3, scale=1.0)
+    geos, _ = fan_paths(AHModel(), FanSpec.uniform_pairs(12, 3))
+    exits = batch_transport(transport_rhs(conn, higgs), geos, 3)
     assert float(np.max(unitary_defect(exits))) < 1e-7
 
 
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_scattering_data_are_gauge_covariant(seed):
-    # criterion 5 over random pairs and gauges, at the default 2048 steps
-    # (at 256 steps the RK4 error alone reaches 6e-5)
+    # criterion 5 over random pairs and gauges, at the default 512 steps
     rng = np.random.default_rng(seed)
     conn, higgs = random_connection(rng), random_higgs(rng)
     gauge = random_gauge(rng)
@@ -389,7 +401,7 @@ def test_per_node_evaluators_equal_their_reductions(perturbed, rank, lead,
                          complex(*rng.normal(size=2)), 1e-6)
             for _ in range(lead[-1])]
     batch = _BatchPaths(geos, int(rng.integers(1, 4096)))
-    frac = rng.uniform(size=lead[:-1])
+    frac = rng.uniform(size=lead[:-1])[..., None]
     for out, ref in zip(batch.state(frac), ref_batch_state(batch, frac)):
         _same(out, ref)
 

@@ -344,6 +344,16 @@ class TestValidation:
         with pytest.raises(DomainError, match="basis is empty"):
             HiggsParameterization(rank=2, basis=[], decay_N1=4)
 
+    def test_slowly_decaying_basis_refused(self):
+        # the tangent sweep marches in z = tanh(t/2), where a basis field
+        # that decays like rho^0 would blow up at the ends like 2 / rho
+        params = HiggsParameterization(
+            rank=2, basis=[(SU2[0], GaussBump(center=(0.1, 0.1), sigma=0.3))],
+            decay_N1=0)
+        with pytest.raises(DomainError, match="reconstruction basis decays "
+                                              "like rho\\^0"):
+            _tangent_rhs(ConnectionField.zero(2), params, np.zeros(1))
+
     @pytest.mark.parametrize("openings, rho_cut", [(2, 1e-6), (4, 1e-4)])
     def test_dataset_from_another_fan_refused(self, disk, openings, rho_cut):
         params = su2_basis(count=2)

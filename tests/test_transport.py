@@ -24,7 +24,8 @@ from scipy.integrate import quad
 
 import ahxray.transport as transport
 from ahxray._linalg import mul, unitary_defect
-from ahxray.bundle import ConnectionField, GaussBump, HiggsFieldData
+from ahxray.bundle import (ConnectionField, GaussBump, HiggsFieldData,
+                           gauge_transform)
 from ahxray.errors import DomainError, RankMismatchError
 from ahxray.geometry import (BoundaryDatum, DiskGeodesic, Direction,
                              IntegratorConfig, PhasePoint,
@@ -57,19 +58,28 @@ def phase_integral(higgs, geo):
 
 
 def sequential_rk4(field, geos, rank, n_steps, record_fracs=()):
-    """Reference march: one classic RK4 step after another along each span,
-    from the identity; each snapshot is a fractional step from the
-    preceding grid time.  Positions come from each geodesic's closed form."""
+    """Reference march: one classic RK4 step after another along each
+    span, uniform in z = tanh(t/2), of dW/dz = (dt/dz) rhs(W) from the
+    identity, with dt/dz = 2 / (1 - z^2) applied to each stage's
+    right-hand side; positions and velocities come from each geodesic's
+    closed form at t = 2 artanh(z).  A snapshot at a fraction of each
+    span in time is a fractional step from the preceding grid node of
+    each geodesic."""
     t0 = np.array([g.t_entry for g in geos])
-    span = np.array([g.t_exit for g in geos]) - t0
+    t1 = np.array([g.t_exit for g in geos])
+    z0 = np.tanh(t0 / 2.0)
+    dz = np.tanh(t1 / 2.0) - z0
 
-    def field_at(frac):
-        t = t0 + frac * span
-        return field(np.stack([g.position(s) for g, s in zip(geos, t)]),
-                     np.stack([g.velocity(s) for g, s in zip(geos, t)]))
+    def field_at(zf):
+        z = z0 + zf * dz
+        t = 2.0 * np.arctanh(z)
+        rhs = field(np.stack([g.position(s) for g, s in zip(geos, t)]),
+                    np.stack([g.velocity(s) for g, s in zip(geos, t)]))
+        dt_dz = (2.0 / (1.0 - z * z))[:, None, None]
+        return lambda u: dt_dz * rhs(u)
 
     def rk4(u, a, b):
-        h = ((b - a) * span)[:, None, None]
+        h = ((b - a) * dz)[:, None, None]
         f0, fm, f1 = field_at(a), field_at(0.5 * (a + b)), field_at(b)
         k1 = f0(u)
         k2 = fm(u + 0.5 * h * k1)
@@ -79,14 +89,19 @@ def sequential_rk4(field, geos, rank, n_steps, record_fracs=()):
 
     u = np.broadcast_to(np.eye(rank, dtype=complex),
                         (len(geos), rank, rank)).copy()
-    snaps = {}
-    for k in range(n_steps + 1):
-        for f in record_fracs:
-            if k <= f * n_steps < k + 1:
-                snaps[f] = rk4(u, k / n_steps, f) if f * n_steps > k else u
-        if k < n_steps:
-            u = rk4(u, k / n_steps, (k + 1) / n_steps)
-    return u, [snaps[f] for f in sorted(record_fracs)]
+    nodes = [u]
+    for k in range(n_steps):
+        u = rk4(u, np.full(len(geos), k / n_steps),
+                np.full(len(geos), (k + 1) / n_steps))
+        nodes.append(u)
+    nodes = np.array(nodes)
+    snaps, cols = [], np.arange(len(geos))
+    for f in sorted(record_fracs):
+        zf = np.clip((np.tanh((t0 + f * (t1 - t0)) / 2.0) - z0) / dz, 0, 1)
+        zf = np.ones_like(zf) if f >= 1.0 else zf
+        k = np.minimum(np.floor(zf * n_steps).astype(int), n_steps)
+        snaps.append(rk4(nodes[k, cols], k / n_steps, zf))
+    return u, snaps
 
 
 def joint_rk4_crossing(model, prep, pieces, rank):
@@ -549,3 +564,48 @@ class TestSegmentedMarch:
 def test_config_validation():
     with pytest.raises(DomainError):
         TransportConfig(rho_cut=0.5)
+
+
+@pytest.mark.parametrize("n_steps", [0, -3, 2.5, 2048.0, "8", None])
+def test_step_count_must_be_a_positive_integer(n_steps):
+    # 2.5 and 2048.0 used to construct and end in a bare TypeError inside
+    # the march
+    with pytest.raises(DomainError, match="n_steps must be positive"):
+        TransportConfig(n_steps=n_steps)
+
+
+class TestZGrid:
+    """The march's uniform grid in z = tanh(t/2) and what it needs."""
+
+    def test_fourth_order_convergence(self, disk_module):
+        # the error against an 8192-step solve falls about 16x per
+        # doubling of the step count from 256 steps on
+        rng = np.random.default_rng(11)
+        prep = transport_rhs(random_connection(rng), random_higgs(rng))
+        geos = [DiskGeodesic.between_boundary_angles(disk_module, a, b)
+                for a, b in FanSpec.uniform_pairs(12, 3).pairs]
+        ref = batch_transport(prep, geos, 2, TransportConfig(n_steps=8192))
+        errors = [np.max(np.abs(batch_transport(
+            prep, geos, 2, TransportConfig(n_steps=n)) - ref))
+            for n in (256, 512, 1024)]
+        assert errors[0] / errors[1] >= 12.0
+        assert errors[1] / errors[2] >= 12.0
+
+    def test_slowly_decaying_higgs_field_refused(self, rng):
+        # at decay 0, Phi dt/dz grows like 2 / rho at the ends of the grid
+        with pytest.raises(DomainError, match="decays like rho\\^0"):
+            transport_rhs(random_connection(rng), random_higgs(rng, decay=0))
+
+    def test_zero_field_and_its_gauge_transforms_pass(self, disk_module,
+                                                      rng):
+        # the zero field's decay exponent is 0, and says nothing
+        conn, zero = random_connection(rng), HiggsFieldData.zero(2)
+        assert zero.decay_N1 == 0
+        gauged = gauge_transform(conn, zero, random_gauge(rng))
+        geo = DiskGeodesic.between_boundary_angles(disk_module, 0.4, 2.8)
+        psi = scattering_matrix(conn, zero, geo)
+        for pair in ((conn, zero.adjoint()), gauged):
+            w = scattering_matrix(*pair, geo)
+            assert unitary_defect(w) < 1e-9
+        assert np.max(np.abs(scattering_matrix(conn, zero.adjoint(), geo)
+                             - psi)) == 0.0

@@ -22,7 +22,7 @@ from ahxray.geometry import (AHModel, BoundaryDatum, DiskGeodesic,
 from ahxray.transport import TransportConfig, batch_transport, transport_rhs
 from ahxray.xray import (FanMode, FanSpec, ScatteringDataset, ScatteringRecord,
                          _gauge_quotient, add_matrix_noise, compare_datasets,
-                         compute_scattering_data, gauge_candidate,
+                         compute_scattering_data, fan_paths, gauge_candidate,
                          gauge_degree_zero_check, gauge_field_samples)
 from oracles import joint_rk45, rk45_geodesic, rk45_transport
 from test_bundle import random_connection, random_gauge, random_higgs
@@ -131,16 +131,43 @@ class TestComputeScatteringData:
                                                  eta, crosses):
         conn, higgs = random_connection(rng), random_higgs(rng)
         datum = BoundaryDatum(alpha, eta, Direction.INCOMING)
-        # the ray the dataset shoots, at its transport step count
-        path = shoot_from_boundary(perturbed, datum, 1e-6, IntegratorConfig(
-            n_steps=TransportConfig().n_steps))
+        # the ray the dataset shoots
+        fan = FanSpec(FanMode.SHOOTING, data=(datum,))
+        [path], _ = fan_paths(perturbed, fan)
         assert (path.pieces is not None) is crosses
-        ds = compute_scattering_data(perturbed, conn, higgs,
-                                     FanSpec(FanMode.SHOOTING, data=(datum,)))
+        ds = compute_scattering_data(perturbed, conn, higgs, fan)
         ref = joint_rk45(perturbed, transport_rhs(conn, higgs), path,
                          np.eye(2, dtype=complex))
         assert np.max(np.abs(ds.records[0].matrix - ref)) < 1e-7
         assert ds.records[0].exit == path.exit
+
+    def test_fan_crossings_keep_their_step_at_the_default(self, perturbed):
+        # a shooting fan crosses the bump at 4 x the transport's 512 steps,
+        # bit for bit the crossings shot at 2048 steps
+        fan = FanSpec.uniform_shooting(10, n_eta=5, eta_max=1.5)
+        paths, _ = fan_paths(perturbed, fan)
+        crossing = [p for p in paths if p.pieces is not None]
+        assert crossing
+        for path in crossing:
+            ref = shoot_from_boundary(perturbed, path.entry, 1e-6,
+                                      IntegratorConfig(n_steps=2048))
+            assert ref.pieces.h == path.pieces.h
+            assert np.array_equal(ref.pieces.stages, path.pieces.stages)
+            assert ref.exit == path.exit
+
+    def test_boundary_data_computed_once_per_path(self, disk, fan, rng,
+                                                  monkeypatch):
+        calls = []
+        original = DiskGeodesic.boundary_data
+
+        def counted(geo):
+            calls.append(geo)
+            return original(geo)
+
+        monkeypatch.setattr(DiskGeodesic, "boundary_data", counted)
+        ds = compute_scattering_data(disk, random_connection(rng),
+                                     random_higgs(rng), fan)
+        assert len(calls) == len(ds.records) == len(fan)
 
     def test_shooting_record_on_disk_is_closed_form(self, disk, rng):
         conn, higgs = random_connection(rng), random_higgs(rng)
