@@ -11,26 +11,23 @@ Gauss-Newton.
 __version__ = "0.1.0"
 
 from .bundle import (ConnectionField, GaugeField, GaussBump, HiggsFieldData,
-                     SeparableTerm, ckt_condition_check, curvature_at,
-                     curvature_operator, endomorphism_lift, gauge_transform,
+                     SeparableTerm, ckt_condition_check, gauge_transform,
                      sup_curvature_norm)
 from .config import ExperimentConfig
 from .geometry import (AHModel, BoundaryDatum, ConformalBump, DiskGeodesic,
                        Direction, GeodesicPath, IntegratorConfig, ModelKind,
-                       PhasePoint, geodesic_between_boundary_angles,
-                       integrate_geodesic, metric_at, rho_at,
-                       sectional_curvature, shoot_from_boundary)
+                       PhasePoint, integrate_geodesic, sectional_curvature,
+                       shoot_from_boundary)
 from .reconstruct import (HiggsParameterization, ReconstructionConfig,
                           ReconstructionReport, forward_map, jacobian_fd,
                           reconstruct_higgs)
 from .spherebundle import (NSectionField, SectionField, SphereBundleGrid,
                            apply_X, commutator_residuals, curvature_F,
                            curvature_R, curvature_term_sign_check, degree,
-                           fourier_modes, horizontal_derivative,
-                           horizontal_divergence, inner, lift_from_base,
-                           mode_energies, pestov_residual,
-                           vertical_derivative, vertical_divergence,
-                           vertical_laplacian, x_split)
+                           horizontal_derivative, horizontal_divergence,
+                           inner, lift_from_base, mode_energies,
+                           pestov_residual, vertical_derivative,
+                           vertical_divergence, vertical_laplacian, x_split)
 from .transport import (TransportConfig, batch_transport, scattering_matrix,
                         transport_rhs, truncation_estimate)
 from .xray import (FanMode, FanSpec, ScatteringDataset, ScatteringRecord,

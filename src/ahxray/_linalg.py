@@ -100,14 +100,3 @@ def expm_skew(p: np.ndarray, e: np.ndarray | None = None):
     g = np.exp(-0.5j * d) * np.sinc(d / (2.0 * np.pi))
     vh = dagger(v)
     return q, mul(mul(v, g * mul(mul(vh, e), v)), vh)
-
-
-def ad_representation(a: np.ndarray) -> np.ndarray:
-    """Matrix of U -> [A, U] on row-major flattened d x d endomorphisms."""
-    a = np.asarray(a)
-    d = a.shape[-1]
-    eye = np.eye(d)
-    left = np.einsum("...km,ln->...klmn", a, eye)
-    right = np.einsum("km,...nl->...klmn", eye, a)
-    out = left - right
-    return out.reshape(a.shape[:-2] + (d * d, d * d))

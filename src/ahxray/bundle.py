@@ -27,10 +27,10 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from ._linalg import (ad_representation, dagger, expm_skew, frobenius, mul,
-                      skew_defect, spectral_norm_skew, unitary_defect)
+from ._linalg import (dagger, expm_skew, frobenius, mul, skew_defect,
+                      spectral_norm_skew, unitary_defect)
 from .errors import DomainError, RankMismatchError
-from .geometry import AHModel, PhasePoint
+from .geometry import AHModel
 
 _SKEW_TOL = 1e-12
 
@@ -352,37 +352,6 @@ class ComposedGauge:
         return q1 @ q2, dagger(q2) @ l1 @ q2 + l2
 
 
-@dataclass(frozen=True)
-class CurvatureSample:
-    """The single independent curvature component f_12 at a point."""
-
-    f12: np.ndarray
-
-
-def curvature_at(conn: ConnectionField, x: np.ndarray) -> CurvatureSample:
-    """Curvature component f_12 = d_1 Gamma_2 - d_2 Gamma_1 + [Gamma_1, Gamma_2]."""
-    x = np.asarray(x, dtype=float)
-    if np.any(np.sum(x * x, axis=-1) >= 1.0):
-        raise DomainError("curvature requested outside the open disk")
-    return CurvatureSample(f12=conn.curvature_f12(x))
-
-
-def curvature_operator(conn: ConnectionField, p: PhasePoint,
-                       e: np.ndarray) -> np.ndarray:
-    """Curvature operator F_v(e) as the coefficient of the g-unit normal.
-
-    On a surface the normal bundle over v is spanned by the rotated unit
-    vector, and raising the form index contributes exp(-2 Phi); the result
-    is independent of the direction of v itself.
-    """
-    e = np.asarray(e, dtype=complex)
-    if e.shape[-1] != conn.rank:
-        raise RankMismatchError("fiber vector rank mismatch")
-    f12 = conn.curvature_f12(p.x)
-    scale = math.exp(-2.0 * float(p.model.log_conformal(p.x)))
-    return scale * (f12 @ e)
-
-
 def gauge_transform(conn: ConnectionField, higgs: HiggsFieldData,
                     q: "GaugeField | ComposedGauge"
                     ) -> tuple[ConnectionField, HiggsFieldData]:
@@ -457,17 +426,3 @@ def ckt_condition_check(conn: ConnectionField, model: AHModel,
         raise DomainError("model must have verified negative curvature")
     fnorm = sup_curvature_norm(conn, pts, model)
     return CktReport(kappa=kappa, fnorm=fnorm, satisfied=fnorm <= kappa)
-
-
-def endomorphism_lift(conn: ConnectionField) -> ConnectionField:
-    """Connection induced on endomorphisms: Gamma(v) acts by commutator.
-
-    The lifted ad(Gamma(v)) is skew-Hermitian for the Frobenius product,
-    and the lifted curvature is ad(f_12), so zero curvature lifts to zero
-    curvature.
-    """
-    return ConnectionField(
-        conn.rank ** 2, lambda x, v: ad_representation(conn.along(x, v)),
-        conn.decay_N,
-        curvature=lambda x: ad_representation(conn.curvature_f12(x)),
-        validate=False)

@@ -27,8 +27,6 @@ from __future__ import annotations
 
 import cmath
 import copy
-import csv
-import io
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -107,16 +105,6 @@ class ConformalBump:
         d1[inside] = -prof / (1.0 - qi) ** 2
         d2[inside] = prof * (1.0 / (1.0 - qi) ** 4 - 2.0 / (1.0 - qi) ** 3)
         return (4.0 * self.amplitude / self.radius**2) * (q * d2 + d1)
-
-
-@dataclass(frozen=True)
-class MetricSample:
-    """Metric data at one point: g, its inverse, Christoffels, dg."""
-
-    g: np.ndarray          # (2, 2)
-    g_inv: np.ndarray      # (2, 2)
-    christoffel: np.ndarray  # (2, 2, 2), Gamma^k_ij indexed [k, i, j]
-    dg: np.ndarray         # (2, 2, 2), dg[k, i, j] = d_k g_ij
 
 
 class AHModel:
@@ -231,32 +219,6 @@ class AHModel:
 
     def speed(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
         return np.exp(self.log_conformal(x)) * np.sqrt(np.sum(v * v, axis=-1))
-
-
-def metric_at(model: AHModel, x: np.ndarray) -> MetricSample:
-    """Metric, inverse, Christoffels and metric gradient at an interior point."""
-    x = np.asarray(x, dtype=float)
-    model._require_interior(x)
-    phi = float(model.log_conformal(x))
-    grad = model.grad_log_conformal(x)
-    e2 = math.exp(2.0 * phi)
-    g = e2 * np.eye(2)
-    g_inv = math.exp(-2.0 * phi) * np.eye(2)
-    # Gamma^k_ij = delta_ik d_j Phi + delta_jk d_i Phi - delta_ij d_k Phi
-    eye = np.eye(2)
-    gamma = (np.einsum("ki,j->kij", eye, grad)
-             + np.einsum("kj,i->kij", eye, grad)
-             - np.einsum("ij,k->kij", eye, grad))
-    dg = 2.0 * np.einsum("k,ij->kij", grad, g)
-    return MetricSample(g=g, g_inv=g_inv, christoffel=gamma, dg=dg)
-
-
-def rho_at(model: AHModel, x: np.ndarray) -> float:
-    """Boundary defining function 1 - |x|^2 (perturbation-independent)."""
-    x = np.asarray(x, dtype=float)
-    if np.sum(x * x) > 1.0:
-        raise DomainError("point outside the closed unit disk")
-    return float(model.rho(x))
 
 
 def sectional_curvature(model: AHModel, x: np.ndarray) -> float:
@@ -393,17 +355,6 @@ class GeodesicPath:
             exit=BoundaryDatum(self.entry.alpha, self.entry.eta_tangential,
                                Direction.OUTGOING),
             rho_cut=self.rho_cut, model=self.model, analytic=rev_analytic)
-
-    def to_csv(self, fileobj=None) -> str:
-        buf = fileobj or io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["t", "x1", "x2", "v1", "v2"])
-        for i in range(len(self.t)):
-            writer.writerow([repr(self.t[i]), repr(self.x[i, 0]),
-                             repr(self.x[i, 1]), repr(self.v[i, 0]),
-                             repr(self.v[i, 1])])
-        return buf.getvalue() if fileobj is None else ""
-
 
 class DiskGeodesic:
     """Closed-form unit-speed geodesic of the unperturbed Poincare disk.
@@ -576,14 +527,6 @@ class DiskGeodesic:
         w = complex(x[0], x[1])
         z = (w - self.w) / (self.p * (1.0 - self.w.conjugate() * w))
         return 2.0 * math.atanh(z.real)
-
-
-def geodesic_between_boundary_angles(model: AHModel, alpha_in: float,
-                                     alpha_out: float,
-                                     rho_cut: float = 1e-6) -> GeodesicPath:
-    """Closed-form disk geodesic between boundary angles, as a sampled path."""
-    return DiskGeodesic.between_boundary_angles(model, alpha_in, alpha_out,
-                                                rho_cut).sample()
 
 
 def boundary_phase_point(model: AHModel, datum: BoundaryDatum,

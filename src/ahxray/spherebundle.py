@@ -426,11 +426,6 @@ def _mode(u, m: int):
                                u.grid, int(k[hit[0]]))
 
 
-def fourier_modes(u: SectionField, m_max: int) -> list[SectionField]:
-    """Projections onto the vertical Laplacian eigenspaces m = 0 .. m_max."""
-    return [_mode(u, m) for m in range(m_max + 1)]
-
-
 def mode_energies(u: SectionField, m_max: int) -> np.ndarray:
     """Squared L^2 norms of the Fourier modes, by Parseval on the fiber;
     exactly 0 for the modes outside the band."""

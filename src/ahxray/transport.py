@@ -173,18 +173,16 @@ class _BatchPaths:
         return (pos.view(float).reshape(pos.shape + (2,)),
                 vel.view(float).reshape(vel.shape + (2,)), 1.0 / half)
 
-    def times(self, frac) -> np.ndarray:
-        """Times at fractions of each span in t, shape frac.shape +
-        (len(geos),)."""
-        return self.t0 + np.asarray(frac, dtype=float)[..., None] * self.span
+    def times(self, frac: np.ndarray) -> np.ndarray:
+        """Times at fractions ``frac`` of each span in t, an array whose
+        shape broadcasts against (len(geos),)."""
+        return self.t0 + frac * self.span
 
-    def z_fracs(self, frac) -> np.ndarray:
+    def z_fracs(self, frac: np.ndarray) -> np.ndarray:
         """The fractions in z of the ``times`` at fractions of each span
-        in t, shape frac.shape + (len(geos),); the ends map to 0 and 1
-        exactly."""
-        frac = np.asarray(frac, dtype=float)
+        in t; the ends map to 0 and 1 exactly."""
         zf = (np.tanh(self.times(frac) / 2.0) - self.z0) / self.dz
-        return np.where(frac[..., None] >= 1.0, 1.0, np.clip(zf, 0.0, 1.0))
+        return np.where(frac >= 1.0, 1.0, np.clip(zf, 0.0, 1.0))
 
 
 def _rk4_step(u, h, f1, f2, f3, f4):
@@ -268,16 +266,18 @@ def _march(prep, geos: Sequence[DiskGeodesic], rank: int | tuple[int, int],
     ceil(log2 m) stack products.  m is 1 when n_steps has no divisor that
     fits, and the march is then the plain sequential one.
 
-    Snapshots are taken at the requested fractions of each span in time,
-    at the exact requested times: each geodesic's time maps to its own
-    fraction in z (``_BatchPaths.z_fracs``), and a fractional RK4
-    side-step from the preceding grid node, computed from the identity
-    for all snapshots in one evaluation, multiplies the propagator to
-    that node, so crossing families sample identical base points.
+    Snapshots are taken at ``record_fracs``, fractions of each span in
+    time in an array that broadcasts against (snapshots, len(geos)):
+    column j holds geodesic j's own fractions.  Each maps to its
+    geodesic's fraction in z (``_BatchPaths.z_fracs``), and a fractional
+    RK4 side-step from the preceding grid node, computed from the
+    identity for all snapshots in one evaluation, multiplies the
+    propagator to that node, so snapshots sit at the exact requested
+    times and crossing families sample identical base points.
 
     Returns (W_exit, records), W_exit of shape (len(geos), d, d) or
-    (len(geos), P + 1, d, d); records is a time-ordered list of
-    (t, x, v, W) batches of states, or None when no fractions were
+    (len(geos), P + 1, d, d); records is (t, x, v, W) with arrays of
+    shape (snapshots, len(geos), ...), or None when no fractions were
     requested.
     """
     cfg = cfg or TransportConfig()
@@ -295,8 +295,8 @@ def _march(prep, geos: Sequence[DiskGeodesic], rank: int | tuple[int, int],
         x, v, dt_dz = batch.state(frac)
         return prep(x, v), batch.h * dt_dz
 
-    fracs = np.sort(np.clip(np.asarray(
-        [] if record_fracs is None else record_fracs, dtype=float), 0.0, 1.0))
+    fracs = np.clip(np.asarray(np.zeros((0, width)) if record_fracs is None
+                               else record_fracs, dtype=float), 0.0, 1.0)
     zf = batch.z_fracs(fracs)               # (snapshots, geodesics)
     pos = zf * n
     grid = np.where(pos < n, np.floor(pos), n).astype(int)
@@ -335,7 +335,7 @@ def _march(prep, geos: Sequence[DiskGeodesic], rank: int | tuple[int, int],
     snaps = product(product(_matrix_last(side, eye.ndim),
                             _matrix_last(partial, eye.ndim)),
                     prefix[owner, np.arange(width)])
-    return scan[-1], list(zip(batch.times(fracs), x, v, snaps))
+    return scan[-1], (batch.times(fracs), x, v, snaps)
 
 
 def crossing_transport(prep, crossings: Sequence[ShotPieces],
@@ -457,11 +457,11 @@ def batch_transport(prep, paths: Sequence, rank: int | tuple[int, int],
 
     ``times`` (sorted, on the paths' clocks, clipped to their spans) also
     asks for snapshots, returned as (W_exit, (t, x, v, W)) with arrays of
-    shape (len(paths), len(times), ...): every piece is recorded at the
-    time fractions of all (``_piece_fracs``), each mapped to that piece's
-    own fraction in z, so snapshots sit at the exact requested times, and
-    outgoing snapshots are multiplied by W_ball W_in.  A time strictly
-    inside a crossing, where the march holds no state, is refused.
+    shape (len(paths), len(times), ...): each piece is recorded at its
+    own path's times on it (``_piece_fracs``), so one call snapshots
+    len(times) x (pieces) states, and outgoing snapshots are multiplied
+    by W_ball W_in.  A time strictly inside a crossing, where the march
+    holds no state, is refused.
     """
     eye, product = _identity(rank)
     splits = [_split(p) for p in paths]
@@ -471,17 +471,17 @@ def batch_transport(prep, paths: Sequence, rank: int | tuple[int, int],
                         dtype=complex)
     balls = iter(crossing_transport(
         prep, [c for _, c in splits if c is not None], rank))
+    fracs = None
     if times is not None:
         times = np.asarray(times, dtype=float)
         where = [_piece_fracs(p, *split, times)
                  for p, split in zip(paths, splits)]
-        fracs = np.concatenate([f for _, f, _ in where])
-    w_geo, records = _march(prep, geos, rank, cfg,
-                            None if times is None else fracs)
-    if records is not None:
-        # _march records the fractions in sorted order
-        rows = np.searchsorted(np.sort(fracs), fracs)
-        rec = [np.stack(r)[rows] for r in zip(*records)]
+        # a piece's column: its path's fractions at the times on it, 0 at
+        # the times on the path's other piece
+        fracs = np.stack([np.where(piece == j, f, 0.0)
+                          for (pieces, _), (piece, f, _) in zip(splits, where)
+                          for j in range(len(pieces))], axis=1)
+    w_geo, records = _march(prep, geos, rank, cfg, fracs)
 
     exits, snaps, first = [], [], 0
     for k, (pieces, crossing) in enumerate(splits):
@@ -493,8 +493,8 @@ def batch_transport(prep, paths: Sequence, rank: int | tuple[int, int],
         exits.append(w)
         if records is not None:
             piece, _, origin = where[k]
-            at = (k * len(times) + np.arange(len(times)), first + piece)
-            t, x, v, w_t = (r[at] for r in rec)
+            at = (np.arange(len(times)), first + piece)
+            t, x, v, w_t = (r[at] for r in records)
             # outgoing snapshots (crossing rays only), one at a time: mul
             # multiplies long stacks by another summation than single states
             for i in np.flatnonzero(piece == 1):

@@ -8,15 +8,13 @@ import numpy as np
 import pytest
 
 import ahxray.bundle as bundle
-from ahxray._linalg import (dagger, expm_skew, frobenius, skew_defect,
+from ahxray._linalg import (expm_skew, frobenius, skew_defect,
                             unitary_defect)
 from ahxray.bundle import (ConnectionField, GaugeField, GaussBump,
                            HiggsFieldData, SeparableTerm, ckt_condition_check,
-                           curvature_at, curvature_operator,
-                           endomorphism_lift, gauge_transform,
-                           sup_curvature_norm, validation_points)
+                           gauge_transform, sup_curvature_norm,
+                           validation_points)
 from ahxray.errors import DomainError, RankMismatchError
-from ahxray.geometry import PhasePoint
 from ahxray.transport import transport_rhs
 
 SU2 = [np.array([[1j, 0], [0, -1j]]),
@@ -74,7 +72,7 @@ def fd_curvature(conn, x, h=1e-5):
 class TestCurvature:
     def test_trivial_connection_is_flat(self):
         conn = ConnectionField.zero(2)
-        assert np.allclose(curvature_at(conn, (0.3, 0.2)).f12, 0.0)
+        assert np.allclose(conn.curvature_f12(np.array([0.3, 0.2])), 0.0)
 
     def test_pure_gauge_is_flat(self, rng):
         gauge = random_gauge(rng)
@@ -83,53 +81,19 @@ class TestCurvature:
         for _ in range(5):
             x = rng.uniform(-0.5, 0.5, 2)
             assert frobenius(fd_curvature(conn, x)) < 1e-8
-            assert frobenius(curvature_at(conn, x).f12) < 1e-12
+            assert frobenius(conn.curvature_f12(x)) < 1e-12
 
     def test_matches_fd_oracle(self, rng):
         conn = random_connection(rng)
         for _ in range(100):
             x = rng.uniform(-0.65, 0.65, 2)
-            analytic = curvature_at(conn, x).f12
+            analytic = conn.curvature_f12(x)
             assert frobenius(analytic - fd_curvature(conn, x)) < 1e-6
 
     def test_skew_for_unitary_connection(self, rng):
         conn = random_connection(rng)
         pts = validation_points(16)
         assert np.max(skew_defect(conn.curvature_f12(pts))) < 1e-12
-
-    def test_outside_disk_rejected(self):
-        with pytest.raises(DomainError):
-            curvature_at(ConnectionField.zero(2), (1.2, 0.0))
-
-
-class TestCurvatureOperator:
-    def test_zero_curvature_gives_zero(self, disk, rng):
-        gauge = random_gauge(rng)
-        conn, _ = gauge_transform(ConnectionField.zero(2),
-                                  HiggsFieldData.zero(2), gauge)
-        p = PhasePoint.from_angle(disk, (0.2, 0.1), 0.7)
-        assert np.max(np.abs(curvature_operator(conn, p, [1.0, 0.0]))) < 1e-12
-
-    def test_linearity(self, disk, rng):
-        conn = random_connection(rng)
-        p = PhasePoint.from_angle(disk, (0.3, -0.2), 1.9)
-        e1 = rng.normal(size=2) + 1j * rng.normal(size=2)
-        e2 = rng.normal(size=2) + 1j * rng.normal(size=2)
-        a = 0.7 - 0.3j
-        lhs = curvature_operator(conn, p, a * e1 + e2)
-        rhs = a * curvature_operator(conn, p, e1) + curvature_operator(
-            conn, p, e2)
-        assert np.max(np.abs(lhs - rhs)) < 1e-12
-
-    def test_direction_independent_on_surface(self, disk, rng):
-        # the normal coefficient of F_v(e) does not depend on theta in 2d
-        conn = random_connection(rng)
-        e = np.array([1.0, 1j])
-        vals = [curvature_operator(
-            conn, PhasePoint.from_angle(disk, (0.1, 0.4), th), e)
-            for th in (0.0, 1.0, 2.5)]
-        assert np.max(np.abs(vals[0] - vals[1])) < 1e-12
-        assert np.max(np.abs(vals[0] - vals[2])) < 1e-12
 
 
 class TestGaugeTransform:
@@ -290,53 +254,6 @@ class TestSupNormAndCkt:
         rep = ckt_condition_check(conn, disk)
         assert rep.fnorm > rep.kappa
         assert not rep.satisfied
-
-
-class TestEndomorphismLift:
-    def test_trivial_lifts_to_trivial(self):
-        lifted = endomorphism_lift(ConnectionField.zero(2))
-        assert lifted.rank == 4
-        assert np.allclose(lifted.symbols(np.zeros(2)), 0.0)
-
-    def test_flat_lifts_to_flat(self, rng):
-        conn, _ = gauge_transform(ConnectionField.zero(2),
-                                  HiggsFieldData.zero(2), random_gauge(rng))
-        lifted = endomorphism_lift(conn)
-        pts = validation_points(24)
-        assert np.max(frobenius(lifted.curvature_f12(pts))) < 1e-8
-
-    def test_lifted_curvature_matches_fd(self, rng):
-        conn = random_connection(rng)
-        lifted = endomorphism_lift(conn)
-        for _ in range(5):
-            x = rng.uniform(-0.5, 0.5, 2)
-            assert frobenius(lifted.curvature_f12(x)
-                             - fd_curvature(lifted, x)) < 1e-6
-
-    def test_ad_is_skew_for_frobenius(self, rng):
-        # <[G,A], B>_F = -<A, [G,B]>_F for skew-Hermitian G
-        conn = random_connection(rng)
-        x = np.array([0.2, -0.3])
-        for i in range(2):
-            gam = conn.symbols(x)[i]
-            for _ in range(5):
-                a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-                b = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-                left = np.trace((gam @ a - a @ gam) @ dagger(b))
-                right = -np.trace(a @ dagger(gam @ b - b @ gam))
-                assert abs(left - right) < 1e-12
-
-    def test_ad_matrix_matches_commutator(self, rng):
-        conn = random_connection(rng)
-        lifted = endomorphism_lift(conn)
-        x = np.array([0.1, 0.25])
-        ad = lifted.symbols(x)
-        gam = conn.symbols(x)
-        a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        for i in range(2):
-            direct = gam[i] @ a - a @ gam[i]
-            via_matrix = (ad[i] @ a.reshape(-1)).reshape(2, 2)
-            assert np.max(np.abs(direct - via_matrix)) < 1e-13
 
 
 class TestValidation:

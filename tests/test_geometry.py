@@ -2,7 +2,7 @@
 
 Oracles used here and nowhere in the library code:
 - radial geodesics of the disk in closed form x(t) = (tanh(t/2), 0),
-- a finite-difference Gauss curvature from metric samples alone,
+- a finite-difference Gauss curvature from samples of log_conformal alone,
 - the orthogonal-circle construction checked directly against |c|^2 = 1 + R^2.
 """
 
@@ -17,18 +17,17 @@ from ahxray.errors import (DegenerateGeodesicError, DomainError,
 from ahxray.geometry import (AHModel, BoundaryDatum, ConformalBump,
                              DiskGeodesic, Direction, IntegratorConfig,
                              ModelKind, PhasePoint, _cross_ball,
-                             geodesic_between_boundary_angles,
-                             integrate_geodesic, metric_at, rho_at,
-                             sectional_curvature, shoot_from_boundary)
+                             integrate_geodesic, sectional_curvature,
+                             shoot_from_boundary)
 from ahxray.xray import FanSpec
 from oracles import ref_cross_ball, rk45_geodesic
 
 
 def fd_gauss_curvature(model, x, h=1e-4):
     """Independent curvature oracle: K = -exp(-2 Phi) * Lap(Phi) by central
-    second differences of Phi = 0.5*log(g_11) read off metric samples."""
+    second differences of Phi read off ``log_conformal`` samples."""
     def phi(p):
-        return 0.5 * math.log(metric_at(model, p).g[0, 0])
+        return float(model.log_conformal(p))
 
     x = np.asarray(x, dtype=float)
     lap = 0.0
@@ -50,54 +49,46 @@ def bisection_truncation_time(geo, side):
 
 
 class TestMetric:
+    """The metric exp(2 Phi) |dx|^2 through Phi = ``log_conformal``."""
+
     def test_center_values(self, disk):
-        m = metric_at(disk, (0.0, 0.0))
-        assert np.allclose(m.g, 4.0 * np.eye(2), atol=1e-14)
-        assert np.allclose(m.christoffel, 0.0, atol=1e-14)
+        x = np.zeros(2)
+        assert abs(math.exp(2.0 * disk.log_conformal(x)) - 4.0) < 1e-14
+        assert np.allclose(disk.grad_log_conformal(x), 0.0, atol=1e-14)
 
     def test_half_radius_value(self, disk):
-        m = metric_at(disk, (0.5, 0.0))
-        expected = 4.0 / 0.75**2
-        assert np.allclose(m.g, expected * np.eye(2), rtol=1e-14)
-
-    def test_inverse_and_symmetry(self, disk, perturbed, rng):
-        for model in (disk, perturbed):
-            for _ in range(20):
-                x = rng.uniform(-0.7, 0.7, 2)
-                m = metric_at(model, x)
-                assert np.max(np.abs(m.g @ m.g_inv - np.eye(2))) < 1e-12
-                assert np.allclose(m.christoffel,
-                                   np.swapaxes(m.christoffel, 1, 2))
+        g = math.exp(2.0 * disk.log_conformal(np.array([0.5, 0.0])))
+        assert g == pytest.approx(4.0 / 0.75**2, rel=1e-14)
 
     def test_dg_matches_finite_differences(self, perturbed, rng):
+        # the gradient the geodesic flow uses, against central differences
+        # of Phi itself
         h = 1e-6
         for _ in range(10):
             x = rng.uniform(-0.6, 0.6, 2)
-            m = metric_at(perturbed, x)
+            grad = perturbed.grad_log_conformal(x)
             for k in range(2):
                 e = np.zeros(2)
                 e[k] = h
-                fd = (metric_at(perturbed, x + e).g
-                      - metric_at(perturbed, x - e).g) / (2 * h)
-                assert np.max(np.abs(fd - m.dg[k])) < 1e-4 * max(
-                    1.0, np.max(np.abs(m.dg[k])))
+                fd = (perturbed.log_conformal(x + e)
+                      - perturbed.log_conformal(x - e)) / (2 * h)
+                assert abs(fd - grad[k]) < 1e-8 * max(1.0, abs(grad[k]))
 
     def test_perturbed_equals_disk_outside_bump(self, disk, perturbed):
         x = np.array([-0.6, -0.4])   # outside the bump support
-        assert np.allclose(metric_at(perturbed, x).g, metric_at(disk, x).g,
-                           rtol=1e-15)
+        assert perturbed.log_conformal(x) == disk.log_conformal(x)
 
     def test_domain_error(self, disk):
         with pytest.raises(DomainError):
-            metric_at(disk, (1.0, 0.0))
+            sectional_curvature(disk, (1.0, 0.0))
 
 
 class TestRho:
     def test_values(self, disk, perturbed):
-        assert rho_at(disk, (0.0, 0.0)) == 1.0
-        assert abs(rho_at(disk, (0.6, 0.8))) < 1e-15
-        assert rho_at(disk, (0.5, 0.0)) == 0.75
-        assert rho_at(perturbed, (0.5, 0.0)) == 0.75
+        assert disk.rho((0.0, 0.0)) == 1.0
+        assert abs(disk.rho((0.6, 0.8))) < 1e-15
+        assert disk.rho((0.5, 0.0)) == 0.75
+        assert perturbed.rho((0.5, 0.0)) == 0.75
 
 
 class TestCurvature:
@@ -246,7 +237,8 @@ class TestIntegration:
 
 class TestBoundaryAngles:
     def test_diameter(self, disk):
-        path = geodesic_between_boundary_angles(disk, math.pi, 0.0)
+        path = DiskGeodesic.between_boundary_angles(disk, math.pi,
+                                                    0.0).sample()
         assert np.max(np.abs(path.x[:, 1])) < 1e-12
         assert path.entry.alpha == pytest.approx(math.pi, abs=1e-12)
         assert path.exit.alpha == pytest.approx(0.0, abs=1e-12)
@@ -266,7 +258,8 @@ class TestBoundaryAngles:
         for _ in range(15):
             a_in = rng.uniform(0, 2 * math.pi)
             a_out = (a_in + rng.uniform(0.3, 2 * math.pi - 0.3)) % (2 * math.pi)
-            path = geodesic_between_boundary_angles(disk, a_in, a_out)
+            path = DiskGeodesic.between_boundary_angles(disk, a_in,
+                                                        a_out).sample()
             assert abs((path.entry.alpha - a_in + math.pi) % (2 * math.pi)
                        - math.pi) < 1e-6
             assert abs((path.exit.alpha - a_out + math.pi) % (2 * math.pi)
@@ -275,7 +268,7 @@ class TestBoundaryAngles:
     def test_unit_speed_exact(self, disk):
         # conformal parametrization is exact; near rho_cut the measurement
         # itself is limited by rounding of 1 - |x|^2, still far below 1e-8
-        path = geodesic_between_boundary_angles(disk, 2.0, 4.5)
+        path = DiskGeodesic.between_boundary_angles(disk, 2.0, 4.5).sample()
         assert path.unit_speed_defect() < 1e-9
         inner = np.abs(path.t) < 10.0
         speeds = disk.speed(path.x[inner], path.v[inner])
@@ -283,7 +276,7 @@ class TestBoundaryAngles:
 
     def test_degenerate_raises(self, disk):
         with pytest.raises(DegenerateGeodesicError):
-            geodesic_between_boundary_angles(disk, 1.0, 1.0)
+            DiskGeodesic.between_boundary_angles(disk, 1.0, 1.0).sample()
 
     def test_truncation_time_matches_bisection(self, disk, rng):
         # evaluating rho = 1 - |x|^2 near rho_cut carries an absolute
@@ -524,10 +517,3 @@ class TestCrossingOracle:
         assert self.same(perturbed, np.stack([start.x, -start.v]), 0.01,
                          cfg, -0.0) is None
 
-
-def test_csv_export(disk):
-    path = geodesic_between_boundary_angles(disk, 0.3, 2.0)
-    text = path.to_csv()
-    lines = text.strip().splitlines()
-    assert lines[0] == "t,x1,x2,v1,v2"
-    assert len(lines) == len(path.t) + 1

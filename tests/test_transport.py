@@ -96,7 +96,7 @@ def sequential_rk4(field, geos, rank, n_steps, record_fracs=()):
         nodes.append(u)
     nodes = np.array(nodes)
     snaps, cols = [], np.arange(len(geos))
-    for f in sorted(record_fracs):
+    for f in record_fracs:
         zf = np.clip((np.tanh((t0 + f * (t1 - t0)) / 2.0) - z0) / dz, 0, 1)
         zf = np.ones_like(zf) if f >= 1.0 else zf
         k = np.minimum(np.floor(zf * n_steps).astype(int), n_steps)
@@ -459,13 +459,47 @@ class TestBatchBackend:
         conn = random_connection(rng)
         higgs = random_higgs(rng)
         geos = [DiskGeodesic.between_boundary_angles(disk_module, 0.2, 3.1)]
-        u_exit, records = _march(transport_rhs(conn, higgs), geos, 2,
-                                 record_fracs=[0.0, 0.5, 1.0])
-        assert len(records) == 3
-        t0, x0, v0, q0 = records[0]
-        assert np.max(np.abs(q0[0] - np.eye(2))) < 1e-14
-        t2, x2, v2, q2 = records[-1]
-        assert np.max(np.abs(q2[0] - u_exit[0])) < 1e-14
+        u_exit, (t, x, v, q) = _march(transport_rhs(conn, higgs), geos, 2,
+                                      record_fracs=[[0.0], [0.5], [1.0]])
+        assert t.shape == (3, 1) and q.shape == (3, 1, 2, 2)
+        assert np.max(np.abs(q[0, 0] - np.eye(2))) < 1e-14
+        assert np.max(np.abs(q[-1, 0] - u_exit[0])) < 1e-14
+
+    def test_one_call_snapshots_as_one_path_calls(self, disk_module,
+                                                  perturbed, rng):
+        # each piece is snapshotted at its own path's times only, so one
+        # call over 20 paths gives the states of 20 one-path calls, and its
+        # snapshot evaluations have (times, pieces) rows, not (paths x
+        # times, pieces)
+        prep = transport_rhs(random_connection(rng), random_higgs(rng))
+        ray = shoot_from_boundary(
+            perturbed, BoundaryDatum(0.0, -1.5, Direction.INCOMING), 1e-6)
+        span_in, span_out = (g.t_exit - g.t_entry for g in (
+            ray.pieces.incoming, ray.pieces.outgoing))
+        times = np.concatenate([
+            np.linspace(ray.t[0], ray.t[0] + 0.99 * span_in, 80),
+            np.linspace(ray.t[-1] - 0.99 * span_out, ray.t[-1], 81)])
+        paths = [DiskGeodesic.through(disk_module, (-0.2, 0.1), th)
+                 for th in np.linspace(0.1, 3.0, 19)] + [ray]
+        # the marches of one call and of one path round alike only where
+        # they cut the spans into the same segments
+        n, width = 48, len(paths) + 1
+        assert _segments(n, width) == _segments(n, 2) == _segments(n, 1)
+        cfg = TransportConfig(n_steps=n)
+        shapes = set()
+
+        def counted(x, v):
+            shapes.add(x.shape[:-1])
+            return prep(x, v)
+
+        w, snaps = batch_transport(counted, paths, 2, cfg, times)
+        assert {s for s in shapes if len(s) == 2} == {
+            (_segments(n, width), width), (len(times), width)}
+        ones = [batch_transport(prep, [p], 2, cfg, times) for p in paths]
+        assert np.array_equal(w, np.concatenate([o[0] for o in ones]))
+        for i, snap in enumerate(snaps):
+            assert np.array_equal(snap,
+                                  np.concatenate([o[1][i] for o in ones]))
 
 
 class TestSegmentedMarch:
@@ -531,13 +565,13 @@ class TestSegmentedMarch:
         cfg = TransportConfig(n_steps=n)
         for conn, higgs in ((conn_a, higgs_a), (conn_b, higgs_b)):
             prep = transport_rhs(conn, higgs)
-            w_exit, records = _march(prep, geos, rank, cfg, fracs)
+            w_exit, records = _march(prep, geos, rank, cfg,
+                                     np.array(fracs)[:, None])
             ref_exit, ref_snaps = sequential_rk4(
                 two_sided(conn, higgs), geos, rank, n, fracs)
             assert np.max(np.abs(w_exit - ref_exit)) <= 1e-13
-            assert len(records) == len(fracs)
-            for (t, x, v, w), f, ref in zip(records, sorted(fracs),
-                                            ref_snaps):
+            assert records[3].shape[:2] == (len(fracs), len(geos))
+            for t, x, v, w, f, ref in zip(*records, fracs, ref_snaps):
                 assert np.max(np.abs(w - ref)) <= 1e-13
                 t_ref = np.array([g.t_entry + f * (g.t_exit - g.t_entry)
                                   for g in geos])
