@@ -8,7 +8,7 @@ finite sums of separable terms rho(x)^N * S * beta(x) with a constant
 skew-Hermitian generator S and a smooth scalar bump beta, so the partials
 in f_12 = d_1 Gamma_2 - d_2 Gamma_1 + [Gamma_1, Gamma_2] are analytic.
 Gauge fields are Q(x) = exp(rho^M * S(x)), unitary by construction and the
-identity on the boundary; one eigendecomposition gives Q and Q^-1 dQ(v).
+identity on the boundary; one Jacobi diagonalisation gives Q and Q^-1 dQ(v).
 
 One evaluator, ``_Separable``, forms every such sum (connection symbols
 and curvature, Higgs fields, gauge exponents, the reconstruction basis) as
@@ -310,8 +310,7 @@ class GaugeField:
     def log_derivative(self, x: np.ndarray, v: np.ndarray
                        ) -> tuple[np.ndarray, np.ndarray]:
         """Q and Q^-1 dQ(v), each shape (..., d, d): the exact Frechet
-        derivative in the direction dP(v), from the eigendecomposition that
-        gives Q."""
+        derivative in the direction dP(v), from Q's diagonalisation."""
         f = self._field
         w, dw = f.weights_and_grads(x)
         v = np.asarray(v, dtype=float)
@@ -359,7 +358,7 @@ def gauge_transform(conn: ConnectionField, higgs: HiggsFieldData,
     the Higgs field conjugates, and curvature conjugates exactly.
 
     ``along`` and ``phi`` share Q through a one-slot cache, so a node of
-    ``transport_rhs`` (along, then phi) runs one eigendecomposition.  Its
+    ``transport_rhs`` (along, then phi) diagonalises each exponent once.  Its
     key is the content of x: ``along`` stores a copy of x with Q, and
     ``phi`` takes both out, so they outlive no node, and reuses Q only for
     an equal shape and equal values.  The Q of ``log_derivative`` is

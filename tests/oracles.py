@@ -11,12 +11,18 @@ pieces.  These scipy RK45 integrators share no code with it:
 - ``joint_rk45``: one RK45 state [x, v, U] from a path's first sample,
   which integrates the geodesic again;
 - ``two_sided``: right-hand sides of the two-sided endomorphism system
-  dU = -((Gamma + Phi) U - U Gamma_R).
+  dU = -((Gamma + Phi) U - U Gamma_R);
+- ``ref_expm_skew``: exp(P) and exp(-P) L(P, E) one matrix at a time by
+  ``scipy.linalg.expm`` and ``expm_frechet``, which share no code with
+  the library's Jacobi diagonalisation.
 
-The ``ref_*`` functions keep the per-node evaluators in their reduction
-form: ``np.sum`` over the length-2 axis of points, and ``np.stack`` of
-real and imaginary parts.  The library writes them componentwise, which
-must give the same values bit for bit.
+The other ``ref_*`` functions keep the per-node evaluators in their
+reduction form: ``np.sum`` over the length-2 axis of points, and
+``np.stack`` of real and imaginary parts.  The library writes them
+componentwise, which must give the same values bit for bit.
+``ref_log_derivative`` exponentiates the reduction-form exponents of
+``ref_gauge_exponents`` by ``ref_expm_skew``, so it agrees with the
+library to rounding only.
 
 ``ref_cross_ball`` keeps the bump crossing's RK4 march in array form: a
 (2, 2) state (x, v) and ``AHModel.geodesic_rhs`` at each stage.  The
@@ -30,8 +36,8 @@ from typing import Callable
 
 import numpy as np
 from scipy.integrate import solve_ivp
+from scipy.linalg import expm, expm_frechet
 
-from ahxray._linalg import expm_skew
 from ahxray.errors import TrappedGeodesicError
 from ahxray.geometry import (AHModel, BoundaryDatum, Direction, DiskGeodesic,
                              _joined)
@@ -88,12 +94,38 @@ def ref_along(field, dirs, x, v):
                          * np.asarray(v, dtype=float)[..., dirs])
 
 
-def ref_log_derivative(gauge, x, v):
-    """``GaugeField.log_derivative``: Q and Q^-1 dQ(v)."""
+def ref_gauge_exponents(gauge, x, v):
+    """The exponent P = rho^M S(x) of a ``GaugeField`` and its derivative
+    dP(v), from which ``log_derivative`` exponentiates."""
     f = gauge._field
     w, dw = ref_weights_and_grads(f, x)
     dp = np.sum(dw * np.asarray(v, dtype=float)[..., :, None], axis=-2)
-    return expm_skew(f.combine(w), f.combine(dp))
+    return f.combine(w), f.combine(dp)
+
+
+def ref_expm_skew(p, e=None):
+    """``_linalg.expm_skew`` one matrix at a time: exp(P) and, given E
+    (which may broadcast against P with more leading axes), exp(-P) L(P, E)
+    with L the Frechet derivative of exp."""
+    p = np.asarray(p, dtype=complex)
+    q = np.empty_like(p)
+    for i in np.ndindex(p.shape[:-2]):
+        q[i] = expm(p[i])
+    if e is None:
+        return q
+    shape = np.broadcast_shapes(p.shape, np.shape(e))
+    pb, eb = np.broadcast_to(p, shape), np.broadcast_to(e, shape)
+    qb = np.broadcast_to(q, shape)
+    out = np.empty(shape, dtype=complex)
+    for i in np.ndindex(shape[:-2]):
+        out[i] = qb[i].conj().T @ expm_frechet(pb[i], eb[i],
+                                               compute_expm=False)
+    return q, out
+
+
+def ref_log_derivative(gauge, x, v):
+    """``GaugeField.log_derivative``: Q and Q^-1 dQ(v)."""
+    return ref_expm_skew(*ref_gauge_exponents(gauge, x, v))
 
 
 def ref_batch_state(batch, frac):

@@ -6,6 +6,10 @@
   exactly ``count`` items for any positive count and per-angle size;
 - ``_linalg.mul`` is ``@`` up to rounding for ranks 1-4 and broadcasting
   leading shapes, and exactly ``@`` for single matrices and vectors;
+- ``_linalg.expm_skew`` agrees with ``scipy.linalg.expm`` and
+  ``expm_frechet`` one matrix at a time, for ranks 1-4, stacks of shapes
+  (), (7,) and (5, 3) and directions E with extra leading axes: Q within
+  1e-13, exp(-P) L(P, E) within 1e-12, and Q unitary within 1e-14;
 - ``_linalg.mul_first`` on the matrix-first forms of two stacks equals
   bit for bit ``mul``'s unrolled branch on the stacks, for ranks 1-4,
   broadcasting stack shapes and the jet's (d, d, 1, ...) x
@@ -34,7 +38,9 @@
   ``log_derivative``, the fan state ``_BatchPaths.state``, rho, the
   geodesic flow and the conformal bump's q) equal bit for bit their
   reduction forms in ``oracles``, for ranks 1-3 and points of shapes
-  (n, 2), (m, w, 2) and (f, m, w, 2);
+  (n, 2), (m, w, 2) and (f, m, w, 2); a gauge's ``log_derivative`` is
+  ``expm_skew`` of its reduction-form exponents bit for bit, and the
+  scipy oracle's within 1e-12;
 - every separable field (Gamma(v), Phi, a gauge's q and ``log_derivative``)
   at a lone point x of shape (2,) equals bit for bit its value at x[None],
   for ranks 1-3, 1-4 terms and decay 0-4;
@@ -81,8 +87,8 @@ from hypothesis import assume, example, given, settings, strategies as st
 from scipy.linalg import expm
 
 import ahxray.spherebundle as sb
-from ahxray._linalg import (dagger, matrix_first, mul, mul_first,
-                            unitary_defect)
+from ahxray._linalg import (dagger, expm_skew, matrix_first, mul,
+                            mul_first, unitary_defect)
 from ahxray.bundle import (ConnectionField, GaugeField, GaussBump,
                            HiggsFieldData, SeparableTerm, _check_skew,
                            _Separable, gauge_transform, validation_points)
@@ -99,8 +105,9 @@ from ahxray.xray import (FanSpec, ScatteringDataset, ScatteringRecord,
                          compare_datasets, compute_scattering_data,
                          fan_paths)
 from oracles import (ref_along, ref_batch_state, ref_bump_q,
-                     ref_geodesic_rhs, ref_log_derivative, ref_rho,
-                     ref_weights, ref_weights_and_grads)
+                     ref_expm_skew, ref_gauge_exponents, ref_geodesic_rhs,
+                     ref_log_derivative, ref_rho, ref_weights,
+                     ref_weights_and_grads)
 from test_bundle import (random_connection, random_gauge, random_higgs,
                          random_skew)
 
@@ -153,6 +160,27 @@ def test_mul_falls_back_on_single_matrices(rank, seed):
     vec = _complex(rng, (rank,))
     assert np.array_equal(mul(a, b), a @ b)
     assert np.array_equal(mul(a, vec), a @ vec)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rank=st.integers(1, 4), stack=st.sampled_from([(), (7,), (5, 3)]),
+       extra=st.lists(st.integers(1, 3), max_size=2),
+       scale=st.floats(0.0, 4.0), seed=st.integers(0, 2**32 - 1))
+def test_expm_skew_is_scipy_expm(rank, stack, extra, scale, seed):
+    # E carries extra leading axes in front of P's stack, as in
+    # GaugeField.dq
+    rng = np.random.default_rng(seed)
+    a = _complex(rng, stack + (rank, rank))
+    p = 0.5 * scale * (a - dagger(a))
+    e = _complex(rng, tuple(extra) + stack + (rank, rank))
+    e = 0.5 * (e - dagger(e))
+    q, log_dq = expm_skew(p, e)
+    q_ref, log_dq_ref = ref_expm_skew(p, e)
+    assert q.shape == p.shape and log_dq.shape == e.shape
+    assert np.max(np.abs(q - q_ref), initial=0.0) <= 1e-13
+    assert np.max(np.abs(log_dq - log_dq_ref), initial=0.0) <= 1e-12
+    assert np.max(unitary_defect(q), initial=0.0) < 1e-14
+    assert np.array_equal(expm_skew(p), q)
 
 
 def _unrolled_mul(a, b):
@@ -385,9 +413,11 @@ def test_per_node_evaluators_equal_their_reductions(perturbed, rank, lead,
     higgs = HiggsFieldData.from_terms(rank, terms, decay)
     _same(higgs.phi(x), field.combine(ref_weights(field, x)))
     gauge = GaugeField(rank, terms, max(decay, 1))
-    for out, ref in zip(gauge.log_derivative(x, v),
-                        ref_log_derivative(gauge, x, v)):
+    got = gauge.log_derivative(x, v)
+    for out, ref in zip(got, expm_skew(*ref_gauge_exponents(gauge, x, v))):
         _same(out, ref)
+    for out, ref in zip(got, ref_log_derivative(gauge, x, v)):
+        assert np.max(np.abs(out - ref)) <= 1e-12
 
     # points inside, across and outside the perturbed model's bump
     for model in (AHModel(), perturbed):
