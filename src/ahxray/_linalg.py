@@ -7,6 +7,8 @@ shape (d, d, ...), so each elementwise step runs over the long, contiguous
 stack axes: with the matrices last, a product of 800-1024 complex 2 x 2
 matrices costs three to four times as much, and a 2 x 2 jet's (1 against
 P + 1 = 7) about twice as much.  A lone d x d matrix has either layout.
+Both products are one unrolled summation at every stack size, so a lone
+matrix and a stack of them multiply alike, bit for bit.
 """
 
 from __future__ import annotations
@@ -28,15 +30,10 @@ def mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     matmul makes one BLAS call per matrix of a stack, about 0.2 us each
     for d = 2, which dominates long stacks; the unrolled sum is d
-    broadcast multiplies over the whole stack, whose fixed cost grows with
-    d.  Operands of fewer than 8 d matrices (single matrices and vectors
-    included) go to a @ b, which is faster there.
+    broadcast multiplies over the whole stack.
     """
-    d = a.shape[-1]
-    if max(a.size, b.size) < 8 * d ** 3:
-        return a @ b
     out = a[..., :, :1] * b[..., None, 0, :]
-    for k in range(1, d):
+    for k in range(1, a.shape[-1]):
         out += a[..., :, k, None] * b[..., None, k, :]
     return out
 
@@ -46,9 +43,8 @@ def mul_first(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     and the stack axes (of equal count) broadcast behind them:
     sum_k a[:, k, None] * b[None, k].
 
-    This is the unrolled sum of ``mul``, in the same order, so each entry
-    equals that of ``mul``'s unrolled branch bit for bit; it has no
-    ``@`` branch, and one summation serves every stack size.
+    This is the summation of ``mul``, in the same order, so each entry
+    equals that of ``mul`` bit for bit.
     """
     out = a[:, :1] * b[None, 0]
     for k in range(1, a.shape[1]):

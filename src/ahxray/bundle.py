@@ -340,7 +340,7 @@ class ComposedGauge:
         self._second = second
 
     def q(self, x: np.ndarray) -> np.ndarray:
-        return self._first.q(x) @ self._second.q(x)
+        return mul(self._first.q(x), self._second.q(x))
 
     def log_derivative(self, x: np.ndarray, v: np.ndarray
                        ) -> tuple[np.ndarray, np.ndarray]:
@@ -348,7 +348,7 @@ class ComposedGauge:
         Q^-1 dQ(v) = Q2* (Q1^-1 dQ1(v)) Q2 + Q2^-1 dQ2(v)."""
         q1, l1 = self._first.log_derivative(x, v)
         q2, l2 = self._second.log_derivative(x, v)
-        return q1 @ q2, dagger(q2) @ l1 @ q2 + l2
+        return mul(q1, q2), mul(mul(dagger(q2), l1), q2) + l2
 
 
 def gauge_transform(conn: ConnectionField, higgs: HiggsFieldData,

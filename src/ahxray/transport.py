@@ -32,16 +32,17 @@ built as float views of complex values and read componentwise by the
 field evaluators, because on these per-node paths a NumPy reduction or
 restack over an axis of length 2 costs about three times its arithmetic.
 
-The same holds for the fiber states the integrators march: they are held
-matrix-axes-first, shape (d, d) or, for a jet, (d, d, P + 1), followed by
-the stack axes (segments and geodesics, snapshots, crossing steps), and
-every stage product is ``_linalg.mul_first`` over those long contiguous
-axes.  ``prep(x, v)`` takes positions and velocities of any leading
-shape and returns rhs(u) for such matrix-first u, so a single node's
-d x d matrix is passed as it is.  States move to the (..., d, d) layout
-(``_matrix_last``) only for the cocycle products ``mul`` and
-``_jet_product``, and ``_march``, ``crossing_transport`` and
-``batch_transport`` return that layout.
+The same holds for the fiber states: they are held matrix-axes-first,
+shape (d, d) or, for a jet, (d, d, P + 1), followed by the stack axes
+(segments and geodesics, snapshots, crossing steps, paths), from the
+march through the scan, the crossing product and the composition of
+crossing rays and snapshots, and every product of them is
+``_linalg.mul_first`` over those long contiguous axes, one summation for
+a lone state and a stack alike.  ``prep(x, v)`` takes positions and
+velocities of any leading shape and returns rhs(u) for such matrix-first
+u, so a single node's d x d matrix is passed as it is.  States move to
+the (..., d, d) layout (``_matrix_last``) only where ``batch_transport``
+returns.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._linalg import frobenius, matrix_first, mul, mul_first
+from ._linalg import frobenius, matrix_first, mul_first
 from .bundle import ConnectionField, HiggsFieldData
 from .errors import DomainError, RankMismatchError
 from .geometry import DiskGeodesic, ShotPieces
@@ -149,9 +150,9 @@ class _BatchPaths:
 
     def __init__(self, geos: Sequence[DiskGeodesic], n_steps: int):
         self.t0 = np.array([g.t_entry for g in geos])
-        self.span = np.array([g.t_exit - g.t_entry for g in geos])
+        self.t1 = np.array([g.t_exit for g in geos])
         self.z0 = np.tanh(self.t0 / 2.0)
-        self.dz = np.tanh(np.array([g.t_exit for g in geos]) / 2.0) - self.z0
+        self.dz = np.tanh(self.t1 / 2.0) - self.z0
         self.h = self.dz / n_steps
         self.w = np.array([g.w for g in geos])
         self.p = np.array([g.p for g in geos])
@@ -173,17 +174,6 @@ class _BatchPaths:
         return (pos.view(float).reshape(pos.shape + (2,)),
                 vel.view(float).reshape(vel.shape + (2,)), 1.0 / half)
 
-    def times(self, frac: np.ndarray) -> np.ndarray:
-        """Times at fractions ``frac`` of each span in t, an array whose
-        shape broadcasts against (len(geos),)."""
-        return self.t0 + frac * self.span
-
-    def z_fracs(self, frac: np.ndarray) -> np.ndarray:
-        """The fractions in z of the ``times`` at fractions of each span
-        in t; the ends map to 0 and 1 exactly."""
-        zf = (np.tanh(self.times(frac) / 2.0) - self.z0) / self.dz
-        return np.where(frac >= 1.0, 1.0, np.clip(zf, 0.0, 1.0))
-
 
 def _rk4_step(u, h, f1, f2, f3, f4):
     """One classic RK4 step from u, with the right-hand side of each stage.
@@ -203,35 +193,41 @@ def _rk4_step(u, h, f1, f2, f3, f4):
 
 
 def _jet_product(a, b):
-    """(W2, V2) o (W1, V1) = (W2 W1, V2 W1 + W2 V1) for jets stacked on
-    axis -3 (W first, then V_1..V_P): the block-triangular cocycle law.
-    W2 W1 is a product of W stacks alone, so it takes the path through
-    ``mul`` of the rank-d product and equals it bit for bit."""
-    w2, w1 = a[..., :1, :, :], b[..., :1, :, :]
-    return np.concatenate([mul(w2, w1), mul(a[..., 1:, :, :], w1)
-                           + mul(w2, b[..., 1:, :, :])], axis=-3)
+    """(W2, V2) o (W1, V1) = (W2 W1, V2 W1 + W2 V1) for matrix-first jets,
+    W then V_1..V_P on axis 2: the block-triangular cocycle law.  W2 W1
+    is the rank-d product of the W slots, so it equals that product bit
+    for bit."""
+    w2, w1 = a[:, :, :1], b[:, :, :1]
+    return np.concatenate([mul_first(w2, w1), mul_first(a[:, :, 1:], w1)
+                           + mul_first(w2, b[:, :, 1:])], axis=2)
 
 
 def _identity(rank: int | tuple[int, int]):
     """The matrix-first identity state of rank d, I of shape (d, d), or of
     the jet (d, P), (I, 0, ..., 0) of shape (d, d, P + 1); and the product
-    that composes such states once ``_matrix_last`` has moved them back."""
+    that composes such states."""
     d, order = rank if isinstance(rank, tuple) else (rank, 0)
     eye = np.eye(d, dtype=complex)
     if not order:
-        return eye, mul
+        return eye, mul_first
     return (np.concatenate([eye[..., None], np.zeros((d, d, order), complex)],
                            axis=2), _jet_product)
 
 
-def _prefix_products(stack: np.ndarray, product) -> np.ndarray:
-    """The inclusive ordered products s_i ... s_1 s_0 of a stack of states
-    s_0, s_1, ... along axis 0, by a Hillis-Steele scan: after the pass at
-    offset k, row i holds the product of its last 2k factors, so
-    ceil(log2 m) stack products give all m prefixes."""
+def _prefix_products(stack: np.ndarray, product, axis: int) -> np.ndarray:
+    """The inclusive ordered products s_i ... s_1 s_0 of a matrix-first
+    stack of states s_0, s_1, ... along stack axis ``axis``, by a
+    Hillis-Steele scan: after the pass at offset k, row i holds the
+    product of its last 2k factors, so ceil(log2 m) stack products give
+    all m prefixes."""
+    def rows(a, lo, hi=None):
+        return a[(slice(None),) * axis + (slice(lo, hi),)]
+
     out, k = stack, 1
-    while k < len(stack):
-        out = np.concatenate([out[:k], product(out[k:], out[:-k])])
+    while k < stack.shape[axis]:
+        out = np.concatenate([rows(out, 0, k),
+                              product(rows(out, k), rows(out, 0, -k))],
+                             axis=axis)
         k *= 2
     return out
 
@@ -239,15 +235,14 @@ def _prefix_products(stack: np.ndarray, product) -> np.ndarray:
 def _matrix_last(u: np.ndarray, state_ndim: int) -> np.ndarray:
     """Matrix-first states, shape (d, d) or (d, d, P + 1) followed by stack
     axes, as one contiguous array of shape: the stack axes, then (d, d) or
-    (P + 1, d, d), the layout of the cocycle products and of the
-    results."""
+    (P + 1, d, d), the layout ``batch_transport`` returns."""
     axes = tuple(range(state_ndim, u.ndim)) + tuple(range(2, state_ndim))
     return np.ascontiguousarray(u.transpose(axes + (0, 1)))
 
 
 def _march(prep, geos: Sequence[DiskGeodesic], rank: int | tuple[int, int],
            cfg: Optional[TransportConfig] = None,
-           record_fracs: Optional[Sequence[float]] = None):
+           record_times: Optional[np.ndarray] = None):
     """Fixed-step RK4 fundamental solutions across closed-form disk
     geodesics, on uniform grids in z = tanh(t/2) (``_BatchPaths``),
     marched as m segments per span.
@@ -256,28 +251,29 @@ def _march(prep, geos: Sequence[DiskGeodesic], rank: int | tuple[int, int],
     dW/dz = (dt/dz) rhs(W), and the factor dt/dz of each node rides on
     the stage step sizes of ``_rk4_step``, so it costs no array operation
     per stage.  ``prep`` is called with positions and velocities
-    (v = dx/dt) of shape (m, len(geos), 2), or with snapshot axes in
-    front.  Each span is cut into m = ``_segments`` equal segments, all
-    marched at once from the identity in n_steps/m steps, as matrix-first
-    states of shape (d, d[, P + 1], m, len(geos)); the cocycle law then
-    gives the propagator to any grid node as the partial propagator of
-    its segment times the ordered product of the earlier segments'
-    propagators, s_i ... s_0, all from one scan (``_prefix_products``) in
+    (v = dx/dt) of shape (m, len(geos), 2), or (snapshots, len(geos), 2).
+    Each span is cut into m = ``_segments`` equal segments, all marched at
+    once from the identity in n_steps/m steps, as matrix-first states of
+    shape (d, d[, P + 1], m, len(geos)); the cocycle law then gives the
+    propagator to any grid node as the partial propagator of its segment
+    times the ordered product of the earlier segments' propagators,
+    s_i ... s_0, all from one scan (``_prefix_products``) in
     ceil(log2 m) stack products.  m is 1 when n_steps has no divisor that
     fits, and the march is then the plain sequential one.
 
-    Snapshots are taken at ``record_fracs``, fractions of each span in
-    time in an array that broadcasts against (snapshots, len(geos)):
-    column j holds geodesic j's own fractions.  Each maps to its
-    geodesic's fraction in z (``_BatchPaths.z_fracs``), and a fractional
-    RK4 side-step from the preceding grid node, computed from the
-    identity for all snapshots in one evaluation, multiplies the
-    propagator to that node, so snapshots sit at the exact requested
-    times and crossing families sample identical base points.
+    Snapshots are taken at ``record_times``, times on each geodesic's own
+    clock in an array that broadcasts against (snapshots, len(geos)):
+    column j holds geodesic j's times.  Each is clipped to its span and
+    mapped once to its fraction of the span in z, the ends to 0 and 1
+    exactly, and a fractional RK4 side-step from the preceding grid node,
+    computed from the identity for all snapshots in one evaluation,
+    multiplies the propagator to that node, so snapshots sit at the exact
+    requested times and crossing families sample identical base points.
 
-    Returns (W_exit, records), W_exit of shape (len(geos), d, d) or
-    (len(geos), P + 1, d, d); records is (t, x, v, W) with arrays of
-    shape (snapshots, len(geos), ...), or None when no fractions were
+    Returns (W_exit, records), W_exit matrix-first of shape
+    (d, d[, P + 1], len(geos)); records is (t, x, v, W), t of shape
+    (snapshots, len(geos)), x and v that + (2,) and W matrix-first,
+    (d, d[, P + 1], snapshots, len(geos)), or None when no times were
     requested.
     """
     cfg = cfg or TransportConfig()
@@ -288,25 +284,26 @@ def _march(prep, geos: Sequence[DiskGeodesic], rank: int | tuple[int, int],
     m = _segments(n, width, 0 if eye.ndim == 2 else eye.shape[2] - 1)
     seg = n // m
     first = np.arange(m)[:, None] * seg     # step where each segment starts
-    w = np.broadcast_to(eye[..., None, None], eye.shape + (m, width)).copy()
+    one = eye[..., None, None]              # I on two stack axes
+    w = np.broadcast_to(one, eye.shape + (m, width)).copy()
 
     def node(frac):
         # the right-hand side at a grid node and its step h dt/dz
         x, v, dt_dz = batch.state(frac)
         return prep(x, v), batch.h * dt_dz
 
-    fracs = np.clip(np.asarray(np.zeros((0, width)) if record_fracs is None
-                               else record_fracs, dtype=float), 0.0, 1.0)
-    zf = batch.z_fracs(fracs)               # (snapshots, geodesics)
+    t = np.clip(np.zeros((0, width)) if record_times is None
+                else record_times, batch.t0, batch.t1)
+    zf = np.where(t < batch.t1, np.clip(
+        (np.tanh(t / 2.0) - batch.z0) / batch.dz, 0.0, 1.0), 1.0)
     pos = zf * n
     grid = np.where(pos < n, np.floor(pos), n).astype(int)
     owner, local = np.divmod(grid, seg)     # owner m: the exit itself
-    partial = np.broadcast_to(eye[..., None, None],
-                              eye.shape + grid.shape).copy()
+    partial = np.broadcast_to(one, eye.shape + grid.shape).copy()
 
     f_here, h_here = node(first / n)
     for k in range(seg):
-        if len(fracs):
+        if len(t):
             snap, geo = np.nonzero((local == k) & (owner < m))
             partial[..., snap, geo] = w[..., owner[snap, geo], geo]
         f_mid, h_mid = node((first + k + 0.5) / n)
@@ -315,9 +312,9 @@ def _march(prep, geos: Sequence[DiskGeodesic], rank: int | tuple[int, int],
                       f_next)
         f_here, h_here = f_next, h_next
 
-    scan = _prefix_products(_matrix_last(w, eye.ndim), product)
-    if record_fracs is None:
-        return scan[-1], None
+    scan = _prefix_products(w, product, eye.ndim)
+    if record_times is None:
+        return scan[..., -1, :], None
 
     # a zero side-step is exactly the identity, so grid-node snapshots
     # need no separate path
@@ -325,48 +322,48 @@ def _march(prep, geos: Sequence[DiskGeodesic], rank: int | tuple[int, int],
     x, v, dt_dz = batch.state(zf)
     f_grid, h_grid = node(grid / n)
     f_mid, h_mid = node((grid + 0.5 * delta) / n)
-    side = _rk4_step(eye[..., None, None],
+    side = _rk4_step(one,
                      (delta * h_grid, delta * h_mid, delta * batch.h * dt_dz),
                      f_grid, f_mid, f_mid, prep(x, v))
     # the propagator to the start of segment j: I for j = 0, else row j - 1
-    last = _matrix_last(eye, eye.ndim)
-    prefix = np.concatenate([np.broadcast_to(last, (1, width) + last.shape),
-                             scan])
-    snaps = product(product(_matrix_last(side, eye.ndim),
-                            _matrix_last(partial, eye.ndim)),
-                    prefix[owner, np.arange(width)])
-    return scan[-1], (batch.times(fracs), x, v, snaps)
+    prefix = np.concatenate([np.broadcast_to(one, eye.shape + (1, width)),
+                             scan], axis=eye.ndim)
+    snaps = product(product(side, partial),
+                    prefix[..., owner, np.arange(width)])
+    return scan[..., -1, :], (t, x, v, snaps)
 
 
 def crossing_transport(prep, crossings: Sequence[ShotPieces],
                        rank: int | tuple[int, int]) -> np.ndarray:
     """Fundamental solutions (or jets) across the bump crossings of shot
-    rays, shape (len(crossings), d, d) or (len(crossings), P + 1, d, d).
+    rays, matrix-first: shape (d, d[, P + 1], len(crossings)).
 
     A crossing stores the stage states (x, v) of every RK4 step of its
     geodesic march, where a joint (x, v, W) march evaluates W's stages, so
     a step propagator is one ``_rk4_step`` from the identity, with ``prep``
-    called once per stage over every step of every crossing (matrix-first,
-    the steps on the last axis).  The crossings are padded with the
-    identity to the longest one, and one scan (``_prefix_products``) over
-    the steps forms every crossing's ordered product by the cocycle law,
-    which equals the joint march up to rounding.
+    called once per stage over every step of every crossing (the steps on
+    the last axis).  The crossings are padded with the identity to the
+    longest one, and one scan (``_prefix_products``) over the steps forms
+    every crossing's ordered product by the cocycle law, which equals the
+    joint march up to rounding.
     """
     eye, product = _identity(rank)
-    last = _matrix_last(eye, eye.ndim)
     if not crossings:
-        return np.zeros((0,) + last.shape, dtype=complex)
-    counts = [len(c.stages) for c in crossings]
+        return np.zeros(eye.shape + (0,), dtype=complex)
+    counts = np.array([len(c.stages) for c in crossings])
     stages = np.concatenate([c.stages for c in crossings])
     h = np.repeat([c.h for c in crossings], counts)
-    steps = _matrix_last(_rk4_step(eye[..., None], (h, h, h), *(
-        prep(stages[:, s, 0], stages[:, s, 1]) for s in range(4))), eye.ndim)
-    # steps on axis 0, crossings on axis 1, identity-padded to the longest
-    w = np.broadcast_to(last, (max(counts), len(crossings))
-                        + last.shape).copy()
-    for i, (lo, count) in enumerate(zip(np.cumsum([0] + counts), counts)):
-        w[:count, i] = steps[lo:lo + count]
-    return _prefix_products(w, product)[-1]
+    steps = _rk4_step(eye[..., None], (h, h, h), *(
+        prep(stages[:, s, 0], stages[:, s, 1]) for s in range(4)))
+    # steps on the axis before the last, crossings on the last, padded
+    # with the identity to the longest
+    which = np.repeat(np.arange(len(crossings)), counts)
+    step = np.arange(len(which)) - np.repeat(np.cumsum(counts) - counts,
+                                             counts)
+    w = np.broadcast_to(eye[..., None, None], eye.shape
+                        + (counts.max(), len(crossings))).copy()
+    w[..., step, which] = steps
+    return _prefix_products(w, product, eye.ndim)[..., -1, :]
 
 
 # -- paths: closed-form pieces and crossings --------------------------------
@@ -412,14 +409,15 @@ def _at_rho_cut(path, rho_cut: float):
                                         outgoing=fine[1]))
 
 
-def _piece_fracs(path, pieces, crossing, times: np.ndarray):
-    """Per path time: its piece, its clipped fraction of that piece's span
-    in time (which ``_march`` maps to the piece's fraction in z) and the
-    path time of the piece's clock origin; refuses crossing times."""
+def _piece_times(path, pieces, crossing, times: np.ndarray):
+    """Per path time, its piece and the path time of that piece's clock
+    origin; and each piece's clock at every path time, shape
+    (len(times), len(pieces)), unclipped (``_march`` clips to the piece's
+    span).  Refuses crossing times."""
     shift = 0.0 if isinstance(path, DiskGeodesic) \
         else path.t[0] - pieces[0].t_entry
     local = times - shift
-    piece, t_out = np.zeros(len(times), dtype=int), 0.0
+    piece, origins = np.zeros(len(times), dtype=int), np.zeros(1)
     if crossing is not None:
         t_out = pieces[0].t_exit + crossing.h * len(crossing.stages)
         inside = (local > pieces[0].t_exit) & (local < t_out)
@@ -427,11 +425,8 @@ def _piece_fracs(path, pieces, crossing, times: np.ndarray):
             raise DomainError(
                 f"sample time {times[inside][0]!r} lies strictly inside the "
                 "bump crossing, where the march holds no state")
-        piece = (local >= t_out).astype(int)
-    t0 = np.array([g.t_entry for g in pieces])[piece]
-    span = np.array([g.t_exit - g.t_entry for g in pieces])[piece]
-    fracs = np.clip((local - piece * t_out - t0) / span, 0.0, 1.0)
-    return piece, fracs, shift + piece * t_out
+        piece, origins = (local >= t_out).astype(int), np.array([0.0, t_out])
+    return piece, shift + origins[piece], local[:, None] - origins
 
 
 def batch_transport(prep, paths: Sequence, rank: int | tuple[int, int],
@@ -445,7 +440,7 @@ def batch_transport(prep, paths: Sequence, rank: int | tuple[int, int],
     (``transport_rhs``).  One ``_march`` call steps every closed-form
     piece, ``cfg.n_steps`` RK4 steps uniform in z = tanh(t/2), one
     ``crossing_transport`` call every crossing of the bump, and a crossing
-    ray's solution is (W_out W_ball) W_in.
+    ray's solution is W_out (W_ball W_in).
 
     ``rank`` (d, P) transports the first-order jet (W, V_1..V_P) of W in P
     directions, shape (len(paths), P + 1, d, d), for a ``prep`` of the jet
@@ -458,52 +453,54 @@ def batch_transport(prep, paths: Sequence, rank: int | tuple[int, int],
     ``times`` (sorted, on the paths' clocks, clipped to their spans) also
     asks for snapshots, returned as (W_exit, (t, x, v, W)) with arrays of
     shape (len(paths), len(times), ...): each piece is recorded at its
-    own path's times on it (``_piece_fracs``), so one call snapshots
+    own path's times on it (``_piece_times``), so one call snapshots
     len(times) x (pieces) states, and outgoing snapshots are multiplied
-    by W_ball W_in.  A time strictly inside a crossing, where the march
-    holds no state, is refused.
+    by the W_ball W_in of the exit, so a snapshot at the exit time is
+    W_exit bit for bit.  A time strictly inside a crossing, where the
+    march holds no state, is refused.
+
+    Every product is elementwise over the paths, but the march cuts its
+    spans into ``_segments(n_steps, width)`` segments, width counting the
+    pieces of all paths of the call, so a path's result depends in the
+    last bits (about 1e-15 at 384 steps) on which other paths share its
+    call.
     """
     eye, product = _identity(rank)
     splits = [_split(p) for p in paths]
     geos = [g for pieces, _ in splits for g in pieces]
     if not geos:
-        return np.zeros((0,) + _matrix_last(eye, eye.ndim).shape,
-                        dtype=complex)
-    balls = iter(crossing_transport(
-        prep, [c for _, c in splits if c is not None], rank))
-    fracs = None
+        return np.zeros((0,) + eye.shape[2:] + eye.shape[:2], dtype=complex)
+    local = None
     if times is not None:
         times = np.asarray(times, dtype=float)
-        where = [_piece_fracs(p, *split, times)
-                 for p, split in zip(paths, splits)]
-        # a piece's column: its path's fractions at the times on it, 0 at
-        # the times on the path's other piece
-        fracs = np.stack([np.where(piece == j, f, 0.0)
-                          for (pieces, _), (piece, f, _) in zip(splits, where)
-                          for j in range(len(pieces))], axis=1)
-    w_geo, records = _march(prep, geos, rank, cfg, fracs)
+        piece, origin, clocks = zip(*(_piece_times(p, *split, times)
+                                      for p, split in zip(paths, splits)))
+        # a piece's column: its path's times on the piece's clock
+        local = np.concatenate(clocks, axis=1)
+    w_geo, records = _march(prep, geos, rank, cfg, local)
 
-    exits, snaps, first = [], [], 0
-    for k, (pieces, crossing) in enumerate(splits):
-        w = w_geo[first]
-        if crossing is not None:
-            w_ball = next(balls)
-            w_cross = product(w_ball, w)
-            w = product(product(w_geo[first + 1], w_ball), w)
-        exits.append(w)
-        if records is not None:
-            piece, _, origin = where[k]
-            at = (np.arange(len(times)), first + piece)
-            t, x, v, w_t = (r[at] for r in records)
-            # outgoing snapshots (crossing rays only), one at a time: mul
-            # multiplies long stacks by another summation than single states
-            for i in np.flatnonzero(piece == 1):
-                w_t[i] = product(w_t[i], w_cross)
-            snaps.append((t + origin, x, v, w_t))
-        first += len(pieces)
+    start = np.cumsum([0] + [len(pieces) for pieces, _ in splits])[:-1]
+    crossed = np.array([c is not None for _, c in splits])
+    exits = w_geo[..., start]
+    # W_ball W_in of each crossing ray, for its exit and its outgoing
+    # snapshots alike
+    head = product(crossing_transport(
+        prep, [c for _, c in splits if c is not None], rank),
+        exits[..., crossed])
+    exits[..., crossed] = product(w_geo[..., start[crossed] + 1], head)
     if records is None:
-        return np.array(exits)
-    return np.array(exits), tuple(np.array(s) for s in zip(*snaps))
+        return _matrix_last(exits, eye.ndim)
+
+    piece = np.array(piece)                 # (paths, times)
+    at = (np.arange(len(times)), start[:, None] + piece)
+    t, x, v, w_t = records
+    w_t = w_t[(Ellipsis,) + at]
+    ray, snap = np.nonzero(piece)        # outgoing: crossing rays only
+    w_t[..., ray, snap] = product(w_t[..., ray, snap],
+                                  head[..., np.cumsum(crossed)[ray] - 1])
+    t = t[at] + np.array(origin)
+    return _matrix_last(exits, eye.ndim), (t, x[at], v[at],
+                                           _matrix_last(w_t, eye.ndim))
 
 
 def truncation_estimate(prep, paths: Sequence, rank: int,

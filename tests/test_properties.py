@@ -5,23 +5,27 @@
 - ``FanSpec.uniform_pairs`` and ``FanSpec.uniform_shooting`` return
   exactly ``count`` items for any positive count and per-angle size;
 - ``_linalg.mul`` is ``@`` up to rounding for ranks 1-4 and broadcasting
-  leading shapes, and exactly ``@`` for single matrices and vectors;
+  leading shapes, single matrices included;
 - ``_linalg.expm_skew`` agrees with ``scipy.linalg.expm`` and
   ``expm_frechet`` one matrix at a time, for ranks 1-4, stacks of shapes
   (), (7,) and (5, 3) and directions E with extra leading axes: Q within
   1e-13, exp(-P) L(P, E) within 1e-12, and Q unitary within 1e-14;
 - ``_linalg.mul_first`` on the matrix-first forms of two stacks equals
-  bit for bit ``mul``'s unrolled branch on the stacks, for ranks 1-4,
+  bit for bit ``mul`` on the stacks, for ranks 1-4,
   broadcasting stack shapes and the jet's (d, d, 1, ...) x
   (d, d, P + 1, ...) product;
 - a jet's W slot is the rank-d transport bit for bit, at the exit and at
   snapshots, for ranks 1-3, orders P 1-6, 1-6 closed-form geodesics with
   or without a shot ray that crosses the bump, and step counts down to
-  small primes, where a stage evaluates fewer than 8 d nodes;
+  small primes;
+- a snapshot at the exit time is the exit value bit for bit, for ranks
+  1-3 and jets of order 0-3, on 1-5 closed-form geodesics with or without
+  a shot ray that crosses the bump;
 - ``transport._prefix_products``, the log-depth scan, gives the
   inclusive ordered products s_i ... s_0 of a sequential left fold within
-  1e-13, for stacks of 1-600 unitary states (powers of two and primes
-  among them), 1-5 geodesics, ranks 1-3 and jets of order 0-3; and
+  1e-13, for matrix-first stacks of 1-600 unitary states (powers of two
+  and primes among them), 1-5 geodesics, ranks 1-3 and jets of order 0-3;
+  and
   ``crossing_transport`` on crossings of 1, 2, 42 and 43 steps, padded
   to the longest, gives each crossing the ordered product of its own step
   propagators;
@@ -98,8 +102,8 @@ from ahxray.geometry import (AHModel, BoundaryDatum, ConformalBump,
                              Direction, DiskGeodesic, ModelKind)
 from ahxray.reconstruct import HiggsParameterization, _tangent_rhs
 from ahxray.transport import (_ROWS, TransportConfig, _BatchPaths,
-                              _identity, _prefix_products, _segments,
-                              batch_transport, crossing_transport,
+                              _identity, _matrix_last, _prefix_products,
+                              _segments, batch_transport, crossing_transport,
                               transport_rhs)
 from ahxray.xray import (FanSpec, ScatteringDataset, ScatteringRecord,
                          compare_datasets, compute_scattering_data,
@@ -139,9 +143,10 @@ def _complex(rng, shape):
        mask_a=st.lists(st.booleans(), min_size=3, max_size=3),
        mask_b=st.lists(st.booleans(), min_size=3, max_size=3),
        seed=st.integers(0, 2**32 - 1))
+@example(rank=3, lead=[], mask_a=[True] * 3, mask_b=[True] * 3, seed=0)
 def test_mul_is_matmul(rank, lead, mask_a, mask_b, seed):
     # each operand keeps or collapses to 1 every leading axis, so the
-    # pair broadcasts against each other
+    # pair broadcasts against each other; an empty lead is a lone matrix
     rng = np.random.default_rng(seed)
     a = _complex(rng, tuple(n if keep else 1 for n, keep in
                             zip(lead, mask_a)) + (rank, rank))
@@ -150,16 +155,6 @@ def test_mul_is_matmul(rank, lead, mask_a, mask_b, seed):
     out, ref = mul(a, b), a @ b
     assert out.shape == ref.shape
     assert np.max(np.abs(out - ref)) <= 1e-14 * np.max(np.abs(ref))
-
-
-@settings(max_examples=50, deadline=None)
-@given(rank=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
-def test_mul_falls_back_on_single_matrices(rank, seed):
-    rng = np.random.default_rng(seed)
-    a, b = _complex(rng, (rank, rank)), _complex(rng, (rank, rank))
-    vec = _complex(rng, (rank,))
-    assert np.array_equal(mul(a, b), a @ b)
-    assert np.array_equal(mul(a, vec), a @ vec)
 
 
 @settings(max_examples=100, deadline=None)
@@ -183,14 +178,6 @@ def test_expm_skew_is_scipy_expm(rank, stack, extra, scale, seed):
     assert np.array_equal(expm_skew(p), q)
 
 
-def _unrolled_mul(a, b):
-    """``mul``'s unrolled branch at any size: the operands repeated along a
-    new leading axis until they pass its ``@`` cutoff of 8 d matrices."""
-    reps = (8 * a.shape[-1],)
-    return mul(np.broadcast_to(a, reps + a.shape),
-               np.broadcast_to(b, reps + b.shape))[0]
-
-
 @settings(max_examples=200, deadline=None)
 @given(rank=st.integers(1, 4),
        lead=st.lists(st.integers(1, 5), max_size=3),
@@ -207,7 +194,7 @@ def test_mul_first_is_the_unrolled_mul(rank, lead, mask_a, mask_b, order,
     b = _complex(rng, tuple(n if keep else 1 for n, keep in
                             zip(lead, mask_b)) + jet_b + (rank, rank))
     out = mul_first(matrix_first(a), matrix_first(b))
-    _same(np.moveaxis(out, (0, 1), (-2, -1)), _unrolled_mul(a, b))
+    _same(np.moveaxis(out, (0, 1), (-2, -1)), mul(a, b))
 
 
 _SHOT_RAY = {}
@@ -265,6 +252,40 @@ def test_jet_w_slot_is_the_rank_d_transport(perturbed, rank, order, width,
     _same(jet_snaps[:, :, 0], snaps)
 
 
+@settings(max_examples=30, deadline=None)
+@given(rank=st.integers(1, 3), order=st.integers(0, 3),
+       width=st.integers(1, 5), crossing=st.booleans(),
+       n_steps=st.sampled_from([1, 7, 16, 64, 512]),
+       seed=st.integers(0, 2**32 - 1))
+def test_exit_time_snapshot_is_the_exit(perturbed, rank, order, width,
+                                        crossing, n_steps, seed):
+    # the snapshot at the last time is composed as the exit is, W_out
+    # (W_ball W_in) on a crossing ray, and its side-step is exactly I
+    rng = np.random.default_rng(seed)
+    conn = random_connection(rng, rank)
+    paths = [DiskGeodesic.between_boundary_angles(AHModel(), a, a + op)
+             for a, op in zip(rng.uniform(0, 2 * np.pi, width),
+                              rng.uniform(0.5, 5.5, width))]
+    if crossing:
+        paths.append(_shot_ray(perturbed))
+    if order:
+        centers = [(0.25, 0.0), (-0.2, 0.2), (0.0, -0.3)]
+        params = HiggsParameterization(
+            rank=rank, decay_N1=4,
+            basis=[(random_skew(rng, rank), GaussBump(center=c, sigma=0.3))
+                   for c in centers[:order]])
+        prep = _tangent_rhs(conn, params, rng.normal(size=order))
+        state = (rank, order)
+    else:
+        prep, state = transport_rhs(conn, random_higgs(rng, rank)), rank
+    ends = [(p.t_entry, p.t_exit) if isinstance(p, DiskGeodesic)
+            else (p.t[0], p.t[-1]) for p in paths]
+    times = [min(e[0] for e in ends), max(e[1] for e in ends)]
+    w_exit, (_, _, _, snaps) = batch_transport(
+        prep, paths, state, TransportConfig(n_steps=n_steps), times)
+    _same(snaps[:, -1], w_exit)
+
+
 def _fold(stack, jet):
     """The inclusive ordered products s_i ... s_0 of a stack of rank-d
     states (..., d, d) or jets (..., P + 1, d, d) on axis 0, by a
@@ -304,9 +325,13 @@ def test_prefix_scan_is_the_ordered_product(m, rank, order, width, seed):
         stack = np.concatenate([w[:, :, None], v], axis=2)
     else:
         stack = w
-    out = _prefix_products(stack, product)
-    assert out.shape == stack.shape
-    assert np.max(np.abs(out - _fold(stack, order > 0))) <= 1e-13
+    # matrix-first: (d, d[, P + 1]) in front of the (m, width) stack axes
+    state = 2 + (order > 0)
+    first = np.moveaxis(stack, (-2, -1, -3)[:state], range(state))
+    out = _prefix_products(first, product, state)
+    assert out.shape == first.shape
+    assert np.max(np.abs(_matrix_last(out, state)
+                         - _fold(stack, order > 0))) <= 1e-13
 
 
 @pytest.mark.parametrize("order", [0, 2])
@@ -330,11 +355,13 @@ def test_crossings_of_unequal_lengths_are_ordered_products(perturbed, order):
     counts = [1, 2, 42, 43]
     assert len(ray.stages) >= max(counts)
     crossings = [replace(ray, stages=ray.stages[-n:]) for n in counts]
-    out = crossing_transport(prep, crossings, state)
+    # matrix-first states, moved to the (..., d, d) layout of the fold
+    ndim = 2 + (order > 0)
+    out = _matrix_last(crossing_transport(prep, crossings, state), ndim)
     for crossing, w in zip(crossings, out):
-        steps = crossing_transport(prep, [
+        steps = _matrix_last(crossing_transport(prep, [
             replace(crossing, stages=step[None]) for step in crossing.stages],
-            state)
+            state), ndim)
         assert np.max(np.abs(w - _fold(steps, order > 0)[-1])) <= 1e-13
 
 

@@ -181,18 +181,21 @@ class TestJacobian:
         conn = ConnectionField.zero(2)
         geos, _ = fan_paths(disk, FanSpec.uniform_pairs(8, n_openings=2))
         cfg = TransportConfig(n_steps=64)
-        fracs = [[0.3], [0.45], [1.0]]
+        t0, t1 = (np.array([getattr(g, end) for g in geos])
+                  for end in ("t_entry", "t_exit"))
+        times = t0 + np.array([[0.3], [0.45], [1.0]]) * (t1 - t0)
         c = np.array([0.6, -0.4])
 
         def plain(cc):
             return _march(transport_rhs(conn, params.higgs(cc)),
-                          geos, 2, cfg, fracs)
+                          geos, 2, cfg, times)
 
         jet, (_, _, _, jet_snaps) = _march(_tangent_rhs(conn, params, c),
-                                           geos, (2, params.size), cfg, fracs)
+                                           geos, (2, params.size), cfg, times)
         w, (_, _, _, snaps) = plain(c)
-        assert jet.shape == (len(geos), 1 + params.size, 2, 2)
-        assert np.array_equal(jet[:, 0], w)
+        # matrix-first: (d, d, P + 1) in front of the stack axes
+        assert jet.shape == (2, 2, 1 + params.size, len(geos))
+        assert np.array_equal(jet[:, :, 0], w)
         assert np.array_equal(jet_snaps[:, :, 0], snaps)
         h = 1e-6
         for k, e in enumerate(np.eye(params.size)):
@@ -291,21 +294,19 @@ class TestShootingFans:
         assert np.max(np.abs(tangent - fd)) <= 1e-6 * np.max(np.abs(fd))
 
     def test_jet_crossing_carries_the_forward_transport(self, perturbed):
-        # the W slot is the rank-d crossing bit for bit; with fewer than 16
-        # crossings the last pairwise products of rank d go through matmul,
-        # and so do the jet's products of W stacks
+        # the W slot is the rank-d crossing bit for bit: the jet's products
+        # of W stacks are the rank-d products
         params = su2_basis(count=3)
         conn = ConnectionField.zero(2)
         c = np.array([0.8, -0.5, 0.3])
         _, paths = self.fan_and_paths(perturbed, 40, 256)
         crossings = [p.pieces for p in paths if p.pieces is not None]
-        assert len(crossings) < 16
         w = crossing_transport(transport_rhs(conn, params.higgs(c)),
                                crossings, 2)
         jet = crossing_transport(_tangent_rhs(conn, params, c), crossings,
                                  (2, params.size))
-        assert jet.shape == (len(crossings), 1 + params.size, 2, 2)
-        assert np.array_equal(jet[:, 0], w)
+        assert jet.shape == (2, 2, 1 + params.size, len(crossings))
+        assert np.array_equal(jet[:, :, 0], w)
 
     def test_closed_loop_on_perturbed_model(self, perturbed):
         # criterion 11's loop and gate on a shooting fan of the perturbed

@@ -23,7 +23,7 @@ import pytest
 from scipy.integrate import quad
 
 import ahxray.transport as transport
-from ahxray._linalg import mul, unitary_defect
+from ahxray._linalg import unitary_defect
 from ahxray.bundle import (ConnectionField, GaussBump, HiggsFieldData,
                            gauge_transform)
 from ahxray.errors import DomainError, RankMismatchError
@@ -357,7 +357,8 @@ class TestCrossingTransport:
         # crossings of different step counts share one call
         assert len({len(c.stages) for c in crossings}) == 3
         w = crossing_transport(prep, crossings, 2)
-        for pieces, w_ball in zip(crossings, w):
+        assert w.shape == (2, 2, len(crossings))
+        for pieces, w_ball in zip(crossings, np.moveaxis(w, -1, 0)):
             y, ref = joint_rk4_crossing(perturbed, prep, pieces, 2)
             assert np.max(np.abs(w_ball - ref)) < 1e-13
             # the joint march leaves where the outgoing piece starts
@@ -458,12 +459,16 @@ class TestBatchBackend:
     def test_records_track_solution(self, disk_module, rng):
         conn = random_connection(rng)
         higgs = random_higgs(rng)
-        geos = [DiskGeodesic.between_boundary_angles(disk_module, 0.2, 3.1)]
-        u_exit, (t, x, v, q) = _march(transport_rhs(conn, higgs), geos, 2,
-                                      record_fracs=[[0.0], [0.5], [1.0]])
-        assert t.shape == (3, 1) and q.shape == (3, 1, 2, 2)
-        assert np.max(np.abs(q[0, 0] - np.eye(2))) < 1e-14
-        assert np.max(np.abs(q[-1, 0] - u_exit[0])) < 1e-14
+        geo = DiskGeodesic.between_boundary_angles(disk_module, 0.2, 3.1)
+        times = [[geo.t_entry], [0.5 * (geo.t_entry + geo.t_exit)],
+                 [geo.t_exit]]
+        u_exit, (t, x, v, q) = _march(transport_rhs(conn, higgs), [geo], 2,
+                                      record_times=times)
+        # matrix-first states: (d, d) in front of (snapshots, geodesics)
+        assert t.shape == (3, 1) and q.shape == (2, 2, 3, 1)
+        assert u_exit.shape == (2, 2, 1)
+        assert np.max(np.abs(q[:, :, 0, 0] - np.eye(2))) < 1e-14
+        assert np.max(np.abs(q[:, :, -1, 0] - u_exit[:, :, 0])) < 1e-14
 
     def test_one_call_snapshots_as_one_path_calls(self, disk_module,
                                                   perturbed, rng):
@@ -501,6 +506,24 @@ class TestBatchBackend:
             assert np.array_equal(snap,
                                   np.concatenate([o[1][i] for o in ones]))
 
+    @pytest.mark.parametrize("n", [384, 512])
+    def test_call_width_moves_only_the_last_bits(self, disk_module, rng, n):
+        # one call of 20 paths cuts each span into fewer segments than a
+        # one-path call (_segments), so the two round apart, by about
+        # 3e-15 here
+        prep = transport_rhs(random_connection(rng), random_higgs(rng))
+        paths = [DiskGeodesic.through(disk_module, (-0.2, 0.1), th)
+                 for th in np.linspace(0.1, 3.0, 20)]
+        assert _segments(n, len(paths)) < _segments(n, 1)
+        cfg = TransportConfig(n_steps=n)
+        times = np.linspace(-4.0, 4.0, 17)
+        w, (_, _, _, snaps) = batch_transport(prep, paths, 2, cfg, times)
+        ones = [batch_transport(prep, [p], 2, cfg, times) for p in paths]
+        assert np.max(np.abs(w - np.concatenate([o[0] for o in ones]))) \
+            <= 1e-14
+        assert np.max(np.abs(
+            snaps - np.concatenate([o[1][3] for o in ones]))) <= 1e-14
+
 
 class TestSegmentedMarch:
     """The segment-parallel march against the sequential reference."""
@@ -522,15 +545,19 @@ class TestSegmentedMarch:
     def test_width_one_march_scans_its_segments(self, disk_module, rng,
                                                 monkeypatch):
         # 384 one-step segments, composed in ceil(log2 384) = 9 products
+        # of the scan (the stage products are not counted)
         n = 384
         assert _segments(n, 1) == n
         products = []
+        scan = transport._prefix_products
 
-        def counted(a, b):
-            products.append(a.shape)
-            return mul(a, b)
+        def counted_scan(stack, product, axis):
+            def counted(a, b):
+                products.append(a.shape)
+                return product(a, b)
+            return scan(stack, counted, axis)
 
-        monkeypatch.setattr(transport, "mul", counted)
+        monkeypatch.setattr(transport, "_prefix_products", counted_scan)
         geo = DiskGeodesic.between_boundary_angles(disk_module, 1.2, 4.0)
         _march(transport_rhs(random_connection(rng), random_higgs(rng)),
                [geo], 2, TransportConfig(n_steps=n))
@@ -562,19 +589,22 @@ class TestSegmentedMarch:
         # several positions inside a segment where the fields are strong
         fracs = [0.0, 1.0, 100 / m, 301 / n, 0.4567, 0.5 + 0.4 / n,
                  0.5 + 1.7 / n, (n - 0.3) / n]
+        t0, t1 = (np.array([getattr(g, end) for g in geos])
+                  for end in ("t_entry", "t_exit"))
+        # each geodesic's own times at the fractions of its span
+        times = t0 + np.array(fracs)[:, None] * (t1 - t0)
         cfg = TransportConfig(n_steps=n)
         for conn, higgs in ((conn_a, higgs_a), (conn_b, higgs_b)):
             prep = transport_rhs(conn, higgs)
-            w_exit, records = _march(prep, geos, rank, cfg,
-                                     np.array(fracs)[:, None])
+            w_exit, (t, x, v, w) = _march(prep, geos, rank, cfg, times)
             ref_exit, ref_snaps = sequential_rk4(
                 two_sided(conn, higgs), geos, rank, n, fracs)
-            assert np.max(np.abs(w_exit - ref_exit)) <= 1e-13
-            assert records[3].shape[:2] == (len(fracs), len(geos))
-            for t, x, v, w, f, ref in zip(*records, fracs, ref_snaps):
+            assert np.max(np.abs(np.moveaxis(w_exit, -1, 0) - ref_exit)) \
+                <= 1e-13
+            assert w.shape == (rank, rank, len(fracs), len(geos))
+            w = np.moveaxis(w, (0, 1), (-2, -1))
+            for t, x, w, t_ref, ref in zip(t, x, w, times, ref_snaps):
                 assert np.max(np.abs(w - ref)) <= 1e-13
-                t_ref = np.array([g.t_entry + f * (g.t_exit - g.t_entry)
-                                  for g in geos])
                 assert np.max(np.abs(t - t_ref)) <= 1e-13
                 assert np.max(np.abs(
                     x - [g.position(s) for g, s in zip(geos, t_ref)])) <= 1e-13
