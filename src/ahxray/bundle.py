@@ -13,6 +13,15 @@ identity on the boundary; one Jacobi diagonalisation gives Q and Q^-1 dQ(v).
 One evaluator, ``_Separable``, forms every such sum (connection symbols
 and curvature, Higgs fields, gauge exponents, the reconstruction basis) as
 scalar weights times the stacked generators; zero fields are its empty sum.
+The weights are held terms-first, shape (K, ...nodes), so each elementwise
+pass of a bump runs over the long node axes rather than an inner axis of
+length K.  A field built from terms (``from_terms``, the config, a
+reconstruction iterate) keeps them, and ``_stacked_generator`` evaluates
+the transport generator -(Gamma(v) + Phi) of such a pair as one separable
+sum over all K_Gamma + K_Phi terms: one rho, one bump pass, one product
+that gives the matrix-first generator.  Gauge transforms and adjoints keep
+no terms and are evaluated through ``along`` and ``phi``.
+
 Points are arrays of shape (..., 2), read componentwise (x[..., 0],
 x[..., 1]) on the per-node paths, because a NumPy reduction over an axis of
 length 2 costs about three times its arithmetic; a two-term sum is a + b
@@ -92,14 +101,45 @@ class SeparableTerm:
             raise DomainError("term direction must be 0 or 1")
 
 
+def _last_first(a: np.ndarray) -> np.ndarray:
+    """A view of ``a`` with its last axis moved in front (``np.moveaxis``
+    costs several times more Python on these per-node paths)."""
+    return a.transpose((-1,) + tuple(range(a.ndim - 1)))
+
+
+def _lift(a: np.ndarray, ndim: int) -> np.ndarray:
+    """A terms-first array (K, ...) with unit axes put in front of its node
+    axes, ``ndim`` node axes in all, so that it broadcasts against another
+    terms-first array as their node arrays would."""
+    return a.reshape(a.shape[:1] + (1,) * (ndim + 1 - a.ndim) + a.shape[1:])
+
+
+def _bumps(x: np.ndarray, centers: np.ndarray,
+           sigma2: np.ndarray) -> np.ndarray:
+    """exp(-(d0 d0 + d1 d1) / (2 sigma_k^2)) with d = x - c_k, terms-first:
+    shape (K,) + x's leading axes.  Step by step in place: the same
+    operations in the same order, in two arrays instead of seven."""
+    lead = (-1,) + (1,) * (x.ndim - 1)
+    d0 = x[..., 0] - centers[:, 0].reshape(lead)
+    d1 = x[..., 1] - centers[:, 1].reshape(lead)
+    d0 *= d0
+    d1 *= d1
+    d0 += d1
+    np.negative(d0, out=d0)
+    d0 /= (2.0 * sigma2).reshape(lead)
+    return np.exp(d0, out=d0)
+
+
 class _Separable:
     """rho^N sum_k beta_k S_k over K (generator S_k, bump beta_k) terms.
 
-    ``weights`` are the scalars rho^N beta_k on a last axis of length K and
-    ``weights_and_grads`` adds their partials; ``combine`` forms sum_k w_k S_k
-    for any real weights w as one product with the generators' (re, im) parts,
-    so a contraction (velocity, coefficients, direction mask) goes into
-    the weights first.
+    ``weights`` are the scalars rho^N beta_k, terms-first: shape (K,)
+    followed by the points' leading axes, so each elementwise pass runs
+    over the long node axes.  ``weights_and_grads`` adds their partials d_j,
+    shape (2, K, ...).  ``combine`` forms sum_k w_k S_k for any real
+    terms-first weights w as one product with the generators' (re, im)
+    parts, so a contraction (velocity, coefficients, direction mask) goes
+    into the weights first.
     """
 
     def __init__(self, rank: int,
@@ -121,43 +161,41 @@ class _Separable:
                                  dtype=float).reshape(-1, 2)
         self._sigma2 = np.array([b.sigma**2 for _, b in terms], dtype=float)
 
-    def _bumps(self, x: np.ndarray) -> np.ndarray:
-        # exp(-(d0 d0 + d1 d1) / (2 sigma^2)), step by step in place: the
-        # same operations in the same order, in two arrays instead of seven
-        d0 = x[..., 0, None] - self._centers[:, 0]
-        d1 = x[..., 1, None] - self._centers[:, 1]
-        d0 *= d0
-        d1 *= d1
-        d0 += d1
-        np.negative(d0, out=d0)
-        d0 /= 2.0 * self._sigma2
-        return np.exp(d0, out=d0)
-
     def weights(self, x: np.ndarray) -> np.ndarray:
-        """rho^N beta_k, shape (..., K)."""
+        """rho^N beta_k, shape (K,) + x's leading axes."""
         x = np.asarray(x, dtype=float)
         # an array at a lone point too; a NumPy scalar's power rounds otherwise
-        return _rho(x)[..., None] ** self.decay * self._bumps(x)
+        return _rho(x)[None] ** self.decay \
+            * _bumps(x, self._centers, self._sigma2)
 
     def weights_and_grads(self, x: np.ndarray
                           ) -> tuple[np.ndarray, np.ndarray]:
-        """``weights`` and their partials d_j, shape (..., 2, K), from one
-        evaluation of the bumps, with the same bits as ``weights``."""
+        """``weights`` and their partials d_j, shape (2, K) + x's leading
+        axes, from one evaluation of the bumps, with the same bits as
+        ``weights``."""
         x = np.asarray(x, dtype=float)
         n = self.decay
-        rho = _rho(x)[..., None, None]
+        lead = (1,) * (x.ndim - 1)
+        rho = _rho(x)[None, None]
         rho_n = rho**n
-        bumps = self._bumps(x)
-        dx = x[..., :, None] - self._centers.T
-        return rho_n[..., 0, :] * bumps, bumps[..., None, :] \
-            * (n * rho ** max(n - 1, 0) * (-2.0 * x[..., :, None])
-               - rho_n * dx / self._sigma2)
+        bumps = _bumps(x, self._centers, self._sigma2)
+        xj = _last_first(x)[:, None]
+        dx = xj - self._centers.T.reshape((2, -1) + lead)
+        return rho_n[0] * bumps, bumps \
+            * (n * rho ** max(n - 1, 0) * (-2.0 * xj)
+               - rho_n * dx / self._sigma2.reshape((-1,) + lead))
 
     def combine(self, w: np.ndarray) -> np.ndarray:
-        """sum_k w_k S_k for real w of shape (..., K): shape (..., d, d)."""
+        """sum_k w_k S_k for real terms-first w of shape (K, ...): shape
+        (..., d, d).  The product takes a terms-last copy of w, the
+        operand of the terms-last form, whose bits it keeps; a transposed
+        view raised the peak RSS of a second ``pestov`` solve at 96^2 by
+        0.3 MB."""
         w = np.asarray(w, dtype=float)
-        out = w.reshape(math.prod(w.shape[:-1]), w.shape[-1]) @ self._flat
-        return out.view(complex).reshape(w.shape[:-1] + (self.rank,) * 2)
+        lead = w.shape[1:]
+        rows = np.ascontiguousarray(w.reshape(len(w), math.prod(lead)).T)
+        out = rows @ self._flat
+        return out.view(complex).reshape(lead + (self.rank,) * 2)
 
 
 class ConnectionField:
@@ -171,6 +209,10 @@ class ConnectionField:
     from analytic partials, and gauge transforms carry it by conjugation,
     which is exact.
     """
+
+    # (separable field, direction of each term) of a connection built
+    # from terms, for ``_stacked_generator``; None for any other
+    _terms: Optional[tuple["_Separable", np.ndarray]] = None
 
     def __init__(self, rank: int,
                  along: Callable[[np.ndarray, np.ndarray], np.ndarray],
@@ -235,25 +277,36 @@ class ConnectionField:
         feeds = np.eye(2)[:, dirs]           # (i, k): term k feeds Gamma_i
 
         def along(x, v):
-            return f.combine(f.weights(x)
-                             * np.asarray(v, dtype=float)[..., dirs])
+            w = f.weights(x)
+            v = _last_first(np.asarray(v, dtype=float))[dirs]
+            n = max(w.ndim, v.ndim) - 1
+            return f.combine(_lift(w, n) * _lift(v, n))
 
         def curvature(x):
             w, dw = f.weights_and_grads(x)
-            gam = f.combine(w[..., None, :] * feeds)
+            n = w.ndim - 1
+            # Gamma_1 and Gamma_2 as one product, a row per (node, i)
+            gam = f.combine(w[..., None] * feeds.T.reshape(
+                (-1,) + (1,) * n + (2,)))
             g1, g2 = gam[..., 0, :, :], gam[..., 1, :, :]
-            curl = f.combine(dw[..., 0, :] * feeds[1]
-                             - dw[..., 1, :] * feeds[0])
+            curl = f.combine(dw[0] * _lift(feeds[1], n)
+                             - dw[1] * _lift(feeds[0], n))
             return curl + (mul(g1, g2) - mul(g2, g1))
 
-        return cls(rank, along, decay_N, curvature=curvature,
+        conn = cls(rank, along, decay_N, curvature=curvature,
                    validate=bool(terms), is_zero=not terms)
+        conn._terms = (f, dirs)
+        return conn
 
 
 class HiggsFieldData:
     """Skew-Hermitian Higgs field with rho^(N+1) decay; ``is_zero`` marks
     the zero field and its gauge transforms, whose decay exponent says
     nothing."""
+
+    # (separable field, coefficient of each term or None for ones) of a
+    # field built from terms, for ``_stacked_generator``; None for any other
+    _terms: Optional[tuple["_Separable", Optional[np.ndarray]]] = None
 
     def __init__(self, rank: int, phi: Callable[[np.ndarray], np.ndarray],
                  decay_N1: int, validate: bool = True, is_zero: bool = False):
@@ -283,10 +336,75 @@ class HiggsFieldData:
     def from_terms(cls, rank: int,
                    terms: Sequence[tuple[np.ndarray, GaussBump]],
                    decay_N1: int) -> "HiggsFieldData":
-        field = _Separable(rank, terms, decay_N1)
-        return cls(rank, lambda x: field.combine(field.weights(x)), decay_N1,
-                   validate=bool(len(field.gens)),
-                   is_zero=not len(field.gens))
+        return cls._of_terms(_Separable(rank, terms, decay_N1))
+
+    @classmethod
+    def _of_terms(cls, field: _Separable, coeffs: Optional[np.ndarray] = None,
+                  validate: bool = True) -> "HiggsFieldData":
+        """Phi = sum_k c_k w_k S_k over the terms of ``field``, with c_k = 1
+        when ``coeffs`` is None; the field keeps its terms."""
+        def phi(x):
+            w = field.weights(x)
+            return field.combine(
+                w if coeffs is None else w * _lift(coeffs, w.ndim - 1))
+
+        empty = not len(field.gens)
+        higgs = cls(field.rank, phi, field.decay,
+                    validate=validate and not empty, is_zero=empty)
+        higgs._terms = (field, coeffs)
+        return higgs
+
+
+def _stacked_generator(conn: ConnectionField, higgs: HiggsFieldData):
+    """x, v -> (A, w) for a connection and a Higgs field that both carry
+    terms, and None when either does not.  A = -(Gamma(v) + Phi),
+    matrix-first, shape (d, d) + nodes, the nodes being the broadcast of
+    x's and v's leading axes; w holds the Higgs terms' weights rho^N beta_k
+    before their coefficients, terms-first, shape (K_Phi,) + x's leading
+    axes.
+
+    A is one separable sum over all K_Gamma + K_Phi terms: one rho, rho^N
+    once per decay exponent, one bump pass, the velocity component on the
+    connection terms, the coefficients on the Higgs terms, and one product
+    of those weights with the negated, stacked generators.  Each weight
+    has the bits of the same weight in ``along`` or ``phi``; A differs
+    from -(Gamma(v) + Phi) by the rounding of one sum against two.
+    """
+    if conn._terms is None or higgs._terms is None:
+        return None
+    (fc, dirs), (fh, coeffs) = conn._terms, higgs._terms
+    # Gamma_1's terms, then Gamma_2's: each block takes one component of v.
+    # Sorted in Python: a first np.argsort or np.sum touches 0.2-0.4 MB of
+    # NumPy's code pages, which would count against the peak RSS of a run
+    order = sorted(range(len(dirs)), key=lambda i: dirs[i])
+    d, k, k0 = conn.rank, len(dirs), list(dirs).count(0)
+    centers = np.concatenate([fc._centers[order], fh._centers])
+    sigma2 = np.concatenate([fc._sigma2[order], fh._sigma2])
+    gens = -np.concatenate([fc.gens[order], fh.gens]).reshape(-1, d * d)
+    # row ij holds the (re, im) of entry ij of every -S_k, so the product
+    # (nodes, K) x (K, 2) of row ij is entry ij over the nodes
+    neg = np.ascontiguousarray(
+        gens.view(float).reshape(len(gens), d * d, 2).transpose(1, 0, 2))
+
+    def generator(x, v):
+        x, v = np.asarray(x, dtype=float), np.asarray(v, dtype=float)
+        nodes = x.shape[:-1] if v.shape == x.shape \
+            else np.broadcast_shapes(x.shape[:-1], v.shape[:-1])
+        n = len(nodes)
+        w_all = _bumps(x, centers, sigma2)
+        rho = _rho(x)[None]
+        rho_c = rho**fc.decay
+        w_all[:k] *= rho_c
+        w_all[k:] *= rho_c if fh.decay == fc.decay else rho**fh.decay
+        w, w_conn = np.empty((len(w_all),) + nodes), _lift(w_all[:k], n)
+        np.multiply(w_conn[:k0], v[..., 0], out=w[:k0])
+        np.multiply(w_conn[k0:], v[..., 1], out=w[k0:k])
+        np.multiply(_lift(w_all[k:], n),
+                    1.0 if coeffs is None else _lift(coeffs, n), out=w[k:])
+        a = np.matmul(w.reshape(len(w), math.prod(nodes)).T, neg)
+        return a.view(complex).reshape((d, d) + nodes), w_all[k:]
+
+    return generator
 
 
 class GaugeField:
@@ -313,8 +431,10 @@ class GaugeField:
         derivative in the direction dP(v), from Q's diagonalisation."""
         f = self._field
         w, dw = f.weights_and_grads(x)
-        v = np.asarray(v, dtype=float)
-        dp = dw[..., 0, :] * v[..., 0, None] + dw[..., 1, :] * v[..., 1, None]
+        v = _last_first(np.asarray(v, dtype=float))[:, None]
+        n = max(dw.ndim, v.ndim) - 2
+        dp = (_lift(dw[0], n) * _lift(v[0], n)
+              + _lift(dw[1], n) * _lift(v[1], n))
         return expm_skew(f.combine(w), f.combine(dp))
 
     def dq(self, x: np.ndarray) -> np.ndarray:

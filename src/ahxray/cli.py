@@ -170,7 +170,7 @@ def cmd_reconstruct(args) -> int:
             f"phi_{i}{j}_{p}" for i in range(params.rank)
             for j in range(params.rank) for p in ("re", "im"))]
         for p, m in zip(pts, vals):
-            row = [repr(p[0]), repr(p[1])]
+            row = [repr(float(p[0])), repr(float(p[1]))]
             for z in m.reshape(-1):
                 row.extend([repr(float(z.real)), repr(float(z.imag))])
             lines.append(",".join(row))

@@ -26,8 +26,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ._linalg import matrix_first, mul_first
-from .bundle import (ConnectionField, GaussBump, HiggsFieldData, _Separable,
-                     validation_points)
+from .bundle import (ConnectionField, GaussBump, HiggsFieldData, _lift,
+                     _Separable, _stacked_generator, validation_points)
 from .errors import DomainError, StagnationError
 from .geometry import AHModel
 from .transport import (TransportConfig, _require_decay, batch_transport,
@@ -67,7 +67,7 @@ class HiggsParameterization:
     def _check_independence(self):
         # columns beta_k S_k at the points: the bare bumps, without decay
         bare = _Separable(self.rank, self.basis, 0)
-        beta = bare.weights(validation_points(24))
+        beta = bare.weights(validation_points(24)).T
         flat = bare.gens.reshape(self.size, -1).T
         mat = (beta[:, None, :] * flat).reshape(-1, self.size)
         sv = np.linalg.svd(np.concatenate([mat.real, mat.imag]),
@@ -85,21 +85,21 @@ class HiggsParameterization:
         return out
 
     def weights(self, x: np.ndarray) -> np.ndarray:
-        """rho^(N+1) beta_k at points x for every basis field, on a last
-        axis of length ``size``."""
+        """rho^(N+1) beta_k at points x for every basis field, terms-first:
+        shape (``size``,) + x's leading axes."""
         return self._field.weights(x)
 
     def combine(self, weights: np.ndarray, c: np.ndarray) -> np.ndarray:
         """Phi_c = sum_k c_k w_k S_k from the ``weights`` w of some points."""
-        return self._field.combine(weights * c)
+        c = np.asarray(c, dtype=float)
+        return self._field.combine(weights * _lift(c, weights.ndim - 1))
 
     def higgs(self, c: Optional[np.ndarray] = None) -> HiggsFieldData:
         """Phi_c, not validated again: a real combination of generators
-        checked skew-Hermitian at construction, times rho^(N+1)."""
+        checked skew-Hermitian at construction, times rho^(N+1).  It
+        carries the basis as its terms and c as their coefficients."""
         c = self.coeffs if c is None else np.asarray(c, dtype=float)
-        return HiggsFieldData(self.rank,
-                              lambda x: self.combine(self.weights(x), c),
-                              self.decay_N1, validate=False)
+        return HiggsFieldData._of_terms(self._field, c, validate=False)
 
 
 # Gauss-Newton: gradient norm that stops it, step halvings, rejected steps
@@ -183,25 +183,27 @@ def _tangent_rhs(conn0: ConnectionField, params: HiggsParameterization,
     M = Gamma(v) + Phi_c in the coefficients: dW = -M W and
     dV_k = -(M V_k + B_k W) with B_k = w_k S_k, w_k = rho^(N+1) beta_k.
 
-    The weights w_k of a node are computed once and give both Phi_c, formed
-    as ``params.higgs(c)`` forms it, and B_k W = w_k (S_k W).  The jet is
+    The weights w_k of a node are computed once and give both M, formed
+    as ``transport_rhs(conn0, params.higgs(c))`` forms it (one stacked sum
+    when conn0 carries terms), and B_k W = w_k (S_k W).  The jet is
     matrix-first like every state of the march, shape (d, d, P + 1) and
-    the node axes; the weights of a node sit on a leading axis (P, ...)
-    and the generators S_k in a (d, d, P) stack.  A basis that decays
-    slower than rho^1 is refused, as ``transport_rhs`` refuses such a
-    Higgs field.
+    the node axes; the weights are terms-first, (P, ...), and the
+    generators S_k a (d, d, P) stack.  A basis that decays slower than
+    rho^1 is refused, as ``transport_rhs`` refuses such a Higgs field.
     """
     _require_decay(params.decay_N1, "the reconstruction basis")
     gens = np.ascontiguousarray(params._field.gens.transpose(1, 2, 0))
+    stacked = _stacked_generator(conn0, params.higgs(c))
 
     def prep(x, v):
-        weights = params.weights(x)
-        rows = weights.ndim - 1
-        neg = matrix_first(-(conn0.along(x, v)
-                             + params.combine(weights, c)))[:, :, None]
-        weights = np.ascontiguousarray(
-            weights.transpose((rows,) + tuple(range(rows))))
-        s = gens.reshape(gens.shape + (1,) * rows)
+        if stacked is not None:
+            neg, weights = stacked(x, v)
+        else:
+            weights = params.weights(x)
+            neg = matrix_first(-(conn0.along(x, v)
+                                 + params.combine(weights, c)))
+        neg = neg[:, :, None]
+        s = gens.reshape(gens.shape + (1,) * (weights.ndim - 1))
 
         def rhs(u):
             out = mul_first(neg, u)

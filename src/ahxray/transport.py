@@ -43,6 +43,15 @@ velocities of any leading shape and returns rhs(u) for such matrix-first
 u, so a single node's d x d matrix is passed as it is.  States move to
 the (..., d, d) layout (``_matrix_last``) only where ``batch_transport``
 returns.
+
+``transport_rhs`` forms the generator -(Gamma(v) + Phi) of a node once,
+by one of two paths.  A connection and a Higgs field that both carry
+separable terms (every field built by ``from_terms`` or the config, and
+every reconstruction iterate) give one terms-first sum over all their
+terms, which yields the matrix-first generator directly
+(``bundle._stacked_generator``).  Any other pair (gauge transforms,
+``adjoint`` fields, fields from callables) is evaluated through
+``along`` and ``phi`` and moved matrix-first.
 """
 
 from __future__ import annotations
@@ -53,7 +62,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ._linalg import frobenius, matrix_first, mul_first
-from .bundle import ConnectionField, HiggsFieldData
+from .bundle import ConnectionField, HiggsFieldData, _stacked_generator
 from .errors import DomainError, RankMismatchError
 from .geometry import DiskGeodesic, ShotPieces
 
@@ -93,18 +102,30 @@ def transport_rhs(conn: ConnectionField, higgs: HiggsFieldData):
     one rank; a nonzero Higgs field must decay like rho^1 or faster
     (``_require_decay``).  Positions and velocities may carry any leading
     axes; W is matrix-first, shape (d, d) + those axes (or axes that
-    broadcast against them), and so is rhs(W)."""
+    broadcast against them), and so is rhs(W).
+
+    The generator is formed once per node, negated and matrix-first, by
+    one of two paths, chosen by the fields and checked for rank and decay
+    before the choice.  When both fields carry terms (``from_terms``, the
+    config, a reconstruction iterate ``HiggsParameterization.higgs``),
+    it is one separable sum over all their terms
+    (``bundle._stacked_generator``).  Otherwise (gauge transforms,
+    ``adjoint`` fields, fields from callables) it is
+    -(``conn.along`` + ``higgs.phi``), moved matrix-first."""
     if conn.rank != higgs.rank:
         raise RankMismatchError(f"connection rank {conn.rank} and Higgs "
                                 f"field rank {higgs.rank} differ")
     if not higgs.is_zero:
         _require_decay(higgs.decay_N1, "the Higgs field")
+    stacked = _stacked_generator(conn, higgs)
 
     def prep(x, v):
-        # negated and moved matrix-first once per node, not per stage
-        # product: IEEE rounding is sign-symmetric, so the stages keep
-        # their values
-        neg = matrix_first(-(conn.along(x, v) + higgs.phi(x)))
+        if stacked is not None:
+            neg = stacked(x, v)[0]
+        else:
+            # IEEE rounding is sign-symmetric, so negating the generator
+            # once keeps the values of every stage product
+            neg = matrix_first(-(conn.along(x, v) + higgs.phi(x)))
         return lambda u: mul_first(neg, u)
 
     return prep

@@ -22,7 +22,14 @@ reduction form: ``np.sum`` over the length-2 axis of points, and
 componentwise, which must give the same values bit for bit.
 ``ref_log_derivative`` exponentiates the reduction-form exponents of
 ``ref_gauge_exponents`` by ``ref_expm_skew``, so it agrees with the
-library to rounding only.
+library to rounding only.  Their separable weights sit on a last axis of
+length K, as do those of the ``last_*`` functions, which keep the
+componentwise evaluators with the weights terms-last (``last_weights``,
+``last_weights_and_grads``) and the connection, Higgs and gauge
+evaluators built on them (``ref_combine`` is the terms-last product with
+the generators).  The library holds its weights terms-first, (K, ...),
+and must give the values of both forms bit for bit.  ``ref_generic_rhs``
+is ``transport_rhs``'s right-hand side formed from ``along`` and ``phi``.
 
 ``ref_cross_ball`` keeps the bump crossing's RK4 march in array form: a
 (2, 2) state (x, v) and ``AHModel.geodesic_rhs`` at each stage.  The
@@ -38,6 +45,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm, expm_frechet
 
+from ahxray._linalg import expm_skew, matrix_first, mul, mul_first
 from ahxray.errors import TrappedGeodesicError
 from ahxray.geometry import (AHModel, BoundaryDatum, Direction, DiskGeodesic,
                              _joined)
@@ -87,11 +95,19 @@ def ref_weights_and_grads(field, x):
            - rho**n * dx / field._sigma2)
 
 
+def ref_combine(field, w):
+    """``_Separable.combine`` of terms-last weights w, shape (..., K):
+    sum_k w_k S_k, shape (..., d, d)."""
+    w = np.asarray(w, dtype=float)
+    out = w.reshape(math.prod(w.shape[:-1]), w.shape[-1]) @ field._flat
+    return out.view(complex).reshape(w.shape[:-1] + (field.rank,) * 2)
+
+
 def ref_along(field, dirs, x, v):
     """Gamma(v) of ``ConnectionField.from_terms`` over ``field``, term k
     feeding the symbol Gamma_{dirs[k]}."""
-    return field.combine(ref_weights(field, x)
-                         * np.asarray(v, dtype=float)[..., dirs])
+    return ref_combine(field, ref_weights(field, x)
+                       * np.asarray(v, dtype=float)[..., dirs])
 
 
 def ref_gauge_exponents(gauge, x, v):
@@ -100,7 +116,7 @@ def ref_gauge_exponents(gauge, x, v):
     f = gauge._field
     w, dw = ref_weights_and_grads(f, x)
     dp = np.sum(dw * np.asarray(v, dtype=float)[..., :, None], axis=-2)
-    return f.combine(w), f.combine(dp)
+    return ref_combine(f, w), ref_combine(f, dp)
 
 
 def ref_expm_skew(p, e=None):
@@ -126,6 +142,88 @@ def ref_expm_skew(p, e=None):
 def ref_log_derivative(gauge, x, v):
     """``GaugeField.log_derivative``: Q and Q^-1 dQ(v)."""
     return ref_expm_skew(*ref_gauge_exponents(gauge, x, v))
+
+
+# -- terms-last forms of the separable evaluators -----------------------------
+
+
+def _last_bumps(field, x):
+    d0 = x[..., 0, None] - field._centers[:, 0]
+    d1 = x[..., 1, None] - field._centers[:, 1]
+    d0 *= d0
+    d1 *= d1
+    d0 += d1
+    np.negative(d0, out=d0)
+    d0 /= 2.0 * field._sigma2
+    return np.exp(d0, out=d0)
+
+
+def _last_rho(x):
+    x0, x1 = x[..., 0], x[..., 1]
+    return 1.0 - (x0 * x0 + x1 * x1)
+
+
+def last_weights(field, x):
+    """``_Separable.weights`` terms-last: rho^N beta_k, shape (..., K)."""
+    x = np.asarray(x, dtype=float)
+    return _last_rho(x)[..., None] ** field.decay * _last_bumps(field, x)
+
+
+def last_weights_and_grads(field, x):
+    """``_Separable.weights_and_grads`` terms-last: the weights and their
+    partials d_j, shape (..., 2, K)."""
+    x = np.asarray(x, dtype=float)
+    n = field.decay
+    rho = _last_rho(x)[..., None, None]
+    rho_n = rho**n
+    bumps = _last_bumps(field, x)
+    dx = x[..., :, None] - field._centers.T
+    return rho_n[..., 0, :] * bumps, bumps[..., None, :] \
+        * (n * rho ** max(n - 1, 0) * (-2.0 * x[..., :, None])
+           - rho_n * dx / field._sigma2)
+
+
+def last_along(field, dirs, x, v):
+    """Gamma(v) of ``ConnectionField.from_terms``, terms-last."""
+    return ref_combine(field, last_weights(field, x)
+                       * np.asarray(v, dtype=float)[..., dirs])
+
+
+def last_phi(field, x, coeffs=None):
+    """Phi = sum_k c_k w_k S_k of ``HiggsFieldData.from_terms`` (c = 1) or
+    of ``HiggsParameterization.higgs(c)``, terms-last."""
+    w = last_weights(field, x)
+    return ref_combine(field, w if coeffs is None else w * coeffs)
+
+
+def last_curvature(field, dirs, x):
+    """f_12 of ``ConnectionField.from_terms``, terms-last."""
+    feeds = np.eye(2)[:, dirs]
+    w, dw = last_weights_and_grads(field, np.asarray(x, dtype=float))
+    gam = ref_combine(field, w[..., None, :] * feeds)
+    g1, g2 = gam[..., 0, :, :], gam[..., 1, :, :]
+    curl = ref_combine(field, dw[..., 0, :] * feeds[1]
+                       - dw[..., 1, :] * feeds[0])
+    return curl + (mul(g1, g2) - mul(g2, g1))
+
+
+def last_log_derivative(gauge, x, v):
+    """``GaugeField.log_derivative``, terms-last: ``expm_skew`` of the
+    exponent and its derivative dP(v)."""
+    f = gauge._field
+    w, dw = last_weights_and_grads(f, x)
+    v = np.asarray(v, dtype=float)
+    dp = dw[..., 0, :] * v[..., 0, None] + dw[..., 1, :] * v[..., 1, None]
+    return expm_skew(ref_combine(f, w), ref_combine(f, dp))
+
+
+def ref_generic_rhs(conn, higgs):
+    """``transport_rhs`` from ``along`` and ``phi``: prep(x, v) -> rhs(u)
+    = -(Gamma(v) + Phi) u for matrix-first u."""
+    def prep(x, v):
+        neg = matrix_first(-(conn.along(x, v) + higgs.phi(x)))
+        return lambda u: mul_first(neg, u)
+    return prep
 
 
 def ref_batch_state(batch, frac):

@@ -313,7 +313,13 @@ class TestCommands:
         report = json.loads(out.read_text())
         coeffs = np.asarray(report["coeffs"])
         assert np.linalg.norm(coeffs - [0.6, -0.4]) < 0.03
-        assert csv_out.read_text().startswith("x1,x2,")
+        header, *rows = csv_out.read_text().splitlines()
+        assert header.startswith("x1,x2,")
+        assert rows and all(len(row.split(",")) == len(header.split(","))
+                            for row in rows)
+        # every cell is a plain number, the coordinates as the phi columns
+        assert np.all(np.isfinite([float(cell) for row in rows
+                                   for cell in row.split(",")]))
 
     def test_reconstruct_on_perturbed_shooting_fan(self, tmp_path):
         cfg_path = tmp_path / "shoot.cfg"

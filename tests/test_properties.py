@@ -48,6 +48,22 @@
 - every separable field (Gamma(v), Phi, a gauge's q and ``log_derivative``)
   at a lone point x of shape (2,) equals bit for bit its value at x[None],
   for ranks 1-3, 1-4 terms and decay 0-4;
+- every separable evaluator, which holds its weights terms-first
+  (weights and their partials, Gamma(v), the symbols, f_12, Phi of
+  ``from_terms`` fields and of reconstruction iterates, a gauge's q and
+  ``log_derivative``, also at the broadcast velocities of ``symbols`` and
+  ``dq``) equals bit for bit its terms-last form in ``oracles``
+  (``last_*``), for ranks 1-3, 0-4 terms, decay 0-4, a lone point and
+  stacks of one to three axes;
+- ``transport_rhs`` of fields that carry terms, one stacked sum over all
+  of them, equals the generator formed from ``along`` and ``phi``
+  (``oracles.ref_generic_rhs``) within 1e-15 (1 + |Gamma| + |Phi|) per
+  node, for ranks 1-3, 0-4 terms per field in mixed directions, decays
+  1-4, ``from_terms`` Higgs fields and reconstruction iterates, a lone
+  point, (n,) and (m, w) stacks and the velocities of ``symbols``; it
+  still refuses a rank mismatch and a decay below 1; gauge transforms and
+  ``adjoint()`` fields carry no terms, and their transport is that of
+  ``ref_generic_rhs`` bit for bit;
 - ``AHModel._flow_at``, the one-point geodesic flow of the bump crossing,
   is (v, ``AHModel.geodesic_rhs``) bit for bit, for random admissible
   bumps and points inside, on and outside the bump's ball;
@@ -91,13 +107,14 @@ from hypothesis import assume, example, given, settings, strategies as st
 from scipy.linalg import expm
 
 import ahxray.spherebundle as sb
-from ahxray._linalg import (dagger, expm_skew, matrix_first, mul,
-                            mul_first, unitary_defect)
+from ahxray._linalg import (dagger, expm_skew, frobenius, matrix_first,
+                            mul, mul_first, unitary_defect)
 from ahxray.bundle import (ConnectionField, GaugeField, GaussBump,
                            HiggsFieldData, SeparableTerm, _check_skew,
-                           _Separable, gauge_transform, validation_points)
+                           _Separable, _stacked_generator, gauge_transform,
+                           validation_points)
 from ahxray.config import ExperimentConfig
-from ahxray.errors import DatasetError, DomainError
+from ahxray.errors import DatasetError, DomainError, RankMismatchError
 from ahxray.geometry import (AHModel, BoundaryDatum, ConformalBump,
                              Direction, DiskGeodesic, ModelKind)
 from ahxray.reconstruct import HiggsParameterization, _tangent_rhs
@@ -108,10 +125,12 @@ from ahxray.transport import (_ROWS, TransportConfig, _BatchPaths,
 from ahxray.xray import (FanSpec, ScatteringDataset, ScatteringRecord,
                          compare_datasets, compute_scattering_data,
                          fan_paths)
-from oracles import (ref_along, ref_batch_state, ref_bump_q,
-                     ref_expm_skew, ref_gauge_exponents, ref_geodesic_rhs,
-                     ref_log_derivative, ref_rho, ref_weights,
-                     ref_weights_and_grads)
+from oracles import (last_along, last_curvature, last_log_derivative,
+                     last_phi, last_weights, last_weights_and_grads,
+                     ref_along, ref_batch_state, ref_bump_q, ref_combine,
+                     ref_expm_skew, ref_gauge_exponents, ref_generic_rhs,
+                     ref_geodesic_rhs, ref_log_derivative, ref_rho,
+                     ref_weights, ref_weights_and_grads)
 from test_bundle import (random_connection, random_gauge, random_higgs,
                          random_skew)
 
@@ -429,16 +448,18 @@ def test_per_node_evaluators_equal_their_reductions(perturbed, rank, lead,
     v = rng.normal(size=lead + (2,))
 
     field = _Separable(rank, terms, decay)
-    _same(field.weights(x), ref_weights(field, x))
-    for out, ref in zip(field.weights_and_grads(x),
-                        ref_weights_and_grads(field, x)):
-        _same(out, ref)
+    # the library's terms-first weights against terms-last reductions
+    w, dw = field.weights_and_grads(x)
+    _same(np.moveaxis(field.weights(x), 0, -1), ref_weights(field, x))
+    w_ref, dw_ref = ref_weights_and_grads(field, x)
+    _same(np.moveaxis(w, 0, -1), w_ref)
+    _same(np.moveaxis(dw, (0, 1), (-2, -1)), dw_ref)
     conn = ConnectionField.from_terms(
         rank, [SeparableTerm(i, g, b) for i, (g, b) in zip(dirs, terms)],
         decay)
     _same(conn.along(x, v), ref_along(field, np.array(dirs), x, v))
     higgs = HiggsFieldData.from_terms(rank, terms, decay)
-    _same(higgs.phi(x), field.combine(ref_weights(field, x)))
+    _same(higgs.phi(x), ref_combine(field, ref_weights(field, x)))
     gauge = GaugeField(rank, terms, max(decay, 1))
     got = gauge.log_derivative(x, v)
     for out, ref in zip(got, expm_skew(*ref_gauge_exponents(gauge, x, v))):
@@ -505,6 +526,133 @@ def test_lone_points_equal_batches_of_one(rank, dirs, decay, seed):
         for out, ref in zip(gauge.log_derivative(x, v),
                             gauge.log_derivative(x[None], v[None])):
             _same(out, ref[0])
+
+
+def _random_terms(rng, rank, count, scale=1.0):
+    return [(scale * random_skew(rng, rank),
+             GaussBump(center=tuple(rng.uniform(-0.5, 0.5, 2)),
+                       sigma=rng.uniform(0.2, 0.5))) for _ in range(count)]
+
+
+def _disk_points(rng, lead):
+    r = 0.95 * np.sqrt(rng.uniform(size=lead))
+    ang = rng.uniform(0.0, 2.0 * np.pi, size=lead)
+    return np.stack([r * np.cos(ang), r * np.sin(ang)], axis=-1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rank=st.integers(1, 3),
+       lead=st.sampled_from([(), (1,), (7,), (3, 5), (2, 3, 4)]),
+       dirs=st.lists(st.integers(0, 1), max_size=4),
+       decay=st.integers(0, 4), seed=st.integers(0, 2**32 - 1))
+def test_terms_first_evaluators_keep_the_terms_last_bits(rank, lead, dirs,
+                                                         decay, seed):
+    # every separable evaluator against its terms-last form, at a lone
+    # point, stacks of points and the broadcast velocities of symbols and
+    # GaugeField.dq
+    rng = np.random.default_rng(seed)
+    terms = _random_terms(rng, rank, len(dirs))
+    x, v = _disk_points(rng, lead), rng.normal(size=lead + (2,))
+    dirs = np.array(dirs, dtype=int)
+
+    field = _Separable(rank, terms, decay)
+    w, dw = field.weights_and_grads(x)
+    w_ref, dw_ref = last_weights_and_grads(field, x)
+    _same(np.moveaxis(field.weights(x), 0, -1), last_weights(field, x))
+    _same(np.moveaxis(w, 0, -1), w_ref)
+    _same(np.moveaxis(dw, (0, 1), (-2, -1)), dw_ref)
+
+    conn = ConnectionField.from_terms(
+        rank, [SeparableTerm(int(i), g, b) for i, (g, b) in zip(dirs, terms)],
+        decay)
+    _same(conn.along(x, v), last_along(field, dirs, x, v))
+    _same(conn.symbols(x),
+          last_along(field, dirs, x[..., None, :], np.eye(2)))
+    _same(conn.curvature_f12(x), last_curvature(field, dirs, x))
+    _same(HiggsFieldData.from_terms(rank, terms, decay).phi(x),
+          last_phi(field, x))
+    if terms:
+        params = HiggsParameterization(rank, terms, decay)
+        c = rng.normal(size=len(terms))
+        _same(params.higgs(c).phi(x), last_phi(params._field, x, c))
+        _same(params.combine(params.weights(x), c),
+              last_phi(params._field, x, c))
+
+    gauge = GaugeField(rank, terms, max(decay, 1))
+    _same(gauge.q(x), expm_skew(ref_combine(gauge._field,
+                                            last_weights(gauge._field, x))))
+    for y, u in ((x, v), (x[..., None, :], np.eye(2))):
+        for out, ref in zip(gauge.log_derivative(y, u),
+                            last_log_derivative(gauge, y, u)):
+            _same(out, ref)
+
+
+@settings(max_examples=80, deadline=None)
+@given(rank=st.integers(1, 3), lead=st.sampled_from([(), (9,), (4, 6)]),
+       symbols=st.booleans(), dirs=st.lists(st.integers(0, 1), max_size=4),
+       n_higgs=st.integers(0, 4), decays=st.tuples(st.integers(1, 4),
+                                                   st.integers(1, 4)),
+       basis=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_term_path_is_the_sum_of_along_and_phi(rank, lead, symbols, dirs,
+                                               n_higgs, decays, basis, seed):
+    # the one stacked sum of transport_rhs against -(Gamma(v) + Phi) from
+    # along and phi, per node within 1e-15 (1 + |Gamma| + |Phi|), for
+    # from_terms fields and reconstruction iterates, at a lone point,
+    # stacks, and v broadcast against x the way symbols passes it
+    rng = np.random.default_rng(seed)
+    conn = ConnectionField.from_terms(rank, [
+        SeparableTerm(i, g, b) for i, (g, b)
+        in zip(dirs, _random_terms(rng, rank, len(dirs), 0.5))], decays[0])
+    terms = _random_terms(rng, rank, n_higgs, 0.5)
+    if basis and terms:
+        params = HiggsParameterization(rank, terms, decays[1])
+        higgs = params.higgs(rng.uniform(-1.0, 1.0, n_higgs))
+        slow = HiggsParameterization(rank, terms, 0).higgs(np.ones(n_higgs))
+    else:
+        higgs = HiggsFieldData.from_terms(rank, terms, decays[1])
+        slow = HiggsFieldData.from_terms(
+            rank, terms or _random_terms(rng, rank, 1), 0)
+    assert _stacked_generator(conn, higgs) is not None
+
+    x = _disk_points(rng, lead)
+    if symbols:
+        x, v = x[..., None, :], np.eye(2)
+    else:
+        v = rng.uniform(-1.0, 1.0, lead + (2,))
+    nodes = np.broadcast_shapes(x.shape[:-1], v.shape[:-1])
+    eye = np.eye(rank, dtype=complex).reshape((rank, rank)
+                                              + (1,) * len(nodes))
+    got = transport_rhs(conn, higgs)(x, v)(eye)
+    ref = ref_generic_rhs(conn, higgs)(x, v)(eye)
+    assert got.shape == ref.shape == (rank, rank) + nodes
+    bound = 1e-15 * (1.0 + frobenius(conn.along(x, v))
+                     + frobenius(higgs.phi(x)))
+    assert np.all(np.max(np.abs(got - ref), axis=(0, 1)) <= bound)
+
+    # the rank and decay checks come before the choice of path
+    other = rank % 3 + 1
+    with pytest.raises(RankMismatchError):
+        transport_rhs(conn, HiggsFieldData.from_terms(
+            other, _random_terms(rng, other, 1), decays[1]))
+    with pytest.raises(DomainError, match="decay"):
+        transport_rhs(conn, slow)
+
+
+def test_fields_without_terms_keep_the_generic_path(rng):
+    # gauge transforms and adjoints carry no terms: their transport is the
+    # one formed from along and phi, bit for bit
+    conn, higgs = random_connection(rng), random_higgs(rng)
+    gauged = gauge_transform(conn, higgs, random_gauge(rng))
+    geos = [DiskGeodesic.between_boundary_angles(AHModel(), a, a + 2.5)
+            for a in (0.3, 1.9, 4.0)]
+    cfg = TransportConfig(n_steps=64)
+    assert _stacked_generator(conn, higgs) is not None
+    for pair in (gauged, (conn, higgs.adjoint()), (gauged[0], higgs),
+                 (conn, gauged[1])):
+        assert _stacked_generator(*pair) is None
+        assert np.array_equal(
+            batch_transport(transport_rhs(*pair), geos, 2, cfg),
+            batch_transport(ref_generic_rhs(*pair), geos, 2, cfg))
 
 
 @settings(max_examples=60, deadline=None)
