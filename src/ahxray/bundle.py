@@ -19,8 +19,9 @@ length K.  A field built from terms (``from_terms``, the config, a
 reconstruction iterate) keeps them, and ``_stacked_generator`` evaluates
 the transport generator -(Gamma(v) + Phi) of such a pair as one separable
 sum over all K_Gamma + K_Phi terms: one rho, one bump pass, one product
-that gives the matrix-first generator.  Gauge transforms and adjoints keep
-no terms and are evaluated through ``along`` and ``phi``.
+that gives the matrix-first generator.  A ``gauge_transform`` pair keeps
+its gauge and base pair, whose generator G ``_generator`` conjugates to
+Q* G Q - Q^-1 dQ(v); adjoints keep neither and use ``along`` and ``phi``.
 
 Points are arrays of shape (..., 2), read componentwise (x[..., 0],
 x[..., 1]) on the per-node paths, because a NumPy reduction over an axis of
@@ -30,14 +31,16 @@ either way, so the values are the same to the bit.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from ._linalg import (dagger, expm_skew, frobenius, mul, skew_defect,
-                      spectral_norm_skew, unitary_defect)
+from ._linalg import (dagger, expm_skew, frobenius, matrix_first, mul,
+                      mul_first, skew_defect, spectral_norm_skew,
+                      unitary_defect)
 from .errors import DomainError, RankMismatchError
 from .geometry import AHModel
 
@@ -74,14 +77,17 @@ def _rho(x: np.ndarray) -> np.ndarray:
     return 1.0 - (x0 * x0 + x1 * x1)
 
 
+@functools.lru_cache(maxsize=8)
 def validation_points(n: int = 48, r_max: float = 0.999) -> np.ndarray:
-    """Deterministic interior grid used for construction-time checks."""
+    """Deterministic interior grid used for construction-time checks,
+    built once per argument list and returned read-only."""
     axis = np.linspace(-r_max, r_max, n)
     xx, yy = np.meshgrid(axis, axis, indexing="ij")
     pts = np.stack([xx, yy], axis=-1).reshape(-1, 2)
     pts = pts[np.sum(pts * pts, axis=-1) < r_max**2]
     if not len(pts):
         raise DomainError(f"a {n}-point validation grid has no interior point")
+    pts.flags.writeable = False
     return pts
 
 
@@ -213,6 +219,8 @@ class ConnectionField:
     # (separable field, direction of each term) of a connection built
     # from terms, for ``_stacked_generator``; None for any other
     _terms: Optional[tuple["_Separable", np.ndarray]] = None
+    # (gauge, base pair) of a ``gauge_transform`` pair, for ``_generator``
+    _gauge: Optional[tuple] = None
 
     def __init__(self, rank: int,
                  along: Callable[[np.ndarray, np.ndarray], np.ndarray],
@@ -307,6 +315,7 @@ class HiggsFieldData:
     # (separable field, coefficient of each term or None for ones) of a
     # field built from terms, for ``_stacked_generator``; None for any other
     _terms: Optional[tuple["_Separable", Optional[np.ndarray]]] = None
+    _gauge: Optional[tuple] = None          # as ``ConnectionField._gauge``
 
     def __init__(self, rank: int, phi: Callable[[np.ndarray], np.ndarray],
                  decay_N1: int, validate: bool = True, is_zero: bool = False):
@@ -477,19 +486,13 @@ def gauge_transform(conn: ConnectionField, higgs: HiggsFieldData,
     """Apply the gauge relation: Gamma(v) becomes Q* Gamma(v) Q + Q^-1 dQ(v),
     the Higgs field conjugates, and curvature conjugates exactly.
 
-    ``along`` and ``phi`` share Q through a one-slot cache, so a node of
-    ``transport_rhs`` (along, then phi) diagonalises each exponent once.  Its
-    key is the content of x: ``along`` stores a copy of x with Q, and
-    ``phi`` takes both out, so they outlive no node, and reuses Q only for
-    an equal shape and equal values.  The Q of ``log_derivative`` is
-    ``q(x)``'s bit for bit."""
+    The two fields share (q, conn, higgs), for ``_generator``; ``along``
+    and ``phi`` each evaluate Q on their own."""
     if not (conn.rank == higgs.rank == q.rank):
         raise RankMismatchError("rank mismatch between connection, Higgs, gauge")
-    last = {}               # the x and Q of the latest along, until phi
 
     def along(x, v):
         qm, log_dq = q.log_derivative(x, v)
-        last.update(x=np.array(x, dtype=float), q=qm)
         return mul(mul(dagger(qm), conn.along(x, v)), qm) + log_dq
 
     def curvature(x):
@@ -497,9 +500,7 @@ def gauge_transform(conn: ConnectionField, higgs: HiggsFieldData,
         return mul(mul(dagger(qm), conn.curvature_f12(x)), qm)
 
     def phi(x):
-        seen, qm = last.pop("x", None), last.pop("q", None)
-        if seen is None or not np.array_equal(seen, x):
-            qm = q.q(x)
+        qm = q.q(x)
         return mul(mul(dagger(qm), higgs.phi(x)), qm)
 
     if conn.is_zero:
@@ -510,7 +511,30 @@ def gauge_transform(conn: ConnectionField, higgs: HiggsFieldData,
                                curvature=curvature)
     new_higgs = HiggsFieldData(higgs.rank, phi, higgs.decay_N1,
                                is_zero=higgs.is_zero)
+    new_conn._gauge = new_higgs._gauge = (q, conn, higgs)
     return new_conn, new_higgs
+
+
+def _generator(conn: ConnectionField, higgs: HiggsFieldData):
+    """x, v -> -(Gamma(v) + Phi), matrix-first, shape (d, d) + nodes: one
+    separable sum for a pair with terms (``_stacked_generator``); Q* G Q -
+    Q^-1 dQ(v) from one ``log_derivative`` for a ``gauge_transform`` pair,
+    G its base pair's generator; else -(``along`` + ``phi``)."""
+    stacked = _stacked_generator(conn, higgs)
+    if stacked is not None:
+        return lambda x, v: stacked(x, v)[0]
+    if conn._gauge is not None and conn._gauge is higgs._gauge:
+        q, base = conn._gauge[0], _generator(*conn._gauge[1:])
+
+        def gauged(x, v):
+            qm, log_dq = (matrix_first(a) for a in q.log_derivative(x, v))
+            qh = np.conj(qm.swapaxes(0, 1))
+            return mul_first(mul_first(qh, base(x, v)), qm) - log_dq
+
+        return gauged
+    # IEEE rounding is sign-symmetric, so negating the generator once
+    # keeps the values of every stage product
+    return lambda x, v: matrix_first(-(conn.along(x, v) + higgs.phi(x)))
 
 
 def sup_curvature_norm(conn: ConnectionField, pts: np.ndarray,

@@ -45,13 +45,11 @@ the (..., d, d) layout (``_matrix_last``) only where ``batch_transport``
 returns.
 
 ``transport_rhs`` forms the generator -(Gamma(v) + Phi) of a node once,
-by one of two paths.  A connection and a Higgs field that both carry
-separable terms (every field built by ``from_terms`` or the config, and
-every reconstruction iterate) give one terms-first sum over all their
-terms, which yields the matrix-first generator directly
-(``bundle._stacked_generator``).  Any other pair (gauge transforms,
-``adjoint`` fields, fields from callables) is evaluated through
-``along`` and ``phi`` and moved matrix-first.
+matrix-first (``bundle._generator``): one terms-first sum over all terms
+of a pair that carries them (every field built by ``from_terms`` or the
+config, and every reconstruction iterate), Q* G Q - Q^-1 dQ(v) over the
+base pair's generator G for a pair from ``gauge_transform``, and
+``along`` + ``phi`` for any other pair (``adjoint`` fields, callables).
 """
 
 from __future__ import annotations
@@ -61,8 +59,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._linalg import frobenius, matrix_first, mul_first
-from .bundle import ConnectionField, HiggsFieldData, _stacked_generator
+from ._linalg import frobenius, mul_first
+from .bundle import ConnectionField, HiggsFieldData, _generator
 from .errors import DomainError, RankMismatchError
 from .geometry import DiskGeodesic, ShotPieces
 
@@ -105,27 +103,16 @@ def transport_rhs(conn: ConnectionField, higgs: HiggsFieldData):
     broadcast against them), and so is rhs(W).
 
     The generator is formed once per node, negated and matrix-first, by
-    one of two paths, chosen by the fields and checked for rank and decay
-    before the choice.  When both fields carry terms (``from_terms``, the
-    config, a reconstruction iterate ``HiggsParameterization.higgs``),
-    it is one separable sum over all their terms
-    (``bundle._stacked_generator``).  Otherwise (gauge transforms,
-    ``adjoint`` fields, fields from callables) it is
-    -(``conn.along`` + ``higgs.phi``), moved matrix-first."""
+    ``bundle._generator``, after the rank and decay checks."""
     if conn.rank != higgs.rank:
         raise RankMismatchError(f"connection rank {conn.rank} and Higgs "
                                 f"field rank {higgs.rank} differ")
     if not higgs.is_zero:
         _require_decay(higgs.decay_N1, "the Higgs field")
-    stacked = _stacked_generator(conn, higgs)
+    generator = _generator(conn, higgs)
 
     def prep(x, v):
-        if stacked is not None:
-            neg = stacked(x, v)[0]
-        else:
-            # IEEE rounding is sign-symmetric, so negating the generator
-            # once keeps the values of every stage product
-            neg = matrix_first(-(conn.along(x, v) + higgs.phi(x)))
+        neg = generator(x, v)
         return lambda u: mul_first(neg, u)
 
     return prep
@@ -272,24 +259,28 @@ def _march(prep, geos: Sequence[DiskGeodesic], rank: int | tuple[int, int],
     dW/dz = (dt/dz) rhs(W), and the factor dt/dz of each node rides on
     the stage step sizes of ``_rk4_step``, so it costs no array operation
     per stage.  ``prep`` is called with positions and velocities
-    (v = dx/dt) of shape (m, len(geos), 2), or (snapshots, len(geos), 2).
-    Each span is cut into m = ``_segments`` equal segments, all marched at
-    once from the identity in n_steps/m steps, as matrix-first states of
-    shape (d, d[, P + 1], m, len(geos)); the cocycle law then gives the
-    propagator to any grid node as the partial propagator of its segment
-    times the ordered product of the earlier segments' propagators,
-    s_i ... s_0, all from one scan (``_prefix_products``) in
-    ceil(log2 m) stack products.  m is 1 when n_steps has no divisor that
-    fits, and the march is then the plain sequential one.
+    (v = dx/dt) of shape (m, len(geos), 2), (m + 1, len(geos), 2) or
+    (3, snapshots, len(geos), 2).  Each span is cut into m = ``_segments``
+    equal segments, all marched at once from the identity in n_steps/m
+    steps, as matrix-first states of shape (d, d[, P + 1], m, len(geos)).
+    A one-step segment ends at the next one's start node, and one
+    evaluation of the m + 1 boundaries serves both (longer segments
+    evaluate their ends again, so no generator outlives a step).  The
+    cocycle law gives the propagator to any grid node as the partial
+    propagator of its segment times the ordered product of the earlier
+    segments' propagators, s_i ... s_0, all from one scan
+    (``_prefix_products``) in ceil(log2 m) stack products.  m is 1 when
+    n_steps has no divisor that fits: the plain sequential march.
 
     Snapshots are taken at ``record_times``, times on each geodesic's own
     clock in an array that broadcasts against (snapshots, len(geos)):
     column j holds geodesic j's times.  Each is clipped to its span and
     mapped once to its fraction of the span in z, the ends to 0 and 1
     exactly, and a fractional RK4 side-step from the preceding grid node,
-    computed from the identity for all snapshots in one evaluation,
-    multiplies the propagator to that node, so snapshots sit at the exact
-    requested times and crossing families sample identical base points.
+    computed from the identity for all snapshots in one evaluation of
+    their grid nodes, midpoints and snapshots, multiplies the propagator
+    to that node, so snapshots sit at the exact requested times and
+    crossing families sample identical base points.
 
     Returns (W_exit, records), W_exit matrix-first of shape
     (d, d[, P + 1], len(geos)); records is (t, x, v, W), t of shape
@@ -306,7 +297,9 @@ def _march(prep, geos: Sequence[DiskGeodesic], rank: int | tuple[int, int],
     seg = n // m
     first = np.arange(m)[:, None] * seg     # step where each segment starts
     one = eye[..., None, None]              # I on two stack axes
-    w = np.broadcast_to(one, eye.shape + (m, width)).copy()
+    # before the snapshot arrays: after them, jet sweeps peaked 0.1 MB higher
+    w = one if seg == 1 else np.broadcast_to(
+        one, eye.shape + (m, width)).copy()
 
     def node(frac):
         # the right-hand side at a grid node and its step h dt/dz
@@ -322,36 +315,48 @@ def _march(prep, geos: Sequence[DiskGeodesic], rank: int | tuple[int, int],
     owner, local = np.divmod(grid, seg)     # owner m: the exit itself
     partial = np.broadcast_to(one, eye.shape + grid.shape).copy()
 
-    f_here, h_here = node(first / n)
-    for k in range(seg):
-        if len(t):
-            snap, geo = np.nonzero((local == k) & (owner < m))
-            partial[..., snap, geo] = w[..., owner[snap, geo], geo]
-        f_mid, h_mid = node((first + k + 0.5) / n)
-        f_next, h_next = node((first + k + 1.0) / n)
-        w = _rk4_step(w, (h_here, h_mid, h_next), f_here, f_mid, f_mid,
-                      f_next)
-        f_here, h_here = f_next, h_next
+    if seg == 1:
+        # the boundaries' start rows act on the identity w, their end rows
+        # on the state padded by a row in front; partial stays I
+        f_ends, h_ends = node(np.arange(m + 1)[:, None] / n)
+        f_mid, h_mid = node((first + 0.5) / n)
+        w = _rk4_step(
+            w, (h_ends[:-1], h_mid, h_ends[1:]),
+            lambda u: f_ends(u)[..., :-1, :], f_mid, f_mid,
+            lambda u: f_ends(np.concatenate([u[..., :1, :], u],
+                                            axis=-2))[..., 1:, :])
+    else:
+        f_here, h_here = node(first / n)
+        for k in range(seg):
+            if len(t):
+                snap, geo = np.nonzero((local == k) & (owner < m))
+                partial[..., snap, geo] = w[..., owner[snap, geo], geo]
+            f_mid, h_mid = node((first + k + 0.5) / n)
+            f_next, h_next = node((first + k + 1.0) / n)
+            w = _rk4_step(w, (h_here, h_mid, h_next), f_here, f_mid, f_mid,
+                          f_next)
+            f_here, h_here = f_next, h_next
 
     scan = _prefix_products(w, product, eye.ndim)
     if record_times is None:
         return scan[..., -1, :], None
 
     # a zero side-step is exactly the identity, so grid-node snapshots
-    # need no separate path
+    # need no separate path; its grid nodes, midpoints and snapshots are
+    # one evaluation, and each stage takes its row of the broadcast state
     delta = pos - grid
-    x, v, dt_dz = batch.state(zf)
-    f_grid, h_grid = node(grid / n)
-    f_mid, h_mid = node((grid + 0.5 * delta) / n)
-    side = _rk4_step(one,
-                     (delta * h_grid, delta * h_mid, delta * batch.h * dt_dz),
-                     f_grid, f_mid, f_mid, prep(x, v))
+    x, v, dt_dz = batch.state(np.stack([grid / n, (grid + 0.5 * delta) / n,
+                                        zf]))
+    f_side, h_side = prep(x, v), delta * (batch.h * dt_dz)
+    f = [lambda u, i=i: f_side(u[..., None, :, :])[..., i, :, :]
+         for i in range(3)]
+    side = _rk4_step(one, h_side, f[0], f[1], f[1], f[2])
     # the propagator to the start of segment j: I for j = 0, else row j - 1
     prefix = np.concatenate([np.broadcast_to(one, eye.shape + (1, width)),
                              scan], axis=eye.ndim)
     snaps = product(product(side, partial),
                     prefix[..., owner, np.arange(width)])
-    return scan[..., -1, :], (t, x, v, snaps)
+    return scan[..., -1, :], (t, x[2], v[2], snaps)
 
 
 def crossing_transport(prep, crossings: Sequence[ShotPieces],

@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._linalg import frobenius, unitary_defect
+from ._linalg import frobenius, mul, unitary_defect
 from .bundle import ConnectionField, HiggsFieldData
 from .errors import (DatasetError, DomainError, FanMismatchError,
                      IllConditionedGaugeError, InsufficientCrossingsError,
@@ -374,7 +374,7 @@ def _gauge_quotient(w_a: np.ndarray, w_b: np.ndarray) -> np.ndarray:
     if np.any(conds > 1e8):
         raise IllConditionedGaugeError(
             f"W_B condition number reached {conds.max():.2e}")
-    return w_a @ np.linalg.inv(w_b)
+    return mul(w_a, np.linalg.inv(w_b))
 
 
 def gauge_field_samples(model: AHModel,
@@ -485,7 +485,7 @@ def gauge_degree_zero_check(curves: Sequence[GaugeCurve],
         max_var = max(max_var, float(np.max(diffs)))
         q_bar = np.mean(qs, axis=0)
         x_bar = np.mean(xs, axis=0)
-        res = higgs_a.phi(x_bar) @ q_bar - q_bar @ higgs_b.phi(x_bar)
+        res = mul(higgs_a.phi(x_bar), q_bar) - mul(q_bar, higgs_b.phi(x_bar))
         mode0 = max(mode0, float(frobenius(res)))
     if checked == 0:
         raise InsufficientCrossingsError(
@@ -508,8 +508,8 @@ def gauge_degree_zero_check(curves: Sequence[GaugeCurve],
         gam = conn_a.along(x_m, v_m)
         a_dir = conn_b.along(x_m, v_m) - gam
         q_m = curve.q[mid]
-        xq = dq + gam @ q_m - q_m @ gam
-        res = xq - q_m @ a_dir
+        xq = dq + mul(gam, q_m) - mul(q_m, gam)
+        res = xq - mul(q_m, a_dir)
         mode1 = max(mode1, float(np.max(frobenius(res))))
 
     return DegreeZeroReport(degree_zero=max_var < _DEGREE_ZERO_TOL,

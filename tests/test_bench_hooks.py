@@ -72,13 +72,16 @@ def test_tracer_counts_forward_solves_and_uninstalls():
     assert len(report.residual_history) == report.iterations + 1
     assert counts["reconstruct.forward_solves"] \
         == 1 + 2 * report.iterations
-    # the segmented march: n steps as m segments of n/m steps each
+    # the segmented march: n steps as m segments of n/m steps each; here
+    # a segment is one step, so the m + 1 segment boundaries are one
+    # evaluation and each of the 2n + 1 nodes of a z grid is evaluated once
     n, width = cfg.transport.n_steps, len(fan)
     m = transport._segments(n, width)
+    assert m == n
     calls = counts["transport.batch_calls"]
     assert counts["transport.rk_stages"] == 4 * (n // m) * calls
-    assert counts["bundle.field_calls"] == (2 * (n // m) + 1) * calls
-    assert counts["bundle.field_nodes"] == (2 * n + m) * width * calls
+    assert counts["bundle.field_calls"] == 2 * (n // m) * calls
+    assert counts["bundle.field_nodes"] == (2 * n + 1) * width * calls
 
     assert {owner for owner, _ in patched} <= set(owners)
     assert {attr for owner, attr in patched if owner is reconstruct} >= {

@@ -152,8 +152,9 @@ class TestGaugeTransform:
 
 
 class TestGaugedNodeCache:
-    """A gauged pair's along and phi at one node share Q (one
-    eigendecomposition per gauge), and never a stale one."""
+    """A gauged pair's transport generator conjugates its base pair's
+    generator with one eigendecomposition per gauge and node, without
+    ``along`` or ``phi``; ``phi`` evaluates Q afresh on every call."""
 
     @pytest.mark.parametrize("composed, calls", [(False, 1), (True, 2)])
     def test_one_eigendecomposition_per_node(self, rng, monkeypatch,
@@ -161,15 +162,20 @@ class TestGaugedNodeCache:
         gauge = random_gauge(rng)
         if composed:
             gauge = gauge.compose(random_gauge(rng))
-        prep = transport_rhs(*gauge_transform(random_connection(rng),
-                                              random_higgs(rng), gauge))
+        conn_b, higgs_b = gauge_transform(random_connection(rng),
+                                          random_higgs(rng), gauge)
+        prep = transport_rhs(conn_b, higgs_b)
         seen = []
 
         def counted(*args):
             seen.append(args[0].shape)
             return expm_skew(*args)
 
+        def unused(*args):
+            raise AssertionError("the gauged generator calls along or phi")
+
         monkeypatch.setattr(bundle, "expm_skew", counted)
+        conn_b.along = higgs_b._phi = unused
         for shape in ((2,), (7, 2), (384, 1, 2)):
             seen.clear()
             prep(rng.uniform(-0.5, 0.5, shape), rng.normal(size=shape))
@@ -184,11 +190,10 @@ class TestGaugedNodeCache:
         v = rng.normal(size=shape)
         fresh = gauge_transform(conn, higgs, gauge)[1]
         for _ in range(2):
-            # x changed in place after along: phi must not reuse its Q
+            # x changed in place after along: phi sees the new x
             conn_b.along(x, v)
             x *= 0.9
             assert np.array_equal(higgs_b.phi(x), fresh.phi(x))
-            # the shared Q is the one q(x) gives, bit for bit
             conn_b.along(x, v)
             assert np.array_equal(higgs_b.phi(x), fresh.phi(x))
 
@@ -289,3 +294,15 @@ class TestValidation:
         norms = frobenius(higgs.phi(pts))
         ring = rho < 0.02
         assert np.all(norms[ring] <= 1e3 * rho[ring] ** 4)
+
+    def test_validation_grid_is_built_once_and_read_only(self):
+        # field construction reads the grid many times, so each call form
+        # builds it once, and no caller can change the shared copy
+        pts = validation_points()
+        assert validation_points() is pts
+        assert validation_points(24) is validation_points(24)
+        assert np.array_equal(validation_points(48, 0.999), pts)
+        with pytest.raises(ValueError):
+            pts[0, 0] = 0.0
+        with pytest.raises(DomainError, match="no interior point"):
+            validation_points(1)

@@ -61,9 +61,14 @@
   node, for ranks 1-3, 0-4 terms per field in mixed directions, decays
   1-4, ``from_terms`` Higgs fields and reconstruction iterates, a lone
   point, (n,) and (m, w) stacks and the velocities of ``symbols``; it
-  still refuses a rank mismatch and a decay below 1; gauge transforms and
-  ``adjoint()`` fields carry no terms, and their transport is that of
-  ``ref_generic_rhs`` bit for bit;
+  still refuses a rank mismatch and a decay below 1; ``adjoint()`` fields
+  and gauged fields paired with another pair's field carry no terms, and
+  their transport is that of ``ref_generic_rhs`` bit for bit;
+- ``transport_rhs`` of a pair from ``gauge_transform``, Q* G Q - Q^-1 dQ(v)
+  over the base pair's generator G, equals ``ref_generic_rhs`` within
+  1e-15 (1 + |Gamma| + |Phi|) per node, for a gauge, a composed gauge, a
+  gauge of a gauged pair and a gauge of a pair without terms, ranks 1-3,
+  a lone point and stacks;
 - ``AHModel._flow_at``, the one-point geodesic flow of the bump crossing,
   is (v, ``AHModel.geodesic_rhs``) bit for bit, for random admissible
   bumps and points inside, on and outside the bump's ball;
@@ -639,20 +644,54 @@ def test_term_path_is_the_sum_of_along_and_phi(rank, lead, symbols, dirs,
 
 
 def test_fields_without_terms_keep_the_generic_path(rng):
-    # gauge transforms and adjoints carry no terms: their transport is the
-    # one formed from along and phi, bit for bit
+    # adjoints, and a gauged field paired with a field of another pair,
+    # carry no terms: their transport is the one formed from along and
+    # phi, bit for bit
     conn, higgs = random_connection(rng), random_higgs(rng)
     gauged = gauge_transform(conn, higgs, random_gauge(rng))
     geos = [DiskGeodesic.between_boundary_angles(AHModel(), a, a + 2.5)
             for a in (0.3, 1.9, 4.0)]
     cfg = TransportConfig(n_steps=64)
     assert _stacked_generator(conn, higgs) is not None
-    for pair in (gauged, (conn, higgs.adjoint()), (gauged[0], higgs),
+    for pair in ((conn, higgs.adjoint()), (gauged[0], higgs),
                  (conn, gauged[1])):
         assert _stacked_generator(*pair) is None
         assert np.array_equal(
             batch_transport(transport_rhs(*pair), geos, 2, cfg),
             batch_transport(ref_generic_rhs(*pair), geos, 2, cfg))
+
+
+@settings(max_examples=60, deadline=None)
+@given(rank=st.integers(1, 3),
+       kind=st.sampled_from(["gauge", "composed", "twice", "no terms"]),
+       lead=st.sampled_from([(), (1,), (7,), (3, 5)]),
+       seed=st.integers(0, 2**32 - 1))
+def test_gauged_pairs_conjugate_the_base_generator(rank, kind, lead, seed):
+    # a pair from gauge_transform takes Q* G Q - Q^-1 dQ(v) over its base
+    # pair's generator G, which agrees with -(Gamma(v) + Phi) from its
+    # along and phi within 1e-15 (1 + |Gamma| + |Phi|) per node: for a
+    # gauge, a composed gauge, a gauge of a gauged pair and a gauge of a
+    # pair without terms
+    rng = np.random.default_rng(seed)
+    conn, higgs = random_connection(rng, rank), random_higgs(rng, rank)
+    gauge = random_gauge(rng, rank)
+    if kind == "composed":
+        gauge = gauge.compose(random_gauge(rng, rank))
+    if kind == "no terms":
+        higgs = higgs.adjoint()
+    pair = gauge_transform(conn, higgs, gauge)
+    if kind == "twice":
+        pair = gauge_transform(*pair, random_gauge(rng, rank))
+    x = _disk_points(rng, lead)
+    v = rng.uniform(-1.0, 1.0, lead + (2,))
+    eye = np.eye(rank, dtype=complex).reshape((rank, rank)
+                                              + (1,) * len(lead))
+    got = transport_rhs(*pair)(x, v)(eye)
+    ref = ref_generic_rhs(*pair)(x, v)(eye)
+    assert got.shape == ref.shape == (rank, rank) + lead
+    bound = 1e-15 * (1.0 + frobenius(pair[0].along(x, v))
+                     + frobenius(pair[1].phi(x)))
+    assert np.all(np.max(np.abs(got - ref), axis=(0, 1)) <= bound)
 
 
 @settings(max_examples=60, deadline=None)

@@ -474,8 +474,8 @@ class TestBatchBackend:
                                                   perturbed, rng):
         # each piece is snapshotted at its own path's times only, so one
         # call over 20 paths gives the states of 20 one-path calls, and its
-        # snapshot evaluations have (times, pieces) rows, not (paths x
-        # times, pieces)
+        # snapshot side-step is one evaluation of (3, times, pieces) nodes
+        # (grid node, midpoint, snapshot), not (3, paths x times, pieces)
         prep = transport_rhs(random_connection(rng), random_higgs(rng))
         ray = shoot_from_boundary(
             perturbed, BoundaryDatum(0.0, -1.5, Direction.INCOMING), 1e-6)
@@ -498,13 +498,36 @@ class TestBatchBackend:
             return prep(x, v)
 
         w, snaps = batch_transport(counted, paths, 2, cfg, times)
-        assert {s for s in shapes if len(s) == 2} == {
-            (_segments(n, width), width), (len(times), width)}
+        m = _segments(n, width)
+        assert m == n               # one-step segments share their ends
+        assert {s for s in shapes if len(s) > 1} == {
+            (m + 1, width), (m, width), (3, len(times), width)}
         ones = [batch_transport(prep, [p], 2, cfg, times) for p in paths]
         assert np.array_equal(w, np.concatenate([o[0] for o in ones]))
         for i, snap in enumerate(snaps):
             assert np.array_equal(snap,
                                   np.concatenate([o[1][i] for o in ones]))
+
+    def test_one_step_segments_evaluate_each_node_once(self, disk_module,
+                                                        rng):
+        # a one-step segment ends at the next one's start node: the march
+        # evaluates the m + 1 segment boundaries once, so no node of a z
+        # grid is evaluated twice, 2n + 1 nodes per geodesic
+        prep = transport_rhs(random_connection(rng), random_higgs(rng))
+        geos = [DiskGeodesic.between_boundary_angles(disk_module, a, a + 2.0)
+                for a in (0.3, 2.0, 4.1)]
+        n = 64
+        assert _segments(n, len(geos)) == n
+        nodes = []
+
+        def counted(x, v):
+            nodes.append(np.concatenate([x, v], axis=-1).reshape(-1, 4))
+            return prep(x, v)
+
+        batch_transport(counted, geos, 2, TransportConfig(n_steps=n))
+        nodes = np.concatenate(nodes)
+        assert len(nodes) == (2 * n + 1) * len(geos)
+        assert len(np.unique(nodes, axis=0)) == len(nodes)
 
     @pytest.mark.parametrize("n", [384, 512])
     def test_call_width_moves_only_the_last_bits(self, disk_module, rng, n):
