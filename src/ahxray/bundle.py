@@ -15,13 +15,14 @@ and curvature, Higgs fields, gauge exponents, the reconstruction basis) as
 scalar weights times the stacked generators; zero fields are its empty sum.
 The weights are held terms-first, shape (K, ...nodes), so each elementwise
 pass of a bump runs over the long node axes rather than an inner axis of
-length K.  A field built from terms (``from_terms``, the config, a
-reconstruction iterate) keeps them, and ``_stacked_generator`` evaluates
-the transport generator -(Gamma(v) + Phi) of such a pair as one separable
-sum over all K_Gamma + K_Phi terms: one rho, one bump pass, one product
-that gives the matrix-first generator.  A ``gauge_transform`` pair keeps
-its gauge and base pair, whose generator G ``_generator`` conjugates to
-Q* G Q - Q^-1 dQ(v); adjoints keep neither and use ``along`` and ``phi``.
+length K.  A connection or Higgs field holds data, not a closure: its
+separable terms (``from_terms``, the config, a reconstruction iterate, an
+``adjoint``), or a gauge Q and a base field (``gauge_transform``); its
+evaluators read that data.  ``_stacked_generator`` evaluates the transport
+generator -(Gamma(v) + Phi) of a pair with terms as one separable sum over
+all K_Gamma + K_Phi terms: one rho, one bump pass, one product that gives
+the matrix-first generator.  ``_generator`` conjugates the generator G of
+the base fields of two fields gauged by one Q to Q* G Q - Q^-1 dQ(v).
 
 Points are arrays of shape (..., 2), read componentwise (x[..., 0],
 x[..., 1]) on the per-node paths, because a NumPy reduction over an axis of
@@ -34,7 +35,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -204,36 +205,43 @@ class _Separable:
         return out.view(complex).reshape(lead + (self.rank,) * 2)
 
 
+@dataclass(eq=False)
 class ConnectionField:
-    """Unitary connection with rho^N decay, given by Gamma(v) and f_12.
+    """Unitary connection with rho^N decay, held as data: separable terms,
+    each feeding one symbol (``from_terms``), or a gauge Q and a base
+    connection (``gauge_transform``).
 
     ``along(x, v)`` is the contraction Gamma(v) = v^i Gamma_i, shape
     (..., d, d), and ``symbols(x)`` its values Gamma(e_1), Gamma(e_2),
-    shape (..., 2, d, d).  The ``curvature`` evaluator, which
-    ``curvature_f12(x)`` calls, gives f_12 = d_1 Gamma_2 - d_2 Gamma_1 +
-    [Gamma_1, Gamma_2], shape (..., d, d); separable connections form it
-    from analytic partials, and gauge transforms carry it by conjugation,
-    which is exact.
+    shape (..., 2, d, d).  ``curvature_f12(x)`` is f_12 = d_1 Gamma_2 -
+    d_2 Gamma_1 + [Gamma_1, Gamma_2], shape (..., d, d): from analytic
+    partials for terms, and by conjugation, which is exact, for a gauge.
     """
 
-    # (separable field, direction of each term) of a connection built
-    # from terms, for ``_stacked_generator``; None for any other
-    _terms: Optional[tuple["_Separable", np.ndarray]] = None
-    # (gauge, base pair) of a ``gauge_transform`` pair, for ``_generator``
-    _gauge: Optional[tuple] = None
+    rank: int
+    decay_N: int
+    # one of (separable field, direction of each term), read by
+    # ``_stacked_generator``, and (Q, base connection), read by ``_generator``
+    _terms: Optional[tuple[_Separable, np.ndarray]] = None
+    _gauge: Optional[tuple[GaugeField | ComposedGauge,
+                           ConnectionField]] = None
 
-    def __init__(self, rank: int,
-                 along: Callable[[np.ndarray, np.ndarray], np.ndarray],
-                 decay_N: int,
-                 curvature: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-                 validate: bool = True, is_zero: bool = False):
-        self.rank = rank
-        self.decay_N = decay_N
-        self.is_zero = is_zero
-        self.along = along
-        self._curvature = curvature
-        if validate:
-            self._validate()
+    @property
+    def is_zero(self) -> bool:
+        """No terms; a gauge of any connection adds Q^-1 dQ."""
+        return self._terms is not None and not len(self._terms[1])
+
+    def along(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
+        if self._gauge is not None:
+            q, base = self._gauge
+            qm, log_dq = q.log_derivative(x, v)
+            return mul(mul(dagger(qm), base.along(x, v)), qm) + log_dq
+        # v goes into the weights before the generator product
+        f, dirs = self._terms
+        w = f.weights(x)
+        v = _last_first(np.asarray(v, dtype=float))[dirs]
+        n = max(w.ndim, v.ndim) - 1
+        return f.combine(_lift(w, n) * _lift(v, n))
 
     def symbols(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -241,34 +249,22 @@ class ConnectionField:
 
     def curvature_f12(self, x: np.ndarray) -> np.ndarray:
         """The single independent curvature component, shape (..., d, d)."""
-        if self._curvature is None:
-            raise DomainError("connection carries no curvature evaluator")
-        return self._curvature(np.asarray(x, dtype=float))
-
-    def _validate(self) -> None:
-        pts = validation_points()
-        gam = self.symbols(pts)
-        _check_skew(gam, "connection symbols")
-        self._check_decay(gam, pts, self.decay_N, "connection symbols")
-
-    @staticmethod
-    def _check_decay(values: np.ndarray, pts: np.ndarray, n_decay: int,
-                     what: str) -> None:
-        if n_decay == 0:
-            return
-        norms = frobenius(values)
-        while norms.ndim > 1:
-            norms = np.max(norms, axis=-1)
-        rho = _rho(pts)
-        interior = np.max(norms / np.maximum(rho, 0.5) ** n_decay)
-        ring = rho < 0.05
-        if interior == 0.0 or not np.any(ring):
-            return
-        bound = 4.0 * interior * rho[ring] ** n_decay
-        if not np.all(norms[ring] <= np.maximum(bound, 1e-13)):
-            raise DomainError(f"{what} do not decay like rho^{n_decay}")
-
-    # -- constructors ------------------------------------------------------
+        x = np.asarray(x, dtype=float)
+        if self._gauge is not None:
+            q, base = self._gauge
+            qm = q.q(x)
+            return mul(mul(dagger(qm), base.curvature_f12(x)), qm)
+        f, dirs = self._terms
+        feeds = np.eye(2)[:, dirs]           # (i, k): term k feeds Gamma_i
+        w, dw = f.weights_and_grads(x)
+        n = w.ndim - 1
+        # Gamma_1 and Gamma_2 as one product, a row per (node, i)
+        gam = f.combine(w[..., None] * feeds.T.reshape(
+            (-1,) + (1,) * n + (2,)))
+        g1, g2 = gam[..., 0, :, :], gam[..., 1, :, :]
+        curl = f.combine(dw[0] * _lift(feeds[1], n)
+                         - dw[1] * _lift(feeds[0], n))
+        return curl + (mul(g1, g2) - mul(g2, g1))
 
     @classmethod
     def zero(cls, rank: int) -> "ConnectionField":
@@ -277,65 +273,60 @@ class ConnectionField:
     @classmethod
     def from_terms(cls, rank: int, terms: Sequence[SeparableTerm],
                    decay_N: int) -> "ConnectionField":
-        """Term k feeds the symbol Gamma_{dir_k}; no terms is zero.  Gamma(v)
-        puts v into the weights before the generator product."""
+        """Term k feeds the symbol Gamma_{dir_k}; no terms is zero."""
         terms = list(terms)
         f = _Separable(rank, [(t.generator, t.bump) for t in terms], decay_N)
         dirs = np.array([t.direction for t in terms], dtype=int)
-        feeds = np.eye(2)[:, dirs]           # (i, k): term k feeds Gamma_i
-
-        def along(x, v):
-            w = f.weights(x)
-            v = _last_first(np.asarray(v, dtype=float))[dirs]
-            n = max(w.ndim, v.ndim) - 1
-            return f.combine(_lift(w, n) * _lift(v, n))
-
-        def curvature(x):
-            w, dw = f.weights_and_grads(x)
-            n = w.ndim - 1
-            # Gamma_1 and Gamma_2 as one product, a row per (node, i)
-            gam = f.combine(w[..., None] * feeds.T.reshape(
-                (-1,) + (1,) * n + (2,)))
-            g1, g2 = gam[..., 0, :, :], gam[..., 1, :, :]
-            curl = f.combine(dw[0] * _lift(feeds[1], n)
-                             - dw[1] * _lift(feeds[0], n))
-            return curl + (mul(g1, g2) - mul(g2, g1))
-
-        conn = cls(rank, along, decay_N, curvature=curvature,
-                   validate=bool(terms), is_zero=not terms)
-        conn._terms = (f, dirs)
+        conn = cls(rank, decay_N, _terms=(f, dirs))
+        if terms:
+            _check_field(conn.symbols, decay_N, "connection symbols")
         return conn
 
 
+@dataclass(eq=False)
 class HiggsFieldData:
-    """Skew-Hermitian Higgs field with rho^(N+1) decay; ``is_zero`` marks
-    the zero field and its gauge transforms, whose decay exponent says
-    nothing."""
+    """Skew-Hermitian Higgs field with rho^(N+1) decay, held as data:
+    separable terms with a real coefficient each, Phi = sum_k c_k w_k S_k
+    (``from_terms`` with c_k = 1, a reconstruction iterate), or a gauge Q
+    and a base field, Phi = Q* Phi_base Q (``gauge_transform``)."""
 
-    # (separable field, coefficient of each term or None for ones) of a
-    # field built from terms, for ``_stacked_generator``; None for any other
-    _terms: Optional[tuple["_Separable", Optional[np.ndarray]]] = None
-    _gauge: Optional[tuple] = None          # as ``ConnectionField._gauge``
+    rank: int
+    decay_N1: int
+    # one of (separable field, coefficient of each term, None for ones: no
+    # multiply in the stacked sum) and (Q, base field)
+    _terms: Optional[tuple[_Separable, Optional[np.ndarray]]] = None
+    _gauge: Optional[tuple[GaugeField | ComposedGauge,
+                           HiggsFieldData]] = None
 
-    def __init__(self, rank: int, phi: Callable[[np.ndarray], np.ndarray],
-                 decay_N1: int, validate: bool = True, is_zero: bool = False):
-        self.rank = rank
-        self.decay_N1 = decay_N1
-        self.is_zero = is_zero
-        self._phi = phi
-        if validate:
-            pts = validation_points()
-            vals = self.phi(pts)
-            _check_skew(vals, "Higgs field")
-            ConnectionField._check_decay(vals, pts, decay_N1, "Higgs field")
+    @property
+    def is_zero(self) -> bool:
+        """No terms, or a gauge of a zero field: a field whose decay
+        exponent says nothing."""
+        if self._gauge is not None:
+            return self._gauge[1].is_zero
+        return not len(self._terms[0].gens)
 
     def phi(self, x: np.ndarray) -> np.ndarray:
-        return self._phi(np.asarray(x, dtype=float))
+        x = np.asarray(x, dtype=float)
+        if self._gauge is not None:
+            q, base = self._gauge
+            qm = q.q(x)
+            return mul(mul(dagger(qm), base.phi(x)), qm)
+        f, coeffs = self._terms
+        w = f.weights(x)
+        return f.combine(
+            w if coeffs is None else w * _lift(coeffs, w.ndim - 1))
 
     def adjoint(self) -> "HiggsFieldData":
-        return HiggsFieldData(self.rank, lambda x: dagger(self._phi(x)),
-                              self.decay_N1, validate=False,
-                              is_zero=self.is_zero)
+        """Phi* = -Phi: the same terms with negated coefficients, or the
+        same gauge of the base field's adjoint."""
+        if self._gauge is not None:
+            q, base = self._gauge
+            return HiggsFieldData(self.rank, self.decay_N1,
+                                  _gauge=(q, base.adjoint()))
+        f, coeffs = self._terms
+        neg = -np.ones(len(f.gens)) if coeffs is None else -coeffs
+        return HiggsFieldData(self.rank, self.decay_N1, _terms=(f, neg))
 
     @classmethod
     def zero(cls, rank: int) -> "HiggsFieldData":
@@ -345,23 +336,33 @@ class HiggsFieldData:
     def from_terms(cls, rank: int,
                    terms: Sequence[tuple[np.ndarray, GaussBump]],
                    decay_N1: int) -> "HiggsFieldData":
-        return cls._of_terms(_Separable(rank, terms, decay_N1))
-
-    @classmethod
-    def _of_terms(cls, field: _Separable, coeffs: Optional[np.ndarray] = None,
-                  validate: bool = True) -> "HiggsFieldData":
-        """Phi = sum_k c_k w_k S_k over the terms of ``field``, with c_k = 1
-        when ``coeffs`` is None; the field keeps its terms."""
-        def phi(x):
-            w = field.weights(x)
-            return field.combine(
-                w if coeffs is None else w * _lift(coeffs, w.ndim - 1))
-
-        empty = not len(field.gens)
-        higgs = cls(field.rank, phi, field.decay,
-                    validate=validate and not empty, is_zero=empty)
-        higgs._terms = (field, coeffs)
+        f = _Separable(rank, terms, decay_N1)
+        higgs = cls(rank, decay_N1, _terms=(f, None))
+        if len(f.gens):
+            _check_field(higgs.phi, decay_N1, "Higgs field")
         return higgs
+
+
+def _check_field(evaluate, decay: int, what: str) -> None:
+    """The construction checks of a field built from outside data: its
+    values at ``validation_points`` are skew-Hermitian and decay like
+    rho^decay."""
+    pts = validation_points()
+    values = evaluate(pts)
+    _check_skew(values, what)
+    if decay == 0:
+        return
+    norms = frobenius(values)
+    while norms.ndim > 1:
+        norms = np.max(norms, axis=-1)
+    rho = _rho(pts)
+    interior = np.max(norms / np.maximum(rho, 0.5) ** decay)
+    ring = rho < 0.05
+    if interior == 0.0 or not np.any(ring):
+        return
+    bound = 4.0 * interior * rho[ring] ** decay
+    if not np.all(norms[ring] <= np.maximum(bound, 1e-13)):
+        raise DomainError(f"{what} do not decay like rho^{decay}")
 
 
 def _stacked_generator(conn: ConnectionField, higgs: HiggsFieldData):
@@ -484,47 +485,30 @@ def gauge_transform(conn: ConnectionField, higgs: HiggsFieldData,
                     q: "GaugeField | ComposedGauge"
                     ) -> tuple[ConnectionField, HiggsFieldData]:
     """Apply the gauge relation: Gamma(v) becomes Q* Gamma(v) Q + Q^-1 dQ(v),
-    the Higgs field conjugates, and curvature conjugates exactly.
-
-    The two fields share (q, conn, higgs), for ``_generator``; ``along``
-    and ``phi`` each evaluate Q on their own."""
+    the Higgs field conjugates, and curvature conjugates exactly.  Each
+    field holds Q and its base field."""
     if not (conn.rank == higgs.rank == q.rank):
         raise RankMismatchError("rank mismatch between connection, Higgs, gauge")
-
-    def along(x, v):
-        qm, log_dq = q.log_derivative(x, v)
-        return mul(mul(dagger(qm), conn.along(x, v)), qm) + log_dq
-
-    def curvature(x):
-        qm = q.q(x)
-        return mul(mul(dagger(qm), conn.curvature_f12(x)), qm)
-
-    def phi(x):
-        qm = q.q(x)
-        return mul(mul(dagger(qm), higgs.phi(x)), qm)
-
-    if conn.is_zero:
-        decay = q.decay_M - 1
-    else:
-        decay = min(conn.decay_N, q.decay_M - 1)
-    new_conn = ConnectionField(conn.rank, along, decay_N=decay,
-                               curvature=curvature)
-    new_higgs = HiggsFieldData(higgs.rank, phi, higgs.decay_N1,
-                               is_zero=higgs.is_zero)
-    new_conn._gauge = new_higgs._gauge = (q, conn, higgs)
+    decay = q.decay_M - 1 if conn.is_zero \
+        else min(conn.decay_N, q.decay_M - 1)
+    new_conn = ConnectionField(conn.rank, decay, _gauge=(q, conn))
+    _check_field(new_conn.symbols, decay, "connection symbols")
+    new_higgs = HiggsFieldData(higgs.rank, higgs.decay_N1, _gauge=(q, higgs))
+    _check_field(new_higgs.phi, higgs.decay_N1, "Higgs field")
     return new_conn, new_higgs
 
 
 def _generator(conn: ConnectionField, higgs: HiggsFieldData):
     """x, v -> -(Gamma(v) + Phi), matrix-first, shape (d, d) + nodes: one
     separable sum for a pair with terms (``_stacked_generator``); Q* G Q -
-    Q^-1 dQ(v) from one ``log_derivative`` for a ``gauge_transform`` pair,
-    G its base pair's generator; else -(``along`` + ``phi``)."""
+    Q^-1 dQ(v) from one ``log_derivative`` for two fields gauged by one Q,
+    G the generator of their base fields; else -(``along`` + ``phi``)."""
     stacked = _stacked_generator(conn, higgs)
     if stacked is not None:
         return lambda x, v: stacked(x, v)[0]
-    if conn._gauge is not None and conn._gauge is higgs._gauge:
-        q, base = conn._gauge[0], _generator(*conn._gauge[1:])
+    if (conn._gauge is not None and higgs._gauge is not None
+            and conn._gauge[0] is higgs._gauge[0]):
+        q, base = conn._gauge[0], _generator(conn._gauge[1], higgs._gauge[1])
 
         def gauged(x, v):
             qm, log_dq = (matrix_first(a) for a in q.log_derivative(x, v))

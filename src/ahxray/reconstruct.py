@@ -57,11 +57,8 @@ class HiggsParameterization:
         self._field = _Separable(self.rank, self.basis, self.decay_N1)
         self.basis = [(s, b) for s, (_, b) in zip(self._field.gens,
                                                   self.basis)]
-        if self.coeffs is None:
-            self.coeffs = np.zeros(len(self.basis))
-        self.coeffs = np.asarray(self.coeffs, dtype=float)
-        if self.coeffs.shape != (len(self.basis),):
-            raise DomainError("coefficient vector length mismatch")
+        self.coeffs = np.zeros(self.size) if self.coeffs is None \
+            else self._coeff_vector(self.coeffs)
         self._check_independence()
 
     def _check_independence(self):
@@ -79,9 +76,17 @@ class HiggsParameterization:
     def size(self) -> int:
         return len(self.basis)
 
+    def _coeff_vector(self, c) -> np.ndarray:
+        """c as floats; DomainError unless one finite real per field."""
+        c = np.asarray(c, dtype=float)
+        if c.shape != (self.size,) or not np.all(np.isfinite(c)):
+            raise DomainError(f"coefficient vector of shape {c.shape} needs "
+                              f"{self.size} finite entries")
+        return c
+
     def with_coeffs(self, c: np.ndarray) -> "HiggsParameterization":
         out = copy.copy(self)
-        out.coeffs = np.asarray(c, dtype=float)
+        out.coeffs = self._coeff_vector(c)
         return out
 
     def weights(self, x: np.ndarray) -> np.ndarray:
@@ -95,11 +100,12 @@ class HiggsParameterization:
         return self._field.combine(weights * _lift(c, weights.ndim - 1))
 
     def higgs(self, c: Optional[np.ndarray] = None) -> HiggsFieldData:
-        """Phi_c, not validated again: a real combination of generators
-        checked skew-Hermitian at construction, times rho^(N+1).  It
-        carries the basis as its terms and c as their coefficients."""
-        c = self.coeffs if c is None else np.asarray(c, dtype=float)
-        return HiggsFieldData._of_terms(self._field, c, validate=False)
+        """Phi_c: the basis as its terms and c as their coefficients.  Its
+        values are not checked again: a real combination of generators
+        checked skew-Hermitian at construction, times rho^(N+1)."""
+        c = self.coeffs if c is None else self._coeff_vector(c)
+        return HiggsFieldData(self.rank, self.decay_N1,
+                              _terms=(self._field, c))
 
 
 # Gauss-Newton: gradient norm that stops it, step halvings, rejected steps

@@ -45,11 +45,10 @@ the (..., d, d) layout (``_matrix_last``) only where ``batch_transport``
 returns.
 
 ``transport_rhs`` forms the generator -(Gamma(v) + Phi) of a node once,
-matrix-first (``bundle._generator``): one terms-first sum over all terms
-of a pair that carries them (every field built by ``from_terms`` or the
-config, and every reconstruction iterate), Q* G Q - Q^-1 dQ(v) over the
-base pair's generator G for a pair from ``gauge_transform``, and
-``along`` + ``phi`` for any other pair (``adjoint`` fields, callables).
+matrix-first (``bundle._generator``).  A field holds its separable terms
+or a gauge Q and a base field: a pair with terms takes one terms-first
+sum over all of them, two fields gauged by one Q take Q* G Q - Q^-1 dQ(v)
+over their base fields' generator G, and any other pair ``along`` + ``phi``.
 """
 
 from __future__ import annotations

@@ -175,7 +175,7 @@ class TestGaugedNodeCache:
             raise AssertionError("the gauged generator calls along or phi")
 
         monkeypatch.setattr(bundle, "expm_skew", counted)
-        conn_b.along = higgs_b._phi = unused
+        conn_b.along = higgs_b.phi = unused
         for shape in ((2,), (7, 2), (384, 1, 2)):
             seen.clear()
             prep(rng.uniform(-0.5, 0.5, shape), rng.normal(size=shape))

@@ -61,14 +61,21 @@
   node, for ranks 1-3, 0-4 terms per field in mixed directions, decays
   1-4, ``from_terms`` Higgs fields and reconstruction iterates, a lone
   point, (n,) and (m, w) stacks and the velocities of ``symbols``; it
-  still refuses a rank mismatch and a decay below 1; ``adjoint()`` fields
-  and gauged fields paired with another pair's field carry no terms, and
-  their transport is that of ``ref_generic_rhs`` bit for bit;
-- ``transport_rhs`` of a pair from ``gauge_transform``, Q* G Q - Q^-1 dQ(v)
-  over the base pair's generator G, equals ``ref_generic_rhs`` within
+  still refuses a rank mismatch and a decay below 1; a gauged field
+  paired with a field of another pair shares no terms and no gauge with
+  it, and its transport is that of ``ref_generic_rhs`` bit for bit;
+- ``adjoint()`` of a ``from_terms`` field or a reconstruction iterate is
+  the same terms with negated coefficients, and of a gauged field the same
+  gauge of the base field's adjoint: Phi* = -Phi bit for bit, the pair
+  keeps the stacked or the conjugated generator, and its transport is
+  within 1e-15 (1 + |Gamma| + |Phi|) per node of ``ref_generic_rhs``, for
+  ranks 1-3, a lone point and stacks;
+- ``transport_rhs`` of two fields gauged by one Q, Q* G Q - Q^-1 dQ(v)
+  over their base fields' generator G, equals ``ref_generic_rhs`` within
   1e-15 (1 + |Gamma| + |Phi|) per node, for a gauge, a composed gauge, a
-  gauge of a gauged pair and a gauge of a pair without terms, ranks 1-3,
-  a lone point and stacks;
+  gauge of a gauged pair, of a pair without terms and of an adjoint pair,
+  and the fields of two base pairs gauged by one Q, ranks 1-3, a lone
+  point and stacks;
 - ``AHModel._flow_at``, the one-point geodesic flow of the bump crossing,
   is (v, ``AHModel.geodesic_rhs``) bit for bit, for random admissible
   bumps and points inside, on and outside the bump's ball;
@@ -79,8 +86,8 @@
   gauge and for a composed gauge of ranks 1-3, and a composed gauge's
   ``log_derivative`` gives the connection of the two transforms in turn;
 - every reconstruction iterate ``higgs(c)``, which is built without the
-  construction-time field checks, passes them: skew-Hermitian and decaying
-  like rho^(N+1);
+  construction-time field checks (``bundle._check_field``), passes them:
+  skew-Hermitian and decaying like rho^(N+1);
 - every sphere-bundle operator and functional on a section held as a band
   of fiber modes equals the same on the full-axis section with the same
   theta samples, for random bands at even and odd n_theta, bands that
@@ -115,7 +122,7 @@ import ahxray.spherebundle as sb
 from ahxray._linalg import (dagger, expm_skew, frobenius, matrix_first,
                             mul, mul_first, unitary_defect)
 from ahxray.bundle import (ConnectionField, GaugeField, GaussBump,
-                           HiggsFieldData, SeparableTerm, _check_skew,
+                           HiggsFieldData, SeparableTerm, _check_field,
                            _Separable, _stacked_generator, gauge_transform,
                            validation_points)
 from ahxray.config import ExperimentConfig
@@ -644,44 +651,87 @@ def test_term_path_is_the_sum_of_along_and_phi(rank, lead, symbols, dirs,
 
 
 def test_fields_without_terms_keep_the_generic_path(rng):
-    # adjoints, and a gauged field paired with a field of another pair,
-    # carry no terms: their transport is the one formed from along and
-    # phi, bit for bit
+    # a gauged field paired with a field of another pair, with no terms
+    # and no gauge in common: its transport is the one formed from along
+    # and phi, bit for bit
     conn, higgs = random_connection(rng), random_higgs(rng)
     gauged = gauge_transform(conn, higgs, random_gauge(rng))
+    other = gauge_transform(conn, higgs, random_gauge(rng))
     geos = [DiskGeodesic.between_boundary_angles(AHModel(), a, a + 2.5)
             for a in (0.3, 1.9, 4.0)]
     cfg = TransportConfig(n_steps=64)
-    assert _stacked_generator(conn, higgs) is not None
-    for pair in ((conn, higgs.adjoint()), (gauged[0], higgs),
-                 (conn, gauged[1])):
+    for pair in ((gauged[0], higgs), (conn, gauged[1]),
+                 (gauged[0], other[1])):
         assert _stacked_generator(*pair) is None
         assert np.array_equal(
             batch_transport(transport_rhs(*pair), geos, 2, cfg),
             batch_transport(ref_generic_rhs(*pair), geos, 2, cfg))
 
 
+@settings(max_examples=40, deadline=None)
+@given(rank=st.integers(1, 3),
+       kind=st.sampled_from(["terms", "iterate", "gauged"]),
+       lead=st.sampled_from([(), (1,), (7,), (3, 5)]),
+       seed=st.integers(0, 2**32 - 1))
+def test_adjoints_negate_their_coefficients(rank, kind, lead, seed):
+    # the adjoint of a field with terms is the same terms with negated
+    # coefficients, so it keeps the stacked generator; the adjoint of a
+    # gauged field is the same gauge of the base field's adjoint, so it
+    # keeps the conjugated one.  Phi* = -Phi bit for bit, and the
+    # transport is within 1e-15 (1 + |Gamma| + |Phi|) per node of
+    # ref_generic_rhs
+    rng = np.random.default_rng(seed)
+    conn, higgs = random_connection(rng, rank), random_higgs(rng, rank)
+    if kind == "iterate":
+        params = HiggsParameterization(rank, _random_terms(rng, rank, 3), 4)
+        higgs = params.higgs(rng.uniform(-1.0, 1.0, 3))
+    if kind == "gauged":
+        conn, higgs = gauge_transform(conn, higgs, random_gauge(rng, rank))
+    adj = higgs.adjoint()
+    if kind == "gauged":
+        assert adj._gauge[0] is conn._gauge[0]
+    else:
+        assert _stacked_generator(conn, adj) is not None
+    x = _disk_points(rng, lead)
+    v = rng.uniform(-1.0, 1.0, lead + (2,))
+    _same(adj.phi(x), -higgs.phi(x))
+    eye = np.eye(rank, dtype=complex).reshape((rank, rank)
+                                              + (1,) * len(lead))
+    got = transport_rhs(conn, adj)(x, v)(eye)
+    ref = ref_generic_rhs(conn, adj)(x, v)(eye)
+    bound = 1e-15 * (1.0 + frobenius(conn.along(x, v))
+                     + frobenius(adj.phi(x)))
+    assert np.all(np.max(np.abs(got - ref), axis=(0, 1)) <= bound)
+
+
 @settings(max_examples=60, deadline=None)
 @given(rank=st.integers(1, 3),
-       kind=st.sampled_from(["gauge", "composed", "twice", "no terms"]),
+       kind=st.sampled_from(["gauge", "composed", "twice", "no terms",
+                             "adjoint", "shared gauge"]),
        lead=st.sampled_from([(), (1,), (7,), (3, 5)]),
        seed=st.integers(0, 2**32 - 1))
 def test_gauged_pairs_conjugate_the_base_generator(rank, kind, lead, seed):
-    # a pair from gauge_transform takes Q* G Q - Q^-1 dQ(v) over its base
-    # pair's generator G, which agrees with -(Gamma(v) + Phi) from its
-    # along and phi within 1e-15 (1 + |Gamma| + |Phi|) per node: for a
-    # gauge, a composed gauge, a gauge of a gauged pair and a gauge of a
-    # pair without terms
+    # two fields gauged by one Q take Q* G Q - Q^-1 dQ(v) over the
+    # generator G of their base fields, which agrees with -(Gamma(v) + Phi)
+    # from their along and phi within 1e-15 (1 + |Gamma| + |Phi|) per
+    # node: for a gauge, a composed gauge, a gauge of a gauged pair, a
+    # gauge of a pair without terms, a gauge of an adjoint pair, and the
+    # connection and Higgs field of two base pairs gauged by one Q
     rng = np.random.default_rng(seed)
     conn, higgs = random_connection(rng, rank), random_higgs(rng, rank)
     gauge = random_gauge(rng, rank)
     if kind == "composed":
         gauge = gauge.compose(random_gauge(rng, rank))
     if kind == "no terms":
+        higgs = gauge_transform(conn, higgs, random_gauge(rng, rank))[1]
+    if kind == "adjoint":
         higgs = higgs.adjoint()
     pair = gauge_transform(conn, higgs, gauge)
     if kind == "twice":
         pair = gauge_transform(*pair, random_gauge(rng, rank))
+    if kind == "shared gauge":
+        pair = pair[0], gauge_transform(random_connection(rng, rank),
+                                        random_higgs(rng, rank), gauge)[1]
     x = _disk_points(rng, lead)
     v = rng.uniform(-1.0, 1.0, lead + (2,))
     eye = np.eye(rank, dtype=complex).reshape((rank, rank)
@@ -839,10 +889,8 @@ def test_reconstruction_iterates_pass_the_higgs_checks(rank, count, decay,
               GaussBump(center=tuple(c), sigma=rng.uniform(0.2, 0.5)))
              for c in centers]
     params = HiggsParameterization(rank=rank, basis=basis, decay_N1=decay)
-    pts = validation_points()
-    vals = params.higgs(scale * rng.normal(size=count)).phi(pts)
-    _check_skew(vals, "Higgs field")
-    ConnectionField._check_decay(vals, pts, decay, "Higgs field")
+    _check_field(params.higgs(scale * rng.normal(size=count)).phi, decay,
+                 "Higgs field")
 
 
 _BAND_GRIDS = {}

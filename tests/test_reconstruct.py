@@ -236,6 +236,25 @@ class TestClosedLoop:
         assert all(b <= a + 1e-15 for a, b in
                    zip(report.residual_history, report.residual_history[1:]))
 
+    def test_noiseless_recovery_under_a_flat_gauge_connection(self, disk,
+                                                               rng):
+        # the corollary's full hypothesis: a nonzero flat connection, here
+        # Q^-1 dQ, the gauge of the zero connection; criterion 11's gate
+        conn = gauge_transform(ConnectionField.zero(2),
+                               HiggsFieldData.zero(2), random_gauge(rng))[0]
+        assert np.max(np.abs(conn.symbols(np.array([0.1, -0.2])))) > 0.1
+        params = su2_basis(6)
+        fan = FanSpec.uniform_pairs(24, n_openings=4)
+        cfg = ReconstructionConfig(tikhonov=1e-10,
+                                   transport=TransportConfig(n_steps=128))
+        truth = np.random.default_rng(11).normal(size=6)
+        truth /= np.linalg.norm(truth)
+        data = forward_map(disk, conn, params.with_coeffs(truth), fan, cfg)
+        report = reconstruct_higgs(data, disk, conn, params, fan, cfg,
+                                   ground_truth=truth)
+        assert report.coeff_error < 0.05
+        assert report.iterations <= 30
+
     def test_injectivity_probe(self, disk):
         params = su2_basis()
         fan = FanSpec.uniform_pairs(24, n_openings=4)
@@ -338,6 +357,18 @@ class TestValidation:
         with pytest.raises(DomainError):
             HiggsParameterization(rank=2, basis=[(gen, bump), (gen, bump)],
                                   decay_N1=4)
+
+    @pytest.mark.parametrize("c", [np.ones(3), np.ones((6, 1)),
+                                   [np.nan] * 6, [0, 0, np.inf, 0, 0, 0]])
+    def test_bad_coefficient_vectors_refused(self, c):
+        # a short vector used to end in a bare broadcast ValueError inside
+        # the march, and a NaN one was accepted
+        params = su2_basis()
+        for make in (params.with_coeffs, params.higgs,
+                     lambda c: HiggsParameterization(
+                         params.rank, params.basis, params.decay_N1, c)):
+            with pytest.raises(DomainError, match="coefficient vector"):
+                make(c)
 
     def test_empty_basis_named(self):
         with pytest.raises(DomainError, match="basis is empty"):
