@@ -15,14 +15,12 @@ and curvature, Higgs fields, gauge exponents, the reconstruction basis) as
 scalar weights times the stacked generators; zero fields are its empty sum.
 The weights are held terms-first, shape (K, ...nodes), so each elementwise
 pass of a bump runs over the long node axes rather than an inner axis of
-length K.  A connection or Higgs field holds data, not a closure: its
-separable terms (``from_terms``, the config, a reconstruction iterate, an
-``adjoint``), or a gauge Q and a base field (``gauge_transform``); its
-evaluators read that data.  ``_stacked_generator`` evaluates the transport
-generator -(Gamma(v) + Phi) of a pair with terms as one separable sum over
-all K_Gamma + K_Phi terms: one rho, one bump pass, one product that gives
-the matrix-first generator.  ``_generator`` conjugates the generator G of
-the base fields of two fields gauged by one Q to Q* G Q - Q^-1 dQ(v).
+length K.  A connection or Higgs field is its separable terms seen
+through at most one gauge Q; ``gauge_transform`` composes gauges.
+``_generator`` forms the transport generator -(Gamma(v) + Phi) by one
+rule: one separable sum of the terms per distinct gauge of the pair
+(``_stacked_generator``), each conjugated to Q* G Q, minus the
+connection gauge's Q^-1 dQ(v).
 
 Points are arrays of shape (..., 2), read componentwise (x[..., 0],
 x[..., 1]) on the per-node paths, because a NumPy reduction over an axis of
@@ -34,7 +32,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -208,40 +206,39 @@ class _Separable:
 @dataclass(eq=False)
 class ConnectionField:
     """Unitary connection with rho^N decay, held as data: separable terms,
-    each feeding one symbol (``from_terms``), or a gauge Q and a base
-    connection (``gauge_transform``).
+    each feeding one symbol (``from_terms``), under at most one gauge Q,
+    Gamma(v) = Q* Gamma_terms(v) Q + Q^-1 dQ(v) (``gauge_transform``).
 
     ``along(x, v)`` is the contraction Gamma(v) = v^i Gamma_i, shape
     (..., d, d), and ``symbols(x)`` its values Gamma(e_1), Gamma(e_2),
     shape (..., 2, d, d).  ``curvature_f12(x)`` is f_12 = d_1 Gamma_2 -
-    d_2 Gamma_1 + [Gamma_1, Gamma_2], shape (..., d, d): from analytic
-    partials for terms, and by conjugation, which is exact, for a gauge.
+    d_2 Gamma_1 + [Gamma_1, Gamma_2], shape (..., d, d): from the terms'
+    analytic partials, conjugated by Q, which is exact.
     """
 
     rank: int
     decay_N: int
-    # one of (separable field, direction of each term), read by
-    # ``_stacked_generator``, and (Q, base connection), read by ``_generator``
-    _terms: Optional[tuple[_Separable, np.ndarray]] = None
-    _gauge: Optional[tuple[GaugeField | ComposedGauge,
-                           ConnectionField]] = None
+    # (separable field, direction of each term), read by
+    # ``_stacked_generator``, and the gauge Q or None, read by ``_generator``
+    _terms: tuple[_Separable, np.ndarray]
+    _gauge: Optional[GaugeField | ComposedGauge] = None
 
     @property
     def is_zero(self) -> bool:
-        """No terms; a gauge of any connection adds Q^-1 dQ."""
-        return self._terms is not None and not len(self._terms[1])
+        """No terms and no gauge: a gauge adds Q^-1 dQ."""
+        return self._gauge is None and not len(self._terms[1])
 
     def along(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
-        if self._gauge is not None:
-            q, base = self._gauge
-            qm, log_dq = q.log_derivative(x, v)
-            return mul(mul(dagger(qm), base.along(x, v)), qm) + log_dq
+        # the gauge first, so its eigensolve's temporaries meet no others
+        qm, log_dq = (None, None) if self._gauge is None \
+            else self._gauge.log_derivative(x, v)
         # v goes into the weights before the generator product
         f, dirs = self._terms
         w = f.weights(x)
         v = _last_first(np.asarray(v, dtype=float))[dirs]
         n = max(w.ndim, v.ndim) - 1
-        return f.combine(_lift(w, n) * _lift(v, n))
+        gam = _seen(qm, f.combine(_lift(w, n) * _lift(v, n)))
+        return gam if log_dq is None else gam + log_dq
 
     def symbols(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -250,10 +247,7 @@ class ConnectionField:
     def curvature_f12(self, x: np.ndarray) -> np.ndarray:
         """The single independent curvature component, shape (..., d, d)."""
         x = np.asarray(x, dtype=float)
-        if self._gauge is not None:
-            q, base = self._gauge
-            qm = q.q(x)
-            return mul(mul(dagger(qm), base.curvature_f12(x)), qm)
+        qm = None if self._gauge is None else self._gauge.q(x)
         f, dirs = self._terms
         feeds = np.eye(2)[:, dirs]           # (i, k): term k feeds Gamma_i
         w, dw = f.weights_and_grads(x)
@@ -264,7 +258,7 @@ class ConnectionField:
         g1, g2 = gam[..., 0, :, :], gam[..., 1, :, :]
         curl = f.combine(dw[0] * _lift(feeds[1], n)
                          - dw[1] * _lift(feeds[0], n))
-        return curl + (mul(g1, g2) - mul(g2, g1))
+        return _seen(qm, curl + (mul(g1, g2) - mul(g2, g1)))
 
     @classmethod
     def zero(cls, rank: int) -> "ConnectionField":
@@ -287,46 +281,35 @@ class ConnectionField:
 class HiggsFieldData:
     """Skew-Hermitian Higgs field with rho^(N+1) decay, held as data:
     separable terms with a real coefficient each, Phi = sum_k c_k w_k S_k
-    (``from_terms`` with c_k = 1, a reconstruction iterate), or a gauge Q
-    and a base field, Phi = Q* Phi_base Q (``gauge_transform``)."""
+    (``from_terms`` with c_k = 1, a reconstruction iterate), seen through
+    at most one gauge Q, Phi = Q* Phi_terms Q (``gauge_transform``)."""
 
     rank: int
     decay_N1: int
-    # one of (separable field, coefficient of each term, None for ones: no
-    # multiply in the stacked sum) and (Q, base field)
-    _terms: Optional[tuple[_Separable, Optional[np.ndarray]]] = None
-    _gauge: Optional[tuple[GaugeField | ComposedGauge,
-                           HiggsFieldData]] = None
+    # (separable field, coefficient of each term, None for ones: no
+    # multiply in the stacked sum) and the gauge Q or None
+    _terms: tuple[_Separable, Optional[np.ndarray]]
+    _gauge: Optional[GaugeField | ComposedGauge] = None
 
     @property
     def is_zero(self) -> bool:
-        """No terms, or a gauge of a zero field: a field whose decay
-        exponent says nothing."""
-        if self._gauge is not None:
-            return self._gauge[1].is_zero
+        """No terms: a field whose decay exponent says nothing."""
         return not len(self._terms[0].gens)
 
     def phi(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        if self._gauge is not None:
-            q, base = self._gauge
-            qm = q.q(x)
-            return mul(mul(dagger(qm), base.phi(x)), qm)
+        qm = None if self._gauge is None else self._gauge.q(x)
         f, coeffs = self._terms
         w = f.weights(x)
-        return f.combine(
-            w if coeffs is None else w * _lift(coeffs, w.ndim - 1))
+        return _seen(qm, f.combine(
+            w if coeffs is None else w * _lift(coeffs, w.ndim - 1)))
 
     def adjoint(self) -> "HiggsFieldData":
-        """Phi* = -Phi: the same terms with negated coefficients, or the
-        same gauge of the base field's adjoint."""
-        if self._gauge is not None:
-            q, base = self._gauge
-            return HiggsFieldData(self.rank, self.decay_N1,
-                                  _gauge=(q, base.adjoint()))
+        """Phi* = -Phi: the same terms with negated coefficients, under
+        the same gauge."""
         f, coeffs = self._terms
         neg = -np.ones(len(f.gens)) if coeffs is None else -coeffs
-        return HiggsFieldData(self.rank, self.decay_N1, _terms=(f, neg))
+        return replace(self, _terms=(f, neg))
 
     @classmethod
     def zero(cls, rank: int) -> "HiggsFieldData":
@@ -341,6 +324,11 @@ class HiggsFieldData:
         if len(f.gens):
             _check_field(higgs.phi, decay_N1, "Higgs field")
         return higgs
+
+
+def _seen(qm: Optional[np.ndarray], value: np.ndarray) -> np.ndarray:
+    """qm* value qm, shape (..., d, d), or value where there is no gauge."""
+    return value if qm is None else mul(mul(dagger(qm), value), qm)
 
 
 def _check_field(evaluate, decay: int, what: str) -> None:
@@ -365,9 +353,10 @@ def _check_field(evaluate, decay: int, what: str) -> None:
         raise DomainError(f"{what} do not decay like rho^{decay}")
 
 
-def _stacked_generator(conn: ConnectionField, higgs: HiggsFieldData):
-    """x, v -> (A, w) for a connection and a Higgs field that both carry
-    terms, and None when either does not.  A = -(Gamma(v) + Phi),
+def _stacked_generator(conn_terms: tuple[_Separable, np.ndarray],
+                       higgs_terms: tuple[_Separable, Optional[np.ndarray]]):
+    """x, v -> (A, w) for the terms of a connection and of a Higgs field
+    (their ``_terms``).  A = -(Gamma(v) + Phi) of those terms,
     matrix-first, shape (d, d) + nodes, the nodes being the broadcast of
     x's and v's leading axes; w holds the Higgs terms' weights rho^N beta_k
     before their coefficients, terms-first, shape (K_Phi,) + x's leading
@@ -380,14 +369,12 @@ def _stacked_generator(conn: ConnectionField, higgs: HiggsFieldData):
     has the bits of the same weight in ``along`` or ``phi``; A differs
     from -(Gamma(v) + Phi) by the rounding of one sum against two.
     """
-    if conn._terms is None or higgs._terms is None:
-        return None
-    (fc, dirs), (fh, coeffs) = conn._terms, higgs._terms
+    (fc, dirs), (fh, coeffs) = conn_terms, higgs_terms
     # Gamma_1's terms, then Gamma_2's: each block takes one component of v.
     # Sorted in Python: a first np.argsort or np.sum touches 0.2-0.4 MB of
     # NumPy's code pages, which would count against the peak RSS of a run
     order = sorted(range(len(dirs)), key=lambda i: dirs[i])
-    d, k, k0 = conn.rank, len(dirs), list(dirs).count(0)
+    d, k, k0 = fc.rank, len(dirs), list(dirs).count(0)
     centers = np.concatenate([fc._centers[order], fh._centers])
     sigma2 = np.concatenate([fc._sigma2[order], fh._sigma2])
     gens = -np.concatenate([fc.gens[order], fh.gens]).reshape(-1, d * d)
@@ -460,6 +447,8 @@ class GaugeField:
 class ComposedGauge:
     """Pointwise product gauge (self followed by other): Q = Q1 Q2."""
 
+    compose = GaugeField.compose
+
     def __init__(self, first: "GaugeField | ComposedGauge",
                  second: "GaugeField | ComposedGauge"):
         if first.rank != second.rank:
@@ -486,39 +475,59 @@ def gauge_transform(conn: ConnectionField, higgs: HiggsFieldData,
                     ) -> tuple[ConnectionField, HiggsFieldData]:
     """Apply the gauge relation: Gamma(v) becomes Q* Gamma(v) Q + Q^-1 dQ(v),
     the Higgs field conjugates, and curvature conjugates exactly.  Each
-    field holds Q and its base field."""
+    field keeps its terms, and its gauge P becomes P Q (``compose``), one
+    object for both fields when they shared P."""
     if not (conn.rank == higgs.rank == q.rank):
         raise RankMismatchError("rank mismatch between connection, Higgs, gauge")
     decay = q.decay_M - 1 if conn.is_zero \
         else min(conn.decay_N, q.decay_M - 1)
-    new_conn = ConnectionField(conn.rank, decay, _gauge=(q, conn))
+    gauge = q if conn._gauge is None else conn._gauge.compose(q)
+    new_conn = replace(conn, decay_N=decay, _gauge=gauge)
     _check_field(new_conn.symbols, decay, "connection symbols")
-    new_higgs = HiggsFieldData(higgs.rank, higgs.decay_N1, _gauge=(q, higgs))
+    if higgs._gauge is not conn._gauge:
+        gauge = q if higgs._gauge is None else higgs._gauge.compose(q)
+    new_higgs = replace(higgs, _gauge=gauge)
     _check_field(new_higgs.phi, higgs.decay_N1, "Higgs field")
     return new_conn, new_higgs
 
 
 def _generator(conn: ConnectionField, higgs: HiggsFieldData):
-    """x, v -> -(Gamma(v) + Phi), matrix-first, shape (d, d) + nodes: one
-    separable sum for a pair with terms (``_stacked_generator``); Q* G Q -
-    Q^-1 dQ(v) from one ``log_derivative`` for two fields gauged by one Q,
-    G the generator of their base fields; else -(``along`` + ``phi``)."""
-    stacked = _stacked_generator(conn, higgs)
-    if stacked is not None:
-        return lambda x, v: stacked(x, v)[0]
-    if (conn._gauge is not None and higgs._gauge is not None
-            and conn._gauge[0] is higgs._gauge[0]):
-        q, base = conn._gauge[0], _generator(conn._gauge[1], higgs._gauge[1])
+    """x, v -> (A, w): A = -(Gamma(v) + Phi), matrix-first, shape (d, d) +
+    nodes, and w the Higgs terms' weights (``_stacked_generator``).  One
+    stacked sum of the terms per distinct gauge of the pair (one block, or
+    two with an empty partner each), each conjugated to Q* G Q, minus the
+    connection gauge's Q^-1 dQ(v), Q and Q^-1 dQ(v) from one
+    ``log_derivative``."""
+    p, q = conn._gauge, higgs._gauge
+    if p is q:
+        first, second = _stacked_generator(conn._terms, higgs._terms), None
+    else:
+        # an empty partner of its block's decay: rho^N once per block
+        fc, fh = conn._terms[0], higgs._terms[0]
+        first = _stacked_generator(
+            conn._terms, (_Separable(fc.rank, [], fc.decay), None))
+        second = _stacked_generator(
+            (_Separable(fh.rank, [], fh.decay), np.zeros(0, dtype=int)),
+            higgs._terms)
 
-        def gauged(x, v):
-            qm, log_dq = (matrix_first(a) for a in q.log_derivative(x, v))
-            qh = np.conj(qm.swapaxes(0, 1))
-            return mul_first(mul_first(qh, base(x, v)), qm) - log_dq
+    def conjugated(qm, a):
+        return mul_first(mul_first(np.conj(qm.swapaxes(0, 1)), a), qm)
 
-        return gauged
-    # IEEE rounding is sign-symmetric, so negating the generator once
-    # keeps the values of every stage product
-    return lambda x, v: matrix_first(-(conn.along(x, v) + higgs.phi(x)))
+    def generator(x, v):
+        # the gauge first, as in ``ConnectionField.along``
+        qm, log_dq = (None, None) if p is None else (
+            matrix_first(b) for b in p.log_derivative(x, v))
+        a, w = first(x, v)
+        if qm is not None:
+            a = conjugated(qm, a) - log_dq
+        if second is not None:
+            # IEEE rounding is sign-symmetric, so this is -(Gamma(v) + Phi)
+            # from ``along`` and ``phi`` bit for bit
+            b, w = second(x, v)
+            a += b if q is None else conjugated(matrix_first(q.q(x)), b)
+        return a, w
+
+    return generator
 
 
 def sup_curvature_norm(conn: ConnectionField, pts: np.ndarray,

@@ -25,9 +25,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._linalg import matrix_first, mul_first
-from .bundle import (ConnectionField, GaussBump, HiggsFieldData, _lift,
-                     _Separable, _stacked_generator, validation_points)
+from ._linalg import mul_first
+from .bundle import (ConnectionField, GaussBump, HiggsFieldData, _generator,
+                     _Separable, validation_points)
 from .errors import DomainError, StagnationError
 from .geometry import AHModel
 from .transport import (TransportConfig, _require_decay, batch_transport,
@@ -88,16 +88,6 @@ class HiggsParameterization:
         out = copy.copy(self)
         out.coeffs = self._coeff_vector(c)
         return out
-
-    def weights(self, x: np.ndarray) -> np.ndarray:
-        """rho^(N+1) beta_k at points x for every basis field, terms-first:
-        shape (``size``,) + x's leading axes."""
-        return self._field.weights(x)
-
-    def combine(self, weights: np.ndarray, c: np.ndarray) -> np.ndarray:
-        """Phi_c = sum_k c_k w_k S_k from the ``weights`` w of some points."""
-        c = np.asarray(c, dtype=float)
-        return self._field.combine(weights * _lift(c, weights.ndim - 1))
 
     def higgs(self, c: Optional[np.ndarray] = None) -> HiggsFieldData:
         """Phi_c: the basis as its terms and c as their coefficients.  Its
@@ -190,8 +180,8 @@ def _tangent_rhs(conn0: ConnectionField, params: HiggsParameterization,
     dV_k = -(M V_k + B_k W) with B_k = w_k S_k, w_k = rho^(N+1) beta_k.
 
     The weights w_k of a node are computed once and give both M, formed
-    as ``transport_rhs(conn0, params.higgs(c))`` forms it (one stacked sum
-    when conn0 carries terms), and B_k W = w_k (S_k W).  The jet is
+    as ``transport_rhs(conn0, params.higgs(c))`` forms it
+    (``bundle._generator``), and B_k W = w_k (S_k W).  The jet is
     matrix-first like every state of the march, shape (d, d, P + 1) and
     the node axes; the weights are terms-first, (P, ...), and the
     generators S_k a (d, d, P) stack.  A basis that decays slower than
@@ -199,15 +189,10 @@ def _tangent_rhs(conn0: ConnectionField, params: HiggsParameterization,
     """
     _require_decay(params.decay_N1, "the reconstruction basis")
     gens = np.ascontiguousarray(params._field.gens.transpose(1, 2, 0))
-    stacked = _stacked_generator(conn0, params.higgs(c))
+    generator = _generator(conn0, params.higgs(c))
 
     def prep(x, v):
-        if stacked is not None:
-            neg, weights = stacked(x, v)
-        else:
-            weights = params.weights(x)
-            neg = matrix_first(-(conn0.along(x, v)
-                                 + params.combine(weights, c)))
+        neg, weights = generator(x, v)
         neg = neg[:, :, None]
         s = gens.reshape(gens.shape + (1,) * (weights.ndim - 1))
 

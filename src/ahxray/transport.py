@@ -45,10 +45,8 @@ the (..., d, d) layout (``_matrix_last``) only where ``batch_transport``
 returns.
 
 ``transport_rhs`` forms the generator -(Gamma(v) + Phi) of a node once,
-matrix-first (``bundle._generator``).  A field holds its separable terms
-or a gauge Q and a base field: a pair with terms takes one terms-first
-sum over all of them, two fields gauged by one Q take Q* G Q - Q^-1 dQ(v)
-over their base fields' generator G, and any other pair ``along`` + ``phi``.
+matrix-first, by the one rule of ``bundle._generator``: a terms-first sum
+per distinct gauge of the pair, conjugated by that gauge.
 """
 
 from __future__ import annotations
@@ -111,7 +109,7 @@ def transport_rhs(conn: ConnectionField, higgs: HiggsFieldData):
     generator = _generator(conn, higgs)
 
     def prep(x, v):
-        neg = generator(x, v)
+        neg = generator(x, v)[0]
         return lambda u: mul_first(neg, u)
 
     return prep
@@ -188,15 +186,20 @@ def _rk4_step(u, h, f1, f2, f3, f4):
     ``h`` is the step at the step's start, middle and end node,
     (h0, hm, h1).  For du/ds = c(s) f(s)(u) at step h_s each is h_s c(s)
     at its node, so the factor c rides on the step sizes that the stages
-    multiply anyway; a constant step is (h, h, h).  The stage increments
-    a_i are kept for the update, which then needs one more product with
-    a step size, as the constant-step form does."""
+    multiply anyway; a constant step is (h, h, h).  The increments a_i
+    are summed into a1 as they come and u + a_i is formed in a_i's
+    memory, so three state-sized arrays, not five, outlive each stage;
+    the sums and their order, so the bits, are the textbook form's."""
     h0, hm, h1 = h
     a1 = 0.5 * h0 * f1(u)
-    a2 = 0.5 * hm * f2(u + a1)
-    a3 = hm * f3(u + a2)
-    k4 = f4(u + a3)
-    return u + ((a1 + 2.0 * a2 + a3) / 3.0 + h1 / 6.0 * k4)
+    a = 0.5 * hm * f2(u + a1)
+    a1 += 2.0 * a
+    a += u
+    a = hm * f3(a)
+    a1 += a
+    a += u
+    k4 = f4(a)
+    return u + (a1 / 3.0 + h1 / 6.0 * k4)
 
 
 def _jet_product(a, b):
@@ -258,18 +261,17 @@ def _march(prep, geos: Sequence[DiskGeodesic], rank: int | tuple[int, int],
     dW/dz = (dt/dz) rhs(W), and the factor dt/dz of each node rides on
     the stage step sizes of ``_rk4_step``, so it costs no array operation
     per stage.  ``prep`` is called with positions and velocities
-    (v = dx/dt) of shape (m, len(geos), 2), (m + 1, len(geos), 2) or
+    (v = dx/dt) of shape (m, len(geos), 2), (1, len(geos), 2) or
     (3, snapshots, len(geos), 2).  Each span is cut into m = ``_segments``
     equal segments, all marched at once from the identity in n_steps/m
     steps, as matrix-first states of shape (d, d[, P + 1], m, len(geos)).
-    A one-step segment ends at the next one's start node, and one
-    evaluation of the m + 1 boundaries serves both (longer segments
-    evaluate their ends again, so no generator outlives a step).  The
-    cocycle law gives the propagator to any grid node as the partial
-    propagator of its segment times the ordered product of the earlier
-    segments' propagators, s_i ... s_0, all from one scan
-    (``_prefix_products``) in ceil(log2 m) stack products.  m is 1 when
-    n_steps has no divisor that fits: the plain sequential march.
+    A segment ends at the next one's start node, and one evaluation of the
+    m segment ends serves both, so each of the 2 n_steps + 1 nodes of a
+    span is evaluated once.  The cocycle law gives the propagator to any
+    grid node as the partial propagator of its segment times the ordered
+    product of the earlier segments' propagators, s_i ... s_0, all from
+    one scan (``_prefix_products``) in ceil(log2 m) stack products.  m is
+    1 when n_steps has no divisor that fits: the plain sequential march.
 
     Snapshots are taken at ``record_times``, times on each geodesic's own
     clock in an array that broadcasts against (snapshots, len(geos)):
@@ -296,9 +298,6 @@ def _march(prep, geos: Sequence[DiskGeodesic], rank: int | tuple[int, int],
     seg = n // m
     first = np.arange(m)[:, None] * seg     # step where each segment starts
     one = eye[..., None, None]              # I on two stack axes
-    # before the snapshot arrays: after them, jet sweeps peaked 0.1 MB higher
-    w = one if seg == 1 else np.broadcast_to(
-        one, eye.shape + (m, width)).copy()
 
     def node(frac):
         # the right-hand side at a grid node and its step h dt/dz
@@ -314,27 +313,28 @@ def _march(prep, geos: Sequence[DiskGeodesic], rank: int | tuple[int, int],
     owner, local = np.divmod(grid, seg)     # owner m: the exit itself
     partial = np.broadcast_to(one, eye.shape + grid.shape).copy()
 
-    if seg == 1:
-        # the boundaries' start rows act on the identity w, their end rows
-        # on the state padded by a row in front; partial stays I
-        f_ends, h_ends = node(np.arange(m + 1)[:, None] / n)
-        f_mid, h_mid = node((first + 0.5) / n)
-        w = _rk4_step(
-            w, (h_ends[:-1], h_mid, h_ends[1:]),
-            lambda u: f_ends(u)[..., :-1, :], f_mid, f_mid,
-            lambda u: f_ends(np.concatenate([u[..., :1, :], u],
-                                            axis=-2))[..., 1:, :])
-    else:
-        f_here, h_here = node(first / n)
-        for k in range(seg):
-            if len(t):
-                snap, geo = np.nonzero((local == k) & (owner < m))
-                partial[..., snap, geo] = w[..., owner[snap, geo], geo]
-            f_mid, h_mid = node((first + k + 0.5) / n)
-            f_next, h_next = node((first + k + 1.0) / n)
-            w = _rk4_step(w, (h_here, h_mid, h_next), f_here, f_mid, f_mid,
-                          f_next)
-            f_here, h_here = f_next, h_next
+    # each of the m + 1 segment boundaries is evaluated once: the m ends act
+    # on the state in the last step and, after the span's entry, on the
+    # identity as the segment starts.  The entry is a call of its own: ends
+    # acting on a state padded by a row grew the heap 0.3 MB in the last step
+    f_ends, h_ends = node((first + seg) / n)
+    f_entry, h_entry = node(np.zeros((1, 1)))
+
+    def starts(u):
+        return np.concatenate([f_entry(u), f_ends(u)[..., :-1, :]], axis=-2)
+
+    f_here, h_here = starts, np.concatenate([h_entry, h_ends[:-1]])
+    w = one
+    for k in range(seg):
+        if k and len(t):                    # partial is I at k = 0
+            snap, geo = np.nonzero((local == k) & (owner < m))
+            partial[..., snap, geo] = w[..., owner[snap, geo], geo]
+        f_mid, h_mid = node((first + k + 0.5) / n)
+        f_next, h_next = node((first + k + 1.0) / n) if k < seg - 1 \
+            else (f_ends, h_ends)
+        w = _rk4_step(w, (h_here, h_mid, h_next), f_here, f_mid, f_mid,
+                      f_next)
+        f_here, h_here = f_next, h_next
 
     scan = _prefix_products(w, product, eye.ndim)
     if record_times is None:

@@ -39,49 +39,52 @@ def test_tracer_counts_forward_solves_and_uninstalls():
     conn = ConnectionField.zero(2)
     params = su2_basis(count=2)
     fan = FanSpec.uniform_pairs(4, n_openings=2)
-    cfg = ReconstructionConfig(max_iter=2,
-                               transport=TransportConfig(n_steps=32))
     truth = np.array([0.5, -0.3])
-    data = reconstruct.forward_map(model, conn, params.with_coeffs(truth),
-                                   fan, cfg)
-
     owners = (config, reconstruct, spherebundle, xray,
               config.ExperimentConfig, DiskGeodesic, ScatteringDataset)
     before = [dict(vars(owner)) for owner in owners]
-    tracer = spans.Tracer()
-    tracer.install()
-    patched = {(owner, attr) for owner, attr, _ in tracer._patches}
-    try:
-        tracer.group = "solve"
-        report = reconstruct.reconstruct_higgs(data, model, conn, params,
-                                               fan, cfg)
-    finally:
-        tracer.uninstall()
 
-    counts = tracer.counts["solve"]
-    assert counts["reconstruct.gn_iterations"] == report.iterations >= 1
-    assert counts["transport.batch_calls"] > 0
-    # every transport run of the loop, forward solve or tangent sweep,
-    # goes through reconstruct's binding, which the tracer counts as a
-    # forward solve
-    assert counts["reconstruct.forward_solves"] \
-        == counts["transport.batch_calls"]
-    # the initial residual, then per iteration one tangent-linear sweep
-    # for the Jacobian and one trial step (this toy accepts every full
-    # Gauss-Newton step, so no backtracking)
-    assert len(report.residual_history) == report.iterations + 1
-    assert counts["reconstruct.forward_solves"] \
-        == 1 + 2 * report.iterations
-    # the segmented march: n steps as m segments of n/m steps each; here
-    # a segment is one step, so the m + 1 segment boundaries are one
-    # evaluation and each of the 2n + 1 nodes of a z grid is evaluated once
-    n, width = cfg.transport.n_steps, len(fan)
-    m = transport._segments(n, width)
-    assert m == n
-    calls = counts["transport.batch_calls"]
-    assert counts["transport.rk_stages"] == 4 * (n // m) * calls
-    assert counts["bundle.field_calls"] == 2 * (n // m) * calls
-    assert counts["bundle.field_nodes"] == (2 * n + 1) * width * calls
+    # one-step segments (m = n) and two-step ones (m < n)
+    for n, m in ((32, 32), (512, 256)):
+        cfg = ReconstructionConfig(max_iter=2,
+                                   transport=TransportConfig(n_steps=n))
+        data = reconstruct.forward_map(model, conn,
+                                       params.with_coeffs(truth), fan, cfg)
+        tracer = spans.Tracer()
+        tracer.install()
+        patched = {(owner, attr) for owner, attr, _ in tracer._patches}
+        try:
+            tracer.group = "solve"
+            report = reconstruct.reconstruct_higgs(data, model, conn,
+                                                   params, fan, cfg)
+        finally:
+            tracer.uninstall()
+
+        counts = tracer.counts["solve"]
+        assert counts["reconstruct.gn_iterations"] == report.iterations >= 1
+        assert counts["transport.batch_calls"] > 0
+        # every transport run of the loop, forward solve or tangent sweep,
+        # goes through reconstruct's binding, which the tracer counts as a
+        # forward solve
+        assert counts["reconstruct.forward_solves"] \
+            == counts["transport.batch_calls"]
+        # the initial residual, then per iteration one tangent-linear
+        # sweep for the Jacobian and one trial step (this toy accepts
+        # every full Gauss-Newton step, so no backtracking)
+        assert len(report.residual_history) == report.iterations + 1
+        assert counts["reconstruct.forward_solves"] \
+            == 1 + 2 * report.iterations
+        # the segmented march: n steps as m segments of n/m steps each;
+        # the m segment ends and the span entry are two evaluations, so
+        # each of the 2n + 1 nodes of a z grid is evaluated once
+        width = len(fan)
+        assert transport._segments(n, width) == m
+        calls = counts["transport.batch_calls"]
+        # the first step's start rows are two stages, the entry's and the
+        # segment ends'
+        assert counts["transport.rk_stages"] == (4 * (n // m) + 1) * calls
+        assert counts["bundle.field_calls"] == (2 * (n // m) + 1) * calls
+        assert counts["bundle.field_nodes"] == (2 * n + 1) * width * calls
 
     assert {owner for owner, _ in patched} <= set(owners)
     assert {attr for owner, attr in patched if owner is reconstruct} >= {

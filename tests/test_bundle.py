@@ -115,17 +115,24 @@ class TestGaugeTransform:
         assert np.max(skew_defect(higgs2.phi(pts))) < 1e-12
 
     def test_composition(self, rng):
+        # Q1 Q2 Q3 acts as three gauge transforms in turn: a composed
+        # gauge composes again, and the transforms leave one composed gauge
+        # shared by both fields
         conn = random_connection(rng)
         higgs = random_higgs(rng)
-        q1 = random_gauge(rng)
-        q2 = random_gauge(rng, scale=0.3)
-        step1 = gauge_transform(conn, higgs, q1)
-        twice = gauge_transform(step1[0], step1[1], q2)
-        combined = gauge_transform(conn, higgs, q1.compose(q2))
+        gauges = [random_gauge(rng)] + [random_gauge(rng, scale=0.3)
+                                        for _ in range(2)]
+        combined = gauge_transform(conn, higgs, gauges[0].compose(
+            gauges[1]).compose(gauges[2]))
+        thrice = conn, higgs
+        for q in gauges:
+            thrice = gauge_transform(*thrice, q)
+        assert isinstance(thrice[0]._gauge, bundle.ComposedGauge)
+        assert thrice[0]._gauge is thrice[1]._gauge
         pts = rng.uniform(-0.6, 0.6, (20, 2))
-        assert np.max(np.abs(twice[0].symbols(pts)
+        assert np.max(np.abs(thrice[0].symbols(pts)
                              - combined[0].symbols(pts))) < 1e-10
-        assert np.max(np.abs(twice[1].phi(pts)
+        assert np.max(np.abs(thrice[1].phi(pts)
                              - combined[1].phi(pts))) < 1e-10
 
     def test_rank_mismatch(self, rng):
@@ -152,8 +159,8 @@ class TestGaugeTransform:
 
 
 class TestGaugedNodeCache:
-    """A gauged pair's transport generator conjugates its base pair's
-    generator with one eigendecomposition per gauge and node, without
+    """A gauged pair's transport generator conjugates the stacked sum of
+    its terms with one eigendecomposition per gauge and node, without
     ``along`` or ``phi``; ``phi`` evaluates Q afresh on every call."""
 
     @pytest.mark.parametrize("composed, calls", [(False, 1), (True, 2)])

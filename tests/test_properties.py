@@ -55,26 +55,28 @@
   ``dq``) equals bit for bit its terms-last form in ``oracles``
   (``last_*``), for ranks 1-3, 0-4 terms, decay 0-4, a lone point and
   stacks of one to three axes;
-- ``transport_rhs`` of fields that carry terms, one stacked sum over all
-  of them, equals the generator formed from ``along`` and ``phi``
+- ``transport_rhs`` of a pair without gauges, one stacked sum over all
+  their terms, equals the generator formed from ``along`` and ``phi``
   (``oracles.ref_generic_rhs``) within 1e-15 (1 + |Gamma| + |Phi|) per
   node, for ranks 1-3, 0-4 terms per field in mixed directions, decays
   1-4, ``from_terms`` Higgs fields and reconstruction iterates, a lone
   point, (n,) and (m, w) stacks and the velocities of ``symbols``; it
   still refuses a rank mismatch and a decay below 1; a gauged field
-  paired with a field of another pair shares no terms and no gauge with
-  it, and its transport is that of ``ref_generic_rhs`` bit for bit;
-- ``adjoint()`` of a ``from_terms`` field or a reconstruction iterate is
-  the same terms with negated coefficients, and of a gauged field the same
-  gauge of the base field's adjoint: Phi* = -Phi bit for bit, the pair
-  keeps the stacked or the conjugated generator, and its transport is
-  within 1e-15 (1 + |Gamma| + |Phi|) per node of ``ref_generic_rhs``, for
-  ranks 1-3, a lone point and stacks;
+  paired with a field of another gauge (or none) sums each field's terms
+  in a block of its own, and its transport is that of
+  ``ref_generic_rhs`` bit for bit;
+- ``adjoint()`` of a field is the same terms with negated coefficients
+  under the same gauge: Phi* = -Phi bit for bit, the pair keeps its one
+  stacked sum, and its transport is within 1e-15 (1 + |Gamma| + |Phi|)
+  per node of ``ref_generic_rhs``, for ``from_terms`` fields,
+  reconstruction iterates and gauged fields, ranks 1-3, a lone point and
+  stacks;
 - ``transport_rhs`` of two fields gauged by one Q, Q* G Q - Q^-1 dQ(v)
-  over their base fields' generator G, equals ``ref_generic_rhs`` within
-  1e-15 (1 + |Gamma| + |Phi|) per node, for a gauge, a composed gauge, a
-  gauge of a gauged pair, of a pair without terms and of an adjoint pair,
-  and the fields of two base pairs gauged by one Q, ranks 1-3, a lone
+  over the stacked sum G of their terms, equals ``ref_generic_rhs``
+  within 1e-15 (1 + |Gamma| + |Phi|) per node, for a gauge, a composed
+  gauge, a gauge of a gauged pair (one composed gauge for both fields),
+  a Higgs field gauged apart from its connection, a gauge of an adjoint
+  pair, and the fields of two pairs gauged by one Q, ranks 1-3, a lone
   point and stacks;
 - ``AHModel._flow_at``, the one-point geodesic flow of the bump crossing,
   is (v, ``AHModel.geodesic_rhs``) bit for bit, for random admissible
@@ -121,9 +123,9 @@ from scipy.linalg import expm
 import ahxray.spherebundle as sb
 from ahxray._linalg import (dagger, expm_skew, frobenius, matrix_first,
                             mul, mul_first, unitary_defect)
-from ahxray.bundle import (ConnectionField, GaugeField, GaussBump,
-                           HiggsFieldData, SeparableTerm, _check_field,
-                           _Separable, _stacked_generator, gauge_transform,
+from ahxray.bundle import (ComposedGauge, ConnectionField, GaugeField,
+                           GaussBump, HiggsFieldData, SeparableTerm,
+                           _check_field, _Separable, gauge_transform,
                            validation_points)
 from ahxray.config import ExperimentConfig
 from ahxray.errors import DatasetError, DomainError, RankMismatchError
@@ -587,8 +589,6 @@ def test_terms_first_evaluators_keep_the_terms_last_bits(rank, lead, dirs,
         params = HiggsParameterization(rank, terms, decay)
         c = rng.normal(size=len(terms))
         _same(params.higgs(c).phi(x), last_phi(params._field, x, c))
-        _same(params.combine(params.weights(x), c),
-              last_phi(params._field, x, c))
 
     gauge = GaugeField(rank, terms, max(decay, 1))
     _same(gauge.q(x), expm_skew(ref_combine(gauge._field,
@@ -624,8 +624,6 @@ def test_term_path_is_the_sum_of_along_and_phi(rank, lead, symbols, dirs,
         higgs = HiggsFieldData.from_terms(rank, terms, decays[1])
         slow = HiggsFieldData.from_terms(
             rank, terms or _random_terms(rng, rank, 1), 0)
-    assert _stacked_generator(conn, higgs) is not None
-
     x = _disk_points(rng, lead)
     if symbols:
         x, v = x[..., None, :], np.eye(2)
@@ -651,8 +649,9 @@ def test_term_path_is_the_sum_of_along_and_phi(rank, lead, symbols, dirs,
 
 
 def test_fields_without_terms_keep_the_generic_path(rng):
-    # a gauged field paired with a field of another pair, with no terms
-    # and no gauge in common: its transport is the one formed from along
+    # a gauged field paired with a field of another pair, with no gauge in
+    # common: each field's terms sum in a block of their own, conjugated
+    # by the field's gauge, and the transport is the one formed from along
     # and phi, bit for bit
     conn, higgs = random_connection(rng), random_higgs(rng)
     gauged = gauge_transform(conn, higgs, random_gauge(rng))
@@ -662,7 +661,6 @@ def test_fields_without_terms_keep_the_generic_path(rng):
     cfg = TransportConfig(n_steps=64)
     for pair in ((gauged[0], higgs), (conn, gauged[1]),
                  (gauged[0], other[1])):
-        assert _stacked_generator(*pair) is None
         assert np.array_equal(
             batch_transport(transport_rhs(*pair), geos, 2, cfg),
             batch_transport(ref_generic_rhs(*pair), geos, 2, cfg))
@@ -674,12 +672,10 @@ def test_fields_without_terms_keep_the_generic_path(rng):
        lead=st.sampled_from([(), (1,), (7,), (3, 5)]),
        seed=st.integers(0, 2**32 - 1))
 def test_adjoints_negate_their_coefficients(rank, kind, lead, seed):
-    # the adjoint of a field with terms is the same terms with negated
-    # coefficients, so it keeps the stacked generator; the adjoint of a
-    # gauged field is the same gauge of the base field's adjoint, so it
-    # keeps the conjugated one.  Phi* = -Phi bit for bit, and the
-    # transport is within 1e-15 (1 + |Gamma| + |Phi|) per node of
-    # ref_generic_rhs
+    # the adjoint of a field is the same terms with negated coefficients
+    # under the same gauge, so the pair keeps its one stacked sum.
+    # Phi* = -Phi bit for bit, and the transport is within
+    # 1e-15 (1 + |Gamma| + |Phi|) per node of ref_generic_rhs
     rng = np.random.default_rng(seed)
     conn, higgs = random_connection(rng, rank), random_higgs(rng, rank)
     if kind == "iterate":
@@ -688,10 +684,7 @@ def test_adjoints_negate_their_coefficients(rank, kind, lead, seed):
     if kind == "gauged":
         conn, higgs = gauge_transform(conn, higgs, random_gauge(rng, rank))
     adj = higgs.adjoint()
-    if kind == "gauged":
-        assert adj._gauge[0] is conn._gauge[0]
-    else:
-        assert _stacked_generator(conn, adj) is not None
+    assert adj._gauge is conn._gauge
     x = _disk_points(rng, lead)
     v = rng.uniform(-1.0, 1.0, lead + (2,))
     _same(adj.phi(x), -higgs.phi(x))
@@ -706,29 +699,32 @@ def test_adjoints_negate_their_coefficients(rank, kind, lead, seed):
 
 @settings(max_examples=60, deadline=None)
 @given(rank=st.integers(1, 3),
-       kind=st.sampled_from(["gauge", "composed", "twice", "no terms",
+       kind=st.sampled_from(["gauge", "composed", "twice", "apart",
                              "adjoint", "shared gauge"]),
        lead=st.sampled_from([(), (1,), (7,), (3, 5)]),
        seed=st.integers(0, 2**32 - 1))
 def test_gauged_pairs_conjugate_the_base_generator(rank, kind, lead, seed):
     # two fields gauged by one Q take Q* G Q - Q^-1 dQ(v) over the
-    # generator G of their base fields, which agrees with -(Gamma(v) + Phi)
+    # stacked sum G of their terms, which agrees with -(Gamma(v) + Phi)
     # from their along and phi within 1e-15 (1 + |Gamma| + |Phi|) per
-    # node: for a gauge, a composed gauge, a gauge of a gauged pair, a
-    # gauge of a pair without terms, a gauge of an adjoint pair, and the
-    # connection and Higgs field of two base pairs gauged by one Q
+    # node: for a gauge, a composed gauge, a gauge of a gauged pair (one
+    # composed gauge for both fields), a Higgs field gauged apart from its
+    # connection, a gauge of an adjoint pair, and the connection and Higgs
+    # field of two pairs gauged by one Q
     rng = np.random.default_rng(seed)
     conn, higgs = random_connection(rng, rank), random_higgs(rng, rank)
     gauge = random_gauge(rng, rank)
     if kind == "composed":
         gauge = gauge.compose(random_gauge(rng, rank))
-    if kind == "no terms":
+    if kind == "apart":
         higgs = gauge_transform(conn, higgs, random_gauge(rng, rank))[1]
     if kind == "adjoint":
         higgs = higgs.adjoint()
     pair = gauge_transform(conn, higgs, gauge)
     if kind == "twice":
         pair = gauge_transform(*pair, random_gauge(rng, rank))
+        assert isinstance(pair[0]._gauge, ComposedGauge)
+        assert pair[0]._gauge is pair[1]._gauge
     if kind == "shared gauge":
         pair = pair[0], gauge_transform(random_connection(rng, rank),
                                         random_higgs(rng, rank), gauge)[1]
@@ -829,7 +825,7 @@ def test_separable_fields_are_their_term_sums(rank, dirs, decay, seed):
 
     params = HiggsParameterization(rank=rank, basis=terms, decay_N1=decay)
     c = rng.normal(size=len(terms))
-    close(params.combine(params.weights(x), c),
+    close(params.higgs(c).phi(x),
           _term_sum([(ck * g, b) for ck, (g, b) in zip(c, terms)], rank,
                     decay, x))
 

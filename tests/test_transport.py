@@ -499,25 +499,27 @@ class TestBatchBackend:
 
         w, snaps = batch_transport(counted, paths, 2, cfg, times)
         m = _segments(n, width)
-        assert m == n               # one-step segments share their ends
+        assert m == n
+        # the segment ends and midpoints, the span entry, the snapshots
         assert {s for s in shapes if len(s) > 1} == {
-            (m + 1, width), (m, width), (3, len(times), width)}
+            (m, width), (1, width), (3, len(times), width)}
         ones = [batch_transport(prep, [p], 2, cfg, times) for p in paths]
         assert np.array_equal(w, np.concatenate([o[0] for o in ones]))
         for i, snap in enumerate(snaps):
             assert np.array_equal(snap,
                                   np.concatenate([o[1][i] for o in ones]))
 
+    @pytest.mark.parametrize("n, m", [(64, 64), (512, 256)])
     def test_one_step_segments_evaluate_each_node_once(self, disk_module,
-                                                        rng):
-        # a one-step segment ends at the next one's start node: the march
-        # evaluates the m + 1 segment boundaries once, so no node of a z
-        # grid is evaluated twice, 2n + 1 nodes per geodesic
+                                                        rng, n, m):
+        # a segment ends at the next one's start node: the march evaluates
+        # the m + 1 segment boundaries once, for one-step segments (m = n)
+        # and longer ones (m < n) alike, so no node of a z grid is
+        # evaluated twice, 2n + 1 nodes per geodesic
         prep = transport_rhs(random_connection(rng), random_higgs(rng))
         geos = [DiskGeodesic.between_boundary_angles(disk_module, a, a + 2.0)
                 for a in (0.3, 2.0, 4.1)]
-        n = 64
-        assert _segments(n, len(geos)) == n
+        assert _segments(n, len(geos)) == m
         nodes = []
 
         def counted(x, v):
