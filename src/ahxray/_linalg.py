@@ -52,6 +52,24 @@ def mul_first(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def add_commutator(out: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
+    """out += a b - b a for stacks (..., d, d) of one shape, entry by entry:
+    ``mul``'s summation, so out + (mul(a, b) - mul(b, a)) bit for bit,
+    in three stack-long rows instead of stack-sized temporaries."""
+    d = a.shape[-1]
+    ab, ba, tmp = (np.empty(out.shape[:-2], dtype=out.dtype)
+                   for _ in range(3))
+    for i in range(d):
+        for j in range(d):
+            np.multiply(a[..., i, 0], b[..., 0, j], out=ab)
+            np.multiply(b[..., i, 0], a[..., 0, j], out=ba)
+            for k in range(1, d):
+                ab += np.multiply(a[..., i, k], b[..., k, j], out=tmp)
+                ba += np.multiply(b[..., i, k], a[..., k, j], out=tmp)
+            ab -= ba
+            out[..., i, j] += ab
+
+
 def matrix_first(a: np.ndarray) -> np.ndarray:
     """A stack of shape (..., d, d) as one contiguous (d, d, ...) array."""
     n = a.ndim

@@ -37,9 +37,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._linalg import (dagger, expm_skew, frobenius, matrix_first, mul,
-                      mul_first, skew_defect, spectral_norm_skew,
-                      unitary_defect)
+from ._linalg import (add_commutator, dagger, expm_skew, frobenius,
+                      matrix_first, mul, mul_first, skew_defect,
+                      spectral_norm_skew, unitary_defect)
 from .errors import DomainError, RankMismatchError
 from .geometry import AHModel
 
@@ -185,10 +185,14 @@ class _Separable:
         rho_n = rho**n
         bumps = _bumps(x, self._centers, self._sigma2)
         xj = _last_first(x)[:, None]
-        dx = xj - self._centers.T.reshape((2, -1) + lead)
-        return rho_n[0] * bumps, bumps \
-            * (n * rho ** max(n - 1, 0) * (-2.0 * xj)
-               - rho_n * dx / self._sigma2.reshape((-1,) + lead))
+        # bumps (n rho^(n-1) (-2 x_j) - rho^n (x_j - c_j) / sigma^2) in
+        # one array: the same operations in the same order
+        grads = xj - self._centers.T.reshape((2, -1) + lead)
+        grads *= rho_n
+        grads /= self._sigma2.reshape((-1,) + lead)
+        np.subtract(n * rho ** max(n - 1, 0) * (-2.0 * xj), grads, out=grads)
+        grads *= bumps
+        return rho_n[0] * bumps, grads
 
     def combine(self, w: np.ndarray) -> np.ndarray:
         """sum_k w_k S_k for real terms-first w of shape (K, ...): shape
@@ -214,6 +218,8 @@ class ConnectionField:
     shape (..., 2, d, d).  ``curvature_f12(x)`` is f_12 = d_1 Gamma_2 -
     d_2 Gamma_1 + [Gamma_1, Gamma_2], shape (..., d, d): from the terms'
     analytic partials, conjugated by Q, which is exact.
+    ``symbols_and_curvature(x)`` gives both from one evaluation of the
+    terms, as a sphere-bundle grid reads them.
     """
 
     rank: int
@@ -246,8 +252,27 @@ class ConnectionField:
 
     def curvature_f12(self, x: np.ndarray) -> np.ndarray:
         """The single independent curvature component, shape (..., d, d)."""
+        return self._symbols_and_f12(x, False)[1]
+
+    def symbols_and_curvature(self, x: np.ndarray
+                              ) -> tuple[np.ndarray, np.ndarray]:
+        """``symbols(x)`` and ``curvature_f12(x)``, each with its own bits,
+        from one pass over the terms' bumps and, under a gauge, one
+        ``log_derivative``."""
+        return self._symbols_and_f12(x, True)
+
+    def _symbols_and_f12(self, x: np.ndarray, symbols: bool):
+        """(Gamma_1, Gamma_2) or None, and f_12.  The terms' Gamma_i are
+        the ones ``symbols`` forms: the same weights and the same product."""
         x = np.asarray(x, dtype=float)
-        qm = None if self._gauge is None else self._gauge.q(x)
+        # the gauge first, as in ``along``; Q alone where f_12 is asked
+        qm = log_dq = q_f12 = None
+        if self._gauge is not None and symbols:
+            qm, log_dq = self._gauge.log_derivative(x[..., None, :],
+                                                    np.eye(2))
+            q_f12 = qm[..., 0, :, :]
+        elif self._gauge is not None:
+            q_f12 = self._gauge.q(x)
         f, dirs = self._terms
         feeds = np.eye(2)[:, dirs]           # (i, k): term k feeds Gamma_i
         w, dw = f.weights_and_grads(x)
@@ -255,10 +280,14 @@ class ConnectionField:
         # Gamma_1 and Gamma_2 as one product, a row per (node, i)
         gam = f.combine(w[..., None] * feeds.T.reshape(
             (-1,) + (1,) * n + (2,)))
-        g1, g2 = gam[..., 0, :, :], gam[..., 1, :, :]
         curl = f.combine(dw[0] * _lift(feeds[1], n)
                          - dw[1] * _lift(feeds[0], n))
-        return _seen(qm, curl + (mul(g1, g2) - mul(g2, g1)))
+        add_commutator(curl, gam[..., 0, :, :], gam[..., 1, :, :])
+        f12 = _seen(q_f12, curl)
+        if not symbols:
+            return None, f12
+        gam = _seen(qm, gam)
+        return (gam if log_dq is None else gam + log_dq), f12
 
     @classmethod
     def zero(cls, rank: int) -> "ConnectionField":
@@ -497,34 +526,44 @@ def _generator(conn: ConnectionField, higgs: HiggsFieldData):
     stacked sum of the terms per distinct gauge of the pair (one block, or
     two with an empty partner each), each conjugated to Q* G Q, minus the
     connection gauge's Q^-1 dQ(v), Q and Q^-1 dQ(v) from one
-    ``log_derivative``."""
+    ``log_derivative``.  A block without terms adds only zeros and is
+    skipped (a gauge of the zero connection is its Q^-1 dQ(v) alone),
+    unless nothing else forms A."""
     p, q = conn._gauge, higgs._gauge
+    fc, fh = conn._terms[0], higgs._terms[0]
     if p is q:
-        first, second = _stacked_generator(conn._terms, higgs._terms), None
+        blocks = [(p, conn._terms, higgs._terms)]
     else:
         # an empty partner of its block's decay: rho^N once per block
-        fc, fh = conn._terms[0], higgs._terms[0]
-        first = _stacked_generator(
-            conn._terms, (_Separable(fc.rank, [], fc.decay), None))
-        second = _stacked_generator(
-            (_Separable(fh.rank, [], fh.decay), np.zeros(0, dtype=int)),
-            higgs._terms)
+        blocks = [(p, conn._terms, (_Separable(fc.rank, [], fc.decay), None)),
+                  (q, (_Separable(fh.rank, [], fh.decay),
+                       np.zeros(0, dtype=int)), higgs._terms)]
+    kept = [blk for blk in blocks if len(blk[1][1]) + len(blk[2][0].gens)]
+    if not kept and p is None:
+        kept = blocks[:1]
+    blocks = [(g, _stacked_generator(c, h)) for g, c, h in kept]
 
     def conjugated(qm, a):
         return mul_first(mul_first(np.conj(qm.swapaxes(0, 1)), a), qm)
 
     def generator(x, v):
+        a = w = None
         # the gauge first, as in ``ConnectionField.along``
-        qm, log_dq = (None, None) if p is None else (
-            matrix_first(b) for b in p.log_derivative(x, v))
-        a, w = first(x, v)
-        if qm is not None:
-            a = conjugated(qm, a) - log_dq
-        if second is not None:
+        if p is not None:
+            qm, log_dq = (matrix_first(b) for b in p.log_derivative(x, v))
+            a = -log_dq
+        for g, block in blocks:
+            b, w = block(x, v)
+            if g is not None:
+                b = conjugated(qm if g is p else matrix_first(g.q(x)), b)
             # IEEE rounding is sign-symmetric, so this is -(Gamma(v) + Phi)
             # from ``along`` and ``phi`` bit for bit
-            b, w = second(x, v)
-            a += b if q is None else conjugated(matrix_first(q.q(x)), b)
+            if a is None:
+                a = b
+            else:
+                a += b
+        if w is None:
+            w = np.empty((0,) + np.shape(x)[:-1])
         return a, w
 
     return generator

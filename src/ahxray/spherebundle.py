@@ -31,6 +31,13 @@ inner product, so the adjoint identity holds by construction and commutator
 residuals isolate discretization error.  The curvature operator of the
 metric acts on v^perp coefficients as multiplication by the Gauss
 curvature; the bundle curvature operator as e^{-2 Phi} f_12.
+
+A grid evaluates a connection once: Gamma_1, Gamma_2 (read by every X)
+and f_12 (read by the curvature operator) come from one
+``ConnectionField.symbols_and_curvature`` on the mask and sit in one cache
+per grid, so a Pestov check evaluates the connection's bumps once per grid
+level.  An inner product is one weighted ``np.vdot`` over the band two
+sections share, and the base stencils work in place.
 """
 
 from __future__ import annotations
@@ -95,8 +102,10 @@ class SphereBundleGrid:
         self.gauss = gauss
         self.sqrt_det_g = np.where(self.mask, np.exp(2.0 * phi), 0.0)
         self.node_weight = self.sqrt_det_g * self.h1 * self.h2 * self.dtheta
+        # the weight of a fiber coefficient by Parseval, shaped for a band
+        self._mode_weight = (self.node_weight * n_theta)[:, :, None, None]
         self.max_exact_degree = (n_theta - 2) // 4
-        self._symbol_cache: WeakKeyDictionary = WeakKeyDictionary()
+        self._field_cache: WeakKeyDictionary = WeakKeyDictionary()
 
     @staticmethod
     def _erode(mask: np.ndarray, width: int) -> np.ndarray:
@@ -113,39 +122,66 @@ class SphereBundleGrid:
 
     # -- cached field data ------------------------------------------------
 
-    def _on_mask(self, field, shape) -> np.ndarray:
-        out = np.zeros((self.nx, self.ny) + shape, dtype=complex)
-        out[self.mask] = field(self.points[self.mask])
+    def _fields(self, conn: ConnectionField
+                ) -> tuple[np.ndarray, np.ndarray]:
+        """Gamma_1, Gamma_2 and f_12 on the mask, zero off it: one
+        evaluation of the connection per grid, cached."""
+        fields = self._field_cache.get(conn)
+        if fields is None:
+            fields = tuple(self._on_mask(values) for values in
+                           conn.symbols_and_curvature(self.points[self.mask]))
+            self._field_cache[conn] = fields
+        return fields
+
+    def _on_mask(self, values: np.ndarray) -> np.ndarray:
+        out = np.zeros((self.nx, self.ny) + values.shape[1:], dtype=complex)
+        out[self.mask] = values
         return out
 
     def symbols(self, conn: ConnectionField) -> np.ndarray:
-        """Gamma_1, Gamma_2 on the mask, cached: every X reads them."""
-        if conn not in self._symbol_cache:
-            self._symbol_cache[conn] = self._on_mask(
-                conn.symbols, (2,) + (conn.rank,) * 2)
-        return self._symbol_cache[conn]
+        """Gamma_1, Gamma_2 on the mask, from the one cache of
+        ``curvature``: every X reads them."""
+        return self._fields(conn)[0]
 
     def curvature(self, conn: ConnectionField) -> np.ndarray:
-        """f_12 on the mask; each identity check reads it once."""
-        return self._on_mask(conn.curvature_f12, (conn.rank,) * 2)
+        """f_12 on the mask, from the one cache of ``symbols``: each
+        identity check reads it."""
+        return self._fields(conn)[1]
 
     # -- differential building blocks --------------------------------------
 
     def dx(self, values: np.ndarray, axis: int) -> np.ndarray:
-        """4th-order central difference with zero extension outside."""
+        """4th-order central difference with zero extension outside,
+        (-u[i+2] + 8 u[i+1] - 8 u[i-1] + u[i-2]) / 12h, formed in place on
+        the real and imaginary parts (scaled by 1 / 12h, as NumPy divides
+        a complex number by a real one): one padded copy, the result and
+        one scratch array."""
         h = self.h1 if axis == 0 else self.h2
-        pad = [(0, 0)] * values.ndim
-        pad[axis] = (2, 2)
-        p = np.pad(values, pad)
-        sl = [slice(None)] * values.ndim
+        values = np.asarray(values)
+        cplx = np.iscomplexobj(values)
+        # a complex array as the reals (..., 2), the axes in front kept
+        real = np.ascontiguousarray(values)[..., None].view(float) if cplx \
+            else values
+        n = values.shape[axis]
+        lead = (slice(None),) * axis
+        shape = list(real.shape)
+        shape[axis] += 4
+        p = np.empty(shape)
+        p[lead + (slice(0, 2),)] = 0.0
+        p[lead + (slice(n + 2, None),)] = 0.0
+        p[lead + (slice(2, n + 2),)] = real
 
-        def s(a, b):
-            sl2 = list(sl)
-            sl2[axis] = slice(a, b)
-            return p[tuple(sl2)]
+        def s(a):
+            return p[lead + (slice(a, a + n),)]
 
-        return (-s(4, None) + 8.0 * s(3, -1) - 8.0 * s(1, -3) + s(0, -4)) \
-            / (12.0 * h)
+        out = np.negative(s(4))
+        tmp = np.multiply(s(3), 8.0)
+        out += tmp
+        np.multiply(s(1), 8.0, out=tmp)
+        out -= tmp
+        out += s(0)
+        out *= 1.0 / (12.0 * h)
+        return out.view(complex)[..., 0] if cplx else out
 
     def outer_ring_mask(self) -> np.ndarray:
         return self.mask & ~self.interior_mask
@@ -264,10 +300,15 @@ def inner(a, b) -> complex:
     hi = min(a.k_lo + a.modes.shape[2], b.k_lo + b.modes.shape[2])
     if hi <= lo:
         return 0j
-    prod = np.sum(a.modes[:, :, lo - a.k_lo:hi - a.k_lo]
-                  * np.conj(b.modes[:, :, lo - b.k_lo:hi - b.k_lo]), axis=-1)
-    w = a.grid.node_weight[:, :, None] * a.grid.n_theta
-    return complex(np.sum(prod * w))
+    return _weighted_dot(a.modes[:, :, lo - a.k_lo:hi - a.k_lo],
+                         b.modes[:, :, lo - b.k_lo:hi - b.k_lo], a.grid)
+
+
+def _weighted_dot(a: np.ndarray, b: np.ndarray,
+                  grid: SphereBundleGrid) -> complex:
+    """sum of a conj(b) over the nodes, the band and the fiber rank,
+    under the weights of ``inner``: one weighted ``np.vdot``."""
+    return complex(np.vdot(grid._mode_weight * b, a))
 
 
 def _gather(parts, grid: SphereBundleGrid) -> tuple[np.ndarray, int]:
@@ -433,9 +474,9 @@ def mode_energies(u: SectionField, m_max: int) -> np.ndarray:
     if m_max >= grid.n_theta // 2:
         raise DomainError(
             f"mode {m_max} aliases on a {grid.n_theta}-point fiber grid")
-    bin_energy = np.sum(np.abs(u.modes) ** 2, axis=-1)      # (nx, ny, k)
-    w = grid.node_weight[:, :, None] * grid.n_theta
-    per_bin = np.sum(bin_energy * w, axis=(0, 1))
+    per_bin = np.array([_weighted_dot(band, band, grid).real for band in
+                        (u.modes[:, :, t:t + 1]
+                         for t in range(u.modes.shape[2]))])
     k = np.abs(u.k)
     return np.array([per_bin[k == m].sum() for m in range(m_max + 1)])
 

@@ -54,7 +54,8 @@
   ``log_derivative``, also at the broadcast velocities of ``symbols`` and
   ``dq``) equals bit for bit its terms-last form in ``oracles``
   (``last_*``), for ranks 1-3, 0-4 terms, decay 0-4, a lone point and
-  stacks of one to three axes;
+  stacks of one to three axes; ``symbols_and_curvature`` equals
+  ``symbols`` and ``curvature_f12`` bit for bit, with and without a gauge;
 - ``transport_rhs`` of a pair without gauges, one stacked sum over all
   their terms, equals the generator formed from ``along`` and ``phi``
   (``oracles.ref_generic_rhs``) within 1e-15 (1 + |Gamma| + |Phi|) per
@@ -78,6 +79,11 @@
   a Higgs field gauged apart from its connection, a gauge of an adjoint
   pair, and the fields of two pairs gauged by one Q, ranks 1-3, a lone
   point and stacks;
+- a gauge of the zero connection beside an ungauged Higgs field (with
+  terms, a reconstruction iterate, or zero) skips its connection block,
+  which has no terms: the generator is -Q^-1 dQ(v) plus the Higgs block,
+  formed with no ``mul_first``, and equals the sum with Q* 0 Q bit for
+  bit (+-0 aside), for ranks 1-3, a lone point and stacks;
 - ``AHModel._flow_at``, the one-point geodesic flow of the bump crossing,
   is (v, ``AHModel.geodesic_rhs``) bit for bit, for random admissible
   bumps and points inside, on and outside the bump's ball;
@@ -95,6 +101,9 @@
   theta samples, for random bands at even and odd n_theta, bands that
   reach the ends of the frequency axis (where the mode shift wraps) and
   the full band;
+- the Pestov residual of a random rank-2 connection (scale 0.3) and a
+  section of mode +-1..3 falls at least 12 times (the 4th-order
+  stencils' 16) when nx doubles from 24 to 48 at n_theta 32;
 - the ball-entry quadratic of a closed-form disk geodesic: its roots lie
   on the circle |x - c| = r, and a geodesic it reports as missing the
   ball never comes within r on a fine sample, for random geodesics and
@@ -123,9 +132,11 @@ from scipy.linalg import expm
 import ahxray.spherebundle as sb
 from ahxray._linalg import (dagger, expm_skew, frobenius, matrix_first,
                             mul, mul_first, unitary_defect)
+import ahxray.bundle as bundle
 from ahxray.bundle import (ComposedGauge, ConnectionField, GaugeField,
                            GaussBump, HiggsFieldData, SeparableTerm,
-                           _check_field, _Separable, gauge_transform,
+                           _check_field, _generator, _Separable,
+                           _stacked_generator, gauge_transform,
                            validation_points)
 from ahxray.config import ExperimentConfig
 from ahxray.errors import DatasetError, DomainError, RankMismatchError
@@ -597,6 +608,12 @@ def test_terms_first_evaluators_keep_the_terms_last_bits(rank, lead, dirs,
         for out, ref in zip(gauge.log_derivative(y, u),
                             last_log_derivative(gauge, y, u)):
             _same(out, ref)
+    # a sphere-bundle grid's one evaluation of both fields keeps each
+    # field's bits, without a gauge and under one
+    for c in (conn, replace(conn, _gauge=gauge)):
+        for out, ref in zip(c.symbols_and_curvature(x),
+                            (c.symbols(x), c.curvature_f12(x))):
+            _same(out, ref)
 
 
 @settings(max_examples=80, deadline=None)
@@ -664,6 +681,46 @@ def test_fields_without_terms_keep_the_generic_path(rng):
         assert np.array_equal(
             batch_transport(transport_rhs(*pair), geos, 2, cfg),
             batch_transport(ref_generic_rhs(*pair), geos, 2, cfg))
+
+
+@settings(max_examples=40, deadline=None)
+@given(rank=st.integers(1, 3),
+       kind=st.sampled_from(["terms", "iterate", "zero"]),
+       lead=st.sampled_from([(), (1,), (7,), (3, 5)]),
+       seed=st.integers(0, 2**32 - 1))
+def test_a_block_without_terms_is_skipped(rank, kind, lead, seed):
+    # a gauge of the zero connection beside an ungauged Higgs field: its
+    # connection block has no terms, so the generator is -Q^-1 dQ(v) plus
+    # the Higgs block, with no Q* 0 Q formed (no mul_first at all), and
+    # equals the sum that forms and adds it, +-0 aside
+    rng = np.random.default_rng(seed)
+    gauge = random_gauge(rng, rank)
+    conn = gauge_transform(ConnectionField.zero(rank),
+                           HiggsFieldData.zero(rank), gauge)[0]
+    higgs = {"terms": lambda: random_higgs(rng, rank),
+             "iterate": lambda: HiggsParameterization(
+                 rank, _random_terms(rng, rank, 3), 4).higgs(
+                     rng.uniform(-1.0, 1.0, 3)),
+             "zero": lambda: HiggsFieldData.zero(rank)}[kind]()
+    x = _disk_points(rng, lead)
+    v = rng.uniform(-1.0, 1.0, lead + (2,))
+    q, log_dq = (matrix_first(b) for b in gauge.log_derivative(x, v))
+    fc, fh = conn._terms[0], higgs._terms[0]
+    zero, _ = _stacked_generator(
+        conn._terms, (_Separable(rank, [], fh.decay), None))(x, v)
+    block, w_ref = _stacked_generator(
+        (_Separable(rank, [], fc.decay), np.zeros(0, dtype=int)),
+        higgs._terms)(x, v)
+    ref = mul_first(mul_first(np.conj(q.swapaxes(0, 1)), zero), q) - log_dq
+    ref += block
+    calls = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(bundle, "mul_first",
+                      lambda *a: calls.append(1) or mul_first(*a))
+        a, w = _generator(conn, higgs)(x, v)
+    assert not calls
+    assert a.shape == ref.shape and np.array_equal(a, ref)
+    assert w.shape == w_ref.shape and np.array_equal(w, w_ref)
 
 
 @settings(max_examples=40, deadline=None)
@@ -970,6 +1027,28 @@ def test_band_operators_equal_full_axis_operators(n_theta, width, shift,
         same(part, part_full)
     assert abs(sb.x_split(one, m, conn)[2]
                - sb.x_split(one_full, m, conn)[2]) <= 1e-12
+
+
+@settings(max_examples=10, deadline=None)
+@given(mode=st.sampled_from([-3, -2, -1, 1, 2, 3]),
+       radius=st.floats(0.5, 0.7), seed=st.integers(0, 2**32 - 1))
+def test_pestov_residual_falls_at_the_stencils_order(mode, radius, seed):
+    # halving the base step at a fixed fiber grid cuts the Pestov residual
+    # of a random rank-2 connection and a section of mode +-1..3 by the
+    # 4th-order stencils' 16 (15.5-16.3 over 60 draws); 12 leaves room
+    rng = np.random.default_rng(seed)
+    conn = random_connection(rng, 2, scale=0.3)
+    vec = _complex(rng, 2)
+    residuals = []
+    for nx in (24, 48):
+        grid = sb.SphereBundleGrid(AHModel(), nx=nx, n_theta=32)
+        s = np.minimum(np.sum(grid.points ** 2, axis=-1) / radius**2, 1.0)
+        window = np.where(s < 1.0, np.cos(0.5 * np.pi * np.sqrt(s)) ** 8,
+                          0.0)
+        u = sb.SectionField.from_modes(window[:, :, None, None] * vec, grid,
+                                       mode, compact_support=True)
+        residuals.append(sb.pestov_residual(u, conn).relative_residual)
+    assert residuals[1] * 12.0 <= residuals[0]
 
 
 @settings(max_examples=300, deadline=None)

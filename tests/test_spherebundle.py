@@ -15,7 +15,8 @@ import math
 import numpy as np
 import pytest
 
-from ahxray.bundle import ConnectionField
+import ahxray.bundle as bundle
+from ahxray.bundle import ConnectionField, HiggsFieldData, gauge_transform
 from ahxray.errors import DomainError
 from ahxray.geometry import AHModel
 from ahxray.spherebundle import (NSectionField, SectionField,
@@ -28,7 +29,7 @@ from ahxray.spherebundle import (NSectionField, SectionField,
                                  pestov_residual, vertical_derivative,
                                  vertical_divergence, vertical_laplacian,
                                  x_split, _mode)
-from test_bundle import random_connection
+from test_bundle import random_connection, random_gauge
 
 
 @pytest.fixture(scope="module")
@@ -90,16 +91,49 @@ class TestGridAndQuadrature:
         assert grid.max_exact_degree == (32 - 2) // 4
 
     def test_field_data_on_mask(self, grid, rng):
+        # one cache holds both fields, each with the bits of its own
+        # evaluator, for a connection and for a gauge transform of one
         conn = random_connection(rng, rank=2)
-        f12 = grid.curvature(conn)
-        assert np.array_equal(f12[grid.mask],
-                              conn.curvature_f12(grid.points[grid.mask]))
-        assert not np.any(f12[~grid.mask])
-        gam = grid.symbols(conn)
-        assert np.array_equal(gam[grid.mask],
-                              conn.symbols(grid.points[grid.mask]))
-        assert not np.any(gam[~grid.mask])
-        assert grid.symbols(conn) is gam
+        gauged = gauge_transform(conn, HiggsFieldData.zero(2),
+                                 random_gauge(rng))[0]
+        pts = grid.points[grid.mask]
+        for c in (conn, gauged):
+            f12 = grid.curvature(c)
+            assert np.array_equal(f12[grid.mask], c.curvature_f12(pts))
+            assert not np.any(f12[~grid.mask])
+            gam = grid.symbols(c)
+            assert np.array_equal(gam[grid.mask], c.symbols(pts))
+            assert not np.any(gam[~grid.mask])
+            assert grid.symbols(c) is gam and grid.curvature(c) is f12
+
+    def test_one_connection_evaluation_per_grid(self, disk, rng,
+                                                monkeypatch):
+        # a Pestov check on a fresh grid evaluates the bumps of a term
+        # connection once, for the symbols of X and f_12 together
+        conn = random_connection(rng, rank=2)
+        grid = SphereBundleGrid(disk, nx=24, n_theta=16)
+        u = bump_section(grid, m=1, d=2, radius=0.5)
+        calls = []
+        evaluate = bundle._bumps
+        monkeypatch.setattr(bundle, "_bumps",
+                            lambda *a: calls.append(1) or evaluate(*a))
+        pestov_residual(u, conn)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_stencil_is_the_fourth_order_formula(self, grid, rng, axis):
+        # (-u[i+2] + 8 u[i+1] - 8 u[i-1] + u[i-2]) / 12h, zero outside
+        vals = rng.normal(size=(grid.nx, grid.ny, 3, 2)) \
+            + 1j * rng.normal(size=(grid.nx, grid.ny, 3, 2))
+        pad = [(0, 0)] * vals.ndim
+        pad[axis] = (2, 2)
+        p = np.moveaxis(np.pad(vals, pad), axis, 0)
+        n = vals.shape[axis]
+        ref = np.moveaxis(-p[4:] + 8.0 * p[3:n + 3] - 8.0 * p[1:n + 1]
+                          + p[:n], 0, axis) / (12.0 * grid.h1)
+        got = grid.dx(vals, axis)
+        assert got.shape == ref.shape and got.dtype == ref.dtype
+        assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
 
 
 class TestLift:
@@ -248,6 +282,8 @@ class TestLaplacianAndModes:
         energies = mode_energies(u, 8)
         assert abs(np.sum(energies) - u.norm() ** 2) < 1e-10
         assert degree(u) == 4
+        # a section holding no mode: an empty band, every energy 0
+        assert not np.any(mode_energies(_mode(u, 9), 8))
 
     def test_laplacian_commutes_with_projection(self, grid):
         vals = bump_section(grid, m=1).values \
