@@ -20,7 +20,10 @@ through at most one gauge Q; ``gauge_transform`` composes gauges.
 ``_generator`` forms the transport generator -(Gamma(v) + Phi) by one
 rule: one separable sum of the terms per distinct gauge of the pair
 (``_stacked_generator``), each conjugated to Q* G Q, minus the
-connection gauge's Q^-1 dQ(v).
+connection gauge's Q^-1 dQ(v).  ``_generators`` applies the rule to
+several pairs at one node set with one stacked sum per distinct term set
+(terms compared by value) and one ``log_derivative`` per distinct gauge,
+so a pair and its gauge transform share their bump pass.
 
 Points are arrays of shape (..., 2), read componentwise (x[..., 0],
 x[..., 1]) on the per-node paths, because a NumPy reduction over an axis of
@@ -520,53 +523,102 @@ def gauge_transform(conn: ConnectionField, higgs: HiggsFieldData,
     return new_conn, new_higgs
 
 
-def _generator(conn: ConnectionField, higgs: HiggsFieldData):
-    """x, v -> (A, w): A = -(Gamma(v) + Phi), matrix-first, shape (d, d) +
-    nodes, and w the Higgs terms' weights (``_stacked_generator``).  One
-    stacked sum of the terms per distinct gauge of the pair (one block, or
-    two with an empty partner each), each conjugated to Q* G Q, minus the
-    connection gauge's Q^-1 dQ(v), Q and Q^-1 dQ(v) from one
-    ``log_derivative``.  A block without terms adds only zeros and is
-    skipped (a gauge of the zero connection is its Q^-1 dQ(v) alone),
+def _term_key(conn_terms: tuple[_Separable, np.ndarray],
+              higgs_terms: tuple[_Separable, Optional[np.ndarray]]) -> tuple:
+    """The values that fix a block's stacked sum, as bytes: generators,
+    centers, sigma^2 and decay of both term sets, the directions and the
+    coefficients.  Blocks of equal keys form the same sum bit for bit."""
+    (fc, dirs), (fh, coeffs) = conn_terms, higgs_terms
+    return (fc.rank, fc.decay, fh.decay, dirs.tobytes(),
+            None if coeffs is None else coeffs.tobytes(),
+            *(a.tobytes() for f in (fc, fh)
+              for a in (f.gens, f._centers, f._sigma2)))
+
+
+def _blocks(conn: ConnectionField, higgs: HiggsFieldData) -> list:
+    """(gauge, connection terms, Higgs terms) of each stacked sum of a
+    pair: one block when the fields share their gauge (or have none),
+    else one per field with an empty partner of its decay, so rho^N is
+    formed once per block.  A block without terms adds only zeros and is
+    left out (a gauge of the zero connection is its Q^-1 dQ(v) alone),
     unless nothing else forms A."""
     p, q = conn._gauge, higgs._gauge
     fc, fh = conn._terms[0], higgs._terms[0]
     if p is q:
         blocks = [(p, conn._terms, higgs._terms)]
     else:
-        # an empty partner of its block's decay: rho^N once per block
         blocks = [(p, conn._terms, (_Separable(fc.rank, [], fc.decay), None)),
                   (q, (_Separable(fh.rank, [], fh.decay),
                        np.zeros(0, dtype=int)), higgs._terms)]
     kept = [blk for blk in blocks if len(blk[1][1]) + len(blk[2][0].gens)]
-    if not kept and p is None:
-        kept = blocks[:1]
-    blocks = [(g, _stacked_generator(c, h)) for g, c, h in kept]
+    return kept if kept or p is not None else blocks[:1]
+
+
+def _generators(pairs: Sequence[tuple[ConnectionField, HiggsFieldData]]):
+    """x, v -> [(A, w) of each pair] at one node set: A = -(Gamma(v) +
+    Phi), matrix-first, shape (d, d) + nodes, and w the Higgs terms'
+    weights (``_stacked_generator``).
+
+    One rule for every pair: one stacked sum of the terms per distinct
+    gauge of the pair (``_blocks``), each conjugated to Q* G Q, minus the
+    connection gauge's Q^-1 dQ(v), Q and Q^-1 dQ(v) from one
+    ``log_derivative``.  Over several pairs, blocks with equal terms
+    (``_term_key``) share one stacked sum and pairs with one connection
+    gauge (the same object) one ``log_derivative``, so a pair and its
+    gauge transform cost one bump pass and one ``log_derivative`` per
+    node, and each pair's A and w keep the bits of ``_generator``."""
+    sums, plans = {}, []
+    for conn, higgs in pairs:
+        keyed = []
+        for g, c, h in _blocks(conn, higgs):
+            key = _term_key(c, h)
+            if key not in sums:
+                sums[key] = _stacked_generator(c, h)
+            keyed.append((g, key))
+        plans.append((conn._gauge, keyed))
 
     def conjugated(qm, a):
         return mul_first(mul_first(np.conj(qm.swapaxes(0, 1)), a), qm)
 
     def generator(x, v):
-        a = w = None
-        # the gauge first, as in ``ConnectionField.along``
-        if p is not None:
-            qm, log_dq = (matrix_first(b) for b in p.log_derivative(x, v))
-            a = -log_dq
-        for g, block in blocks:
-            b, w = block(x, v)
-            if g is not None:
-                b = conjugated(qm if g is p else matrix_first(g.q(x)), b)
-            # IEEE rounding is sign-symmetric, so this is -(Gamma(v) + Phi)
-            # from ``along`` and ``phi`` bit for bit
-            if a is None:
-                a = b
-            else:
-                a += b
-        if w is None:
-            w = np.empty((0,) + np.shape(x)[:-1])
-        return a, w
+        # the gauges first, as in ``ConnectionField.along``
+        logs, qs = {}, {}
+        for p, _ in plans:
+            if p is not None and p not in logs:
+                logs[p] = [matrix_first(b) for b in p.log_derivative(x, v)]
+        values = {key: block(x, v) for key, block in sums.items()}
+        out = []
+        for p, keyed in plans:
+            a = w = None
+            if p is not None:
+                a, own = -logs[p][1], True
+            for g, key in keyed:
+                b, w = values[key]
+                if g is not None:
+                    if g is not p and g not in qs:
+                        qs[g] = matrix_first(g.q(x))
+                    b = conjugated(logs[g][0] if g is p else qs[g], b)
+                # IEEE rounding is sign-symmetric, so this is -(Gamma(v) +
+                # Phi) from ``along`` and ``phi`` bit for bit; a sum that
+                # another pair may read is added into a new array
+                if a is None:
+                    a, own = b, g is not None
+                elif own:
+                    a += b
+                else:
+                    a, own = a + b, True
+            if w is None:
+                w = np.empty((0,) + np.shape(x)[:-1])
+            out.append((a, w))
+        return out
 
     return generator
+
+
+def _generator(conn: ConnectionField, higgs: HiggsFieldData):
+    """x, v -> (A, w) of one pair by the rule of ``_generators``."""
+    generator = _generators([(conn, higgs)])
+    return lambda x, v: generator(x, v)[0]
 
 
 def sup_curvature_norm(conn: ConnectionField, pts: np.ndarray,

@@ -47,6 +47,8 @@ returns.
 ``transport_rhs`` forms the generator -(Gamma(v) + Phi) of a node once,
 matrix-first, by the one rule of ``bundle._generator``: a terms-first sum
 per distinct gauge of the pair, conjugated by that gauge.
+``_paired_rhs`` forms the generators of two pairs at one node set, for a
+march over the same paths taken twice (gauge recovery, ``xray``).
 """
 
 from __future__ import annotations
@@ -57,7 +59,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ._linalg import frobenius, mul_first
-from .bundle import ConnectionField, HiggsFieldData, _generator
+from .bundle import (ConnectionField, HiggsFieldData, _generator,
+                     _generators)
 from .errors import DomainError, RankMismatchError
 from .geometry import DiskGeodesic, ShotPieces
 
@@ -91,6 +94,16 @@ def _require_decay(decay: int, what: str) -> None:
                           "z = tanh(t/2) grid needs a decay exponent >= 1")
 
 
+def _check_pair(conn: ConnectionField, higgs: HiggsFieldData) -> None:
+    """The checks of ``transport_rhs``: one rank, and a nonzero Higgs
+    field that decays like rho^1 or faster."""
+    if conn.rank != higgs.rank:
+        raise RankMismatchError(f"connection rank {conn.rank} and Higgs "
+                                f"field rank {higgs.rank} differ")
+    if not higgs.is_zero:
+        _require_decay(higgs.decay_N1, "the Higgs field")
+
+
 def transport_rhs(conn: ConnectionField, higgs: HiggsFieldData):
     """prep(x, v) -> rhs(W) = -(Gamma(v) + Phi) W, the left-acting
     fundamental system on the fiber, for a connection and Higgs field of
@@ -101,15 +114,38 @@ def transport_rhs(conn: ConnectionField, higgs: HiggsFieldData):
 
     The generator is formed once per node, negated and matrix-first, by
     ``bundle._generator``, after the rank and decay checks."""
-    if conn.rank != higgs.rank:
-        raise RankMismatchError(f"connection rank {conn.rank} and Higgs "
-                                f"field rank {higgs.rank} differ")
-    if not higgs.is_zero:
-        _require_decay(higgs.decay_N1, "the Higgs field")
+    _check_pair(conn, higgs)
     generator = _generator(conn, higgs)
 
     def prep(x, v):
         neg = generator(x, v)[0]
+        return lambda u: mul_first(neg, u)
+
+    return prep
+
+
+def _paired_rhs(pair_a: tuple[ConnectionField, HiggsFieldData],
+                pair_b: tuple[ConnectionField, HiggsFieldData]):
+    """prep(x, v) -> rhs(W) of the fundamental systems of two pairs side
+    by side, for one ``batch_transport`` over ``paths + paths``.
+
+    In every ``prep`` call that ``batch_transport`` makes, the node axis
+    just before the coordinate axis holds the nodes of ``paths`` twice, A's
+    copy first and B's second (``_march``'s (m, 2w), (1, 2w) and
+    (3, S, 2w), ``crossing_transport``'s (steps,) with A's crossings
+    first).  Both generators are formed at A's copy, by one rule over both
+    pairs (``bundle._generators``: one stacked sum per distinct term set,
+    one ``log_derivative`` per distinct gauge), and joined on that axis,
+    so rhs(W) applies A's generator to the first half of W and B's to the
+    second.  Each pair passes the checks of ``transport_rhs``."""
+    _check_pair(*pair_a)
+    _check_pair(*pair_b)
+    generator = _generators([pair_a, pair_b])
+
+    def prep(x, v):
+        n = x.shape[-2] // 2
+        (neg_a, _), (neg_b, _) = generator(x[..., :n, :], v[..., :n, :])
+        neg = np.concatenate([neg_a, neg_b], axis=-1)
         return lambda u: mul_first(neg, u)
 
     return prep
@@ -250,6 +286,24 @@ def _matrix_last(u: np.ndarray, state_ndim: int) -> np.ndarray:
     return np.ascontiguousarray(u.transpose(axes + (0, 1)))
 
 
+def _side_step(prep, batch: _BatchPaths, n: int, one: np.ndarray,
+               pos: np.ndarray, grid: np.ndarray, zf: np.ndarray):
+    """The fractional RK4 steps of ``_march`` from the identity, each from
+    a snapshot's grid node ``grid`` (of ``n`` steps) to its position
+    ``pos`` on that scale, fraction ``zf`` of its span, and the
+    snapshots' positions and velocities.  A zero side-step is exactly the
+    identity, so grid-node snapshots need no separate path; the grid
+    nodes, midpoints and snapshots are one evaluation, and each stage
+    takes its row of the broadcast state."""
+    delta = pos - grid
+    x, v, dt_dz = batch.state(np.stack([grid / n, (grid + 0.5 * delta) / n,
+                                        zf]))
+    f_side, h_side = prep(x, v), delta * (batch.h * dt_dz)
+    f = [lambda u, i=i: f_side(u[..., None, :, :])[..., i, :, :]
+         for i in range(3)]
+    return _rk4_step(one, h_side, f[0], f[1], f[1], f[2]), x[2], v[2]
+
+
 def _march(prep, geos: Sequence[DiskGeodesic], rank: int | tuple[int, int],
            cfg: Optional[TransportConfig] = None,
            record_times: Optional[np.ndarray] = None):
@@ -277,11 +331,14 @@ def _march(prep, geos: Sequence[DiskGeodesic], rank: int | tuple[int, int],
     clock in an array that broadcasts against (snapshots, len(geos)):
     column j holds geodesic j's times.  Each is clipped to its span and
     mapped once to its fraction of the span in z, the ends to 0 and 1
-    exactly, and a fractional RK4 side-step from the preceding grid node,
-    computed from the identity for all snapshots in one evaluation of
-    their grid nodes, midpoints and snapshots, multiplies the propagator
-    to that node, so snapshots sit at the exact requested times and
-    crossing families sample identical base points.
+    exactly, and a fractional RK4 side-step from the preceding grid node
+    (``_side_step``) multiplies the propagator to that node, so snapshots
+    sit at the exact requested times and crossing families sample
+    identical base points.  The side-steps are computed from the identity
+    for all snapshots in one evaluation of their grid nodes, midpoints
+    and snapshots, before the segment loop, so that evaluation (under a
+    gauge, a ``log_derivative`` over 3 x snapshots nodes) meets none of
+    the march's states, scan or prefixes.
 
     Returns (W_exit, records), W_exit matrix-first of shape
     (d, d[, P + 1], len(geos)); records is (t, x, v, W), t of shape
@@ -311,6 +368,8 @@ def _march(prep, geos: Sequence[DiskGeodesic], rank: int | tuple[int, int],
     pos = zf * n
     grid = np.where(pos < n, np.floor(pos), n).astype(int)
     owner, local = np.divmod(grid, seg)     # owner m: the exit itself
+    if record_times is not None:
+        side, x, v = _side_step(prep, batch, n, one, pos, grid, zf)
     partial = np.broadcast_to(one, eye.shape + grid.shape).copy()
 
     # each of the m + 1 segment boundaries is evaluated once: the m ends act
@@ -340,22 +399,12 @@ def _march(prep, geos: Sequence[DiskGeodesic], rank: int | tuple[int, int],
     if record_times is None:
         return scan[..., -1, :], None
 
-    # a zero side-step is exactly the identity, so grid-node snapshots
-    # need no separate path; its grid nodes, midpoints and snapshots are
-    # one evaluation, and each stage takes its row of the broadcast state
-    delta = pos - grid
-    x, v, dt_dz = batch.state(np.stack([grid / n, (grid + 0.5 * delta) / n,
-                                        zf]))
-    f_side, h_side = prep(x, v), delta * (batch.h * dt_dz)
-    f = [lambda u, i=i: f_side(u[..., None, :, :])[..., i, :, :]
-         for i in range(3)]
-    side = _rk4_step(one, h_side, f[0], f[1], f[1], f[2])
     # the propagator to the start of segment j: I for j = 0, else row j - 1
     prefix = np.concatenate([np.broadcast_to(one, eye.shape + (1, width)),
                              scan], axis=eye.ndim)
     snaps = product(product(side, partial),
                     prefix[..., owner, np.arange(width)])
-    return scan[..., -1, :], (t, x[2], v[2], snaps)
+    return scan[..., -1, :], (t, x, v, snaps)
 
 
 def crossing_transport(prep, crossings: Sequence[ShotPieces],

@@ -32,8 +32,8 @@ from .geometry import (AHModel, BoundaryDatum, DiskGeodesic, Direction,
                        shoot_from_boundary)
 # scattering_matrix is not called here; it stays a module attribute
 # because bench/spans.py wraps it by name
-from .transport import (TransportConfig, batch_transport, scattering_matrix,
-                        transport_rhs)
+from .transport import (TransportConfig, _paired_rhs, batch_transport,
+                        scattering_matrix, transport_rhs)
 
 
 _OPENINGS = (math.pi / 3, 5 * math.pi / 3)   # the chord range swept
@@ -343,29 +343,34 @@ def gauge_candidate(model: AHModel,
     entry-normalized fundamental systems, tagged with base point and
     velocity.
 
-    For gauge-equivalent pairs the quotient reproduces the gauge along the
-    lifted geodesic up to truncation and solver error.  The path is any
-    that ``batch_transport`` takes; on a ray that crosses the bump, a
-    sample time strictly inside the crossing is refused.
+    Both systems come from one march over the path taken twice
+    (``_gauge_systems``), so the two pairs share the path's nodes, its
+    snapshot side-steps and its scan.  For gauge-equivalent pairs the
+    quotient reproduces the gauge along the lifted geodesic up to
+    truncation and solver error.  The path is any that
+    ``batch_transport`` takes; on a ray that crosses the bump, a sample
+    time strictly inside the crossing is refused.
     """
     cfg = cfg or TransportConfig()
-    preps = _gauge_systems(pair_a, pair_b)
+    prep = _gauge_systems(pair_a, pair_b)
     d = pair_a[0].rank
     sample_times = np.sort(np.asarray(sample_times, dtype=float))
-    samples = [batch_transport(prep, [path], d, cfg, sample_times)[1]
-               for prep in preps]
-    ts, xs, vs, w_a = (s[0] for s in samples[0])
-    w_b = samples[1][3][0]
-    return GaugeCurve(t=ts, x=xs, v=vs, q=_gauge_quotient(w_a, w_b))
+    _, (ts, xs, vs, w) = batch_transport(prep, [path, path], d, cfg,
+                                         sample_times)
+    return GaugeCurve(t=ts[0], x=xs[0], v=vs[0],
+                      q=_gauge_quotient(w[0], w[1]))
 
 
 def _gauge_systems(pair_a: tuple[ConnectionField, HiggsFieldData],
                    pair_b: tuple[ConnectionField, HiggsFieldData]):
-    """Right-hand sides of the fundamental systems W_A and W_B of the two
-    pairs, both of rank d."""
+    """The right-hand side of the fundamental systems W_A and W_B of the
+    two pairs, both of rank d, side by side (``transport._paired_rhs``):
+    for one ``batch_transport`` over ``paths + paths``, whose first half
+    of results is W_A and second W_B.  Q = ``_gauge_quotient(w[:n],
+    w[n:])``."""
     if pair_a[0].rank != pair_b[0].rank:
         raise DomainError("gauge candidate requires matching ranks")
-    return transport_rhs(*pair_a), transport_rhs(*pair_b)
+    return _paired_rhs(pair_a, pair_b)
 
 
 def _gauge_quotient(w_a: np.ndarray, w_b: np.ndarray) -> np.ndarray:
@@ -385,12 +390,13 @@ def gauge_field_samples(model: AHModel,
     """Gauge candidate sampled on a base-point x fiber-angle grid.
 
     For every (x, theta) the geodesic through that phase point is truncated
-    at the sample time, so one vectorized transport run per pair yields
+    at the sample time, so one vectorized march over those geodesics taken
+    twice, once per pair (``_gauge_systems``), yields
     Q(x, theta) = W_A W_B^{-1} exactly at the requested nodes.  Output
     shape: (len(points), len(thetas), d, d).
     """
     cfg = cfg or TransportConfig()
-    preps = _gauge_systems(pair_a, pair_b)
+    prep = _gauge_systems(pair_a, pair_b)
     d = pair_a[0].rank
     geos = []
     for x in np.asarray(points, dtype=float):
@@ -398,8 +404,9 @@ def gauge_field_samples(model: AHModel,
             geo = DiskGeodesic.through(model, x, float(th), cfg.rho_cut)
             # integrate entry -> sample point only
             geos.append(geo.span(geo.t_entry, 0.0))
-    w_a, w_b = (batch_transport(prep, geos, d, cfg) for prep in preps)
-    return _gauge_quotient(w_a, w_b).reshape(len(points), len(thetas), d, d)
+    w = batch_transport(prep, geos + geos, d, cfg)
+    return _gauge_quotient(w[:len(geos)], w[len(geos):]).reshape(
+        len(points), len(thetas), d, d)
 
 
 # degree-zero check: cell edge, crossings, co-location radius, verdict bound
@@ -492,7 +499,8 @@ def gauge_degree_zero_check(curves: Sequence[GaugeCurve],
             f"no cell of size {_CELL_SIZE} has >= {_MIN_CROSSINGS} crossings "
             "at a common base point")
 
-    mode1 = 0.0
+    # the interior samples of every curve, one field evaluation per pair
+    parts = []
     for curve in curves:
         if len(curve.t) < 5:
             continue
@@ -503,14 +511,15 @@ def gauge_degree_zero_check(curves: Sequence[GaugeCurve],
         dq = (curve.q[:-4] - 8 * curve.q[1:-3] + 8 * curve.q[3:-1]
               - curve.q[4:]) / (12.0 * h)
         mid = slice(2, -2)
-        x_m = curve.x[mid]
-        v_m = curve.v[mid]
+        parts.append((dq, curve.x[mid], curve.v[mid], curve.q[mid]))
+    mode1 = 0.0
+    if parts:
+        dq, x_m, v_m, q_m = (np.concatenate(p) for p in zip(*parts))
         gam = conn_a.along(x_m, v_m)
         a_dir = conn_b.along(x_m, v_m) - gam
-        q_m = curve.q[mid]
         xq = dq + mul(gam, q_m) - mul(q_m, gam)
         res = xq - mul(q_m, a_dir)
-        mode1 = max(mode1, float(np.max(frobenius(res))))
+        mode1 = float(np.max(frobenius(res)))
 
     return DegreeZeroReport(degree_zero=max_var < _DEGREE_ZERO_TOL,
                             max_theta_variation=max_var,

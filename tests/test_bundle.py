@@ -11,11 +11,14 @@ import ahxray.bundle as bundle
 from ahxray._linalg import (expm_skew, frobenius, skew_defect,
                             unitary_defect)
 from ahxray.bundle import (ConnectionField, GaugeField, GaussBump,
-                           HiggsFieldData, SeparableTerm, ckt_condition_check,
+                           HiggsFieldData, SeparableTerm, _generator,
+                           _generators, ckt_condition_check,
                            gauge_transform, sup_curvature_norm,
                            validation_points)
+from ahxray.config import ExperimentConfig
 from ahxray.errors import DomainError, RankMismatchError
 from ahxray.transport import transport_rhs
+from test_cli import BASE_CONFIG, GAUGE_EXTRA
 
 SU2 = [np.array([[1j, 0], [0, -1j]]),
        np.array([[0, 1], [-1, 0]], dtype=complex),
@@ -203,6 +206,47 @@ class TestGaugedNodeCache:
             assert np.array_equal(higgs_b.phi(x), fresh.phi(x))
             conn_b.along(x, v)
             assert np.array_equal(higgs_b.phi(x), fresh.phi(x))
+
+
+class TestPairedGenerators:
+    """Several pairs at one node set, as gauge recovery forms them: one
+    stacked sum per distinct term set, one ``log_derivative`` per
+    distinct gauge, and each pair's generator that of ``_generator`` bit
+    for bit."""
+
+    @pytest.mark.parametrize("kind, passes", [
+        ("twin", [1, 3]), ("other higgs", [1, 3, 3]),
+        ("own gauge", [1, 1, 3])])
+    @pytest.mark.parametrize("shape", [(2,), (384, 2), (3, 4, 2)])
+    def test_pairs_share_equal_terms(self, rng, monkeypatch, kind, passes,
+                                     shape):
+        # pair B is a second parse of A's text plus [gauge]: equal terms
+        # in other objects, one bump pass over their 3 terms for both
+        # pairs and one over the gauge's 1.  A B with other Higgs terms
+        # takes a second pass over 3 terms, an A with a gauge of its own a
+        # second over 1
+        text_a, text_b = BASE_CONFIG, BASE_CONFIG + GAUGE_EXTRA
+        if kind == "other higgs":
+            text_b = text_b.replace("sigma=0.3; coeff=0.5",
+                                    "sigma=0.3; coeff=0.6")
+        if kind == "own gauge":
+            text_a += GAUGE_EXTRA.replace("center=0.1,-0.2",
+                                          "center=-0.2,0.1")
+        pairs = [ExperimentConfig.from_text(text).build_pair()[1:]
+                 for text in (text_a, text_b)]
+        assert pairs[0][0]._terms[0] is not pairs[1][0]._terms[0]
+        x = rng.uniform(-0.6, 0.6, shape)
+        v = rng.normal(size=shape)
+        refs = [_generator(*pair)(x, v) for pair in pairs]
+        sizes = []
+        bumps = bundle._bumps
+        monkeypatch.setattr(bundle, "_bumps", lambda x, c, s: (
+            sizes.append(len(c)) or bumps(x, c, s)))
+        got = _generators(pairs)(x, v)
+        assert sorted(sizes) == passes
+        for (a, w), (a_ref, w_ref) in zip(got, refs):
+            assert a.shape == a_ref.shape and np.array_equal(a, a_ref)
+            assert w.shape == w_ref.shape and np.array_equal(w, w_ref)
 
 
 class TestGaugeField:

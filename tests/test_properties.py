@@ -79,6 +79,12 @@
   a Higgs field gauged apart from its connection, a gauge of an adjoint
   pair, and the fields of two pairs gauged by one Q, ranks 1-3, a lone
   point and stacks;
+- several pairs at one node set (``bundle._generators``: copies of a
+  pair with equal terms in other objects, gauge transforms by shared and
+  by distinct gauges, Higgs fields gauged apart, which share the
+  connection's block, a gauge of the zero connection and an adjoint)
+  give each pair's generator and Higgs weights of ``_generator`` bit for
+  bit, for ranks 1-3, a lone point and stacks;
 - a gauge of the zero connection beside an ungauged Higgs field (with
   terms, a reconstruction iterate, or zero) skips its connection block,
   which has no terms: the generator is -Q^-1 dQ(v) plus the Higgs block,
@@ -135,7 +141,8 @@ from ahxray._linalg import (dagger, expm_skew, frobenius, matrix_first,
 import ahxray.bundle as bundle
 from ahxray.bundle import (ComposedGauge, ConnectionField, GaugeField,
                            GaussBump, HiggsFieldData, SeparableTerm,
-                           _check_field, _generator, _Separable,
+                           _check_field, _generator, _generators,
+                           _Separable,
                            _stacked_generator, gauge_transform,
                            validation_points)
 from ahxray.config import ExperimentConfig
@@ -721,6 +728,46 @@ def test_a_block_without_terms_is_skipped(rank, kind, lead, seed):
     assert not calls
     assert a.shape == ref.shape and np.array_equal(a, ref)
     assert w.shape == w_ref.shape and np.array_equal(w, w_ref)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rank=st.integers(1, 3),
+       kinds=st.lists(st.sampled_from(["plain", "copy", "gauge", "other gauge",
+                                       "apart", "other apart", "flat",
+                                       "adjoint"]), min_size=1, max_size=4),
+       lead=st.sampled_from([(), (1,), (7,), (3, 5)]),
+       seed=st.integers(0, 2**32 - 1))
+def test_several_pairs_keep_each_pairs_generator(rank, kinds, lead, seed):
+    # the rule over several pairs at one node set shares a stacked sum
+    # between blocks of equal terms ("copy" is "plain" in other objects;
+    # the two Higgs fields gauged apart share their connection's block,
+    # which neither may add into) and a log_derivative between pairs of
+    # one connection gauge, and gives each pair's (A, w) of _generator
+    rng = np.random.default_rng(seed)
+    state = rng.integers(2**32)
+    conn, higgs = (f(np.random.default_rng(state), rank) for f in (
+        random_connection, random_higgs))
+    conn2, higgs2 = (f(np.random.default_rng(state), rank) for f in (
+        random_connection, random_higgs))
+    assert conn2._terms[0] is not conn._terms[0]
+    g0, g1 = random_gauge(rng, rank), random_gauge(rng, rank)
+    zero = ConnectionField.zero(rank), HiggsFieldData.zero(rank)
+    pairs = [{"plain": lambda: (conn, higgs),
+              "copy": lambda: (conn2, higgs2),
+              "gauge": lambda: gauge_transform(conn, higgs, g0),
+              "other gauge": lambda: gauge_transform(conn2, higgs2, g1),
+              "apart": lambda: (conn, gauge_transform(conn, higgs, g0)[1]),
+              "other apart": lambda: (
+                  conn2, gauge_transform(conn, higgs2, g1)[1]),
+              "flat": lambda: (gauge_transform(*zero, g0)[0], higgs),
+              "adjoint": lambda: (conn, higgs.adjoint())}[kind]()
+             for kind in kinds]
+    x = _disk_points(rng, lead)
+    v = rng.uniform(-1.0, 1.0, lead + (2,))
+    refs = [_generator(*pair)(x, v) for pair in pairs]
+    for (a, w), (a_ref, w_ref) in zip(_generators(pairs)(x, v), refs):
+        _same(a, a_ref)
+        _same(w, w_ref)
 
 
 @settings(max_examples=40, deadline=None)

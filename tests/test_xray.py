@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from ahxray._linalg import frobenius, unitary_defect
+from ahxray._linalg import frobenius, mul, unitary_defect
 from ahxray.bundle import (ConnectionField, HiggsFieldData,
                            gauge_transform)
 from ahxray.errors import (DatasetError, DomainError, FanMismatchError,
@@ -19,9 +19,11 @@ from ahxray.errors import (DatasetError, DomainError, FanMismatchError,
 from ahxray.geometry import (AHModel, BoundaryDatum, DiskGeodesic,
                              Direction, IntegratorConfig, PhasePoint,
                              integrate_geodesic, shoot_from_boundary)
-from ahxray.transport import TransportConfig, batch_transport, transport_rhs
-from ahxray.xray import (FanMode, FanSpec, ScatteringDataset, ScatteringRecord,
-                         _gauge_quotient, add_matrix_noise, compare_datasets,
+from ahxray.transport import (TransportConfig, _segments, batch_transport,
+                              transport_rhs)
+from ahxray.xray import (DegreeZeroReport, FanMode, FanSpec,
+                         ScatteringDataset, ScatteringRecord, _gauge_quotient,
+                         add_matrix_noise, compare_datasets,
                          compute_scattering_data, fan_paths, gauge_candidate,
                          gauge_degree_zero_check, gauge_field_samples)
 from oracles import joint_rk45, rk45_geodesic, rk45_transport
@@ -356,6 +358,54 @@ class TestGaugeCandidate:
                     for pair in ((conn, higgs), pair_b))
         assert np.max(frobenius(c1.q - _gauge_quotient(w_a, w_b))) < 1e-6
 
+    def test_one_march_is_two_one_pair_marches(self, disk, perturbed, rng):
+        # both pairs march the path taken twice in one batch_transport
+        # call: where the doubled width cuts the spans into the segments
+        # of one pair's march, Q is the quotient of two one-pair calls bit
+        # for bit, and within 1e-14 where it does not
+        conn, higgs = random_connection(rng), random_higgs(rng)
+        pair_a = (conn, higgs)
+        pair_b = gauge_transform(conn, higgs, random_gauge(rng, decay_M=4))
+        line = DiskGeodesic.between_boundary_angles(disk, 1.2, 4.0).sample()
+        ray = shoot_from_boundary(
+            perturbed, BoundaryDatum(0.0, -1.5, Direction.INCOMING), 1e-6)
+        t_in = ray.pieces.incoming.t_exit
+        t_out = t_in + ray.pieces.h * len(ray.pieces.stages)
+        # the ray has two closed-form pieces, so its two copies four
+        assert _segments(384, 2) == _segments(384, 1)
+        assert _segments(256, 4) == _segments(256, 2)
+        assert _segments(1024, 2) != _segments(1024, 1)
+        for model, path, times, n, tol in (
+                (disk, line, np.linspace(-4, 4, 17), 384, 0.0),
+                (perturbed, ray, np.concatenate([
+                    np.linspace(ray.t[0], t_in, 5),
+                    np.linspace(t_out, ray.t[-1], 5)]), 256, 0.0),
+                (disk, line, np.linspace(-4, 4, 17), 1024, 1e-14)):
+            cfg = TransportConfig(n_steps=n)
+            curve = gauge_candidate(model, pair_a, pair_b, path, times, cfg)
+            (t, x, v, w_a), (_, _, _, w_b) = (
+                batch_transport(transport_rhs(*pair), [path], 2, cfg,
+                                times)[1] for pair in (pair_a, pair_b))
+            assert np.array_equal(curve.t, t[0])
+            assert np.array_equal(curve.x, x[0])
+            assert np.array_equal(curve.v, v[0])
+            q = _gauge_quotient(w_a[0], w_b[0])
+            assert np.max(np.abs(curve.q - q)) <= tol
+
+        # a fan of 12 geodesics, 24 in the one march, cut otherwise
+        pts = np.array([[-0.3, 0.1], [0.0, 0.0], [0.2, -0.25]])
+        thetas = np.linspace(0, 2 * math.pi, 4, endpoint=False)
+        cfg = TransportConfig()
+        assert _segments(cfg.n_steps, 24) != _segments(cfg.n_steps, 12)
+        geos = [g.span(g.t_entry, 0.0) for g in (
+            DiskGeodesic.through(disk, x, th, cfg.rho_cut)
+            for x in pts for th in thetas)]
+        w_a, w_b = (batch_transport(transport_rhs(*pair), geos, 2, cfg)
+                    for pair in (pair_a, pair_b))
+        q = gauge_field_samples(disk, pair_a, pair_b, pts, thetas, cfg)
+        assert np.max(np.abs(q - _gauge_quotient(w_a, w_b).reshape(
+            q.shape))) < 1e-14
+
     def test_crossing_interior_refused(self, perturbed, rng):
         conn, higgs = random_connection(rng), random_higgs(rng)
         path = shoot_from_boundary(
@@ -399,6 +449,44 @@ class TestDegreeZero:
         assert report.max_theta_variation < 1e-4
         assert report.mode0_residual < 1e-4
         assert report.mode1_residual < 1e-4
+
+    def test_mode1_residual_in_one_evaluation(self, disk, rng):
+        # the mode-1 relation is formed over the interior samples of every
+        # curve at once, one Gamma(v) evaluation per pair: its residual is
+        # the maximum of the per-curve maxima bit for bit, and the report
+        # keeps the values of one evaluation per curve
+        conn, higgs = random_connection(rng), random_higgs(rng)
+        pair_b = gauge_transform(conn, higgs, random_gauge(rng, decay_M=4))
+        curves = self._pencil_curves(disk, (conn, higgs), pair_b,
+                                     [(-0.3, 0.0), (0.0, 0.2), (0.25, -0.15)])
+        calls = []
+        along = ConnectionField.along
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ConnectionField, "along",
+                          lambda *a: calls.append(1) or along(*a))
+            report = gauge_degree_zero_check(curves, (conn, higgs), pair_b)
+        assert len(calls) == 2
+        per_curve = []
+        for curve in curves:
+            h = curve.t[1] - curve.t[0]
+            dq = (curve.q[:-4] - 8 * curve.q[1:-3] + 8 * curve.q[3:-1]
+                  - curve.q[4:]) / (12.0 * h)
+            x, v, q = curve.x[2:-2], curve.v[2:-2], curve.q[2:-2]
+            gam = conn.along(x, v)
+            a_dir = pair_b[0].along(x, v) - gam
+            res = dq + mul(gam, q) - mul(q, gam) - mul(q, a_dir)
+            per_curve.append(float(np.max(frobenius(res))))
+        assert report.mode1_residual == max(per_curve)
+        # the worst curve first and last: every curve enters the residual
+        k = int(np.argmax(per_curve))
+        rest = curves[:k] + curves[k + 1:]
+        for order in ([curves[k]] + rest, rest + [curves[k]]):
+            assert gauge_degree_zero_check(
+                order, (conn, higgs), pair_b).mode1_residual == max(per_curve)
+        assert report == DegreeZeroReport(
+            degree_zero=True, max_theta_variation=2.20068121682898e-10,
+            mode0_residual=3.2410548931356677e-11,
+            mode1_residual=1.8304861815613803e-05, cells_checked=3)
 
     def test_identical_pairs_zero_variation(self, disk, rng):
         conn = random_connection(rng)
