@@ -16,7 +16,8 @@ scalar weights times the stacked generators; zero fields are its empty sum.
 The weights are held terms-first, shape (K, ...nodes), so each elementwise
 pass of a bump runs over the long node axes rather than an inner axis of
 length K.  A connection or Higgs field is its separable terms seen
-through at most one gauge Q; ``gauge_transform`` composes gauges.
+through at most one gauge Q, itself an ordered product of exponential
+factors; ``gauge_transform`` composes gauges by joining their factors.
 ``_generator`` forms the transport generator -(Gamma(v) + Phi) by one
 rule: one separable sum of the terms per distinct gauge of the pair
 (``_stacked_generator``), each conjugated to Q* G Q, minus the
@@ -33,6 +34,7 @@ either way, so the values are the same to the bit.
 
 from __future__ import annotations
 
+import copy
 import functools
 import math
 from dataclasses import dataclass, replace
@@ -230,7 +232,7 @@ class ConnectionField:
     # (separable field, direction of each term), read by
     # ``_stacked_generator``, and the gauge Q or None, read by ``_generator``
     _terms: tuple[_Separable, np.ndarray]
-    _gauge: Optional[GaugeField | ComposedGauge] = None
+    _gauge: Optional[GaugeField] = None
 
     @property
     def is_zero(self) -> bool:
@@ -255,27 +257,18 @@ class ConnectionField:
 
     def curvature_f12(self, x: np.ndarray) -> np.ndarray:
         """The single independent curvature component, shape (..., d, d)."""
-        return self._symbols_and_f12(x, False)[1]
+        return self.symbols_and_curvature(x)[1]
 
     def symbols_and_curvature(self, x: np.ndarray
                               ) -> tuple[np.ndarray, np.ndarray]:
-        """``symbols(x)`` and ``curvature_f12(x)``, each with its own bits,
-        from one pass over the terms' bumps and, under a gauge, one
-        ``log_derivative``."""
-        return self._symbols_and_f12(x, True)
-
-    def _symbols_and_f12(self, x: np.ndarray, symbols: bool):
-        """(Gamma_1, Gamma_2) or None, and f_12.  The terms' Gamma_i are
-        the ones ``symbols`` forms: the same weights and the same product."""
+        """``symbols(x)`` and ``curvature_f12(x)`` from one pass over the
+        terms' bumps and, under a gauge, one ``log_derivative``.  The
+        terms' Gamma_i are the ones ``symbols`` forms: the same weights and
+        the same product."""
         x = np.asarray(x, dtype=float)
-        # the gauge first, as in ``along``; Q alone where f_12 is asked
-        qm = log_dq = q_f12 = None
-        if self._gauge is not None and symbols:
-            qm, log_dq = self._gauge.log_derivative(x[..., None, :],
-                                                    np.eye(2))
-            q_f12 = qm[..., 0, :, :]
-        elif self._gauge is not None:
-            q_f12 = self._gauge.q(x)
+        # the gauge first, as in ``along``
+        qm, log_dq = (None, None) if self._gauge is None \
+            else self._gauge.log_derivative(x[..., None, :], np.eye(2))
         f, dirs = self._terms
         feeds = np.eye(2)[:, dirs]           # (i, k): term k feeds Gamma_i
         w, dw = f.weights_and_grads(x)
@@ -286,9 +279,7 @@ class ConnectionField:
         curl = f.combine(dw[0] * _lift(feeds[1], n)
                          - dw[1] * _lift(feeds[0], n))
         add_commutator(curl, gam[..., 0, :, :], gam[..., 1, :, :])
-        f12 = _seen(q_f12, curl)
-        if not symbols:
-            return None, f12
+        f12 = _seen(None if qm is None else qm[..., 0, :, :], curl)
         gam = _seen(qm, gam)
         return (gam if log_dq is None else gam + log_dq), f12
 
@@ -321,7 +312,7 @@ class HiggsFieldData:
     # (separable field, coefficient of each term, None for ones: no
     # multiply in the stacked sum) and the gauge Q or None
     _terms: tuple[_Separable, Optional[np.ndarray]]
-    _gauge: Optional[GaugeField | ComposedGauge] = None
+    _gauge: Optional[GaugeField] = None
 
     @property
     def is_zero(self) -> bool:
@@ -437,7 +428,9 @@ def _stacked_generator(conn_terms: tuple[_Separable, np.ndarray],
 
 
 class GaugeField:
-    """Unitary gauge Q(x) = exp(rho(x)^M * S(x)), identity on the boundary."""
+    """Unitary gauge Q(x) = exp(rho(x)^M * S(x)), identity on the boundary,
+    or a product Q_1 Q_2 ... of such (``compose``): ``_factors`` holds the
+    exponents in order, and ``decay_M`` is the smallest of their M."""
 
     def __init__(self, rank: int,
                  terms: Sequence[tuple[np.ndarray, GaussBump]],
@@ -446,25 +439,31 @@ class GaugeField:
             raise DomainError("gauge decay exponent must be >= 1")
         self.rank = rank
         self.decay_M = decay_M
-        self._field = _Separable(rank, terms, decay_M)
+        self._factors = (_Separable(rank, terms, decay_M),)
         q_ring = self.q(validation_points(n=64, r_max=math.sqrt(1 - 1e-4)))
         if float(np.max(unitary_defect(q_ring))) >= _SKEW_TOL:
             raise DomainError("gauge field failed the unitarity check")
 
     def q(self, x: np.ndarray) -> np.ndarray:
-        return expm_skew(self._field.combine(self._field.weights(x)))
+        return functools.reduce(mul, [expm_skew(f.combine(f.weights(x)))
+                                      for f in self._factors])
 
     def log_derivative(self, x: np.ndarray, v: np.ndarray
                        ) -> tuple[np.ndarray, np.ndarray]:
-        """Q and Q^-1 dQ(v), each shape (..., d, d): the exact Frechet
-        derivative in the direction dP(v), from Q's diagonalisation."""
-        f = self._field
-        w, dw = f.weights_and_grads(x)
+        """Q and Q^-1 dQ(v), each shape (..., d, d): per factor the exact
+        Frechet derivative in the direction dP(v), from its diagonalisation;
+        for Q1 Q2, Q^-1 dQ(v) = Q2* (Q1^-1 dQ1(v)) Q2 + Q2^-1 dQ2(v)."""
         v = _last_first(np.asarray(v, dtype=float))[:, None]
-        n = max(dw.ndim, v.ndim) - 2
-        dp = (_lift(dw[0], n) * _lift(v[0], n)
-              + _lift(dw[1], n) * _lift(v[1], n))
-        return expm_skew(f.combine(w), f.combine(dp))
+        q = log_dq = None
+        for f in self._factors:
+            w, dw = f.weights_and_grads(x)
+            n = max(dw.ndim, v.ndim) - 2
+            dp = (_lift(dw[0], n) * _lift(v[0], n)
+                  + _lift(dw[1], n) * _lift(v[1], n))
+            q2, l2 = expm_skew(f.combine(w), f.combine(dp))
+            q, log_dq = (q2, l2) if q is None else (
+                mul(q, q2), mul(mul(dagger(q2), log_dq), q2) + l2)
+        return q, log_dq
 
     def dq(self, x: np.ndarray) -> np.ndarray:
         """Partials d_i Q, shape (..., 2, d, d)."""
@@ -472,38 +471,18 @@ class GaugeField:
         q, log_dq = self.log_derivative(x[..., None, :], np.eye(2))
         return q @ log_dq
 
-    def compose(self, other: "GaugeField") -> "ComposedGauge":
-        return ComposedGauge(self, other)
-
-
-class ComposedGauge:
-    """Pointwise product gauge (self followed by other): Q = Q1 Q2."""
-
-    compose = GaugeField.compose
-
-    def __init__(self, first: "GaugeField | ComposedGauge",
-                 second: "GaugeField | ComposedGauge"):
-        if first.rank != second.rank:
+    def compose(self, other: "GaugeField") -> "GaugeField":
+        """The pointwise product Q_self Q_other: both factor lists, joined."""
+        if self.rank != other.rank:
             raise RankMismatchError("gauge rank mismatch")
-        self.rank = first.rank
-        self.decay_M = min(first.decay_M, second.decay_M)
-        self._first = first
-        self._second = second
-
-    def q(self, x: np.ndarray) -> np.ndarray:
-        return mul(self._first.q(x), self._second.q(x))
-
-    def log_derivative(self, x: np.ndarray, v: np.ndarray
-                       ) -> tuple[np.ndarray, np.ndarray]:
-        """Q = Q1 Q2 and, by the product rule,
-        Q^-1 dQ(v) = Q2* (Q1^-1 dQ1(v)) Q2 + Q2^-1 dQ2(v)."""
-        q1, l1 = self._first.log_derivative(x, v)
-        q2, l2 = self._second.log_derivative(x, v)
-        return mul(q1, q2), mul(mul(dagger(q2), l1), q2) + l2
+        product = copy.copy(self)
+        product.decay_M = min(self.decay_M, other.decay_M)
+        product._factors = self._factors + other._factors
+        return product
 
 
 def gauge_transform(conn: ConnectionField, higgs: HiggsFieldData,
-                    q: "GaugeField | ComposedGauge"
+                    q: GaugeField
                     ) -> tuple[ConnectionField, HiggsFieldData]:
     """Apply the gauge relation: Gamma(v) becomes Q* Gamma(v) Q + Q^-1 dQ(v),
     the Higgs field conjugates, and curvature conjugates exactly.  Each
@@ -564,9 +543,10 @@ def _generators(pairs: Sequence[tuple[ConnectionField, HiggsFieldData]]):
     connection gauge's Q^-1 dQ(v), Q and Q^-1 dQ(v) from one
     ``log_derivative``.  Over several pairs, blocks with equal terms
     (``_term_key``) share one stacked sum and pairs with one connection
-    gauge (the same object) one ``log_derivative``, so a pair and its
-    gauge transform cost one bump pass and one ``log_derivative`` per
-    node, and each pair's A and w keep the bits of ``_generator``."""
+    gauge (the same object) one ``log_derivative``, whose Q also serves
+    that gauge on a Higgs block (else ``q``), so a pair and its gauge
+    transform cost one bump pass and one ``log_derivative`` per node, and
+    each pair's A and w keep the bits of ``_generator``."""
     sums, plans = {}, []
     for conn, higgs in pairs:
         keyed = []
@@ -582,33 +562,22 @@ def _generators(pairs: Sequence[tuple[ConnectionField, HiggsFieldData]]):
 
     def generator(x, v):
         # the gauges first, as in ``ConnectionField.along``
-        logs, qs = {}, {}
-        for p, _ in plans:
-            if p is not None and p not in logs:
-                logs[p] = [matrix_first(b) for b in p.log_derivative(x, v)]
+        logs = {p: [matrix_first(b) for b in p.log_derivative(x, v)]
+                for p in dict.fromkeys(p for p, _ in plans) if p is not None}
         values = {key: block(x, v) for key, block in sums.items()}
         out = []
         for p, keyed in plans:
-            a = w = None
-            if p is not None:
-                a, own = -logs[p][1], True
+            a = None if p is None else -logs[p][1]
+            w = np.empty((0,) + np.shape(x)[:-1])  # for a pair without blocks
             for g, key in keyed:
                 b, w = values[key]
                 if g is not None:
-                    if g is not p and g not in qs:
-                        qs[g] = matrix_first(g.q(x))
-                    b = conjugated(logs[g][0] if g is p else qs[g], b)
+                    b = conjugated(logs[g][0] if g in logs
+                                   else matrix_first(g.q(x)), b)
                 # IEEE rounding is sign-symmetric, so this is -(Gamma(v) +
-                # Phi) from ``along`` and ``phi`` bit for bit; a sum that
-                # another pair may read is added into a new array
-                if a is None:
-                    a, own = b, g is not None
-                elif own:
-                    a += b
-                else:
-                    a, own = a + b, True
-            if w is None:
-                w = np.empty((0,) + np.shape(x)[:-1])
+                # Phi) from ``along`` and ``phi`` bit for bit; no sum is
+                # added into, as another pair may read it
+                a = b if a is None else a + b
             out.append((a, w))
         return out
 

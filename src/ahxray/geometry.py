@@ -368,9 +368,11 @@ class DiskGeodesic:
                  rho_cut: float):
         if model.kind is not ModelKind.POINCARE_DISK:
             raise DomainError("closed-form geodesics exist only on the disk")
-        self.model = model
-        self.w = complex(w)
-        self.p = complex(p) / abs(complex(p))
+        self.model, self.w, self.p = model, complex(w), complex(p)
+        if not (cmath.isfinite(self.w) and cmath.isfinite(self.p)):
+            raise DomainError("geodesic needs a finite w and p, got "
+                              f"{self.w}, {self.p}")
+        self.p /= abs(self.p)
         self.rho_cut = rho_cut
         self.t_entry = -self._truncation_time(-1.0)
         self.t_exit = self._truncation_time(1.0)

@@ -137,7 +137,9 @@ def _paired_rhs(pair_a: tuple[ConnectionField, HiggsFieldData],
     pairs (``bundle._generators``: one stacked sum per distinct term set,
     one ``log_derivative`` per distinct gauge), and joined on that axis,
     so rhs(W) applies A's generator to the first half of W and B's to the
-    second.  Each pair passes the checks of ``transport_rhs``."""
+    second.  Both pairs have one rank and pass ``transport_rhs``'s checks."""
+    if pair_a[0].rank != pair_b[0].rank:
+        raise DomainError("gauge candidate requires matching ranks")
     _check_pair(*pair_a)
     _check_pair(*pair_b)
     generator = _generators([pair_a, pair_b])
@@ -524,7 +526,7 @@ def batch_transport(prep, paths: Sequence, rank: int | tuple[int, int],
     stage generators, so the V_k are the exact derivatives of the discrete
     W, across crossings too.
 
-    ``times`` (sorted, on the paths' clocks, clipped to their spans) also
+    ``times`` (finite, sorted, on the paths' clocks, clipped to spans) also
     asks for snapshots, returned as (W_exit, (t, x, v, W)) with arrays of
     shape (len(paths), len(times), ...): each piece is recorded at its
     own path's times on it (``_piece_times``), so one call snapshots
@@ -547,6 +549,8 @@ def batch_transport(prep, paths: Sequence, rank: int | tuple[int, int],
     local = None
     if times is not None:
         times = np.asarray(times, dtype=float)
+        if not np.all(np.isfinite(times)):
+            raise DomainError(f"snapshot times must be finite, got {times}")
         piece, origin, clocks = zip(*(_piece_times(p, *split, times)
                                       for p, split in zip(paths, splits)))
         # a piece's column: its path's times on the piece's clock

@@ -344,7 +344,7 @@ def gauge_candidate(model: AHModel,
     velocity.
 
     Both systems come from one march over the path taken twice
-    (``_gauge_systems``), so the two pairs share the path's nodes, its
+    (``transport._paired_rhs``), so the two pairs share the path's nodes, its
     snapshot side-steps and its scan.  For gauge-equivalent pairs the
     quotient reproduces the gauge along the lifted geodesic up to
     truncation and solver error.  The path is any that
@@ -352,25 +352,13 @@ def gauge_candidate(model: AHModel,
     time strictly inside the crossing is refused.
     """
     cfg = cfg or TransportConfig()
-    prep = _gauge_systems(pair_a, pair_b)
+    prep = _paired_rhs(pair_a, pair_b)
     d = pair_a[0].rank
     sample_times = np.sort(np.asarray(sample_times, dtype=float))
     _, (ts, xs, vs, w) = batch_transport(prep, [path, path], d, cfg,
                                          sample_times)
     return GaugeCurve(t=ts[0], x=xs[0], v=vs[0],
                       q=_gauge_quotient(w[0], w[1]))
-
-
-def _gauge_systems(pair_a: tuple[ConnectionField, HiggsFieldData],
-                   pair_b: tuple[ConnectionField, HiggsFieldData]):
-    """The right-hand side of the fundamental systems W_A and W_B of the
-    two pairs, both of rank d, side by side (``transport._paired_rhs``):
-    for one ``batch_transport`` over ``paths + paths``, whose first half
-    of results is W_A and second W_B.  Q = ``_gauge_quotient(w[:n],
-    w[n:])``."""
-    if pair_a[0].rank != pair_b[0].rank:
-        raise DomainError("gauge candidate requires matching ranks")
-    return _paired_rhs(pair_a, pair_b)
 
 
 def _gauge_quotient(w_a: np.ndarray, w_b: np.ndarray) -> np.ndarray:
@@ -391,12 +379,12 @@ def gauge_field_samples(model: AHModel,
 
     For every (x, theta) the geodesic through that phase point is truncated
     at the sample time, so one vectorized march over those geodesics taken
-    twice, once per pair (``_gauge_systems``), yields
+    twice, once per pair (``transport._paired_rhs``), yields
     Q(x, theta) = W_A W_B^{-1} exactly at the requested nodes.  Output
     shape: (len(points), len(thetas), d, d).
     """
     cfg = cfg or TransportConfig()
-    prep = _gauge_systems(pair_a, pair_b)
+    prep = _paired_rhs(pair_a, pair_b)
     d = pair_a[0].rank
     geos = []
     for x in np.asarray(points, dtype=float):

@@ -113,7 +113,7 @@ def ref_along(field, dirs, x, v):
 def ref_gauge_exponents(gauge, x, v):
     """The exponent P = rho^M S(x) of a ``GaugeField`` and its derivative
     dP(v), from which ``log_derivative`` exponentiates."""
-    f = gauge._field
+    f = gauge._factors[0]
     w, dw = ref_weights_and_grads(f, x)
     dp = np.sum(dw * np.asarray(v, dtype=float)[..., :, None], axis=-2)
     return ref_combine(f, w), ref_combine(f, dp)
@@ -210,7 +210,7 @@ def last_curvature(field, dirs, x):
 def last_log_derivative(gauge, x, v):
     """``GaugeField.log_derivative``, terms-last: ``expm_skew`` of the
     exponent and its derivative dP(v)."""
-    f = gauge._field
+    f = gauge._factors[0]
     w, dw = last_weights_and_grads(f, x)
     v = np.asarray(v, dtype=float)
     dp = dw[..., 0, :] * v[..., 0, None] + dw[..., 1, :] * v[..., 1, None]

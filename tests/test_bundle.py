@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import ahxray.bundle as bundle
-from ahxray._linalg import (expm_skew, frobenius, skew_defect,
+from ahxray._linalg import (dagger, expm_skew, frobenius, mul, skew_defect,
                             unitary_defect)
 from ahxray.bundle import (ConnectionField, GaugeField, GaussBump,
                            HiggsFieldData, SeparableTerm, _generator,
@@ -130,7 +130,7 @@ class TestGaugeTransform:
         thrice = conn, higgs
         for q in gauges:
             thrice = gauge_transform(*thrice, q)
-        assert isinstance(thrice[0]._gauge, bundle.ComposedGauge)
+        assert len(thrice[0]._gauge._factors) == 3
         assert thrice[0]._gauge is thrice[1]._gauge
         pts = rng.uniform(-0.6, 0.6, (20, 2))
         assert np.max(np.abs(thrice[0].symbols(pts)
@@ -275,6 +275,39 @@ class TestGaugeField:
                 e[i] = h
                 fd = (gauge.q(x + e) - gauge.q(x - e)) / (2 * h)
                 assert frobenius(dq[i] - fd) < 1e-8
+
+    def test_composition_is_one_left_to_right_product(self, rng):
+        # a composed gauge is its factors in order, folded left to right:
+        # a left-nested product keeps the bits of the pairwise product
+        # rule, and a right-nested one, reassociated, agrees within 1e-14
+        g1, g2, g3 = (random_gauge(rng, scale=s) for s in (0.6, 0.4, 0.3))
+        left = g1.compose(g2).compose(g3)
+        right = g1.compose(g2.compose(g3))
+        x = rng.uniform(-0.6, 0.6, (30, 2))
+        v = rng.normal(size=(30, 2))
+
+        def product(a, b):
+            (q1, l1), (q2, l2) = a, b
+            return mul(q1, q2), mul(mul(dagger(q2), l1), q2) + l2
+
+        ref = product(product(g1.log_derivative(x, v),
+                              g2.log_derivative(x, v)),
+                      g3.log_derivative(x, v))
+        assert np.array_equal(left.q(x), mul(mul(g1.q(x), g2.q(x)),
+                                             g3.q(x)))
+        for got, want in zip(left.log_derivative(x, v), ref):
+            assert np.array_equal(got, want)
+        for got, want in zip((right.q(x), *right.log_derivative(x, v)),
+                             (left.q(x), *ref)):
+            assert np.max(np.abs(got - want)) < 1e-14
+        assert left.decay_M == right.decay_M == 4
+
+    def test_compose_refuses_other_rank(self, rng):
+        with pytest.raises(RankMismatchError):
+            random_gauge(rng).compose(random_gauge(rng, rank=3))
+        with pytest.raises(RankMismatchError):
+            random_gauge(rng).compose(random_gauge(rng)).compose(
+                random_gauge(rng, rank=3))
 
 
 class TestSupNormAndCkt:

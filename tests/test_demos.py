@@ -1,9 +1,5 @@
 """The demos run standalone: each is a subprocess with PYTHONPATH at the
 package source, which must exit 0.
-
-Demo 04 (the criterion-11 closed loop, about half a minute) is left out:
-the reconstruction API it walks through is covered by criterion 11 in
-test_acceptance.py.
 """
 
 import os
@@ -20,7 +16,8 @@ DEMOS = Path(__file__).resolve().parents[1] / "demos"
 
 @pytest.mark.parametrize("demo", ["01_geodesics_on_the_disk.py",
                                   "02_scattering_and_gauge_equivalence.py",
-                                  "03_pestov_identity_and_commutators.py"])
+                                  "03_pestov_identity_and_commutators.py",
+                                  "04_reconstruction_closed_loop.py"])
 def test_demo_runs(demo, tmp_path):
     src = str(Path(ahxray.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(

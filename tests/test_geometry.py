@@ -321,6 +321,15 @@ class TestBoundaryAngles:
         with pytest.raises(DegenerateGeodesicError):
             DiskGeodesic.through(disk, (0.99, 0.0), 1.0, rho_cut=0.05)
 
+    @pytest.mark.parametrize("x0, theta", [((math.nan, 0.0), 0.3),
+                                           ((0.1, math.inf), 0.3),
+                                           ((0.1, 0.0), math.nan)])
+    def test_non_finite_geodesic_refused(self, disk, x0, theta):
+        # a NaN w or p would pass the rho_cut check (NaN compares false)
+        # and give NaN spans
+        with pytest.raises(DomainError, match="finite"):
+            DiskGeodesic.through(disk, x0, theta)
+
     def test_extrapolated_datum_matches_analytic(self, perturbed):
         # the closed-form boundary data of the piecewise path against the
         # data the RK45 oracle extrapolates from its last samples

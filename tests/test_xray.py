@@ -320,6 +320,30 @@ class TestGaugeCandidate:
         expected = gauge.q(pts)[:, None]
         assert np.max(frobenius(q - expected)) < 1e-5
 
+    def test_pairs_of_other_ranks_refused(self, disk, rng):
+        pair_a = random_connection(rng), random_higgs(rng)
+        pair_b = (random_connection(rng, rank=3),
+                  random_higgs(rng, rank=3))
+        path = DiskGeodesic.between_boundary_angles(disk, 0.4, 3.0).sample()
+        msg = "gauge candidate requires matching ranks"
+        with pytest.raises(DomainError, match=msg):
+            gauge_candidate(disk, pair_a, pair_b, path, [0.0])
+        with pytest.raises(DomainError, match=msg):
+            gauge_field_samples(disk, pair_a, pair_b, np.zeros((1, 2)),
+                                np.zeros(1))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_inputs_refused(self, disk, rng, bad):
+        # a NaN sample time would label the exit state t = NaN; a NaN base
+        # point would end in an SVD that does not converge
+        pair = random_connection(rng), random_higgs(rng)
+        path = DiskGeodesic.between_boundary_angles(disk, 0.4, 3.0).sample()
+        with pytest.raises(DomainError, match="finite"):
+            gauge_candidate(disk, pair, pair, path, [0.0, bad, 1.0])
+        with pytest.raises(DomainError, match="finite"):
+            gauge_field_samples(disk, pair, pair, np.array([[bad, 0.0]]),
+                                np.array([0.3]))
+
     def test_ill_conditioned_w_b_refused(self):
         w_a = np.eye(2, dtype=complex)[None]
         assert np.array_equal(_gauge_quotient(w_a, 2.0 * w_a), 0.5 * w_a)
